@@ -7,9 +7,12 @@ Exponents of ^ must be constants. ASTs are immutable; evaluation either
 returns a finite double or raises, never a silent NaN/Inf.
 
 Two evaluators are kept deliberately: a recursive reference evaluator
-that checks finiteness at every node, and a code generator that builds
-a Python closure for hot loops. Both use the same primitive operations
-(math.pow and friends), so values agree bitwise wherever both succeed.
+that checks finiteness at every node, and a code generator that emits
+straight-line Python for hot loops, one temporary per operation node.
+The generator builds the standalone closures here and the integrator's
+per-field step in flow.py. Both evaluators use the same primitive
+operations (math.pow and friends), so values agree bitwise wherever both
+succeed.
 """
 
 from __future__ import annotations
@@ -319,69 +322,112 @@ def _eval(e: Expr, x) -> float:
 
 # ---------------------------------------------------------------------------
 # code generation
+#
+# One straight-line emitter serves every compiled form: each operation node
+# becomes one temporary, in the post-order a nested Python expression would
+# evaluate, and the finiteness guards become inline comparisons. Leaves stay
+# inline operands.
 
-def _ck(v: float) -> float:
-    """Guard for operations that could absorb a non-finite operand."""
-    if math.isfinite(v):
-        return v
-    raise EvalDomainError("non-finite intermediate value")
+_INTERMEDIATE = "non-finite intermediate value"
+_RESULT = "non-finite result"
+
+# Globals of generated code: pow is math.pow, while abs, min and max stay
+# the builtins.
+_NAMESPACE = {
+    name: getattr(math, name) for name in ("sin", "cos", "exp", "sqrt", "tanh", "pow", "inf")
+}
+_NAMESPACE["EvalDomainError"] = EvalDomainError
+_SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
-def _fin(v: float) -> float:
-    if math.isfinite(v):
-        return v
-    raise EvalDomainError("non-finite result")
+def _guard(code: list[str], e: Expr, operand: str, message: str) -> None:
+    """Append a finiteness check of operand, the value of node e."""
+    if not (isinstance(e, Const) and math.isfinite(e.value)):
+        code.append(f"if not -inf < {operand} < inf: raise EvalDomainError({message!r})")
 
 
-def _gen(e: Expr) -> str:
+def _emit(e: Expr, xs, code: list[str]) -> str:
+    """Append the statements computing e to code; return its operand text.
+
+    xs[i] is the operand text of x_{i+1}.
+    """
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
-        return f"x[{e.index - 1}]"
+        return xs[e.index - 1]
     if isinstance(e, Unary):
-        a = _gen(e.arg)
-        if e.op == "neg":
-            return f"(-{a})"
-        if e.op == "abs":
-            return f"_abs({a})"
+        a = _emit(e.arg, xs, code)
         if e.op == "tanh":
             # tanh maps Inf to 1.0, so its operand must be checked.
-            return f"_tanh(_ck({a}))"
-        return f"_{e.op}({a})"
-    if isinstance(e, Nary):
-        args = ",".join(f"_ck({_gen(a)})" for a in e.args)
-        return f"_{e.op}({args})"
-    a, b = _gen(e.left), _gen(e.right)
-    if e.op == "pow":
-        # pow maps Inf^0 to 1.0 and Inf^-1 to 0.0; check the base.
-        return f"_pow(_ck({a}),{b})"
-    if e.op == "div":
-        # x/Inf is 0.0; check the divisor.
-        return f"({a}/_ck({b}))"
-    sym = {"add": "+", "sub": "-", "mul": "*"}[e.op]
-    return f"({a}{sym}{b})"
+            _guard(code, e.arg, a, _INTERMEDIATE)
+        text = f"-{a}" if e.op == "neg" else f"{e.op}({a})"
+    elif isinstance(e, Nary):
+        args = []
+        for arg in e.args:
+            args.append(_emit(arg, xs, code))
+            _guard(code, arg, args[-1], _INTERMEDIATE)
+        text = f"{e.op}({', '.join(args)})"
+    else:
+        a = _emit(e.left, xs, code)
+        if e.op == "pow":
+            # pow maps Inf^0 to 1.0 and Inf^-1 to 0.0; check the base.
+            _guard(code, e.left, a, _INTERMEDIATE)
+        b = _emit(e.right, xs, code)
+        if e.op == "div":
+            # x/Inf is 0.0; check the divisor.
+            _guard(code, e.right, b, _INTERMEDIATE)
+        text = f"pow({a}, {b})" if e.op == "pow" else f"{a} {_SYMBOLS[e.op]} {b}"
+    name = f"t{len(code)}"
+    code.append(f"{name} = {text}")
+    return name
 
 
-_HELPERS = (
-    "_sin=math.sin,_cos=math.cos,_exp=math.exp,_sqrt=math.sqrt,"
-    "_tanh=math.tanh,_pow=math.pow,_abs=abs,_min=min,_max=max,_ck=_ck,_fin=_fin"
-)
+def _emit_results(exprs, xs, code: list[str]) -> list[str]:
+    """Emit each expression as a checked result; return the plain names that
+    hold the results (an x[i] or literal result gets a temporary)."""
+    names = []
+    for e in exprs:
+        v = _emit(e, xs, code)
+        if not v.isidentifier():  # x[i] or a literal
+            name = f"t{len(code)}"
+            code.append(f"{name} = {v}")
+            v = name
+        _guard(code, e, v, _RESULT)
+        names.append(v)
+    return names
 
 
-def _compile_body(body: str, arity_note: str):
-    src = f"def _compiled(x,{_HELPERS}):\n    try:\n        return {body}\n" \
-          "    except (ValueError, ZeroDivisionError, OverflowError) as exc:\n" \
-          "        raise EvalDomainError(str(exc)) from exc\n"
-    scope = {"math": math, "_ck": _ck, "_fin": _fin, "EvalDomainError": EvalDomainError}
-    exec(src, scope)  # source is generated solely from the validated AST
-    fn = scope["_compiled"]
-    fn.__doc__ = arity_note
+def _define(name: str, params: str, code: list[str], returns: str, doc: str):
+    """Exec straight-line code as one function that maps Python's math
+    exceptions to EvalDomainError."""
+    src = "\n".join(
+        [f"def {name}({params}):", "    try:"]
+        + ["        " + line for line in code]
+        + [
+            f"        return {returns}",
+            "    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+            "        raise EvalDomainError(str(exc)) from exc",
+        ]
+    )
+    scope = dict(_NAMESPACE)
+    exec(src, scope)  # source is generated solely from validated ASTs
+    fn = scope[name]
+    fn.__doc__ = doc
     return fn
+
+
+def _emit_closure(exprs) -> tuple[list[str], list[str]]:
+    """Code and result names for exprs read from x[0], x[1], ... by index,
+    so a short input fails exactly where a variable is first read."""
+    code: list[str] = []
+    xs = [f"x[{i}]" for i in range(max(map(max_var_index, exprs)))]
+    return code, _emit_results(exprs, xs, code)
 
 
 def compile_scalar(e: Expr):
     """Compile to a closure mapping a coordinate sequence to a float."""
-    return _compile_body(f"_fin({_gen(e)})", "compiled scalar expression")
+    code, (name,) = _emit_closure([e])
+    return _define("_compiled", "x", code, name, "compiled scalar expression")
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +611,16 @@ class ScalarFieldSpec:
 
 def compile_vector_field(V: VectorFieldSpec):
     """Compile to a closure mapping a coordinate sequence to a list of floats."""
-    body = "[" + ",".join(f"_fin({_gen(c)})" for c in V.components) + "]"
-    return _compile_body(body, f"compiled field {V.label()}")
+    code, names = _emit_closure(V.components)
+    doc = f"compiled field {V.label()}"
+    return _define("_compiled", "x", code, f"[{', '.join(names)}]", doc)
 
 
 def compile_gradient(s: ScalarFieldSpec):
     """Compile the symbolic gradient to a closure returning a list of floats."""
     parts = [differentiate(s.body, i) for i in range(1, s.dim + 1)]
-    body = "[" + ",".join(f"_fin({_gen(p)})" for p in parts) + "]"
-    return _compile_body(body, "compiled gradient")
+    code, names = _emit_closure(parts)
+    return _define("_compiled", "x", code, f"[{', '.join(names)}]", "compiled gradient")
 
 
 def eval_field(V: VectorFieldSpec, x) -> list[float]:

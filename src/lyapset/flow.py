@@ -6,10 +6,15 @@ the integrator is from the composition law flow(flow(x,t1),t2) =
 flow(x,t1+t2). Negative times integrate the reversed field, so the
 realized flow is two-sided.
 
-The integrator core runs on plain float lists with compiled field
-closures; at desk scale this beats array round-trips per stage by an
-order of magnitude. Output samples are forced step endpoints, never
-interpolants, so a recorded state is exactly the integrator state.
+The integrator core runs on plain float lists; at desk scale this beats
+array round-trips per stage by an order of magnitude. For each field one
+generated function performs a whole Dormand-Prince attempt: the six new
+stages unrolled over the dimension with the field inlined, the scaled
+error sum and the squared norm of the new state. _dp_stages, which calls
+the compiled field closure once per stage, is kept as its reference and
+the two agree bitwise, errors included. Output samples are forced step
+endpoints, never interpolants, so a recorded state is exactly the
+integrator state.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EscapedDomainError, EvalDomainError, StepLimitError
-from .expr import VectorFieldSpec, compile_vector_field
+from .expr import VectorFieldSpec, _define, _emit_results, compile_vector_field
 from .geometry import as_point
 
 _METHODS = ("rk4_fixed", "rk45_adaptive")
@@ -42,6 +47,19 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     22 / 525,
     -1 / 40,
 )
+
+# Rows (stage j, coefficient) of the sums y + h * (sum of coefficient * k_j)
+# that give the states of stages 2..6 and then y5, and of the error sum,
+# in the order _dp_stages writes them.
+_STATE_ROWS = (
+    ((1, _A21),),
+    ((1, _A31), (2, _A32)),
+    ((1, _A41), (2, _A42), (3, _A43)),
+    ((1, _A51), (2, _A52), (3, _A53), (4, _A54)),
+    ((1, _A61), (2, _A62), (3, _A63), (4, _A64), (5, _A65)),
+    ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6)),
+)
+_ERROR_ROW = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
 
 _MIN_STEP = 1e-12
 
@@ -101,7 +119,46 @@ class Trajectory:
 
 @lru_cache(maxsize=128)
 def _compiled(V: VectorFieldSpec):
-    return compile_vector_field(V)
+    """The field's closure and its generated Dormand-Prince attempt."""
+    return compile_vector_field(V), _dp_kernel(V)
+
+
+def _dp_kernel(V: VectorFieldSpec):
+    """Generate attempt(y, k1, h, atol, rtol) -> (y5, k7, err_sum, norm2).
+
+    One straight-line function performs the arithmetic of _dp_stages with
+    the field inlined at all six new stages, then sums the squared scaled
+    errors and the squares of y5 in coordinate order, operation for
+    operation as the step control did with loops, so every result and every
+    error is bitwise the same.
+    """
+    idx = range(V.dim)
+    code = [
+        "".join(f"y{i}, " for i in idx) + "= y",
+        "".join(f"k1_{i}, " for i in idx) + "= k1",
+    ]
+    k = {1: [f"k1_{i}" for i in idx]}
+
+    def combination(row, i):
+        return " + ".join(f"{c!r} * {k[j][i]}" for j, c in row)
+
+    for stage, row in enumerate(_STATE_ROWS, start=2):
+        xs = [f"s{stage}_{i}" for i in idx]
+        code += [f"{xs[i]} = y{i} + h * ({combination(row, i)})" for i in idx]
+        k[stage] = _emit_results(V.components, xs, code)
+    # The last state is y5 and its derivative is k7.
+    for i in idx:
+        code += [
+            f"a = abs(y{i})",
+            f"b = abs({xs[i]})",
+            # max(a, b) is b exactly when b > a
+            f"r{i} = h * ({combination(_ERROR_ROW, i)}) / (atol + rtol * (b if b > a else a))",
+        ]
+    err_sum = " + ".join(f"r{i} * r{i}" for i in idx)
+    norm2 = " + ".join(f"{v} * {v}" for v in xs)
+    returns = f"[{', '.join(xs)}], [{', '.join(k[7])}], {err_sum}, {norm2}"
+    return _define("_attempt", "y, k1, h, atol, rtol", code, returns,
+                   f"Dormand-Prince attempt for {V.label()}")
 
 
 def _blowup_check(y, t, radius2):
@@ -121,6 +178,8 @@ def _rk4_step(f, y, h, n):
 
 
 def _dp_stages(f, y, k1, h, n):
+    """Reference attempt: one field-closure call per stage. The kernel
+    _dp_kernel generates must reproduce it bit for bit."""
     k2 = f([y[i] + h * (_A21 * k1[i]) for i in range(n)])
     k3 = f([y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n)])
     k4 = f([y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n)])
@@ -145,14 +204,16 @@ def _dp_stages(f, y, k1, h, n):
     return y5, k7, err
 
 
-def _walk(f, y, targets, cfg: IntegratorConfig):
+def _walk(V: VectorFieldSpec, y, targets, cfg: IntegratorConfig):
     """Integrate through each target time in order, yielding the state there.
 
     Step endpoints are forced onto every target, so yielded samples are
     integrator states, not interpolants.
     """
+    f, attempt = _compiled(V)
     n = len(y)
     radius2 = cfg.blowup_radius * cfg.blowup_radius
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
     horizon = targets[-1]
     adaptive = cfg.method == "rk45_adaptive"
     _blowup_check(y, 0.0, radius2)
@@ -176,17 +237,13 @@ def _walk(f, y, targets, cfg: IntegratorConfig):
                 _blowup_check(y, t, radius2)
                 continue
             h_try = min(h, remaining)
-            y5, k7, err = _dp_stages(f, y, k1, h_try, n)
-            s = 0.0
-            for i in range(n):
-                sc = cfg.abs_tol + cfg.rel_tol * max(abs(y[i]), abs(y5[i]))
-                r = err[i] / sc
-                s += r * r
-            enorm = math.sqrt(s / n)
+            y5, k7, err_sum, norm2 = attempt(y, k1, h_try, atol, rtol)
+            enorm = math.sqrt(err_sum / n)
             if enorm <= 1.0:
                 y, k1 = y5, k7
                 t = target if h_try == remaining else t + h_try
-                _blowup_check(y, t, radius2)
+                if norm2 > radius2:
+                    raise EscapedDomainError(t, list(y))
             elif h_try <= _MIN_STEP:
                 raise StepLimitError(f"step size underflow at t={t:.6g}")
             if enorm == 0.0:
@@ -197,8 +254,8 @@ def _walk(f, y, targets, cfg: IntegratorConfig):
         yield target, list(y)
 
 
-def _run(f, y, targets, cfg: IntegratorConfig):
-    return [state for _, state in _walk(f, y, targets, cfg)]
+def _run(V: VectorFieldSpec, y, targets, cfg: IntegratorConfig):
+    return [state for _, state in _walk(V, y, targets, cfg)]
 
 
 def _oriented(V: VectorFieldSpec, t: float):
@@ -215,7 +272,7 @@ def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     field, duration = _oriented(V, t)
-    final = _run(_compiled(field), [float(v) for v in x], [duration], cfg)[-1]
+    final = _run(field, [float(v) for v in x], [duration], cfg)[-1]
     return np.asarray(final)
 
 
@@ -238,7 +295,7 @@ def trajectory(
     """Forward orbit sampled at multiples of out_dt plus the final time T."""
     x = as_point(x, V.dim)
     times = sample_times(T, out_dt)
-    states = _run(_compiled(V), [float(v) for v in x], times[1:], cfg)
+    states = _run(V, [float(v) for v in x], times[1:], cfg)
     all_states = np.vstack([x[None, :], np.asarray(states)])
     return Trajectory(np.asarray(times), all_states, field_id=V.label())
 
@@ -255,7 +312,7 @@ def iterate_orbit(V: VectorFieldSpec, x, times, cfg: IntegratorConfig):
         b <= a for a, b in zip(targets, targets[1:])
     ):
         raise ValueError("times must be positive and strictly increasing")
-    for t, state in _walk(_compiled(V), [float(v) for v in x], targets, cfg):
+    for t, state in _walk(V, [float(v) for v in x], targets, cfg):
         yield t, np.asarray(state)
 
 
@@ -270,7 +327,7 @@ def partial_trajectory(
     collected = [[float(v) for v in x]]
     error = None
     try:
-        for t, state in _walk(_compiled(V), list(collected[0]), times[1:], cfg):
+        for t, state in _walk(V, list(collected[0]), times[1:], cfg):
             collected_times.append(t)
             collected.append(state)
     except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:

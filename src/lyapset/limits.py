@@ -20,6 +20,7 @@ from .errors import (
     EvalDomainError,
     LyapsetError,
     OrbitUnboundedError,
+    StepLimitError,
 )
 from .expr import VectorFieldSpec
 from .flow import IntegratorConfig, flow, partial_trajectory, trajectory
@@ -84,7 +85,7 @@ def estimate_omega(
     try:
         settled = flow(V, x, transient_T, cfg)
         window = trajectory(V, settled, window_T, out_dt, cfg)
-    except (EscapedDomainError, EvalDomainError) as exc:
+    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
         raise OrbitUnboundedError(
             f"orbit unbounded within horizon {transient_T + window_T}: {exc}"
         ) from exc
@@ -93,7 +94,7 @@ def estimate_omega(
     tau = out_dt
     try:
         moved = np.asarray([flow(V, p, tau, cfg) for p in reps])
-    except (EscapedDomainError, EvalDomainError) as exc:
+    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
         raise OrbitUnboundedError(f"representative escaped during probe: {exc}") from exc
     defect = hausdorff(moved, reps)
 

@@ -26,6 +26,7 @@ from .errors import (
     EvalDomainError,
     LyapsetError,
     NondifferentiableError,
+    StepLimitError,
 )
 from .expr import (
     ScalarFieldSpec,
@@ -411,7 +412,7 @@ def verify_certificate(
             decrease_margin = max(
                 decrease_margin, lfn([float(c) for c in moved]) - lfn(list(p))
             )
-    except (EvalDomainError, EscapedDomainError) as exc:
+    except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:
         notes.append(f"evaluation failure: {exc}")
         return CertificateReport(
             positivity_margin=-math.inf,

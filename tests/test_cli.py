@@ -65,6 +65,19 @@ class TestAnalyze:
         assert report["blocks"]["omega"]["invariance_defect"] <= 1e-2
         assert len(report["blocks"]["omega"]["representatives"]) > 100
 
+    @pytest.mark.parametrize(
+        "name",
+        ["harmonic_oscillator.json", "linear_sink.json", "unstable_linear.json", "vanderpol.json"],
+    )
+    def test_step_budget_exhaustion_still_writes_report(self, name, tmp_path):
+        with open(os.path.join(PROBLEM_DIR, name), "r", encoding="utf-8") as fh:
+            problem = json.load(fh)
+        problem.setdefault("integrator", {})["max_steps"] = 3
+        path = tmp_path / name
+        path.write_text(json.dumps(problem))
+        assert main(["analyze", str(path)]) in (0, 2)
+        assert (tmp_path / name.replace(".json", ".report.json")).exists()
+
     def test_malformed_json_exits_1_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dimension": 1,\n  "field": [}')

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lyapset.errors import (
     DimensionMismatchError,
@@ -18,9 +18,12 @@ from lyapset.expr import (
     Unary,
     Var,
     VectorFieldSpec,
+    compile_gradient,
     compile_scalar,
+    compile_vector_field,
     differentiate,
     eval_expr,
+    eval_field,
     gradient,
     neg,
     parse,
@@ -232,18 +235,54 @@ class TestPrintParseRoundTrip:
         assert print_expr(parse(text, 2)) == text
 
 
+# Texts a compiled closure may raise EvalDomainError with: its own
+# finiteness guards, then Python's math exceptions passed through.
+_COMPILED_DOMAIN_MESSAGES = {
+    "non-finite intermediate value",
+    "non-finite result",
+    "math domain error",
+    "math range error",
+    "float division by zero",
+}
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+_HUGE = Binary("mul", Binary("mul", Var(1), Const(1e300)), Const(1e300))
+
+
 class TestInterpretedVsCompiled:
     @settings(max_examples=100, deadline=None)
     @given(any_exprs(2), st.lists(st.floats(-2, 2, allow_nan=False), min_size=2, max_size=2))
+    # One input per message the compiled closures can raise.
+    @example(Unary("tanh", _HUGE), [1.0, 0.0])
+    @example(_HUGE, [1.0, 0.0])
+    @example(Unary("sqrt", Var(1)), [-1.0, 0.0])
+    @example(Binary("div", Const(1.0), Var(2)), [1.0, 0.0])
+    @example(Unary("exp", Binary("mul", Var(1), Const(1000.0))), [1.0, 0.0])
     def test_bitwise_agreement(self, e, x):
-        fn = compile_scalar(e)
+        V = VectorFieldSpec((e, e), 2)
+        scalar = compile_scalar(e)
+        pairs = [
+            (lambda p: [eval_expr(e, p)], lambda p: [scalar(p)]),
+            (lambda p: eval_field(V, p), compile_vector_field(V)),
+        ]
+        s = ScalarFieldSpec(e, 2)
         try:
-            reference = eval_expr(e, x)
-        except EvalDomainError:
-            with pytest.raises(EvalDomainError):
-                fn(list(x))
-            return
-        assert fn(list(x)) == reference
+            pairs.append((lambda p: gradient(s, p), compile_gradient(s)))
+        except NondifferentiableError:
+            pass
+        for reference, compiled in pairs:
+            try:
+                expected = reference(x)
+            except EvalDomainError:
+                with pytest.raises(EvalDomainError) as exc_info:
+                    compiled(list(x))
+                assert str(exc_info.value) in _COMPILED_DOMAIN_MESSAGES
+                continue
+            assert _bits(compiled(list(x))) == _bits(expected)
 
 
 class TestGradientVsFiniteDifferences:

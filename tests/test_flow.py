@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lyapset.errors import EscapedDomainError, EvalDomainError
-from lyapset.expr import VectorFieldSpec
+from lyapset.expr import VectorFieldSpec, compile_vector_field
 from lyapset.flow import (
     IntegratorConfig,
     Trajectory,
+    _dp_kernel,
+    _dp_stages,
     flow,
     iterate_orbit,
     partial_trajectory,
@@ -15,6 +18,7 @@ from lyapset.flow import (
     semigroup_defect,
     trajectory,
 )
+from test_expr import any_exprs
 
 
 class TestConfig:
@@ -198,3 +202,54 @@ class TestContinuity:
         x = np.array([1.0, 0.5])
         y = flow(osc, flow(osc, x, 2.0, cfg_tight), -2.0, cfg_tight)
         assert np.linalg.norm(y - x) <= 1e-7
+
+
+def _reference_attempt(V, y, k1, h, atol, rtol):
+    """_dp_stages on the field closure, then the error and blow-up sums as
+    the adaptive loop computed them before the generated kernel."""
+    n = V.dim
+    y5, k7, err = _dp_stages(compile_vector_field(V), y, k1, h, n)
+    err_sum = 0.0
+    for i in range(n):
+        sc = atol + rtol * max(abs(y[i]), abs(y5[i]))
+        r = err[i] / sc
+        err_sum += r * r
+    norm2 = 0.0
+    for v in y5:
+        norm2 += v * v
+    return y5, k7, err_sum, norm2
+
+
+def _attempt_bits(result):
+    y5, k7, err_sum, norm2 = result
+    return [v.hex() for v in y5], [v.hex() for v in k7], err_sum.hex(), norm2.hex()
+
+
+@st.composite
+def _dp_attempts(draw):
+    n = draw(st.integers(1, 4))
+    V = VectorFieldSpec(tuple(draw(any_exprs(n)) for _ in range(n)), n)
+
+    def vector(bound):
+        return draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n))
+
+    h = draw(st.floats(1e-6, 1.0))
+    atol, rtol = draw(st.floats(1e-14, 1e-3)), draw(st.floats(1e-14, 1e-3))
+    return V, vector(2.0), vector(4.0), h, atol, rtol
+
+
+class TestGeneratedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(_dp_attempts())
+    def test_bitwise_equal_to_reference_stages(self, case):
+        V, y, k1, h, atol, rtol = case
+        attempt = _dp_kernel(V)
+        try:
+            expected = _reference_attempt(V, y, k1, h, atol, rtol)
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as exc_info:
+                attempt(y, k1, h, atol, rtol)
+            assert type(exc_info.value) is type(exc)
+            assert str(exc_info.value) == str(exc)
+            return
+        assert _attempt_bits(attempt(y, k1, h, atol, rtol)) == _attempt_bits(expected)
