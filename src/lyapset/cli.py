@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import LyapsetError, OrbitUnboundedError, ProblemFormatError
+from .errors import LyapsetError, OrbitUnboundedError, ProblemFormatError, StepLimitError
 from .expr import ScalarFieldSpec
 from .flow import IntegratorConfig
 from .geometry import Box
@@ -93,12 +93,15 @@ def _run_stability(problem: ProblemDefinition, cfg: IntegratorConfig) -> dict:
         box = Box(block["box"][0], block["box"][1])
     else:
         box = _default_box(problem, 2.0 * max(block["epsilons"]))
-    report = classify_stability(
-        problem.field, problem.set_spec, cfg, block["epsilons"], box,
-        resolution=block["resolution"], horizon_T=block["horizon"],
-        shell_samples=block["shell_samples"], seed=problem.block_seed("stability"),
-        tol=block["tol"], out_dt=block["out_dt"],
-    )
+    try:
+        report = classify_stability(
+            problem.field, problem.set_spec, cfg, block["epsilons"], box,
+            resolution=block["resolution"], horizon_T=block["horizon"],
+            shell_samples=block["shell_samples"], seed=problem.block_seed("stability"),
+            tol=block["tol"], out_dt=block["out_dt"],
+        )
+    except StepLimitError as exc:
+        return {"error": str(exc)}
     return report.to_json()
 
 
@@ -157,7 +160,7 @@ def cmd_analyze(args) -> int:
             blocks[name], csvs["roa"] = _run_roa(problem, cfg)
         elif name == "stability":
             blocks[name] = _run_stability(problem, cfg)
-            if blocks[name]["verdict"] == VERDICT_UNSTABLE:
+            if blocks[name].get("verdict") == VERDICT_UNSTABLE:
                 exit_code = 2
         elif name == "converse":
             blocks[name], csvs["converse"] = _run_converse(problem, cfg)

@@ -13,6 +13,12 @@ The generator builds the standalone closures here and the integrator's
 per-field step in flow.py. Both evaluators use the same primitive
 operations (math.pow and friends), so values agree bitwise wherever both
 succeed.
+
+The generator also writes a lane form of the same code, in which every
+operand is a NumPy array holding one value per lane (one start of a
+batch of orbits). It performs the same IEEE operations in the same
+order, with functions picked to round as libm does, and instead of
+raising it clears a mask ok on the lanes where the scalar code raises.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -340,66 +348,147 @@ _NAMESPACE["EvalDomainError"] = EvalDomainError
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
-def _guard(code: list[str], e: Expr, operand: str, message: str) -> None:
+def _lane_fold(prefer):
+    """Builtin min or max over lanes: fold left, taking the next argument
+    b only where prefer(b, current) holds, so NaN and signed-zero results
+    match the builtins."""
+    def fold(a, *rest):
+        for b in rest:
+            a = np.where(prefer(b, a), b, a)
+        return a
+    return fold
+
+
+def _lane_each(fn):
+    """Apply a math function lane by lane, where NumPy's ufunc rounds
+    differently from libm."""
+    def each(a):
+        if np.ndim(a):
+            return np.fromiter(map(fn, a.tolist()), float, a.size)
+        return fn(a)
+    return each
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:  # the ok mask flags it
+        return math.inf
+
+
+# Globals of generated lane code. np.float_power, np.sin, np.cos and
+# np.sqrt return libm's bits; np.power, np.exp and np.tanh do not always.
+_LANE_NAMESPACE = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "pow": np.float_power,
+    "exp": _lane_each(_exp_or_inf),
+    "tanh": _lane_each(math.tanh),
+    "min": _lane_fold(np.less),
+    "max": _lane_fold(np.greater),
+    "isfinite": np.isfinite,
+    "isinf": np.isinf,
+    "where": np.where,
+    "array": np.array,
+    "full_like": np.full_like,
+    "inf": math.inf,
+    "EvalDomainError": EvalDomainError,
+}
+# Lanes where an operation does not raise in Python, as masks over its
+# operands a, b and its value t. sqrt raises below zero but not on NaN
+# (a != a), sin and cos on infinities, a division on a zero divisor, exp
+# and pow when finite operands give a non-finite value.
+_LANE_OK_BEFORE = {
+    "sqrt": "({a} >= 0.0) | ({a} != {a})",
+    "sin": "~isinf({a})",
+    "cos": "~isinf({a})",
+    "div": "{b} != 0.0",
+}
+_LANE_OK_AFTER = {
+    "exp": "isfinite({t}) | ~isfinite({a})",
+    "pow": "isfinite({t}) | ~isfinite({b})",
+}
+
+
+def _guard(code: list[str], e: Expr, operand: str, message: str, lanes: bool) -> None:
     """Append a finiteness check of operand, the value of node e."""
-    if not (isinstance(e, Const) and math.isfinite(e.value)):
+    if isinstance(e, Const) and math.isfinite(e.value):
+        return
+    if lanes:
+        code.append(f"ok &= isfinite({operand})")
+    else:
         code.append(f"if not -inf < {operand} < inf: raise EvalDomainError({message!r})")
 
 
-def _emit(e: Expr, xs, code: list[str]) -> str:
+def _emit(e: Expr, xs, code: list[str], lanes: bool = False) -> str:
     """Append the statements computing e to code; return its operand text.
 
-    xs[i] is the operand text of x_{i+1}.
+    xs[i] is the operand text of x_{i+1}. With lanes, operands are arrays
+    and the code clears ok where the scalar code raises.
     """
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return xs[e.index - 1]
+    a = b = None
     if isinstance(e, Unary):
-        a = _emit(e.arg, xs, code)
+        a = _emit(e.arg, xs, code, lanes)
         if e.op == "tanh":
             # tanh maps Inf to 1.0, so its operand must be checked.
-            _guard(code, e.arg, a, _INTERMEDIATE)
+            _guard(code, e.arg, a, _INTERMEDIATE, lanes)
         text = f"-{a}" if e.op == "neg" else f"{e.op}({a})"
     elif isinstance(e, Nary):
         args = []
         for arg in e.args:
-            args.append(_emit(arg, xs, code))
-            _guard(code, arg, args[-1], _INTERMEDIATE)
+            args.append(_emit(arg, xs, code, lanes))
+            _guard(code, arg, args[-1], _INTERMEDIATE, lanes)
         text = f"{e.op}({', '.join(args)})"
     else:
-        a = _emit(e.left, xs, code)
+        a = _emit(e.left, xs, code, lanes)
         if e.op == "pow":
             # pow maps Inf^0 to 1.0 and Inf^-1 to 0.0; check the base.
-            _guard(code, e.left, a, _INTERMEDIATE)
-        b = _emit(e.right, xs, code)
+            _guard(code, e.left, a, _INTERMEDIATE, lanes)
+        b = _emit(e.right, xs, code, lanes)
         if e.op == "div":
             # x/Inf is 0.0; check the divisor.
-            _guard(code, e.right, b, _INTERMEDIATE)
+            _guard(code, e.right, b, _INTERMEDIATE, lanes)
         text = f"pow({a}, {b})" if e.op == "pow" else f"{a} {_SYMBOLS[e.op]} {b}"
     name = f"t{len(code)}"
+    if lanes and e.op in _LANE_OK_BEFORE:
+        code.append(f"ok &= {_LANE_OK_BEFORE[e.op].format(a=a, b=b)}")
     code.append(f"{name} = {text}")
+    if lanes and e.op in _LANE_OK_AFTER:
+        ok = _LANE_OK_AFTER[e.op]
+        if e.op == "pow" and isinstance(e.right, Const) and math.isfinite(e.right.value):
+            ok = "isfinite({t})"  # the usual exponent, a finite constant
+        code.append(f"ok &= {ok.format(a=a, b=b, t=name)}")
     return name
 
 
-def _emit_results(exprs, xs, code: list[str]) -> list[str]:
+def _emit_results(exprs, xs, code: list[str], lanes: bool = False) -> list[str]:
     """Emit each expression as a checked result; return the plain names that
-    hold the results (an x[i] or literal result gets a temporary)."""
+    hold the results (an x[i] or literal result gets a temporary, and with
+    lanes a result that reads no variable is spread over the lanes)."""
     names = []
     for e in exprs:
-        v = _emit(e, xs, code)
-        if not v.isidentifier():  # x[i] or a literal
+        v = _emit(e, xs, code, lanes)
+        if lanes and max_var_index(e) == 0:
+            v = f"full_like({xs[0]}, {v})"
+        if not v.isidentifier():  # x[i], a literal or a spread constant
             name = f"t{len(code)}"
             code.append(f"{name} = {v}")
             v = name
-        _guard(code, e, v, _RESULT)
+        _guard(code, e, v, _RESULT, lanes)
         names.append(v)
     return names
 
 
-def _define(name: str, params: str, code: list[str], returns: str, doc: str):
+def _define(name: str, params: str, code: list[str], returns: str, doc: str,
+            lanes: bool = False):
     """Exec straight-line code as one function that maps Python's math
-    exceptions to EvalDomainError."""
+    exceptions to EvalDomainError. Lane code raises only where operations
+    on constants alone raise, which they do for every lane."""
     src = "\n".join(
         [f"def {name}({params}):", "    try:"]
         + ["        " + line for line in code]
@@ -409,7 +498,7 @@ def _define(name: str, params: str, code: list[str], returns: str, doc: str):
             "        raise EvalDomainError(str(exc)) from exc",
         ]
     )
-    scope = dict(_NAMESPACE)
+    scope = dict(_LANE_NAMESPACE if lanes else _NAMESPACE)
     exec(src, scope)  # source is generated solely from validated ASTs
     fn = scope[name]
     fn.__doc__ = doc

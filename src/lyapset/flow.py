@@ -15,6 +15,18 @@ the compiled field closure once per stage, is kept as its reference and
 the two agree bitwise, errors included. Output samples are forced step
 endpoints, never interpolants, so a recorded state is exactly the
 integrator state.
+
+integrate_lanes() runs many starts at once, for analyses that start an
+orbit per grid node or sample. Each start is a lane, a column of NumPy
+arrays, with its own time, step size and next output time; acceptance
+is masked per lane, and a lane leaves the batch when it finishes or
+fails. A lane performs the IEEE operations of the scalar loop in the
+same order, so its samples are bitwise those of _walk. That rests on
+NumPy functions that round as libm does: float_power for pow and for
+the step factor (np.power differs), sin, cos and sqrt, while exp and
+tanh are evaluated element by element with math. Where the scalar code
+raises, a lane is marked failed instead, so one bad start never aborts
+the batch.
 """
 
 from __future__ import annotations
@@ -25,7 +37,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import EscapedDomainError, EvalDomainError, StepLimitError
+from .errors import (
+    DimensionMismatchError,
+    EscapedDomainError,
+    EvalDomainError,
+    StepLimitError,
+)
 from .expr import VectorFieldSpec, _define, _emit_results, compile_vector_field
 from .geometry import as_point
 
@@ -161,11 +178,66 @@ def _dp_kernel(V: VectorFieldSpec):
                    f"Dormand-Prince attempt for {V.label()}")
 
 
-def _blowup_check(y, t, radius2):
+def _lane_field(V: VectorFieldSpec, xs, code: list[str]) -> str:
+    """Append the lane code of the field at the coordinates xs; return the
+    text of its (n, m) value."""
+    return f"array([{', '.join(_emit_results(V.components, xs, code, lanes=True))}])"
+
+
+@lru_cache(maxsize=128)
+def _lane_kernels(V: VectorFieldSpec):
+    """The field and its Dormand-Prince attempt over lanes.
+
+    field(y, ok) and attempt(y, k1, h, atol, rtol, ok) -> (y5, k7, err_sum,
+    norm2) take states and slopes as (n, m) arrays, one column per lane,
+    and h as one step per lane. They perform, lane by lane, the operations
+    of the compiled closure and of _dp_kernel: each state sum is one array
+    operation over all coordinates, and the error and norm sums add rows
+    in coordinate order. Instead of raising they clear the boolean mask ok
+    on the lanes where the scalar code raises.
+    """
+    xs = [f"y{i}" for i in range(V.dim)]
+    code = ["".join(f"{v}, " for v in xs) + "= y"]
+    value = _lane_field(V, xs, code)
+    field = _define("_field", "y, ok", code, value, f"lanes of {V.label()}", lanes=True)
+
+    def combination(row):
+        return " + ".join(f"{c!r} * k{j}" for j, c in row)
+
+    code = []
+    for stage, row in enumerate(_STATE_ROWS, start=2):
+        xs = [f"s{stage}_{i}" for i in range(V.dim)]
+        code += [
+            f"s{stage} = y + h * ({combination(row)})",
+            "".join(f"{v}, " for v in xs) + f"= s{stage}",
+        ]
+        code.append(f"k{stage} = {_lane_field(V, xs, code)}")
+    # s7 is y5 and k7 its slope. max(a, b) is b exactly when b > a.
+    code += [
+        "a = abs(y)",
+        "b = abs(s7)",
+        f"r = h * ({combination(_ERROR_ROW)}) / (atol + rtol * where(b > a, b, a))",
+        "r = r * r",
+        "q = s7 * s7",
+    ]
+    err_sum = " + ".join(f"r[{i}]" for i in range(V.dim))
+    norm2 = " + ".join(f"q[{i}]" for i in range(V.dim))
+    attempt = _define("_attempt", "y, k1, h, atol, rtol, ok", code,
+                      f"s7, k7, {err_sum}, {norm2}",
+                      f"Dormand-Prince attempt over lanes of {V.label()}", lanes=True)
+    return field, attempt
+
+
+def _norm2(y):
+    """Squared norm summed in coordinate order, of floats or of lanes."""
     s = 0.0
     for v in y:
         s += v * v
-    if s > radius2:
+    return s
+
+
+def _blowup_check(y, t, radius2):
+    if _norm2(y) > radius2:
         raise EscapedDomainError(t, list(y))
 
 
@@ -252,6 +324,96 @@ def _walk(V: VectorFieldSpec, y, targets, cfg: IntegratorConfig):
                 factor = min(5.0, max(0.2, 0.9 * enorm ** -0.2))
             h = min(max(h_try * factor, _MIN_STEP), horizon)
         yield target, list(y)
+
+
+def _keep(mask, *arrays):
+    """Each array restricted to the lanes in mask (its last axis)."""
+    return [a[..., mask] for a in arrays]
+
+
+def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit):
+    """Integrate every row of starts through the targets at once.
+
+    Each row is a lane with its own t, h and next target, and it takes the
+    steps, and the bits, that _walk takes from that start alone. Whenever
+    lanes reach a target, visit(rows, j, states) receives their row
+    numbers, the index in targets of the target each reached and their
+    states there, (len(rows), n). A lane leaves the batch after its
+    last target, or where _walk raises: on escape, a domain failure of the
+    field, the step budget or a step size underflow. targets must be
+    positive and strictly increasing. Returns the mask of failed rows.
+    """
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != V.dim:
+        raise DimensionMismatchError(f"starts must be (m, {V.dim}), got {starts.shape}")
+    if not np.all(np.isfinite(starts)):
+        raise ValueError("state point coordinates must be finite")
+    field, attempt = _lane_kernels(V)
+    n = V.dim
+    targets = np.asarray(targets, dtype=float)
+    last = targets.size
+    horizon = float(targets[-1])
+    radius2 = cfg.blowup_radius * cfg.blowup_radius
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    adaptive = cfg.method == "rk45_adaptive"
+    failed = np.zeros(starts.shape[0], dtype=bool)
+    rows = np.arange(starts.shape[0])
+    with np.errstate(all="ignore"):
+        y = starts.T.copy()  # one row per coordinate, one column per lane
+        ok = ~(_norm2(y) > radius2)
+        try:
+            # rk4 steps start with this evaluation too, so it fails the
+            # same lanes.
+            k1 = field(y, ok)
+        except EvalDomainError:  # raised by constants alone, on every lane
+            failed[:] = True
+            return failed
+        t = np.zeros(rows.size)
+        h = np.full(rows.size, min(cfg.dt, horizon))
+        j = np.zeros(rows.size, dtype=np.intp)
+        steps = 0  # every lane attempts one step per pass
+        while True:
+            if not ok.all():
+                failed[rows[~ok]] = True
+                rows, t, h, j, y, k1 = _keep(ok, rows, t, h, j, y, k1)
+            while True:
+                target = targets[j]
+                remaining = target - t
+                reached = remaining <= 0.0
+                if not reached.any():
+                    break
+                visit(rows[reached], j[reached], y[:, reached].T.copy())
+                j = j + reached
+                more = j < last
+                if not more.all():
+                    rows, t, h, j, y, k1 = _keep(more, rows, t, h, j, y, k1)
+            if not rows.size:
+                return failed
+            steps += 1
+            if steps > cfg.max_steps:
+                failed[rows] = True
+                return failed
+            ok = np.ones(rows.size, dtype=bool)
+            if not adaptive:
+                h_try = np.fmin(cfg.dt, remaining)
+                y = np.asarray(_rk4_step(lambda x: field(x, ok), y, h_try, n))
+                t = np.where(h_try == remaining, target, t + h_try)
+                ok &= ~(_norm2(y) > radius2)
+                continue
+            # fmin and fmax stand for the scalar min and max where no
+            # operand is NaN, and where 0.9 * enorm ** -0.2 is NaN fmax
+            # takes 0.2 as max(0.2, NaN) does. At enorm 0 float_power
+            # gives inf, so the factor is 5.0 as the scalar special case.
+            h_try = np.fmin(h, remaining)
+            y5, k7, err_sum, norm2 = attempt(y, k1, h_try, atol, rtol, ok)
+            enorm = np.sqrt(err_sum / n)
+            accept = enorm <= 1.0
+            y = np.where(accept, y5, y)
+            k1 = np.where(accept, k7, k1)
+            t = np.where(accept, np.where(h_try == remaining, target, t + h_try), t)
+            ok &= np.where(accept, ~(norm2 > radius2), h_try > _MIN_STEP)
+            factor = np.fmin(np.fmax(0.9 * np.float_power(enorm, -0.2), 0.2), 5.0)
+            h = np.fmin(np.fmax(h_try * factor, _MIN_STEP), horizon)
 
 
 def _run(V: VectorFieldSpec, y, targets, cfg: IntegratorConfig):

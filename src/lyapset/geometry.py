@@ -106,21 +106,11 @@ class PointCloud(CompactSet):
 
     def _nearest(self, points: np.ndarray) -> np.ndarray:
         if self._tree is None:
-            try:
-                from scipy.spatial import cKDTree
-            except ImportError:
-                self._tree = False
-            else:
-                self._tree = cKDTree(self.points)
-        if self._tree is not False:
-            return self._tree.query(points, k=1)[0]
-        out = np.empty(points.shape[0])
-        rows = max(1, _CHUNK_ENTRIES // max(1, self.points.shape[0]))
-        for start in range(0, points.shape[0], rows):
-            chunk = points[start : start + rows]
-            diff = chunk[:, None, :] - self.points[None, :, :]
-            out[start : start + rows] = np.sqrt((diff * diff).sum(-1)).min(axis=1)
-        return out
+            # Imported on first use: SciPy's import costs more than lyapset's.
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(self.points)
+        return self._tree.query(points, k=1)[0]
 
     def distance(self, x):
         x = self._check_dim(as_point(x))

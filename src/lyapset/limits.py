@@ -23,7 +23,14 @@ from .errors import (
     StepLimitError,
 )
 from .expr import VectorFieldSpec
-from .flow import IntegratorConfig, flow, partial_trajectory, trajectory
+from .flow import (
+    IntegratorConfig,
+    flow,
+    integrate_lanes,
+    partial_trajectory,
+    sample_times,
+    trajectory,
+)
 from .geometry import Box, CompactSet, FiniteSetApprox, PointCloud, as_point, hausdorff
 
 LABEL_ATTRACTED = "attracted"
@@ -197,7 +204,8 @@ def roa_grid(
     tol: float,
     out_dt: float = 0.05,
 ) -> RoaGrid:
-    """Classify every node of a rectangular grid; errors are recorded rows."""
+    """Classify every node of a rectangular grid as classify_attraction
+    would, bit for bit; errors are recorded rows."""
     if not isinstance(box, Box):
         raise TypeError("roa_grid needs a Box region")
     if box.dim != V.dim:
@@ -211,38 +219,71 @@ def roa_grid(
             raise ValueError("one resolution per axis required")
     if any(r < 2 for r in res):
         raise ValueError("resolution must be >= 2 per axis")
+    if not horizon_T > 0:
+        raise ValueError("horizon_T must be > 0")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
 
     axes = tuple(np.linspace(box.lo[d], box.hi[d], res[d]) for d in range(n))
     mesh = np.meshgrid(*axes, indexing="ij")
     nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    times = sample_times(horizon_T, out_dt)
+    in_tail = np.asarray(times[1:]) >= (1.0 - TAIL_FRACTION) * horizon_T
 
-    labels: list[str] = []
-    finals: list[float] = []
-    mins: list[float] = []
-    escaped: list[bool] = []
-    errors: list[str | None] = []
-    for node in nodes:
+    # All nodes run as lanes of one batch. Each lane's sampled distances
+    # are reduced as it reaches each sample time, to what
+    # classify_attraction reads from its whole orbit: the minimum, the
+    # last value and the maximum over the tail.
+    errors: list[str | None] = [None] * len(nodes)
+
+    def distances(rows, points):
+        """M.distances, retried row by row when the batch raises, so that
+        only the rows that raise become error rows."""
         try:
-            v = classify_attraction(V, node, M, cfg, horizon_T, tol, out_dt=out_dt)
-            labels.append(v.label)
-            finals.append(v.final_distance)
-            mins.append(v.min_distance)
-            escaped.append(v.escaped)
-            errors.append(None)
-        except LyapsetError as exc:
-            labels.append(LABEL_ERROR)
-            finals.append(math.nan)
-            mins.append(math.nan)
-            escaped.append(False)
-            errors.append(str(exc))
+            return M.distances(points)
+        except LyapsetError:
+            pass
+        d = np.empty(len(rows))
+        for i, (row, p) in enumerate(zip(rows.tolist(), points)):
+            try:
+                d[i] = M.distances(p[None, :])[0]
+            except LyapsetError as exc:
+                d[i] = math.nan
+                errors[row] = errors[row] or str(exc)
+        return d
+
+    lowest = distances(np.arange(len(nodes)), nodes)
+    latest = lowest.copy()
+    tail_max = np.full(len(nodes), -math.inf)
+
+    def visit(rows, j, states):
+        d = distances(rows, states)
+        lowest[rows] = np.minimum(lowest[rows], d)
+        latest[rows] = d
+        tail = in_tail[j]
+        tail_max[rows[tail]] = np.maximum(tail_max[rows[tail]], d[tail])
+
+    escaped = integrate_lanes(V, nodes, times[1:], cfg, visit)
+    error = np.array([e is not None for e in errors])
+    # An orbit that did not fail reached every sample, so its tail, which
+    # holds the sample at horizon_T, is not empty.
+    labels = np.where(
+        error,
+        LABEL_ERROR,
+        np.where(
+            ~escaped & (tail_max <= tol),
+            LABEL_ATTRACTED,
+            np.where(lowest <= tol, LABEL_WEAK, LABEL_NOT),
+        ),
+    )
     return RoaGrid(
         axes=axes,
         shape=tuple(res),
         nodes=nodes,
-        labels=tuple(labels),
-        final_distances=np.asarray(finals),
-        min_distances=np.asarray(mins),
-        escaped=tuple(escaped),
+        labels=tuple(labels.tolist()),
+        final_distances=np.where(error, math.nan, latest),
+        min_distances=np.where(error, math.nan, lowest),
+        escaped=tuple((escaped & ~error).tolist()),
         errors=tuple(errors),
         horizon=horizon_T,
         tol=tol,

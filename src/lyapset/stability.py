@@ -18,9 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LyapsetError
+from .errors import EscapedDomainError, EvalDomainError
 from .expr import VectorFieldSpec
-from .flow import IntegratorConfig, iterate_orbit, partial_trajectory, sample_times
+from .flow import (
+    IntegratorConfig,
+    integrate_lanes,
+    iterate_orbit,
+    partial_trajectory,
+    sample_times,
+)
 from .geometry import (
     Box,
     CompactSet,
@@ -111,14 +117,16 @@ def _orbit_stays_inside(
     times,
     cfg: IntegratorConfig,
 ) -> bool:
-    """True when every sampled state keeps d < epsilon; errors count as exits."""
+    """True when every sampled state keeps d < epsilon. An escape or a
+    domain failure counts as an exit; an exhausted step budget says
+    nothing about the orbit and propagates."""
     if not M.distance(x) < epsilon:
         return False
     try:
         for _, state in iterate_orbit(V, x, times, cfg):
             if not M.distance(state) < epsilon:
                 return False
-    except LyapsetError:
+    except (EscapedDomainError, EvalDomainError):
         return False
     return True
 
@@ -195,19 +203,25 @@ def uniform_attraction_time(
         raise ValueError("epsilon must be > 0")
     if len(K) < 1:
         raise ValueError("K must be nonempty")
+    times = sample_times(T_max, out_dt)
+    # Index of each orbit's last sample with d >= epsilon, or -1.
+    last = np.where(M.distances(K.points) >= epsilon, 0, -1)
+
+    def visit(rows, j, states):
+        outside = M.distances(states) >= epsilon
+        last[rows[outside]] = j[outside] + 1
+
+    failed = integrate_lanes(V, K.points, times[1:], cfg, visit)
+    # Scanned in start order, so the first failure or the first orbit still
+    # outside at T_max decides, as when the orbits ran one by one.
     entry = 0.0
-    for k in K.points:
-        traj, error = partial_trajectory(V, k, T_max, out_dt, cfg)
-        if error is not None:
+    for fail, k in zip(failed.tolist(), last.tolist()):
+        if fail:
             return UniformTimeEstimate(None, integration_failed=True)
-        d = M.distances(traj.states)
-        violations = np.nonzero(d >= epsilon)[0]
-        if violations.size == 0:
-            continue
-        last = int(violations[-1])
-        if last == len(traj) - 1:
+        if k == len(times) - 1:
             return UniformTimeEstimate(None)
-        entry = max(entry, float(traj.times[last + 1]))
+        if k >= 0:
+            entry = max(entry, times[k + 1])
     return UniformTimeEstimate(entry)
 
 

@@ -76,7 +76,13 @@ class TestAnalyze:
         path = tmp_path / name
         path.write_text(json.dumps(problem))
         assert main(["analyze", str(path)]) in (0, 2)
-        assert (tmp_path / name.replace(".json", ".report.json")).exists()
+        report = tmp_path / name.replace(".json", ".report.json")
+        assert report.exists()
+        if name == "linear_sink.json":
+            # An exhausted budget is no evidence of instability.
+            stability = json.loads(report.read_text())["blocks"]["stability"]
+            assert "verdict" not in stability
+            assert stability["error"].startswith("exceeded 3 steps")
 
     def test_malformed_json_exits_1_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lyapset.errors import EscapedDomainError, EvalDomainError
 from lyapset.expr import VectorFieldSpec, compile_vector_field
@@ -11,6 +11,7 @@ from lyapset.flow import (
     Trajectory,
     _dp_kernel,
     _dp_stages,
+    _lane_kernels,
     flow,
     iterate_orbit,
     partial_trajectory,
@@ -253,3 +254,101 @@ class TestGeneratedKernel:
             assert str(exc_info.value) == str(exc)
             return
         assert _attempt_bits(attempt(y, k1, h, atol, rtol)) == _attempt_bits(expected)
+
+
+def _lanes_case(texts, ys, h=1e-300):
+    """A lane-parity case: field texts and one start per lane, with k1 the
+    field's value there where it has one (zero otherwise). The default step
+    is so small that the stage states stay at the start, so lanes fail or
+    not in the attempt as in the first field evaluation."""
+    V = VectorFieldSpec.from_strings(texts)
+    f = compile_vector_field(V)
+    k1s = []
+    for y in ys:
+        try:
+            k1s.append(f(y))
+        except EvalDomainError:
+            k1s.append([0.0] * V.dim)
+    return V, ys, k1s, [h] * len(ys), 1e-12, 1e-9
+
+
+@st.composite
+def _lane_attempts(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 4))
+    V = VectorFieldSpec(tuple(draw(any_exprs(n)) for _ in range(n)), n)
+    # Moderate values, and values near the top of the double range where
+    # stage sums, squares and powers overflow.
+    value = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e300, 1e300))
+
+    def vectors():
+        return [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(m)]
+
+    hs = [draw(st.floats(1e-6, 1.0)) for _ in range(m)]
+    atol, rtol = draw(st.floats(1e-14, 1e-3)), draw(st.floats(1e-14, 1e-3))
+    return V, vectors(), vectors(), hs, atol, rtol
+
+
+def _scalar_or_none(fn, *args):
+    try:
+        return fn(*args)
+    except EvalDomainError:
+        return None
+
+
+class TestLaneKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(_lane_attempts())
+    # One case per place where the scalar code raises: each guard, then
+    # each Python float or math exception, then a non-finite value that
+    # exp(-inf) turns finite without raising, then a constant expression
+    # that raises on every lane.
+    @example(_lanes_case(["x1 * 1e300 * 1e300"], [[1.0], [0.0]]))
+    @example(_lanes_case(["tanh(x1 * 1e300 * 1e300)"], [[1.0], [0.5e-300]]))
+    @example(_lanes_case(["(x1 * 1e300 * 1e300)^0"], [[1.0], [1e-300]]))
+    @example(_lanes_case(["1 / (x1 * 1e300 * 1e300)"], [[1.0], [1e-300]]))
+    @example(_lanes_case(["min(x1 * 1e300 * 1e300, -x1)"], [[1.0], [0.0]]))
+    @example(_lanes_case(["max(-x1, x1 * 1e300 * 1e300)"], [[1.0], [-1e-300]]))
+    @example(_lanes_case(["sqrt(x1)"], [[-1.0], [-0.0], [2.0]]))
+    @example(_lanes_case(["sin(x1 * 1e300 * 1e300)"], [[1.0], [-3.0e-300]]))
+    @example(_lanes_case(["cos(x1 * 1e300 * 1e300)"], [[-1.0], [1e-300]]))
+    @example(_lanes_case(["1 / x1"], [[0.0], [-0.0], [0.5]]))
+    @example(_lanes_case(["exp(x1 * 1000)"], [[1.0], [-1.0], [0.5]]))
+    @example(_lanes_case(["x1^-3"], [[1e-300], [0.0], [2.0]]))
+    @example(_lanes_case(["x1^0.5"], [[-1.0], [4.0]]))
+    @example(_lanes_case(["x1^3"], [[1e200], [-1e100]]))
+    @example(_lanes_case(["exp(-(x1 * 1e300 * 1e300))", "-x2"], [[1.0, 1.0], [-1.0, 0.0]]))
+    @example(_lanes_case(["1 / 0 + x1"], [[1.0], [2.0]]))
+    # A cube that np.power rounds differently from libm's pow.
+    @example(_lanes_case(["x1^3"], [[2.3383853854339334], [0.5]]))
+    def test_bitwise_equal_to_scalar_kernel(self, case):
+        V, ys, k1s, hs, atol, rtol = case
+        # Uncached: the cache would treat Const(0.0) and Const(-0.0) as equal.
+        field, attempt = _lane_kernels.__wrapped__(V)
+        closure, scalar = compile_vector_field(V), _dp_kernel(V)
+        fields = [_scalar_or_none(closure, y) for y in ys]
+        attempts = [_scalar_or_none(scalar, y, k1, h, atol, rtol)
+                    for y, k1, h in zip(ys, k1s, hs)]
+        y, k1, h = np.array(ys).T.copy(), np.array(k1s).T.copy(), np.array(hs)
+        with np.errstate(all="ignore"):
+            ok = np.ones(len(ys), dtype=bool)
+            try:
+                lane_field = field(y, ok)
+            except EvalDomainError:  # only a constant raises: every lane
+                assert fields == [None] * len(ys)
+                assert attempts == [None] * len(ys)
+                return
+            for i, expected in enumerate(fields):
+                assert ok[i] == (expected is not None)
+                if expected is not None:
+                    assert [float(v).hex() for v in lane_field[:, i]] == [
+                        v.hex() for v in expected
+                    ]
+            ok = np.ones(len(ys), dtype=bool)
+            y5, k7, err_sum, norm2 = attempt(y, k1, h, atol, rtol, ok)
+        for i, expected in enumerate(attempts):
+            assert ok[i] == (expected is not None)
+            if expected is not None:
+                lane = ([float(v) for v in y5[:, i]], [float(v) for v in k7[:, i]],
+                        float(err_sum[i]), float(norm2[i]))
+                assert _attempt_bits(lane) == _attempt_bits(expected)

@@ -5,7 +5,7 @@ import pytest
 
 from lyapset.errors import OrbitUnboundedError
 from lyapset.expr import VectorFieldSpec
-from lyapset.flow import flow
+from lyapset.flow import IntegratorConfig, flow
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint, hausdorff
 from lyapset.limits import (
     LABEL_ATTRACTED,
@@ -18,7 +18,7 @@ from lyapset.limits import (
     roa_grid,
 )
 
-from conftest import OSC_ALIGNED_DT, TWO_PI
+from conftest import OSC_ALIGNED_DT, TWO_PI, circle_cloud
 
 
 class TestEstimateOmega:
@@ -134,6 +134,26 @@ class TestClassifyAttraction:
             classify_attraction(sink1, [1.0], SinglePoint([0.0]), cfg, horizon_T=1.0, tol=0.0)
 
 
+_REVERSED_VDP = ["-x2", "x1 - (1 - x1^2)*x2"]
+_ORIGIN = SinglePoint([0.0, 0.0])
+# field, set, resolution, integrator options, horizon, tol. Each case has
+# escaping or failing orbits, and all but one have nodes with different
+# verdicts.
+_POINTWISE_CASES = {
+    "vanderpol-point": (_REVERSED_VDP, _ORIGIN, 5, {}, 10.0, 1e-3),
+    "vanderpol-ball": (_REVERSED_VDP, ClosedBall([0.0, 0.0], 0.5), 5, {}, 10.0, 1e-3),
+    "vanderpol-box": (_REVERSED_VDP, Box([-0.2, -0.1], [0.3, 0.2]), 5, {}, 10.0, 1e-3),
+    "vanderpol-cloud": (_REVERSED_VDP, circle_cloud(200, 0.5), 5, {}, 10.0, 1e-2),
+    "vanderpol-rk4": (_REVERSED_VDP, _ORIGIN, 5, {"method": "rk4_fixed"}, 3.0, 1e-3),
+    "step-budget": (_REVERSED_VDP, _ORIGIN, 3, {"max_steps": 3}, 5.0, 3.0),
+    "singular-sqrt": (["-sqrt(x1)", "-x2"], _ORIGIN, 4, {}, 5.0, 1e-3),
+    "three-dimensional": (
+        ["-x1 + x2*x3", "-x2 - sin(x1)", "exp(x3) - 1 - 2*x3 + min(tanh(x1), 0)^2"],
+        SinglePoint([0.0, 0.0, 0.0]), 3, {}, 3.0, 1e-2,
+    ),
+}
+
+
 class TestRoaGrid:
     def test_pitchfork_all_but_origin(self, pitchfork, cfg):
         grid = roa_grid(
@@ -228,6 +248,29 @@ class TestRoaGrid:
             v = classify_attraction(osc, node, M, cfg, horizon_T=5.0, tol=1e-3, out_dt=0.1)
             assert v.label == label
             assert v.final_distance == fd
+
+    @pytest.mark.parametrize("case", sorted(_POINTWISE_CASES))
+    def test_lanes_match_pointwise_bitwise(self, case):
+        # The grid runs its nodes as lanes of one batch; classify_attraction
+        # runs one orbit alone. They must agree bit for bit.
+        texts, M, res, options, horizon_T, tol = _POINTWISE_CASES[case]
+        V = VectorFieldSpec.from_strings(texts)
+        box = Box([-2.0] * V.dim, [2.0] * V.dim)
+        cfg = IntegratorConfig(**options)
+        grid = roa_grid(V, M, box, res, cfg, horizon_T=horizon_T, tol=tol, out_dt=0.1)
+        verdicts = [
+            classify_attraction(V, node, M, cfg, horizon_T, tol, out_dt=0.1)
+            for node in grid.nodes
+        ]
+        assert grid.labels == tuple(v.label for v in verdicts)
+        assert grid.escaped == tuple(v.escaped for v in verdicts)
+        assert [d.hex() for d in grid.final_distances.tolist()] == [
+            v.final_distance.hex() for v in verdicts
+        ]
+        assert [d.hex() for d in grid.min_distances.tolist()] == [
+            v.min_distance.hex() for v in verdicts
+        ]
+        assert grid.errors == (None,) * len(verdicts)
 
     def test_grid_layout_row_major(self, sink2, cfg):
         grid = roa_grid(

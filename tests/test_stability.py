@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lyapset.expr import VectorFieldSpec
 from lyapset.flow import partial_trajectory
 from lyapset.geometry import (
     Box,
@@ -133,6 +134,37 @@ class TestPositiveInvariance:
             check_positive_invariance(sink2, ORIGIN_2D, cfg, horizon_T=0.0)
 
 
+def _uniform_start_by_start(V, K, M, epsilon, cfg, T_max, out_dt):
+    """uniform_attraction_time as a loop over single orbits."""
+    entry = 0.0
+    for k in K.points:
+        traj, error = partial_trajectory(V, k, T_max, out_dt, cfg)
+        if error is not None:
+            return UniformTimeEstimate(None, integration_failed=True)
+        d = M.distances(traj.states)
+        violations = np.nonzero(d >= epsilon)[0]
+        if violations.size == 0:
+            continue
+        last = int(violations[-1])
+        if last == len(traj) - 1:
+            return UniformTimeEstimate(None)
+        entry = max(entry, float(traj.times[last + 1]))
+    return UniformTimeEstimate(entry)
+
+
+# x1 = 1 is an equilibrium of the cubic field, outside the 0.1-ball at the
+# last sample; starts with x1 > 1 blow up, and sqrt(x1) fails below 0.
+_CUBIC = ["-x1 + x1^3", "-x2"]
+_GRID = [[a, b] for a in (-1.0, -0.5, 0.0, 0.5, 1.0) for b in (-1.0, 0.0, 1.0)]
+_START_BY_START_CASES = {
+    "vanderpol-entry-time": (["-x2", "x1 - (1 - x1^2)*x2"], _GRID),
+    "vanderpol-escape": (["-x2", "x1 - (1 - x1^2)*x2"], [[0.5, 0.5], [3.0, 3.0]]),
+    "outside-then-escape": (_CUBIC, [[0.5, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+    "escape-then-outside": (_CUBIC, [[0.5, 0.0], [2.0, 0.0], [1.0, 0.0]]),
+    "singular-sqrt": (["-sqrt(x1)", "-x2"], [[0.0, 0.5], [0.5, 0.0]]),
+}
+
+
 class TestUniformAttractionTime:
     def test_linear_sink_entry_time(self, sink1, cfg):
         K = FiniteSetApprox([[-2.0], [-1.0], [1.0], [2.0]])
@@ -167,6 +199,21 @@ class TestUniformAttractionTime:
         )
         assert est.value is None
         assert est.integration_failed
+
+    @pytest.mark.parametrize("case", sorted(_START_BY_START_CASES))
+    def test_matches_start_by_start_loop(self, case, cfg):
+        # The starts run as lanes of one batch; the reference runs them one
+        # by one and stops at the first that decides.
+        texts, starts = _START_BY_START_CASES[case]
+        V = VectorFieldSpec.from_strings(texts)
+        K = FiniteSetApprox(starts)
+        args = (V, K, ORIGIN_2D, 0.1, cfg, 10.0, 0.1)
+        got = uniform_attraction_time(*args)
+        expected = _uniform_start_by_start(*args)
+        assert got.integration_failed == expected.integration_failed
+        assert got.value == expected.value
+        if got.value is not None:
+            assert got.value.hex() == expected.value.hex()
 
     def test_validation(self, sink1, cfg):
         with pytest.raises(ValueError):
