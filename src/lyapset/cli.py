@@ -4,7 +4,9 @@ analyze runs the analysis blocks of a problem file and writes a JSON
 report plus CSV tables next to it; plot turns a report back into an
 SVG; selftest runs the bundled closed-form checks. Exit codes: 0 clean,
 1 input or usage error, 2 when an analysis produced a negative verdict
-(rejected certificate or instability witness).
+(rejected certificate or instability witness). A block that fails with a
+toolkit error is recorded in the report as {"error": ...} and leaves the
+exit code as it is.
 """
 
 from __future__ import annotations
@@ -18,18 +20,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import LyapsetError, OrbitUnboundedError, ProblemFormatError, StepLimitError
+from .errors import LyapsetError, ProblemFormatError
 from .expr import ScalarFieldSpec
 from .flow import IntegratorConfig
 from .geometry import Box
 from .limits import estimate_omega, roa_grid
-from .lyapunov import ConverseConfig, converse_table, verify_certificate
+from .lyapunov import VERDICT_REJECTED, ConverseConfig, converse_table, verify_certificate
 from .problem import ProblemDefinition, load_problem
 from .render import render_svg
 from .selftest import run_selftest
 from .stability import VERDICT_UNSTABLE, classify_stability
 
-BLOCK_ORDER = ("omega", "roa", "stability", "converse", "certificate")
+NEGATIVE_VERDICTS = (VERDICT_UNSTABLE, VERDICT_REJECTED)
 
 
 def _json_safe(value):
@@ -47,21 +49,21 @@ def _json_safe(value):
     return value
 
 
-def _default_box(problem: ProblemDefinition, pad: float) -> Box:
+def _block_box(problem: ProblemDefinition, block: dict, pad: float = 0.0) -> Box:
+    """The block's box, or the set's bounding box padded by pad."""
+    if "box" in block:
+        return Box(*block["box"])
     lo, hi = problem.set_spec.bounding_box()
-    return Box([v - pad for v in lo], [v + pad for v in hi])
+    return Box(lo - pad, hi + pad)
 
 
-def _run_omega(problem: ProblemDefinition, cfg: IntegratorConfig) -> dict:
+def _run_omega(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, None]:
     block = problem.omega
-    try:
-        est = estimate_omega(
-            problem.field, block["x0"], cfg,
-            transient_T=block["transient"], window_T=block["window"],
-            out_dt=block["out_dt"], cluster_tol=block["cluster_tol"],
-        )
-    except OrbitUnboundedError as exc:
-        return {"error": str(exc)}
+    est = estimate_omega(
+        problem.field, block["x0"], cfg,
+        transient_T=block["transient"], window_T=block["window"],
+        out_dt=block["out_dt"], cluster_tol=block["cluster_tol"],
+    )
     return {
         "representatives": [[float(c) for c in p] for p in est.points.points],
         "invariance_defect": est.invariance_defect,
@@ -69,12 +71,12 @@ def _run_omega(problem: ProblemDefinition, cfg: IntegratorConfig) -> dict:
         "window_T": est.window_T,
         "cluster_tol": est.cluster_tol,
         "meta": est.points.meta,
-    }
+    }, None
 
 
 def _run_roa(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, str]:
     block = problem.roa
-    box = Box(block["box"][0], block["box"][1])
+    box = _block_box(problem, block)
     grid = roa_grid(
         problem.field, problem.set_spec, box, block["resolution"], cfg,
         block["horizon"], block["tol"], out_dt=block["out_dt"],
@@ -87,30 +89,21 @@ def _run_roa(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, s
     return out, grid.to_csv()
 
 
-def _run_stability(problem: ProblemDefinition, cfg: IntegratorConfig) -> dict:
+def _run_stability(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, None]:
     block = problem.stability
-    if "box" in block:
-        box = Box(block["box"][0], block["box"][1])
-    else:
-        box = _default_box(problem, 2.0 * max(block["epsilons"]))
-    try:
-        report = classify_stability(
-            problem.field, problem.set_spec, cfg, block["epsilons"], box,
-            resolution=block["resolution"], horizon_T=block["horizon"],
-            shell_samples=block["shell_samples"], seed=problem.block_seed("stability"),
-            tol=block["tol"], out_dt=block["out_dt"],
-        )
-    except StepLimitError as exc:
-        return {"error": str(exc)}
-    return report.to_json()
+    box = _block_box(problem, block, 2.0 * max(block["epsilons"]))
+    report = classify_stability(
+        problem.field, problem.set_spec, cfg, block["epsilons"], box,
+        resolution=block["resolution"], horizon_T=block["horizon"],
+        shell_samples=block["shell_samples"], seed=problem.block_seed("stability"),
+        tol=block["tol"], out_dt=block["out_dt"],
+    )
+    return report.to_json(), None
 
 
 def _run_converse(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, str]:
     block = problem.converse
-    if "box" in block:
-        box = Box(block["box"][0], block["box"][1])
-    else:
-        box = _default_box(problem, 1.0)
+    box = _block_box(problem, block, 1.0)
     cc = ConverseConfig(
         horizon_T=block["horizon"], out_dt=block["out_dt"],
         lam=block["lambda"], quadrature=block["quadrature"],
@@ -121,7 +114,7 @@ def _run_converse(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[di
     return table.to_json(), table.to_csv()
 
 
-def _run_certificate(problem: ProblemDefinition, cfg: IntegratorConfig) -> dict:
+def _run_certificate(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, None]:
     block = problem.certificate
     spec = ScalarFieldSpec.from_string(block["L"], problem.dimension)
     report = verify_certificate(
@@ -130,7 +123,18 @@ def _run_certificate(problem: ProblemDefinition, cfg: IntegratorConfig) -> dict:
         problem.block_seed("certificate"), cfg,
         zero_tol=block["zero_tol"], decrease_time=block["decrease_time"],
     )
-    return report.to_json()
+    return report.to_json(), None
+
+
+# The blocks in the order they run and are printed. Each runner returns
+# the block's report entry and its CSV table or None.
+RUNNERS = {
+    "omega": _run_omega,
+    "roa": _run_roa,
+    "stability": _run_stability,
+    "converse": _run_converse,
+    "certificate": _run_certificate,
+}
 
 
 def cmd_analyze(args) -> int:
@@ -151,23 +155,17 @@ def cmd_analyze(args) -> int:
     blocks: dict[str, dict] = {}
     csvs: dict[str, str] = {}
     exit_code = 0
-    for name in BLOCK_ORDER:
+    for name, run in RUNNERS.items():
         if getattr(problem, name) is None:
             continue
-        if name == "omega":
-            blocks[name] = _run_omega(problem, cfg)
-        elif name == "roa":
-            blocks[name], csvs["roa"] = _run_roa(problem, cfg)
-        elif name == "stability":
-            blocks[name] = _run_stability(problem, cfg)
-            if blocks[name].get("verdict") == VERDICT_UNSTABLE:
-                exit_code = 2
-        elif name == "converse":
-            blocks[name], csvs["converse"] = _run_converse(problem, cfg)
-        elif name == "certificate":
-            blocks[name] = _run_certificate(problem, cfg)
-            if blocks[name]["verdict"] == "rejected":
-                exit_code = 2
+        try:
+            blocks[name], csv = run(problem, cfg)
+        except LyapsetError as exc:
+            blocks[name], csv = {"error": str(exc)}, None
+        if csv is not None:
+            csvs[name] = csv
+        if blocks[name].get("verdict") in NEGATIVE_VERDICTS:
+            exit_code = 2
 
     report = {
         "tool": {"name": "lyapset", "version": __version__},
@@ -183,10 +181,8 @@ def cmd_analyze(args) -> int:
         with open(os.path.join(out_dir, f"{stem}.{kind}.csv"), "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    for name in BLOCK_ORDER:
-        if name in blocks:
-            verdict = blocks[name].get("verdict") or blocks[name].get("error", "done")
-            print(f"{name}: {verdict}")
+    for name, block in blocks.items():
+        print(f"{name}: {block.get('verdict') or block.get('error', 'done')}")
     print(f"report: {report_path}")
     return exit_code
 

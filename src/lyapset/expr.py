@@ -47,6 +47,19 @@ class Const:
     kind = "constant"
     value: float
 
+    # 0.0 and -0.0 are equal floats but give different results, so the
+    # compiled-code caches must tell them apart.
+    def _key(self):
+        return self.value, math.copysign(1.0, self.value)
+
+    def __eq__(self, other):
+        if not isinstance(other, Const):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
 
 @dataclass(frozen=True, slots=True)
 class Var:
@@ -229,7 +242,7 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 def _prec(e: Expr) -> int:
     if isinstance(e, Const):
-        return _PREC_NEG if e.value < 0 else _PREC_ATOM
+        return _PREC_NEG if math.copysign(1.0, e.value) < 0 else _PREC_ATOM
     if isinstance(e, (Var, Nary)):
         return _PREC_ATOM
     if isinstance(e, Unary):
@@ -240,7 +253,7 @@ def _prec(e: Expr) -> int:
 
 def _fmt_const(v: float) -> str:
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return "-0" if math.copysign(1.0, v) < 0 and v == 0 else str(int(v))
     return repr(v)
 
 

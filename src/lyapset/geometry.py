@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-# Largest number of pairwise-distance entries materialized at once.
-_CHUNK_ENTRIES = 4_000_000
+# Largest number of pairwise-distance entries materialized at once. Small
+# chunks keep the difference arrays in cache and the peak memory low;
+# chunking does not change any row's minimum, so results are the same bits.
+_CHUNK_ENTRIES = 16_384
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -217,22 +219,6 @@ class Box(CompactSet):
         return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-CompactSetSpec = CompactSet  # alias used in signatures
-
-
-def set_from_json(obj: dict) -> CompactSet:
-    kind = obj.get("type")
-    if kind == "point":
-        return SinglePoint(obj["coords"])
-    if kind == "cloud":
-        return PointCloud(obj["points"])
-    if kind == "ball":
-        return ClosedBall(obj["center"], obj["radius"])
-    if kind == "box":
-        return Box(obj["lo"], obj["hi"])
-    raise ValueError(f"unknown set type {kind!r}")
-
-
 class FiniteSetApprox:
     """Finite stand-in for a set produced by sampling or estimation."""
 
@@ -258,11 +244,6 @@ class ShellLocation(str, Enum):
     INSIDE_OPEN = "inside_open"
     ON_SHELL = "on_shell"
     OUTSIDE_CLOSED = "outside_closed"
-
-
-def distance_to_set(x, M: CompactSet) -> float:
-    """Euclidean distance from a point to the set, inf over members."""
-    return M.distance(x)
 
 
 def shell_classify(x, M: CompactSet, r: float, tol: float) -> ShellLocation:
@@ -332,6 +313,8 @@ def _as_points(A) -> np.ndarray:
     pts = A.points if isinstance(A, FiniteSetApprox) else np.asarray(A, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("hausdorff needs nonempty point sets")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("hausdorff needs finite points")
     return pts
 
 
@@ -347,7 +330,11 @@ def _directed_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def hausdorff(A, B) -> float:
-    """Hausdorff distance between two finite point sets."""
+    """Hausdorff distance between two finite point sets.
+
+    Brute force rather than PointCloud's KD-tree: SciPy's import costs
+    more memory than these sets, and runs without a cloud set never load it.
+    """
     pa, pb = _as_points(A), _as_points(B)
     if pa.shape[1] != pb.shape[1]:
         raise DimensionMismatchError("hausdorff operands differ in dimension")

@@ -398,11 +398,13 @@ def verify_certificate(
     gradient_margin = -math.inf
     zero_max = 0.0
     decrease_margin = -math.inf
+    # Closures get Python floats: on NumPy scalars a division by zero
+    # returns inf with a warning instead of raising.
     try:
         for p in on_set:
-            zero_max = max(zero_max, abs(lfn(list(p))))
+            zero_max = max(zero_max, abs(lfn(p.tolist())))
         for p in annulus:
-            pt = list(p)
+            pt = p.tolist()
             positivity = min(positivity, lfn(pt))
             g = gfn(pt)
             v = vfn(pt)
@@ -410,7 +412,7 @@ def verify_certificate(
         for p in annulus[: min(decrease_samples, n_samples)]:
             moved = flow(V, p, decrease_time, cfg)
             decrease_margin = max(
-                decrease_margin, lfn([float(c) for c in moved]) - lfn(list(p))
+                decrease_margin, lfn(moved.tolist()) - lfn(p.tolist())
             )
     except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:
         notes.append(f"evaluation failure: {exc}")

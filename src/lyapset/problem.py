@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DimensionMismatchError, ExprSyntaxError, ProblemFormatError
 from .expr import VectorFieldSpec, parse as parse_expr
@@ -24,10 +24,6 @@ _METHOD_ALIASES = {
     "rk4_fixed": "rk4_fixed",
 }
 
-_TOP_KEYS = {
-    "dimension", "field", "set", "integrator", "seed",
-    "omega", "stability", "roa", "converse", "certificate",
-}
 _INTEGRATOR_KEYS = {"method", "dt", "rel_tol", "abs_tol", "blowup_radius", "max_steps"}
 _OMEGA_KEYS = {"x0", "transient", "window", "out_dt", "cluster_tol"}
 _STABILITY_KEYS = {"epsilons", "horizon", "box", "resolution", "shell_samples", "tol", "out_dt"}
@@ -125,15 +121,17 @@ def _parse_set(obj, n: int, pointer: str) -> CompactSet:
     _fail(f"{pointer}/type", "must be one of point, ball, box, cloud")
 
 
-def _parse_box(value, n: int, pointer: str) -> Box:
+def _parse_box(value, n: int, pointer: str) -> list[list[float]]:
+    """Validate a [lo, hi] box and return its corners as float lists."""
     if not isinstance(value, list) or len(value) != 2:
         _fail(pointer, "expected [lo, hi] corner lists")
     lo = _point(value[0], n, f"{pointer}/0")
     hi = _point(value[1], n, f"{pointer}/1")
     try:
-        return Box(lo, hi)
+        Box(lo, hi)
     except ValueError as exc:
         _fail(pointer, str(exc))
+    return [lo, hi]
 
 
 def _parse_integrator(obj, pointer: str) -> IntegratorConfig:
@@ -183,17 +181,10 @@ class ProblemDefinition:
             "dimension": self.dimension,
             "field": list(self.field_strings),
             "set": self.set_spec.to_json(),
-            "integrator": {
-                "method": self.integrator.method,
-                "dt": self.integrator.dt,
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-                "blowup_radius": self.integrator.blowup_radius,
-                "max_steps": self.integrator.max_steps,
-            },
+            "integrator": asdict(self.integrator),
             "seed": self.seed,
         }
-        for name in ("omega", "stability", "roa", "converse", "certificate"):
+        for name in _BLOCKS:
             block = getattr(self, name)
             if block is not None:
                 out[name] = block
@@ -228,13 +219,7 @@ class ProblemDefinition:
         seed = _integer(obj, "seed", "", default=0, minimum=0)
 
         blocks = {}
-        for name, validator in (
-            ("omega", _validate_omega),
-            ("stability", _validate_stability),
-            ("roa", _validate_roa),
-            ("converse", _validate_converse),
-            ("certificate", _validate_certificate),
-        ):
+        for name, validator in _BLOCKS.items():
             if name in obj:
                 blocks[name] = validator(obj[name], n, f"/{name}")
         return cls(
@@ -282,8 +267,7 @@ def _validate_stability(obj, n, pointer) -> dict:
         "out_dt": _number(obj, "out_dt", pointer, default=0.05, positive=True),
     }
     if "box" in obj:
-        box = _parse_box(obj["box"], n, f"{pointer}/box")
-        out["box"] = [list(map(float, box.lo)), list(map(float, box.hi))]
+        out["box"] = _parse_box(obj["box"], n, f"{pointer}/box")
     return out
 
 
@@ -304,7 +288,7 @@ def _validate_roa(obj, n, pointer) -> dict:
     else:
         res = _integer(obj, "resolution", pointer, default=11, minimum=2)
     return {
-        "box": [list(map(float, box.lo)), list(map(float, box.hi))],
+        "box": box,
         "resolution": res,
         "horizon": _number(obj, "horizon", pointer, default=20.0, positive=True),
         "tol": _number(obj, "tol", pointer, default=1e-3, positive=True),
@@ -326,8 +310,7 @@ def _validate_converse(obj, n, pointer) -> dict:
         "samples": _integer(obj, "samples", pointer, default=12, minimum=1),
     }
     if "box" in obj:
-        box = _parse_box(obj["box"], n, f"{pointer}/box")
-        out["box"] = [list(map(float, box.lo)), list(map(float, box.hi))]
+        out["box"] = _parse_box(obj["box"], n, f"{pointer}/box")
     return out
 
 
@@ -357,6 +340,17 @@ def _validate_certificate(obj, n, pointer) -> dict:
         "zero_tol": _number(obj, "zero_tol", pointer, default=1e-9, positive=True),
         "decrease_time": _number(obj, "decrease_time", pointer, default=1.0, positive=True),
     }
+
+
+# The optional analysis blocks, in validation order.
+_BLOCKS = {
+    "omega": _validate_omega,
+    "stability": _validate_stability,
+    "roa": _validate_roa,
+    "converse": _validate_converse,
+    "certificate": _validate_certificate,
+}
+_TOP_KEYS = {"dimension", "field", "set", "integrator", "seed", *_BLOCKS}
 
 
 def load_problem(path: str) -> ProblemDefinition:

@@ -1,12 +1,17 @@
 import json
 import os
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lyapset import __version__
 from lyapset.cli import main
+from lyapset.expr import print_expr
 from lyapset.problem import ProblemDefinition
+
+from test_expr import any_exprs
 
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -84,6 +89,33 @@ class TestAnalyze:
             assert "verdict" not in stability
             assert stability["error"].startswith("exceeded 3 steps")
 
+    def test_block_lines_keep_run_order(self, tmp_path, capsys):
+        # Blocks listed out of order; the omega orbit blows up at t = 0.5.
+        problem = {
+            "dimension": 2,
+            "field": ["x1^2", "-x2"],
+            "set": {"type": "point", "coords": [0, 0]},
+            "certificate": {"L": "x1^2 + x2^2", "annulus": [0.1, 0.5], "samples": 5},
+            "converse": {"horizon": 1.0, "samples": 2},
+            "stability": {"epsilons": [0.2], "horizon": 1.0, "resolution": 3,
+                          "shell_samples": 1},
+            "roa": {"box": [[-0.5, -0.5], [0.5, 0.5]], "resolution": 3, "horizon": 1.0},
+            "omega": {"x0": [2.0, 0.0], "transient": 1.0, "window": 1.0},
+        }
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(problem))
+        rc = main(["analyze", str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "omega", "roa", "stability", "converse", "certificate", "report",
+        ]
+        # A failed block is recorded and leaves the exit code to the others.
+        assert lines[0].startswith("omega: orbit unbounded")
+        assert lines[1] == "roa: done" and lines[3] == "converse: done"
+        assert lines[4] == "certificate: rejected"
+        assert rc == 2
+        assert "error" in _read_report(tmp_path, "order")["blocks"]["omega"]
+
     def test_malformed_json_exits_1_with_offset(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dimension": 1,\n  "field": [}')
@@ -115,6 +147,84 @@ class TestAnalyze:
         bytes_a = (a / "unstable_linear.report.json").read_bytes()
         bytes_b = (b / "unstable_linear.report.json").read_bytes()
         assert bytes_a == bytes_b
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+_EXPRS = any_exprs(2)  # built once: building it per draw costs ~25 ms
+
+
+@st.composite
+def _problem_files(draw):
+    """Valid two-dimensional problems with every block, sized to run fast."""
+    # Whole coordinates put set members on the zeros of the expressions.
+    coord = st.one_of(st.integers(-1, 1).map(float), st.floats(-1.0, 1.0))
+
+    def point():
+        return [draw(coord), draw(coord)]
+
+    kind = draw(st.sampled_from(["point", "ball", "box", "cloud"]))
+    if kind == "point":
+        compact = {"type": "point", "coords": point()}
+    elif kind == "ball":
+        compact = {"type": "ball", "center": point(), "radius": draw(st.floats(0.0, 0.5))}
+    elif kind == "box":
+        lo = point()
+        compact = {"type": "box", "lo": lo, "hi": [c + draw(st.floats(0.0, 0.5)) for c in lo]}
+    else:
+        compact = {"type": "cloud", "points": [point() for _ in range(draw(st.integers(1, 4)))]}
+    horizon = draw(st.floats(0.05, 0.5))
+    resolution = st.integers(2, 3)
+    return {
+        "dimension": 2,
+        "field": [print_expr(draw(_EXPRS)) for _ in range(2)],
+        "set": compact,
+        "integrator": {"max_steps": draw(st.sampled_from([3, 200, 10**7]))},
+        "seed": draw(st.integers(0, 2**31 - 1)),
+        "omega": {"x0": point(), "transient": horizon, "window": horizon, "out_dt": 0.05},
+        "roa": {"box": [[-1, -1], [1, 1]], "resolution": draw(resolution),
+                "horizon": horizon, "out_dt": 0.05},
+        "stability": {"epsilons": [draw(st.floats(0.05, 0.5))], "horizon": horizon,
+                      "resolution": draw(resolution),
+                      "shell_samples": draw(st.integers(1, 2)), "out_dt": 0.05},
+        "converse": {"horizon": horizon, "out_dt": 0.05, "samples": draw(st.integers(1, 2))},
+        "certificate": {"L": print_expr(draw(_EXPRS)), "annulus": [0.0, 0.5],
+                        "samples": draw(st.integers(1, 3)), "decrease_time": horizon},
+    }
+
+
+# A candidate whose 1/0 at M raised no error on NumPy scalars, only a warning.
+_SINGULAR_AT_M = {
+    "dimension": 2,
+    "field": ["-x1", "-x2"],
+    "set": {"type": "point", "coords": [0, 0]},
+    "integrator": {"max_steps": 200},
+    "omega": {"x0": [0.5, 0.5], "transient": 0.1, "window": 0.1, "out_dt": 0.05},
+    "roa": {"box": [[-1, -1], [1, 1]], "resolution": 2, "horizon": 0.1, "out_dt": 0.05},
+    "stability": {"epsilons": [0.25], "horizon": 0.1, "resolution": 2, "shell_samples": 1,
+                  "out_dt": 0.05},
+    "converse": {"horizon": 0.1, "out_dt": 0.05, "samples": 1},
+    "certificate": {"L": "exp(-1/(x1*x1 + x2*x2))", "annulus": [0.0, 0.5], "samples": 2,
+                    "decrease_time": 0.1},
+}
+
+
+class TestAnalyzeFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(_problem_files())
+    @example(_SINGULAR_AT_M)
+    def test_every_problem_yields_a_strict_report(self, problem):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(problem, fh)
+            assert main(["analyze", path]) in (0, 2)
+            with open(os.path.join(tmp, "fuzz.report.json"), "r", encoding="utf-8") as fh:
+                report = json.loads(fh.read(), parse_constant=_reject_constant)
+        assert set(report["blocks"]) == {"omega", "roa", "stability", "converse", "certificate"}
 
 
 @pytest.fixture(scope="class")

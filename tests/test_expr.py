@@ -225,6 +225,8 @@ def any_exprs(n_vars: int):
 class TestPrintParseRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(any_exprs(3))
+    @example(Const(-0.0))
+    @example(Binary("sub", Var(1), Const(-0.0)))
     def test_parse_of_print_is_identity(self, e):
         assert parse(print_expr(e), 3) == e
 

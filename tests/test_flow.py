@@ -9,6 +9,7 @@ from lyapset.expr import VectorFieldSpec, compile_vector_field
 from lyapset.flow import (
     IntegratorConfig,
     Trajectory,
+    _compiled,
     _dp_kernel,
     _dp_stages,
     _lane_kernels,
@@ -323,8 +324,7 @@ class TestLaneKernels:
     @example(_lanes_case(["x1^3"], [[2.3383853854339334], [0.5]]))
     def test_bitwise_equal_to_scalar_kernel(self, case):
         V, ys, k1s, hs, atol, rtol = case
-        # Uncached: the cache would treat Const(0.0) and Const(-0.0) as equal.
-        field, attempt = _lane_kernels.__wrapped__(V)
+        field, attempt = _lane_kernels(V)
         closure, scalar = compile_vector_field(V), _dp_kernel(V)
         fields = [_scalar_or_none(closure, y) for y in ys]
         attempts = [_scalar_or_none(scalar, y, k1, h, atol, rtol)
@@ -352,3 +352,17 @@ class TestLaneKernels:
                 lane = ([float(v) for v in y5[:, i]], [float(v) for v in k7[:, i]],
                         float(err_sum[i]), float(norm2[i]))
                 assert _attempt_bits(lane) == _attempt_bits(expected)
+
+
+class TestCompiledCache:
+    def test_signed_zero_constants_are_distinct_fields(self):
+        plus = VectorFieldSpec.from_strings(["0"])
+        minus = plus.negated()  # Const(-0.0)
+        expected = compile_vector_field(minus)([1.0])[0].hex()
+        assert expected == "-0x0.0p+0"
+        assert _compiled(plus)[0] is not _compiled(minus)[0]
+        assert _lane_kernels(plus) is not _lane_kernels(minus)
+        assert _compiled(minus)[0]([1.0])[0].hex() == expected
+        field, _ = _lane_kernels(minus)
+        lanes = field(np.ones((1, 2)), np.ones(2, dtype=bool))
+        assert [float(v).hex() for v in lanes[0]] == [expected, expected]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lyapset import geometry
 from lyapset.errors import DimensionMismatchError
 from lyapset.geometry import (
     Box,
@@ -11,11 +12,9 @@ from lyapset.geometry import (
     PointCloud,
     ShellLocation,
     SinglePoint,
-    distance_to_set,
     hausdorff,
     sample_set_points,
     sample_shell,
-    set_from_json,
     shell_classify,
 )
 
@@ -33,27 +32,27 @@ def all_variants():
 
 class TestDistance:
     def test_ball_interior_is_zero(self):
-        assert distance_to_set([0.0, 0.0], ClosedBall([0.0, 0.0], 1.0)) == 0.0
+        assert ClosedBall([0.0, 0.0], 1.0).distance([0.0, 0.0]) == 0.0
 
     def test_point_set_345(self):
-        assert distance_to_set([3.0, 4.0], SinglePoint([0.0, 0.0])) == 5.0
+        assert SinglePoint([0.0, 0.0]).distance([3.0, 4.0]) == 5.0
 
     def test_ball_exterior(self):
-        assert distance_to_set([2.0, 0.0], ClosedBall([0.0, 0.0], 1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert ClosedBall([0.0, 0.0], 1.0).distance([2.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_box_projection(self):
         box = Box([0.0, 0.0], [1.0, 1.0])
-        assert distance_to_set([2.0, 2.0], box) == pytest.approx(math.sqrt(2.0))
-        assert distance_to_set([0.5, 0.5], box) == 0.0
-        assert distance_to_set([0.5, -1.0], box) == pytest.approx(1.0)
+        assert box.distance([2.0, 2.0]) == pytest.approx(math.sqrt(2.0))
+        assert box.distance([0.5, 0.5]) == 0.0
+        assert box.distance([0.5, -1.0]) == pytest.approx(1.0)
 
     def test_cloud_minimum_over_members(self):
         cloud = PointCloud([[0.0, 0.0], [10.0, 0.0]])
-        assert distance_to_set([9.0, 0.0], cloud) == pytest.approx(1.0)
+        assert cloud.distance([9.0, 0.0]) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            distance_to_set([1.0, 2.0, 3.0], SinglePoint([0.0, 0.0]))
+            SinglePoint([0.0, 0.0]).distance([1.0, 2.0, 3.0])
 
     def test_lipschitz_over_all_variants(self):
         rng = np.random.default_rng(101)
@@ -191,16 +190,35 @@ class TestHausdorff:
             assert hausdorff(a, b) == hausdorff(b, a)
             assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 1e-12
 
+    # 7 entries splits every pair of sets into chunks of one to seven rows.
+    @pytest.mark.parametrize("chunk", [geometry._CHUNK_ENTRIES, 7])
+    def test_matches_unchunked_oracle_bitwise(self, chunk, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", chunk)
 
-class TestSerialization:
-    def test_round_trip_all_variants(self):
-        for M in all_variants():
-            again = set_from_json(M.to_json())
-            assert again.to_json() == M.to_json()
+        def directed(p, q):
+            diff = p[:, None, :] - q[None, :, :]
+            return float(np.sqrt((diff * diff).sum(-1)).min(axis=1).max())
 
-    def test_unknown_type_rejected(self):
+        rng = np.random.default_rng(47)
+        sizes = [(671, 671, 4)] + [
+            (int(rng.integers(1, 60)), int(rng.integers(1, 60)), int(rng.integers(1, 7)))
+            for _ in range(300)
+        ]
+        for rows_a, rows_b, n in sizes:
+            a = rng.uniform(-2, 2, size=(rows_a, n))
+            b = rng.uniform(-2, 2, size=(rows_b, n))
+            if rng.uniform() < 0.3:  # shared members and coarse values give ties
+                a = np.round(a, 1)
+                b = np.concatenate([np.round(b, 1), a[:3]])
+            expected = max(directed(a, b), directed(b, a))
+            assert hausdorff(a, b).hex() == expected.hex()
+
+    def test_rejects_non_finite_members(self):
+        a = np.array([[0.0, 0.0], [np.nan, 1.0]])
         with pytest.raises(ValueError):
-            set_from_json({"type": "torus"})
+            hausdorff(a, np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            hausdorff(np.zeros((1, 2)), a)
 
 
 class TestFiniteSetApprox:

@@ -268,6 +268,16 @@ class TestVerifyCertificate:
         assert report.verdict == VERDICT_REJECTED
         assert any("evaluation failure" in note for note in report.notes)
 
+    def test_division_by_zero_on_set_rejects_with_note(self, sink2, cfg):
+        # L is 0/0-singular at M itself; Python floats raise there, NumPy
+        # scalars would give exp(-inf) = 0 and a warning.
+        L = ScalarFieldSpec.from_string("exp(-1/(x1*x1 + x2*x2))", 2)
+        report = verify_certificate(
+            sink2, ORIGIN_2D, L, 0.0, 2.0, n_samples=20, seed=5, cfg=cfg
+        )
+        assert report.verdict == VERDICT_REJECTED
+        assert any("evaluation failure" in note for note in report.notes)
+
     def test_validation(self, sink2, cfg):
         L2 = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ from lyapset.errors import ProblemFormatError
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint
 from lyapset.problem import ProblemDefinition, load_problem
 
+from test_geometry import all_variants
+
 FULL_PROBLEM = {
     "dimension": 2,
     "field": ["x2", "-x1"],
@@ -108,6 +110,20 @@ class TestSetVariants:
             }
         )
         assert isinstance(p.set_spec, PointCloud)
+
+    def test_round_trip_all_variants(self):
+        for M in all_variants():
+            p = ProblemDefinition.from_json(
+                {"dimension": 2, "field": ["x2", "-x1"], "set": M.to_json()}
+            )
+            assert type(p.set_spec) is type(M)
+            assert p.set_spec.to_json() == M.to_json()
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ProblemFormatError):
+            ProblemDefinition.from_json(
+                {"dimension": 2, "field": ["x2", "-x1"], "set": {"type": "torus"}}
+            )
 
     def test_unknown_type_pointer(self):
         _expect_pointer(
