@@ -1,8 +1,10 @@
 """Numerical realization of the flow of an autonomous ODE system.
 
-flow() advances one initial point to one time, trajectory() samples a
-forward orbit on a fixed grid, and semigroup_defect() measures how far
-the integrator is from the composition law flow(flow(x,t1),t2) =
+flow() advances one initial point to one time. trajectory() and
+partial_trajectory() sample a forward orbit on a fixed grid through one
+private sampler; the first raises on an integration failure, the second
+returns the samples reached with the failure. semigroup_defect() measures
+how far the integrator is from the composition law flow(flow(x,t1),t2) =
 flow(x,t1+t2). Negative times integrate the reversed field, so the
 realized flow is two-sided.
 
@@ -416,10 +418,6 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
             h = np.fmin(np.fmax(h_try * factor, _MIN_STEP), horizon)
 
 
-def _run(V: VectorFieldSpec, y, targets, cfg: IntegratorConfig):
-    return [state for _, state in _walk(V, y, targets, cfg)]
-
-
 def _oriented(V: VectorFieldSpec, t: float):
     """Field to integrate forward and the positive duration for signed time t."""
     if t >= 0:
@@ -434,7 +432,7 @@ def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     field, duration = _oriented(V, t)
-    final = _run(field, [float(v) for v in x], [duration], cfg)[-1]
+    [(_, final)] = _walk(field, [float(v) for v in x], [duration], cfg)
     return np.asarray(final)
 
 
@@ -451,31 +449,32 @@ def sample_times(T: float, out_dt: float) -> list[float]:
     return [k * out_dt for k in range(m + 1)] + [T]
 
 
+def _sample(V: VectorFieldSpec, x, T: float, out_dt: float, cfg: IntegratorConfig):
+    """The orbit of x on sample_times(T, out_dt) up to its first integration
+    failure: the Trajectory of the samples reached, and the failure or None."""
+    x = as_point(x, V.dim)
+    times = sample_times(T, out_dt)
+    reached = [0.0]
+    states = [[float(v) for v in x]]
+    error = None
+    try:
+        for t, state in _walk(V, list(states[0]), times[1:], cfg):
+            reached.append(t)
+            states.append(state)
+    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
+        error = exc
+    traj = Trajectory(np.asarray(reached), np.asarray(states, dtype=float), V.label())
+    return traj, error
+
+
 def trajectory(
     V: VectorFieldSpec, x, T: float, out_dt: float, cfg: IntegratorConfig
 ) -> Trajectory:
     """Forward orbit sampled at multiples of out_dt plus the final time T."""
-    x = as_point(x, V.dim)
-    times = sample_times(T, out_dt)
-    states = _run(V, [float(v) for v in x], times[1:], cfg)
-    all_states = np.vstack([x[None, :], np.asarray(states)])
-    return Trajectory(np.asarray(times), all_states, field_id=V.label())
-
-
-def iterate_orbit(V: VectorFieldSpec, x, times, cfg: IntegratorConfig):
-    """Lazily yield (t, state) at each positive, increasing target time.
-
-    Consumers that stop early (certificate scans, escape probes) pay only
-    for the prefix they read.
-    """
-    x = as_point(x, V.dim)
-    targets = [float(t) for t in times]
-    if not targets or targets[0] <= 0 or any(
-        b <= a for a, b in zip(targets, targets[1:])
-    ):
-        raise ValueError("times must be positive and strictly increasing")
-    for t, state in _walk(V, [float(v) for v in x], targets, cfg):
-        yield t, np.asarray(state)
+    traj, error = _sample(V, x, T, out_dt, cfg)
+    if error is not None:
+        raise error
+    return traj
 
 
 def partial_trajectory(
@@ -483,21 +482,7 @@ def partial_trajectory(
 ) -> tuple[Trajectory, Exception | None]:
     """Like trajectory(), but an orbit leaving the domain yields the samples
     collected so far together with the interrupting error instead of raising."""
-    x = as_point(x, V.dim)
-    times = sample_times(T, out_dt)
-    collected_times = [0.0]
-    collected = [[float(v) for v in x]]
-    error = None
-    try:
-        for t, state in _walk(V, list(collected[0]), times[1:], cfg):
-            collected_times.append(t)
-            collected.append(state)
-    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
-        error = exc
-    traj = Trajectory(
-        np.asarray(collected_times), np.asarray(collected, dtype=float), V.label()
-    )
-    return traj, error
+    return _sample(V, x, T, out_dt, cfg)
 
 
 def semigroup_defect(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EscapedDomainError,
     EvalDomainError,
     LyapsetError,
@@ -210,6 +211,8 @@ def roa_grid(
         raise TypeError("roa_grid needs a Box region")
     if box.dim != V.dim:
         raise ValueError(f"box dimension {box.dim} != field dimension {V.dim}")
+    if M.dim != V.dim:
+        raise DimensionMismatchError(f"set dimension {M.dim} != field dimension {V.dim}")
     n = box.dim
     if np.isscalar(resolution):
         res = [int(resolution)] * n

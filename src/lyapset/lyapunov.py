@@ -40,6 +40,19 @@ from .geometry import Box, CompactSet, as_point, sample_set_points, sample_shell
 
 _QUADRATURES = ("trapezoid", "simpson")
 
+# verify_converse_properties: the times along each orbit at which ell and
+# big_L are compared with their start values, and the size of the random
+# perturbation and the largest jump of big_L of the continuity probe.
+PROBE_TIMES = (0.1, 0.5, 1.0, 2.0)
+CONTINUITY_DELTA = 1e-4
+CONTINUITY_BOUND = 1e-2
+# Relative step of central_gradient.
+GRADIENT_REL_STEP = 1e-6
+# verify_certificate: annulus starts flowed for the decrease margin, and
+# set members checked for the zero margin.
+DECREASE_SAMPLES = 32
+SET_SAMPLES = 64
+
 VERDICT_ACCEPTED = "accepted"
 VERDICT_REJECTED = "rejected"
 
@@ -249,9 +262,6 @@ def verify_converse_properties(
     cfg: IntegratorConfig,
     cc: ConverseConfig,
     tol: float = 1e-3,
-    probe_times: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0),
-    continuity_delta: float = 1e-4,
-    continuity_bound: float = 1e-2,
 ) -> ConversePropertyReport:
     """Check the defining properties of the constructed ell and big_L on
     random samples: ell non-increasing along orbits, big_L strictly
@@ -262,7 +272,7 @@ def verify_converse_properties(
     samples = rng.uniform(sample_box.lo, sample_box.hi, size=(n_samples, sample_box.dim))
     directions = rng.standard_normal((n_samples, sample_box.dim))
 
-    probe_idx = [int(round(p / cc.out_dt)) for p in probe_times]
+    probe_idx = [int(round(p / cc.out_dt)) for p in PROBE_TIMES]
     if any(i < 1 for i in probe_idx):
         raise ValueError("probe times must be at least one output step")
     extra = max(probe_idx)
@@ -280,31 +290,31 @@ def verify_converse_properties(
             continue
         l0 = _big_l_at(ellhat, 0, cc)
         off_set = M.distance(x) > 10.0 * tol
-        for p, k in zip(probe_times, probe_idx):
+        for p, k in zip(PROBE_TIMES, probe_idx):
             if ellhat[k] > ellhat[0] + tol:
                 monotone.append((s, float(p), float(ellhat[k] - ellhat[0])))
             if off_set and not _big_l_at(ellhat, k, cc) < l0:
                 strict.append((s, float(p), float(_big_l_at(ellhat, k, cc) - l0)))
 
         u = directions[s]
-        y = x + continuity_delta * u / np.linalg.norm(u)
+        y = x + CONTINUITY_DELTA * u / np.linalg.norm(u)
         try:
             ellhat_y, _ = _big_l_values(V, M, y, cfg, cc)
             jump = abs(_big_l_at(ellhat_y, 0, cc) - l0)
-            if jump > continuity_bound:
+            if jump > CONTINUITY_BOUND:
                 continuity.append((s, float(jump)))
         except LyapsetError as exc:
             failures.append((s, f"continuity probe: {exc}"))
     return ConversePropertyReport(
         n_samples=n_samples,
-        probe_times=tuple(float(p) for p in probe_times),
+        probe_times=PROBE_TIMES,
         monotone_violations=tuple(monotone),
         strict_violations=tuple(strict),
         continuity_violations=tuple(continuity),
         integration_failures=tuple(failures),
         tol=tol,
-        continuity_delta=continuity_delta,
-        continuity_bound=continuity_bound,
+        continuity_delta=CONTINUITY_DELTA,
+        continuity_bound=CONTINUITY_BOUND,
         seed=seed,
     )
 
@@ -335,12 +345,13 @@ class CertificateReport:
         }
 
 
-def central_gradient(fn, x, rel_h: float = 1e-6) -> list[float]:
-    """Central finite differences with per-coordinate step rel_h*max(1,|xi|)."""
+def central_gradient(fn, x) -> list[float]:
+    """Central finite differences with per-coordinate step
+    GRADIENT_REL_STEP * max(1, |xi|)."""
     x = [float(v) for v in x]
     out = []
     for i in range(len(x)):
-        h = rel_h * max(1.0, abs(x[i]))
+        h = GRADIENT_REL_STEP * max(1.0, abs(x[i]))
         xp = list(x)
         xm = list(x)
         xp[i] += h
@@ -371,8 +382,6 @@ def verify_certificate(
     cfg: IntegratorConfig,
     zero_tol: float = 1e-9,
     decrease_time: float = 1.0,
-    decrease_samples: int = 32,
-    set_samples: int = 64,
 ) -> CertificateReport:
     """Evaluate a candidate function against the four certificate margins."""
     if not (r_in >= 0 and r_out > r_in):
@@ -392,7 +401,7 @@ def verify_certificate(
         notes.append(f"gradient fallback: {exc}")
 
     annulus = _annulus_points(M, r_in, r_out, n_samples, seed)
-    on_set = sample_set_points(M, set_samples, (seed * 31 + 7) % (2**31)).points
+    on_set = sample_set_points(M, SET_SAMPLES, (seed * 31 + 7) % (2**31)).points
 
     positivity = math.inf
     gradient_margin = -math.inf
@@ -409,7 +418,7 @@ def verify_certificate(
             g = gfn(pt)
             v = vfn(pt)
             gradient_margin = max(gradient_margin, sum(a * b for a, b in zip(g, v)))
-        for p in annulus[: min(decrease_samples, n_samples)]:
+        for p in annulus[: min(DECREASE_SAMPLES, n_samples)]:
             moved = flow(V, p, decrease_time, cfg)
             decrease_margin = max(
                 decrease_margin, lfn(moved.tolist()) - lfn(p.tolist())

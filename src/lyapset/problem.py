@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import DimensionMismatchError, ExprSyntaxError, ProblemFormatError
 from .expr import VectorFieldSpec, parse as parse_expr
 from .flow import IntegratorConfig
 from .geometry import Box, ClosedBall, CompactSet, PointCloud, SinglePoint
+from .lyapunov import _QUADRATURES, ConverseConfig
 
 _METHOD_ALIASES = {
     "rk45": "rk45_adaptive",
@@ -24,7 +25,7 @@ _METHOD_ALIASES = {
     "rk4_fixed": "rk4_fixed",
 }
 
-_INTEGRATOR_KEYS = {"method", "dt", "rel_tol", "abs_tol", "blowup_radius", "max_steps"}
+_INTEGRATOR_KEYS = {f.name for f in fields(IntegratorConfig)}
 _OMEGA_KEYS = {"x0", "transient", "window", "out_dt", "cluster_tol"}
 _STABILITY_KEYS = {"epsilons", "horizon", "box", "resolution", "shell_samples", "tol", "out_dt"}
 _ROA_KEYS = {"box", "resolution", "horizon", "tol", "out_dt"}
@@ -139,18 +140,21 @@ def _parse_integrator(obj, pointer: str) -> IntegratorConfig:
         return IntegratorConfig()
     obj = _expect_object(obj, pointer)
     _reject_unknown(obj, _INTEGRATOR_KEYS, pointer)
-    method_raw = obj.get("method", "rk45")
-    method = _METHOD_ALIASES.get(method_raw)
+    default = IntegratorConfig  # its class attributes are the field defaults
+    method = obj.get("method", default.method)
+    method = _METHOD_ALIASES.get(method) if isinstance(method, str) else None
     if method is None:
         _fail(f"{pointer}/method", f"must be one of {sorted(_METHOD_ALIASES)}")
     try:
         return IntegratorConfig(
             method=method,
-            dt=_number(obj, "dt", pointer, default=0.01, positive=True),
-            rel_tol=_number(obj, "rel_tol", pointer, default=1e-9, positive=True),
-            abs_tol=_number(obj, "abs_tol", pointer, default=1e-12, positive=True),
-            blowup_radius=_number(obj, "blowup_radius", pointer, default=1e6, positive=True),
-            max_steps=_integer(obj, "max_steps", pointer, default=10_000_000, minimum=1),
+            dt=_number(obj, "dt", pointer, default=default.dt, positive=True),
+            rel_tol=_number(obj, "rel_tol", pointer, default=default.rel_tol, positive=True),
+            abs_tol=_number(obj, "abs_tol", pointer, default=default.abs_tol, positive=True),
+            blowup_radius=_number(
+                obj, "blowup_radius", pointer, default=default.blowup_radius, positive=True
+            ),
+            max_steps=_integer(obj, "max_steps", pointer, default=default.max_steps, minimum=1),
         )
     except ProblemFormatError:
         raise  # keep the precise inner pointer
@@ -299,11 +303,11 @@ def _validate_roa(obj, n, pointer) -> dict:
 def _validate_converse(obj, n, pointer) -> dict:
     obj = _expect_object(obj, pointer)
     _reject_unknown(obj, _CONVERSE_KEYS, pointer)
-    quad = obj.get("quadrature", "trapezoid")
-    if quad not in ("trapezoid", "simpson"):
-        _fail(f"{pointer}/quadrature", "must be trapezoid or simpson")
+    quad = obj.get("quadrature", ConverseConfig.quadrature)
+    if quad not in _QUADRATURES:
+        _fail(f"{pointer}/quadrature", f"must be {' or '.join(_QUADRATURES)}")
     out = {
-        "lambda": _number(obj, "lambda", pointer, default=1.0, positive=True),
+        "lambda": _number(obj, "lambda", pointer, default=ConverseConfig.lam, positive=True),
         "horizon": _number(obj, "horizon", pointer, default=10.0, positive=True),
         "out_dt": _number(obj, "out_dt", pointer, default=0.01, positive=True),
         "quadrature": quad,

@@ -2,7 +2,9 @@
 
 estimate_delta searches, by bisection over delta in (0, epsilon], for a
 ball whose sampled orbits all stay inside the epsilon-ball around the
-set. check_positive_invariance flows set members and reports the largest
+set; each probe orbit is sampled over the whole horizon, as every other
+analysis samples its orbits, and all its samples are tested at once.
+check_positive_invariance flows set members and reports the largest
 excursion. uniform_attraction_time finds the first sampled time after
 which a whole start collection stays within epsilon. classify_stability
 aggregates these plus a neighborhood attraction grid into one verdict.
@@ -18,15 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EscapedDomainError, EvalDomainError
+from .errors import StepLimitError
 from .expr import VectorFieldSpec
-from .flow import (
-    IntegratorConfig,
-    integrate_lanes,
-    iterate_orbit,
-    partial_trajectory,
-    sample_times,
-)
+from .flow import IntegratorConfig, integrate_lanes, partial_trajectory, sample_times
 from .geometry import (
     Box,
     CompactSet,
@@ -114,21 +110,20 @@ def _orbit_stays_inside(
     x,
     M: CompactSet,
     epsilon: float,
-    times,
+    horizon_T: float,
+    out_dt: float,
     cfg: IntegratorConfig,
 ) -> bool:
-    """True when every sampled state keeps d < epsilon. An escape or a
-    domain failure counts as an exit; an exhausted step budget says
-    nothing about the orbit and propagates."""
-    if not M.distance(x) < epsilon:
+    """True when every sampled state keeps d < epsilon. A sample outside
+    decides even if the orbit failed after it. Otherwise an escape or a
+    domain failure counts as an exit, and an exhausted step budget, which
+    says nothing about the orbit, propagates."""
+    traj, error = partial_trajectory(V, x, horizon_T, out_dt, cfg)
+    if not np.all(M.distances(traj.states) < epsilon):
         return False
-    try:
-        for _, state in iterate_orbit(V, x, times, cfg):
-            if not M.distance(state) < epsilon:
-                return False
-    except (EscapedDomainError, EvalDomainError):
-        return False
-    return True
+    if isinstance(error, StepLimitError):
+        raise error
+    return error is None
 
 
 def estimate_delta(
@@ -144,11 +139,11 @@ def estimate_delta(
     """Largest bisection-certified delta, or (None, witness) if none holds."""
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    times = sample_times(horizon_T, out_dt)[1:]
+    sample_times(horizon_T, out_dt)  # rejects a bad horizon before any orbit
 
     def probe(delta: float) -> np.ndarray | None:
         for p in _candidate_points(M, delta, shell_samples, seed):
-            if not _orbit_stays_inside(V, p, M, epsilon, times, cfg):
+            if not _orbit_stays_inside(V, p, M, epsilon, horizon_T, out_dt, cfg):
                 return p
         return None
 

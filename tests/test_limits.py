@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapset.errors import OrbitUnboundedError
+from lyapset.errors import DimensionMismatchError, OrbitUnboundedError
 from lyapset.expr import VectorFieldSpec
 from lyapset.flow import IntegratorConfig, flow
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint, hausdorff
@@ -319,6 +319,12 @@ class TestRoaGrid:
             roa_grid(
                 sink2, SinglePoint([0.0, 0.0]), Box([-1, -1], [1, 1]), (3,), cfg, 1.0, 1e-3
             )
+
+    def test_set_dimension_rejected(self, sink2, cfg):
+        # Rejected before any node is integrated, as classify_attraction
+        # and uniform_attraction_time reject it, not as an all-error grid.
+        with pytest.raises(DimensionMismatchError):
+            roa_grid(sink2, SinglePoint([0.0]), Box([-1, -1], [1, 1]), 3, cfg, 1.0, 1e-3)
 
 
 class TestOmegaDistanceDecay:

@@ -3,6 +3,7 @@ import copy
 import pytest
 
 from lyapset.errors import ProblemFormatError
+from lyapset.flow import IntegratorConfig
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint
 from lyapset.problem import ProblemDefinition, load_problem
 
@@ -50,6 +51,13 @@ class TestRoundTrip:
         assert p.integrator.rel_tol == 1e-9
         assert p.omega is None and p.stability is None
         assert p.roa is None and p.converse is None and p.certificate is None
+
+    def test_empty_integrator_is_default_config(self):
+        p = ProblemDefinition.from_json(
+            {"dimension": 1, "field": ["-x1"], "set": {"type": "point", "coords": [0]},
+             "integrator": {}}
+        )
+        assert p.integrator == IntegratorConfig()
 
     def test_block_defaults_filled(self):
         p = ProblemDefinition.from_json(
@@ -215,9 +223,10 @@ class TestValidationPointers:
         _expect_pointer(raw, "/stability/epsilons/0")
 
     def test_bad_integrator_method(self):
-        raw = copy.deepcopy(FULL_PROBLEM)
-        raw["integrator"]["method"] = "euler"
-        _expect_pointer(raw, "/integrator/method")
+        for method in ("euler", ["rk45"]):  # a list is not a key of the alias table
+            raw = copy.deepcopy(FULL_PROBLEM)
+            raw["integrator"]["method"] = method
+            _expect_pointer(raw, "/integrator/method")
 
     def test_roa_box_required(self):
         raw = copy.deepcopy(FULL_PROBLEM)

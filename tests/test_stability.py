@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lyapset.errors import EscapedDomainError, EvalDomainError, StepLimitError
 from lyapset.expr import VectorFieldSpec
-from lyapset.flow import partial_trajectory
+from lyapset.flow import IntegratorConfig, _walk, partial_trajectory, sample_times
 from lyapset.geometry import (
     Box,
     ClosedBall,
@@ -14,12 +15,14 @@ from lyapset.geometry import (
     sample_shell,
 )
 from lyapset.stability import (
+    BISECTION_STEPS,
     VERDICT_INCONCLUSIVE,
     VERDICT_STABLE,
     VERDICT_UNSTABLE,
     EpsilonDeltaPair,
     StabilityReport,
     UniformTimeEstimate,
+    _candidate_points,
     check_positive_invariance,
     classify_stability,
     estimate_delta,
@@ -27,6 +30,65 @@ from lyapset.stability import (
 )
 
 ORIGIN_2D = SinglePoint([0.0, 0.0])
+
+
+def _stays_inside_sample_by_sample(V, x, M, epsilon, horizon_T, out_dt, cfg):
+    """The delta probe of one start read sample by sample: one M.distance
+    per state, stopping at the first outside epsilon."""
+    if not M.distance(x) < epsilon:
+        return False
+    targets = sample_times(horizon_T, out_dt)[1:]
+    try:
+        for _, state in _walk(V, [float(v) for v in x], targets, cfg):
+            if not M.distance(state) < epsilon:
+                return False
+    except (EscapedDomainError, EvalDomainError):
+        return False
+    return True
+
+
+def _delta_sample_by_sample(V, M, epsilon, cfg, horizon_T, shell_samples, out_dt):
+    """estimate_delta's bisection over the sample-by-sample probe."""
+    lo, hi = 0.0, epsilon
+    certified = witness = None
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        failed = None
+        for p in _candidate_points(M, mid, shell_samples, 0):
+            if not _stays_inside_sample_by_sample(V, p, M, epsilon, horizon_T, out_dt, cfg):
+                failed = p
+                break
+        if failed is None:
+            certified, lo = mid, mid
+        else:
+            witness, hi = failed, mid
+    return certified, (None if certified is not None else witness)
+
+
+def _delta_bits(estimate, args, knobs):
+    """(delta, witness) as hex strings, or the type and text of the error."""
+    try:
+        delta, witness = estimate(*args, **knobs)
+    except StepLimitError as exc:
+        return type(exc).__name__, str(exc)
+    return (None if delta is None else delta.hex(),
+            None if witness is None else [float(v).hex() for v in witness])
+
+
+# name: (field, set, epsilon, integrator settings)
+_PARITY_CASES = {
+    "sink": (["-x1", "-x2"], ORIGIN_2D, 0.5, {}),
+    "rotation": (["x2", "-x1"], ORIGIN_2D, 0.5, {}),
+    "unstable": (["x1", "-x2"], ORIGIN_2D, 0.5, {}),
+    # Orbits of radius above 0.6 escape while still inside epsilon.
+    "escaping": (["x2", "-x1"], ORIGIN_2D, 1.0, {"blowup_radius": 0.6}),
+    # Starts with x1 < -0.2 fail at the first field evaluation.
+    "sqrt-domain": (["-x1 * sqrt(x1 + 0.2)", "-x2"], ORIGIN_2D, 0.5, {}),
+    # The step budget runs out inside epsilon: both raise.
+    "step-limit-inside": (["-x1", "-x2"], ORIGIN_2D, 0.5, {"max_steps": 30}),
+    # Every orbit leaves epsilon by t = 1, then runs out of steps.
+    "step-limit-after-exit": (["1"], SinglePoint([0.0]), 0.5, {"max_steps": 30}),
+}
 
 
 class TestEstimateDelta:
@@ -98,6 +160,36 @@ class TestEstimateDelta:
     def test_epsilon_validated(self, sink2, cfg):
         with pytest.raises(ValueError):
             estimate_delta(sink2, ORIGIN_2D, 0.0, cfg)
+
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_matches_sample_by_sample_probe(self, case):
+        # Each probe orbit is integrated whole and tested with one
+        # M.distances call; the reference walks it lazily with M.distance.
+        texts, M, eps, settings = _PARITY_CASES[case]
+        V = VectorFieldSpec.from_strings(texts)
+        args = (V, M, eps, IntegratorConfig(**settings))
+        knobs = {"horizon_T": 10.0, "shell_samples": 8, "out_dt": 0.1}
+        got = _delta_bits(estimate_delta, args, knobs)
+        assert got == _delta_bits(_delta_sample_by_sample, args, knobs)
+
+    def test_exit_before_step_limit_is_witness(self):
+        V = VectorFieldSpec.from_strings(["1"])
+        M = SinglePoint([0.0])
+        cfg = IntegratorConfig(max_steps=30)
+        delta, witness = estimate_delta(
+            V, M, 0.5, cfg, horizon_T=10.0, shell_samples=4, out_dt=0.1
+        )
+        assert delta is None
+        traj, error = partial_trajectory(V, witness, 10.0, 0.1, cfg)
+        assert isinstance(error, StepLimitError)
+        assert float(M.distances(traj.states).max()) >= 0.5
+
+    def test_step_limit_inside_epsilon_raises(self, sink2):
+        with pytest.raises(StepLimitError):
+            estimate_delta(
+                sink2, ORIGIN_2D, 0.5, IntegratorConfig(max_steps=30),
+                horizon_T=10.0, shell_samples=4, out_dt=0.1,
+            )
 
 
 class TestPositiveInvariance:
