@@ -35,10 +35,11 @@ NEGATIVE_VERDICTS = (VERDICT_UNSTABLE, VERDICT_REJECTED)
 
 
 def _json_safe(value):
-    """Replace non-finite floats so the report is strict JSON."""
+    """Replace non-finite floats so the report is strict JSON: NaN, an
+    undefined value, becomes null; an infinity becomes a signed string."""
     if isinstance(value, float):
         if math.isnan(value):
-            return "NaN"
+            return None
         if math.isinf(value):
             return "Infinity" if value > 0 else "-Infinity"
         return value

@@ -4,13 +4,17 @@ A state point is a 1-D float ndarray. Compact sets come in four variants:
 a single point, a finite point cloud (dense sampling of a curve or cycle),
 a closed Euclidean ball, and an axis-aligned box. Every variant answers
 exact point-to-set distances; the point cloud answers the minimum over its
-members.
+members. Each variant has one distance formula, `distances` over an (m, n)
+array; `distance` of one point applies it to a one-row array, so the point
+and array forms agree bitwise.
+
+Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
+seeded rays out of the set and bisects all of them together.
 """
 
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 
 import numpy as np
 
@@ -40,8 +44,9 @@ class CompactSet:
     kind: str
     dim: int
 
-    def distance(self, x: np.ndarray) -> float:
-        raise NotImplementedError
+    def distance(self, x) -> float:
+        """Distance from one point, by the formula `distances` applies."""
+        return float(self.distances(self._check_dim(as_point(x))[None, :])[0])
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Vectorized distance for an (m, n) array of points."""
@@ -71,9 +76,6 @@ class SinglePoint(CompactSet):
     def __init__(self, point):
         self.point = as_point(point)
         self.dim = self.point.size
-
-    def distance(self, x):
-        return float(np.linalg.norm(self._check_dim(as_point(x)) - self.point))
 
     def distances(self, points):
         return np.linalg.norm(self._check_dim(points) - self.point, axis=-1)
@@ -114,10 +116,6 @@ class PointCloud(CompactSet):
             self._tree = cKDTree(self.points)
         return self._tree.query(points, k=1)[0]
 
-    def distance(self, x):
-        x = self._check_dim(as_point(x))
-        return float(self._nearest(x[None, :])[0])
-
     def distances(self, points):
         points = self._check_dim(np.asarray(points, dtype=float))
         return self._nearest(points)
@@ -147,10 +145,6 @@ class ClosedBall(CompactSet):
         if self.radius < 0:
             raise ValueError("ball radius must be >= 0")
         self.dim = self.center.size
-
-    def distance(self, x):
-        x = self._check_dim(as_point(x))
-        return max(0.0, float(np.linalg.norm(x - self.center)) - self.radius)
 
     def distances(self, points):
         d = np.linalg.norm(self._check_dim(points) - self.center, axis=-1)
@@ -188,11 +182,6 @@ class Box(CompactSet):
         if np.any(self.lo > self.hi):
             raise ValueError("box needs lo <= hi componentwise")
         self.dim = self.lo.size
-
-    def distance(self, x):
-        x = self._check_dim(as_point(x))
-        nearest = np.clip(x, self.lo, self.hi)
-        return float(np.linalg.norm(x - nearest))
 
     def distances(self, points):
         points = self._check_dim(np.asarray(points, dtype=float))
@@ -240,50 +229,51 @@ class FiniteSetApprox:
         return f"FiniteSetApprox(<{len(self)} points in R^{self.dim}>, meta={self.meta!r})"
 
 
-class ShellLocation(str, Enum):
-    INSIDE_OPEN = "inside_open"
-    ON_SHELL = "on_shell"
-    OUTSIDE_CLOSED = "outside_closed"
+def _shell_points(M: CompactSet, radii, rngs) -> np.ndarray:
+    """Row i lies at distance radii[i] from the set, to 1e-12 relative.
 
+    Ray i draws its direction and base point from rngs[i], in ray order, so
+    rays that share one generator draw in turn. All rays then grow their
+    outer bound by doubling and bisect together, one `distances` call per
+    step over the rays not yet done.
+    """
+    r = np.asarray(radii, dtype=float)
+    tol = 1e-12 * np.maximum(1.0, r)
+    u = np.empty((r.size, M.dim))
+    base = np.empty_like(u)
+    for i, rng in enumerate(rngs):
+        u[i] = rng.standard_normal(M.dim)
+        u[i] /= np.linalg.norm(u[i])
+        members = M.sample_points(4, rng)
+        base[i] = members[rng.integers(0, members.shape[0])]
 
-def shell_classify(x, M: CompactSet, r: float, tol: float) -> ShellLocation:
-    """Place a point relative to the distance-r shell around the set."""
-    if r < 0:
-        raise ValueError("shell radius must be >= 0")
-    if tol <= 0:
-        raise ValueError("classification tolerance must be > 0")
-    d = M.distance(x)
-    if abs(d - r) <= tol:
-        return ShellLocation.ON_SHELL
-    if d < r - tol:
-        return ShellLocation.INSIDE_OPEN
-    return ShellLocation.OUTSIDE_CLOSED
+    def along(rays, s):
+        return base[rays] + s[:, None] * u[rays]
 
-
-def _shell_point(M: CompactSet, r: float, rng: np.random.Generator) -> np.ndarray:
-    """One point at distance r from the set, bisected to 1e-12 relative."""
-    target_tol = 1e-12 * max(1.0, r)
-    u = rng.standard_normal(M.dim)
-    u /= np.linalg.norm(u)
-    base = M.sample_points(4, rng)
-    base = base[rng.integers(0, base.shape[0])]
-
-    s_hi = r
+    s_hi = r.copy()
+    rays = np.arange(r.size)
     for _ in range(90):
-        if M.distance(base + s_hi * u) >= r:
+        rays = rays[M.distances(along(rays, s_hi[rays])) < r[rays]]
+        if rays.size == 0:
             break
-        s_hi *= 2.0
-    s_lo = 0.0
+        s_hi[rays] *= 2.0
+    s_lo = np.zeros_like(r)
+    out = np.empty_like(u)
+    rays = np.arange(r.size)
     for _ in range(256):
-        mid = 0.5 * (s_lo + s_hi)
-        d = M.distance(base + mid * u)
-        if abs(d - r) <= target_tol:
-            return base + mid * u
-        if d < r:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return base + 0.5 * (s_lo + s_hi) * u
+        mid = 0.5 * (s_lo[rays] + s_hi[rays])
+        pts = along(rays, mid)
+        d = M.distances(pts)
+        hit = np.abs(d - r[rays]) <= tol[rays]
+        out[rays[hit]] = pts[hit]
+        below = d < r[rays]
+        s_lo[rays] = np.where(below, mid, s_lo[rays])
+        s_hi[rays] = np.where(below, s_hi[rays], mid)
+        rays = rays[~hit]
+        if rays.size == 0:
+            return out
+    out[rays] = along(rays, 0.5 * (s_lo[rays] + s_hi[rays]))
+    return out
 
 
 def sample_shell(M: CompactSet, r: float, count: int, seed: int) -> FiniteSetApprox:
@@ -297,7 +287,7 @@ def sample_shell(M: CompactSet, r: float, count: int, seed: int) -> FiniteSetApp
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = np.asarray([_shell_point(M, r, rng) for _ in range(count)])
+    pts = _shell_points(M, [r] * count, [rng] * count)
     return FiniteSetApprox(pts, meta=f"shell r={r!r} count={count} seed={seed}")
 
 

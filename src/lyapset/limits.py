@@ -32,7 +32,7 @@ from .flow import (
     sample_times,
     trajectory,
 )
-from .geometry import Box, CompactSet, FiniteSetApprox, PointCloud, as_point, hausdorff
+from .geometry import Box, CompactSet, FiniteSetApprox, as_point, hausdorff
 
 LABEL_ATTRACTED = "attracted"
 LABEL_WEAK = "weakly_attracted"
@@ -292,18 +292,3 @@ def roa_grid(
         tol=tol,
     )
 
-
-def omega_distance_decay(
-    V: VectorFieldSpec,
-    x,
-    cfg: IntegratorConfig,
-    horizon_T: float,
-    out_dt: float = 0.01,
-    **omega_knobs,
-) -> list[tuple[float, float]]:
-    """Distance from the orbit of x to its own estimated limit set, over time."""
-    estimate = estimate_omega(V, x, cfg, **omega_knobs)
-    limit_cloud = PointCloud(estimate.points.points)
-    traj = trajectory(V, x, horizon_T, out_dt, cfg)
-    d = limit_cloud.distances(traj.states)
-    return [(float(t), float(v)) for t, v in zip(traj.times, d)]

@@ -36,7 +36,7 @@ from .expr import (
     compile_vector_field,
 )
 from .flow import IntegratorConfig, flow, trajectory
-from .geometry import Box, CompactSet, as_point, sample_set_points, sample_shell
+from .geometry import Box, CompactSet, _shell_points, as_point, sample_set_points
 
 _QUADRATURES = ("trapezoid", "simpson")
 
@@ -363,12 +363,9 @@ def central_gradient(fn, x) -> list[float]:
 def _annulus_points(M: CompactSet, r_in: float, r_out: float, count: int, seed: int):
     """Points with d in (r_in, r_out], radii drawn uniformly per sample."""
     u = np.random.default_rng([seed, 23]).uniform(size=count)
-    pts = []
-    for j in range(count):
-        r = r_in + (1.0 - float(u[j])) * (r_out - r_in)  # u in (0, 1]
-        s = (seed * 2_654_435_761 + 97 * j + 31) % (2**31)
-        pts.append(sample_shell(M, r, 1, s).points[0])
-    return np.asarray(pts)
+    radii = r_in + (1.0 - u) * (r_out - r_in)  # 1 - u in (0, 1]
+    seeds = [(seed * 2_654_435_761 + 97 * j + 31) % (2**31) for j in range(count)]
+    return _shell_points(M, radii, [np.random.default_rng(s) for s in seeds])
 
 
 def verify_certificate(
@@ -388,6 +385,8 @@ def verify_certificate(
         raise ValueError("annulus needs 0 <= r_in < r_out")
     if Lcand.dim != V.dim:
         raise ValueError("candidate and field dimensions differ")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     notes: list[str] = []
 
     lfn = compile_scalar(Lcand.body)

@@ -23,13 +23,7 @@ import numpy as np
 from .errors import StepLimitError
 from .expr import VectorFieldSpec
 from .flow import IntegratorConfig, integrate_lanes, partial_trajectory, sample_times
-from .geometry import (
-    Box,
-    CompactSet,
-    FiniteSetApprox,
-    sample_set_points,
-    sample_shell,
-)
+from .geometry import Box, CompactSet, FiniteSetApprox, _shell_points, sample_set_points
 from .limits import LABEL_ATTRACTED, roa_grid
 
 VERDICT_STABLE = "stable_evidence"
@@ -94,15 +88,14 @@ def _candidate_points(
     M: CompactSet, delta: float, shell_samples: int, seed: int
 ) -> np.ndarray:
     """Shell points at distance delta plus interior points at radii delta*u."""
-    pts = [sample_shell(M, delta, shell_samples, seed).points]
-    n_interior = math.ceil(shell_samples / 4)
-    u = np.random.default_rng([seed, 17]).uniform(size=n_interior)
-    for j in range(n_interior):
-        r = delta * float(u[j])
-        if r <= 0:
-            continue
-        pts.append(sample_shell(M, r, 1, _interior_seed(seed, j)).points)
-    return np.vstack(pts)
+    u = np.random.default_rng([seed, 17]).uniform(size=math.ceil(shell_samples / 4))
+    inner = [j for j in range(u.size) if delta * u[j] > 0]
+    return _shell_points(
+        M,
+        [delta] * shell_samples + [delta * u[j] for j in inner],
+        [np.random.default_rng(seed)] * shell_samples
+        + [np.random.default_rng(_interior_seed(seed, j)) for j in inner],
+    )
 
 
 def _orbit_stays_inside(
@@ -139,6 +132,8 @@ def estimate_delta(
     """Largest bisection-certified delta, or (None, witness) if none holds."""
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
+    if shell_samples < 1:
+        raise ValueError("shell_samples must be >= 1")
     sample_times(horizon_T, out_dt)  # rejects a bad horizon before any orbit
 
     def probe(delta: float) -> np.ndarray | None:

@@ -137,6 +137,23 @@ class TestAnalyze:
         assert (dest / "linear_sink.report.json").exists()
         assert not (tmp_path / "linear_sink.report.json").exists()
 
+    def test_failed_converse_rows_write_null(self, tmp_path):
+        # Every start blows up before t = 1.25, so ell and big_l are NaN.
+        problem = {
+            "dimension": 2,
+            "field": ["x1^2", "-x2"],
+            "set": {"type": "point", "coords": [0, 0]},
+            "converse": {"horizon": 2.0, "samples": 3, "box": [[0.8, 0.8], [1, 1]]},
+        }
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(problem))
+        assert main(["analyze", str(path)]) == 0
+        text = (tmp_path / "blowup.report.json").read_text()
+        rows = json.loads(text, parse_constant=_reject_constant)["blocks"]["converse"]["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert row["error"] and row["ell"] is None and row["big_l"] is None
+
     def test_reports_do_not_depend_on_location(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"

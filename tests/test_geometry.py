@@ -10,12 +10,10 @@ from lyapset.geometry import (
     ClosedBall,
     FiniteSetApprox,
     PointCloud,
-    ShellLocation,
     SinglePoint,
     hausdorff,
     sample_set_points,
     sample_shell,
-    shell_classify,
 )
 
 from conftest import circle_cloud
@@ -69,7 +67,7 @@ class TestDistance:
         for M in all_variants():
             batch = M.distances(pts)
             for i, p in enumerate(pts):
-                assert batch[i] == pytest.approx(M.distance(p), abs=1e-12)
+                assert float(batch[i]).hex() == M.distance(p).hex()
 
     def test_cloud_tree_matches_bruteforce(self):
         rng = np.random.default_rng(11)
@@ -79,41 +77,6 @@ class TestDistance:
         diff = pts[:, None, :] - cloud.points[None, :, :]
         slow = np.sqrt((diff * diff).sum(axis=-1)).min(axis=1)
         assert np.allclose(fast, slow, atol=1e-12)
-
-
-class TestShellClassify:
-    def test_inside_open(self):
-        loc = shell_classify([0.5, 0.0], SinglePoint([0.0, 0.0]), 1.0, 1e-9)
-        assert loc == ShellLocation.INSIDE_OPEN
-
-    def test_on_shell(self):
-        loc = shell_classify([1.0, 0.0], SinglePoint([0.0, 0.0]), 1.0, 1e-9)
-        assert loc == ShellLocation.ON_SHELL
-
-    def test_outside_closed(self):
-        loc = shell_classify([2.0, 0.0], ClosedBall([0.0, 0.0], 1.0), 0.5, 1e-9)
-        assert loc == ShellLocation.OUTSIDE_CLOSED
-
-    def test_partition_randomized(self):
-        rng = np.random.default_rng(23)
-        tol = 1e-9
-        for M in all_variants():
-            for _ in range(50):
-                x = rng.uniform(-3, 3, size=2)
-                r = float(rng.uniform(0.1, 2.0))
-                d = M.distance(x)
-                if abs(abs(d - r) - tol) <= 2 * tol:
-                    continue  # boundary between labels, either side acceptable
-                labels = [shell_classify(x, M, r, tol)]
-                assert len(set(labels)) == 1
-                expected = (
-                    ShellLocation.INSIDE_OPEN
-                    if d < r - tol
-                    else ShellLocation.ON_SHELL
-                    if abs(d - r) <= tol
-                    else ShellLocation.OUTSIDE_CLOSED
-                )
-                assert labels[0] == expected
 
 
 class TestSampleShell:
@@ -132,7 +95,7 @@ class TestSampleShell:
         M = Box([0.0, 0.0], [1.0, 1.0])
         approx = sample_shell(M, 0.25, 16, 3)
         for p in approx.points:
-            assert shell_classify(p, M, 0.25, 1e-8) == ShellLocation.ON_SHELL
+            assert abs(M.distance(p) - 0.25) <= 1e-8
 
     def test_deterministic_for_seed(self):
         a = sample_shell(ClosedBall([1.0, 2.0], 0.5), 0.3, 6, 99).points
@@ -148,6 +111,69 @@ class TestSampleShell:
         approx = sample_shell(M, 0.2, 10, 5)
         for p in approx.points:
             assert abs(M.distance(p) - 0.2) <= 1e-9
+
+
+def _shell_point_reference(M, r, rng):
+    """One ray at a time, as the shell sampler once ran, on M.distance."""
+    target_tol = 1e-12 * max(1.0, r)
+    u = rng.standard_normal(M.dim)
+    u /= np.linalg.norm(u)
+    base = M.sample_points(4, rng)
+    base = base[rng.integers(0, base.shape[0])]
+
+    s_hi = r
+    for _ in range(90):
+        if M.distance(base + s_hi * u) >= r:
+            break
+        s_hi *= 2.0
+    s_lo = 0.0
+    for _ in range(256):
+        mid = 0.5 * (s_lo + s_hi)
+        d = M.distance(base + mid * u)
+        if abs(d - r) <= target_tol:
+            return base + mid * u
+        if d < r:
+            s_lo = mid
+        else:
+            s_hi = mid
+    return base + 0.5 * (s_lo + s_hi) * u
+
+
+def _parity_sets(n, rng):
+    lo = rng.uniform(-1, 1, size=n)
+    flat = lo + rng.uniform(0, 1, size=n) * (rng.uniform(size=n) < 0.5)
+    return {
+        "point": SinglePoint(lo),
+        "ball": ClosedBall(lo, float(rng.uniform(0.1, 2.0))),
+        "ball_r0": ClosedBall(lo, 0.0),
+        "box": Box(lo, lo + rng.uniform(0.1, 2.0, size=n)),
+        "flat_box": Box(lo, flat),  # lo == hi along about half the axes
+        "cloud": PointCloud(rng.uniform(-1, 1, size=(int(rng.integers(1, 30)), n))),
+        # Coordinates near 1e6 cannot resolve the 1e-12 tolerance, so these
+        # rays run all 256 bisection steps and end on the midpoint.
+        "far_ball": ClosedBall(lo + 1e6, 0.5),
+    }
+
+
+class TestShellPoints:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared_rng", "per_ray_rng"])
+    def test_bitwise_equal_to_per_ray_reference(self, n, shared):
+        rng = np.random.default_rng([n, shared])
+        for trial in range(4):
+            for kind, M in _parity_sets(n, rng).items():
+                rays = int(rng.integers(1, 7))
+                radii = [float(r) for r in 10.0 ** rng.uniform(-6, 1, size=rays)]
+                seeds = [[n, trial, j] for j in range(rays)]
+
+                def generators():
+                    if shared:
+                        return [np.random.default_rng(seeds[0])] * rays
+                    return [np.random.default_rng(s) for s in seeds]
+
+                got = geometry._shell_points(M, radii, generators())
+                want = [_shell_point_reference(M, r, g) for r, g in zip(radii, generators())]
+                assert got.tobytes() == np.asarray(want).tobytes(), (kind, radii)
 
 
 class TestSampleSetPoints:

@@ -5,7 +5,7 @@ import pytest
 
 from lyapset.errors import DimensionMismatchError, OrbitUnboundedError
 from lyapset.expr import VectorFieldSpec
-from lyapset.flow import IntegratorConfig, flow
+from lyapset.flow import IntegratorConfig, flow, trajectory
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint, hausdorff
 from lyapset.limits import (
     LABEL_ATTRACTED,
@@ -14,7 +14,6 @@ from lyapset.limits import (
     LABEL_WEAK,
     classify_attraction,
     estimate_omega,
-    omega_distance_decay,
     roa_grid,
 )
 
@@ -327,9 +326,16 @@ class TestRoaGrid:
             roa_grid(sink2, SinglePoint([0.0]), Box([-1, -1], [1, 1]), 3, cfg, 1.0, 1e-3)
 
 
+def _distance_to_own_limit(V, x, cfg, horizon_T, out_dt, **omega_knobs):
+    """(t, d) pairs: distance from the orbit of x to its own estimated limit set."""
+    cloud = PointCloud(estimate_omega(V, x, cfg, **omega_knobs).points.points)
+    traj = trajectory(V, x, horizon_T, out_dt, cfg)
+    return list(zip(traj.times.tolist(), cloud.distances(traj.states).tolist()))
+
+
 class TestOmegaDistanceDecay:
     def test_sink_matches_exponential(self, sink1, cfg):
-        curve = omega_distance_decay(
+        curve = _distance_to_own_limit(
             sink1,
             [1.0],
             cfg,
@@ -344,7 +350,7 @@ class TestOmegaDistanceDecay:
             assert abs(d - math.exp(-t)) <= 1e-8
 
     def test_fixed_point_stays_at_zero(self, sink1, cfg):
-        curve = omega_distance_decay(
+        curve = _distance_to_own_limit(
             sink1,
             [0.0],
             cfg,
@@ -357,7 +363,7 @@ class TestOmegaDistanceDecay:
         assert max(d for _, d in curve) <= 1e-9
 
     def test_vanderpol_decays_to_cycle(self, vdp, cfg):
-        curve = omega_distance_decay(
+        curve = _distance_to_own_limit(
             vdp,
             [0.1, 0.0],
             cfg,

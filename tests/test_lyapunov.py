@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapset.expr import ScalarFieldSpec
+from lyapset.expr import ScalarFieldSpec, VectorFieldSpec
 from lyapset.flow import flow
 from lyapset.geometry import Box, PointCloud, SinglePoint
 from lyapset.lyapunov import (
@@ -287,6 +287,15 @@ class TestVerifyCertificate:
         L1 = ScalarFieldSpec.from_string("x1^2", 1)
         with pytest.raises(ValueError):
             verify_certificate(sink2, ORIGIN_2D, L1, 0.0, 1.0, 10, 0, cfg)
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_sample_count_validated(self, cfg, n_samples):
+        # With no sample every margin kept its start value, and a source
+        # around its equilibrium was accepted.
+        source = VectorFieldSpec.from_strings(["x1", "x2"])
+        L = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            verify_certificate(source, ORIGIN_2D, L, 0.1, 1.0, n_samples, 0, cfg)
 
     def test_report_json_shape(self):
         report = CertificateReport(

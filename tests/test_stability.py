@@ -161,6 +161,10 @@ class TestEstimateDelta:
         with pytest.raises(ValueError):
             estimate_delta(sink2, ORIGIN_2D, 0.0, cfg)
 
+    def test_shell_samples_validated(self, sink2, cfg):
+        with pytest.raises(ValueError, match="shell_samples must be >= 1"):
+            estimate_delta(sink2, ORIGIN_2D, 0.5, cfg, shell_samples=0)
+
     @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
     def test_matches_sample_by_sample_probe(self, case):
         # Each probe orbit is integrated whole and tested with one
