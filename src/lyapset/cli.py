@@ -4,9 +4,9 @@ analyze runs the analysis blocks of a problem file and writes a JSON
 report plus CSV tables next to it; plot turns a report back into an
 SVG; selftest runs the bundled closed-form checks. Exit codes: 0 clean,
 1 input or usage error, 2 when an analysis produced a negative verdict
-(rejected certificate or instability witness). A block that fails with a
-toolkit error is recorded in the report as {"error": ...} and leaves the
-exit code as it is.
+(rejected certificate or instability witness), 3 when an analysis block
+failed with a toolkit error, which takes precedence over 2. A failed block
+is recorded in the report as {"error": ...}, and the other blocks still run.
 """
 
 from __future__ import annotations
@@ -141,10 +141,7 @@ RUNNERS = {
 def cmd_analyze(args) -> int:
     try:
         problem = load_problem(args.problem)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -163,10 +160,11 @@ def cmd_analyze(args) -> int:
             blocks[name], csv = run(problem, cfg)
         except LyapsetError as exc:
             blocks[name], csv = {"error": str(exc)}, None
+            exit_code = 3
         if csv is not None:
             csvs[name] = csv
         if blocks[name].get("verdict") in NEGATIVE_VERDICTS:
-            exit_code = 2
+            exit_code = max(exit_code, 2)
 
     report = {
         "tool": {"name": "lyapset", "version": __version__},

@@ -132,9 +132,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 @lru_cache(maxsize=128)
 def _compiled(V: VectorFieldSpec):

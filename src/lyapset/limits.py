@@ -162,6 +162,7 @@ class RoaGrid:
     labels: tuple[str, ...]
     final_distances: np.ndarray
     min_distances: np.ndarray
+    peak_distances: np.ndarray  # per sample time, the largest over the nodes
     escaped: tuple[bool, ...]
     errors: tuple[str | None, ...]
     horizon: float
@@ -195,49 +196,17 @@ class RoaGrid:
 LABEL_ERROR = "error"
 
 
-def roa_grid(
-    V: VectorFieldSpec,
-    M: CompactSet,
-    box: Box,
-    resolution,
-    cfg: IntegratorConfig,
-    horizon_T: float,
-    tol: float,
-    out_dt: float = 0.05,
-) -> RoaGrid:
-    """Classify every node of a rectangular grid as classify_attraction
-    would, bit for bit; errors are recorded rows."""
-    if not isinstance(box, Box):
-        raise TypeError("roa_grid needs a Box region")
-    if box.dim != V.dim:
-        raise ValueError(f"box dimension {box.dim} != field dimension {V.dim}")
+def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
+    """Run the starts as lanes of one batch and reduce their distances to M
+    at each sample: per start the minimum, the last value and the tail
+    maximum, as classify_attraction reads them, and per sample the largest
+    over all starts. Returns (failed, errors, lowest, latest, tail_max,
+    peak); a start whose distance raised has failed and has an error text."""
     if M.dim != V.dim:
         raise DimensionMismatchError(f"set dimension {M.dim} != field dimension {V.dim}")
-    n = box.dim
-    if np.isscalar(resolution):
-        res = [int(resolution)] * n
-    else:
-        res = [int(r) for r in resolution]
-        if len(res) != n:
-            raise ValueError("one resolution per axis required")
-    if any(r < 2 for r in res):
-        raise ValueError("resolution must be >= 2 per axis")
-    if not horizon_T > 0:
-        raise ValueError("horizon_T must be > 0")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-
-    axes = tuple(np.linspace(box.lo[d], box.hi[d], res[d]) for d in range(n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    times = sample_times(horizon_T, out_dt)
-    in_tail = np.asarray(times[1:]) >= (1.0 - TAIL_FRACTION) * horizon_T
-
-    # All nodes run as lanes of one batch. Each lane's sampled distances
-    # are reduced as it reaches each sample time, to what
-    # classify_attraction reads from its whole orbit: the minimum, the
-    # last value and the maximum over the tail.
-    errors: list[str | None] = [None] * len(nodes)
+    m = len(starts)
+    in_tail = np.asarray(times) >= (1.0 - TAIL_FRACTION) * times[-1]
+    errors: list[str | None] = [None] * m
 
     def distances(rows, points):
         """M.distances, retried row by row when the batch raises, so that
@@ -255,18 +224,58 @@ def roa_grid(
                 errors[row] = errors[row] or str(exc)
         return d
 
-    lowest = distances(np.arange(len(nodes)), nodes)
-    latest = lowest.copy()
-    tail_max = np.full(len(nodes), -math.inf)
+    lowest = np.full(m, math.inf)
+    latest = np.empty(m)
+    tail_max = np.full(m, -math.inf)
+    peak = np.full(len(times), -math.inf)
 
     def visit(rows, j, states):
         d = distances(rows, states)
         lowest[rows] = np.minimum(lowest[rows], d)
         latest[rows] = d
-        tail = in_tail[j]
+        tail = in_tail[j + 1]
         tail_max[rows[tail]] = np.maximum(tail_max[rows[tail]], d[tail])
+        np.fmax.at(peak, j + 1, d)
 
-    escaped = integrate_lanes(V, nodes, times[1:], cfg, visit)
+    visit(np.arange(m), np.full(m, -1), starts)  # the starts are sample 0
+    failed = integrate_lanes(V, starts, times[1:], cfg, visit)
+    failed |= np.array([e is not None for e in errors])
+    return failed, errors, lowest, latest, tail_max, peak
+
+
+def roa_grid(
+    V: VectorFieldSpec,
+    M: CompactSet,
+    box: Box,
+    resolution,
+    cfg: IntegratorConfig,
+    horizon_T: float,
+    tol: float,
+    out_dt: float = 0.05,
+) -> RoaGrid:
+    """Classify every node of a rectangular grid as classify_attraction
+    would, bit for bit; errors are recorded rows."""
+    if not isinstance(box, Box):
+        raise TypeError("roa_grid needs a Box region")
+    if box.dim != V.dim:
+        raise ValueError(f"box dimension {box.dim} != field dimension {V.dim}")
+    n = box.dim
+    if np.isscalar(resolution):
+        res = [int(resolution)] * n
+    else:
+        res = [int(r) for r in resolution]
+        if len(res) != n:
+            raise ValueError("one resolution per axis required")
+    if any(r < 2 for r in res):
+        raise ValueError("resolution must be >= 2 per axis")
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+
+    axes = tuple(np.linspace(box.lo[d], box.hi[d], res[d]) for d in range(n))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    nodes = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    times = sample_times(horizon_T, out_dt)
+    failed, errors, lowest, latest, tail_max, peak = _sweep(V, M, nodes, times, cfg)
     error = np.array([e is not None for e in errors])
     # An orbit that did not fail reached every sample, so its tail, which
     # holds the sample at horizon_T, is not empty.
@@ -274,7 +283,7 @@ def roa_grid(
         error,
         LABEL_ERROR,
         np.where(
-            ~escaped & (tail_max <= tol),
+            ~failed & (tail_max <= tol),
             LABEL_ATTRACTED,
             np.where(lowest <= tol, LABEL_WEAK, LABEL_NOT),
         ),
@@ -286,7 +295,8 @@ def roa_grid(
         labels=tuple(labels.tolist()),
         final_distances=np.where(error, math.nan, latest),
         min_distances=np.where(error, math.nan, lowest),
-        escaped=tuple((escaped & ~error).tolist()),
+        peak_distances=peak,
+        escaped=tuple((failed & ~error).tolist()),
         errors=tuple(errors),
         horizon=horizon_T,
         tol=tol,

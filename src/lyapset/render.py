@@ -38,6 +38,11 @@ _STYLE = (
     "text{font-family:monospace;font-size:12px;fill:#333333}"
     "</style>"
 )
+_PROLOGUE = "\n".join([
+    f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SIZE} {SIZE}">',
+    _STYLE,
+    f'<rect x="0" y="0" width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
+])
 
 
 def _fmt(v: float) -> str:
@@ -209,7 +214,7 @@ def _radius_rings(problem, report, frame: _Frame) -> list[str]:
     return out
 
 
-def _frame_marks(frame: _Frame, label_x: str, label_y: str) -> list[str]:
+def _frame_and_end(frame: _Frame, label_x: str, label_y: str) -> list[str]:
     return [
         f'<rect class="frame" x="{MARGIN}" y="{MARGIN}" width="{SPAN}" height="{SPAN}"/>',
         f'<text x="{MARGIN}" y="{SIZE - MARGIN + 16}">{_fmt(frame.xmin)}</text>',
@@ -218,6 +223,7 @@ def _frame_marks(frame: _Frame, label_x: str, label_y: str) -> list[str]:
         f'<text x="{MARGIN - 44}" y="{MARGIN + 10}">{_fmt(frame.ymax)}</text>',
         f'<text x="{SIZE // 2 - 20}" y="{SIZE - 14}">{label_x}</text>',
         f'<text x="{14}" y="{SIZE // 2}" transform="rotate(-90 14 {SIZE // 2})">{label_y}</text>',
+        "</svg>",
     ]
 
 
@@ -229,11 +235,7 @@ def _render_1d(problem: ProblemDefinition, report: dict) -> str:
         xmin, xmax = box_lo[0], box_hi[0]
     horizon = 10.0
     frame = _Frame(xmin, xmax, 0.0, horizon)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SIZE} {SIZE}">',
-        _STYLE,
-        f'<rect x="0" y="0" width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
-    ]
+    parts = [_PROLOGUE]
     block = (report.get("blocks") or {}).get("roa")
     if block is not None and problem.roa is not None:
         res = problem.roa["resolution"]
@@ -270,8 +272,7 @@ def _render_1d(problem: ProblemDefinition, report: dict) -> str:
             parts.append(
                 f'<line class="setline" x1="{x}" y1="{MARGIN}" x2="{x}" y2="{SIZE - MARGIN}"/>'
             )
-    parts.extend(_frame_marks(frame, "x1", "t"))
-    parts.append("</svg>")
+    parts.extend(_frame_and_end(frame, "x1", "t"))
     return "\n".join(parts) + "\n"
 
 
@@ -293,16 +294,11 @@ def render_svg(
 
     xmin, xmax, ymin, ymax = _plot_bounds(problem, ax_i, ax_j)
     frame = _Frame(xmin, xmax, ymin, ymax)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SIZE} {SIZE}">',
-        _STYLE,
-        f'<rect x="0" y="0" width="{SIZE}" height="{SIZE}" fill="#ffffff"/>',
-    ]
+    parts = [_PROLOGUE]
     if (ax_i, ax_j) == (0, 1):
         parts.extend(_roa_cells(problem, report, frame))
         parts.extend(_radius_rings(problem, report, frame))
     parts.extend(_set_marks(problem, frame, ax_i, ax_j))
     parts.extend(_orbits(problem, frame, ax_i, ax_j))
-    parts.extend(_frame_marks(frame, f"x{ax_i + 1}", f"x{ax_j + 1}"))
-    parts.append("</svg>")
+    parts.extend(_frame_and_end(frame, f"x{ax_i + 1}", f"x{ax_j + 1}"))
     return "\n".join(parts) + "\n"

@@ -7,7 +7,8 @@ analysis samples its orbits, and all its samples are tested at once.
 check_positive_invariance flows set members and reports the largest
 excursion. uniform_attraction_time finds the first sampled time after
 which a whole start collection stays within epsilon. classify_stability
-aggregates these plus a neighborhood attraction grid into one verdict.
+aggregates these plus a neighborhood attraction grid into one verdict,
+reading the uniform time off the one lane pass that labels the grid.
 
 Everything here is evidence from finitely many seeded samples, not
 proof; reports carry the seed and sample counts so runs replay exactly.
@@ -22,9 +23,9 @@ import numpy as np
 
 from .errors import StepLimitError
 from .expr import VectorFieldSpec
-from .flow import IntegratorConfig, integrate_lanes, partial_trajectory, sample_times
+from .flow import IntegratorConfig, partial_trajectory, sample_times
 from .geometry import Box, CompactSet, FiniteSetApprox, _shell_points, sample_set_points
-from .limits import LABEL_ATTRACTED, roa_grid
+from .limits import LABEL_ATTRACTED, _sweep, roa_grid
 
 VERDICT_STABLE = "stable_evidence"
 VERDICT_UNSTABLE = "unstable_witness"
@@ -166,17 +167,34 @@ def check_positive_invariance(
     seed: int = 0,
     out_dt: float = 0.05,
 ) -> float:
-    """Max distance excursion of flowed set members; inf flags an escape."""
+    """Max distance excursion of flowed set members; inf flags an escape.
+    An exhausted step budget, which says nothing about the orbit, raises."""
     if not horizon_T > 0:
         raise ValueError("horizon_T must be > 0")
     starts = sample_set_points(M, boundary_samples, seed).points
     worst = 0.0
     for p in starts:
         traj, error = partial_trajectory(V, p, horizon_T, out_dt, cfg)
+        if isinstance(error, StepLimitError):
+            raise error
         if error is not None:
             return math.inf
         worst = max(worst, float(M.distances(traj.states).max()))
     return worst
+
+
+def _uniform_estimate(failed, final, peak, times, epsilon: float) -> UniformTimeEstimate:
+    """uniform_attraction_time from a sweep. The first start, in order, that
+    failed or is still outside at T_max decides, as if the orbits ran one
+    by one; else T follows the last sample whose peak is >= epsilon, the
+    last at which some start is outside."""
+    for fail, d in zip(failed, final.tolist()):
+        if fail:
+            return UniformTimeEstimate(None, integration_failed=True)
+        if d >= epsilon:
+            return UniformTimeEstimate(None)
+    outside = np.flatnonzero(peak >= epsilon)
+    return UniformTimeEstimate(float(times[outside[-1] + 1]) if outside.size else 0.0)
 
 
 def uniform_attraction_time(
@@ -188,31 +206,13 @@ def uniform_attraction_time(
     T_max: float,
     out_dt: float = 0.05,
 ) -> UniformTimeEstimate:
-    """Smallest sampled T with d(orbit of every k, M) < epsilon on [T, T_max]."""
+    """Smallest sampled T with d(orbit of every k, M) < epsilon on [T, T_max].
+    A start whose distance to M raises counts as an integration failure."""
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
-    if len(K) < 1:
-        raise ValueError("K must be nonempty")
     times = sample_times(T_max, out_dt)
-    # Index of each orbit's last sample with d >= epsilon, or -1.
-    last = np.where(M.distances(K.points) >= epsilon, 0, -1)
-
-    def visit(rows, j, states):
-        outside = M.distances(states) >= epsilon
-        last[rows[outside]] = j[outside] + 1
-
-    failed = integrate_lanes(V, K.points, times[1:], cfg, visit)
-    # Scanned in start order, so the first failure or the first orbit still
-    # outside at T_max decides, as when the orbits ran one by one.
-    entry = 0.0
-    for fail, k in zip(failed.tolist(), last.tolist()):
-        if fail:
-            return UniformTimeEstimate(None, integration_failed=True)
-        if k == len(times) - 1:
-            return UniformTimeEstimate(None)
-        if k >= 0:
-            entry = max(entry, times[k + 1])
-    return UniformTimeEstimate(entry)
+    failed, _, _, latest, _, peak = _sweep(V, M, K.points, times, cfg)
+    return _uniform_estimate(failed.tolist(), latest, peak, times, epsilon)
 
 
 def classify_stability(
@@ -256,13 +256,11 @@ def classify_stability(
         uniform = None
     elif grid_attracted:
         verdict = VERDICT_STABLE
-        K = FiniteSetApprox(grid.nodes, meta="roa grid nodes")
-        estimate = uniform_attraction_time(
-            V, K, M, min(epsilons), cfg, horizon_T, out_dt=out_dt
-        )
-        uniform = estimate.value
-        if estimate.integration_failed:
-            notes.append("uniform attraction probe hit an integration failure")
+        failed = [esc or err is not None for esc, err in zip(grid.escaped, grid.errors)]
+        uniform = _uniform_estimate(
+            failed, grid.final_distances, grid.peak_distances,
+            sample_times(horizon_T, out_dt), min(epsilons),
+        ).value
     else:
         verdict = VERDICT_INCONCLUSIVE
         uniform = None

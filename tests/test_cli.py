@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lyapset import __version__
-from lyapset.cli import main
+from lyapset.cli import NEGATIVE_VERDICTS, main
 from lyapset.expr import print_expr
 from lyapset.problem import ProblemDefinition
 
@@ -80,7 +80,7 @@ class TestAnalyze:
         problem.setdefault("integrator", {})["max_steps"] = 3
         path = tmp_path / name
         path.write_text(json.dumps(problem))
-        assert main(["analyze", str(path)]) in (0, 2)
+        assert main(["analyze", str(path)]) == 3
         report = tmp_path / name.replace(".json", ".report.json")
         assert report.exists()
         if name == "linear_sink.json":
@@ -109,11 +109,12 @@ class TestAnalyze:
         assert [line.split(":")[0] for line in lines] == [
             "omega", "roa", "stability", "converse", "certificate", "report",
         ]
-        # A failed block is recorded and leaves the exit code to the others.
+        # A failed block is recorded, and its exit code 3 takes precedence
+        # over the rejected certificate's 2.
         assert lines[0].startswith("omega: orbit unbounded")
         assert lines[1] == "roa: done" and lines[3] == "converse: done"
         assert lines[4] == "certificate: rejected"
-        assert rc == 2
+        assert rc == 3
         assert "error" in _read_report(tmp_path, "order")["blocks"]["omega"]
 
     def test_malformed_json_exits_1_with_offset(self, tmp_path, capsys):
@@ -238,10 +239,15 @@ class TestAnalyzeFuzz:
             path = os.path.join(tmp, "fuzz.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(problem, fh)
-            assert main(["analyze", path]) in (0, 2)
+            rc = main(["analyze", path])
             with open(os.path.join(tmp, "fuzz.report.json"), "r", encoding="utf-8") as fh:
                 report = json.loads(fh.read(), parse_constant=_reject_constant)
         assert set(report["blocks"]) == {"omega", "roa", "stability", "converse", "certificate"}
+        blocks = report["blocks"].values()
+        if any("error" in block for block in blocks):
+            assert rc == 3
+        else:
+            assert rc == (2 if any(b.get("verdict") in NEGATIVE_VERDICTS for b in blocks) else 0)
 
 
 @pytest.fixture(scope="class")

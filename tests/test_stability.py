@@ -1,9 +1,15 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from lyapset.errors import EscapedDomainError, EvalDomainError, StepLimitError
+from lyapset.errors import (
+    EscapedDomainError,
+    EvalDomainError,
+    OrbitUnboundedError,
+    StepLimitError,
+)
 from lyapset.expr import VectorFieldSpec
 from lyapset.flow import IntegratorConfig, _walk, partial_trajectory, sample_times
 from lyapset.geometry import (
@@ -14,6 +20,7 @@ from lyapset.geometry import (
     SinglePoint,
     sample_shell,
 )
+from lyapset.limits import roa_grid
 from lyapset.stability import (
     BISECTION_STEPS,
     VERDICT_INCONCLUSIVE,
@@ -229,6 +236,14 @@ class TestPositiveInvariance:
         with pytest.raises(ValueError):
             check_positive_invariance(sink2, ORIGIN_2D, cfg, horizon_T=0.0)
 
+    def test_step_limit_raises(self, sink2):
+        # An exhausted step budget says nothing about the orbit, so it is
+        # not reported as an escape.
+        with pytest.raises(StepLimitError):
+            check_positive_invariance(
+                sink2, ClosedBall([0.0, 0.0], 0.5), IntegratorConfig(max_steps=3)
+            )
+
 
 def _uniform_start_by_start(V, K, M, epsilon, cfg, T_max, out_dt):
     """uniform_attraction_time as a loop over single orbits."""
@@ -259,6 +274,13 @@ _START_BY_START_CASES = {
     "escape-then-outside": (_CUBIC, [[0.5, 0.0], [2.0, 0.0], [1.0, 0.0]]),
     "singular-sqrt": (["-sqrt(x1)", "-x2"], [[0.0, 0.5], [0.5, 0.0]]),
 }
+
+
+class _FussySet(SinglePoint):
+    def distances(self, points):
+        if np.any(np.asarray(points)[:, 0] < 0):
+            raise OrbitUnboundedError("synthetic per-start failure")
+        return super().distances(points)
 
 
 class TestUniformAttractionTime:
@@ -310,6 +332,16 @@ class TestUniformAttractionTime:
         assert got.value == expected.value
         if got.value is not None:
             assert got.value.hex() == expected.value.hex()
+
+    def test_distance_error_is_integration_failure(self, sink2, cfg):
+        # The second start stays at x1 < 0, where the set's distance raises;
+        # roa_grid records such a start as an error row.
+        K = FiniteSetApprox([[0.5, 0.0], [-0.5, 0.0], [0.0, 3.0]])
+        est = uniform_attraction_time(
+            sink2, K, _FussySet([0.0, 0.0]), 0.1, cfg, T_max=2.0, out_dt=0.5
+        )
+        assert est.value is None
+        assert est.integration_failed
 
     def test_validation(self, sink1, cfg):
         with pytest.raises(ValueError):
@@ -397,6 +429,67 @@ class TestClassifyStability:
             classify_stability(
                 sink2, ORIGIN_2D, cfg, epsilons=[], roa_box=Box([-1, -1], [1, 1])
             )
+
+
+def _count_lane_batches(monkeypatch) -> list:
+    """Wrap integrate_lanes wherever it is looked up; returns the call log."""
+    calls = []
+    modules = [importlib.import_module(f"lyapset.{m}") for m in ("flow", "limits", "stability")]
+    inner = modules[0].integrate_lanes
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return inner(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "integrate_lanes", counting, raising=False)
+    return calls
+
+
+# name: (set, epsilons, roa box half-width, horizon); every case is stable.
+_GRID_PARITY_CASES = {
+    "point": (ORIGIN_2D, [0.1, 0.5], 0.4, 8.0),
+    "ball": (ClosedBall([0.0, 0.0], 0.2), [0.1], 0.5, 8.0),
+    "box": (Box([-0.1, -0.2], [0.1, 0.2]), [0.05, 0.3], 0.5, 8.0),
+    "cloud": (PointCloud([[0.0, 0.0], [0.05, 0.0], [0.0, 0.05]]), [0.1], 0.4, 8.0),
+    "inside-from-start": (ClosedBall([0.0, 0.0], 0.5), [0.2], 0.3, 4.0),
+    # The corner nodes end at distance 0.4*sqrt(2)*e^-1.5 ~ 0.126, within the
+    # grid's tol 0.2 but not below epsilon, so no uniform time exists.
+    "final-outside-epsilon": (ORIGIN_2D, [0.1], 0.4, 1.5),
+}
+
+
+class TestClassifyStabilityOnePass:
+    def test_one_lane_batch(self, sink2, cfg, monkeypatch):
+        calls = _count_lane_batches(monkeypatch)
+        report = classify_stability(
+            sink2, ORIGIN_2D, cfg, epsilons=[0.1],
+            roa_box=Box([-0.4, -0.4], [0.4, 0.4]), resolution=5,
+            horizon_T=8.0, shell_samples=4, out_dt=0.1,
+        )
+        assert report.verdict == VERDICT_STABLE and report.uniform_T > 0
+        assert calls == [25]
+
+    @pytest.mark.parametrize("case", sorted(_GRID_PARITY_CASES))
+    def test_uniform_time_matches_separate_pass(self, case, sink2, cfg):
+        M, epsilons, half, horizon_T = _GRID_PARITY_CASES[case]
+        box = Box([-half, -half], [half, half])
+        knobs = {"resolution": 4, "horizon_T": horizon_T, "out_dt": 0.1, "tol": 0.2}
+        report = classify_stability(
+            sink2, M, cfg, epsilons, box, shell_samples=4, **knobs
+        )
+        assert report.verdict == VERDICT_STABLE
+        grid = roa_grid(sink2, M, box, 4, cfg, horizon_T, 0.2, out_dt=0.1)
+        expected = uniform_attraction_time(
+            sink2, FiniteSetApprox(grid.nodes), M, min(epsilons), cfg, horizon_T, 0.1
+        )
+        assert not expected.integration_failed
+        if expected.value is None:
+            assert report.uniform_T is None
+            assert case == "final-outside-epsilon"
+        else:
+            assert report.uniform_T.hex() == expected.value.hex()
+            assert (expected.value == 0.0) == (case == "inside-from-start")
 
 
 class TestReportTypes:
