@@ -1,0 +1,240 @@
+"""Layer timings of the scalar integrator, compared across checkouts.
+
+    python3 bench/layers.py --out BENCH_8.json parent=/path/to/parent/src change=src
+
+Each NAME=SRC argument names the `src/` directory of one checkout. Every
+checkout runs in its own fresh interpreter (this script with --worker),
+and the checkouts take turns for --rounds rounds, so slow drifts of a
+shared host fall on all of them alike. The output holds the environment
+and, per checkout and layer, the median and minimum over all repeats, in
+seconds and in calibration units: the layer's time over the time of a
+fixed pure-Python loop run around and inside it (perfbench/calib.py).
+
+Layers, each timed after one untimed call so that generated code is
+compiled and cached:
+  attempt          one harmonic orbit to t = 8 with no sample in between
+                   (rel_tol 1e-10); per attempt, it is one Dormand-Prince
+                   attempt with its step control
+  kernel_alone     the generated attempt without its loop, where a
+                   checkout has one (_dp_kernel)
+  probe_orbit      one harmonic delta-probe orbit: T = 8, out_dt 0.1,
+                   rel_tol 1e-10, abs_tol 1e-13
+  converse_orbit   one orbit of the 4-D cycle field of perfbench's
+                   cycle_cloud: T = 10, out_dt 0.02, default tolerances
+  estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
+                   its first epsilon, with the stability block's settings
+  analyze/<name>   `lyapset analyze` in process, per bundled problem
+
+A checkout whose flow module generates whole orbit loops also reports
+per layer the scalar orbits and their step attempts (lane orbits are not
+counted); these repeat exactly, and per-attempt times use them. This is a
+measurement, not a gate: perfbench holds the gated end-to-end metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import datetime
+import hashlib
+import importlib
+import inspect
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import calib  # noqa: E402  (perfbench is a directory of scripts, not a package)
+
+PROBLEMS = ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")
+HARMONIC = ["x2", "-x1"]
+CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
+# layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
+REPEATS = {"attempt": (30, 10), "kernel_alone": (30, 1000), "probe_orbit": (30, 10),
+           "converse_orbit": (20, 2), "estimate_delta": (3, 1)}
+
+
+def _timed(fn, runs: int, calls: int) -> list[dict]:
+    """Seconds and calibration units per call of fn, from each of runs timed
+    runs of calls calls (perfbench's sampler), after one untimed call."""
+    fn()
+    sampler = calib.Sampler()
+    out = []
+    for _ in range(runs):
+        timing, _ = sampler.measure(lambda: [fn() for _ in range(calls)])
+        out.append({"s": timing.net_s / calls, "cal": timing.cal / calls})
+    return out
+
+
+def _counting(compiled, counts: list[int]):
+    """compiled, the generator of whole orbit loops, with loops that add
+    each orbit and its attempts to counts."""
+    def counted(V, method):
+        orbit = compiled(V, method)
+
+        def run(*args):
+            counts[0] += 1
+            attempts = orbit(*args)
+            counts[1] += attempts
+            return attempts
+
+        return run
+
+    return counted
+
+
+def worker(src: str) -> dict:
+    sys.path.insert(0, src)
+    import lyapset as ls
+
+    if not ls.__file__.startswith(os.path.join(src, "")):
+        sys.exit(f"lyapset was imported from {ls.__file__}, not from {src}")
+
+    flow = importlib.import_module("lyapset.flow")
+    cli = importlib.import_module("lyapset.cli")
+    harmonic = ls.VectorFieldSpec.from_strings(HARMONIC)
+    cycle = ls.VectorFieldSpec.from_strings(CYCLE)
+    tight = ls.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
+    problem = ls.load_problem(os.path.join(ROOT, "problems", "harmonic_oscillator.json"))
+    block = problem.stability
+
+    def delta():
+        ls.estimate_delta(problem.field, problem.set_spec, block["epsilons"][0],
+                          problem.integrator, horizon_T=block["horizon"],
+                          shell_samples=block["shell_samples"],
+                          seed=problem.block_seed("stability"), out_dt=block["out_dt"])
+
+    layers = {
+        "attempt": lambda: ls.flow(harmonic, [0.3, 0.1], 8.0, tight),
+        "probe_orbit": lambda: ls.trajectory(harmonic, [0.3, 0.1], 8.0, 0.1, tight),
+        "converse_orbit": lambda: ls.trajectory(
+            cycle, [1.0, -0.5, 0.5, 0.2], 10.0, 0.02, ls.IntegratorConfig()),
+        "estimate_delta": delta,
+    }
+    if hasattr(flow, "_dp_kernel"):
+        attempt = flow._dp_kernel(harmonic)
+        k1 = [0.1, -0.3]
+        layers["kernel_alone"] = lambda: attempt([0.3, 0.1], k1, 0.01, 1e-13, 1e-10)
+    out_dir = tempfile.mkdtemp()
+    for name in PROBLEMS:
+        path = os.path.join(ROOT, "problems", f"{name}.json")
+
+        def analyze(path=path):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["analyze", path, "--out-dir", out_dir])
+
+        layers[f"analyze/{name}"] = analyze
+
+    result = {"timings": {}, "counts": None}
+    # Scalar orbits and attempts, where flow generates whole orbit loops.
+    if len(inspect.signature(flow._compiled).parameters) == 2:
+        original, counts = flow._compiled, [0, 0]
+        flow._compiled = _counting(original, counts)
+        result["counts"] = {}
+        for name, fn in layers.items():
+            counts[:] = [0, 0]
+            fn()
+            result["counts"][name] = {"orbits": counts[0], "attempts": counts[1]}
+        flow._compiled = original
+    for name, fn in layers.items():
+        result["timings"][name] = _timed(fn, *REPEATS.get(name, (5, 1)))
+    for name in os.listdir(out_dir):
+        os.remove(os.path.join(out_dir, name))
+    os.rmdir(out_dir)
+    return result
+
+
+def _source(src: str) -> dict:
+    """The checkout's git description and the digest of its package files."""
+    try:
+        described = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=src,
+                                   capture_output=True, text=True, timeout=10).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        described = ""
+    digest = hashlib.sha256()
+    package = os.path.join(src, "lyapset")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return {"git": described or None, "src_sha256": digest.hexdigest()}
+
+
+def environment() -> dict:
+    cpu = platform.processor() or "unknown"
+    with contextlib.suppress(OSError), open("/proc/cpuinfo", encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    import numpy
+
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu,
+        "date_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+    }
+
+
+def _summary(runs: list[dict]) -> dict:
+    s = [r["s"] for r in runs]
+    cal = [r["cal"] for r in runs]
+    return {"k": len(runs), "median_s": statistics.median(s), "min_s": min(s),
+            "median_cal": statistics.median(cal), "min_cal": min(cal)}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("checkouts", nargs="*", help="NAME=SRC, the src/ of a checkout")
+    parser.add_argument("--out", default="BENCH.json")
+    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        json.dump(worker(args.worker), sys.stdout)
+        return 0
+    checkouts = dict(pair.split("=", 1) for pair in args.checkouts)
+    if not checkouts:
+        parser.error("name at least one NAME=SRC checkout")
+    runs: dict[str, list[dict]] = {name: [] for name in checkouts}
+    for r in range(args.rounds):
+        order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
+        for name in order:
+            src = os.path.abspath(checkouts[name])
+            proc = subprocess.run([sys.executable, __file__, "--worker", src],
+                                  capture_output=True, text=True, check=True)
+            runs[name].append(json.loads(proc.stdout))
+            print(f"round {r + 1}: {name} done", file=sys.stderr)
+    report = {"environment": environment(), "rounds": args.rounds, "checkouts": {}}
+    for name, results in runs.items():
+        layers = results[0]["timings"]
+        report["checkouts"][name] = {
+            "source": _source(os.path.abspath(checkouts[name])),
+            "layers": {layer: _summary([run for res in results for run in res["timings"][layer]])
+                       for layer in layers},
+            "counts": results[0]["counts"],
+        }
+    # Every checkout takes the same steps, so the counts of one serve all.
+    counts = next((c["counts"] for c in report["checkouts"].values() if c["counts"]), None)
+    if counts:
+        for entry in report["checkouts"].values():
+            for layer in ("attempt", "probe_orbit", "converse_orbit"):
+                stats, attempts = entry["layers"][layer], counts[layer]["attempts"]
+                stats["median_us_per_attempt"] = 1e6 * stats["median_s"] / attempts
+                stats["min_us_per_attempt"] = 1e6 * stats["min_s"] / attempts
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

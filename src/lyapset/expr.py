@@ -31,9 +31,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EscapedDomainError,
     EvalDomainError,
     ExprSyntaxError,
     NondifferentiableError,
+    StepLimitError,
 )
 
 _UNARY_OPS = ("neg", "sin", "cos", "exp", "sqrt", "abs", "tanh")
@@ -353,11 +355,12 @@ _INTERMEDIATE = "non-finite intermediate value"
 _RESULT = "non-finite result"
 
 # Globals of generated code: pow is math.pow, while abs, min and max stay
-# the builtins.
+# the builtins. The integrator's orbit loops raise the two flow errors.
 _NAMESPACE = {
     name: getattr(math, name) for name in ("sin", "cos", "exp", "sqrt", "tanh", "pow", "inf")
 }
-_NAMESPACE["EvalDomainError"] = EvalDomainError
+_NAMESPACE.update(EvalDomainError=EvalDomainError, EscapedDomainError=EscapedDomainError,
+                  StepLimitError=StepLimitError)
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 

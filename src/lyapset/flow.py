@@ -8,25 +8,24 @@ how far the integrator is from the composition law flow(flow(x,t1),t2) =
 flow(x,t1+t2). Negative times integrate the reversed field, so the
 realized flow is two-sided.
 
-The integrator core runs on plain float lists; at desk scale this beats
-array round-trips per stage by an order of magnitude. For each field one
-generated function performs a whole Dormand-Prince attempt: the six new
-stages unrolled over the dimension with the field inlined, the scaled
-error sum and the squared norm of the new state. _dp_stages, which calls
-the compiled field closure once per stage, is kept as its reference and
-the two agree bitwise, errors included. Output samples are forced step
-endpoints, never interpolants, so a recorded state is exactly the
-integrator state.
+The integrator core runs on plain floats; at desk scale this beats array
+round-trips per stage by an order of magnitude. For each field and method
+one generated function runs a whole orbit, with state and slopes in
+locals and the field, the step control, the blow-up test and the step
+budget inlined. The tests keep a step-by-step loop that calls the field
+closure once per stage as its reference; the two agree bitwise, attempt
+counts and errors included. Output samples are forced step endpoints,
+never interpolants, so a recorded state is exactly the integrator state.
 
 integrate_lanes() runs many starts at once, for analyses that start an
 orbit per grid node or sample. Each start is a lane, a column of NumPy
 arrays, with its own time, step size and next output time; acceptance
 is masked per lane, and a lane leaves the batch when it finishes or
 fails. A lane performs the IEEE operations of the scalar loop in the
-same order, so its samples are bitwise those of _walk. That rests on
-NumPy functions that round as libm does: float_power for pow and for
-the step factor (np.power differs), sin, cos and sqrt, while exp and
-tanh are evaluated element by element with math. Where the scalar code
+same order, so its samples are bitwise those of the scalar loop. That
+rests on NumPy functions that round as libm does: float_power for pow
+and for the step factor (np.power differs), sin, cos and sqrt, while exp
+and tanh are evaluated element by element with math. Where the scalar code
 raises, a lane is marked failed instead, so one bad start never aborts
 the batch.
 """
@@ -45,7 +44,8 @@ from .errors import (
     EvalDomainError,
     StepLimitError,
 )
-from .expr import VectorFieldSpec, _define, _emit_results, compile_vector_field
+# compile_vector_field stays importable here, where perfbench's tracer wraps it.
+from .expr import VectorFieldSpec, _define, _emit_results, compile_vector_field  # noqa: F401
 from .geometry import as_point
 
 _METHODS = ("rk4_fixed", "rk45_adaptive")
@@ -69,7 +69,7 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
 
 # Rows (stage j, coefficient) of the sums y + h * (sum of coefficient * k_j)
 # that give the states of stages 2..6 and then y5, and of the error sum,
-# in the order _dp_stages writes them.
+# in the order the generated attempts evaluate them.
 _STATE_ROWS = (
     ((1, _A21),),
     ((1, _A31), (2, _A32)),
@@ -133,26 +133,12 @@ class Trajectory:
         return self.states.shape[1]
 
 
-@lru_cache(maxsize=128)
-def _compiled(V: VectorFieldSpec):
-    """The field's closure and its generated Dormand-Prince attempt."""
-    return compile_vector_field(V), _dp_kernel(V)
-
-
-def _dp_kernel(V: VectorFieldSpec):
-    """Generate attempt(y, k1, h, atol, rtol) -> (y5, k7, err_sum, norm2).
-
-    One straight-line function performs the arithmetic of _dp_stages with
-    the field inlined at all six new stages, then sums the squared scaled
-    errors and the squares of y5 in coordinate order, operation for
-    operation as the step control did with loops, so every result and every
-    error is bitwise the same.
-    """
+def _emit_dp_attempt(V: VectorFieldSpec, code: list[str]):
+    """Append a Dormand-Prince attempt of step h from the state y0, y1, ...
+    with slope k1_0, k1_1, ...: the six new stages with the field inlined,
+    then the scaled errors. Returns the names of y5 and of its slope k7 and
+    the text of the squared error sum, in coordinate order."""
     idx = range(V.dim)
-    code = [
-        "".join(f"y{i}, " for i in idx) + "= y",
-        "".join(f"k1_{i}, " for i in idx) + "= k1",
-    ]
     k = {1: [f"k1_{i}" for i in idx]}
 
     def combination(row, i):
@@ -162,7 +148,7 @@ def _dp_kernel(V: VectorFieldSpec):
         xs = [f"s{stage}_{i}" for i in idx]
         code += [f"{xs[i]} = y{i} + h * ({combination(row, i)})" for i in idx]
         k[stage] = _emit_results(V.components, xs, code)
-    # The last state is y5 and its derivative is k7.
+    # The last state is y5 and its slope is k7.
     for i in idx:
         code += [
             f"a = abs(y{i})",
@@ -170,11 +156,87 @@ def _dp_kernel(V: VectorFieldSpec):
             # max(a, b) is b exactly when b > a
             f"r{i} = h * ({combination(_ERROR_ROW, i)}) / (atol + rtol * (b if b > a else a))",
         ]
-    err_sum = " + ".join(f"r{i} * r{i}" for i in idx)
-    norm2 = " + ".join(f"{v} * {v}" for v in xs)
-    returns = f"[{', '.join(xs)}], [{', '.join(k[7])}], {err_sum}, {norm2}"
-    return _define("_attempt", "y, k1, h, atol, rtol", code, returns,
-                   f"Dormand-Prince attempt for {V.label()}")
+    return xs, k[7], " + ".join(f"r{i} * r{i}" for i in idx)
+
+
+@lru_cache(maxsize=128)
+def _compiled(V: VectorFieldSpec, method: str):
+    """Generate orbit(y, targets, cfg, out) -> the number of step attempts.
+
+    It integrates from y through each target time in order, forcing a step
+    endpoint onto every target, and appends the state there to out, so the
+    samples reached before a failure stay with the caller. The field, the
+    step control, the blow-up test (at t = 0 too) and the step budget are
+    inlined. Each builtin min or max is written as the comparison that
+    picks the same operand, so samples, attempt counts and errors are
+    bitwise those of the step-by-step reference loop in the tests.
+    """
+    n = V.dim
+    ys = [f"y{i}" for i in range(n)]
+    k1 = [f"k1_{i}" for i in range(n)]
+    state = ", ".join(ys)
+    norm2 = " + ".join(f"{v} * {v}" for v in ys)
+    blowup = f"if {norm2} > radius2: raise EscapedDomainError(t, [{state}])"
+    code = [
+        f"{state}, = y",
+        "t = 0.0",
+        "radius2 = cfg.blowup_radius * cfg.blowup_radius",
+        blowup,
+        "dt, max_steps, horizon = cfg.dt, cfg.max_steps, targets[-1]",
+        "steps = 0",
+    ]
+    # The loop body; its temporaries may reuse names of the code above,
+    # which no longer reads them.
+    body = []
+    if method == "rk45_adaptive":
+        code += [
+            f"{', '.join(k1)}, = {', '.join(_emit_results(V.components, ys, code))},",
+            "atol, rtol = cfg.abs_tol, cfg.rel_tol",
+            "h_next = horizon if horizon < dt else dt",  # min(dt, horizon)
+        ]
+        body.append("h = remaining if remaining < h_next else h_next")  # min(h_next, remaining)
+        y5, k7, err_sum = _emit_dp_attempt(V, body)
+        body += [
+            f"enorm = sqrt(({err_sum}) / {n})",
+            "if enorm <= 1.0:",
+            f"    {state}, {', '.join(k1)} = {', '.join(y5)}, {', '.join(k7)}",
+            "    t = target if h == remaining else t + h",
+            "    " + blowup,
+            f"elif h <= {_MIN_STEP!r}:",
+            '    raise StepLimitError(f"step size underflow at t={t:.6g}")',
+            "if enorm == 0.0:",
+            "    factor = 5.0",
+            "else:",
+            "    factor = 0.9 * enorm ** -0.2",
+            "    factor = factor if factor > 0.2 else 0.2",  # max(0.2, factor)
+            "    factor = factor if factor < 5.0 else 5.0",  # min(5.0, factor)
+            "h_next = h * factor",
+            f"h_next = {_MIN_STEP!r} if {_MIN_STEP!r} > h_next else h_next",
+            "h_next = horizon if horizon < h_next else h_next",
+        ]
+    else:  # the stages of _rk4_step, term for term
+        body.append("h = remaining if remaining < dt else dt")  # min(dt, remaining)
+        k = [_emit_results(V.components, ys, body)]
+        for stage, scale in ((2, "0.5 * h"), (3, "0.5 * h"), (4, "h")):
+            xs = [f"s{stage}_{i}" for i in range(n)]
+            body += [f"{xs[i]} = y{i} + {scale} * {k[-1][i]}" for i in range(n)]
+            k.append(_emit_results(V.components, xs, body))
+        step = [f"y{i} + h / 6.0 * ({k[0][i]} + 2.0 * {k[1][i]} + 2.0 * {k[2][i]} + {k[3][i]})"
+                for i in range(n)]
+        body += [f"{state}, = {', '.join(step)},", "t = target if h == remaining else t + h",
+                 blowup]
+    code += [
+        "for target in targets:",
+        "    while True:",
+        "        remaining = target - t",
+        "        if remaining <= 0.0:",
+        "            break",
+        "        steps += 1",
+        "        if steps > max_steps:",
+        '            raise StepLimitError(f"exceeded {max_steps} steps at t={t:.6g}")',
+    ] + ["        " + line for line in body] + [f"    out.append([{state}])"]
+    return _define("_orbit", "y, targets, cfg, out", code, "steps",
+                   f"{method} orbit of {V.label()}")
 
 
 def _lane_field(V: VectorFieldSpec, xs, code: list[str]) -> str:
@@ -190,10 +252,10 @@ def _lane_kernels(V: VectorFieldSpec):
     field(y, ok) and attempt(y, k1, h, atol, rtol, ok) -> (y5, k7, err_sum,
     norm2) take states and slopes as (n, m) arrays, one column per lane,
     and h as one step per lane. They perform, lane by lane, the operations
-    of the compiled closure and of _dp_kernel: each state sum is one array
-    operation over all coordinates, and the error and norm sums add rows
-    in coordinate order. Instead of raising they clear the boolean mask ok
-    on the lanes where the scalar code raises.
+    of the compiled closure and of the scalar attempt: each state sum is
+    one array operation over all coordinates, and the error and norm sums
+    add rows in coordinate order. Instead of raising they clear the boolean
+    mask ok on the lanes where the scalar code raises.
     """
     xs = [f"y{i}" for i in range(V.dim)]
     code = ["".join(f"{v}, " for v in xs) + "= y"]
@@ -235,94 +297,12 @@ def _norm2(y):
     return s
 
 
-def _blowup_check(y, t, radius2):
-    if _norm2(y) > radius2:
-        raise EscapedDomainError(t, list(y))
-
-
 def _rk4_step(f, y, h, n):
     k1 = f(y)
     k2 = f([y[i] + 0.5 * h * k1[i] for i in range(n)])
     k3 = f([y[i] + 0.5 * h * k2[i] for i in range(n)])
     k4 = f([y[i] + h * k3[i] for i in range(n)])
     return [y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
-
-
-def _dp_stages(f, y, k1, h, n):
-    """Reference attempt: one field-closure call per stage. The kernel
-    _dp_kernel generates must reproduce it bit for bit."""
-    k2 = f([y[i] + h * (_A21 * k1[i]) for i in range(n)])
-    k3 = f([y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(n)])
-    k4 = f([y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(n)])
-    k5 = f(
-        [y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i]) for i in range(n)]
-    )
-    k6 = f(
-        [
-            y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i] + _A65 * k5[i])
-            for i in range(n)
-        ]
-    )
-    y5 = [
-        y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i] + _B6 * k6[i])
-        for i in range(n)
-    ]
-    k7 = f(y5)
-    err = [
-        h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i] + _E7 * k7[i])
-        for i in range(n)
-    ]
-    return y5, k7, err
-
-
-def _walk(V: VectorFieldSpec, y, targets, cfg: IntegratorConfig):
-    """Integrate through each target time in order, yielding the state there.
-
-    Step endpoints are forced onto every target, so yielded samples are
-    integrator states, not interpolants.
-    """
-    f, attempt = _compiled(V)
-    n = len(y)
-    radius2 = cfg.blowup_radius * cfg.blowup_radius
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    horizon = targets[-1]
-    adaptive = cfg.method == "rk45_adaptive"
-    _blowup_check(y, 0.0, radius2)
-
-    steps = 0
-    t = 0.0
-    h = min(cfg.dt, horizon)
-    k1 = f(y) if adaptive else None
-    for target in targets:
-        while True:
-            remaining = target - t
-            if remaining <= 0.0:
-                break
-            steps += 1
-            if steps > cfg.max_steps:
-                raise StepLimitError(f"exceeded {cfg.max_steps} steps at t={t:.6g}")
-            if not adaptive:
-                h_try = min(cfg.dt, remaining)
-                y = _rk4_step(f, y, h_try, n)
-                t = target if h_try == remaining else t + h_try
-                _blowup_check(y, t, radius2)
-                continue
-            h_try = min(h, remaining)
-            y5, k7, err_sum, norm2 = attempt(y, k1, h_try, atol, rtol)
-            enorm = math.sqrt(err_sum / n)
-            if enorm <= 1.0:
-                y, k1 = y5, k7
-                t = target if h_try == remaining else t + h_try
-                if norm2 > radius2:
-                    raise EscapedDomainError(t, list(y))
-            elif h_try <= _MIN_STEP:
-                raise StepLimitError(f"step size underflow at t={t:.6g}")
-            if enorm == 0.0:
-                factor = 5.0
-            else:
-                factor = min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-            h = min(max(h_try * factor, _MIN_STEP), horizon)
-        yield target, list(y)
 
 
 def _keep(mask, *arrays):
@@ -334,13 +314,15 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     """Integrate every row of starts through the targets at once.
 
     Each row is a lane with its own t, h and next target, and it takes the
-    steps, and the bits, that _walk takes from that start alone. Whenever
-    lanes reach a target, visit(rows, j, states) receives their row
-    numbers, the index in targets of the target each reached and their
-    states there, (len(rows), n). A lane leaves the batch after its
-    last target, or where _walk raises: on escape, a domain failure of the
-    field, the step budget or a step size underflow. targets must be
-    positive and strictly increasing. Returns the mask of failed rows.
+    steps, and the bits, that the scalar orbit loop takes from that start
+    alone. Whenever lanes reach a target, visit(rows, j, states) receives
+    their row numbers, the index in targets of the target each reached and
+    their states there, (len(rows), n). A lane leaves the batch after its
+    last target, or where the scalar loop raises: on escape, a domain
+    failure of the field, the step budget or a step size underflow. targets
+    must be positive and strictly increasing. Returns the mask of failed
+    rows and, by row, the scalar loop's StepLimitError text for the rows
+    that exhausted the step budget or underflowed the step size.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != V.dim:
@@ -356,6 +338,7 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     adaptive = cfg.method == "rk45_adaptive"
     failed = np.zeros(starts.shape[0], dtype=bool)
+    limited: dict[int, str] = {}
     rows = np.arange(starts.shape[0])
     with np.errstate(all="ignore"):
         y = starts.T.copy()  # one row per coordinate, one column per lane
@@ -366,7 +349,7 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
             k1 = field(y, ok)
         except EvalDomainError:  # raised by constants alone, on every lane
             failed[:] = True
-            return failed
+            return failed, limited
         t = np.zeros(rows.size)
         h = np.full(rows.size, min(cfg.dt, horizon))
         j = np.zeros(rows.size, dtype=np.intp)
@@ -387,11 +370,13 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
                 if not more.all():
                     rows, t, h, j, y, k1 = _keep(more, rows, t, h, j, y, k1)
             if not rows.size:
-                return failed
+                return failed, limited
             steps += 1
             if steps > cfg.max_steps:
                 failed[rows] = True
-                return failed
+                limited.update((row, f"exceeded {cfg.max_steps} steps at t={at:.6g}")
+                               for row, at in zip(rows.tolist(), t.tolist()))
+                return failed, limited
             ok = np.ones(rows.size, dtype=bool)
             if not adaptive:
                 h_try = np.fmin(cfg.dt, remaining)
@@ -410,7 +395,12 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
             y = np.where(accept, y5, y)
             k1 = np.where(accept, k7, k1)
             t = np.where(accept, np.where(h_try == remaining, target, t + h_try), t)
-            ok &= np.where(accept, ~(norm2 > radius2), h_try > _MIN_STEP)
+            keep = np.where(accept, ~(norm2 > radius2), h_try > _MIN_STEP)
+            if not keep.all():
+                stalled = ok & ~accept & ~keep
+                limited.update((row, f"step size underflow at t={at:.6g}")
+                               for row, at in zip(rows[stalled].tolist(), t[stalled].tolist()))
+            ok &= keep
             factor = np.fmin(np.fmax(0.9 * np.float_power(enorm, -0.2), 0.2), 5.0)
             h = np.fmin(np.fmax(h_try * factor, _MIN_STEP), horizon)
 
@@ -429,8 +419,9 @@ def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
     if t == 0.0:
         return x.copy()
     field, duration = _oriented(V, t)
-    [(_, final)] = _walk(field, [float(v) for v in x], [duration], cfg)
-    return np.asarray(final)
+    out = []
+    _compiled(field, cfg.method)([float(v) for v in x], [duration], cfg, out)
+    return np.asarray(out[0])
 
 
 def sample_times(T: float, out_dt: float) -> list[float]:
@@ -451,16 +442,15 @@ def _sample(V: VectorFieldSpec, x, T: float, out_dt: float, cfg: IntegratorConfi
     failure: the Trajectory of the samples reached, and the failure or None."""
     x = as_point(x, V.dim)
     times = sample_times(T, out_dt)
-    reached = [0.0]
-    states = [[float(v) for v in x]]
+    states = [[float(v) for v in x]]  # the orbit appends the samples it reaches
     error = None
     try:
-        for t, state in _walk(V, list(states[0]), times[1:], cfg):
-            reached.append(t)
-            states.append(state)
+        _compiled(V, cfg.method)(states[0], times[1:], cfg, states)
     except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
         error = exc
-    traj = Trajectory(np.asarray(reached), np.asarray(states, dtype=float), V.label())
+    traj = Trajectory(
+        np.asarray(times[: len(states)]), np.asarray(states, dtype=float), V.label()
+    )
     return traj, error
 
 

@@ -125,13 +125,16 @@ def classify_attraction(
     tol: float,
     out_dt: float = 0.01,
 ) -> AttractionVerdict:
-    """Verdict from one sampled orbit: tail within tol, a dip, or neither."""
+    """Verdict from one sampled orbit: tail within tol, a dip, or neither.
+    A domain failure counts as an escape; an exhausted step budget raises."""
     if not horizon_T > 0:
         raise ValueError("horizon_T must be > 0")
     if not tol > 0:
         raise ValueError("tol must be > 0")
     traj, error = partial_trajectory(V, x, horizon_T, out_dt, cfg)
     d = M.distances(traj.states)
+    if isinstance(error, StepLimitError):
+        raise error
     escaped = error is not None
 
     tail_start = (1.0 - TAIL_FRACTION) * horizon_T
@@ -201,7 +204,8 @@ def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
     at each sample: per start the minimum, the last value and the tail
     maximum, as classify_attraction reads them, and per sample the largest
     over all starts. Returns (failed, errors, lowest, latest, tail_max,
-    peak); a start whose distance raised has failed and has an error text."""
+    peak); a start whose distance raised or whose orbit hit a step limit
+    has failed and has an error text, the first of the two."""
     if M.dim != V.dim:
         raise DimensionMismatchError(f"set dimension {M.dim} != field dimension {V.dim}")
     m = len(starts)
@@ -238,7 +242,9 @@ def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
         np.fmax.at(peak, j + 1, d)
 
     visit(np.arange(m), np.full(m, -1), starts)  # the starts are sample 0
-    failed = integrate_lanes(V, starts, times[1:], cfg, visit)
+    failed, limited = integrate_lanes(V, starts, times[1:], cfg, visit)
+    for row, text in limited.items():
+        errors[row] = errors[row] or text
     failed |= np.array([e is not None for e in errors])
     return failed, errors, lowest, latest, tail_max, peak
 

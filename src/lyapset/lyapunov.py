@@ -26,7 +26,6 @@ from .errors import (
     EvalDomainError,
     LyapsetError,
     NondifferentiableError,
-    StepLimitError,
 )
 from .expr import (
     ScalarFieldSpec,
@@ -380,7 +379,9 @@ def verify_certificate(
     zero_tol: float = 1e-9,
     decrease_time: float = 1.0,
 ) -> CertificateReport:
-    """Evaluate a candidate function against the four certificate margins."""
+    """Evaluate a candidate function against the four certificate margins.
+    An evaluation failure or an escaping orbit rejects the candidate; an
+    exhausted step budget, which says nothing about it, raises."""
     if not (r_in >= 0 and r_out > r_in):
         raise ValueError("annulus needs 0 <= r_in < r_out")
     if Lcand.dim != V.dim:
@@ -422,7 +423,7 @@ def verify_certificate(
             decrease_margin = max(
                 decrease_margin, lfn(moved.tolist()) - lfn(p.tolist())
             )
-    except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:
+    except (EvalDomainError, EscapedDomainError) as exc:
         notes.append(f"evaluation failure: {exc}")
         return CertificateReport(
             positivity_margin=-math.inf,

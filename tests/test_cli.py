@@ -84,10 +84,14 @@ class TestAnalyze:
         report = tmp_path / name.replace(".json", ".report.json")
         assert report.exists()
         if name == "linear_sink.json":
-            # An exhausted budget is no evidence of instability.
-            stability = json.loads(report.read_text())["blocks"]["stability"]
-            assert "verdict" not in stability
-            assert stability["error"].startswith("exceeded 3 steps")
+            # An exhausted budget is no evidence of instability, nor
+            # against a certificate, nor an escape from the ROA grid.
+            blocks = json.loads(report.read_text())["blocks"]
+            for block in ("stability", "certificate"):
+                assert "verdict" not in blocks[block]
+                assert blocks[block]["error"].startswith("exceeded 3 steps")
+            assert blocks["roa"]["summary"]["errors"] == 81
+            assert blocks["roa"]["summary"]["counts"] == {"error": 81}
 
     def test_block_lines_keep_run_order(self, tmp_path, capsys):
         # Blocks listed out of order; the omega orbit blows up at t = 0.5.

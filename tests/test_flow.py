@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lyapset.errors import EscapedDomainError, EvalDomainError
+from flow_reference import _walk, reference_attempt
+from lyapset.errors import EscapedDomainError, EvalDomainError, StepLimitError
 from lyapset.expr import VectorFieldSpec, compile_vector_field
 from lyapset.flow import (
     IntegratorConfig,
     Trajectory,
     _compiled,
-    _dp_kernel,
-    _dp_stages,
     _lane_kernels,
     flow,
     partial_trajectory,
@@ -194,55 +193,97 @@ class TestContinuity:
         assert np.linalg.norm(y - x) <= 1e-7
 
 
-def _reference_attempt(V, y, k1, h, atol, rtol):
-    """_dp_stages on the field closure, then the error and blow-up sums as
-    the adaptive loop computed them before the generated kernel."""
-    n = V.dim
-    y5, k7, err = _dp_stages(compile_vector_field(V), y, k1, h, n)
-    err_sum = 0.0
-    for i in range(n):
-        sc = atol + rtol * max(abs(y[i]), abs(y5[i]))
-        r = err[i] / sc
-        err_sum += r * r
-    norm2 = 0.0
-    for v in y5:
-        norm2 += v * v
-    return y5, k7, err_sum, norm2
-
-
 def _attempt_bits(result):
     y5, k7, err_sum, norm2 = result
     return [v.hex() for v in y5], [v.hex() for v in k7], err_sum.hex(), norm2.hex()
 
 
+_FAILURES = (EscapedDomainError, EvalDomainError, StepLimitError)
+
+
+def _error_bits(error):
+    if error is None:
+        return None
+    bits = [type(error).__name__, str(error)]
+    if isinstance(error, EscapedDomainError):
+        bits += [error.time.hex(), [v.hex() for v in error.state]]
+    return bits
+
+
+def _generated_orbit(V, y, targets, cfg):
+    """Samples, attempt count (None on failure) and error of the generated loop."""
+    out = []
+    try:
+        attempts = _compiled(V, cfg.method)(list(y), targets, cfg, out)
+    except _FAILURES as exc:
+        return out, None, exc
+    return out, attempts, None
+
+
+def _reference_orbit(V, y, targets, cfg):
+    """The same, read off the reference _walk."""
+    samples = []
+    walk = _walk(V, list(y), targets, cfg)
+    try:
+        while True:
+            samples.append(next(walk)[1])
+    except StopIteration as stop:
+        return samples, stop.value, None
+    except _FAILURES as exc:
+        return samples, None, exc
+
+
+def _orbit_bits(run):
+    samples, attempts, error = run
+    return [[v.hex() for v in s] for s in samples], attempts, _error_bits(error)
+
+
+def _orbit_case(texts, y, targets, **options):
+    return VectorFieldSpec.from_strings(texts), y, targets, IntegratorConfig(**options)
+
+
 @st.composite
-def _dp_attempts(draw):
+def _orbits(draw):
     n = draw(st.integers(1, 4))
     V = VectorFieldSpec(tuple(draw(_EXPRS[n]) for _ in range(n)), n)
+    y = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    T = draw(st.floats(0.05, 3.0))
+    targets = sample_times(T, T * draw(st.floats(0.01, 1.0)))[1:]
+    cfg = IntegratorConfig(
+        method=draw(st.sampled_from(("rk45_adaptive", "rk4_fixed"))),
+        dt=draw(st.floats(1e-3, 0.5)),
+        rel_tol=draw(st.floats(1e-12, 1e-2)),
+        abs_tol=draw(st.floats(1e-14, 1e-2)),
+        blowup_radius=draw(st.floats(1.0, 20.0)),
+        max_steps=draw(st.integers(1, 80)),
+    )
+    return V, y, targets, cfg
 
-    def vector(bound):
-        return draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n))
 
-    h = draw(st.floats(1e-6, 1.0))
-    atol, rtol = draw(st.floats(1e-14, 1e-3)), draw(st.floats(1e-14, 1e-3))
-    return V, vector(2.0), vector(4.0), h, atol, rtol
-
-
-class TestGeneratedKernel:
+class TestGeneratedOrbit:
     @settings(max_examples=200, deadline=None)
-    @given(_dp_attempts())
-    def test_bitwise_equal_to_reference_stages(self, case):
-        V, y, k1, h, atol, rtol = case
-        attempt = _dp_kernel(V)
-        try:
-            expected = _reference_attempt(V, y, k1, h, atol, rtol)
-        except EvalDomainError as exc:
-            with pytest.raises(EvalDomainError) as exc_info:
-                attempt(y, k1, h, atol, rtol)
-            assert type(exc_info.value) is type(exc)
-            assert str(exc_info.value) == str(exc)
-            return
-        assert _attempt_bits(attempt(y, k1, h, atol, rtol)) == _attempt_bits(expected)
+    @given(_orbits())
+    # A harmonic delta-probe orbit, as the stability block runs it.
+    @example(_orbit_case(["x2", "-x1"], [0.3, 0.1], sample_times(8.0, 0.1)[1:],
+                         rel_tol=1e-10, abs_tol=1e-13))
+    # One step from 0.2 to 0.9: without the snap onto the target, t ends
+    # just below 0.9 and one more step follows.
+    @example(_orbit_case(["0"], [1.0], [0.2, 0.9], dt=100.0))
+    @example(_orbit_case(["0"], [1.0], [0.2, 0.9], method="rk4_fixed", dt=100.0))
+    # The slope -1/x1 blows up at t = 0.5: the step size underflows.
+    @example(_orbit_case(["-1 / x1"], [1.0], [0.4, 1.0], max_steps=10_000))
+    # Escape at the start, before any step.
+    @example(_orbit_case(["x2", "-x1"], [3.0, 4.0], [1.0], blowup_radius=4.0))
+    @example(_orbit_case(["x2", "-x1"], [3.0, 4.0], [1.0], method="rk4_fixed",
+                         blowup_radius=4.0))
+    # A domain failure of the first slope, and one inside an RK4 step.
+    @example(_orbit_case(["sqrt(x1)"], [-1.0], [1.0]))
+    @example(_orbit_case(["-sqrt(x1 - 0.5)"], [1.0], [3.0], method="rk4_fixed", dt=0.4))
+    def test_bitwise_equal_to_reference_walk(self, case):
+        V, y, targets, cfg = case
+        assert _orbit_bits(_generated_orbit(V, y, targets, cfg)) == _orbit_bits(
+            _reference_orbit(V, y, targets, cfg)
+        )
 
 
 def _lanes_case(texts, ys, h=1e-300):
@@ -313,9 +354,9 @@ class TestLaneKernels:
     def test_bitwise_equal_to_scalar_kernel(self, case):
         V, ys, k1s, hs, atol, rtol = case
         field, attempt = _lane_kernels(V)
-        closure, scalar = compile_vector_field(V), _dp_kernel(V)
+        closure = compile_vector_field(V)
         fields = [_scalar_or_none(closure, y) for y in ys]
-        attempts = [_scalar_or_none(scalar, y, k1, h, atol, rtol)
+        attempts = [_scalar_or_none(reference_attempt, closure, y, k1, h, atol, rtol)
                     for y, k1, h in zip(ys, k1s, hs)]
         y, k1, h = np.array(ys).T.copy(), np.array(k1s).T.copy(), np.array(hs)
         with np.errstate(all="ignore"):
@@ -348,9 +389,15 @@ class TestCompiledCache:
         minus = plus.negated()  # Const(-0.0)
         expected = compile_vector_field(minus)([1.0])[0].hex()
         assert expected == "-0x0.0p+0"
-        assert _compiled(plus)[0] is not _compiled(minus)[0]
+        assert _compiled(plus, "rk4_fixed") is not _compiled(minus, "rk4_fixed")
         assert _lane_kernels(plus) is not _lane_kernels(minus)
-        assert _compiled(minus)[0]([1.0])[0].hex() == expected
+        # From -0.0 an RK4 step adds h / 6 * (sum of slopes), which keeps
+        # the sign of zero only when every slope is -0.0.
+        cfg = IntegratorConfig(method="rk4_fixed", dt=0.5)
+        for V, bits in ((plus, "0x0.0p+0"), (minus, expected)):
+            out = []
+            _compiled(V, cfg.method)([-0.0], [0.5], cfg, out)
+            assert out[0][0].hex() == bits
         field, _ = _lane_kernels(minus)
         lanes = field(np.ones((1, 2)), np.ones(2, dtype=bool))
         assert [float(v).hex() for v in lanes[0]] == [expected, expected]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapset.errors import DimensionMismatchError, OrbitUnboundedError
+from lyapset.errors import DimensionMismatchError, OrbitUnboundedError, StepLimitError
 from lyapset.expr import VectorFieldSpec
 from lyapset.flow import IntegratorConfig, flow, trajectory
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint, hausdorff
@@ -126,6 +126,12 @@ class TestClassifyAttraction:
         assert v.escaped
         assert v.label == LABEL_NOT
 
+    def test_step_budget_raises(self, sink1, cfg):
+        # An exhausted budget says nothing about where the orbit goes.
+        with pytest.raises(StepLimitError, match="exceeded 3 steps at t="):
+            classify_attraction(sink1, [1.0], SinglePoint([0.0]),
+                                IntegratorConfig(max_steps=3), horizon_T=5.0, tol=1e-3)
+
     def test_validation(self, sink1, cfg):
         with pytest.raises(ValueError):
             classify_attraction(sink1, [1.0], SinglePoint([0.0]), cfg, horizon_T=0.0, tol=1e-3)
@@ -136,7 +142,7 @@ class TestClassifyAttraction:
 _REVERSED_VDP = ["-x2", "x1 - (1 - x1^2)*x2"]
 _ORIGIN = SinglePoint([0.0, 0.0])
 # field, set, resolution, integrator options, horizon, tol. Each case has
-# escaping or failing orbits, and all but one have nodes with different
+# escaping or failing orbits, and all but two have nodes with different
 # verdicts.
 _POINTWISE_CASES = {
     "vanderpol-point": (_REVERSED_VDP, _ORIGIN, 5, {}, 10.0, 1e-3),
@@ -146,11 +152,23 @@ _POINTWISE_CASES = {
     "vanderpol-rk4": (_REVERSED_VDP, _ORIGIN, 5, {"method": "rk4_fixed"}, 3.0, 1e-3),
     "step-budget": (_REVERSED_VDP, _ORIGIN, 3, {"max_steps": 3}, 5.0, 3.0),
     "singular-sqrt": (["-sqrt(x1)", "-x2"], _ORIGIN, 4, {}, 5.0, 1e-3),
+    # Where x3 runs away, the step size underflows: 9 error rows.
     "three-dimensional": (
         ["-x1 + x2*x3", "-x2 - sin(x1)", "exp(x3) - 1 - 2*x3 + min(tanh(x1), 0)^2"],
         SinglePoint([0.0, 0.0, 0.0]), 3, {}, 3.0, 1e-2,
     ),
 }
+
+
+def _grid_row(V, node, M, cfg, horizon_T, tol):
+    """classify_attraction on one node as roa_grid records it: label,
+    escaped, final and min distance as hex, and error text. An exhausted
+    step budget is an error row."""
+    try:
+        v = classify_attraction(V, node, M, cfg, horizon_T, tol, out_dt=0.1)
+    except StepLimitError as exc:
+        return LABEL_ERROR, False, math.nan.hex(), math.nan.hex(), str(exc)
+    return v.label, v.escaped, v.final_distance.hex(), v.min_distance.hex(), None
 
 
 class TestRoaGrid:
@@ -257,19 +275,19 @@ class TestRoaGrid:
         box = Box([-2.0] * V.dim, [2.0] * V.dim)
         cfg = IntegratorConfig(**options)
         grid = roa_grid(V, M, box, res, cfg, horizon_T=horizon_T, tol=tol, out_dt=0.1)
-        verdicts = [
-            classify_attraction(V, node, M, cfg, horizon_T, tol, out_dt=0.1)
-            for node in grid.nodes
-        ]
-        assert grid.labels == tuple(v.label for v in verdicts)
-        assert grid.escaped == tuple(v.escaped for v in verdicts)
-        assert [d.hex() for d in grid.final_distances.tolist()] == [
-            v.final_distance.hex() for v in verdicts
-        ]
-        assert [d.hex() for d in grid.min_distances.tolist()] == [
-            v.min_distance.hex() for v in verdicts
-        ]
-        assert grid.errors == (None,) * len(verdicts)
+        rows = [_grid_row(V, node, M, cfg, horizon_T, tol) for node in grid.nodes]
+        assert list(zip(
+            grid.labels, grid.escaped, [d.hex() for d in grid.final_distances.tolist()],
+            [d.hex() for d in grid.min_distances.tolist()], grid.errors,
+        )) == rows
+
+    def test_step_limit_rows_are_errors(self, sink2):
+        grid = roa_grid(sink2, SinglePoint([0.0, 0.0]), Box([-1.0, -1.0], [1.0, 1.0]), 3,
+                        IntegratorConfig(max_steps=3), horizon_T=5.0, tol=1e-3, out_dt=0.1)
+        assert grid.counts() == {LABEL_ERROR: 9}
+        assert grid.to_json()["errors"] == 9
+        assert not any(grid.escaped)
+        assert all(e.startswith("exceeded 3 steps at t=") for e in grid.errors)
 
     def test_grid_layout_row_major(self, sink2, cfg):
         grid = roa_grid(

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lyapset.errors import StepLimitError
 from lyapset.expr import ScalarFieldSpec, VectorFieldSpec
-from lyapset.flow import flow
+from lyapset.flow import IntegratorConfig, flow
 from lyapset.geometry import Box, PointCloud, SinglePoint
 from lyapset.lyapunov import (
     VERDICT_ACCEPTED,
@@ -277,6 +278,12 @@ class TestVerifyCertificate:
         )
         assert report.verdict == VERDICT_REJECTED
         assert any("evaluation failure" in note for note in report.notes)
+
+    def test_step_budget_raises(self, sink2):
+        # An exhausted budget says nothing about the candidate: no verdict.
+        L = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
+        with pytest.raises(StepLimitError, match="exceeded 3 steps at t="):
+            verify_certificate(sink2, ORIGIN_2D, L, 0.1, 2.0, 20, 5, IntegratorConfig(max_steps=3))
 
     def test_validation(self, sink2, cfg):
         L2 = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from flow_reference import _walk
 from lyapset.errors import (
     EscapedDomainError,
     EvalDomainError,
@@ -11,7 +12,7 @@ from lyapset.errors import (
     StepLimitError,
 )
 from lyapset.expr import VectorFieldSpec
-from lyapset.flow import IntegratorConfig, _walk, partial_trajectory, sample_times
+from lyapset.flow import IntegratorConfig, partial_trajectory, sample_times
 from lyapset.geometry import (
     Box,
     ClosedBall,
