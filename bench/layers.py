@@ -222,7 +222,8 @@ def main() -> int:
                        for layer in layers},
             "counts": results[0]["counts"],
         }
-    # Every checkout takes the same steps, so the counts of one serve all.
+    # The attempt and orbit layers take the same steps in every checkout, so
+    # the counts of one serve all for their per-attempt times.
     counts = next((c["counts"] for c in report["checkouts"].values() if c["counts"]), None)
     if counts:
         for entry in report["checkouts"].values():

@@ -4,6 +4,11 @@ estimate_delta searches, by bisection over delta in (0, epsilon], for a
 ball whose sampled orbits all stay inside the epsilon-ball around the
 set; each probe orbit is sampled over the whole horizon, as every other
 analysis samples its orbits, and all its samples are tested at once.
+Once some delta is certified the bisection stops when its bracket is
+within tol, and it may start from a delta already certified: the probe
+points depend on delta and the seed only, so a delta certified for one
+epsilon holds for every larger one. classify_stability walks its
+ascending epsilons that way, with its own tol as the delta resolution.
 check_positive_invariance flows set members and reports the largest
 excursion. uniform_attraction_time finds the first sampled time after
 which a whole start collection stays within epsilon. classify_stability
@@ -129,12 +134,23 @@ def estimate_delta(
     shell_samples: int = 16,
     seed: int = 0,
     out_dt: float = 0.05,
+    tol: float = 0.0,
+    certified: float | None = None,
 ) -> tuple[float | None, np.ndarray | None]:
-    """Largest bisection-certified delta, or (None, witness) if none holds."""
+    """Largest bisection-certified delta, or (None, witness) if none holds.
+
+    The search starts at lo = certified, a delta already certified for a
+    smaller epsilon, and stops once some delta is certified and hi - lo
+    <= tol; at most BISECTION_STEPS probes run either way. With tol = 0
+    and no certified start, every probe runs."""
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     if shell_samples < 1:
         raise ValueError("shell_samples must be >= 1")
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
+    if certified is not None and not 0 < certified <= epsilon:
+        raise ValueError("certified must lie in (0, epsilon]")
     sample_times(horizon_T, out_dt)  # rejects a bad horizon before any orbit
 
     def probe(delta: float) -> np.ndarray | None:
@@ -143,10 +159,12 @@ def estimate_delta(
                 return p
         return None
 
-    lo, hi = 0.0, epsilon  # lo: largest certified so far, hi: smallest failed
-    certified = None
+    # lo: largest certified so far, hi: smallest failed
+    lo, hi = (0.0 if certified is None else certified), epsilon
     witness = None
     for _ in range(BISECTION_STEPS):
+        if certified is not None and hi - lo <= tol:
+            break
         mid = 0.5 * (lo + hi)
         if mid <= 0:
             break
@@ -228,16 +246,20 @@ def classify_stability(
     tol: float = 1e-3,
     out_dt: float = 0.05,
 ) -> StabilityReport:
-    """Verdict from delta searches, an invariance check, and a local grid."""
+    """Verdict from delta searches, an invariance check, and a local grid.
+    tol is the grid's label tolerance and the delta resolution; each
+    epsilon, in ascending order, starts from the delta of the one before."""
     epsilons = [float(e) for e in epsilons]
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
 
     pairs = []
+    delta = None  # certified for the previous, smaller epsilon
     for eps in sorted(epsilons):
         delta, witness = estimate_delta(
             V, M, eps, cfg,
             horizon_T=horizon_T, shell_samples=shell_samples, seed=seed, out_dt=out_dt,
+            tol=tol, certified=delta,
         )
         pairs.append(EpsilonDeltaPair(eps, delta, witness))
 

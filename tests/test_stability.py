@@ -1,10 +1,13 @@
 import importlib
 import math
+import os
 
 import numpy as np
 import pytest
 
 from flow_reference import _walk
+from lyapset import stability
+from lyapset.cli import _run_stability
 from lyapset.errors import (
     EscapedDomainError,
     EvalDomainError,
@@ -22,6 +25,7 @@ from lyapset.geometry import (
     sample_shell,
 )
 from lyapset.limits import roa_grid
+from lyapset.problem import load_problem
 from lyapset.stability import (
     BISECTION_STEPS,
     VERDICT_INCONCLUSIVE,
@@ -55,11 +59,15 @@ def _stays_inside_sample_by_sample(V, x, M, epsilon, horizon_T, out_dt, cfg):
     return True
 
 
-def _delta_sample_by_sample(V, M, epsilon, cfg, horizon_T, shell_samples, out_dt):
+def _delta_sample_by_sample(
+    V, M, epsilon, cfg, horizon_T, shell_samples, out_dt, tol=0.0, certified=None
+):
     """estimate_delta's bisection over the sample-by-sample probe."""
-    lo, hi = 0.0, epsilon
-    certified = witness = None
+    lo, hi = (0.0 if certified is None else certified), epsilon
+    witness = None
     for _ in range(BISECTION_STEPS):
+        if certified is not None and hi - lo <= tol:
+            break
         mid = 0.5 * (lo + hi)
         failed = None
         for p in _candidate_points(M, mid, shell_samples, 0):
@@ -173,6 +181,16 @@ class TestEstimateDelta:
         with pytest.raises(ValueError, match="shell_samples must be >= 1"):
             estimate_delta(sink2, ORIGIN_2D, 0.5, cfg, shell_samples=0)
 
+    @pytest.mark.parametrize("tol", [-1e-3, math.nan])
+    def test_tol_validated(self, sink2, cfg, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            estimate_delta(sink2, ORIGIN_2D, 0.5, cfg, tol=tol)
+
+    @pytest.mark.parametrize("certified", [0.0, -0.1, 0.6, math.nan])
+    def test_certified_validated(self, sink2, cfg, certified):
+        with pytest.raises(ValueError, match=r"certified must lie in \(0, epsilon\]"):
+            estimate_delta(sink2, ORIGIN_2D, 0.5, cfg, certified=certified)
+
     @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
     def test_matches_sample_by_sample_probe(self, case):
         # Each probe orbit is integrated whole and tested with one
@@ -180,9 +198,39 @@ class TestEstimateDelta:
         texts, M, eps, settings = _PARITY_CASES[case]
         V = VectorFieldSpec.from_strings(texts)
         args = (V, M, eps, IntegratorConfig(**settings))
-        knobs = {"horizon_T": 10.0, "shell_samples": 8, "out_dt": 0.1}
+        for tol in (0.0, 1e-3):
+            knobs = {"horizon_T": 10.0, "shell_samples": 8, "out_dt": 0.1, "tol": tol}
+            got = _delta_bits(estimate_delta, args, knobs)
+            assert got == _delta_bits(_delta_sample_by_sample, args, knobs)
+
+    def test_certified_start_matches_sample_by_sample_probe(self, osc):
+        knobs = {"horizon_T": 10.0, "shell_samples": 8, "out_dt": 0.1, "tol": 1e-3}
+        smaller, _ = _delta_sample_by_sample(osc, ORIGIN_2D, 0.25, IntegratorConfig(), **knobs)
+        args = (osc, ORIGIN_2D, 0.5, IntegratorConfig())
+        knobs["certified"] = smaller
         got = _delta_bits(estimate_delta, args, knobs)
         assert got == _delta_bits(_delta_sample_by_sample, args, knobs)
+        assert float.fromhex(got[0]) > smaller
+
+    def test_tol_stops_on_the_full_path(self, sink2, osc, cfg):
+        # Bisection with tol > 0 runs a prefix of the tol = 0 probes, so its
+        # delta is one the full search also certified, within tol of its end.
+        knobs = {"horizon_T": 8.0, "shell_samples": 8, "out_dt": 0.1}
+        for V in (sink2, osc):
+            full, _ = estimate_delta(V, ORIGIN_2D, 0.5, cfg, **knobs)
+            for tol in (1e-3, 0.05):
+                delta, witness = estimate_delta(V, ORIGIN_2D, 0.5, cfg, tol=tol, **knobs)
+                assert witness is None
+                assert delta <= full
+                assert full - delta <= tol
+
+    def test_tol_leaves_witness_unchanged(self, grow1, cfg):
+        # Until some delta is certified, tol stops nothing.
+        knobs = {"horizon_T": 15.0, "shell_samples": 4, "out_dt": 0.1}
+        args = (grow1, SinglePoint([0.0]), 0.5, cfg)
+        full = _delta_bits(estimate_delta, args, knobs)
+        assert full[0] is None and full[1] is not None
+        assert _delta_bits(estimate_delta, args, {**knobs, "tol": 1e-3}) == full
 
     def test_exit_before_step_limit_is_witness(self):
         V = VectorFieldSpec.from_strings(["1"])
@@ -458,6 +506,52 @@ _GRID_PARITY_CASES = {
     # grid's tol 0.2 but not below epsilon, so no uniform time exists.
     "final-outside-epsilon": (ORIGIN_2D, [0.1], 0.4, 1.5),
 }
+
+
+_PROBLEM_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
+
+
+def _bundled_stability(name: str):
+    """The bundled problem and the arguments its stability block passes."""
+    problem = load_problem(os.path.join(_PROBLEM_DIR, f"{name}.json"))
+    block = problem.stability
+    knobs = {
+        "horizon_T": block["horizon"], "shell_samples": block["shell_samples"],
+        "seed": problem.block_seed("stability"), "out_dt": block["out_dt"],
+    }
+    return problem, block, knobs
+
+
+@pytest.mark.parametrize("name", ["harmonic_oscillator", "linear_sink"])
+class TestBundledDeltaSearch:
+    def test_deltas_ascend_within_tol(self, name):
+        problem, block, _ = _bundled_stability(name)
+        pairs = _run_stability(problem, problem.integrator)[0]["pairs"]
+        assert [p["epsilon"] for p in pairs] == sorted(block["epsilons"])
+        deltas = [p["delta"] for p in pairs]
+        assert all(d is not None for d in deltas)
+        assert deltas == sorted(deltas)
+        for p in pairs:
+            assert 0 <= p["epsilon"] - p["delta"] <= block["tol"]
+
+    def test_at_most_half_the_full_orbits(self, name, monkeypatch):
+        # The block's count includes its invariance check; the full count is
+        # the delta searches alone, each run to BISECTION_STEPS probes.
+        problem, block, knobs = _bundled_stability(name)
+        calls = []
+        inner = stability.partial_trajectory
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "partial_trajectory", counting)
+        _run_stability(problem, problem.integrator)
+        block_orbits = len(calls)
+        calls.clear()
+        for eps in block["epsilons"]:
+            estimate_delta(problem.field, problem.set_spec, eps, problem.integrator, **knobs)
+        assert block_orbits <= 0.5 * len(calls)
 
 
 class TestClassifyStabilityOnePass:
