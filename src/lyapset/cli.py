@@ -25,8 +25,8 @@ from .expr import ScalarFieldSpec
 from .flow import IntegratorConfig
 from .geometry import Box
 from .limits import estimate_omega, roa_grid
-from .lyapunov import VERDICT_REJECTED, ConverseConfig, converse_table, verify_certificate
-from .problem import ProblemDefinition, load_problem
+from .lyapunov import VERDICT_REJECTED, converse_table, verify_certificate
+from .problem import ProblemDefinition, converse_config, load_problem
 from .render import render_svg
 from .selftest import run_selftest
 from .stability import VERDICT_UNSTABLE, classify_stability
@@ -105,10 +105,7 @@ def _run_stability(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[d
 def _run_converse(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, str]:
     block = problem.converse
     box = _block_box(problem, block, 1.0)
-    cc = ConverseConfig(
-        horizon_T=block["horizon"], out_dt=block["out_dt"],
-        lam=block["lambda"], quadrature=block["quadrature"],
-    )
+    cc = converse_config(block)
     rng = np.random.default_rng(problem.block_seed("converse"))
     points = rng.uniform(box.lo, box.hi, size=(block["samples"], problem.dimension))
     table = converse_table(problem.field, problem.set_spec, points, cfg, cc)

@@ -111,7 +111,6 @@ class Trajectory:
 
     times: np.ndarray  # (k,), strictly increasing, starts at 0
     states: np.ndarray  # (k, n)
-    field_id: str
 
     def __post_init__(self):
         if self.times.ndim != 1 or self.states.ndim != 2:
@@ -424,14 +423,19 @@ def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
     return np.asarray(out[0])
 
 
-def sample_times(T: float, out_dt: float) -> list[float]:
-    """Output grid: 0 and every multiple of out_dt below T, then T itself."""
-    T = float(T)
-    out_dt = float(out_dt)
+def check_sampling(T: float, out_dt: float) -> None:
+    """The rule of every output grid: T > 0 and 0 < out_dt <= T."""
     if not T > 0:
         raise ValueError("horizon T must be > 0")
     if not 0 < out_dt <= T:
         raise ValueError("out_dt must satisfy 0 < out_dt <= T")
+
+
+def sample_times(T: float, out_dt: float) -> list[float]:
+    """Output grid: 0 and every multiple of out_dt below T, then T itself."""
+    T = float(T)
+    out_dt = float(out_dt)
+    check_sampling(T, out_dt)
     merge_tol = 1e-9 * max(1.0, T)
     m = int(math.floor((T - merge_tol) / out_dt))
     return [k * out_dt for k in range(m + 1)] + [T]
@@ -448,9 +452,7 @@ def _sample(V: VectorFieldSpec, x, T: float, out_dt: float, cfg: IntegratorConfi
         _compiled(V, cfg.method)(states[0], times[1:], cfg, states)
     except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
         error = exc
-    traj = Trajectory(
-        np.asarray(times[: len(states)]), np.asarray(states, dtype=float), V.label()
-    )
+    traj = Trajectory(np.asarray(times[: len(states)]), np.asarray(states, dtype=float))
     return traj, error
 
 

@@ -308,24 +308,24 @@ def _as_points(A) -> np.ndarray:
     return pts
 
 
-def _directed_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    worst = 0.0
-    rows = max(1, _CHUNK_ENTRIES // max(1, B.shape[0]))
-    for start in range(0, A.shape[0], rows):
-        chunk = A[start : start + rows]
-        diff = chunk[:, None, :] - B[None, :, :]
-        nearest = np.sqrt((diff * diff).sum(-1)).min(axis=1)
-        worst = max(worst, float(nearest.max()))
-    return worst
-
-
 def hausdorff(A, B) -> float:
     """Hausdorff distance between two finite point sets.
 
     Brute force rather than PointCloud's KD-tree: SciPy's import costs
     more memory than these sets, and runs without a cloud set never load it.
+    One chunked pass over squared distances keeps row and running column
+    minima; one monotone square root at the end gives the same bits as
+    taking it per entry in each direction.
     """
     pa, pb = _as_points(A), _as_points(B)
     if pa.shape[1] != pb.shape[1]:
         raise DimensionMismatchError("hausdorff operands differ in dimension")
-    return max(_directed_hausdorff(pa, pb), _directed_hausdorff(pb, pa))
+    worst = 0.0
+    col_min = np.full(pb.shape[0], np.inf)
+    rows = max(1, _CHUNK_ENTRIES // pb.shape[0])
+    for start in range(0, pa.shape[0], rows):
+        diff = pa[start : start + rows, None, :] - pb[None, :, :]
+        sq = (diff * diff).sum(-1)
+        worst = max(worst, float(sq.min(axis=1).max()))
+        np.minimum(col_min, sq.min(axis=0), out=col_min)
+    return float(np.sqrt(max(worst, float(col_min.max()))))

@@ -34,7 +34,7 @@ from .expr import (
     compile_scalar,
     compile_vector_field,
 )
-from .flow import IntegratorConfig, flow, trajectory
+from .flow import IntegratorConfig, check_sampling, flow, trajectory
 from .geometry import Box, CompactSet, _shell_points, as_point, sample_set_points
 
 _QUADRATURES = ("trapezoid", "simpson")
@@ -58,18 +58,23 @@ VERDICT_REJECTED = "rejected"
 
 @dataclass(frozen=True)
 class ConverseConfig:
+    """Horizon, output step, weight decay and quadrature rule of big_L.
+    Every quadrature runs over exactly `steps` intervals, so Simpson's
+    even-interval rule is checked here, once."""
+
     horizon_T: float
     out_dt: float
     lam: float = 1.0  # decay rate of the weight alpha(t) = exp(-lam*t)
     quadrature: str = "trapezoid"
 
     def __post_init__(self):
-        if not (self.horizon_T > 0 and self.out_dt > 0 and self.lam > 0):
-            raise ValueError("horizon_T, out_dt, and lam must all be > 0")
+        check_sampling(self.horizon_T, self.out_dt)
+        if not self.lam > 0:
+            raise ValueError("lam must be > 0")
         if self.quadrature not in _QUADRATURES:
             raise ValueError(f"quadrature must be one of {_QUADRATURES}")
-        if self.out_dt > self.horizon_T:
-            raise ValueError("out_dt cannot exceed horizon_T")
+        if self.quadrature == "simpson" and self.steps % 2:
+            raise ValueError(f"simpson needs an even number of intervals, got {self.steps}")
 
     @property
     def steps(self) -> int:
@@ -89,8 +94,6 @@ def _quadrature(values: np.ndarray, h: float, rule: str) -> float:
         raise ValueError("quadrature needs at least one interval")
     if rule == "trapezoid":
         return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
-    if m % 2 != 0:
-        raise ValueError("simpson requires an even number of sample intervals")
     odd = values[1:-1:2].sum()
     even = values[2:-1:2].sum()
     return float(h / 3.0 * (values[0] + 4.0 * odd + 2.0 * even + values[-1]))

@@ -4,17 +4,23 @@ A problem is one JSON object naming the vector field, the compact set,
 the integrator, a seed, and optional analysis blocks. Validation is
 strict: unknown keys and type mismatches are reported with JSON-pointer
 paths so a typo in a knob name cannot silently disable a block.
+
+The integrator and each block are one `_SECTIONS` entry: each key's
+parser, bound and default, and the rules tying keys together (out_dt at
+most the horizon or window; an even interval count for Simpson). The
+code that enforces a rule in the analysis checks it at load, so a file
+that breaks one fails with a pointer, not partway through a run.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .errors import DimensionMismatchError, ExprSyntaxError, ProblemFormatError
 from .expr import VectorFieldSpec, parse as parse_expr
-from .flow import IntegratorConfig
+from .flow import IntegratorConfig, check_sampling
 from .geometry import Box, ClosedBall, CompactSet, PointCloud, SinglePoint
 from .lyapunov import _QUADRATURES, ConverseConfig
 
@@ -25,12 +31,8 @@ _METHOD_ALIASES = {
     "rk4_fixed": "rk4_fixed",
 }
 
-_INTEGRATOR_KEYS = {f.name for f in fields(IntegratorConfig)}
-_OMEGA_KEYS = {"x0", "transient", "window", "out_dt", "cluster_tol"}
-_STABILITY_KEYS = {"epsilons", "horizon", "box", "resolution", "shell_samples", "tol", "out_dt"}
-_ROA_KEYS = {"box", "resolution", "horizon", "tol", "out_dt"}
-_CONVERSE_KEYS = {"lambda", "horizon", "out_dt", "quadrature", "samples", "box"}
-_CERTIFICATE_KEYS = {"L", "annulus", "samples", "zero_tol", "decrease_time"}
+_REQUIRED = object()  # table default: the key must be present
+_OPTIONAL = object()  # table default: an absent key stays absent
 
 
 def _fail(pointer: str, message: str):
@@ -43,48 +45,51 @@ def _expect_object(value, pointer: str) -> dict:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: set, pointer: str):
+def _reject_unknown(obj: dict, allowed, pointer: str):
     for key in obj:
         if key not in allowed:
             _fail(f"{pointer}/{key}", "unknown key")
 
 
-def _number(obj: dict, key: str, pointer: str, default=None, positive=False):
-    if key not in obj:
-        if default is None:
-            _fail(f"{pointer}/{key}", "required number missing")
-        return default
-    v = obj[key]
+def _real(v, pointer: str, positive=False) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{pointer}/{key}", f"expected a number, got {type(v).__name__}")
+        _fail(pointer, f"expected a number, got {type(v).__name__}")
     v = float(v)
     if positive and not v > 0:
-        _fail(f"{pointer}/{key}", "must be > 0")
+        _fail(pointer, "must be > 0")
     return v
 
 
-def _integer(obj: dict, key: str, pointer: str, default=None, minimum=None):
-    if key not in obj:
-        if default is None:
-            _fail(f"{pointer}/{key}", "required integer missing")
-        return default
-    v = obj[key]
+def _integer(v, pointer: str, minimum: int) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"{pointer}/{key}", f"expected an integer, got {type(v).__name__}")
-    if minimum is not None and v < minimum:
-        _fail(f"{pointer}/{key}", f"must be >= {minimum}")
+        _fail(pointer, f"expected an integer, got {type(v).__name__}")
+    if v < minimum:
+        _fail(pointer, f"must be >= {minimum}")
     return v
+
+
+def _positive(v, n: int, pointer: str) -> float:
+    return _real(v, pointer, positive=True)
+
+
+def _at_least(minimum: int):
+    return lambda v, n, pointer: _integer(v, pointer, minimum)
 
 
 def _point(value, n: int, pointer: str) -> list[float]:
     if not isinstance(value, list) or len(value) != n:
         _fail(pointer, f"expected a list of {n} numbers")
-    out = []
-    for i, c in enumerate(value):
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            _fail(f"{pointer}/{i}", "expected a number")
-        out.append(float(c))
-    return out
+    return [_real(c, f"{pointer}/{i}") for i, c in enumerate(value)]
+
+
+def _expression(text, n: int, pointer: str):
+    """Parse one expression string; a syntax error keeps its position."""
+    if not isinstance(text, str):
+        _fail(pointer, "expected an expression string")
+    try:
+        return parse_expr(text, n)
+    except ExprSyntaxError as exc:
+        _fail(pointer, f"{exc} (position {exc.position})")
 
 
 def _parse_set(obj, n: int, pointer: str) -> CompactSet:
@@ -97,7 +102,7 @@ def _parse_set(obj, n: int, pointer: str) -> CompactSet:
         if kind == "ball":
             _reject_unknown(obj, {"type", "center", "radius"}, pointer)
             center = _point(obj.get("center"), n, f"{pointer}/center")
-            radius = _number(obj, "radius", pointer)
+            radius = _real(obj.get("radius"), f"{pointer}/radius")
             if radius < 0:
                 _fail(f"{pointer}/radius", "must be >= 0")
             return ClosedBall(center, radius)
@@ -135,31 +140,135 @@ def _parse_box(value, n: int, pointer: str) -> list[list[float]]:
     return [lo, hi]
 
 
-def _parse_integrator(obj, pointer: str) -> IntegratorConfig:
-    if obj is None:
-        return IntegratorConfig()
-    obj = _expect_object(obj, pointer)
-    _reject_unknown(obj, _INTEGRATOR_KEYS, pointer)
-    default = IntegratorConfig  # its class attributes are the field defaults
-    method = obj.get("method", default.method)
-    method = _METHOD_ALIASES.get(method) if isinstance(method, str) else None
+def _method(v, n: int, pointer: str) -> str:
+    method = _METHOD_ALIASES.get(v) if isinstance(v, str) else None
     if method is None:
-        _fail(f"{pointer}/method", f"must be one of {sorted(_METHOD_ALIASES)}")
-    try:
-        return IntegratorConfig(
-            method=method,
-            dt=_number(obj, "dt", pointer, default=default.dt, positive=True),
-            rel_tol=_number(obj, "rel_tol", pointer, default=default.rel_tol, positive=True),
-            abs_tol=_number(obj, "abs_tol", pointer, default=default.abs_tol, positive=True),
-            blowup_radius=_number(
-                obj, "blowup_radius", pointer, default=default.blowup_radius, positive=True
-            ),
-            max_steps=_integer(obj, "max_steps", pointer, default=default.max_steps, minimum=1),
-        )
-    except ProblemFormatError:
-        raise  # keep the precise inner pointer
-    except ValueError as exc:
-        _fail(pointer, str(exc))
+        _fail(pointer, f"must be one of {sorted(_METHOD_ALIASES)}")
+    return method
+
+
+def _epsilons(v, n: int, pointer: str) -> list[float]:
+    if not isinstance(v, list) or not v:
+        _fail(pointer, "expected a nonempty list of numbers")
+    return [_real(e, f"{pointer}/{i}", positive=True) for i, e in enumerate(v)]
+
+
+def _resolution(v, n: int, pointer: str):
+    """One node count for every axis, or a list of one per axis."""
+    if not isinstance(v, list):
+        return _integer(v, pointer, 2)
+    res = [_integer(r, f"{pointer}/{i}", 2) for i, r in enumerate(v)]
+    if len(res) != n:
+        _fail(pointer, f"expected {n} entries")
+    return res
+
+
+def _quadrature_name(v, n: int, pointer: str) -> str:
+    if v not in _QUADRATURES:
+        _fail(pointer, f"must be {' or '.join(_QUADRATURES)}")
+    return v
+
+
+def _scalar_text(text, n: int, pointer: str) -> str:
+    _expression(text, n, pointer)
+    return text
+
+
+def _annulus(v, n: int, pointer: str) -> list[float]:
+    if not isinstance(v, list) or len(v) != 2:
+        _fail(pointer, "expected [r_in, r_out]")
+    r_in, r_out = (_real(r, f"{pointer}/{i}") for i, r in enumerate(v))
+    if not (r_in >= 0 and r_out > r_in):
+        _fail(pointer, "needs 0 <= r_in < r_out")
+    return [r_in, r_out]
+
+
+def converse_config(block: dict) -> ConverseConfig:
+    """The ConverseConfig of a parsed converse block."""
+    return ConverseConfig(block["horizon"], block["out_dt"], block["lambda"], block["quadrature"])
+
+
+def _sampled_over(span: str) -> tuple:
+    """The output-grid rule of orbits sampled over the key span at out_dt."""
+    return "out_dt", lambda b: check_sampling(b[span], b["out_dt"])
+
+
+# Each section: its keys' (parser, default) pairs in check order, then the
+# rules that tie keys together, as (key reported at, check of the section).
+_SECTIONS = {
+    "integrator": ({
+        "method": (_method, IntegratorConfig.method),
+        "dt": (_positive, IntegratorConfig.dt),
+        "rel_tol": (_positive, IntegratorConfig.rel_tol),
+        "abs_tol": (_positive, IntegratorConfig.abs_tol),
+        "blowup_radius": (_positive, IntegratorConfig.blowup_radius),
+        "max_steps": (_at_least(1), IntegratorConfig.max_steps),
+    }, ()),
+    # The optional analysis blocks, in validation order.
+    "omega": ({
+        "x0": (_point, _REQUIRED),
+        "transient": (_positive, 50.0),
+        "window": (_positive, 20.0),
+        "out_dt": (_positive, 0.01),
+        "cluster_tol": (_positive, 1e-3),
+    }, (_sampled_over("window"),)),
+    "stability": ({
+        "epsilons": (_epsilons, _REQUIRED),
+        "horizon": (_positive, 20.0),
+        "resolution": (_at_least(2), 9),
+        "shell_samples": (_at_least(1), 12),
+        "tol": (_positive, 1e-3),
+        "out_dt": (_positive, 0.05),
+        "box": (_parse_box, _OPTIONAL),
+    }, (_sampled_over("horizon"),)),
+    "roa": ({
+        "box": (_parse_box, _REQUIRED),
+        "resolution": (_resolution, 11),
+        "horizon": (_positive, 20.0),
+        "tol": (_positive, 1e-3),
+        "out_dt": (_positive, 0.05),
+    }, (_sampled_over("horizon"),)),
+    "converse": ({
+        "quadrature": (_quadrature_name, ConverseConfig.quadrature),
+        "lambda": (_positive, ConverseConfig.lam),
+        "horizon": (_positive, 10.0),
+        "out_dt": (_positive, 0.01),
+        "samples": (_at_least(1), 12),
+        "box": (_parse_box, _OPTIONAL),
+    }, (_sampled_over("horizon"), ("quadrature", converse_config))),
+    "certificate": ({
+        "L": (_scalar_text, _REQUIRED),
+        "annulus": (_annulus, _REQUIRED),
+        "samples": (_at_least(1), 100),
+        "zero_tol": (_positive, 1e-9),
+        "decrease_time": (_positive, 1.0),
+    }, ()),
+}
+_BLOCKS = [name for name in _SECTIONS if name != "integrator"]
+_TOP_KEYS = {"dimension", "field", "set", "seed", *_SECTIONS}
+
+
+def _validate_block(name: str, obj, n: int) -> dict:
+    """Parse one section by its table entry: the object and its unknown
+    keys, then each key in table order, then the section's rules."""
+    pointer = f"/{name}"
+    parsers, rules = _SECTIONS[name]
+    obj = _expect_object(obj, pointer)
+    _reject_unknown(obj, parsers, pointer)
+    out = {}
+    for key, (parse, default) in parsers.items():
+        if key in obj:
+            out[key] = parse(obj[key], n, f"{pointer}/{key}")
+        elif default is _REQUIRED:
+            _fail(f"{pointer}/{key}", "required key missing")
+        elif default is not _OPTIONAL:
+            out[key] = default
+    for key, check in rules:
+        try:
+            check(out)
+        except ValueError as exc:
+            _fail(f"{pointer}/{key}", str(exc))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,19 +307,14 @@ class ProblemDefinition:
     def from_json(cls, obj) -> "ProblemDefinition":
         obj = _expect_object(obj, "")
         _reject_unknown(obj, _TOP_KEYS, "")
-        n = _integer(obj, "dimension", "", minimum=1)
+        if "dimension" not in obj:
+            _fail("/dimension", "required integer missing")
+        n = _integer(obj["dimension"], "/dimension", 1)
 
         raw_field = obj.get("field")
         if not isinstance(raw_field, list) or len(raw_field) != n:
             _fail("/field", f"expected a list of {n} expression strings")
-        components = []
-        for i, text in enumerate(raw_field):
-            if not isinstance(text, str):
-                _fail(f"/field/{i}", "expected an expression string")
-            try:
-                components.append(parse_expr(text, n))
-            except ExprSyntaxError as exc:
-                _fail(f"/field/{i}", f"{exc} (position {exc.position})")
+        components = [_expression(text, n, f"/field/{i}") for i, text in enumerate(raw_field)]
         try:
             field = VectorFieldSpec(tuple(components), n)
         except DimensionMismatchError as exc:
@@ -219,13 +323,12 @@ class ProblemDefinition:
         if "set" not in obj:
             _fail("/set", "required object missing")
         set_spec = _parse_set(obj["set"], n, "/set")
-        integrator = _parse_integrator(obj.get("integrator"), "/integrator")
-        seed = _integer(obj, "seed", "", default=0, minimum=0)
-
-        blocks = {}
-        for name, validator in _BLOCKS.items():
-            if name in obj:
-                blocks[name] = validator(obj[name], n, f"/{name}")
+        section = obj.get("integrator")  # null means the defaults
+        integrator = IntegratorConfig(
+            **_validate_block("integrator", {} if section is None else section, n)
+        )
+        seed = _integer(obj.get("seed", 0), "/seed", 0)
+        blocks = {name: _validate_block(name, obj[name], n) for name in _BLOCKS if name in obj}
         return cls(
             dimension=n,
             field_strings=tuple(raw_field),
@@ -235,126 +338,6 @@ class ProblemDefinition:
             seed=seed,
             **blocks,
         )
-
-
-def _validate_omega(obj, n, pointer) -> dict:
-    obj = _expect_object(obj, pointer)
-    _reject_unknown(obj, _OMEGA_KEYS, pointer)
-    if "x0" not in obj:
-        _fail(f"{pointer}/x0", "required initial point missing")
-    return {
-        "x0": _point(obj["x0"], n, f"{pointer}/x0"),
-        "transient": _number(obj, "transient", pointer, default=50.0, positive=True),
-        "window": _number(obj, "window", pointer, default=20.0, positive=True),
-        "out_dt": _number(obj, "out_dt", pointer, default=0.01, positive=True),
-        "cluster_tol": _number(obj, "cluster_tol", pointer, default=1e-3, positive=True),
-    }
-
-
-def _validate_stability(obj, n, pointer) -> dict:
-    obj = _expect_object(obj, pointer)
-    _reject_unknown(obj, _STABILITY_KEYS, pointer)
-    eps = obj.get("epsilons")
-    if not isinstance(eps, list) or not eps:
-        _fail(f"{pointer}/epsilons", "expected a nonempty list of numbers")
-    epsilons = []
-    for i, e in enumerate(eps):
-        if isinstance(e, bool) or not isinstance(e, (int, float)) or not e > 0:
-            _fail(f"{pointer}/epsilons/{i}", "expected a number > 0")
-        epsilons.append(float(e))
-    out = {
-        "epsilons": epsilons,
-        "horizon": _number(obj, "horizon", pointer, default=20.0, positive=True),
-        "resolution": _integer(obj, "resolution", pointer, default=9, minimum=2),
-        "shell_samples": _integer(obj, "shell_samples", pointer, default=12, minimum=1),
-        "tol": _number(obj, "tol", pointer, default=1e-3, positive=True),
-        "out_dt": _number(obj, "out_dt", pointer, default=0.05, positive=True),
-    }
-    if "box" in obj:
-        out["box"] = _parse_box(obj["box"], n, f"{pointer}/box")
-    return out
-
-
-def _validate_roa(obj, n, pointer) -> dict:
-    obj = _expect_object(obj, pointer)
-    _reject_unknown(obj, _ROA_KEYS, pointer)
-    if "box" not in obj:
-        _fail(f"{pointer}/box", "required box missing")
-    box = _parse_box(obj["box"], n, f"{pointer}/box")
-    res = obj.get("resolution", 11)
-    if isinstance(res, list):
-        res = [
-            _integer({"r": r}, "r", f"{pointer}/resolution/{i}", minimum=2)
-            for i, r in enumerate(res)
-        ]
-        if len(res) != n:
-            _fail(f"{pointer}/resolution", f"expected {n} entries")
-    else:
-        res = _integer(obj, "resolution", pointer, default=11, minimum=2)
-    return {
-        "box": box,
-        "resolution": res,
-        "horizon": _number(obj, "horizon", pointer, default=20.0, positive=True),
-        "tol": _number(obj, "tol", pointer, default=1e-3, positive=True),
-        "out_dt": _number(obj, "out_dt", pointer, default=0.05, positive=True),
-    }
-
-
-def _validate_converse(obj, n, pointer) -> dict:
-    obj = _expect_object(obj, pointer)
-    _reject_unknown(obj, _CONVERSE_KEYS, pointer)
-    quad = obj.get("quadrature", ConverseConfig.quadrature)
-    if quad not in _QUADRATURES:
-        _fail(f"{pointer}/quadrature", f"must be {' or '.join(_QUADRATURES)}")
-    out = {
-        "lambda": _number(obj, "lambda", pointer, default=ConverseConfig.lam, positive=True),
-        "horizon": _number(obj, "horizon", pointer, default=10.0, positive=True),
-        "out_dt": _number(obj, "out_dt", pointer, default=0.01, positive=True),
-        "quadrature": quad,
-        "samples": _integer(obj, "samples", pointer, default=12, minimum=1),
-    }
-    if "box" in obj:
-        out["box"] = _parse_box(obj["box"], n, f"{pointer}/box")
-    return out
-
-
-def _validate_certificate(obj, n, pointer) -> dict:
-    obj = _expect_object(obj, pointer)
-    _reject_unknown(obj, _CERTIFICATE_KEYS, pointer)
-    text = obj.get("L")
-    if not isinstance(text, str):
-        _fail(f"{pointer}/L", "required expression string missing")
-    try:
-        parse_expr(text, n)
-    except ExprSyntaxError as exc:
-        _fail(f"{pointer}/L", f"{exc} (position {exc.position})")
-    annulus = obj.get("annulus")
-    if not isinstance(annulus, list) or len(annulus) != 2:
-        _fail(f"{pointer}/annulus", "expected [r_in, r_out]")
-    r_in, r_out = annulus
-    for i, r in enumerate(annulus):
-        if isinstance(r, bool) or not isinstance(r, (int, float)):
-            _fail(f"{pointer}/annulus/{i}", "expected a number")
-    if not (float(r_in) >= 0 and float(r_out) > float(r_in)):
-        _fail(f"{pointer}/annulus", "needs 0 <= r_in < r_out")
-    return {
-        "L": text,
-        "annulus": [float(r_in), float(r_out)],
-        "samples": _integer(obj, "samples", pointer, default=100, minimum=1),
-        "zero_tol": _number(obj, "zero_tol", pointer, default=1e-9, positive=True),
-        "decrease_time": _number(obj, "decrease_time", pointer, default=1.0, positive=True),
-    }
-
-
-# The optional analysis blocks, in validation order.
-_BLOCKS = {
-    "omega": _validate_omega,
-    "stability": _validate_stability,
-    "roa": _validate_roa,
-    "converse": _validate_converse,
-    "certificate": _validate_certificate,
-}
-_TOP_KEYS = {"dimension", "field", "set", "integrator", "seed", *_BLOCKS}
 
 
 def load_problem(path: str) -> ProblemDefinition:

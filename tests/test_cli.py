@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lyapset import __version__
 from lyapset.cli import NEGATIVE_VERDICTS, main
+from lyapset.errors import ProblemFormatError
 from lyapset.expr import print_expr
 from lyapset.problem import ProblemDefinition
 
@@ -252,6 +255,53 @@ class TestAnalyzeFuzz:
             assert rc == 3
         else:
             assert rc == (2 if any(b.get("verdict") in NEGATIVE_VERDICTS for b in blocks) else 0)
+
+
+# The span each block's orbits are sampled over; out_dt may not exceed it.
+_SAMPLED_SPANS = {"omega": "window", "stability": "horizon", "roa": "horizon",
+                  "converse": "horizon"}
+_REQUIRED_KEYS = {"omega": {"x0": [0.5, 0.0]}, "stability": {"epsilons": [0.5]},
+                  "roa": {"box": [[-1, -1], [1, 1]]}, "converse": {}}
+
+
+@st.composite
+def _rule_breaking_files(draw):
+    """A problem whose one block breaks a sampling rule, and the pointer."""
+    block = draw(st.sampled_from([*_SAMPLED_SPANS, "simpson"]))
+    if block == "simpson":
+        out_dt = draw(st.floats(1e-3, 10.0))
+        steps = 2 * draw(st.integers(0, 500)) + 1
+        block, keys = "converse", {"horizon": steps * out_dt, "out_dt": out_dt,
+                                   "quadrature": "simpson"}
+        pointer = "/converse/quadrature"
+    else:
+        span = draw(st.floats(1e-3, 100.0))
+        out_dt = draw(st.floats(span, 1e4, exclude_min=True))
+        keys = {**_REQUIRED_KEYS[block], _SAMPLED_SPANS[block]: span, "out_dt": out_dt}
+        pointer = f"/{block}/out_dt"
+    problem = {"dimension": 2, "field": ["x2", "-x1"],
+               "set": {"type": "point", "coords": [0, 0]}, block: keys}
+    return problem, pointer
+
+
+class TestSamplingRules:
+    @settings(max_examples=60, deadline=None)
+    @given(_rule_breaking_files())
+    def test_rule_breaking_file_exits_1_with_pointer(self, case):
+        problem, pointer = case
+        with pytest.raises(ProblemFormatError) as exc_info:
+            ProblemDefinition.from_json(problem)
+        assert exc_info.value.pointer == pointer
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rule.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(problem, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["analyze", path])
+            assert os.listdir(tmp) == ["rule.json"]
+        assert rc == 1
+        assert err.getvalue().startswith(f"error: {pointer}: ")
 
 
 @pytest.fixture(scope="class")

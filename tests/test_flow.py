@@ -125,11 +125,11 @@ class TestTrajectory:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.1, 0.2]), np.zeros((2, 1)), "f")
+            Trajectory(np.array([0.1, 0.2]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)), "f")
+            Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 1.0]), np.full((2, 1), np.nan), "f")
+            Trajectory(np.array([0.0, 1.0]), np.full((2, 1), np.nan))
 
     def test_samples_consistent_with_flow(self, osc, cfg_tight):
         tr = trajectory(osc, [1.0, 0.0], 3.0, 0.5, cfg_tight)

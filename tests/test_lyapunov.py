@@ -39,6 +39,7 @@ class TestConverseConfig:
             {"horizon_T": 1.0, "out_dt": 0.1, "lam": 0.0},
             {"horizon_T": 1.0, "out_dt": 0.1, "quadrature": "gauss"},
             {"horizon_T": 0.05, "out_dt": 0.1},
+            {"horizon_T": 0.9, "out_dt": 0.3, "quadrature": "simpson"},  # 3 intervals
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -50,11 +51,6 @@ class TestConverseConfig:
         assert truncation_bound(2.0, cc) == pytest.approx(
             2.0 * math.exp(-0.5 * 10.0) / 0.5, rel=1e-12
         )
-
-    def test_simpson_needs_even_intervals(self, sink1, cfg):
-        cc = ConverseConfig(0.9, 0.3, quadrature="simpson")  # 3 intervals
-        with pytest.raises(ValueError):
-            big_L(sink1, ORIGIN_1D, [1.0], cfg, cc)
 
 
 class TestEll:

@@ -1,11 +1,12 @@
 import copy
+from dataclasses import fields
 
 import pytest
 
 from lyapset.errors import ProblemFormatError
 from lyapset.flow import IntegratorConfig
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint
-from lyapset.problem import ProblemDefinition, load_problem
+from lyapset.problem import _SECTIONS, ProblemDefinition, load_problem
 
 from test_geometry import all_variants
 
@@ -265,6 +266,39 @@ class TestValidationPointers:
 
     def test_top_level_must_be_object(self):
         _expect_pointer([1, 2, 3], "")
+
+    # One case per rule that ties two keys together: out_dt may not exceed
+    # the span a block's orbits are sampled over, and Simpson's rule needs
+    # an even number of intervals.
+    @pytest.mark.parametrize(
+        "block, keys, pointer",
+        [
+            ("omega", {"window": 0.5, "out_dt": 0.6}, "/omega/out_dt"),
+            ("stability", {"horizon": 8.0, "out_dt": 8.5}, "/stability/out_dt"),
+            ("roa", {"horizon": 1.0, "out_dt": 2.0}, "/roa/out_dt"),
+            ("converse", {"horizon": 0.1, "out_dt": 0.25}, "/converse/out_dt"),
+            ("converse", {"horizon": 0.9, "out_dt": 0.3, "quadrature": "simpson"},
+             "/converse/quadrature"),
+        ],
+    )
+    def test_sampling_rule(self, block, keys, pointer):
+        raw = copy.deepcopy(FULL_PROBLEM)
+        raw[block].update(keys)
+        _expect_pointer(raw, pointer)
+
+    def test_integrator_null_means_defaults(self):
+        raw = copy.deepcopy(FULL_PROBLEM)
+        raw["integrator"] = None
+        assert ProblemDefinition.from_json(raw).integrator == IntegratorConfig()
+        for bad in (0, False, [], "rk45"):
+            raw["integrator"] = bad
+            _expect_pointer(raw, "/integrator")
+
+
+class TestSectionTable:
+    def test_integrator_keys_are_the_config_fields(self):
+        parsers, _ = _SECTIONS["integrator"]
+        assert set(parsers) == {f.name for f in fields(IntegratorConfig)}
 
 
 class TestBlockSeeds:
