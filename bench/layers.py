@@ -1,6 +1,6 @@
 """Layer timings of the scalar integrator, compared across checkouts.
 
-    python3 bench/layers.py --out BENCH_8.json parent=/path/to/parent/src change=src
+    python3 bench/layers.py --out BENCH_11.json parent=/path/to/parent/src change=src
 
 Each NAME=SRC argument names the `src/` directory of one checkout. Every
 checkout runs in its own fresh interpreter (this script with --worker),
@@ -15,8 +15,6 @@ compiled and cached:
   attempt          one harmonic orbit to t = 8 with no sample in between
                    (rel_tol 1e-10); per attempt, it is one Dormand-Prince
                    attempt with its step control
-  kernel_alone     the generated attempt without its loop, where a
-                   checkout has one (_dp_kernel)
   probe_orbit      one harmonic delta-probe orbit: T = 8, out_dt 0.1,
                    rel_tol 1e-10, abs_tol 1e-13
   converse_orbit   one orbit of the 4-D cycle field of perfbench's
@@ -56,8 +54,8 @@ PROBLEMS = ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol"
 HARMONIC = ["x2", "-x1"]
 CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
-REPEATS = {"attempt": (30, 10), "kernel_alone": (30, 1000), "probe_orbit": (30, 10),
-           "converse_orbit": (20, 2), "estimate_delta": (3, 1)}
+REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
+           "estimate_delta": (3, 1)}
 
 
 def _timed(fn, runs: int, calls: int) -> list[dict]:
@@ -117,10 +115,6 @@ def worker(src: str) -> dict:
             cycle, [1.0, -0.5, 0.5, 0.2], 10.0, 0.02, ls.IntegratorConfig()),
         "estimate_delta": delta,
     }
-    if hasattr(flow, "_dp_kernel"):
-        attempt = flow._dp_kernel(harmonic)
-        k1 = [0.1, -0.3]
-        layers["kernel_alone"] = lambda: attempt([0.3, 0.1], k1, 0.01, 1e-13, 1e-10)
     out_dir = tempfile.mkdtemp()
     for name in PROBLEMS:
         path = os.path.join(ROOT, "problems", f"{name}.json")

@@ -423,12 +423,20 @@ def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
     return np.asarray(out[0])
 
 
+# Each output sample is a step endpoint, so an orbit on a finer grid than
+# this cannot finish within the default step budget.
+MAX_SAMPLES = IntegratorConfig.max_steps
+
+
 def check_sampling(T: float, out_dt: float) -> None:
-    """The rule of every output grid: T > 0 and 0 < out_dt <= T."""
+    """The rule of every output grid: T > 0, 0 < out_dt <= T, and T / out_dt
+    at most MAX_SAMPLES, a count taken without building the grid."""
     if not T > 0:
         raise ValueError("horizon T must be > 0")
     if not 0 < out_dt <= T:
         raise ValueError("out_dt must satisfy 0 < out_dt <= T")
+    if not T / out_dt <= MAX_SAMPLES:
+        raise ValueError(f"T / out_dt must be <= {MAX_SAMPLES}, the most samples an orbit takes")
 
 
 def sample_times(T: float, out_dt: float) -> list[float]:

@@ -5,16 +5,20 @@ the integrator, a seed, and optional analysis blocks. Validation is
 strict: unknown keys and type mismatches are reported with JSON-pointer
 paths so a typo in a knob name cannot silently disable a block.
 
-The integrator and each block are one `_SECTIONS` entry: each key's
-parser, bound and default, and the rules tying keys together (out_dt at
-most the horizon or window; an even interval count for Simpson). The
-code that enforces a rule in the analysis checks it at load, so a file
-that breaks one fails with a pointer, not partway through a run.
+Every number must be finite: Infinity, NaN, 1e999 and integers beyond
+the float range are rejected where they stand. The integrator and each
+block are one `_SECTIONS` entry: each key's parser, bound and default,
+and the rules tying keys together (out_dt at most the horizon or window,
+and at most flow.MAX_SAMPLES samples in it; an even interval count for
+Simpson). The code that enforces a rule in the analysis checks it at
+load, so a file that breaks one fails with a pointer, not partway
+through a run.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -54,7 +58,12 @@ def _reject_unknown(obj: dict, allowed, pointer: str):
 def _real(v, pointer: str, positive=False) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(pointer, f"expected a number, got {type(v).__name__}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        _fail(pointer, "must be a finite number")
     if positive and not v > 0:
         _fail(pointer, "must be > 0")
     return v
@@ -350,4 +359,6 @@ def load_problem(path: str) -> ProblemDefinition:
         raise ProblemFormatError(
             "", f"malformed JSON at byte offset {exc.pos}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than int() converts
+        raise ProblemFormatError("", f"unreadable JSON number: {exc}") from exc
     return ProblemDefinition.from_json(obj)

@@ -4,11 +4,13 @@ estimate_delta searches, by bisection over delta in (0, epsilon], for a
 ball whose sampled orbits all stay inside the epsilon-ball around the
 set; each probe orbit is sampled over the whole horizon, as every other
 analysis samples its orbits, and all its samples are tested at once.
-Once some delta is certified the bisection stops when its bracket is
-within tol, and it may start from a delta already certified: the probe
-points depend on delta and the seed only, so a delta certified for one
-epsilon holds for every larger one. classify_stability walks its
-ascending epsilons that way, with its own tol as the delta resolution.
+Once some delta is certified and tol > 0, one probe at the top of the
+bracket, tol/2 below its failed end, either ends the search or becomes
+that end; the bisection stops when its bracket is within tol. It may
+start from a delta already certified: the probe points depend on delta
+and the seed only, so a delta certified for one epsilon holds for every
+larger one. classify_stability walks its ascending epsilons that way,
+with its own tol as the delta resolution.
 check_positive_invariance flows set members and reports the largest
 excursion. uniform_attraction_time finds the first sampled time after
 which a whole start collection stays within epsilon. classify_stability
@@ -141,8 +143,12 @@ def estimate_delta(
 
     The search starts at lo = certified, a delta already certified for a
     smaller epsilon, and stops once some delta is certified and hi - lo
-    <= tol; at most BISECTION_STEPS probes run either way. With tol = 0
-    and no certified start, every probe runs."""
+    <= tol; at most BISECTION_STEPS probes run either way. With tol > 0,
+    the first probe after some delta is certified is hi - tol/2: if it
+    holds the search ends, else it is the new hi and halving goes on.
+    Until then the probes are halvings, so a witness does not depend on
+    tol. With tol = 0 every probe halves, and with no certified start
+    every probe runs."""
     if not epsilon > 0:
         raise ValueError("epsilon must be > 0")
     if shell_samples < 1:
@@ -159,13 +165,18 @@ def estimate_delta(
                 return p
         return None
 
-    # lo: largest certified so far, hi: smallest failed
+    # lo: largest certified so far, hi: smallest failed; top: the one probe
+    # at hi - tol/2 still due once some delta is certified
     lo, hi = (0.0 if certified is None else certified), epsilon
     witness = None
+    top = tol > 0
     for _ in range(BISECTION_STEPS):
         if certified is not None and hi - lo <= tol:
             break
-        mid = 0.5 * (lo + hi)
+        if top and certified is not None:
+            mid, top = hi - 0.5 * tol, False
+        else:
+            mid = 0.5 * (lo + hi)
         if mid <= 0:
             break
         w = probe(mid)

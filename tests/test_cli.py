@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -12,6 +13,7 @@ from lyapset import __version__
 from lyapset.cli import NEGATIVE_VERDICTS, main
 from lyapset.errors import ProblemFormatError
 from lyapset.expr import print_expr
+from lyapset.flow import MAX_SAMPLES
 from lyapset.problem import ProblemDefinition
 
 from test_expr import any_exprs
@@ -284,9 +286,39 @@ def _rule_breaking_files(draw):
     return problem, pointer
 
 
+# (section, key) of number keys, and the other keys each section needs.
+_NUMBER_KEYS = [("integrator", "rel_tol"), ("omega", "transient"), ("stability", "tol"),
+                ("roa", "horizon"), ("converse", "lambda"), ("certificate", "decrease_time")]
+_SECTION_KEYS = {**_REQUIRED_KEYS, "integrator": {},
+                 "certificate": {"L": "x1^2", "annulus": [0.1, 1.0]}}
+
+
+@st.composite
+def _unbounded_files(draw):
+    """A problem with one number that is not finite as a float, or one
+    block with more than MAX_SAMPLES output samples, and the pointer."""
+    kind = draw(st.sampled_from(["non-finite", "huge-integer", "too-many-samples"]))
+    if kind == "too-many-samples":
+        section = draw(st.sampled_from(sorted(_SAMPLED_SPANS)))
+        span = draw(st.floats(1e-3, 100.0))
+        samples = draw(st.floats(1.001 * MAX_SAMPLES, 1e300))
+        key, keys = "out_dt", {_SAMPLED_SPANS[section]: span, "out_dt": span / samples}
+    else:
+        section, key = draw(st.sampled_from(_NUMBER_KEYS))
+        if kind == "non-finite":
+            value = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        else:  # beyond the float range
+            value = draw(st.sampled_from([1, -1])) * 10 ** draw(st.integers(309, 400))
+        keys = {key: value}
+    problem = {"dimension": 2, "field": ["x2", "-x1"], "set": {"type": "point", "coords": [0, 0]},
+               section: {**_SECTION_KEYS[section], **keys}}
+    return problem, f"/{section}/{key}"
+
+
 class TestSamplingRules:
-    @settings(max_examples=60, deadline=None)
-    @given(_rule_breaking_files())
+    # The loader rejects each file before any grid is built or orbit run.
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_rule_breaking_files(), _unbounded_files()))
     def test_rule_breaking_file_exits_1_with_pointer(self, case):
         problem, pointer = case
         with pytest.raises(ProblemFormatError) as exc_info:

@@ -100,6 +100,9 @@ class TestSampleTimes:
             sample_times(0.0, 0.1)
         with pytest.raises(ValueError):
             sample_times(1.0, 2.0)
+        # Rejected from T / out_dt, before the 1e300-entry list is built.
+        with pytest.raises(ValueError, match="T / out_dt must be <="):
+            sample_times(1.0, 1e-300)
 
 
 class TestTrajectory:

@@ -279,6 +279,11 @@ class TestValidationPointers:
             ("converse", {"horizon": 0.1, "out_dt": 0.25}, "/converse/out_dt"),
             ("converse", {"horizon": 0.9, "out_dt": 0.3, "quadrature": "simpson"},
              "/converse/quadrature"),
+            # More than MAX_SAMPLES samples; the grid is never built.
+            ("omega", {"window": 1.0, "out_dt": 1e-300}, "/omega/out_dt"),
+            ("stability", {"horizon": 8.0, "out_dt": 1e-7}, "/stability/out_dt"),
+            ("roa", {"horizon": 20.0, "out_dt": 1e-6}, "/roa/out_dt"),
+            ("converse", {"horizon": 10.0, "out_dt": 5e-324}, "/converse/out_dt"),
         ],
     )
     def test_sampling_rule(self, block, keys, pointer):
@@ -332,6 +337,16 @@ class TestLoadProblem:
         with pytest.raises(ProblemFormatError) as exc_info:
             load_problem(str(path))
         assert "byte offset 27" in str(exc_info.value)
+
+    def test_overlong_integer_is_format_error(self, tmp_path):
+        # Python 3.11+ refuses to convert an int literal this long; earlier
+        # versions parse it, and it then fails as a number beyond floats.
+        path = tmp_path / "long.json"
+        path.write_text('{"dimension": 1, "field": ["-x1"], "set": {"type": "point", '
+                        '"coords": [1' + "0" * 5000 + "]}}")
+        with pytest.raises(ProblemFormatError) as exc_info:
+            load_problem(str(path))
+        assert exc_info.value.pointer in ("", "/set/coords/0")
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

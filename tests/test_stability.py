@@ -62,13 +62,18 @@ def _stays_inside_sample_by_sample(V, x, M, epsilon, horizon_T, out_dt, cfg):
 def _delta_sample_by_sample(
     V, M, epsilon, cfg, horizon_T, shell_samples, out_dt, tol=0.0, certified=None
 ):
-    """estimate_delta's bisection over the sample-by-sample probe."""
+    """estimate_delta's search over the sample-by-sample probe: halving,
+    with one probe at hi - tol/2 once some delta is certified."""
     lo, hi = (0.0 if certified is None else certified), epsilon
     witness = None
+    top = tol > 0
     for _ in range(BISECTION_STEPS):
         if certified is not None and hi - lo <= tol:
             break
-        mid = 0.5 * (lo + hi)
+        if top and certified is not None:
+            mid, top = hi - 0.5 * tol, False
+        else:
+            mid = 0.5 * (lo + hi)
         failed = None
         for p in _candidate_points(M, mid, shell_samples, 0):
             if not _stays_inside_sample_by_sample(V, p, M, epsilon, horizon_T, out_dt, cfg):
@@ -213,8 +218,9 @@ class TestEstimateDelta:
         assert float.fromhex(got[0]) > smaller
 
     def test_tol_stops_on_the_full_path(self, sink2, osc, cfg):
-        # Bisection with tol > 0 runs a prefix of the tol = 0 probes, so its
-        # delta is one the full search also certified, within tol of its end.
+        # Every probe holds here, so with tol > 0 the top probe ends the
+        # search at epsilon - tol/2: below the full search's delta and
+        # within tol of it.
         knobs = {"horizon_T": 8.0, "shell_samples": 8, "out_dt": 0.1}
         for V in (sink2, osc):
             full, _ = estimate_delta(V, ORIGIN_2D, 0.5, cfg, **knobs)
@@ -223,6 +229,44 @@ class TestEstimateDelta:
                 assert witness is None
                 assert delta <= full
                 assert full - delta <= tol
+
+    def test_failing_top_probe_falls_back_to_bisection(self, monkeypatch):
+        # Orbits of radius 0.5 pass; at the top, 1 - tol/2, they escape past
+        # 0.6. That failed top is the new hi, and halving goes on below it.
+        texts, M, eps, settings = _PARITY_CASES["escaping"]
+        probed = []
+        inner = stability._candidate_points
+
+        def recording(M, delta, *args):
+            probed.append(delta)
+            return inner(M, delta, *args)
+
+        monkeypatch.setattr(stability, "_candidate_points", recording)
+        tol = 1e-3
+        delta, witness = estimate_delta(
+            VectorFieldSpec.from_strings(texts), M, eps, IntegratorConfig(**settings),
+            horizon_T=10.0, shell_samples=8, out_dt=0.1, tol=tol,
+        )
+        top = eps - 0.5 * tol
+        assert probed[:3] == [0.5 * eps, top, 0.5 * (0.5 * eps + top)]
+        assert all(d < top for d in probed[2:])
+        assert witness is None and 0.5 <= delta < 0.6
+
+    @pytest.mark.parametrize("case, certified, expected", [
+        ("sink", None, "0x1.ffffe00000000p-2"),
+        ("sink", 0.25, "0x1.fffff00000000p-2"),
+        ("escaping", None, "0x1.3333200000000p-1"),
+        ("escaping", 0.25, "0x1.3333280000000p-1"),
+    ])
+    def test_tol_zero_halves_every_step(self, case, certified, expected):
+        # With tol = 0 there is no top probe: the deltas of the plain
+        # 20-step halving, fixed here as bits.
+        texts, M, eps, settings = _PARITY_CASES[case]
+        delta, witness = estimate_delta(
+            VectorFieldSpec.from_strings(texts), M, eps, IntegratorConfig(**settings),
+            horizon_T=10.0, shell_samples=8, out_dt=0.1, certified=certified,
+        )
+        assert witness is None and delta.hex() == expected
 
     def test_tol_leaves_witness_unchanged(self, grow1, cfg):
         # Until some delta is certified, tol stops nothing.
@@ -522,6 +566,19 @@ def _bundled_stability(name: str):
     return problem, block, knobs
 
 
+def _count_scalar_orbits(monkeypatch) -> list:
+    """Wrap the stability module's partial_trajectory; returns the call log."""
+    calls = []
+    inner = stability.partial_trajectory
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "partial_trajectory", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["harmonic_oscillator", "linear_sink"])
 class TestBundledDeltaSearch:
     def test_deltas_ascend_within_tol(self, name):
@@ -538,20 +595,21 @@ class TestBundledDeltaSearch:
         # The block's count includes its invariance check; the full count is
         # the delta searches alone, each run to BISECTION_STEPS probes.
         problem, block, knobs = _bundled_stability(name)
-        calls = []
-        inner = stability.partial_trajectory
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(stability, "partial_trajectory", counting)
+        calls = _count_scalar_orbits(monkeypatch)
         _run_stability(problem, problem.integrator)
         block_orbits = len(calls)
         calls.clear()
         for eps in block["epsilons"]:
             estimate_delta(problem.field, problem.set_spec, eps, problem.integrator, **knobs)
         assert block_orbits <= 0.5 * len(calls)
+
+    def test_block_orbit_count(self, name, monkeypatch):
+        # Every probe holds: per epsilon one top probe, plus one first
+        # halving for the smallest; then the invariance check's orbits.
+        problem, _, _ = _bundled_stability(name)
+        calls = _count_scalar_orbits(monkeypatch)
+        _run_stability(problem, problem.integrator)
+        assert len(calls) == {"harmonic_oscillator": 38, "linear_sink": 31}[name]
 
 
 class TestClassifyStabilityOnePass:
