@@ -1,6 +1,6 @@
-"""Layer timings of the scalar integrator, compared across checkouts.
+"""Layer timings of the integrator and the analyses, compared across checkouts.
 
-    python3 bench/layers.py --out BENCH_11.json parent=/path/to/parent/src change=src
+    python3 bench/layers.py --rounds 5 --out BENCH_12.json parent=/path/to/parent/src change=src
 
 Each NAME=SRC argument names the `src/` directory of one checkout. Every
 checkout runs in its own fresh interpreter (this script with --worker),
@@ -19,14 +19,18 @@ compiled and cached:
                    rel_tol 1e-10, abs_tol 1e-13
   converse_orbit   one orbit of the 4-D cycle field of perfbench's
                    cycle_cloud: T = 10, out_dt 0.02, default tolerances
+  lane_batch/<m>   integrate_lanes on m = 1, 25 and 100 harmonic starts in
+                   [-1, 1]^2: T = 8, out_dt 0.1, the probe_orbit tolerances;
+                   against m probe_orbit layers it gives the lane/scalar ratio
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
                    its first epsilon, with the stability block's settings
   analyze/<name>   `lyapset analyze` in process, per bundled problem
 
-A checkout whose flow module generates whole orbit loops also reports
-per layer the scalar orbits and their step attempts (lane orbits are not
-counted); these repeat exactly, and per-attempt times use them. This is a
-measurement, not a gate: perfbench holds the gated end-to-end metrics.
+A checkout whose flow module generates whole orbit loops, _compiled(V,
+method) with an optional lanes switch, also reports per layer the scalar
+orbits and their step attempts (lane orbits are not counted); these
+repeat exactly, and per-attempt times use them. This is a measurement,
+not a gate: perfbench holds the gated end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ import subprocess
 import sys
 import tempfile
 
+import numpy
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import calib  # noqa: E402  (perfbench is a directory of scripts, not a package)
@@ -53,9 +59,10 @@ import calib  # noqa: E402  (perfbench is a directory of scripts, not a package)
 PROBLEMS = ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")
 HARMONIC = ["x2", "-x1"]
 CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
+LANES = (1, 25, 100)  # starts per lane_batch layer
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
-           "estimate_delta": (3, 1)}
+           "estimate_delta": (3, 1), **{f"lane_batch/{m}": (20, 2) for m in LANES}}
 
 
 def _timed(fn, runs: int, calls: int) -> list[dict]:
@@ -71,9 +78,11 @@ def _timed(fn, runs: int, calls: int) -> list[dict]:
 
 
 def _counting(compiled, counts: list[int]):
-    """compiled, the generator of whole orbit loops, with loops that add
-    each orbit and its attempts to counts."""
-    def counted(V, method):
+    """compiled, the generator of whole orbit loops, with scalar loops that
+    add each orbit and its attempts to counts; lane batches pass uncounted."""
+    def counted(V, method, lanes=False):
+        if lanes:
+            return compiled(V, method, lanes=True)
         orbit = compiled(V, method)
 
         def run(*args):
@@ -115,6 +124,10 @@ def worker(src: str) -> dict:
             cycle, [1.0, -0.5, 0.5, 0.2], 10.0, 0.02, ls.IntegratorConfig()),
         "estimate_delta": delta,
     }
+    for m in LANES:
+        starts = numpy.random.default_rng(0).uniform(-1.0, 1.0, (m, 2))
+        layers[f"lane_batch/{m}"] = lambda starts=starts: flow.integrate_lanes(
+            harmonic, starts, ls.sample_times(8.0, 0.1)[1:], tight, lambda rows, j, states: None)
     out_dir = tempfile.mkdtemp()
     for name in PROBLEMS:
         path = os.path.join(ROOT, "problems", f"{name}.json")
@@ -127,7 +140,7 @@ def worker(src: str) -> dict:
 
     result = {"timings": {}, "counts": None}
     # Scalar orbits and attempts, where flow generates whole orbit loops.
-    if len(inspect.signature(flow._compiled).parameters) == 2:
+    if tuple(inspect.signature(flow._compiled).parameters)[:2] == ("V", "method"):
         original, counts = flow._compiled, [0, 0]
         flow._compiled = _counting(original, counts)
         result["counts"] = {}
@@ -167,8 +180,6 @@ def environment() -> dict:
             if line.startswith("model name"):
                 cpu = line.split(":", 1)[1].strip()
                 break
-    import numpy
-
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -406,10 +406,14 @@ _LANE_NAMESPACE = {
     "isfinite": np.isfinite,
     "isinf": np.isinf,
     "where": np.where,
+    "fmin": np.fmin,
+    "fmax": np.fmax,
     "array": np.array,
     "full_like": np.full_like,
+    "zeros": np.zeros,
+    "ones": np.ones,
+    "arange": np.arange,
     "inf": math.inf,
-    "EvalDomainError": EvalDomainError,
 }
 # Lanes where an operation does not raise in Python, as masks over its
 # operands a, b and its value t. sqrt raises below zero but not on NaN
@@ -502,18 +506,15 @@ def _emit_results(exprs, xs, code: list[str], lanes: bool = False) -> list[str]:
 
 def _define(name: str, params: str, code: list[str], returns: str, doc: str,
             lanes: bool = False):
-    """Exec straight-line code as one function that maps Python's math
-    exceptions to EvalDomainError. Lane code raises only where operations
-    on constants alone raise, which they do for every lane."""
-    src = "\n".join(
-        [f"def {name}({params}):", "    try:"]
-        + ["        " + line for line in code]
-        + [
-            f"        return {returns}",
-            "    except (ValueError, ZeroDivisionError, OverflowError) as exc:",
-            "        raise EvalDomainError(str(exc)) from exc",
-        ]
-    )
+    """Exec generated code as one function. Scalar code maps Python's math
+    exceptions to EvalDomainError. Lane code, in which only operations on
+    constants alone raise, catches them itself where it first runs them."""
+    body = code + [f"return {returns}"]
+    if not lanes:
+        body = ["try:", *("    " + line for line in body),
+                "except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+                "    raise EvalDomainError(str(exc)) from exc"]
+    src = "\n".join([f"def {name}({params}):", *("    " + line for line in body)])
     scope = dict(_LANE_NAMESPACE if lanes else _NAMESPACE)
     exec(src, scope)  # source is generated solely from validated ASTs
     fn = scope[name]

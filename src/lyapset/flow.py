@@ -21,13 +21,16 @@ integrate_lanes() runs many starts at once, for analyses that start an
 orbit per grid node or sample. Each start is a lane, a column of NumPy
 arrays, with its own time, step size and next output time; acceptance
 is masked per lane, and a lane leaves the batch when it finishes or
-fails. A lane performs the IEEE operations of the scalar loop in the
-same order, so its samples are bitwise those of the scalar loop. That
-rests on NumPy functions that round as libm does: float_power for pow
-and for the step factor (np.power differs), sin, cos and sqrt, while exp
-and tanh are evaluated element by element with math. Where the scalar code
-raises, a lane is marked failed instead, so one bad start never aborts
-the batch.
+fails. The batch is generated too, around the orbit loop's step
+emitter, so the attempt and the step control are written once: a lane
+stage state is one (n, m) array operation, and the orbit loop's
+conditionals become where, fmin or fmax. A lane performs the IEEE
+operations of the scalar loop in the same order, so its samples are
+bitwise those of the scalar loop. That rests on NumPy functions that
+round as libm does: float_power for pow and for the step factor
+(np.power differs), sin, cos and sqrt, while exp and tanh are evaluated
+element by element with math. Where the scalar code raises, a lane is
+marked failed instead, so one bad start never aborts the batch.
 """
 
 from __future__ import annotations
@@ -132,181 +135,219 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _emit_dp_attempt(V: VectorFieldSpec, code: list[str]):
-    """Append a Dormand-Prince attempt of step h from the state y0, y1, ...
-    with slope k1_0, k1_1, ...: the six new stages with the field inlined,
-    then the scaled errors. Returns the names of y5 and of its slope k7 and
-    the text of the squared error sum, in coordinate order."""
-    idx = range(V.dim)
-    k = {1: [f"k1_{i}" for i in idx]}
-
-    def combination(row, i):
-        return " + ".join(f"{c!r} * {k[j][i]}" for j, c in row)
-
-    for stage, row in enumerate(_STATE_ROWS, start=2):
-        xs = [f"s{stage}_{i}" for i in idx]
-        code += [f"{xs[i]} = y{i} + h * ({combination(row, i)})" for i in idx]
-        k[stage] = _emit_results(V.components, xs, code)
-    # The last state is y5 and its slope is k7.
-    for i in idx:
-        code += [
-            f"a = abs(y{i})",
-            f"b = abs({xs[i]})",
-            # max(a, b) is b exactly when b > a
-            f"r{i} = h * ({combination(_ERROR_ROW, i)}) / (atol + rtol * (b if b > a else a))",
-        ]
-    return xs, k[7], " + ".join(f"r{i} * r{i}" for i in idx)
+def _pick(a: str, op: str, b: str, lanes: bool) -> str:
+    """min(a, b) for op "<" and max(a, b) for ">": a conditional, or over
+    lanes fmin or fmax. Both pick b where a is NaN; no b here can be NaN."""
+    if lanes:
+        return f"{'fmin' if op == '<' else 'fmax'}({a}, {b})"
+    return f"{a} if {a} {op} {b} else {b}"
 
 
-@lru_cache(maxsize=128)
-def _compiled(V: VectorFieldSpec, method: str):
-    """Generate orbit(y, targets, cfg, out) -> the number of step attempts.
+def _escape_test(xs, lanes: bool) -> str:
+    """Raise, or clear ok on lanes, where the state xs left the blow-up radius."""
+    norm2 = " + ".join(f"{v} * {v}" for v in xs)
+    if lanes:
+        return f"ok &= ~({norm2} > radius2)"
+    return f"if {norm2} > radius2: raise EscapedDomainError(t, [{', '.join(xs)}])"
 
-    It integrates from y through each target time in order, forcing a step
-    endpoint onto every target, and appends the state there to out, so the
-    samples reached before a failure stay with the caller. The field, the
-    step control, the blow-up test (at t = 0 too) and the step budget are
-    inlined. Each builtin min or max is written as the comparison that
-    picks the same operand, so samples, attempt counts and errors are
-    bitwise those of the step-by-step reference loop in the tests.
-    """
+
+# The StepLimitError texts, formatted where t is the orbit's or lane's time.
+_EXCEEDED = 'f"exceeded {max_steps} steps at t={t:.6g}"'
+_UNDERFLOW = 'f"step size underflow at t={t:.6g}"'
+
+
+def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
+    """The loop body of one step attempt from the state y at time t, with
+    remaining = target - t: the step size h, the stages with the field
+    inlined, and the step control, which moves y, t and the slope k1 on
+    acceptance, tests the blow-up radius and sets the next step size
+    h_next. With lanes, y is an (n, m) array, one column per lane, and the
+    body clears ok on the lanes where the scalar body raises (and gives a
+    lane whose step size underflows its error text in limited)."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
-    k1 = [f"k1_{i}" for i in range(n)]
-    state = ", ".join(ys)
-    norm2 = " + ".join(f"{v} * {v}" for v in ys)
-    blowup = f"if {norm2} > radius2: raise EscapedDomainError(t, [{state}])"
-    code = [
-        f"{state}, = y",
-        "t = 0.0",
-        "radius2 = cfg.blowup_radius * cfg.blowup_radius",
-        blowup,
-        "dt, max_steps, horizon = cfg.dt, cfg.max_steps, targets[-1]",
-        "steps = 0",
-    ]
-    # The loop body; its temporaries may reuse names of the code above,
-    # which no longer reads them.
-    body = []
-    if method == "rk45_adaptive":
+    y = "y" if lanes else ys
+    each = [None] if lanes else range(n)  # one statement over lanes, or one per coordinate
+    code: list[str] = []
+
+    def at(v, i):
+        """Coordinate i of v, a list of names; or v itself, an (n, m) array."""
+        return v if i is None else v[i]
+
+    def slope(xs, s):
+        """Append the field at xs; return its values, as names or an array."""
+        ks = _emit_results(V.components, xs, code, lanes)
+        if lanes:
+            code.append(f"k{s} = array([{', '.join(ks)}])")
+        return f"k{s}" if lanes else ks
+
+    def stage(s, terms):
+        """Append the state y + terms(i) of stage s; return it and its slope."""
+        xs = [f"s{s}_{i}" for i in range(n)]
+        if lanes:
+            code.extend([f"s{s} = y + {terms(None)}", f"{', '.join(xs)}, = s{s}"])
+        else:
+            code.extend(f"{xs[i]} = y{i} + {terms(i)}" for i in range(n))
+        return f"s{s}" if lanes else xs, slope(xs, s)
+
+    at_target = ("where(h == remaining, target, t + h)" if lanes
+                 else "target if h == remaining else t + h")
+    if method == "rk4_fixed":  # the stages of the reference _rk4_step, term for term
+        code.append("h = " + _pick("remaining", "<", "dt", lanes))
+        if lanes:
+            code.append(f"{', '.join(ys)}, = y")
+        k = [slope(ys, 1)]
+        for s, scale in ((2, "0.5 * h"), (3, "0.5 * h"), (4, "h")):
+            k.append(stage(s, lambda i: f"{scale} * {at(k[-1], i)}")[1])
+        step = [f"{at(y, i)} + h / 6.0 * ({at(k[0], i)} + 2.0 * {at(k[1], i)} + "
+                f"2.0 * {at(k[2], i)} + {at(k[3], i)})" for i in each]
+        code += ([f"y = {step[0]}", f"{', '.join(ys)}, = y"] if lanes
+                 else [f"{', '.join(ys)}, = {', '.join(step)},"])
+        return code + [f"t = {at_target}", _escape_test(ys, lanes)]
+
+    code.append("h = " + _pick("remaining", "<", "h_next", lanes))
+    k = {1: "k1" if lanes else [f"k1_{i}" for i in range(n)]}
+
+    def combination(row, i):
+        return " + ".join(f"{c!r} * {at(k[j], i)}" for j, c in row)
+
+    for s, row in enumerate(_STATE_ROWS, start=2):
+        y5, k[s] = stage(s, lambda i: f"h * ({combination(row, i)})")
+    # The last state is y5 and its slope is k7.
+    for i in each:
         code += [
-            f"{', '.join(k1)}, = {', '.join(_emit_results(V.components, ys, code))},",
-            "atol, rtol = cfg.abs_tol, cfg.rel_tol",
-            "h_next = horizon if horizon < dt else dt",  # min(dt, horizon)
+            f"a = abs({at(y, i)})",
+            f"b = abs({at(y5, i)})",
+            f"{'r' if lanes else f'r{i}'} = h * ({combination(_ERROR_ROW, i)}) / "
+            f"(atol + rtol * ({_pick('b', '>', 'a', lanes)}))",
         ]
-        body.append("h = remaining if remaining < h_next else h_next")  # min(h_next, remaining)
-        y5, k7, err_sum = _emit_dp_attempt(V, body)
-        body += [
-            f"enorm = sqrt(({err_sum}) / {n})",
+    rs = [f"r[{i}]" if lanes else f"r{i}" for i in range(n)]
+    code.append(f"enorm = sqrt(({' + '.join(f'{r} * {r}' for r in rs)}) / {n})")
+    if lanes:
+        code += [
+            "accept = enorm <= 1.0",
+            f"y, k1 = where(accept, {y5}, y), where(accept, {k[7]}, k1)",
+            f"{', '.join(ys)}, = y",
+            f"t = where(accept, {at_target}, t)",
+            _escape_test(ys, lanes),  # a rejected lane keeps a state that passed it
+            f"stalled = ok & ~accept & (h <= {_MIN_STEP!r})",
+            "if stalled.any():",
+            f"    limited.update((row, {_UNDERFLOW}) for row, t in "  # t lane by lane
+            "zip(rows[stalled].tolist(), t[stalled].tolist()))",
+            "    ok &= ~stalled",
+        ]
+    else:
+        code += [
             "if enorm <= 1.0:",
-            f"    {state}, {', '.join(k1)} = {', '.join(y5)}, {', '.join(k7)}",
-            "    t = target if h == remaining else t + h",
-            "    " + blowup,
+            f"    {', '.join(ys)}, {', '.join(k[1])} = {', '.join(y5)}, {', '.join(k[7])}",
+            f"    t = {at_target}",
+            "    " + _escape_test(ys, lanes),
             f"elif h <= {_MIN_STEP!r}:",
-            '    raise StepLimitError(f"step size underflow at t={t:.6g}")',
-            "if enorm == 0.0:",
-            "    factor = 5.0",
-            "else:",
-            "    factor = 0.9 * enorm ** -0.2",
-            "    factor = factor if factor > 0.2 else 0.2",  # max(0.2, factor)
-            "    factor = factor if factor < 5.0 else 5.0",  # min(5.0, factor)
-            "h_next = h * factor",
-            f"h_next = {_MIN_STEP!r} if {_MIN_STEP!r} > h_next else h_next",
-            "h_next = horizon if horizon < h_next else h_next",
+            f"    raise StepLimitError({_UNDERFLOW})",
         ]
-    else:  # the stages of _rk4_step, term for term
-        body.append("h = remaining if remaining < dt else dt")  # min(dt, remaining)
-        k = [_emit_results(V.components, ys, body)]
-        for stage, scale in ((2, "0.5 * h"), (3, "0.5 * h"), (4, "h")):
-            xs = [f"s{stage}_{i}" for i in range(n)]
-            body += [f"{xs[i]} = y{i} + {scale} * {k[-1][i]}" for i in range(n)]
-            k.append(_emit_results(V.components, xs, body))
-        step = [f"y{i} + h / 6.0 * ({k[0][i]} + 2.0 * {k[1][i]} + 2.0 * {k[2][i]} + {k[3][i]})"
-                for i in range(n)]
-        body += [f"{state}, = {', '.join(step)},", "t = target if h == remaining else t + h",
-                 blowup]
-    code += [
-        "for target in targets:",
-        "    while True:",
-        "        remaining = target - t",
-        "        if remaining <= 0.0:",
-        "            break",
-        "        steps += 1",
-        "        if steps > max_steps:",
-        '            raise StepLimitError(f"exceeded {max_steps} steps at t={t:.6g}")',
-    ] + ["        " + line for line in body] + [f"    out.append([{state}])"]
-    return _define("_orbit", "y, targets, cfg, out", code, "steps",
-                   f"{method} orbit of {V.label()}")
-
-
-def _lane_field(V: VectorFieldSpec, xs, code: list[str]) -> str:
-    """Append the lane code of the field at the coordinates xs; return the
-    text of its (n, m) value."""
-    return f"array([{', '.join(_emit_results(V.components, xs, code, lanes=True))}])"
+    # Over lanes pow is float_power, which gives inf at enorm 0, so the
+    # factor is then 5.0, as in the scalar special case.
+    factor = [
+        "factor = 0.9 * " + ("pow(enorm, -0.2)" if lanes else "enorm ** -0.2"),
+        "factor = " + _pick("factor", ">", "0.2", lanes),
+        "factor = " + _pick("factor", "<", "5.0", lanes),
+    ]
+    if not lanes:
+        factor = ["if enorm == 0.0:", "    factor = 5.0", "else:"] + ["    " + f for f in factor]
+    return code + factor + [
+        "h_next = h * factor",
+        "h_next = " + _pick(repr(_MIN_STEP), ">", "h_next", lanes),
+        "h_next = " + _pick("horizon", "<", "h_next", lanes),
+    ]
 
 
 @lru_cache(maxsize=128)
-def _lane_kernels(V: VectorFieldSpec):
-    """The field and its Dormand-Prince attempt over lanes.
+def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
+    """Generate the loop of V and method around one _emit_step body.
 
-    field(y, ok) and attempt(y, k1, h, atol, rtol, ok) -> (y5, k7, err_sum,
-    norm2) take states and slopes as (n, m) arrays, one column per lane,
-    and h as one step per lane. They perform, lane by lane, the operations
-    of the compiled closure and of the scalar attempt: each state sum is
-    one array operation over all coordinates, and the error and norm sums
-    add rows in coordinate order. Instead of raising they clear the boolean
-    mask ok on the lanes where the scalar code raises.
-    """
-    xs = [f"y{i}" for i in range(V.dim)]
-    code = ["".join(f"{v}, " for v in xs) + "= y"]
-    value = _lane_field(V, xs, code)
-    field = _define("_field", "y, ok", code, value, f"lanes of {V.label()}", lanes=True)
-
-    def combination(row):
-        return " + ".join(f"{c!r} * k{j}" for j, c in row)
-
-    code = []
-    for stage, row in enumerate(_STATE_ROWS, start=2):
-        xs = [f"s{stage}_{i}" for i in range(V.dim)]
+    orbit(y, targets, cfg, out) -> the number of step attempts integrates
+    from y through each target in order, forcing a step endpoint onto
+    each, and appends the state there to out, so the samples reached
+    before a failure stay with the caller; it is bitwise the step-by-step
+    reference loop in the tests. With lanes, batch(y, targets, cfg, visit)
+    -> (failed, limited) runs the columns of the (n, m) array y as
+    integrate_lanes describes. Operations on constants alone raise on
+    every lane: the first field evaluation catches them and fails every
+    lane, while anything visit raises passes through."""
+    n = V.dim
+    ys = [f"y{i}" for i in range(n)]
+    adaptive = method == "rk45_adaptive"
+    code = [f"{', '.join(ys)}, = y", "t = zeros(y.shape[1])" if lanes else "t = 0.0",
+            "radius2 = cfg.blowup_radius * cfg.blowup_radius"]
+    if lanes:
+        code += ["rows, j, limited = arange(t.size), zeros(t.size, int), {}",
+                 "failed, ok = zeros(t.size, bool), ones(t.size, bool)"]
+    code += [_escape_test(ys, lanes),
+             "dt, max_steps, horizon = cfg.dt, cfg.max_steps, targets[-1]", "steps = 0"]
+    if lanes:  # every lane evaluates the field at its start, as a first attempt does
+        field: list[str] = []
+        k1 = _emit_results(V.components, ys, field, lanes)
+        code += ["try:", *("    " + line for line in field),
+                 "except (ValueError, ZeroDivisionError, OverflowError):",
+                 "    failed[:] = True", "    return failed, limited"]
+        code += [f"k1 = array([{', '.join(k1)}])"] if adaptive else []
+    elif adaptive:
+        code.append(f"{', '.join(f'k1_{i}' for i in range(n))}, = "
+                    f"{', '.join(_emit_results(V.components, ys, code))},")
+    if adaptive:  # h_next is min(dt, horizon)
+        code += ["atol, rtol = cfg.abs_tol, cfg.rel_tol",
+                 "h_next = horizon if horizon < dt else dt"]
+        code += ["h_next = full_like(t, h_next)"] if lanes else []
+    # The loop body; its temporaries may reuse names of the code above,
+    # which no longer reads them.
+    body = _emit_step(V, method, lanes)
+    if not lanes:
         code += [
-            f"s{stage} = y + h * ({combination(row)})",
-            "".join(f"{v}, " for v in xs) + f"= s{stage}",
-        ]
-        code.append(f"k{stage} = {_lane_field(V, xs, code)}")
-    # s7 is y5 and k7 its slope. max(a, b) is b exactly when b > a.
+            "for target in targets:",
+            "    while True:",
+            "        remaining = target - t",
+            "        if remaining <= 0.0:",
+            "            break",
+            "        steps += 1",
+            "        if steps > max_steps:",
+            f"            raise StepLimitError({_EXCEEDED})",
+        ] + ["        " + line for line in body] + [f"    out.append([{', '.join(ys)}])"]
+        return _define("_orbit", "y, targets, cfg, out", code, "steps",
+                       f"{method} orbit of {V.label()}")
+    # The values each lane carries, kept or dropped together.
+    carried = ["rows", "t", "j", "y"] + (["h_next", "k1"] if adaptive else [])
+
+    def keep(mask):
+        return f"{', '.join(carried)} = {', '.join(f'{v}[..., {mask}]' for v in carried)}"
+
     code += [
-        "a = abs(y)",
-        "b = abs(s7)",
-        f"r = h * ({combination(_ERROR_ROW)}) / (atol + rtol * where(b > a, b, a))",
-        "r = r * r",
-        "q = s7 * s7",
-    ]
-    err_sum = " + ".join(f"r[{i}]" for i in range(V.dim))
-    norm2 = " + ".join(f"q[{i}]" for i in range(V.dim))
-    attempt = _define("_attempt", "y, k1, h, atol, rtol, ok", code,
-                      f"s7, k7, {err_sum}, {norm2}",
-                      f"Dormand-Prince attempt over lanes of {V.label()}", lanes=True)
-    return field, attempt
-
-
-def _norm2(y):
-    """Squared norm summed in coordinate order, of floats or of lanes."""
-    s = 0.0
-    for v in y:
-        s += v * v
-    return s
-
-
-def _rk4_step(f, y, h, n):
-    k1 = f(y)
-    k2 = f([y[i] + 0.5 * h * k1[i] for i in range(n)])
-    k3 = f([y[i] + 0.5 * h * k2[i] for i in range(n)])
-    k4 = f([y[i] + h * k3[i] for i in range(n)])
-    return [y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
-
-
-def _keep(mask, *arrays):
-    """Each array restricted to the lanes in mask (its last axis)."""
-    return [a[..., mask] for a in arrays]
+        "last = len(targets)",
+        "while True:",
+        "    if not ok.all():",
+        "        failed[rows[~ok]] = True",
+        "        " + keep("ok"),
+        "    while True:",
+        "        target = targets[j]",
+        "        remaining = target - t",
+        "        reached = remaining <= 0.0",
+        "        if not reached.any():",
+        "            break",
+        "        visit(rows[reached], j[reached], y[:, reached].T.copy())",
+        "        j = j + reached",
+        "        more = j < last",
+        "        if not more.all():",
+        "            " + keep("more"),
+        "    if not rows.size:",
+        "        break",
+        "    steps += 1",
+        "    if steps > max_steps:",
+        "        failed[rows] = True",
+        f"        limited.update((row, {_EXCEEDED}) for row, t in zip(rows.tolist(), t.tolist()))",
+        "        break",
+        "    ok = ones(rows.size, bool)",
+    ] + ["    " + line for line in body]
+    return _define("_batch", "y, targets, cfg, visit", code, "failed, limited",
+                   f"{method} lanes of {V.label()}", lanes=True)
 
 
 def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit):
@@ -328,80 +369,9 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
         raise DimensionMismatchError(f"starts must be (m, {V.dim}), got {starts.shape}")
     if not np.all(np.isfinite(starts)):
         raise ValueError("state point coordinates must be finite")
-    field, attempt = _lane_kernels(V)
-    n = V.dim
-    targets = np.asarray(targets, dtype=float)
-    last = targets.size
-    horizon = float(targets[-1])
-    radius2 = cfg.blowup_radius * cfg.blowup_radius
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    adaptive = cfg.method == "rk45_adaptive"
-    failed = np.zeros(starts.shape[0], dtype=bool)
-    limited: dict[int, str] = {}
-    rows = np.arange(starts.shape[0])
     with np.errstate(all="ignore"):
-        y = starts.T.copy()  # one row per coordinate, one column per lane
-        ok = ~(_norm2(y) > radius2)
-        try:
-            # rk4 steps start with this evaluation too, so it fails the
-            # same lanes.
-            k1 = field(y, ok)
-        except EvalDomainError:  # raised by constants alone, on every lane
-            failed[:] = True
-            return failed, limited
-        t = np.zeros(rows.size)
-        h = np.full(rows.size, min(cfg.dt, horizon))
-        j = np.zeros(rows.size, dtype=np.intp)
-        steps = 0  # every lane attempts one step per pass
-        while True:
-            if not ok.all():
-                failed[rows[~ok]] = True
-                rows, t, h, j, y, k1 = _keep(ok, rows, t, h, j, y, k1)
-            while True:
-                target = targets[j]
-                remaining = target - t
-                reached = remaining <= 0.0
-                if not reached.any():
-                    break
-                visit(rows[reached], j[reached], y[:, reached].T.copy())
-                j = j + reached
-                more = j < last
-                if not more.all():
-                    rows, t, h, j, y, k1 = _keep(more, rows, t, h, j, y, k1)
-            if not rows.size:
-                return failed, limited
-            steps += 1
-            if steps > cfg.max_steps:
-                failed[rows] = True
-                limited.update((row, f"exceeded {cfg.max_steps} steps at t={at:.6g}")
-                               for row, at in zip(rows.tolist(), t.tolist()))
-                return failed, limited
-            ok = np.ones(rows.size, dtype=bool)
-            if not adaptive:
-                h_try = np.fmin(cfg.dt, remaining)
-                y = np.asarray(_rk4_step(lambda x: field(x, ok), y, h_try, n))
-                t = np.where(h_try == remaining, target, t + h_try)
-                ok &= ~(_norm2(y) > radius2)
-                continue
-            # fmin and fmax stand for the scalar min and max where no
-            # operand is NaN, and where 0.9 * enorm ** -0.2 is NaN fmax
-            # takes 0.2 as max(0.2, NaN) does. At enorm 0 float_power
-            # gives inf, so the factor is 5.0 as the scalar special case.
-            h_try = np.fmin(h, remaining)
-            y5, k7, err_sum, norm2 = attempt(y, k1, h_try, atol, rtol, ok)
-            enorm = np.sqrt(err_sum / n)
-            accept = enorm <= 1.0
-            y = np.where(accept, y5, y)
-            k1 = np.where(accept, k7, k1)
-            t = np.where(accept, np.where(h_try == remaining, target, t + h_try), t)
-            keep = np.where(accept, ~(norm2 > radius2), h_try > _MIN_STEP)
-            if not keep.all():
-                stalled = ok & ~accept & ~keep
-                limited.update((row, f"step size underflow at t={at:.6g}")
-                               for row, at in zip(rows[stalled].tolist(), t[stalled].tolist()))
-            ok &= keep
-            factor = np.fmin(np.fmax(0.9 * np.float_power(enorm, -0.2), 0.2), 5.0)
-            h = np.fmin(np.fmax(h_try * factor, _MIN_STEP), horizon)
+        return _compiled(V, cfg.method, lanes=True)(
+            starts.T.copy(), np.asarray(targets, dtype=float), cfg, visit)
 
 
 def _oriented(V: VectorFieldSpec, t: float):

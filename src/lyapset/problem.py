@@ -12,7 +12,8 @@ and the rules tying keys together (out_dt at most the horizon or window,
 and at most flow.MAX_SAMPLES samples in it; an even interval count for
 Simpson). The code that enforces a rule in the analysis checks it at
 load, so a file that breaks one fails with a pointer, not partway
-through a run.
+through a run. The integer keys a block makes its starts from give at
+most MAX_STARTS starts, counted from the integers alone.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ _METHOD_ALIASES = {
     "rk4": "rk4_fixed",
     "rk4_fixed": "rk4_fixed",
 }
+
+# The most starts one block may make: grid nodes, the points of one delta
+# probe, converse orbits or certificate samples.
+MAX_STARTS = 10**6
 
 _REQUIRED = object()  # table default: the key must be present
 _OPTIONAL = object()  # table default: an absent key stays absent
@@ -81,8 +86,26 @@ def _positive(v, n: int, pointer: str) -> float:
     return _real(v, pointer, positive=True)
 
 
-def _at_least(minimum: int):
-    return lambda v, n, pointer: _integer(v, pointer, minimum)
+def _check_starts(factors, pointer: str):
+    """Fail once the product of factors, the starts made from the key at
+    pointer, passes MAX_STARTS; it is never multiplied further."""
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > MAX_STARTS:
+            _fail(pointer, f"makes more than {MAX_STARTS} starts in one block")
+
+
+def _starts(minimum: int, factors=lambda v, n: [v]):
+    """Parser of an integer key >= minimum from which its block makes the
+    product of factors(v, n) starts; [r] * n for a grid's resolution."""
+    def parse(v, n: int, pointer: str) -> int:
+        _check_starts(factors(_integer(v, pointer, minimum), n), pointer)
+        return v
+    return parse
+
+
+_per_axis = _starts(2, lambda r, n: [r] * n)  # one resolution for every axis of a grid
 
 
 def _point(value, n: int, pointer: str) -> list[float]:
@@ -165,10 +188,11 @@ def _epsilons(v, n: int, pointer: str) -> list[float]:
 def _resolution(v, n: int, pointer: str):
     """One node count for every axis, or a list of one per axis."""
     if not isinstance(v, list):
-        return _integer(v, pointer, 2)
+        return _per_axis(v, n, pointer)
     res = [_integer(r, f"{pointer}/{i}", 2) for i, r in enumerate(v)]
     if len(res) != n:
         _fail(pointer, f"expected {n} entries")
+    _check_starts(res, pointer)
     return res
 
 
@@ -211,7 +235,7 @@ _SECTIONS = {
         "rel_tol": (_positive, IntegratorConfig.rel_tol),
         "abs_tol": (_positive, IntegratorConfig.abs_tol),
         "blowup_radius": (_positive, IntegratorConfig.blowup_radius),
-        "max_steps": (_at_least(1), IntegratorConfig.max_steps),
+        "max_steps": (lambda v, n, pointer: _integer(v, pointer, 1), IntegratorConfig.max_steps),
     }, ()),
     # The optional analysis blocks, in validation order.
     "omega": ({
@@ -224,8 +248,9 @@ _SECTIONS = {
     "stability": ({
         "epsilons": (_epsilons, _REQUIRED),
         "horizon": (_positive, 20.0),
-        "resolution": (_at_least(2), 9),
-        "shell_samples": (_at_least(1), 12),
+        "resolution": (_per_axis, 9),
+        # A delta probe starts the shell points and a quarter as many inner ones.
+        "shell_samples": (_starts(1, lambda s, n: [s + (s + 3) // 4]), 12),
         "tol": (_positive, 1e-3),
         "out_dt": (_positive, 0.05),
         "box": (_parse_box, _OPTIONAL),
@@ -242,13 +267,13 @@ _SECTIONS = {
         "lambda": (_positive, ConverseConfig.lam),
         "horizon": (_positive, 10.0),
         "out_dt": (_positive, 0.01),
-        "samples": (_at_least(1), 12),
+        "samples": (_starts(1), 12),
         "box": (_parse_box, _OPTIONAL),
     }, (_sampled_over("horizon"), ("quadrature", converse_config))),
     "certificate": ({
         "L": (_scalar_text, _REQUIRED),
         "annulus": (_annulus, _REQUIRED),
-        "samples": (_at_least(1), 100),
+        "samples": (_starts(1), 100),
         "zero_tol": (_positive, 1e-9),
         "decrease_time": (_positive, 1.0),
     }, ()),
@@ -270,8 +295,8 @@ def _validate_block(name: str, obj, n: int) -> dict:
             out[key] = parse(obj[key], n, f"{pointer}/{key}")
         elif default is _REQUIRED:
             _fail(f"{pointer}/{key}", "required key missing")
-        elif default is not _OPTIONAL:
-            out[key] = default
+        elif default is not _OPTIONAL:  # bounded as a value in the file is
+            out[key] = parse(default, n, f"{pointer}/{key}")
     for key, check in rules:
         try:
             check(out)

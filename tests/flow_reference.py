@@ -13,12 +13,28 @@ from functools import lru_cache
 
 from lyapset.errors import EscapedDomainError, StepLimitError
 from lyapset.expr import VectorFieldSpec, compile_vector_field
-from lyapset.flow import _MIN_STEP, IntegratorConfig, _norm2, _rk4_step
+from lyapset.flow import _MIN_STEP, IntegratorConfig
 from lyapset.flow import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
     _E1, _E3, _E4, _E5, _E6, _E7,
 )
+
+
+def _norm2(y):
+    """Squared norm summed in coordinate order."""
+    s = 0.0
+    for v in y:
+        s += v * v
+    return s
+
+
+def _rk4_step(f, y, h, n):
+    k1 = f(y)
+    k2 = f([y[i] + 0.5 * h * k1[i] for i in range(n)])
+    k3 = f([y[i] + 0.5 * h * k2[i] for i in range(n)])
+    k4 = f([y[i] + h * k3[i] for i in range(n)])
+    return [y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)]
 
 
 def _blowup_check(y, t, radius2):

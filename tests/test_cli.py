@@ -14,7 +14,7 @@ from lyapset.cli import NEGATIVE_VERDICTS, main
 from lyapset.errors import ProblemFormatError
 from lyapset.expr import print_expr
 from lyapset.flow import MAX_SAMPLES
-from lyapset.problem import ProblemDefinition
+from lyapset.problem import MAX_STARTS, ProblemDefinition
 
 from test_expr import any_exprs
 
@@ -291,14 +291,26 @@ _NUMBER_KEYS = [("integrator", "rel_tol"), ("omega", "transient"), ("stability",
                 ("roa", "horizon"), ("converse", "lambda"), ("certificate", "decrease_time")]
 _SECTION_KEYS = {**_REQUIRED_KEYS, "integrator": {},
                  "certificate": {"L": "x1^2", "annulus": [0.1, 1.0]}}
+# (section, key, smallest value above MAX_STARTS starts) of the integer
+# keys blocks make starts from: a 2-D grid has r^2 nodes, and one delta
+# probe s shell and ceil(s / 4) inner points.
+_START_KEYS = [("roa", "resolution", 1001), ("stability", "resolution", 1001),
+               ("stability", "shell_samples", 800_001),
+               ("converse", "samples", MAX_STARTS + 1),
+               ("certificate", "samples", MAX_STARTS + 1)]
 
 
 @st.composite
 def _unbounded_files(draw):
-    """A problem with one number that is not finite as a float, or one
-    block with more than MAX_SAMPLES output samples, and the pointer."""
-    kind = draw(st.sampled_from(["non-finite", "huge-integer", "too-many-samples"]))
-    if kind == "too-many-samples":
+    """A problem with one number that is not finite as a float, one block
+    with more than MAX_SAMPLES output samples, or one integer key from
+    which a block makes more than MAX_STARTS starts, and the pointer."""
+    kind = draw(st.sampled_from(["non-finite", "huge-integer", "too-many-samples",
+                                 "too-many-starts"]))
+    if kind == "too-many-starts":
+        section, key, smallest = draw(st.sampled_from(_START_KEYS))
+        keys = {key: draw(st.integers(smallest, 10**400))}
+    elif kind == "too-many-samples":
         section = draw(st.sampled_from(sorted(_SAMPLED_SPANS)))
         span = draw(st.floats(1e-3, 100.0))
         samples = draw(st.floats(1.001 * MAX_SAMPLES, 1e300))

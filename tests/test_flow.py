@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flow_reference import _walk, reference_attempt
+from flow_reference import _walk
 from lyapset.errors import EscapedDomainError, EvalDomainError, StepLimitError
 from lyapset.expr import VectorFieldSpec, compile_vector_field
 from lyapset.flow import (
     IntegratorConfig,
     Trajectory,
     _compiled,
-    _lane_kernels,
     flow,
+    integrate_lanes,
     partial_trajectory,
     sample_times,
     semigroup_defect,
@@ -196,11 +196,6 @@ class TestContinuity:
         assert np.linalg.norm(y - x) <= 1e-7
 
 
-def _attempt_bits(result):
-    y5, k7, err_sum, norm2 = result
-    return [v.hex() for v in y5], [v.hex() for v in k7], err_sum.hex(), norm2.hex()
-
-
 _FAILURES = (EscapedDomainError, EvalDomainError, StepLimitError)
 
 
@@ -289,49 +284,64 @@ class TestGeneratedOrbit:
         )
 
 
-def _lanes_case(texts, ys, h=1e-300):
-    """A lane-parity case: field texts and one start per lane, with k1 the
-    field's value there where it has one (zero otherwise). The default step
-    is so small that the stage states stay at the start, so lanes fail or
-    not in the attempt as in the first field evaluation."""
-    V = VectorFieldSpec.from_strings(texts)
-    f = compile_vector_field(V)
-    k1s = []
-    for y in ys:
-        try:
-            k1s.append(f(y))
-        except EvalDomainError:
-            k1s.append([0.0] * V.dim)
-    return V, ys, k1s, [h] * len(ys), 1e-12, 1e-9
+def _lane_samples(V, starts, targets, cfg):
+    """Per start of one integrate_lanes batch: the bits of its samples, in
+    the order visit saw them, whether it failed and its StepLimitError text."""
+    samples = [[] for _ in starts]
+
+    def visit(rows, j, states):
+        for row, target, state in zip(rows.tolist(), j.tolist(), states):
+            samples[row].append((target, [float(v).hex() for v in state]))
+
+    failed, limited = integrate_lanes(V, starts, targets, cfg, visit)
+    return [(samples[i], bool(failed[i]), limited.get(i)) for i in range(len(starts))]
+
+
+def _orbit_samples(V, y, targets, cfg):
+    """The same for the generated orbit loop run from one start alone."""
+    out, _, error = _generated_orbit(V, y, targets, cfg)
+    samples = [(j, [v.hex() for v in state]) for j, state in enumerate(out)]
+    limit = str(error) if isinstance(error, StepLimitError) else None
+    return samples, error is not None, limit
+
+
+def _batch_case(texts, starts, targets, **options):
+    return VectorFieldSpec.from_strings(texts), starts, targets, IntegratorConfig(**options)
+
+
+def _lanes_case(texts, starts):
+    """A batch of starts on the field texts, run to t = 1e-300 in one step
+    of that size, so stage states stay at the starts and lanes fail or not
+    as the field does there. The blow-up radius lets starts near 1e300
+    reach the field's guards."""
+    return _batch_case(texts, starts, [1e-300], dt=1e-300, blowup_radius=1e308)
 
 
 @st.composite
-def _lane_attempts(draw):
+def _lane_batches(draw):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 4))
     V = VectorFieldSpec(tuple(draw(_EXPRS[n]) for _ in range(n)), n)
     # Moderate values, and values near the top of the double range where
     # stage sums, squares and powers overflow.
     value = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e300, 1e300))
-
-    def vectors():
-        return [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(m)]
-
-    hs = [draw(st.floats(1e-6, 1.0)) for _ in range(m)]
-    atol, rtol = draw(st.floats(1e-14, 1e-3)), draw(st.floats(1e-14, 1e-3))
-    return V, vectors(), vectors(), hs, atol, rtol
-
-
-def _scalar_or_none(fn, *args):
-    try:
-        return fn(*args)
-    except EvalDomainError:
-        return None
+    starts = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(m)]
+    T = draw(st.floats(0.05, 3.0))
+    targets = sample_times(T, T * draw(st.floats(0.01, 1.0)))[1:]
+    cfg = IntegratorConfig(
+        method=draw(st.sampled_from(("rk45_adaptive", "rk4_fixed"))),
+        dt=draw(st.floats(1e-3, 0.5)),
+        rel_tol=draw(st.floats(1e-12, 1e-2)),
+        abs_tol=draw(st.floats(1e-14, 1e-2)),
+        blowup_radius=draw(st.floats(1.0, 1e308)),
+        max_steps=draw(st.integers(1, 80)),
+    )
+    return V, starts, targets, cfg
 
 
-class TestLaneKernels:
+class TestLaneBatch:
     @settings(max_examples=200, deadline=None)
-    @given(_lane_attempts())
+    @given(_lane_batches())
     # One case per place where the scalar code raises: each guard, then
     # each Python float or math exception, then a non-finite value that
     # exp(-inf) turns finite without raising, then a constant expression
@@ -354,36 +364,40 @@ class TestLaneKernels:
     @example(_lanes_case(["1 / 0 + x1"], [[1.0], [2.0]]))
     # A cube that np.power rounds differently from libm's pow.
     @example(_lanes_case(["x1^3"], [[2.3383853854339334], [0.5]]))
-    def test_bitwise_equal_to_scalar_kernel(self, case):
-        V, ys, k1s, hs, atol, rtol = case
-        field, attempt = _lane_kernels(V)
-        closure = compile_vector_field(V)
-        fields = [_scalar_or_none(closure, y) for y in ys]
-        attempts = [_scalar_or_none(reference_attempt, closure, y, k1, h, atol, rtol)
-                    for y, k1, h in zip(ys, k1s, hs)]
-        y, k1, h = np.array(ys).T.copy(), np.array(k1s).T.copy(), np.array(hs)
-        with np.errstate(all="ignore"):
-            ok = np.ones(len(ys), dtype=bool)
-            try:
-                lane_field = field(y, ok)
-            except EvalDomainError:  # only a constant raises: every lane
-                assert fields == [None] * len(ys)
-                assert attempts == [None] * len(ys)
-                return
-            for i, expected in enumerate(fields):
-                assert ok[i] == (expected is not None)
-                if expected is not None:
-                    assert [float(v).hex() for v in lane_field[:, i]] == [
-                        v.hex() for v in expected
-                    ]
-            ok = np.ones(len(ys), dtype=bool)
-            y5, k7, err_sum, norm2 = attempt(y, k1, h, atol, rtol, ok)
-        for i, expected in enumerate(attempts):
-            assert ok[i] == (expected is not None)
-            if expected is not None:
-                lane = ([float(v) for v in y5[:, i]], [float(v) for v in k7[:, i]],
-                        float(err_sum[i]), float(norm2[i]))
-                assert _attempt_bits(lane) == _attempt_bits(expected)
+    # One step from 0.2 to 0.9 within a budget of two: without the snap
+    # onto the target, t ends just below 0.9 and a third step follows.
+    @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], dt=100.0, max_steps=2))
+    @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], method="rk4_fixed", dt=100.0,
+                         max_steps=2))
+    # Lanes that leave the batch at different targets: the step size of
+    # the first underflows where -1/x1 blows up at t = 0.5; the second
+    # finishes.
+    @example(_batch_case(["-1 / x1"], [[1.0], [2.0]], [0.4, 1.0], max_steps=10_000))
+    # A stage overflows in an attempt at the smallest step size: the scalar
+    # loop raises the domain failure before its step control can underflow.
+    @example(_batch_case(["x1 * 1e300"], [[0.1], [0.0]], [1e-12], dt=1e-12,
+                         blowup_radius=1e308))
+    # Harmonic delta probes, one of them started outside the blow-up
+    # radius, all out of step budget before the horizon.
+    @example(_batch_case(["x2", "-x1"], [[0.3, 0.1], [3.0, 4.0], [0.0, 1.0]],
+                         sample_times(8.0, 0.1)[1:], blowup_radius=4.0, max_steps=60))
+    @example(_batch_case(["x1"], [[1.0], [0.5], [-2.0]], sample_times(3.0, 0.5)[1:],
+                         method="rk4_fixed", dt=0.1, blowup_radius=4.0))
+    def test_bitwise_equal_to_orbit_loop(self, case):
+        V, starts, targets, cfg = case
+        assert _lane_samples(V, starts, targets, cfg) == [
+            _orbit_samples(V, y, targets, cfg) for y in starts
+        ]
+
+    def test_visit_exception_propagates_unchanged(self, osc, cfg):
+        error = ZeroDivisionError("raised by visit")
+
+        def visit(rows, j, states):
+            raise error
+
+        with pytest.raises(ZeroDivisionError) as exc_info:
+            integrate_lanes(osc, [[1.0, 0.0], [0.5, 0.5]], [0.5, 1.0], cfg, visit)
+        assert exc_info.value is error
 
 
 class TestCompiledCache:
@@ -392,8 +406,8 @@ class TestCompiledCache:
         minus = plus.negated()  # Const(-0.0)
         expected = compile_vector_field(minus)([1.0])[0].hex()
         assert expected == "-0x0.0p+0"
-        assert _compiled(plus, "rk4_fixed") is not _compiled(minus, "rk4_fixed")
-        assert _lane_kernels(plus) is not _lane_kernels(minus)
+        for lanes in (False, True):
+            assert _compiled(plus, "rk4_fixed", lanes) is not _compiled(minus, "rk4_fixed", lanes)
         # From -0.0 an RK4 step adds h / 6 * (sum of slopes), which keeps
         # the sign of zero only when every slope is -0.0.
         cfg = IntegratorConfig(method="rk4_fixed", dt=0.5)
@@ -401,6 +415,6 @@ class TestCompiledCache:
             out = []
             _compiled(V, cfg.method)([-0.0], [0.5], cfg, out)
             assert out[0][0].hex() == bits
-        field, _ = _lane_kernels(minus)
-        lanes = field(np.ones((1, 2)), np.ones(2, dtype=bool))
-        assert [float(v).hex() for v in lanes[0]] == [expected, expected]
+            assert _lane_samples(V, [[-0.0], [-0.0]], [0.5], cfg) == [
+                ([(0, [bits])], False, None)
+            ] * 2

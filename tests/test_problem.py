@@ -6,7 +6,7 @@ import pytest
 from lyapset.errors import ProblemFormatError
 from lyapset.flow import IntegratorConfig
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint
-from lyapset.problem import _SECTIONS, ProblemDefinition, load_problem
+from lyapset.problem import _SECTIONS, MAX_STARTS, ProblemDefinition, load_problem
 
 from test_geometry import all_variants
 
@@ -298,6 +298,49 @@ class TestValidationPointers:
         for bad in (0, False, [], "rk45"):
             raw["integrator"] = bad
             _expect_pointer(raw, "/integrator")
+
+
+class TestStartBound:
+    # Each integer key a block makes starts from, at the largest value
+    # that loads and at the next; a 2-D grid of r nodes per axis has r^2
+    # nodes, and one delta probe starts s shell and ceil(s / 4) inner
+    # points. Loading builds nothing, so none of these allocates.
+    @pytest.mark.parametrize(
+        "block, key, largest, above",
+        [
+            ("roa", "resolution", 1000, 1001),
+            ("roa", "resolution", [1000, 1000], [1000, 1001]),
+            ("stability", "resolution", 1000, 1001),
+            ("stability", "shell_samples", 800_000, 800_001),
+            ("converse", "samples", MAX_STARTS, MAX_STARTS + 1),
+            ("certificate", "samples", MAX_STARTS, MAX_STARTS + 1),
+        ],
+    )
+    def test_bound_at_load(self, block, key, largest, above):
+        raw = copy.deepcopy(FULL_PROBLEM)
+        raw[block][key] = largest
+        assert getattr(ProblemDefinition.from_json(raw), block)[key] == largest
+        for value in (above, 10**400):
+            raw[block][key] = value
+            exc = _expect_pointer(raw, f"/{block}/{key}")
+            assert f"more than {MAX_STARTS} starts" in str(exc)
+
+    # The default resolutions are bounded too: 9 nodes per axis stays
+    # within the bound up to six dimensions, 11 up to five.
+    @pytest.mark.parametrize(
+        "block, keys, largest_n",
+        [
+            ("stability", lambda n: {"epsilons": [0.5]}, 6),
+            ("roa", lambda n: {"box": [[-1] * n, [1] * n]}, 5),
+        ],
+    )
+    def test_default_resolution_bounded(self, block, keys, largest_n):
+        def raw(n):
+            return {"dimension": n, "field": ["0"] * n,
+                    "set": {"type": "point", "coords": [0] * n}, block: keys(n)}
+
+        ProblemDefinition.from_json(raw(largest_n))
+        _expect_pointer(raw(largest_n + 1), f"/{block}/resolution")
 
 
 class TestSectionTable:
