@@ -1,6 +1,6 @@
 """Layer timings of the integrator and the analyses, compared across checkouts.
 
-    python3 bench/layers.py --rounds 5 --out BENCH_12.json parent=/path/to/parent/src change=src
+    python3 bench/layers.py --rounds 5 --out BENCH_13.json parent=/path/to/parent/src change=src
 
 Each NAME=SRC argument names the `src/` directory of one checkout. Every
 checkout runs in its own fresh interpreter (this script with --worker),
@@ -19,18 +19,27 @@ compiled and cached:
                    rel_tol 1e-10, abs_tol 1e-13
   converse_orbit   one orbit of the 4-D cycle field of perfbench's
                    cycle_cloud: T = 10, out_dt 0.02, default tolerances
-  lane_batch/<m>   integrate_lanes on m = 1, 25 and 100 harmonic starts in
-                   [-1, 1]^2: T = 8, out_dt 0.1, the probe_orbit tolerances;
-                   against m probe_orbit layers it gives the lane/scalar ratio
+  lane_batch/<field>/<m>
+                   the generated lane batch, as integrate_lanes runs it from
+                   its _LANES_FROM starts up, on m = 1, 3, 25, 49 and 100
+                   starts: the harmonic field from [-1, 1]^2 with the
+                   probe_orbit tolerances, the cycle field from [-1, 1]^4
+                   with the default ones; T = 8, out_dt 0.1
+  orbit_loop/<field>/<m>
+                   the same starts through one generated orbit loop each,
+                   with the sample arrays integrate_lanes hands to visit
+                   below _LANES_FROM starts
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
                    its first epsilon, with the stability block's settings
   analyze/<name>   `lyapset analyze` in process, per bundled problem
 
 A checkout whose flow module generates whole orbit loops, _compiled(V,
 method) with an optional lanes switch, also reports per layer the scalar
-orbits and their step attempts (lane orbits are not counted); these
-repeat exactly, and per-attempt times use them. This is a measurement,
-not a gate: perfbench holds the gated end-to-end metrics.
+orbits and their step attempts (orbits run as lanes are not counted);
+these repeat exactly, and per-attempt times use them. Per checkout,
+orbit_over_lane gives, per field and m, the median time of the orbit
+loops over that of the lane batch: above 1 the batch is faster. This is
+a measurement, not a gate: perfbench holds the gated end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -59,10 +68,13 @@ import calib  # noqa: E402  (perfbench is a directory of scripts, not a package)
 PROBLEMS = ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")
 HARMONIC = ["x2", "-x1"]
 CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
-LANES = (1, 25, 100)  # starts per lane_batch layer
+# field/m of the lane_batch and orbit_loop layers
+BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
-           "estimate_delta": (3, 1), **{f"lane_batch/{m}": (20, 2) for m in LANES}}
+           "estimate_delta": (3, 1),
+           **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
+              for kind in ("lane_batch", "orbit_loop") for batch in BATCHES}}
 
 
 def _timed(fn, runs: int, calls: int) -> list[dict]:
@@ -96,6 +108,23 @@ def _counting(compiled, counts: list[int]):
     return counted
 
 
+def _ignore(rows, j, states):
+    """A visit that reads nothing."""
+
+
+def _lane_batch(flow, V, starts, targets, cfg):
+    with numpy.errstate(all="ignore"):
+        flow._compiled(V, cfg.method, lanes=True)(starts.T.copy(), targets, cfg, _ignore)
+
+
+def _orbit_loops(flow, V, starts, targets, cfg):
+    orbit, times = flow._compiled(V, cfg.method), targets.tolist()
+    for row, y in enumerate(starts.tolist()):
+        out = []
+        orbit(y, times, cfg, out)
+        _ignore(numpy.full(len(out), row), numpy.arange(len(out)), numpy.array(out))
+
+
 def worker(src: str) -> dict:
     sys.path.insert(0, src)
     import lyapset as ls
@@ -124,10 +153,15 @@ def worker(src: str) -> dict:
             cycle, [1.0, -0.5, 0.5, 0.2], 10.0, 0.02, ls.IntegratorConfig()),
         "estimate_delta": delta,
     }
-    for m in LANES:
-        starts = numpy.random.default_rng(0).uniform(-1.0, 1.0, (m, 2))
-        layers[f"lane_batch/{m}"] = lambda starts=starts: flow.integrate_lanes(
-            harmonic, starts, ls.sample_times(8.0, 0.1)[1:], tight, lambda rows, j, states: None)
+    targets = numpy.asarray(ls.sample_times(8.0, 0.1)[1:])
+    fields = {"harmonic": (harmonic, tight), "cycle": (cycle, ls.IntegratorConfig())}
+    for batch in BATCHES:
+        field, m = batch.split("/")
+        V, cfg = fields[field]
+        starts = numpy.random.default_rng(0).uniform(-1.0, 1.0, (int(m), V.dim))
+        for kind, run in (("lane_batch", _lane_batch), ("orbit_loop", _orbit_loops)):
+            layers[f"{kind}/{batch}"] = (
+                lambda run=run, V=V, starts=starts, cfg=cfg: run(flow, V, starts, targets, cfg))
     out_dir = tempfile.mkdtemp()
     for name in PROBLEMS:
         path = os.path.join(ROOT, "problems", f"{name}.json")
@@ -227,6 +261,11 @@ def main() -> int:
                        for layer in layers},
             "counts": results[0]["counts"],
         }
+    for entry in report["checkouts"].values():
+        layers = entry["layers"]
+        entry["orbit_over_lane"] = {
+            batch: layers[f"orbit_loop/{batch}"]["median_s"] / layers[f"lane_batch/{batch}"]["median_s"]
+            for batch in BATCHES}
     # The attempt and orbit layers take the same steps in every checkout, so
     # the counts of one serve all for their per-attempt times.
     counts = next((c["counts"] for c in report["checkouts"].values() if c["counts"]), None)

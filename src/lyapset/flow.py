@@ -18,15 +18,18 @@ counts and errors included. Output samples are forced step endpoints,
 never interpolants, so a recorded state is exactly the integrator state.
 
 integrate_lanes() runs many starts at once, for analyses that start an
-orbit per grid node or sample. Each start is a lane, a column of NumPy
-arrays, with its own time, step size and next output time; acceptance
-is masked per lane, and a lane leaves the batch when it finishes or
-fails. The batch is generated too, around the orbit loop's step
-emitter, so the attempt and the step control are written once: a lane
-stage state is one (n, m) array operation, and the orbit loop's
-conditionals become where, fmin or fmax. A lane performs the IEEE
-operations of the scalar loop in the same order, so its samples are
-bitwise those of the scalar loop. That rests on NumPy functions that
+orbit per grid node, sample or representative. From _LANES_FROM starts
+up it runs them as lanes: each start is a column of NumPy arrays, with
+its own time, step size and next output time; acceptance is masked per
+lane, and a lane leaves the batch when it finishes or fails. Below that
+it runs the orbit loop once per start, which is faster there: a lane
+pass costs about as much whatever the number of lanes. The batch is
+generated too, around the orbit loop's step emitter, so the attempt and
+the step control are written once: a lane stage state is one (n, m)
+array operation, and the orbit loop's conditionals become where, fmin
+or fmax. A lane performs the IEEE operations of the scalar loop in the
+same order, so its samples are bitwise those of the scalar loop, and
+the choice of loop changes no bit. That rests on NumPy functions that
 round as libm does: float_power for pow and for the step factor
 (np.power differs), sin, cos and sqrt, while exp and tanh are evaluated
 element by element with math. Where the scalar code raises, a lane is
@@ -350,28 +353,55 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
                    f"{method} lanes of {V.label()}", lanes=True)
 
 
-def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit):
-    """Integrate every row of starts through the targets at once.
+# Starts from which integrate_lanes runs lanes, not one orbit loop per
+# start. A lane batch costs about the same whatever the number of lanes
+# (harmonic field, T = 8, out_dt 0.1: 57-78 ms for 1-100 starts), orbit
+# loops cost in proportion. BENCH_13.json, median time of the orbit loops
+# over that of the batch at 3 / 25 / 49 / 100 starts: harmonic field
+# 0.06 / 0.47 / 0.96 / 1.39, 4-D cycle field 0.08 / 0.78 / 1.22 / 2.27.
+_LANES_FROM = 50
 
-    Each row is a lane with its own t, h and next target, and it takes the
-    steps, and the bits, that the scalar orbit loop takes from that start
-    alone. Whenever lanes reach a target, visit(rows, j, states) receives
-    their row numbers, the index in targets of the target each reached and
-    their states there, (len(rows), n). A lane leaves the batch after its
+
+def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit):
+    """Integrate every row of starts through the targets.
+
+    Each row takes the steps, and the bits, that the scalar orbit loop
+    takes from that start alone, whichever loop runs it: from _LANES_FROM
+    rows up one lane batch, each row a lane with its own t, h and next
+    target, and below that one orbit loop per row. visit(rows, j, states)
+    receives row numbers, the index in targets of the target each reached
+    and the states there, (len(rows), n): from the batch, the lanes that
+    reached a target together, and from an orbit loop, one row's samples
+    in one call, j increasing. visit runs under np.errstate(all="ignore")
+    either way, and what it raises passes through. A row leaves after its
     last target, or where the scalar loop raises: on escape, a domain
-    failure of the field, the step budget or a step size underflow. targets
-    must be positive and strictly increasing. Returns the mask of failed
-    rows and, by row, the scalar loop's StepLimitError text for the rows
-    that exhausted the step budget or underflowed the step size.
+    failure of the field, the step budget or a step size underflow.
+    targets must be positive and strictly increasing. Returns the mask of
+    failed rows and, by row, the scalar loop's StepLimitError text for the
+    rows that exhausted the step budget or underflowed the step size.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != V.dim:
         raise DimensionMismatchError(f"starts must be (m, {V.dim}), got {starts.shape}")
     if not np.all(np.isfinite(starts)):
         raise ValueError("state point coordinates must be finite")
+    targets = np.asarray(targets, dtype=float)
     with np.errstate(all="ignore"):
-        return _compiled(V, cfg.method, lanes=True)(
-            starts.T.copy(), np.asarray(targets, dtype=float), cfg, visit)
+        if len(starts) >= _LANES_FROM:
+            return _compiled(V, cfg.method, lanes=True)(starts.T.copy(), targets, cfg, visit)
+        orbit, times = _compiled(V, cfg.method), targets.tolist()  # its loop runs on floats
+        failed, limited = np.zeros(len(starts), bool), {}
+        for row, y in enumerate(starts.tolist()):
+            out: list = []
+            try:
+                orbit(y, times, cfg, out)
+            except StepLimitError as exc:
+                failed[row], limited[row] = True, str(exc)
+            except (EscapedDomainError, EvalDomainError):
+                failed[row] = True
+            if out:
+                visit(np.full(len(out), row), np.arange(len(out)), np.array(out))
+        return failed, limited
 
 
 def _oriented(V: VectorFieldSpec, t: float):

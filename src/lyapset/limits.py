@@ -100,10 +100,17 @@ def estimate_omega(
 
     reps = _greedy_cluster(window.states, cluster_tol)
     tau = out_dt
-    try:
-        moved = np.asarray([flow(V, p, tau, cfg) for p in reps])
-    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
-        raise OrbitUnboundedError(f"representative escaped during probe: {exc}") from exc
+    moved = np.empty_like(reps)
+
+    def visit(rows, j, states):
+        moved[rows] = states
+
+    failed, _ = integrate_lanes(V, reps, [tau], cfg, visit)
+    if failed.any():  # flow() raises there what the row met, bit for bit
+        try:
+            flow(V, reps[failed.argmax()], tau, cfg)
+        except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
+            raise OrbitUnboundedError(f"representative escaped during probe: {exc}") from exc
     defect = hausdorff(moved, reps)
 
     points = FiniteSetApprox(
@@ -200,8 +207,8 @@ LABEL_ERROR = "error"
 
 
 def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
-    """Run the starts as lanes of one batch and reduce their distances to M
-    at each sample: per start the minimum, the last value and the tail
+    """Run the starts through integrate_lanes and reduce their distances to
+    M at each sample: per start the minimum, the last value and the tail
     maximum, as classify_attraction reads them, and per sample the largest
     over all starts. Returns (failed, errors, lowest, latest, tail_max,
     peak); a start whose distance raised or whose orbit hit a step limit
@@ -230,15 +237,21 @@ def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
 
     lowest = np.full(m, math.inf)
     latest = np.empty(m)
+    newest = np.full(m, -1)  # per start, the j of the sample latest holds
     tail_max = np.full(m, -math.inf)
     peak = np.full(len(times), -math.inf)
 
     def visit(rows, j, states):
+        # A row may repeat in one call, with increasing j, so every
+        # reduction over rows is a ufunc.at. fmin and fmax skip the NaN
+        # distances of error rows, whose reductions are never read.
         d = distances(rows, states)
-        lowest[rows] = np.minimum(lowest[rows], d)
-        latest[rows] = d
+        np.fmin.at(lowest, rows, d)
+        np.maximum.at(newest, rows, j)
+        last = j == newest[rows]
+        latest[rows[last]] = d[last]
         tail = in_tail[j + 1]
-        tail_max[rows[tail]] = np.maximum(tail_max[rows[tail]], d[tail])
+        np.fmax.at(tail_max, rows[tail], d[tail])
         np.fmax.at(peak, j + 1, d)
 
     visit(np.arange(m), np.full(m, -1), starts)  # the starts are sample 0

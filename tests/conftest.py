@@ -11,7 +11,10 @@ period from the crossing state returns to it within 5e-13.
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,15 @@ TWO_PI = 2.0 * math.pi
 # Output step that tiles the oscillator period exactly, so an estimated
 # omega set maps onto itself under a one-step flow probe.
 OSC_ALIGNED_DT = TWO_PI / 628.0
+
+# integrate_lanes runs the lane batch from _LANES_FROM starts up and one
+# orbit loop per start below; these values of it force either loop.
+LANES, ORBITS = 1, sys.maxsize
+
+
+def lanes_from(count: int):
+    """Context in which integrate_lanes' _LANES_FROM is count."""
+    return mock.patch.object(importlib.import_module("lyapset.flow"), "_LANES_FROM", count)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from lyapset.flow import (
     semigroup_defect,
     trajectory,
 )
+from conftest import LANES, ORBITS, lanes_from
 from test_expr import any_exprs
 
 # One strategy per dimension, built once: building one per draw costs ~25 ms.
@@ -284,16 +286,18 @@ class TestGeneratedOrbit:
         )
 
 
-def _lane_samples(V, starts, targets, cfg):
-    """Per start of one integrate_lanes batch: the bits of its samples, in
-    the order visit saw them, whether it failed and its StepLimitError text."""
+def _lane_samples(V, starts, targets, cfg, loop=LANES):
+    """Per start of one integrate_lanes call, with _LANES_FROM set to loop:
+    the bits of its samples, in the order visit saw them, whether it
+    failed and its StepLimitError text."""
     samples = [[] for _ in starts]
 
     def visit(rows, j, states):
         for row, target, state in zip(rows.tolist(), j.tolist(), states):
             samples[row].append((target, [float(v).hex() for v in state]))
 
-    failed, limited = integrate_lanes(V, starts, targets, cfg, visit)
+    with lanes_from(loop):
+        failed, limited = integrate_lanes(V, starts, targets, cfg, visit)
     return [(samples[i], bool(failed[i]), limited.get(i)) for i in range(len(starts))]
 
 
@@ -395,9 +399,58 @@ class TestLaneBatch:
         def visit(rows, j, states):
             raise error
 
-        with pytest.raises(ZeroDivisionError) as exc_info:
-            integrate_lanes(osc, [[1.0, 0.0], [0.5, 0.5]], [0.5, 1.0], cfg, visit)
-        assert exc_info.value is error
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop), pytest.raises(ZeroDivisionError) as exc_info:
+                integrate_lanes(osc, [[1.0, 0.0], [0.5, 0.5]], [0.5, 1.0], cfg, visit)
+            assert exc_info.value is error
+
+
+# name: (batch case, {row: what ends it}), where what ends a failed row is
+# "failed" for an escape or a domain failure, else the start of its
+# StepLimitError text.
+_DISPATCH_CASES = {
+    # Escapes at the start and mid-orbit at two different targets, and a
+    # start that finishes.
+    "escape": (_batch_case(["x1"], [[1.0], [0.1], [0.5], [-5.0]], sample_times(3.0, 0.5)[1:],
+                           blowup_radius=4.0),
+               {0: "failed", 2: "failed", 3: "failed"}),
+    "domain": (_batch_case(["-sqrt(x1 - 0.5)", "-x2"], [[1.0, 1.0], [0.0, 1.0], [5.0, 0.5]],
+                           [0.5, 1.0, 3.0], method="rk4_fixed", dt=0.4),
+               {0: "failed", 1: "failed"}),
+    # The equilibrium takes about one attempt per target and finishes; the
+    # other starts run out of steps.
+    "step-budget": (_batch_case(["x2", "-x1"], [[0.3, 0.1], [0.0, 0.0], [2.0, -1.0]],
+                                sample_times(8.0, 0.1)[1:], max_steps=120),
+                    {0: "exceeded 120 steps", 2: "exceeded 120 steps"}),
+    "underflow": (_batch_case(["-1 / x1"], [[1.0], [2.0], [0.5]], [0.1, 0.4, 1.0],
+                              max_steps=10_000),
+                  {0: "step size underflow", 2: "step size underflow"}),
+}
+
+
+class TestLoopDispatch:
+    def test_lane_batch_from_lanes_from_starts(self, osc, cfg, monkeypatch):
+        module = importlib.import_module("lyapset.flow")
+        generated, inner = [], module._compiled
+
+        def recording(V, method, lanes=False):
+            generated.append(lanes)
+            return inner(V, method, lanes)
+
+        monkeypatch.setattr(module, "_compiled", recording)
+        for m in (1, module._LANES_FROM - 1, module._LANES_FROM, module._LANES_FROM + 1):
+            generated.clear()
+            integrate_lanes(osc, np.zeros((m, 2)), [0.5], cfg, lambda rows, j, states: None)
+            assert generated == [m >= module._LANES_FROM]
+
+    @pytest.mark.parametrize("name", sorted(_DISPATCH_CASES))
+    def test_either_loop_gives_the_same_bits(self, name):
+        (V, starts, targets, cfg), ends = _DISPATCH_CASES[name]
+        lanes = _lane_samples(V, starts, targets, cfg, LANES)
+        assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
+        got = {row: limit or "failed" for row, (_, failed, limit) in enumerate(lanes) if failed}
+        assert got.keys() == ends.keys()
+        assert all(got[row].startswith(end) for row, end in ends.items())
 
 
 class TestCompiledCache:

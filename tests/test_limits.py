@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lyapset.errors import DimensionMismatchError, OrbitUnboundedError, StepLimitError
+from lyapset.errors import (
+    DimensionMismatchError,
+    EscapedDomainError,
+    OrbitUnboundedError,
+    StepLimitError,
+)
 from lyapset.expr import VectorFieldSpec
 from lyapset.flow import IntegratorConfig, flow, trajectory
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint, hausdorff
@@ -17,7 +22,7 @@ from lyapset.limits import (
     roa_grid,
 )
 
-from conftest import OSC_ALIGNED_DT, TWO_PI, circle_cloud
+from conftest import LANES, ORBITS, OSC_ALIGNED_DT, TWO_PI, circle_cloud, lanes_from
 
 
 class TestEstimateOmega:
@@ -47,6 +52,18 @@ class TestEstimateOmega:
     def test_unbounded_orbit_raises(self, grow1, cfg):
         with pytest.raises(OrbitUnboundedError):
             estimate_omega(grow1, [1.0], cfg)
+
+    @pytest.mark.parametrize("loop", [LANES, ORBITS])
+    def test_probe_escape_raises_the_flow_text(self, grow1, loop):
+        # x1' = x1 from 1 stays below 10 through the window [1, 2]; the
+        # probe carries the last representative, e^2, on to e^2.5 > 10.
+        cfg = IntegratorConfig(blowup_radius=10.0)
+        last = trajectory(grow1, flow(grow1, [1.0], 1.0, cfg), 1.0, 0.5, cfg).states[-1]
+        with pytest.raises(EscapedDomainError) as scalar:
+            flow(grow1, last, 0.5, cfg)
+        with lanes_from(loop), pytest.raises(OrbitUnboundedError) as probe:
+            estimate_omega(grow1, [1.0], cfg, transient_T=1.0, window_T=1.0, out_dt=0.5)
+        assert str(probe.value) == f"representative escaped during probe: {scalar.value}"
 
     def test_invalid_windowsint(self, sink1, cfg):
         with pytest.raises(ValueError):
@@ -160,6 +177,13 @@ _POINTWISE_CASES = {
 }
 
 
+class _FussySet(SinglePoint):
+    def distances(self, points):
+        if np.any(np.asarray(points)[:, 0] < 0):
+            raise OrbitUnboundedError("synthetic per-node failure")
+        return super().distances(points)
+
+
 def _grid_row(V, node, M, cfg, horizon_T, tol):
     """classify_attraction on one node as roa_grid records it: label,
     escaped, final and min distance as hex, and error text. An exhausted
@@ -169,6 +193,17 @@ def _grid_row(V, node, M, cfg, horizon_T, tol):
     except StepLimitError as exc:
         return LABEL_ERROR, False, math.nan.hex(), math.nan.hex(), str(exc)
     return v.label, v.escaped, v.final_distance.hex(), v.min_distance.hex(), None
+
+
+_EITHER_LOOP_CASES = {
+    **_POINTWISE_CASES,
+    # The distance raises where x1 < 0, which the rotating orbits reach at
+    # different samples.
+    "distance-error": (["x2", "-x1"], _FussySet([0.0, 0.0]), 3, {}, 5.0, 1e-3),
+    # The nodes off the origin come within tol during the tail, not at its
+    # start: weakly attracted, by the tail maximum.
+    "within-tol-in-tail": (["-x1", "-x2"], _ORIGIN, 3, {}, 5.0, 2e-2),
+}
 
 
 class TestRoaGrid:
@@ -232,15 +267,9 @@ class TestRoaGrid:
         assert grid.escaped == (True, False, False)
 
     def test_error_rows_recorded(self, sink2, cfg):
-        class FussySet(SinglePoint):
-            def distances(self, points):
-                if np.any(np.asarray(points)[:, 0] < 0):
-                    raise OrbitUnboundedError("synthetic per-node failure")
-                return super().distances(points)
-
         grid = roa_grid(
             sink2,
-            FussySet([0.0, 0.0]),
+            _FussySet([0.0, 0.0]),
             Box([-1.0, -1.0], [1.0, 1.0]),
             (2, 2),
             cfg,
@@ -268,18 +297,37 @@ class TestRoaGrid:
 
     @pytest.mark.parametrize("case", sorted(_POINTWISE_CASES))
     def test_lanes_match_pointwise_bitwise(self, case):
-        # The grid runs its nodes as lanes of one batch; classify_attraction
-        # runs one orbit alone. They must agree bit for bit.
+        # The grid runs its nodes as lanes of one batch here;
+        # classify_attraction runs one orbit alone. They must agree bit
+        # for bit.
         texts, M, res, options, horizon_T, tol = _POINTWISE_CASES[case]
         V = VectorFieldSpec.from_strings(texts)
         box = Box([-2.0] * V.dim, [2.0] * V.dim)
         cfg = IntegratorConfig(**options)
-        grid = roa_grid(V, M, box, res, cfg, horizon_T=horizon_T, tol=tol, out_dt=0.1)
+        with lanes_from(LANES):
+            grid = roa_grid(V, M, box, res, cfg, horizon_T=horizon_T, tol=tol, out_dt=0.1)
         rows = [_grid_row(V, node, M, cfg, horizon_T, tol) for node in grid.nodes]
         assert list(zip(
             grid.labels, grid.escaped, [d.hex() for d in grid.final_distances.tolist()],
             [d.hex() for d in grid.min_distances.tolist()], grid.errors,
         )) == rows
+
+    @pytest.mark.parametrize("case", sorted(_EITHER_LOOP_CASES))
+    def test_same_grid_from_either_loop(self, case):
+        texts, M, res, options, horizon_T, tol = _EITHER_LOOP_CASES[case]
+        V = VectorFieldSpec.from_strings(texts)
+        box = Box([-2.0] * V.dim, [2.0] * V.dim)
+        grids = []
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop):
+                grid = roa_grid(V, M, box, res, IntegratorConfig(**options), horizon_T=horizon_T,
+                                tol=tol, out_dt=0.1)
+            grids.append((
+                grid.labels, grid.escaped, grid.errors,
+                *([d.hex() for d in a.tolist()]
+                  for a in (grid.final_distances, grid.min_distances, grid.peak_distances)),
+            ))
+        assert grids[0] == grids[1]
 
     def test_step_limit_rows_are_errors(self, sink2):
         grid = roa_grid(sink2, SinglePoint([0.0, 0.0]), Box([-1.0, -1.0], [1.0, 1.0]), 3,

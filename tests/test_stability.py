@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import LANES, ORBITS, lanes_from
 from flow_reference import _walk
 from lyapset import stability
 from lyapset.cli import _run_stability
@@ -413,18 +414,38 @@ class TestUniformAttractionTime:
 
     @pytest.mark.parametrize("case", sorted(_START_BY_START_CASES))
     def test_matches_start_by_start_loop(self, case, cfg):
-        # The starts run as lanes of one batch; the reference runs them one
-        # by one and stops at the first that decides.
+        # The starts run as lanes of one batch here; the reference runs
+        # them one by one and stops at the first that decides.
         texts, starts = _START_BY_START_CASES[case]
         V = VectorFieldSpec.from_strings(texts)
         K = FiniteSetApprox(starts)
         args = (V, K, ORIGIN_2D, 0.1, cfg, 10.0, 0.1)
-        got = uniform_attraction_time(*args)
+        with lanes_from(LANES):
+            got = uniform_attraction_time(*args)
         expected = _uniform_start_by_start(*args)
         assert got.integration_failed == expected.integration_failed
         assert got.value == expected.value
         if got.value is not None:
             assert got.value.hex() == expected.value.hex()
+
+    @pytest.mark.parametrize("case", sorted(_START_BY_START_CASES) + ["distance-error"])
+    def test_same_estimate_from_either_loop(self, case, cfg):
+        # distance-error: the second start stays at x1 < 0, where the set's
+        # distance raises.
+        texts, starts = _START_BY_START_CASES.get(
+            case, (["-x1", "-x2"], [[0.5, 0.0], [-0.5, 0.0], [0.0, 3.0]]))
+        M = _FussySet([0.0, 0.0]) if case == "distance-error" else ORIGIN_2D
+        args = (VectorFieldSpec.from_strings(texts), FiniteSetApprox(starts), M, 0.1, cfg,
+                10.0, 0.1)
+        estimates = []
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop):
+                est = uniform_attraction_time(*args)
+            estimates.append((est.value if est.value is None else est.value.hex(),
+                              est.integration_failed))
+        assert estimates[0] == estimates[1]
+        if case == "distance-error":
+            assert estimates[0] == (None, True)
 
     def test_distance_error_is_integration_failure(self, sink2, cfg):
         # The second start stays at x1 < 0, where the set's distance raises;
