@@ -6,9 +6,13 @@ Each NAME=SRC argument names the `src/` directory of one checkout. Every
 checkout runs in its own fresh interpreter (this script with --worker),
 and the checkouts take turns for --rounds rounds, so slow drifts of a
 shared host fall on all of them alike. The output holds the environment
-and, per checkout and layer, the median and minimum over all repeats, in
-seconds and in calibration units: the layer's time over the time of a
-fixed pure-Python loop run around and inside it (perfbench/calib.py).
+and, per checkout and layer, the median and minimum over all repeats in
+seconds, and the median in calibration units: the layer's time over the
+time of a fixed pure-Python loop run around and inside it
+(perfbench/calib.py). No minimum is given in calibration units: for a
+layer spent mostly in NumPy, one run's calibration, not the layer, sets
+it (BENCH_12.json: lane_batch/1 had min_cal at 0.16 of its median while
+min_s was at 0.69).
 
 Layers, each timed after one untimed call so that generated code is
 compiled and cached:
@@ -225,9 +229,8 @@ def environment() -> dict:
 
 def _summary(runs: list[dict]) -> dict:
     s = [r["s"] for r in runs]
-    cal = [r["cal"] for r in runs]
     return {"k": len(runs), "median_s": statistics.median(s), "min_s": min(s),
-            "median_cal": statistics.median(cal), "min_cal": min(cal)}
+            "median_cal": statistics.median(r["cal"] for r in runs)}
 
 
 def main() -> int:

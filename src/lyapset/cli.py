@@ -71,7 +71,7 @@ def _run_omega(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict,
         "transient_T": est.transient_T,
         "window_T": est.window_T,
         "cluster_tol": est.cluster_tol,
-        "meta": est.points.meta,
+        "meta": est.meta,
     }, None
 
 
@@ -198,10 +198,11 @@ def cmd_plot(args) -> int:
         except ValueError:
             print("error: --axes expects two comma-separated indices", file=sys.stderr)
             return 1
+    # A report of the wrong shape fails below with one of these built-in errors.
     try:
         problem = ProblemDefinition.from_json(report["problem"])
         svg = render_svg(problem, report, axes)
-    except (KeyError, ValueError, LyapsetError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, LyapsetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_path = args.out

@@ -38,15 +38,11 @@ from .errors import (
     StepLimitError,
 )
 
-_UNARY_OPS = ("neg", "sin", "cos", "exp", "sqrt", "abs", "tanh")
-_BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-_NARY_OPS = ("min", "max")
 _FUNCTIONS = {"sin", "cos", "exp", "sqrt", "abs", "tanh", "min", "max"}
 
 
 @dataclass(frozen=True, slots=True)
 class Const:
-    kind = "constant"
     value: float
 
     # 0.0 and -0.0 are equal floats but give different results, so the
@@ -65,20 +61,17 @@ class Const:
 
 @dataclass(frozen=True, slots=True)
 class Var:
-    kind = "variable"
     index: int  # 1-based, x1..xn
 
 
 @dataclass(frozen=True, slots=True)
 class Unary:
-    kind = "unary"
     op: str
     arg: "Expr"
 
 
 @dataclass(frozen=True, slots=True)
 class Binary:
-    kind = "binary"
     op: str
     left: "Expr"
     right: "Expr"
@@ -86,7 +79,6 @@ class Binary:
 
 @dataclass(frozen=True, slots=True)
 class Nary:
-    kind = "nary"
     op: str
     args: tuple["Expr", ...]
 
@@ -339,7 +331,7 @@ def _eval(e: Expr, x) -> float:
         else:
             v = math.pow(a, b)
     if not math.isfinite(v):
-        raise EvalDomainError(f"non-finite value from {e.op if hasattr(e, 'op') else e.kind}")
+        raise EvalDomainError(f"non-finite value from {e.op}")
     return v
 
 

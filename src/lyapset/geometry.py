@@ -1,8 +1,9 @@
 """Compact subsets of R^n and the distance machinery around them.
 
 A state point is a 1-D float ndarray. Compact sets come in four variants:
-a single point, a finite point cloud (dense sampling of a curve or cycle),
-a closed Euclidean ball, and an axis-aligned box. Every variant answers
+a single point, a finite point cloud (a sampled curve or cycle, an
+omega-limit estimate, points drawn from a set or its shell), a closed
+Euclidean ball, and an axis-aligned box. Every variant answers
 exact point-to-set distances; the point cloud answers the minimum over its
 members. Each variant has one distance formula, `distances` over an (m, n)
 array; `distance` of one point applies it to a one-row array, so the point
@@ -41,7 +42,6 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 class CompactSet:
     """Common surface of the four compact-set variants."""
 
-    kind: str
     dim: int
 
     def distance(self, x) -> float:
@@ -71,8 +71,6 @@ class CompactSet:
 
 
 class SinglePoint(CompactSet):
-    kind = "point"
-
     def __init__(self, point):
         self.point = as_point(point)
         self.dim = self.point.size
@@ -94,9 +92,9 @@ class SinglePoint(CompactSet):
 
 
 class PointCloud(CompactSet):
-    """Finite sampling of a compact set; distance is the minimum over members."""
-
-    kind = "cloud"
+    """A finite set of points, itself compact: a sampling of a set, or the
+    representatives of an omega-limit estimate. Distance is the minimum
+    over members."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -132,13 +130,14 @@ class PointCloud(CompactSet):
     def to_json(self):
         return {"type": "cloud", "points": self.points.tolist()}
 
+    def __len__(self):
+        return self.points.shape[0]
+
     def __repr__(self):
-        return f"PointCloud(<{self.points.shape[0]} points in R^{self.dim}>)"
+        return f"PointCloud(<{len(self)} points in R^{self.dim}>)"
 
 
 class ClosedBall(CompactSet):
-    kind = "ball"
-
     def __init__(self, center, radius: float):
         self.center = as_point(center)
         self.radius = float(radius)
@@ -174,8 +173,6 @@ class ClosedBall(CompactSet):
 
 
 class Box(CompactSet):
-    kind = "box"
-
     def __init__(self, lo, hi):
         self.lo = as_point(lo)
         self.hi = as_point(hi, dim=self.lo.size)
@@ -206,27 +203,6 @@ class Box(CompactSet):
 
     def __repr__(self):
         return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
-
-
-class FiniteSetApprox:
-    """Finite stand-in for a set produced by sampling or estimation."""
-
-    def __init__(self, points, meta: str = ""):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("finite set approximation needs a nonempty (k, n) array")
-        self.points = pts
-        self.meta = meta
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    def __repr__(self):
-        return f"FiniteSetApprox(<{len(self)} points in R^{self.dim}>, meta={self.meta!r})"
 
 
 def _shell_points(M: CompactSet, radii, rngs) -> np.ndarray:
@@ -276,7 +252,7 @@ def _shell_points(M: CompactSet, radii, rngs) -> np.ndarray:
     return out
 
 
-def sample_shell(M: CompactSet, r: float, count: int, seed: int) -> FiniteSetApprox:
+def sample_shell(M: CompactSet, r: float, count: int, seed: int) -> PointCloud:
     """Sample `count` points of the shell {x : d(x, M) = r}, deterministically.
 
     Points are drawn by shooting seeded random rays out of the set and
@@ -287,20 +263,19 @@ def sample_shell(M: CompactSet, r: float, count: int, seed: int) -> FiniteSetApp
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = _shell_points(M, [r] * count, [rng] * count)
-    return FiniteSetApprox(pts, meta=f"shell r={r!r} count={count} seed={seed}")
+    return PointCloud(_shell_points(M, [r] * count, [rng] * count))
 
 
-def sample_set_points(M: CompactSet, count: int, seed: int) -> FiniteSetApprox:
+def sample_set_points(M: CompactSet, count: int, seed: int) -> PointCloud:
     """Sample members (and boundary, where meaningful) of the set itself."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    return FiniteSetApprox(M.sample_points(count, rng), meta=f"members of {M!r}")
+    return PointCloud(M.sample_points(count, rng))
 
 
 def _as_points(A) -> np.ndarray:
-    pts = A.points if isinstance(A, FiniteSetApprox) else np.asarray(A, dtype=float)
+    pts = A.points if isinstance(A, PointCloud) else np.asarray(A, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("hausdorff needs nonempty point sets")
     if not np.all(np.isfinite(pts)):

@@ -32,7 +32,7 @@ from .flow import (
     sample_times,
     trajectory,
 )
-from .geometry import Box, CompactSet, FiniteSetApprox, as_point, hausdorff
+from .geometry import Box, CompactSet, PointCloud, as_point, hausdorff
 
 LABEL_ATTRACTED = "attracted"
 LABEL_WEAK = "weakly_attracted"
@@ -42,11 +42,12 @@ TAIL_FRACTION = 0.1
 
 @dataclass(frozen=True, eq=False)
 class OmegaEstimate:
-    points: FiniteSetApprox
+    points: PointCloud
     transient_T: float
     window_T: float
     cluster_tol: float
     invariance_defect: float
+    meta: str  # the window and settings the estimate came from
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,14 +114,11 @@ def estimate_omega(
             raise OrbitUnboundedError(f"representative escaped during probe: {exc}") from exc
     defect = hausdorff(moved, reps)
 
-    points = FiniteSetApprox(
-        reps,
-        meta=(
-            f"omega window=[{transient_T},{transient_T + window_T}] "
-            f"out_dt={out_dt} tau={tau} cluster_tol={cluster_tol}"
-        ),
+    meta = (
+        f"omega window=[{transient_T},{transient_T + window_T}] "
+        f"out_dt={out_dt} tau={tau} cluster_tol={cluster_tol}"
     )
-    return OmegaEstimate(points, transient_T, window_T, cluster_tol, defect)
+    return OmegaEstimate(PointCloud(reps), transient_T, window_T, cluster_tol, defect, meta)
 
 
 def classify_attraction(

@@ -16,10 +16,10 @@ along sampled orbits.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EscapedDomainError,
@@ -108,21 +108,10 @@ def _distance_curve(V, M, x, n_steps: int, out_dt: float, cfg) -> np.ndarray:
 
 
 def _windowed_sup(d: np.ndarray, window: int) -> np.ndarray:
-    """out[k] = max(d[k : k+window+1]), sliding-maximum in linear time."""
-    n = d.shape[0] - window
-    out = np.empty(n)
-    dq: deque[int] = deque()
-    for j in range(d.shape[0]):
-        while dq and d[dq[-1]] <= d[j]:
-            dq.pop()
-        dq.append(j)
-        k = j - window
-        if k >= 0:
-            if dq[0] < k:
-                dq.popleft()
-            if k < n:
-                out[k] = d[dq[0]]
-    return out
+    """out[k] = max(d[k : k+window+1]). A maximum picks one of its inputs,
+    and equal distances have equal bits (no set kind returns -0.0), so
+    the result does not depend on the order the window is scanned in."""
+    return sliding_window_view(d, window + 1).max(axis=1)
 
 
 def ell(V: VectorFieldSpec, M: CompactSet, x, cfg: IntegratorConfig, cc: ConverseConfig) -> float:

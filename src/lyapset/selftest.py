@@ -134,9 +134,7 @@ def _check_unstable_delta(scale: float):
 
 
 def _check_uniform_time(scale: float):
-    from .geometry import FiniteSetApprox
-
-    K = FiniteSetApprox([[2.0], [-2.0], [1.0], [-1.0]], meta="selftest K")
+    K = PointCloud([[2.0], [-2.0], [1.0], [-1.0]])
     est = uniform_attraction_time(_SINK1, K, SinglePoint([0.0]), 0.1, _FAST, 10.0)
     ok = est.value is not None and abs(est.value - math.log(20.0)) <= 0.1 * scale
     return ok, f"T = {est.value}"

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import StepLimitError
 from .expr import VectorFieldSpec
 from .flow import IntegratorConfig, partial_trajectory, sample_times
-from .geometry import Box, CompactSet, FiniteSetApprox, _shell_points, sample_set_points
+from .geometry import Box, CompactSet, PointCloud, _shell_points, sample_set_points
 from .limits import LABEL_ATTRACTED, _sweep, roa_grid
 
 VERDICT_STABLE = "stable_evidence"
@@ -228,7 +228,7 @@ def _uniform_estimate(failed, final, peak, times, epsilon: float) -> UniformTime
 
 def uniform_attraction_time(
     V: VectorFieldSpec,
-    K: FiniteSetApprox,
+    K: PointCloud,
     M: CompactSet,
     epsilon: float,
     cfg: IntegratorConfig,

@@ -26,7 +26,7 @@ from lyapset.expr import (
     eval_expr,
 )
 from lyapset.flow import flow, partial_trajectory, semigroup_defect
-from lyapset.geometry import Box, FiniteSetApprox, PointCloud, SinglePoint
+from lyapset.geometry import Box, PointCloud, SinglePoint
 from lyapset.limits import (
     LABEL_ATTRACTED,
     LABEL_NOT,
@@ -270,7 +270,7 @@ class TestAcceptance:
         assert witness_ok
 
     def test_criterion_07_uniform_attraction_time(self, criterion, sink1, cfg):
-        compact_k = FiniteSetApprox([[-2.0], [-1.0], [1.0], [2.0]])
+        compact_k = PointCloud([[-2.0], [-1.0], [1.0], [2.0]])
         estimate = uniform_attraction_time(
             sink1,
             compact_k,

@@ -408,6 +408,29 @@ class TestPlot:
         assert rc == 1
         assert "--axes expects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["not-an-object", "short-labels", "text-epsilon",
+                                      "number-block"])
+    def test_malformed_report_exits_1(self, oscillator_run, tmp_path, capsys, case):
+        with open(oscillator_run / "harmonic_oscillator.report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        blocks = report["blocks"]
+        if case == "not-an-object":
+            report = []
+        elif case == "short-labels":
+            blocks["roa"]["labels"] = blocks["roa"]["labels"][:5]
+        elif case == "text-epsilon":
+            blocks["stability"]["pairs"][0]["epsilon"] = "half"
+        else:
+            blocks["stability"] = 3
+        path = tmp_path / "bad.report.json"
+        path.write_text(json.dumps(report))
+        rc = main(["plot", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["bad.report.json"]
+
     def test_missing_report_exits_1(self, tmp_path, capsys):
         rc = main(["plot", str(tmp_path / "absent.report.json")])
         assert rc == 1

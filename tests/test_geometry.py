@@ -8,7 +8,6 @@ from lyapset.errors import DimensionMismatchError
 from lyapset.geometry import (
     Box,
     ClosedBall,
-    FiniteSetApprox,
     PointCloud,
     SinglePoint,
     hausdorff,
@@ -82,6 +81,7 @@ class TestDistance:
 class TestSampleShell:
     def test_point_shell_radius(self):
         approx = sample_shell(SinglePoint([0.0, 0.0]), 1.0, 4, 7)
+        assert isinstance(approx, PointCloud)
         assert approx.points.shape == (4, 2)
         radii = np.linalg.norm(approx.points, axis=1)
         assert np.all(np.abs(radii - 1.0) <= 1e-9)
@@ -179,8 +179,9 @@ class TestShellPoints:
 class TestSampleSetPoints:
     def test_samples_have_zero_distance(self):
         for M in all_variants():
-            pts = sample_set_points(M, 20, 13).points
-            assert np.all(M.distances(pts) <= 1e-9)
+            members = sample_set_points(M, 20, 13)
+            assert isinstance(members, PointCloud)
+            assert np.all(M.distances(members.points) <= 1e-9)
 
     def test_point_set_returns_the_point(self):
         pts = sample_set_points(SinglePoint([2.0, 3.0]), 5, 0).points
@@ -198,7 +199,8 @@ class TestHausdorff:
         assert hausdorff(a, b) == pytest.approx(1.0)
 
     def test_rotated_circle(self):
-        base = circle_cloud(100).points
+        cloud = circle_cloud(100)
+        base = cloud.points
         phi = math.pi / 100
         rot = np.array(
             [[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]]
@@ -206,6 +208,7 @@ class TestHausdorff:
         rotated = base @ rot.T
         bound = 2.0 * math.sin(math.pi / 200) + 1e-12
         assert hausdorff(base, rotated) <= bound
+        assert hausdorff(cloud, rotated) == hausdorff(base, rotated)
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(31)
@@ -247,15 +250,15 @@ class TestHausdorff:
             hausdorff(np.zeros((1, 2)), a)
 
 
-class TestFiniteSetApprox:
+class TestPointCloud:
     def test_dim_and_len(self):
-        fsa = FiniteSetApprox(np.zeros((3, 2)), meta="test")
-        assert fsa.dim == 2
-        assert len(fsa) == 3
+        cloud = PointCloud(np.zeros((3, 2)))
+        assert cloud.dim == 2
+        assert len(cloud) == 3
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            FiniteSetApprox(np.zeros((0, 2)), meta="empty")
+            PointCloud(np.zeros((0, 2)))
 
 
 class TestValidation:

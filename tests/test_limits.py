@@ -21,6 +21,7 @@ from lyapset.limits import (
     estimate_omega,
     roa_grid,
 )
+from lyapset.lyapunov import ConverseConfig, converse_table
 
 from conftest import LANES, ORBITS, OSC_ALIGNED_DT, TWO_PI, circle_cloud, lanes_from
 
@@ -48,6 +49,30 @@ class TestEstimateOmega:
         radii = np.linalg.norm(est.points.points, axis=1)
         assert np.max(np.abs(radii - 0.6)) <= 1e-6
         assert est.invariance_defect <= 1e-5
+
+    def test_estimate_is_the_set_m(self, osc, cfg):
+        # The estimate goes in as M as it is, with the same bits as a cloud
+        # built from a copy of its points.
+        est = estimate_omega(
+            osc, [0.6, 0.0], cfg, transient_T=5.0, window_T=TWO_PI, out_dt=0.05,
+            cluster_tol=1e-3,
+        )
+        assert isinstance(est.points, PointCloud)
+
+        def evidence(M):
+            v = classify_attraction(osc, [0.7, 0.0], M, cfg, 5.0, 0.2, out_dt=0.05)
+            grid = roa_grid(osc, M, Box([-1.0, -1.0], [1.0, 1.0]), 4, cfg, 3.0, 0.2,
+                            out_dt=0.1)
+            table = converse_table(osc, M, [[0.7, 0.0], [0.2, 0.1]], cfg,
+                                   ConverseConfig(2.0, 0.05))
+            return (
+                (v.label, v.escaped, v.final_distance.hex(), v.min_distance.hex()),
+                (grid.to_csv(), grid.min_distances.tobytes(), grid.peak_distances.tobytes(),
+                 grid.escaped, grid.errors),
+                (table.to_csv(), table.truncation_bound.hex()),
+            )
+
+        assert evidence(est.points) == evidence(PointCloud(est.points.points))
 
     def test_unbounded_orbit_raises(self, grow1, cfg):
         with pytest.raises(OrbitUnboundedError):

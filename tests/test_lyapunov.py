@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from lyapset.expr import ScalarFieldSpec, VectorFieldSpec
 from lyapset.flow import IntegratorConfig, flow
 from lyapset.geometry import Box, PointCloud, SinglePoint
 from lyapset.lyapunov import (
+    _windowed_sup,
     VERDICT_ACCEPTED,
     VERDICT_REJECTED,
     CertificateReport,
@@ -118,6 +120,37 @@ class TestBigL:
             trap = big_L(V, M, x, cfg, ConverseConfig(T, h, quadrature="trapezoid"))
             simp = big_L(V, M, x, cfg, ConverseConfig(T, h, quadrature="simpson"))
             assert abs(trap - simp) <= 1e-4 * abs(simp)
+
+
+def _windowed_sup_deque(d: np.ndarray, window: int) -> np.ndarray:
+    """Reference sliding maximum: a monotone deque of indices, linear time."""
+    n = d.shape[0] - window
+    out = np.empty(n)
+    dq: deque[int] = deque()
+    for j in range(d.shape[0]):
+        while dq and d[dq[-1]] <= d[j]:
+            dq.pop()
+        dq.append(j)
+        k = j - window
+        if k >= 0:
+            if dq[0] < k:
+                dq.popleft()
+            if k < n:
+                out[k] = d[dq[0]]
+    return out
+
+
+class TestWindowedSup:
+    def test_matches_deque_oracle_bitwise(self):
+        rng = np.random.default_rng(5)
+        curves = [rng.uniform(0.0, 2.0, size=401), np.linspace(0.0, 3.0, 301),
+                  np.linspace(3.0, 0.0, 301), np.round(rng.uniform(0.0, 1.0, size=257), 1),
+                  np.zeros(64), np.full(33, 0.25)]
+        curves += [rng.exponential(size=int(rng.integers(1, 80))) for _ in range(50)]
+        for d in curves:
+            for window in {w for w in (0, 1, 2, 7, d.size // 2) if w < d.size} | {d.size - 1}:
+                got = _windowed_sup(d, window)
+                assert got.tobytes() == _windowed_sup_deque(d, window).tobytes(), (d, window)
 
 
 class TestConverseTable:

@@ -20,7 +20,6 @@ from lyapset.flow import IntegratorConfig, partial_trajectory, sample_times
 from lyapset.geometry import (
     Box,
     ClosedBall,
-    FiniteSetApprox,
     PointCloud,
     SinglePoint,
     sample_shell,
@@ -379,7 +378,7 @@ class _FussySet(SinglePoint):
 
 class TestUniformAttractionTime:
     def test_linear_sink_entry_time(self, sink1, cfg):
-        K = FiniteSetApprox([[-2.0], [-1.0], [1.0], [2.0]])
+        K = PointCloud([[-2.0], [-1.0], [1.0], [2.0]])
         est = uniform_attraction_time(
             sink1, K, SinglePoint([0.0]), 0.1, cfg, T_max=20.0, out_dt=0.05
         )
@@ -390,14 +389,14 @@ class TestUniformAttractionTime:
         assert not est.integration_failed
 
     def test_starts_inside_give_zero(self, sink2, cfg):
-        K = FiniteSetApprox([[0.01, 0.0], [0.0, -0.01]])
+        K = PointCloud([[0.01, 0.0], [0.0, -0.01]])
         est = uniform_attraction_time(
             sink2, K, ClosedBall([0.0, 0.0], 0.5), 0.1, cfg, T_max=5.0
         )
         assert est.value == 0.0
 
     def test_never_attracted_is_none(self, osc, cfg):
-        K = FiniteSetApprox([[0.5, 0.0]])
+        K = PointCloud([[0.5, 0.0]])
         est = uniform_attraction_time(
             osc, K, ORIGIN_2D, 0.1, cfg, T_max=10.0, out_dt=0.1
         )
@@ -405,7 +404,7 @@ class TestUniformAttractionTime:
         assert not est.integration_failed
 
     def test_escape_flagged(self, grow1, cfg):
-        K = FiniteSetApprox([[1.0]])
+        K = PointCloud([[1.0]])
         est = uniform_attraction_time(
             grow1, K, SinglePoint([0.0]), 0.1, cfg, T_max=20.0, out_dt=0.5
         )
@@ -418,7 +417,7 @@ class TestUniformAttractionTime:
         # them one by one and stops at the first that decides.
         texts, starts = _START_BY_START_CASES[case]
         V = VectorFieldSpec.from_strings(texts)
-        K = FiniteSetApprox(starts)
+        K = PointCloud(starts)
         args = (V, K, ORIGIN_2D, 0.1, cfg, 10.0, 0.1)
         with lanes_from(LANES):
             got = uniform_attraction_time(*args)
@@ -435,7 +434,7 @@ class TestUniformAttractionTime:
         texts, starts = _START_BY_START_CASES.get(
             case, (["-x1", "-x2"], [[0.5, 0.0], [-0.5, 0.0], [0.0, 3.0]]))
         M = _FussySet([0.0, 0.0]) if case == "distance-error" else ORIGIN_2D
-        args = (VectorFieldSpec.from_strings(texts), FiniteSetApprox(starts), M, 0.1, cfg,
+        args = (VectorFieldSpec.from_strings(texts), PointCloud(starts), M, 0.1, cfg,
                 10.0, 0.1)
         estimates = []
         for loop in (LANES, ORBITS):
@@ -450,7 +449,7 @@ class TestUniformAttractionTime:
     def test_distance_error_is_integration_failure(self, sink2, cfg):
         # The second start stays at x1 < 0, where the set's distance raises;
         # roa_grid records such a start as an error row.
-        K = FiniteSetApprox([[0.5, 0.0], [-0.5, 0.0], [0.0, 3.0]])
+        K = PointCloud([[0.5, 0.0], [-0.5, 0.0], [0.0, 3.0]])
         est = uniform_attraction_time(
             sink2, K, _FussySet([0.0, 0.0]), 0.1, cfg, T_max=2.0, out_dt=0.5
         )
@@ -460,11 +459,11 @@ class TestUniformAttractionTime:
     def test_validation(self, sink1, cfg):
         with pytest.raises(ValueError):
             uniform_attraction_time(
-                sink1, FiniteSetApprox([[1.0]]), SinglePoint([0.0]), 0.0, cfg, 5.0
+                sink1, PointCloud([[1.0]]), SinglePoint([0.0]), 0.0, cfg, 5.0
             )
         with pytest.raises(ValueError):
             uniform_attraction_time(
-                sink1, FiniteSetApprox(np.empty((0, 1))), SinglePoint([0.0]), 0.1, cfg, 5.0
+                sink1, PointCloud(np.empty((0, 1))), SinglePoint([0.0]), 0.1, cfg, 5.0
             )
 
 
@@ -655,7 +654,7 @@ class TestClassifyStabilityOnePass:
         assert report.verdict == VERDICT_STABLE
         grid = roa_grid(sink2, M, box, 4, cfg, horizon_T, 0.2, out_dt=0.1)
         expected = uniform_attraction_time(
-            sink2, FiniteSetApprox(grid.nodes), M, min(epsilons), cfg, horizon_T, 0.1
+            sink2, PointCloud(grid.nodes), M, min(epsilons), cfg, horizon_T, 0.1
         )
         assert not expected.integration_failed
         if expected.value is None:
