@@ -33,6 +33,11 @@ compiled and cached:
                    the same starts through one generated orbit loop each,
                    with the sample arrays integrate_lanes hands to visit
                    below _LANES_FROM starts
+  lane_batch/vdp/1681
+                   the lane batch of perfbench's vdp_roa_grid: the
+                   reversed Van der Pol field from the 41 x 41 grid nodes
+                   of [-3, 3]^2, T = 20, out_dt 0.05, rel_tol 1e-9,
+                   abs_tol 1e-12; it has no orbit_loop counterpart
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
                    its first epsilon, with the stability block's settings
   analyze/<name>   `lyapset analyze` in process, per bundled problem
@@ -72,11 +77,12 @@ import calib  # noqa: E402  (perfbench is a directory of scripts, not a package)
 PROBLEMS = ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")
 HARMONIC = ["x2", "-x1"]
 CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
+VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
 # field/m of the lane_batch and orbit_loop layers
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
-           "estimate_delta": (3, 1),
+           "estimate_delta": (3, 1), "lane_batch/vdp/1681": (7, 1),
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
               for kind in ("lane_batch", "orbit_loop") for batch in BATCHES}}
 
@@ -166,6 +172,13 @@ def worker(src: str) -> dict:
         for kind, run in (("lane_batch", _lane_batch), ("orbit_loop", _orbit_loops)):
             layers[f"{kind}/{batch}"] = (
                 lambda run=run, V=V, starts=starts, cfg=cfg: run(flow, V, starts, targets, cfg))
+    # roa_grid's nodes, in its order
+    axis = numpy.linspace(-3.0, 3.0, 41)
+    nodes = numpy.stack([c.reshape(-1) for c in numpy.meshgrid(axis, axis, indexing="ij")], -1)
+    vdp = ls.VectorFieldSpec.from_strings(VDP_REVERSED)
+    vdp_targets = numpy.asarray(ls.sample_times(20.0, 0.05)[1:])
+    vdp_cfg = ls.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
+    layers["lane_batch/vdp/1681"] = lambda: _lane_batch(flow, vdp, nodes, vdp_targets, vdp_cfg)
     out_dir = tempfile.mkdtemp()
     for name in PROBLEMS:
         path = os.path.join(ROOT, "problems", f"{name}.json")

@@ -26,7 +26,7 @@ from .flow import IntegratorConfig
 from .geometry import Box
 from .limits import estimate_omega, roa_grid
 from .lyapunov import VERDICT_REJECTED, converse_table, verify_certificate
-from .problem import ProblemDefinition, converse_config, load_problem
+from .problem import ProblemDefinition, _expect_object, converse_config, load_problem
 from .render import render_svg
 from .selftest import run_selftest
 from .stability import VERDICT_UNSTABLE, classify_stability
@@ -183,6 +183,18 @@ def cmd_analyze(args) -> int:
     return exit_code
 
 
+def _check_report(report) -> None:
+    """Raise ProblemFormatError at the JSON pointer of the first part of
+    report that plot cannot read: the report, its problem, its blocks or
+    one block is not an object."""
+    _expect_object(report, "/")
+    if "problem" not in report:
+        raise ProblemFormatError("/problem", "required object missing")
+    _expect_object(report["problem"], "/problem")
+    for name, block in _expect_object(report.get("blocks", {}), "/blocks").items():
+        _expect_object(block, f"/blocks/{name}")
+
+
 def cmd_plot(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
@@ -198,8 +210,10 @@ def cmd_plot(args) -> int:
         except ValueError:
             print("error: --axes expects two comma-separated indices", file=sys.stderr)
             return 1
-    # A report of the wrong shape fails below with one of these built-in errors.
+    # A report of the wrong shape fails below: in _check_report with the
+    # pointer at fault, or deeper with one of these built-in errors.
     try:
+        _check_report(report)
         problem = ProblemDefinition.from_json(report["problem"])
         svg = render_svg(problem, report, axes)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, LyapsetError) as exc:

@@ -11,8 +11,8 @@ that checks finiteness at every node, and a code generator that emits
 straight-line Python for hot loops, one temporary per operation node.
 The generator builds the standalone closures here and the integrator's
 per-field step in flow.py. Both evaluators use the same primitive
-operations (math.pow and friends), so values agree bitwise wherever both
-succeed.
+operations (math.pow and friends, and a * a for a^2), so values agree
+bitwise wherever both succeed.
 
 The generator also writes a lane form of the same code, in which every
 operand is a NumPy array holding one value per lane (one start of a
@@ -328,6 +328,8 @@ def _eval(e: Expr, x) -> float:
             v = a * b
         elif e.op == "div":
             v = a / b
+        elif b == 2.0:
+            v = a * a  # the correctly rounded square, as every evaluator has it
         else:
             v = math.pow(a, b)
     if not math.isfinite(v):
@@ -386,6 +388,8 @@ def _exp_or_inf(v: float) -> float:
 
 # Globals of generated lane code. np.float_power, np.sin, np.cos and
 # np.sqrt return libm's bits; np.power, np.exp and np.tanh do not always.
+# pow serves exponents other than 2: every evaluator takes a^2 as a * a,
+# the correctly rounded square.
 _LANE_NAMESPACE = {
     "sin": np.sin,
     "cos": np.cos,
@@ -456,6 +460,15 @@ def _emit(e: Expr, xs, code: list[str], lanes: bool = False) -> str:
             args.append(_emit(arg, xs, code, lanes))
             _guard(code, arg, args[-1], _INTERMEDIATE, lanes)
         text = f"{e.op}({', '.join(args)})"
+    elif e.op == "pow" and _is_const(e.right, 2.0):
+        # The square is a product: a non-finite base gives a non-finite
+        # product, so one guard after it stands for the base check and for
+        # the OverflowError of math.pow.
+        a = _emit(e.left, xs, code, lanes)
+        name = f"t{len(code)}"
+        code.append(f"{name} = {a} * {a}")
+        _guard(code, e, name, _INTERMEDIATE, lanes)
+        return name
     else:
         a = _emit(e.left, xs, code, lanes)
         if e.op == "pow":

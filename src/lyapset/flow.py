@@ -30,10 +30,12 @@ array operation, and the orbit loop's conditionals become where, fmin
 or fmax. A lane performs the IEEE operations of the scalar loop in the
 same order, so its samples are bitwise those of the scalar loop, and
 the choice of loop changes no bit. That rests on NumPy functions that
-round as libm does: float_power for pow and for the step factor
-(np.power differs), sin, cos and sqrt, while exp and tanh are evaluated
-element by element with math. Where the scalar code raises, a lane is
-marked failed instead, so one bad start never aborts the batch.
+round as libm does: float_power for powers other than squares and for
+the step factor (np.power differs), sin, cos and sqrt, while exp and
+tanh are evaluated element by element with math. A square a^2 is a * a,
+the correctly rounded square, in every evaluator, lanes included. Where
+the scalar code raises, a lane is marked failed instead, so one bad
+start never aborts the batch.
 """
 
 from __future__ import annotations

@@ -357,6 +357,10 @@ def oscillator_run(tmp_path_factory):
     return tmp
 
 
+_MALFORMED_POINTERS = {"not-an-object": "/", "number-block": "/blocks/stability",
+                       "no-problem": "/problem", "number-blocks": "/blocks"}
+
+
 class TestPlot:
     def test_grid_cell_count(self, oscillator_run, capsys):
         report = str(oscillator_run / "harmonic_oscillator.report.json")
@@ -409,7 +413,7 @@ class TestPlot:
         assert "--axes expects" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["not-an-object", "short-labels", "text-epsilon",
-                                      "number-block"])
+                                      "number-block", "no-problem", "number-blocks"])
     def test_malformed_report_exits_1(self, oscillator_run, tmp_path, capsys, case):
         with open(oscillator_run / "harmonic_oscillator.report.json", encoding="utf-8") as fh:
             report = json.load(fh)
@@ -420,14 +424,22 @@ class TestPlot:
             blocks["roa"]["labels"] = blocks["roa"]["labels"][:5]
         elif case == "text-epsilon":
             blocks["stability"]["pairs"][0]["epsilon"] = "half"
-        else:
+        elif case == "number-block":
             blocks["stability"] = 3
+        elif case == "no-problem":
+            del report["problem"]
+        else:
+            report["blocks"] = 3
         path = tmp_path / "bad.report.json"
         path.write_text(json.dumps(report))
         rc = main(["plot", str(path)])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ")
+        # The shapes checked before rendering name the pointer at fault.
+        pointer = _MALFORMED_POINTERS.get(case)
+        if pointer:
+            assert err.startswith(f"error: {pointer}: ")
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["bad.report.json"]
 

@@ -18,6 +18,8 @@ from lyapset.expr import (
     Unary,
     Var,
     VectorFieldSpec,
+    _define,
+    _emit_results,
     compile_gradient,
     compile_scalar,
     compile_vector_field,
@@ -253,6 +255,19 @@ def _bits(values):
 
 
 _HUGE = Binary("mul", Binary("mul", Var(1), Const(1e300)), Const(1e300))
+_SQUARE = Binary("pow", Var(1), Const(2.0))
+# A base whose square glibc 2.36's pow rounds one ULP above x * x.
+_POW_MISROUNDS = 2.817595433862767
+
+
+def _lanes(e, x1):
+    """Run the lane form of e, an expression in x1 alone, on the lane
+    values x1: (values, ok)."""
+    code = ["ok = ones(x0.shape, bool)"]
+    (name,) = _emit_results([e], ["x0"], code, lanes=True)
+    fn = _define("_lanes", "x0", code, f"{name}, ok", "lane expression", lanes=True)
+    with np.errstate(all="ignore"):  # as integrate_lanes runs lane code
+        return fn(np.array(x1))
 
 
 class TestInterpretedVsCompiled:
@@ -264,6 +279,11 @@ class TestInterpretedVsCompiled:
     @example(Unary("sqrt", Var(1)), [-1.0, 0.0])
     @example(Binary("div", Const(1.0), Var(2)), [1.0, 0.0])
     @example(Unary("exp", Binary("mul", Var(1), Const(1000.0))), [1.0, 0.0])
+    # Squares, which every evaluator takes as a product, and their overflow.
+    @example(_SQUARE, [_POW_MISROUNDS, 0.0])
+    @example(Binary("pow", Var(1), Const(3.0)), [_POW_MISROUNDS, 0.0])
+    @example(_SQUARE, [1e200, 0.0])
+    @example(Unary("exp", neg(_SQUARE)), [1e200, 0.0])
     def test_bitwise_agreement(self, e, x):
         V = VectorFieldSpec((e, e), 2)
         scalar = compile_scalar(e)
@@ -285,6 +305,26 @@ class TestInterpretedVsCompiled:
                 assert str(exc_info.value) in _COMPILED_DOMAIN_MESSAGES
                 continue
             assert _bits(compiled(list(x))) == _bits(expected)
+
+    def test_square_is_the_product(self):
+        x = [_POW_MISROUNDS, 0.0]
+        square = x[0] * x[0]
+        V = VectorFieldSpec((_SQUARE, Var(2)), 2)
+        cube = ScalarFieldSpec(Binary("pow", Var(1), Const(3.0)), 2)
+        assert _bits([eval_expr(_SQUARE, x), compile_scalar(_SQUARE)(x)]) == _bits([square] * 2)
+        assert _bits(compile_vector_field(V)(x)) == _bits([square, 0.0])
+        assert _bits(compile_gradient(cube)(x)) == _bits([3.0 * square, 0.0])
+        values, ok = _lanes(_SQUARE, [x[0], -x[0]])
+        assert _bits(values) == _bits([square] * 2) and ok.all()
+
+    @pytest.mark.parametrize("e", [_SQUARE, Unary("exp", neg(_SQUARE))])
+    def test_square_overflow_fails(self, e):
+        """x1^2 overflows at 1e200, where exp(-(x1^2)) must not become 0."""
+        for evaluate in (lambda x: eval_expr(e, x), compile_scalar(e)):
+            with pytest.raises(EvalDomainError):
+                evaluate([1e200])
+        _, ok = _lanes(e, [1e200, 0.5])
+        assert ok.tolist() == [False, True]
 
 
 class TestGradientVsFiniteDifferences:

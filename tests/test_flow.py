@@ -368,6 +368,10 @@ class TestLaneBatch:
     @example(_lanes_case(["1 / 0 + x1"], [[1.0], [2.0]]))
     # A cube that np.power rounds differently from libm's pow.
     @example(_lanes_case(["x1^3"], [[2.3383853854339334], [0.5]]))
+    # Squares are products: a base whose square pow rounds otherwise, and
+    # a square that overflows, also under exp(-inf) = 0.
+    @example(_lanes_case(["x1^2"], [[2.817595433862767], [1e200], [0.5]]))
+    @example(_lanes_case(["exp(-(x1^2))"], [[1e200], [0.5]]))
     # One step from 0.2 to 0.9 within a budget of two: without the snap
     # onto the target, t ends just below 0.9 and a third step follows.
     @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], dt=100.0, max_steps=2))
@@ -392,6 +396,13 @@ class TestLaneBatch:
         assert _lane_samples(V, starts, targets, cfg) == [
             _orbit_samples(V, y, targets, cfg) for y in starts
         ]
+
+    @pytest.mark.parametrize("text", ["x1^2", "exp(-(x1^2))"])
+    def test_square_overflow_fails_its_lane(self, text):
+        V, starts, targets, cfg = _lanes_case([text], [[1e200], [0.5]])
+        for loop in (LANES, ORBITS):
+            rows = _lane_samples(V, starts, targets, cfg, loop)
+            assert [failed for _, failed, _ in rows] == [True, False]
 
     def test_visit_exception_propagates_unchanged(self, osc, cfg):
         error = ZeroDivisionError("raised by visit")
