@@ -214,7 +214,10 @@ def cmd_plot(args) -> int:
     # pointer at fault, or deeper with one of these built-in errors.
     try:
         _check_report(report)
-        problem = ProblemDefinition.from_json(report["problem"])
+        try:
+            problem = ProblemDefinition.from_json(report["problem"])
+        except ProblemFormatError as exc:  # its pointer is within the problem
+            raise ProblemFormatError("/problem" + exc.pointer, exc.message) from exc
         svg = render_svg(problem, report, axes)
     except (AttributeError, IndexError, KeyError, TypeError, ValueError, LyapsetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

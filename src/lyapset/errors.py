@@ -48,4 +48,4 @@ class ProblemFormatError(LyapsetError, ValueError):
 
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
+        self.pointer, self.message = pointer, message

@@ -422,7 +422,7 @@ _LANE_OK_BEFORE = {
     "div": "{b} != 0.0",
 }
 _LANE_OK_AFTER = {
-    "exp": "isfinite({t}) | ~isfinite({a})",
+    "exp": "isfinite({t})",  # its operand is checked before
     "pow": "isfinite({t}) | ~isfinite({b})",
 }
 
@@ -450,8 +450,9 @@ def _emit(e: Expr, xs, code: list[str], lanes: bool = False) -> str:
     a = b = None
     if isinstance(e, Unary):
         a = _emit(e.arg, xs, code, lanes)
-        if e.op == "tanh":
-            # tanh maps Inf to 1.0, so its operand must be checked.
+        if e.op in ("tanh", "exp"):
+            # tanh maps Inf to 1.0 and exp maps -Inf to 0.0, so their
+            # operand must be checked.
             _guard(code, e.arg, a, _INTERMEDIATE, lanes)
         text = f"-{a}" if e.op == "neg" else f"{e.op}({a})"
     elif isinstance(e, Nary):

@@ -17,25 +17,25 @@ closure once per stage as its reference; the two agree bitwise, attempt
 counts and errors included. Output samples are forced step endpoints,
 never interpolants, so a recorded state is exactly the integrator state.
 
-integrate_lanes() runs many starts at once, for analyses that start an
-orbit per grid node, sample or representative. From _LANES_FROM starts
-up it runs them as lanes: each start is a column of NumPy arrays, with
-its own time, step size and next output time; acceptance is masked per
-lane, and a lane leaves the batch when it finishes or fails. Below that
-it runs the orbit loop once per start, which is faster there: a lane
-pass costs about as much whatever the number of lanes. The batch is
-generated too, around the orbit loop's step emitter, so the attempt and
-the step control are written once: a lane stage state is one (n, m)
-array operation, and the orbit loop's conditionals become where, fmin
-or fmax. A lane performs the IEEE operations of the scalar loop in the
-same order, so its samples are bitwise those of the scalar loop, and
-the choice of loop changes no bit. That rests on NumPy functions that
-round as libm does: float_power for powers other than squares and for
-the step factor (np.power differs), sin, cos and sqrt, while exp and
-tanh are evaluated element by element with math. A square a^2 is a * a,
-the correctly rounded square, in every evaluator, lanes included. Where
-the scalar code raises, a lane is marked failed instead, so one bad
-start never aborts the batch.
+integrate_lanes() runs many starts at once; every analysis that starts
+more than one orbit hands them all to it (flow_rows() moves many points
+by one time). From _LANES_FROM starts up it runs lanes: each start is a
+column of NumPy arrays, with its own time, step size and next output
+time; acceptance is masked per lane, and a lane leaves the batch when it
+finishes or fails. Below that it runs the orbit loop once per start,
+faster there: a lane pass costs about as much whatever the number of
+lanes. The batch is generated too, around the orbit loop's step emitter,
+so the attempt and the step control are written once: a lane stage state
+is one (n, m) array operation, and the orbit loop's conditionals become
+where, fmin or fmax. A lane performs the IEEE operations of the scalar
+loop in the same order, so its samples are bitwise those of the scalar
+loop, and the choice of loop changes no bit. That rests on NumPy
+functions that round as libm does: float_power for powers other than
+squares and for the step factor (np.power differs), sin, cos and sqrt,
+while exp and tanh are evaluated element by element with math. A square
+a^2 is a * a, the correctly rounded square, in every evaluator, lanes
+included. Where the scalar code raises, a lane is marked failed instead,
+so one bad start never aborts the batch.
 """
 
 from __future__ import annotations
@@ -423,6 +423,25 @@ def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
     out = []
     _compiled(field, cfg.method)([float(v) for v in x], [duration], cfg, out)
     return np.asarray(out[0])
+
+
+def flow_rows(V: VectorFieldSpec, starts, t: float, cfg: IntegratorConfig):
+    """flow(V, x, t, cfg) of every row x of starts, for t > 0, in one
+    integrate_lanes call. Returns the moved rows before the first that
+    failed, and the error flow() raises for that row, or None."""
+    moved = np.empty_like(starts, dtype=float)
+
+    def visit(rows, j, states):
+        moved[rows] = states
+
+    failed, _ = integrate_lanes(V, starts, [t], cfg, visit)
+    first = int(failed.argmax())
+    try:  # flow() takes a failed row's steps and raises what it met, bit for bit
+        if failed[first]:
+            flow(V, starts[first], t, cfg)
+    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
+        return moved[:first], exc
+    return moved, None
 
 
 # Each output sample is a step endpoint, so an orbit on a finer grid than

@@ -11,6 +11,7 @@ the samples is within tolerance, a mere dip counts as weak attraction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .expr import VectorFieldSpec
 from .flow import (
     IntegratorConfig,
     flow,
+    flow_rows,
     integrate_lanes,
     partial_trajectory,
     sample_times,
@@ -101,17 +103,9 @@ def estimate_omega(
 
     reps = _greedy_cluster(window.states, cluster_tol)
     tau = out_dt
-    moved = np.empty_like(reps)
-
-    def visit(rows, j, states):
-        moved[rows] = states
-
-    failed, _ = integrate_lanes(V, reps, [tau], cfg, visit)
-    if failed.any():  # flow() raises there what the row met, bit for bit
-        try:
-            flow(V, reps[failed.argmax()], tau, cfg)
-        except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
-            raise OrbitUnboundedError(f"representative escaped during probe: {exc}") from exc
+    moved, error = flow_rows(V, reps, tau, cfg)
+    if error is not None:
+        raise OrbitUnboundedError(f"representative escaped during probe: {error}") from error
     defect = hausdorff(moved, reps)
 
     meta = (
@@ -177,10 +171,7 @@ class RoaGrid:
     tol: float
 
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for lab in self.labels:
-            out[lab] = out.get(lab, 0) + 1
-        return out
+        return dict(Counter(self.labels))
 
     def to_csv(self) -> str:
         n = self.nodes.shape[1]
@@ -204,59 +195,71 @@ class RoaGrid:
 LABEL_ERROR = "error"
 
 
-def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
-    """Run the starts through integrate_lanes and reduce their distances to
-    M at each sample: per start the minimum, the last value and the tail
-    maximum, as classify_attraction reads them, and per sample the largest
-    over all starts. Returns (failed, errors, lowest, latest, tail_max,
-    peak); a start whose distance raised or whose orbit hit a step limit
-    has failed and has an error text, the first of the two."""
+class _Stop(Exception):
+    """Raised through integrate_lanes when a reduction has seen enough."""
+
+
+def _distance_pass(V: VectorFieldSpec, M: CompactSet, starts, times, cfg, reduce):
+    """Pass reduce(rows, j, d) the distances d to M of the starts, sample j
+    = 0 of times, then of their samples as integrate_lanes visits them; a
+    distance that raises is NaN, and its row keeps its first error. Returns
+    integrate_lanes' failed mask and step limit texts, and that error or
+    None by row. If reduce returns True the pass ends with no row failed."""
     if M.dim != V.dim:
         raise DimensionMismatchError(f"set dimension {M.dim} != field dimension {V.dim}")
     m = len(starts)
-    in_tail = np.asarray(times) >= (1.0 - TAIL_FRACTION) * times[-1]
-    errors: list[str | None] = [None] * m
+    raised: list[LyapsetError | None] = [None] * m
 
-    def distances(rows, points):
-        """M.distances, retried row by row when the batch raises, so that
-        only the rows that raise become error rows."""
+    def visit(rows, j, states):
         try:
-            return M.distances(points)
+            d = M.distances(states)
         except LyapsetError:
-            pass
-        d = np.empty(len(rows))
-        for i, (row, p) in enumerate(zip(rows.tolist(), points)):
-            try:
-                d[i] = M.distances(p[None, :])[0]
-            except LyapsetError as exc:
-                d[i] = math.nan
-                errors[row] = errors[row] or str(exc)
-        return d
+            d = np.empty(len(rows))
+            for i, (row, p) in enumerate(zip(rows.tolist(), states)):
+                try:
+                    d[i] = M.distances(p[None, :])[0]
+                except LyapsetError as exc:
+                    d[i] = math.nan
+                    raised[row] = raised[row] or exc
+        if reduce(rows, j + 1, d):
+            raise _Stop
 
+    try:
+        visit(np.arange(m), np.full(m, -1), starts)
+        failed, limited = integrate_lanes(V, starts, times[1:], cfg, visit)
+    except _Stop:
+        failed, limited = np.zeros(m, bool), {}
+    return failed, limited, raised
+
+
+def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
+    """Reduce a _distance_pass: per start the minimum, the last value and
+    the tail maximum, as classify_attraction reads them, and per sample the
+    largest over all starts. Returns (failed, errors, lowest, latest,
+    tail_max, peak); a start whose distance raised or whose orbit hit a
+    step limit has failed, with an error text, the distance's if both."""
+    m = len(starts)
+    in_tail = np.asarray(times) >= (1.0 - TAIL_FRACTION) * times[-1]
     lowest = np.full(m, math.inf)
     latest = np.empty(m)
     newest = np.full(m, -1)  # per start, the j of the sample latest holds
     tail_max = np.full(m, -math.inf)
     peak = np.full(len(times), -math.inf)
 
-    def visit(rows, j, states):
-        # A row may repeat in one call, with increasing j, so every
-        # reduction over rows is a ufunc.at. fmin and fmax skip the NaN
-        # distances of error rows, whose reductions are never read.
-        d = distances(rows, states)
+    def reduce(rows, j, d):
+        # A row may repeat in one call, so every reduction over rows is a
+        # ufunc.at. fmin and fmax skip the NaN distances of error rows.
         np.fmin.at(lowest, rows, d)
         np.maximum.at(newest, rows, j)
         last = j == newest[rows]
         latest[rows[last]] = d[last]
-        tail = in_tail[j + 1]
+        tail = in_tail[j]
         np.fmax.at(tail_max, rows[tail], d[tail])
-        np.fmax.at(peak, j + 1, d)
+        np.fmax.at(peak, j, d)
 
-    visit(np.arange(m), np.full(m, -1), starts)  # the starts are sample 0
-    failed, limited = integrate_lanes(V, starts, times[1:], cfg, visit)
-    for row, text in limited.items():
-        errors[row] = errors[row] or text
-    failed |= np.array([e is not None for e in errors])
+    failed, limited, raised = _distance_pass(V, M, starts, times, cfg, reduce)
+    errors = [str(exc) if exc else limited.get(row) for row, exc in enumerate(raised)]
+    failed |= np.array([e is not None for e in errors], bool)
     return failed, errors, lowest, latest, tail_max, peak
 
 

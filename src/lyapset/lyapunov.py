@@ -1,16 +1,17 @@
 """Converse construction of Lyapunov functions and certificate checking.
 
-From one sampled orbit distance curve this module builds the two scalar
-functions used to certify asymptotic stability: ell(x), the largest
-future distance to the set, and big_L(x), the weighted integral of ell
-along the orbit with weight alpha(t) = exp(-lambda*t). Both replace the
+From sampled orbit distance curves, taken for all the points of a call
+in one integrate_lanes pass, this module builds the two scalar functions
+used to certify asymptotic stability: ell(x), the largest future
+distance to the set, and big_L(x), the weighted integral of ell along
+the orbit with weight alpha(t) = exp(-lambda*t). Both replace the
 infinite horizon by a truncation whose error bound exp(-lambda*T)/lambda
 times ell_max is reported, never hidden.
 
 verify_certificate checks a user-supplied candidate function the same
 way the constructed one is justified: zero on the set, positive on an
 annulus around it, derivative along the field negative, and decreasing
-along sampled orbits.
+along sampled orbits, flowing its samples in one pass too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     EscapedDomainError,
     EvalDomainError,
-    LyapsetError,
     NondifferentiableError,
 )
 from .expr import (
@@ -34,8 +34,9 @@ from .expr import (
     compile_scalar,
     compile_vector_field,
 )
-from .flow import IntegratorConfig, check_sampling, flow, trajectory
+from .flow import IntegratorConfig, _sample, check_sampling, flow_rows, sample_times
 from .geometry import Box, CompactSet, _shell_points, as_point, sample_set_points
+from .limits import _distance_pass
 
 _QUADRATURES = ("trapezoid", "simpson")
 
@@ -99,36 +100,45 @@ def _quadrature(values: np.ndarray, h: float, rule: str) -> float:
     return float(h / 3.0 * (values[0] + 4.0 * odd + 2.0 * even + values[-1]))
 
 
-def _distance_curve(V, M, x, n_steps: int, out_dt: float, cfg) -> np.ndarray:
-    """d(orbit(t_k), M) for t_k = k*out_dt, k = 0..n_steps."""
-    traj = trajectory(V, x, n_steps * out_dt, out_dt, cfg)
-    if len(traj) != n_steps + 1:
-        raise RuntimeError("orbit sampling produced a ragged grid")
-    return M.distances(traj.states)
-
-
 def _windowed_sup(d: np.ndarray, window: int) -> np.ndarray:
-    """out[k] = max(d[k : k+window+1]). A maximum picks one of its inputs,
-    and equal distances have equal bits (no set kind returns -0.0), so
-    the result does not depend on the order the window is scanned in."""
-    return sliding_window_view(d, window + 1).max(axis=1)
+    """out[..., k] = max(d[..., k : k+window+1]). A maximum picks one of its
+    inputs, and equal distances have equal bits (no set kind returns -0.0),
+    so the result does not depend on the order the window is scanned in."""
+    return sliding_window_view(d, window + 1, axis=-1).max(axis=-1)
+
+
+def _big_l_values(V, M, starts, cfg, cc: ConverseConfig, n_steps: int):
+    """Per row of starts, from one distance pass, d(orbit(t_k), M) for t_k =
+    k*out_dt, k = 0..n_steps (NaN past a failure) and its ell-hat (window
+    cc.steps, valid on 0..n_steps - cc.steps); and by row the error of each
+    failed row, the orbit's as trajectory() raises it, else the distance's."""
+    out_dt = cc.out_dt
+    times = sample_times(n_steps * out_dt, out_dt)
+    if len(times) != n_steps + 1:
+        raise RuntimeError("orbit sampling produced a ragged grid")
+    d = np.full((len(starts), n_steps + 1), math.nan)
+
+    def reduce(rows, j, dist):
+        d[rows, j] = dist
+
+    failed, _, raised = _distance_pass(V, M, starts, times, cfg, reduce)
+    errors = {row: exc for row, exc in enumerate(raised) if exc}
+    for row in np.flatnonzero(failed).tolist():  # the orbit's own error, re-run
+        errors[row] = _sample(V, starts[row], n_steps * out_dt, out_dt, cfg)[1]
+    return _windowed_sup(d, cc.steps), d, errors
+
+
+def _ell_hat(V, M, x, cfg, cc: ConverseConfig, n_steps: int) -> np.ndarray:
+    """ell-hat of the orbit of x, or the error that orbit met, raised."""
+    ellhat, _, errors = _big_l_values(V, M, as_point(x, V.dim)[None, :], cfg, cc, n_steps)
+    if errors:
+        raise errors[0]
+    return ellhat[0]
 
 
 def ell(V: VectorFieldSpec, M: CompactSet, x, cfg: IntegratorConfig, cc: ConverseConfig) -> float:
     """Largest sampled future distance to the set; at least d(x, M)."""
-    d = _distance_curve(V, M, x, cc.steps, cc.out_dt, cfg)
-    return float(d.max())
-
-
-def _big_l_values(V, M, x, cfg, cc: ConverseConfig, extra_steps: int = 0):
-    """ell-hat on the grid (window cc.steps) and the raw distance curve.
-
-    The curve spans 2*steps + extra_steps intervals, so ell-hat is valid
-    on grid indices 0..steps+extra_steps.
-    """
-    m = cc.steps
-    d = _distance_curve(V, M, x, 2 * m + extra_steps, cc.out_dt, cfg)
-    return _windowed_sup(d, m), d
+    return float(_ell_hat(V, M, x, cfg, cc, cc.steps)[0])
 
 
 def _big_l_at(ellhat: np.ndarray, k0: int, cc: ConverseConfig) -> float:
@@ -141,8 +151,7 @@ def _big_l_at(ellhat: np.ndarray, k0: int, cc: ConverseConfig) -> float:
 
 def big_L(V: VectorFieldSpec, M: CompactSet, x, cfg: IntegratorConfig, cc: ConverseConfig) -> float:
     """Truncated integral of alpha(t) * ell(orbit(t)) on the output grid."""
-    ellhat, _ = _big_l_values(V, M, x, cfg, cc)
-    return _big_l_at(ellhat, 0, cc)
+    return _big_l_at(_ell_hat(V, M, x, cfg, cc, 2 * cc.steps), 0, cc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,19 +201,17 @@ class ConverseTable:
 
 def converse_table(V, M, points, cfg, cc: ConverseConfig) -> ConverseTable:
     """ell and big_L tabulated at given points, with per-row tail checks."""
-    rows = []
-    worst_ell = 0.0
-    for p in points:
-        p = as_point(p, V.dim)
-        try:
-            ellhat, d = _big_l_values(V, M, p, cfg, cc)
-            value = _big_l_at(ellhat, 0, cc)
-            tail = d[int(0.9 * d.shape[0]) :]
-            tail_ok = bool(tail.max() < d.max()) if d.max() > 0 else True
-            worst_ell = max(worst_ell, float(d.max()))
-            rows.append(ConverseRow(p, float(d[: cc.steps + 1].max()), value, tail_ok))
-        except LyapsetError as exc:
-            rows.append(ConverseRow(p, math.nan, math.nan, False, error=str(exc)))
+    points = np.reshape([as_point(p, V.dim) for p in points], (-1, V.dim))
+    ellhat, curves, errors = _big_l_values(V, M, points, cfg, cc, 2 * cc.steps)
+    rows, worst_ell = [], 0.0
+    for i, (p, d) in enumerate(zip(points, curves)):
+        if i in errors:
+            rows.append(ConverseRow(p, math.nan, math.nan, False, error=str(errors[i])))
+            continue
+        tail = d[int(0.9 * d.shape[0]) :]
+        tail_ok = bool(tail.max() < d.max()) if d.max() > 0 else True
+        worst_ell = max(worst_ell, float(d.max()))
+        rows.append(ConverseRow(p, float(ellhat[i][0]), _big_l_at(ellhat[i], 0, cc), tail_ok))
     return ConverseTable(tuple(rows), truncation_bound(worst_ell, cc), cc)
 
 
@@ -266,36 +273,31 @@ def verify_converse_properties(
     probe_idx = [int(round(p / cc.out_dt)) for p in PROBE_TIMES]
     if any(i < 1 for i in probe_idx):
         raise ValueError("probe times must be at least one output step")
-    extra = max(probe_idx)
 
-    monotone = []
-    strict = []
-    continuity = []
-    failures = []
+    ellhats, _, errors = _big_l_values(V, M, samples, cfg, cc, 2 * cc.steps + max(probe_idx))
+    probes = samples + [CONTINUITY_DELTA * u / np.linalg.norm(u) for u in directions]
+    probe_ellhats, _, probe_errors = _big_l_values(V, M, probes, cfg, cc, 2 * cc.steps)
+
+    monotone, strict, continuity, failures = [], [], [], []
     for s in range(n_samples):
-        x = samples[s]
-        try:
-            ellhat, _ = _big_l_values(V, M, x, cfg, cc, extra_steps=extra)
-        except LyapsetError as exc:
-            failures.append((s, str(exc)))
+        if s in errors:
+            failures.append((s, str(errors[s])))
             continue
+        ellhat = ellhats[s]
         l0 = _big_l_at(ellhat, 0, cc)
-        off_set = M.distance(x) > 10.0 * tol
+        off_set = M.distance(samples[s]) > 10.0 * tol
         for p, k in zip(PROBE_TIMES, probe_idx):
             if ellhat[k] > ellhat[0] + tol:
                 monotone.append((s, float(p), float(ellhat[k] - ellhat[0])))
             if off_set and not _big_l_at(ellhat, k, cc) < l0:
                 strict.append((s, float(p), float(_big_l_at(ellhat, k, cc) - l0)))
 
-        u = directions[s]
-        y = x + CONTINUITY_DELTA * u / np.linalg.norm(u)
-        try:
-            ellhat_y, _ = _big_l_values(V, M, y, cfg, cc)
-            jump = abs(_big_l_at(ellhat_y, 0, cc) - l0)
-            if jump > CONTINUITY_BOUND:
-                continuity.append((s, float(jump)))
-        except LyapsetError as exc:
-            failures.append((s, f"continuity probe: {exc}"))
+        if s in probe_errors:
+            failures.append((s, f"continuity probe: {probe_errors[s]}"))
+            continue
+        jump = abs(_big_l_at(probe_ellhats[s], 0, cc) - l0)
+        if jump > CONTINUITY_BOUND:
+            continuity.append((s, float(jump)))
     return ConversePropertyReport(
         n_samples=n_samples,
         probe_times=PROBE_TIMES,
@@ -380,6 +382,8 @@ def verify_certificate(
         raise ValueError("candidate and field dimensions differ")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not decrease_time > 0:
+        raise ValueError("decrease_time must be > 0")
     notes: list[str] = []
 
     lfn = compile_scalar(Lcand.body)
@@ -395,10 +399,7 @@ def verify_certificate(
     annulus = _annulus_points(M, r_in, r_out, n_samples, seed)
     on_set = sample_set_points(M, SET_SAMPLES, (seed * 31 + 7) % (2**31)).points
 
-    positivity = math.inf
-    gradient_margin = -math.inf
-    zero_max = 0.0
-    decrease_margin = -math.inf
+    positivity, zero_max, gradient_margin, decrease_margin = math.inf, 0.0, -math.inf, -math.inf
     # Closures get Python floats: on NumPy scalars a division by zero
     # returns inf with a warning instead of raising.
     try:
@@ -410,31 +411,19 @@ def verify_certificate(
             g = gfn(pt)
             v = vfn(pt)
             gradient_margin = max(gradient_margin, sum(a * b for a, b in zip(g, v)))
-        for p in annulus[: min(DECREASE_SAMPLES, n_samples)]:
-            moved = flow(V, p, decrease_time, cfg)
-            decrease_margin = max(
-                decrease_margin, lfn(moved.tolist()) - lfn(p.tolist())
-            )
+        moved, error = flow_rows(V, annulus[:DECREASE_SAMPLES], decrease_time, cfg)
+        for p, q in zip(annulus, moved):  # the rows before the first failure
+            decrease_margin = max(decrease_margin, lfn(q.tolist()) - lfn(p.tolist()))
+        if error is not None:
+            raise error
     except (EvalDomainError, EscapedDomainError) as exc:
         notes.append(f"evaluation failure: {exc}")
-        return CertificateReport(
-            positivity_margin=-math.inf,
-            zero_on_M_max=math.inf,
-            gradient_margin=math.inf,
-            trajectory_decrease_margin=math.inf,
-            verdict=VERDICT_REJECTED,
-            samples=n_samples,
-            seed=seed,
-            gradient_mode=gradient_mode,
-            notes=tuple(notes),
-        )
+        # Every margin at its worst, so the candidate is rejected.
+        positivity, zero_max, gradient_margin, decrease_margin = (
+            -math.inf, math.inf, math.inf, math.inf)
 
-    accepted = (
-        positivity > 0
-        and zero_max <= zero_tol
-        and gradient_margin < 0
-        and decrease_margin < 0
-    )
+    accepted = (positivity > 0 and zero_max <= zero_tol
+                and gradient_margin < 0 and decrease_margin < 0)
     return CertificateReport(
         positivity_margin=float(positivity),
         zero_on_M_max=float(zero_max),

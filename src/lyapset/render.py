@@ -148,8 +148,6 @@ def _set_marks(problem, frame: _Frame, ax_i: int, ax_j: int) -> list[str]:
 def _orbit_starts(problem: ProblemDefinition) -> list[list[float]]:
     if problem.omega is not None:
         return [list(problem.omega["x0"])]
-    lo = []
-    hi = []
     ax_lo, ax_hi = problem.set_spec.bounding_box()
     if problem.roa is not None:
         lo, hi = problem.roa["box"]

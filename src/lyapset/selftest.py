@@ -13,11 +13,13 @@ import math
 import numpy as np
 
 from .errors import EscapedDomainError
-from .expr import ScalarFieldSpec, VectorFieldSpec, gradient
+from .expr import ScalarFieldSpec, VectorFieldSpec, eval_expr, gradient
 from .flow import IntegratorConfig, flow, semigroup_defect, trajectory
 from .geometry import Box, ClosedBall, PointCloud, SinglePoint, sample_shell
-from .limits import LABEL_ATTRACTED, LABEL_NOT, LABEL_WEAK, classify_attraction, estimate_omega
-from .lyapunov import ConverseConfig, big_L, ell, verify_certificate
+from .limits import (
+    LABEL_ATTRACTED, LABEL_NOT, LABEL_WEAK, classify_attraction, estimate_omega, roa_grid,
+)
+from .lyapunov import ConverseConfig, big_L, central_gradient, ell, verify_certificate
 from .stability import estimate_delta, uniform_attraction_time
 
 _SINK1 = VectorFieldSpec.from_strings(["-x1"])
@@ -45,15 +47,7 @@ def _check_gradient_fd(scale: float):
     s = ScalarFieldSpec.from_string("exp(x1)*cos(x2) + x1*x2^2", 2)
     x = [0.3, -0.7]
     sym = gradient(s, x)
-    h = 1e-6
-    fd = []
-    for i in range(2):
-        xp, xm = list(x), list(x)
-        xp[i] += h * max(1.0, abs(x[i]))
-        xm[i] -= h * max(1.0, abs(x[i]))
-        from .expr import eval_expr
-
-        fd.append((eval_expr(s.body, xp) - eval_expr(s.body, xm)) / (xp[i] - xm[i]))
+    fd = central_gradient(lambda p: eval_expr(s.body, p), x)
     worst = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(sym, fd))
     return worst <= 1e-5 * scale, f"max rel dev = {worst:.3e}"
 
@@ -167,8 +161,6 @@ def _check_certificate_reject(scale: float):
 
 
 def _check_roa_pitchfork(scale: float):
-    from .limits import roa_grid
-
     V = VectorFieldSpec.from_strings(["x1 - x1^3"])
     M = PointCloud([[-1.0], [1.0]])
     grid = roa_grid(V, M, Box([-2.0], [2.0]), 21, _FAST, 20.0, 1e-3, out_dt=0.1)

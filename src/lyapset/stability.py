@@ -2,16 +2,16 @@
 
 estimate_delta searches, by bisection over delta in (0, epsilon], for a
 ball whose sampled orbits all stay inside the epsilon-ball around the
-set; each probe orbit is sampled over the whole horizon, as every other
-analysis samples its orbits, and all its samples are tested at once.
-Once some delta is certified and tol > 0, one probe at the top of the
-bracket, tol/2 below its failed end, either ends the search or becomes
-that end; the bisection stops when its bracket is within tol. It may
-start from a delta already certified: the probe points depend on delta
-and the seed only, so a delta certified for one epsilon holds for every
-larger one. classify_stability walks its ascending epsilons that way,
-with its own tol as the delta resolution.
-check_positive_invariance flows set members and reports the largest
+set; each probe hands its orbits to one integrate_lanes pass, which
+stops once an orbit that leaves decides, as if the orbits ran one by
+one. Once some delta is certified and tol > 0, one probe at the top of
+the bracket, tol/2 below its failed end, either ends the search or
+becomes that end; the bisection stops when its bracket is within tol. It
+may start from a delta already certified: the probe points depend on
+delta and the seed only, so a delta certified for one epsilon holds for
+every larger one. classify_stability walks its ascending epsilons that
+way, with its own tol as the delta resolution. check_positive_invariance
+runs set members through the same pass and reports the largest
 excursion. uniform_attraction_time finds the first sampled time after
 which a whole start collection stays within epsilon. classify_stability
 aggregates these plus a neighborhood attraction grid into one verdict,
@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import StepLimitError
 from .expr import VectorFieldSpec
-from .flow import IntegratorConfig, partial_trajectory, sample_times
+from .flow import IntegratorConfig, sample_times
 from .geometry import Box, CompactSet, PointCloud, _shell_points, sample_set_points
-from .limits import LABEL_ATTRACTED, _sweep, roa_grid
+from .limits import LABEL_ATTRACTED, _distance_pass, _sweep, roa_grid
 
 VERDICT_STABLE = "stable_evidence"
 VERDICT_UNSTABLE = "unstable_witness"
@@ -106,25 +106,31 @@ def _candidate_points(
     )
 
 
-def _orbit_stays_inside(
-    V: VectorFieldSpec,
-    x,
-    M: CompactSet,
-    epsilon: float,
-    horizon_T: float,
-    out_dt: float,
-    cfg: IntegratorConfig,
-) -> bool:
-    """True when every sampled state keeps d < epsilon. A sample outside
-    decides even if the orbit failed after it. Otherwise an escape or a
-    domain failure counts as an exit, and an exhausted step budget, which
-    says nothing about the orbit, propagates."""
-    traj, error = partial_trajectory(V, x, horizon_T, out_dt, cfg)
-    if not np.all(M.distances(traj.states) < epsilon):
-        return False
-    if isinstance(error, StepLimitError):
-        raise error
-    return error is None
+def _first_exit(V, M, points, epsilon: float, times, cfg):
+    """The first point whose orbit leaves d < epsilon at a sample, or None,
+    and per point its largest distance. A sample outside decides even if
+    the orbit failed after it, and a distance that raises propagates; else
+    an escape or a domain failure is an exit, and an exhausted step budget,
+    which says nothing about the orbit, raises. The pass stops once an exit
+    follows only orbits known to stay inside, as if they ran one by one."""
+    worst = np.full(len(points), -math.inf)  # NaN where a distance raised
+    done = np.zeros(len(points), bool)
+
+    def reduce(rows, j, d):
+        np.maximum.at(worst, rows, d)
+        done[rows[j == len(times) - 1]] = True
+        first = np.argmin(done & (worst < epsilon))  # the first row still open
+        return not worst[first] < epsilon
+
+    failed, limited, raised = _distance_pass(V, M, points, times, cfg, reduce)
+    for row, p in enumerate(points):
+        if raised[row]:
+            raise raised[row]
+        if row in limited and worst[row] < epsilon:
+            raise StepLimitError(limited[row])
+        if failed[row] or not worst[row] < epsilon:
+            return p, worst
+    return None, worst
 
 
 def estimate_delta(
@@ -157,13 +163,7 @@ def estimate_delta(
         raise ValueError("tol must be >= 0")
     if certified is not None and not 0 < certified <= epsilon:
         raise ValueError("certified must lie in (0, epsilon]")
-    sample_times(horizon_T, out_dt)  # rejects a bad horizon before any orbit
-
-    def probe(delta: float) -> np.ndarray | None:
-        for p in _candidate_points(M, delta, shell_samples, seed):
-            if not _orbit_stays_inside(V, p, M, epsilon, horizon_T, out_dt, cfg):
-                return p
-        return None
+    times = sample_times(horizon_T, out_dt)  # rejects a bad horizon before any orbit
 
     # lo: largest certified so far, hi: smallest failed; top: the one probe
     # at hi - tol/2 still due once some delta is certified
@@ -179,7 +179,8 @@ def estimate_delta(
             mid = 0.5 * (lo + hi)
         if mid <= 0:
             break
-        w = probe(mid)
+        points = _candidate_points(M, mid, shell_samples, seed)
+        w = _first_exit(V, M, points, epsilon, times, cfg)[0]
         if w is None:
             certified, lo = mid, mid
         else:
@@ -197,19 +198,13 @@ def check_positive_invariance(
     out_dt: float = 0.05,
 ) -> float:
     """Max distance excursion of flowed set members; inf flags an escape.
-    An exhausted step budget, which says nothing about the orbit, raises."""
+    The first member that fails decides, as a delta probe with epsilon =
+    inf does, and an exhausted step budget raises."""
     if not horizon_T > 0:
         raise ValueError("horizon_T must be > 0")
     starts = sample_set_points(M, boundary_samples, seed).points
-    worst = 0.0
-    for p in starts:
-        traj, error = partial_trajectory(V, p, horizon_T, out_dt, cfg)
-        if isinstance(error, StepLimitError):
-            raise error
-        if error is not None:
-            return math.inf
-        worst = max(worst, float(M.distances(traj.states).max()))
-    return worst
+    escape, worst = _first_exit(V, M, starts, math.inf, sample_times(horizon_T, out_dt), cfg)
+    return math.inf if escape is not None else float(worst.max())
 
 
 def _uniform_estimate(failed, final, peak, times, epsilon: float) -> UniformTimeEstimate:

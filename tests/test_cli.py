@@ -443,6 +443,25 @@ class TestPlot:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["bad.report.json"]
 
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda problem: problem.update(dimension="a"), "/problem/dimension"),
+        (lambda problem: problem["set"].update(center=["a", 0.0]), "/problem/set/center/0"),
+    ])
+    def test_bad_problem_names_its_pointer_in_the_report(
+        self, oscillator_run, tmp_path, capsys, edit, pointer
+    ):
+        with open(oscillator_run / "harmonic_oscillator.report.json", encoding="utf-8") as fh:
+            report = json.load(fh)
+        edit(report["problem"])
+        path = tmp_path / "bad.report.json"
+        path.write_text(json.dumps(report))
+        rc = main(["plot", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {pointer}: ")
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["bad.report.json"]
+
     def test_missing_report_exits_1(self, tmp_path, capsys):
         rc = main(["plot", str(tmp_path / "absent.report.json")])
         assert rc == 1

@@ -347,9 +347,9 @@ class TestLaneBatch:
     @settings(max_examples=200, deadline=None)
     @given(_lane_batches())
     # One case per place where the scalar code raises: each guard, then
-    # each Python float or math exception, then a non-finite value that
-    # exp(-inf) turns finite without raising, then a constant expression
-    # that raises on every lane.
+    # each Python float or math exception, then a non-finite operand of
+    # exp, which fails though exp(-inf) is finite, then a constant
+    # expression that raises on every lane.
     @example(_lanes_case(["x1 * 1e300 * 1e300"], [[1.0], [0.0]]))
     @example(_lanes_case(["tanh(x1 * 1e300 * 1e300)"], [[1.0], [0.5e-300]]))
     @example(_lanes_case(["(x1 * 1e300 * 1e300)^0"], [[1.0], [1e-300]]))

@@ -4,11 +4,14 @@ from collections import deque
 import numpy as np
 import pytest
 
-from lyapset.errors import StepLimitError
-from lyapset.expr import ScalarFieldSpec, VectorFieldSpec
-from lyapset.flow import IntegratorConfig, flow
+from conftest import LANES, ORBITS, lanes_from
+from lyapset.errors import EscapedDomainError, EvalDomainError, LyapsetError, StepLimitError
+from lyapset.expr import ScalarFieldSpec, VectorFieldSpec, compile_scalar
+from lyapset.flow import IntegratorConfig, flow, trajectory
 from lyapset.geometry import Box, PointCloud, SinglePoint
 from lyapset.lyapunov import (
+    _annulus_points,
+    _big_l_at,
     _windowed_sup,
     VERDICT_ACCEPTED,
     VERDICT_REJECTED,
@@ -153,7 +156,49 @@ class TestWindowedSup:
                 assert got.tobytes() == _windowed_sup_deque(d, window).tobytes(), (d, window)
 
 
+# x1 = e^t x1(0) leaves the blow-up radius 3, sqrt fails where x2 < -0.2,
+# and with a budget of 30 steps the orbits that move in x2 end before
+# t = 2. Only the equilibrium at the origin runs to the end.
+_MIXED = VectorFieldSpec.from_strings(["x1", "-x2 * sqrt(x2 + 0.2)"])
+_MIXED_CFG = IntegratorConfig(blowup_radius=3.0, max_steps=30)
+_MIXED_POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, -0.5], [0.0, 0.5], [2.9, 0.0], [0.05, -0.1]]
+
+
+def _converse_rows_one_by_one(V, M, points, cfg, cc):
+    """converse_table's rows from one trajectory per point."""
+    rows = []
+    for p in points:
+        try:
+            traj = trajectory(V, p, 2 * cc.steps * cc.out_dt, cc.out_dt, cfg)
+        except LyapsetError as exc:
+            rows.append(("nan", "nan", False, str(exc)))
+            continue
+        d = M.distances(traj.states)
+        tail_ok = bool(d[int(0.9 * d.shape[0]) :].max() < d.max()) if d.max() > 0 else True
+        big_l = _big_l_at(_windowed_sup(d, cc.steps), 0, cc)
+        rows.append((float(d[: cc.steps + 1].max()).hex(), big_l.hex(), tail_ok, None))
+    return rows
+
+
 class TestConverseTable:
+    def test_error_rows_from_either_loop(self):
+        # An escape, a domain failure and two step limits among the rows:
+        # each error text is the one trajectory() raises for its point.
+        cc = ConverseConfig(1.0, 0.1)
+        expected = _converse_rows_one_by_one(_MIXED, ORIGIN_2D, _MIXED_POINTS, _MIXED_CFG, cc)
+        assert [row[3] for row in expected] == [
+            None, "escaped domain at t=1.1", "math domain error",
+            "exceeded 30 steps at t=1.46672", "escaped domain at t=0.06",
+            "exceeded 30 steps at t=1.46421",
+        ]
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop):
+                table = converse_table(_MIXED, ORIGIN_2D, _MIXED_POINTS, _MIXED_CFG, cc)
+            got = [(r.ell.hex(), r.big_l.hex(), r.tail_ok, r.error) for r in table.rows]
+            assert got == expected
+            assert [r.x.tolist() for r in table.rows] == _MIXED_POINTS
+
+
     def test_rows_and_csv(self, sink1, cfg):
         cc = ConverseConfig(10.0, 0.02)
         table = converse_table(sink1, ORIGIN_1D, [[1.0], [0.0]], cfg, cc)
@@ -219,6 +264,27 @@ class TestVerifyConverseProperties:
         )
         assert report.strict_violations == ()
         assert report.total_violations == 0
+
+    @pytest.mark.parametrize("max_steps", [30, 10_000_000])
+    def test_failures_from_either_loop(self, max_steps):
+        # Samples on both sides of the sqrt domain edge x2 = -0.2, some of
+        # whose continuity probes cross it; with the full budget most
+        # escape by t = 4. The report, failures and their order included,
+        # does not depend on the loop.
+        cfg = IntegratorConfig(blowup_radius=3.0, max_steps=max_steps)
+        box = Box([0.0, -0.20005], [0.1, -0.19995])
+        reports = []
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop):
+                reports.append(verify_converse_properties(
+                    _MIXED, ORIGIN_2D, box, 12, 5, cfg, ConverseConfig(1.0, 0.1)).to_json())
+        assert reports[0] == reports[1]
+        texts = " ".join(text for _, text in reports[0]["integration_failures"])
+        assert "math domain error" in texts
+        if max_steps == 30:
+            assert "exceeded 30 steps" in texts
+        else:
+            assert "escaped domain" in texts and "continuity probe: math domain error" in texts
 
     def test_sample_count_validated(self, sink2, cfg):
         with pytest.raises(ValueError):
@@ -313,6 +379,47 @@ class TestVerifyCertificate:
         L = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
         with pytest.raises(StepLimitError, match="exceeded 3 steps at t="):
             verify_certificate(sink2, ORIGIN_2D, L, 0.1, 2.0, 20, 5, IntegratorConfig(max_steps=3))
+
+    @pytest.mark.parametrize("decrease_time", [0.0, -1.0, math.nan])
+    def test_decrease_time_validated(self, sink2, cfg, decrease_time):
+        L = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
+        with pytest.raises(ValueError, match="decrease_time must be > 0"):
+            verify_certificate(sink2, ORIGIN_2D, L, 0.1, 1.0, 10, 0, cfg,
+                               decrease_time=decrease_time)
+
+    # name: (candidate, integrator settings). Over the decrease time the
+    # field moves x1 by -1 and scales x2 by e: the 19th sample leaves the
+    # radius 5, and sqrt(x1 + 2) fails first at the 9th sample's image.
+    _DECREASE_CASES = {
+        "escape": ("x1^2 + x2^2", {"blowup_radius": 5.0}),
+        "domain": ("sqrt(x1 + 2) - sqrt(2)", {}),
+        "domain-before-escape": ("sqrt(x1 + 2) - sqrt(2)", {"blowup_radius": 5.0}),
+        "step-limit": ("x1^2 + x2^2", {"max_steps": 3}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_DECREASE_CASES))
+    def test_decrease_failure_from_either_loop(self, case):
+        # The first annulus sample whose flow or moved value fails decides
+        # the note, as flowing the samples one by one does.
+        text, settings = self._DECREASE_CASES[case]
+        V = VectorFieldSpec.from_strings(["-1", "x2"])
+        L = ScalarFieldSpec.from_string(text, 2)
+        cfg = IntegratorConfig(**settings)
+        lfn = compile_scalar(L.body)
+        try:
+            for p in _annulus_points(ORIGIN_2D, 0.1, 2.0, 40, 3):
+                lfn(flow(V, p, 1.0, cfg).tolist())
+        except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:
+            expected = type(exc).__name__, str(exc)
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop):
+                try:
+                    report = verify_certificate(V, ORIGIN_2D, L, 0.1, 2.0, 40, 3, cfg)
+                except StepLimitError as exc:
+                    assert expected == ("StepLimitError", str(exc))
+                    continue
+            assert report.verdict == VERDICT_REJECTED
+            assert report.notes[-1] == f"evaluation failure: {expected[1]}"
 
     def test_validation(self, sink2, cfg):
         L2 = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)

@@ -22,6 +22,7 @@ from lyapset.geometry import (
     ClosedBall,
     PointCloud,
     SinglePoint,
+    sample_set_points,
     sample_shell,
 )
 from lyapset.limits import roa_grid
@@ -101,6 +102,9 @@ _PARITY_CASES = {
     "sink": (["-x1", "-x2"], ORIGIN_2D, 0.5, {}),
     "rotation": (["x2", "-x1"], ORIGIN_2D, 0.5, {}),
     "unstable": (["x1", "-x2"], ORIGIN_2D, 0.5, {}),
+    # Every probe fails. The starts leave at different times, and the
+    # witness is the first to leave in start order, not in time.
+    "unstable-fast": (["3 * x1", "-x2"], ORIGIN_2D, 0.5, {}),
     # Orbits of radius above 0.6 escape while still inside epsilon.
     "escaping": (["x2", "-x1"], ORIGIN_2D, 1.0, {"blowup_radius": 0.6}),
     # Starts with x1 < -0.2 fail at the first field evaluation.
@@ -288,6 +292,18 @@ class TestEstimateDelta:
         assert isinstance(error, StepLimitError)
         assert float(M.distances(traj.states).max()) >= 0.5
 
+    @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
+    def test_same_bits_from_either_loop(self, case):
+        # Lanes or orbit loops, the same delta, witness or StepLimitError
+        # as the sample-by-sample probe.
+        texts, M, eps, settings = _PARITY_CASES[case]
+        args = (VectorFieldSpec.from_strings(texts), M, eps, IntegratorConfig(**settings))
+        knobs = {"horizon_T": 10.0, "shell_samples": 8, "out_dt": 0.1, "tol": 1e-3}
+        expected = _delta_bits(_delta_sample_by_sample, args, knobs)
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop):
+                assert _delta_bits(estimate_delta, args, knobs) == expected
+
     def test_step_limit_inside_epsilon_raises(self, sink2):
         with pytest.raises(StepLimitError):
             estimate_delta(
@@ -374,6 +390,57 @@ class _FussySet(SinglePoint):
         if np.any(np.asarray(points)[:, 0] < 0):
             raise OrbitUnboundedError("synthetic per-start failure")
         return super().distances(points)
+
+
+def _excursion_start_by_start(V, M, cfg, boundary_samples, horizon_T, out_dt):
+    """check_positive_invariance as a loop over single orbits."""
+    worst = 0.0
+    for p in sample_set_points(M, boundary_samples, 0).points:
+        traj, error = partial_trajectory(V, p, horizon_T, out_dt, cfg)
+        if isinstance(error, StepLimitError):
+            raise error
+        if error is not None:
+            return math.inf
+        worst = max(worst, float(M.distances(traj.states).max()))
+    return worst
+
+
+def _invariance_outcome(check, V, M, cfg):
+    """The excursion as hex, or the type and text of what check raises."""
+    try:
+        return check(V, M, cfg, boundary_samples=4, horizon_T=10.0, out_dt=0.1).hex()
+    except (StepLimitError, OrbitUnboundedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# name: (field, set, integrator settings, outcome). A cloud's members are
+# the starts, in order: (1, 0) escapes past radius 2 by t = 0.7, and the
+# equilibrium at the origin runs out of 30 steps; _FussySet's distance
+# raises once the orbit reaches x1 < 0.
+_INVARIANCE_CASES = {
+    "inside": (["-x1", "-x2"], ClosedBall([0.0, 0.0], 0.5), {}, "value"),
+    "escape-then-step-limit": (["x1", "-x2"], PointCloud([[1.0, 0.0], [0.0, 0.0]]),
+                               {"blowup_radius": 2.0, "max_steps": 30}, "inf"),
+    "step-limit-then-escape": (["x1", "-x2"], PointCloud([[0.0, 0.0], [1.0, 0.0]]),
+                               {"blowup_radius": 2.0, "max_steps": 30}, "StepLimitError"),
+    "distance-error": (["-1", "0"], _FussySet([0.0, 0.0]), {}, "OrbitUnboundedError"),
+}
+
+
+class TestInvarianceOrder:
+    @pytest.mark.parametrize("case", sorted(_INVARIANCE_CASES))
+    def test_same_result_from_either_loop(self, case):
+        # The first start that fails decides, whichever loop runs them.
+        texts, M, settings, outcome = _INVARIANCE_CASES[case]
+        args = (VectorFieldSpec.from_strings(texts), M, IntegratorConfig(**settings))
+        expected = _invariance_outcome(_excursion_start_by_start, *args)
+        if isinstance(expected, tuple):
+            assert expected[0] == outcome
+        else:
+            assert (expected == "inf") == (outcome == "inf")
+        for loop in (LANES, ORBITS):
+            with lanes_from(loop):
+                assert _invariance_outcome(check_positive_invariance, *args) == expected
 
 
 class TestUniformAttractionTime:
@@ -547,7 +614,7 @@ class TestClassifyStability:
 def _count_lane_batches(monkeypatch) -> list:
     """Wrap integrate_lanes wherever it is looked up; returns the call log."""
     calls = []
-    modules = [importlib.import_module(f"lyapset.{m}") for m in ("flow", "limits", "stability")]
+    modules = [importlib.import_module(f"lyapset.{m}") for m in ("flow", "limits")]
     inner = modules[0].integrate_lanes
 
     def counting(*args, **kwargs):
@@ -586,16 +653,33 @@ def _bundled_stability(name: str):
     return problem, block, knobs
 
 
-def _count_scalar_orbits(monkeypatch) -> list:
-    """Wrap the stability module's partial_trajectory; returns the call log."""
-    calls = []
-    inner = stability.partial_trajectory
+def _count_stability_orbits(monkeypatch) -> list:
+    """Log one entry per orbit that starts in the stability module's own
+    distance passes, its delta probes and invariance check, not its grid:
+    one per run of the orbit loop, or per lane of a batch."""
+    calls, inside = [], []
+    flow = importlib.import_module("lyapset.flow")
+    compiled, distance_pass = flow._compiled, stability._distance_pass
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counting_compiled(V, method, lanes=False):
+        loop = compiled(V, method, lanes)
 
-    monkeypatch.setattr(stability, "partial_trajectory", counting)
+        def counted(y, *args):
+            if inside:
+                calls.extend([1] * (y.shape[1] if lanes else 1))
+            return loop(y, *args)
+
+        return counted
+
+    def tracked(*args):
+        inside.append(True)
+        try:
+            return distance_pass(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(flow, "_compiled", counting_compiled)
+    monkeypatch.setattr(stability, "_distance_pass", tracked)
     return calls
 
 
@@ -615,7 +699,7 @@ class TestBundledDeltaSearch:
         # The block's count includes its invariance check; the full count is
         # the delta searches alone, each run to BISECTION_STEPS probes.
         problem, block, knobs = _bundled_stability(name)
-        calls = _count_scalar_orbits(monkeypatch)
+        calls = _count_stability_orbits(monkeypatch)
         _run_stability(problem, problem.integrator)
         block_orbits = len(calls)
         calls.clear()
@@ -627,9 +711,18 @@ class TestBundledDeltaSearch:
         # Every probe holds: per epsilon one top probe, plus one first
         # halving for the smallest; then the invariance check's orbits.
         problem, _, _ = _bundled_stability(name)
-        calls = _count_scalar_orbits(monkeypatch)
+        calls = _count_stability_orbits(monkeypatch)
         _run_stability(problem, problem.integrator)
         assert len(calls) == {"harmonic_oscillator": 38, "linear_sink": 31}[name]
+
+
+def test_failing_probes_stop_at_their_first_exit(monkeypatch):
+    # All BISECTION_STEPS probes fail, each at its first orbit, as its
+    # orbits run one by one; then the invariance check's one orbit.
+    problem, _, _ = _bundled_stability("unstable_linear")
+    calls = _count_stability_orbits(monkeypatch)
+    _run_stability(problem, problem.integrator)
+    assert len(calls) == 21
 
 
 class TestClassifyStabilityOnePass:
@@ -641,7 +734,9 @@ class TestClassifyStabilityOnePass:
             horizon_T=8.0, shell_samples=4, out_dt=0.1,
         )
         assert report.verdict == VERDICT_STABLE and report.uniform_T > 0
-        assert calls == [25]
+        # Two delta probes of 4 shell and 1 interior points, the invariance
+        # check's one set point, then one batch for the whole 5x5 grid.
+        assert calls == [5, 5, 1, 25]
 
     @pytest.mark.parametrize("case", sorted(_GRID_PARITY_CASES))
     def test_uniform_time_matches_separate_pass(self, case, sink2, cfg):
