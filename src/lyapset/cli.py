@@ -3,7 +3,9 @@
 analyze runs the analysis blocks of a problem file and writes a JSON
 report plus CSV tables next to it; plot turns a report back into an
 SVG; selftest runs the bundled closed-form checks. Exit codes: 0 clean,
-1 input or usage error, 2 when an analysis produced a negative verdict
+1 input or usage error, or an output path that cannot be written (checked
+before any block runs for analyze's directory), 2 when an analysis
+produced a negative verdict
 (rejected certificate or instability witness), 3 when an analysis block
 failed with a toolkit error, which takes precedence over 2. A failed block
 is recorded in the report as {"error": ...}, and the other blocks still run.
@@ -26,7 +28,9 @@ from .flow import IntegratorConfig
 from .geometry import Box
 from .limits import estimate_omega, roa_grid
 from .lyapunov import VERDICT_REJECTED, converse_table, verify_certificate
-from .problem import ProblemDefinition, _expect_object, converse_config, load_problem
+from .problem import (
+    ProblemDefinition, _expect_object, converse_config, load_problem, read_json,
+)
 from .render import render_svg
 from .selftest import run_selftest
 from .stability import VERDICT_UNSTABLE, classify_stability
@@ -144,7 +148,11 @@ def cmd_analyze(args) -> int:
 
     stem = os.path.splitext(os.path.basename(args.problem))[0]
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.problem))
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # such as a file at out_dir
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     cfg = problem.integrator
 
     blocks: dict[str, dict] = {}
@@ -170,12 +178,16 @@ def cmd_analyze(args) -> int:
         "blocks": blocks,
     }
     report_path = os.path.join(out_dir, f"{stem}.report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for kind, text in csvs.items():
-        with open(os.path.join(out_dir, f"{stem}.{kind}.csv"), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    try:
+        with open(report_path, "w", encoding="utf-8") as fh:
+            json.dump(_json_safe(report), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for kind, text in csvs.items():
+            with open(os.path.join(out_dir, f"{stem}.{kind}.csv"), "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     for name, block in blocks.items():
         print(f"{name}: {block.get('verdict') or block.get('error', 'done')}")
@@ -197,9 +209,8 @@ def _check_report(report) -> None:
 
 def cmd_plot(args) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        report = read_json(args.report)
+    except (OSError, ProblemFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     axes = None
@@ -230,8 +241,12 @@ def cmd_plot(args) -> int:
         else:
             base = os.path.splitext(base)[0]
         out_path = base + ".svg"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:  # such as a directory at out_path, or none above it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"plot: {out_path}")
     return 0
 

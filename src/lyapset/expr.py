@@ -97,6 +97,14 @@ _TOKEN_RE = re.compile(
 )
 _VAR_RE = re.compile(r"^x(\d+)$")
 
+# The deepest expression tree parse accepts, and the deepest nesting of
+# parentheses, calls, signs and exponents in its text. A walk over a tree
+# recurses once or twice per level, a derivative is up to three times as
+# deep as its expression, and the parser recurses up to seven times per
+# nesting level: at this depth each needs at most about 710 frames, within
+# Python's default recursion limit of 1000.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -120,6 +128,17 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = n
+        self.depth = 0
+
+    def nested(self, rule) -> Expr:
+        """rule() one level of nesting deeper, failing past MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ExprSyntaxError(message, self.peek()[2])
+        e = rule()
+        self.depth -= 1
+        return e
 
     def peek(self):
         return self.tokens[self.i]
@@ -147,6 +166,8 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+        if _depth(e) > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression tree deeper than {MAX_DEPTH} levels", 0)
         return e
 
     def expr(self) -> Expr:
@@ -168,14 +189,14 @@ class _Parser:
     def unary(self) -> Expr:
         if self.at_op("-"):
             self.advance()
-            return neg(self.unary())
+            return neg(self.nested(self.unary))
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.at_op("^"):
             _, _, pos = self.advance()
-            exponent = self.unary()
+            exponent = self.nested(self.unary)
             if not isinstance(exponent, Const):
                 raise ExprSyntaxError("exponent of ^ must be a constant", pos)
             return Binary("pow", base, exponent)
@@ -186,7 +207,7 @@ class _Parser:
         if kind == "num":
             return Const(float(val))
         if kind == "op" and val == "(":
-            e = self.expr()
+            e = self.nested(self.expr)
             self.expect_op(")")
             return e
         if kind == "ident":
@@ -207,10 +228,10 @@ class _Parser:
 
     def call(self, name: str, pos: int) -> Expr:
         self.expect_op("(")
-        args = [self.expr()]
+        args = [self.nested(self.expr)]
         while self.at_op(","):
             self.advance()
-            args.append(self.expr())
+            args.append(self.nested(self.expr))
         self.expect_op(")")
         if name in ("min", "max"):
             if len(args) < 2:
@@ -221,8 +242,25 @@ class _Parser:
         return Unary(name, args[0])
 
 
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Unary):
+        return (e.arg,)
+    if isinstance(e, Binary):
+        return e.left, e.right
+    return e.args if isinstance(e, Nary) else ()
+
+
+def _depth(e: Expr) -> int:
+    """The number of levels of the tree e, counted without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [child for node in level for child in _children(node)]
+    return depth
+
+
 def parse(text: str, n: int) -> Expr:
-    """Parse an expression over variables x1..xn."""
+    """Parse an expression over variables x1..xn, at most MAX_DEPTH deep."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
     return _Parser(text, n).parse()
@@ -389,8 +427,10 @@ def _exp_or_inf(v: float) -> float:
 # Globals of generated lane code. np.float_power, np.sin, np.cos and
 # np.sqrt return libm's bits; np.power, np.exp and np.tanh do not always.
 # pow serves exponents other than 2: every evaluator takes a^2 as a * a,
-# the correctly rounded square.
+# the correctly rounded square. The lane batch records the two flow errors.
 _LANE_NAMESPACE = {
+    "EscapedDomainError": EscapedDomainError,
+    "StepLimitError": StepLimitError,
     "sin": np.sin,
     "cos": np.cos,
     "sqrt": np.sqrt,

@@ -1,12 +1,11 @@
 """Numerical realization of the flow of an autonomous ODE system.
 
-flow() advances one initial point to one time. trajectory() and
-partial_trajectory() sample a forward orbit on a fixed grid through one
-private sampler; the first raises on an integration failure, the second
-returns the samples reached with the failure. semigroup_defect() measures
-how far the integrator is from the composition law flow(flow(x,t1),t2) =
-flow(x,t1+t2). Negative times integrate the reversed field, so the
-realized flow is two-sided.
+flow() advances one initial point to one time, flow_rows() many points.
+trajectory() and partial_trajectory() sample a forward orbit on a fixed
+grid; the first raises on an integration failure, the second returns the
+samples reached with the failure. semigroup_defect() measures how far the
+integrator is from the composition law flow(flow(x,t1),t2) = flow(x,t1+t2).
+Negative times integrate the reversed field, so the flow is two-sided.
 
 The integrator core runs on plain floats; at desk scale this beats array
 round-trips per stage by an order of magnitude. For each field and method
@@ -17,10 +16,10 @@ closure once per stage as its reference; the two agree bitwise, attempt
 counts and errors included. Output samples are forced step endpoints,
 never interpolants, so a recorded state is exactly the integrator state.
 
-integrate_lanes() runs many starts at once; every analysis that starts
-more than one orbit hands them all to it (flow_rows() moves many points
-by one time). From _LANES_FROM starts up it runs lanes: each start is a
-column of NumPy arrays, with its own time, step size and next output
+integrate_lanes() is the one door to the generated loops: every orbit
+runs through it, and a failure comes back as the exception of its row.
+From _LANES_FROM starts up it runs lanes: each start is a column of
+NumPy arrays, with its own time, step size and next output
 time; acceptance is masked per lane, and a lane leaves the batch when it
 finishes or fails. Below that it runs the orbit loop once per start,
 faster there: a lane pass costs about as much whatever the number of
@@ -34,8 +33,10 @@ functions that round as libm does: float_power for powers other than
 squares and for the step factor (np.power differs), sin, cos and sqrt,
 while exp and tanh are evaluated element by element with math. A square
 a^2 is a * a, the correctly rounded square, in every evaluator, lanes
-included. Where the scalar code raises, a lane is marked failed instead,
-so one bad start never aborts the batch.
+included. Where the scalar code raises, a lane leaves the batch with that
+error instead, so one bad start never aborts the batch; a lane that
+failed inside the field has no error text there, and runs once more in
+the orbit loop for it.
 """
 
 from __future__ import annotations
@@ -148,17 +149,21 @@ def _pick(a: str, op: str, b: str, lanes: bool) -> str:
     return f"{a} if {a} {op} {b} else {b}"
 
 
-def _escape_test(xs, lanes: bool) -> str:
-    """Raise, or clear ok on lanes, where the state xs left the blow-up radius."""
+def _escape_test(xs, lanes: bool) -> list[str]:
+    """Raise where the state xs left the blow-up radius; over lanes, record
+    the same error for each lane still ok there and clear its ok."""
     norm2 = " + ".join(f"{v} * {v}" for v in xs)
-    if lanes:
-        return f"ok &= ~({norm2} > radius2)"
-    return f"if {norm2} > radius2: raise EscapedDomainError(t, [{', '.join(xs)}])"
+    if not lanes:
+        return [f"if {norm2} > radius2: raise EscapedDomainError(t, [{', '.join(xs)}])"]
+    return [f"escaped = ok & ({norm2} > radius2)", "if escaped.any():",
+            "    errors.update((row, EscapedDomainError(t, state)) for row, t, state in "
+            "zip(rows[escaped].tolist(), t[escaped].tolist(), y[:, escaped].T.tolist()))",
+            "    ok &= ~escaped"]
 
 
-# The StepLimitError texts, formatted where t is the orbit's or lane's time.
-_EXCEEDED = 'f"exceeded {max_steps} steps at t={t:.6g}"'
-_UNDERFLOW = 'f"step size underflow at t={t:.6g}"'
+# The StepLimitErrors, formatted where t is the orbit's or lane's time.
+_EXCEEDED = 'StepLimitError(f"exceeded {max_steps} steps at t={t:.6g}")'
+_UNDERFLOW = 'StepLimitError(f"step size underflow at t={t:.6g}")'
 
 
 def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
@@ -167,8 +172,8 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
     inlined, and the step control, which moves y, t and the slope k1 on
     acceptance, tests the blow-up radius and sets the next step size
     h_next. With lanes, y is an (n, m) array, one column per lane, and the
-    body clears ok on the lanes where the scalar body raises (and gives a
-    lane whose step size underflows its error text in limited)."""
+    body clears ok on the lanes where the scalar body raises, recording in
+    errors, by row, what it raises on escape and on step size underflow."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     y = "y" if lanes else ys
@@ -208,7 +213,7 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
                 f"2.0 * {at(k[2], i)} + {at(k[3], i)})" for i in each]
         code += ([f"y = {step[0]}", f"{', '.join(ys)}, = y"] if lanes
                  else [f"{', '.join(ys)}, = {', '.join(step)},"])
-        return code + [f"t = {at_target}", _escape_test(ys, lanes)]
+        return code + [f"t = {at_target}", *_escape_test(ys, lanes)]
 
     code.append("h = " + _pick("remaining", "<", "h_next", lanes))
     k = {1: "k1" if lanes else [f"k1_{i}" for i in range(n)]}
@@ -234,10 +239,10 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
             f"y, k1 = where(accept, {y5}, y), where(accept, {k[7]}, k1)",
             f"{', '.join(ys)}, = y",
             f"t = where(accept, {at_target}, t)",
-            _escape_test(ys, lanes),  # a rejected lane keeps a state that passed it
+            *_escape_test(ys, lanes),  # a rejected lane keeps a state that passed it
             f"stalled = ok & ~accept & (h <= {_MIN_STEP!r})",
             "if stalled.any():",
-            f"    limited.update((row, {_UNDERFLOW}) for row, t in "  # t lane by lane
+            f"    errors.update((row, {_UNDERFLOW}) for row, t in "  # t lane by lane
             "zip(rows[stalled].tolist(), t[stalled].tolist()))",
             "    ok &= ~stalled",
         ]
@@ -246,9 +251,9 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
             "if enorm <= 1.0:",
             f"    {', '.join(ys)}, {', '.join(k[1])} = {', '.join(y5)}, {', '.join(k[7])}",
             f"    t = {at_target}",
-            "    " + _escape_test(ys, lanes),
+            *("    " + line for line in _escape_test(ys, lanes)),
             f"elif h <= {_MIN_STEP!r}:",
-            f"    raise StepLimitError({_UNDERFLOW})",
+            f"    raise {_UNDERFLOW}",
         ]
     # Over lanes pow is float_power, which gives inf at enorm 0, so the
     # factor is then 5.0, as in the scalar special case.
@@ -275,26 +280,26 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     each, and appends the state there to out, so the samples reached
     before a failure stay with the caller; it is bitwise the step-by-step
     reference loop in the tests. With lanes, batch(y, targets, cfg, visit)
-    -> (failed, limited) runs the columns of the (n, m) array y as
-    integrate_lanes describes. Operations on constants alone raise on
-    every lane: the first field evaluation catches them and fails every
-    lane, while anything visit raises passes through."""
+    -> errors runs the columns of the (n, m) array y as integrate_lanes
+    describes, with None for a lane that failed inside the field. Operations
+    on constants alone raise on every lane: the first field evaluation
+    catches them and fails every lane; anything visit raises passes through."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     adaptive = method == "rk45_adaptive"
     code = [f"{', '.join(ys)}, = y", "t = zeros(y.shape[1])" if lanes else "t = 0.0",
             "radius2 = cfg.blowup_radius * cfg.blowup_radius"]
     if lanes:
-        code += ["rows, j, limited = arange(t.size), zeros(t.size, int), {}",
-                 "failed, ok = zeros(t.size, bool), ones(t.size, bool)"]
-    code += [_escape_test(ys, lanes),
+        code += ["rows, j, errors = arange(t.size), zeros(t.size, int), {}",
+                 "ok = ones(t.size, bool)"]
+    code += [*_escape_test(ys, lanes),
              "dt, max_steps, horizon = cfg.dt, cfg.max_steps, targets[-1]", "steps = 0"]
     if lanes:  # every lane evaluates the field at its start, as a first attempt does
         field: list[str] = []
         k1 = _emit_results(V.components, ys, field, lanes)
         code += ["try:", *("    " + line for line in field),
                  "except (ValueError, ZeroDivisionError, OverflowError):",
-                 "    failed[:] = True", "    return failed, limited"]
+                 "    return {row: errors.get(row) for row in range(t.size)}"]
         code += [f"k1 = array([{', '.join(k1)}])"] if adaptive else []
     elif adaptive:
         code.append(f"{', '.join(f'k1_{i}' for i in range(n))}, = "
@@ -315,7 +320,7 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
             "            break",
             "        steps += 1",
             "        if steps > max_steps:",
-            f"            raise StepLimitError({_EXCEEDED})",
+            f"            raise {_EXCEEDED}",
         ] + ["        " + line for line in body] + [f"    out.append([{', '.join(ys)}])"]
         return _define("_orbit", "y, targets, cfg, out", code, "steps",
                        f"{method} orbit of {V.label()}")
@@ -329,7 +334,7 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
         "last = len(targets)",
         "while True:",
         "    if not ok.all():",
-        "        failed[rows[~ok]] = True",
+        "        errors.update((row, errors.get(row)) for row in rows[~ok].tolist())",
         "        " + keep("ok"),
         "    while True:",
         "        target = targets[j]",
@@ -346,12 +351,11 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
         "        break",
         "    steps += 1",
         "    if steps > max_steps:",
-        "        failed[rows] = True",
-        f"        limited.update((row, {_EXCEEDED}) for row, t in zip(rows.tolist(), t.tolist()))",
+        f"        errors.update((row, {_EXCEEDED}) for row, t in zip(rows.tolist(), t.tolist()))",
         "        break",
         "    ok = ones(rows.size, bool)",
     ] + ["    " + line for line in body]
-    return _define("_batch", "y, targets, cfg, visit", code, "failed, limited",
+    return _define("_batch", "y, targets, cfg, visit", code, "errors",
                    f"{method} lanes of {V.label()}", lanes=True)
 
 
@@ -378,9 +382,10 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     either way, and what it raises passes through. A row leaves after its
     last target, or where the scalar loop raises: on escape, a domain
     failure of the field, the step budget or a step size underflow.
-    targets must be positive and strictly increasing. Returns the mask of
-    failed rows and, by row, the scalar loop's StepLimitError text for the
-    rows that exhausted the step budget or underflowed the step size.
+    targets must be positive and strictly increasing. Returns, by failed
+    row, the EscapedDomainError, EvalDomainError or StepLimitError that the
+    orbit loop raises from that start alone: same type and text, and for
+    an escape the same time and state bits.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != V.dim:
@@ -388,29 +393,25 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     if not np.all(np.isfinite(starts)):
         raise ValueError("state point coordinates must be finite")
     targets = np.asarray(targets, dtype=float)
+    times = targets.tolist()  # the orbit loop runs on floats
     with np.errstate(all="ignore"):
         if len(starts) >= _LANES_FROM:
-            return _compiled(V, cfg.method, lanes=True)(starts.T.copy(), targets, cfg, visit)
-        orbit, times = _compiled(V, cfg.method), targets.tolist()  # its loop runs on floats
-        failed, limited = np.zeros(len(starts), bool), {}
-        for row, y in enumerate(starts.tolist()):
+            errors = _compiled(V, cfg.method, lanes=True)(starts.T.copy(), targets, cfg, visit)
+            # A lane that failed inside the field has no error yet: the orbit
+            # loop raises it from the same start, its samples visited already.
+            rerun, visit = [row for row, error in errors.items() if error is None], None
+        else:
+            errors, rerun = {}, range(len(starts))
+        orbit = _compiled(V, cfg.method) if rerun else None
+        for row in rerun:
             out: list = []
             try:
-                orbit(y, times, cfg, out)
-            except StepLimitError as exc:
-                failed[row], limited[row] = True, str(exc)
-            except (EscapedDomainError, EvalDomainError):
-                failed[row] = True
-            if out:
+                orbit(starts[row].tolist(), times, cfg, out)
+            except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
+                errors[row] = exc
+            if out and visit is not None:
                 visit(np.full(len(out), row), np.arange(len(out)), np.array(out))
-        return failed, limited
-
-
-def _oriented(V: VectorFieldSpec, t: float):
-    """Field to integrate forward and the positive duration for signed time t."""
-    if t >= 0:
-        return V, t
-    return V.negated(), -t
+        return errors
 
 
 def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
@@ -419,10 +420,11 @@ def flow(V: VectorFieldSpec, x, t: float, cfg: IntegratorConfig) -> np.ndarray:
     t = float(t)
     if t == 0.0:
         return x.copy()
-    field, duration = _oriented(V, t)
-    out = []
-    _compiled(field, cfg.method)([float(v) for v in x], [duration], cfg, out)
-    return np.asarray(out[0])
+    field, duration = (V, t) if t > 0 else (V.negated(), -t)  # negative t: the reversed field
+    moved, error = flow_rows(field, x[None, :], duration, cfg)
+    if error is not None:
+        raise error
+    return moved[0]
 
 
 def flow_rows(V: VectorFieldSpec, starts, t: float, cfg: IntegratorConfig):
@@ -434,14 +436,9 @@ def flow_rows(V: VectorFieldSpec, starts, t: float, cfg: IntegratorConfig):
     def visit(rows, j, states):
         moved[rows] = states
 
-    failed, _ = integrate_lanes(V, starts, [t], cfg, visit)
-    first = int(failed.argmax())
-    try:  # flow() takes a failed row's steps and raises what it met, bit for bit
-        if failed[first]:
-            flow(V, starts[first], t, cfg)
-    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
-        return moved[:first], exc
-    return moved, None
+    errors = integrate_lanes(V, starts, [t], cfg, visit)
+    first = min(errors, default=len(starts))
+    return moved[:first], errors.get(first)
 
 
 # Each output sample is a step endpoint, so an orbit on a finer grid than
@@ -470,26 +467,26 @@ def sample_times(T: float, out_dt: float) -> list[float]:
     return [k * out_dt for k in range(m + 1)] + [T]
 
 
-def _sample(V: VectorFieldSpec, x, T: float, out_dt: float, cfg: IntegratorConfig):
-    """The orbit of x on sample_times(T, out_dt) up to its first integration
-    failure: the Trajectory of the samples reached, and the failure or None."""
+def _sampled(V: VectorFieldSpec, x, T: float, out_dt: float, cfg: IntegratorConfig):
+    """The orbit of x on sample_times(T, out_dt), from a one-row
+    integrate_lanes call: the Trajectory of the samples reached before the
+    first integration failure, and the failure or None. trajectory() and
+    partial_trajectory() share it, so that neither calls the other: a
+    tracer that counts the orbits of both counts each orbit once."""
     x = as_point(x, V.dim)
     times = sample_times(T, out_dt)
-    states = [[float(v) for v in x]]  # the orbit appends the samples it reaches
-    error = None
-    try:
-        _compiled(V, cfg.method)(states[0], times[1:], cfg, states)
-    except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
-        error = exc
-    traj = Trajectory(np.asarray(times[: len(states)]), np.asarray(states, dtype=float))
-    return traj, error
+    samples = [x[None, :]]
+    visit = lambda rows, j, states: samples.append(states)  # noqa: E731
+    error = integrate_lanes(V, samples[0], times[1:], cfg, visit).get(0)
+    states = np.concatenate(samples)
+    return Trajectory(np.asarray(times[: len(states)]), states), error
 
 
 def trajectory(
     V: VectorFieldSpec, x, T: float, out_dt: float, cfg: IntegratorConfig
 ) -> Trajectory:
     """Forward orbit sampled at multiples of out_dt plus the final time T."""
-    traj, error = _sample(V, x, T, out_dt, cfg)
+    traj, error = _sampled(V, x, T, out_dt, cfg)
     if error is not None:
         raise error
     return traj
@@ -500,7 +497,7 @@ def partial_trajectory(
 ) -> tuple[Trajectory, Exception | None]:
     """Like trajectory(), but an orbit leaving the domain yields the samples
     collected so far together with the interrupting error instead of raising."""
-    return _sample(V, x, T, out_dt, cfg)
+    return _sampled(V, x, T, out_dt, cfg)
 
 
 def semigroup_defect(

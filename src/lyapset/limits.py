@@ -203,8 +203,9 @@ def _distance_pass(V: VectorFieldSpec, M: CompactSet, starts, times, cfg, reduce
     """Pass reduce(rows, j, d) the distances d to M of the starts, sample j
     = 0 of times, then of their samples as integrate_lanes visits them; a
     distance that raises is NaN, and its row keeps its first error. Returns
-    integrate_lanes' failed mask and step limit texts, and that error or
-    None by row. If reduce returns True the pass ends with no row failed."""
+    integrate_lanes' orbit errors by row, and apart from them that distance
+    error or None by row. If reduce returns True the pass ends with no
+    orbit error."""
     if M.dim != V.dim:
         raise DimensionMismatchError(f"set dimension {M.dim} != field dimension {V.dim}")
     m = len(starts)
@@ -226,18 +227,17 @@ def _distance_pass(V: VectorFieldSpec, M: CompactSet, starts, times, cfg, reduce
 
     try:
         visit(np.arange(m), np.full(m, -1), starts)
-        failed, limited = integrate_lanes(V, starts, times[1:], cfg, visit)
+        return integrate_lanes(V, starts, times[1:], cfg, visit), raised
     except _Stop:
-        failed, limited = np.zeros(m, bool), {}
-    return failed, limited, raised
+        return {}, raised
 
 
 def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
     """Reduce a _distance_pass: per start the minimum, the last value and
     the tail maximum, as classify_attraction reads them, and per sample the
     largest over all starts. Returns (failed, errors, lowest, latest,
-    tail_max, peak); a start whose distance raised or whose orbit hit a
-    step limit has failed, with an error text, the distance's if both."""
+    tail_max, peak); a start whose distance raised or whose orbit failed
+    has failed, with the distance's error text, else a step limit's."""
     m = len(starts)
     in_tail = np.asarray(times) >= (1.0 - TAIL_FRACTION) * times[-1]
     lowest = np.full(m, math.inf)
@@ -257,9 +257,10 @@ def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
         np.fmax.at(tail_max, rows[tail], d[tail])
         np.fmax.at(peak, j, d)
 
-    failed, limited, raised = _distance_pass(V, M, starts, times, cfg, reduce)
-    errors = [str(exc) if exc else limited.get(row) for row, exc in enumerate(raised)]
-    failed |= np.array([e is not None for e in errors], bool)
+    orbit, raised = _distance_pass(V, M, starts, times, cfg, reduce)
+    failed = np.array([exc is not None or row in orbit for row, exc in enumerate(raised)], bool)
+    errors = [str(exc or orbit[row]) if exc or isinstance(orbit.get(row), StepLimitError)
+              else None for row, exc in enumerate(raised)]
     return failed, errors, lowest, latest, tail_max, peak
 
 

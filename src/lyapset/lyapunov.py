@@ -34,7 +34,7 @@ from .expr import (
     compile_scalar,
     compile_vector_field,
 )
-from .flow import IntegratorConfig, _sample, check_sampling, flow_rows, sample_times
+from .flow import IntegratorConfig, check_sampling, flow_rows, sample_times
 from .geometry import Box, CompactSet, _shell_points, as_point, sample_set_points
 from .limits import _distance_pass
 
@@ -121,10 +121,8 @@ def _big_l_values(V, M, starts, cfg, cc: ConverseConfig, n_steps: int):
     def reduce(rows, j, dist):
         d[rows, j] = dist
 
-    failed, _, raised = _distance_pass(V, M, starts, times, cfg, reduce)
-    errors = {row: exc for row, exc in enumerate(raised) if exc}
-    for row in np.flatnonzero(failed).tolist():  # the orbit's own error, re-run
-        errors[row] = _sample(V, starts[row], n_steps * out_dt, out_dt, cfg)[1]
+    orbit, raised = _distance_pass(V, M, starts, times, cfg, reduce)
+    errors = {**{row: exc for row, exc in enumerate(raised) if exc}, **orbit}
     return _windowed_sup(d, cc.steps), d, errors
 
 

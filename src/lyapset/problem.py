@@ -120,8 +120,8 @@ def _expression(text, n: int, pointer: str):
         _fail(pointer, "expected an expression string")
     try:
         return parse_expr(text, n)
-    except ExprSyntaxError as exc:
-        _fail(pointer, f"{exc} (position {exc.position})")
+    except ExprSyntaxError as exc:  # its text ends with its position
+        _fail(pointer, str(exc))
 
 
 def _parse_set(obj, n: int, pointer: str) -> CompactSet:
@@ -374,16 +374,25 @@ class ProblemDefinition:
         )
 
 
-def load_problem(path: str) -> ProblemDefinition:
-    """Read and validate a problem file; JSON errors carry the byte offset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def read_json(path: str):
+    """The JSON value in the file at path. Text that is not UTF-8 or not
+    JSON fails at pointer "", with the byte offset where one is known."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFormatError(
-            "", f"malformed JSON at byte offset {exc.pos}: {exc.msg}"
-        ) from exc
+        text = data.decode("utf-8")
+        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ProblemFormatError("", f"not UTF-8 text at byte offset {exc.start}") from exc
+    except json.JSONDecodeError as exc:  # exc.pos counts characters
+        offset = len(text[: exc.pos].encode("utf-8"))
+        raise ProblemFormatError("", f"malformed JSON at byte offset {offset}: {exc.msg}") from exc
     except ValueError as exc:  # an integer longer than int() converts
         raise ProblemFormatError("", f"unreadable JSON number: {exc}") from exc
-    return ProblemDefinition.from_json(obj)
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ProblemFormatError("", "JSON nested too deeply") from exc
+
+
+def load_problem(path: str) -> ProblemDefinition:
+    """Read and validate a problem file; JSON errors carry the byte offset."""
+    return ProblemDefinition.from_json(read_json(path))

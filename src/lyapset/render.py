@@ -98,9 +98,7 @@ def _roa_cells(problem, report, frame: _Frame) -> list[str]:
     res = problem.roa["resolution"]
     res = res if isinstance(res, list) else [res, res]
     axes = [np.linspace(lo[d], hi[d], res[d]) for d in (0, 1)]
-    widths = [
-        (hi[d] - lo[d]) / (res[d] - 1) if res[d] > 1 else (hi[d] - lo[d]) for d in (0, 1)
-    ]
+    widths = [(hi[d] - lo[d]) / (res[d] - 1) for d in (0, 1)]  # resolution >= 2 at load
     labels = block["labels"]
     out = []
     idx = 0

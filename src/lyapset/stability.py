@@ -122,13 +122,14 @@ def _first_exit(V, M, points, epsilon: float, times, cfg):
         first = np.argmin(done & (worst < epsilon))  # the first row still open
         return not worst[first] < epsilon
 
-    failed, limited, raised = _distance_pass(V, M, points, times, cfg, reduce)
+    orbit, raised = _distance_pass(V, M, points, times, cfg, reduce)
     for row, p in enumerate(points):
         if raised[row]:
             raise raised[row]
-        if row in limited and worst[row] < epsilon:
-            raise StepLimitError(limited[row])
-        if failed[row] or not worst[row] < epsilon:
+        error = orbit.get(row)
+        if isinstance(error, StepLimitError) and worst[row] < epsilon:
+            raise error
+        if error is not None or not worst[row] < epsilon:
             return p, worst
     return None, worst
 

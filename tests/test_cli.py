@@ -134,6 +134,43 @@ class TestAnalyze:
         assert rc == 1
         assert "byte offset" in err
 
+    @pytest.mark.parametrize("name, pointer", [
+        ("not-utf8", ""), ("deep-json", ""), ("deep-field", "/field/0"),
+        ("deep-certificate", "/certificate/L"),
+    ])
+    def test_unreadable_input_exits_1_with_pointer(self, tmp_path, capsys, name, pointer):
+        sink = {"dimension": 1, "field": ["-x1"], "set": {"type": "point", "coords": [0]}}
+        data = {
+            "not-utf8": b'{"dimension": 1, \xff}',
+            "deep-json": b"[" * 100_000 + b"]" * 100_000,
+            "deep-field": json.dumps({**sink, "field": ["(" * 5000 + "x1" + ")" * 5000]}).encode(),
+            "deep-certificate": json.dumps({**sink, "certificate": {
+                "L": "+".join(["x1"] * 20_000), "annulus": [0.1, 1.0]}}).encode(),
+        }[name]
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        rc = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {pointer}: ")
+        assert os.listdir(tmp_path) == ["input.json"]
+
+    def test_out_dir_that_is_a_file_exits_1(self, tmp_path, capsys):
+        path = _stage("linear_sink.json", tmp_path)
+        (tmp_path / "taken").write_text("")
+        rc = main(["analyze", path, "--out-dir", str(tmp_path / "taken")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == ["linear_sink.json", "taken"]
+
+    def test_unwritable_report_exits_1(self, tmp_path, capsys):
+        # A directory where the report goes fails its write, even as root.
+        path = _stage("linear_sink.json", tmp_path)
+        (tmp_path / "linear_sink.report.json").mkdir()
+        rc = main(["analyze", path])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "absent.json")])
         assert rc == 1
@@ -461,6 +498,25 @@ class TestPlot:
         assert err.startswith(f"error: {pointer}: ")
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["bad.report.json"]
+
+    @pytest.mark.parametrize("data", [b'{"problem": \xff}', b"[" * 100_000 + b"]" * 100_000])
+    def test_unreadable_report_exits_1_at_the_root(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.report.json"
+        path.write_bytes(data)
+        rc = main(["plot", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: : ")
+        assert os.listdir(tmp_path) == ["bad.report.json"]
+
+    @pytest.mark.parametrize("out", ["absent/plot.svg", "file/plot.svg", "directory"])
+    def test_unwritable_svg_exits_1(self, oscillator_run, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "directory").mkdir()
+        report = str(oscillator_run / "harmonic_oscillator.report.json")
+        rc = main(["plot", report, "--out", str(tmp_path / out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == ["directory", "file"]
 
     def test_missing_report_exits_1(self, tmp_path, capsys):
         rc = main(["plot", str(tmp_path / "absent.report.json")])

@@ -11,6 +11,7 @@ from lyapset.errors import (
     NondifferentiableError,
 )
 from lyapset.expr import (
+    MAX_DEPTH,
     Binary,
     Const,
     Nary,
@@ -31,6 +32,9 @@ from lyapset.expr import (
     parse,
     print_expr,
 )
+from lyapset.flow import IntegratorConfig, integrate_lanes
+
+from conftest import LANES, ORBITS, lanes_from
 
 
 class TestParse:
@@ -154,6 +158,56 @@ class TestFieldSpecs:
             [print_expr(c) for c in V.components]
         )
         assert again == V
+
+
+def deep_text(shape: str, depth: int) -> str:
+    """Expression text of the given shape whose tree is depth levels deep;
+    for "parentheses", one leaf inside depth pairs of them."""
+    return {
+        "calls": "sin(" * (depth - 1) + "x1" + ")" * (depth - 1),
+        "sum": "+".join(["x1"] * depth),  # a left-leaning tree
+        # The derivative of nested quotients is about three times as deep.
+        "quotients": "x1/(" * (depth - 2) + "x1/x1" + ")" * (depth - 2),
+        "signs": "-" * (depth - 1) + "x1",
+        "parentheses": "(" * depth + "x1" + ")" * depth,
+    }[shape]
+
+
+_DEEP_SHAPES = ["calls", "sum", "quotients", "signs", "parentheses"]
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", _DEEP_SHAPES)
+    def test_deepest_accepted_goes_through_every_walk(self, shape):
+        e = parse(deep_text(shape, MAX_DEPTH), 1)
+        assert parse(print_expr(e), 1) == e
+        assert math.isfinite(eval_expr(e, [0.7]))
+        s = ScalarFieldSpec(e, 1)
+        assert compile_gradient(s)([0.7]) == gradient(s, [0.7])
+        V = VectorFieldSpec((e,), 1)
+        cfg = IntegratorConfig(max_steps=20)
+        runs = []
+        for loop in (LANES, ORBITS):  # the lane batch, then the orbit loop
+            samples = {}
+
+            def visit(rows, j, states):
+                samples.update(zip(zip(rows.tolist(), j.tolist()), states.tolist()))
+
+            with lanes_from(loop):
+                errors = integrate_lanes(V, [[0.7], [-0.3]], [0.01, 0.02], cfg, visit)
+            runs.append((samples, {row: str(error) for row, error in errors.items()}))
+        assert runs[0] == runs[1] and len(runs[0][0]) + len(runs[0][1]) >= 2
+
+    @pytest.mark.parametrize("shape", _DEEP_SHAPES)
+    def test_one_level_deeper_fails(self, shape):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(deep_text(shape, MAX_DEPTH + 1), 1)
+
+    @pytest.mark.parametrize("text", ["(" * 5000 + "x1" + ")" * 5000, "-" * 20000 + "x1",
+                                      "x1" + "^2" * 3000, "+".join(["x1"] * 20000)])
+    def test_far_deeper_fails_without_recursion_error(self, text):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(text, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -288,8 +288,8 @@ class TestGeneratedOrbit:
 
 def _lane_samples(V, starts, targets, cfg, loop=LANES):
     """Per start of one integrate_lanes call, with _LANES_FROM set to loop:
-    the bits of its samples, in the order visit saw them, whether it
-    failed and its StepLimitError text."""
+    the bits of its samples, in the order visit saw them, and the
+    _error_bits of the error returned for it."""
     samples = [[] for _ in starts]
 
     def visit(rows, j, states):
@@ -297,16 +297,17 @@ def _lane_samples(V, starts, targets, cfg, loop=LANES):
             samples[row].append((target, [float(v).hex() for v in state]))
 
     with lanes_from(loop):
-        failed, limited = integrate_lanes(V, starts, targets, cfg, visit)
-    return [(samples[i], bool(failed[i]), limited.get(i)) for i in range(len(starts))]
+        errors = integrate_lanes(V, starts, targets, cfg, visit)
+    assert set(errors) <= set(range(len(starts)))
+    assert all(isinstance(error, _FAILURES) for error in errors.values())
+    return [(samples[i], _error_bits(errors.get(i))) for i in range(len(starts))]
 
 
 def _orbit_samples(V, y, targets, cfg):
     """The same for the generated orbit loop run from one start alone."""
     out, _, error = _generated_orbit(V, y, targets, cfg)
     samples = [(j, [v.hex() for v in state]) for j, state in enumerate(out)]
-    limit = str(error) if isinstance(error, StepLimitError) else None
-    return samples, error is not None, limit
+    return samples, _error_bits(error)
 
 
 def _batch_case(texts, starts, targets, **options):
@@ -319,6 +320,16 @@ def _lanes_case(texts, starts):
     as the field does there. The blow-up radius lets starts near 1e300
     reach the field's guards."""
     return _batch_case(texts, starts, [1e-300], dt=1e-300, blowup_radius=1e308)
+
+
+# A 7 x 7 grid on [-1, 1]^2, to t = 2: 21 orbits escape, and on the other
+# 28 exp overflows.
+_MIXED_GRID = _batch_case(
+    ["x2", "-exp(x1*x1*40) + x2"],
+    np.stack([c.reshape(-1) for c in np.meshgrid(*[np.linspace(-1.0, 1.0, 7)] * 2,
+                                                  indexing="ij")], -1).tolist(),
+    sample_times(2.0, 0.05)[1:],
+)
 
 
 @st.composite
@@ -391,6 +402,9 @@ class TestLaneBatch:
                          sample_times(8.0, 0.1)[1:], blowup_radius=4.0, max_steps=60))
     @example(_batch_case(["x1"], [[1.0], [0.5], [-2.0]], sample_times(3.0, 0.5)[1:],
                          method="rk4_fixed", dt=0.1, blowup_radius=4.0))
+    # Escapes and domain failures in one batch: the lanes that fail in the
+    # field run again in the orbit loop for their errors.
+    @example(_MIXED_GRID)
     def test_bitwise_equal_to_orbit_loop(self, case):
         V, starts, targets, cfg = case
         assert _lane_samples(V, starts, targets, cfg) == [
@@ -402,7 +416,7 @@ class TestLaneBatch:
         V, starts, targets, cfg = _lanes_case([text], [[1e200], [0.5]])
         for loop in (LANES, ORBITS):
             rows = _lane_samples(V, starts, targets, cfg, loop)
-            assert [failed for _, failed, _ in rows] == [True, False]
+            assert [error is not None for _, error in rows] == [True, False]
 
     def test_visit_exception_propagates_unchanged(self, osc, cfg):
         error = ZeroDivisionError("raised by visit")
@@ -416,18 +430,17 @@ class TestLaneBatch:
             assert exc_info.value is error
 
 
-# name: (batch case, {row: what ends it}), where what ends a failed row is
-# "failed" for an escape or a domain failure, else the start of its
-# StepLimitError text.
+# name: (batch case, {row: the start of the text of the error that ends it}).
 _DISPATCH_CASES = {
     # Escapes at the start and mid-orbit at two different targets, and a
     # start that finishes.
     "escape": (_batch_case(["x1"], [[1.0], [0.1], [0.5], [-5.0]], sample_times(3.0, 0.5)[1:],
                            blowup_radius=4.0),
-               {0: "failed", 2: "failed", 3: "failed"}),
+               {0: "escaped domain at t=1.42117", 2: "escaped domain at t=2.11982",
+                3: "escaped domain at t=0"}),
     "domain": (_batch_case(["-sqrt(x1 - 0.5)", "-x2"], [[1.0, 1.0], [0.0, 1.0], [5.0, 0.5]],
                            [0.5, 1.0, 3.0], method="rk4_fixed", dt=0.4),
-               {0: "failed", 1: "failed"}),
+               {0: "math domain error", 1: "math domain error"}),
     # The equilibrium takes about one attempt per target and finishes; the
     # other starts run out of steps.
     "step-budget": (_batch_case(["x2", "-x1"], [[0.3, 0.1], [0.0, 0.0], [2.0, -1.0]],
@@ -459,9 +472,31 @@ class TestLoopDispatch:
         (V, starts, targets, cfg), ends = _DISPATCH_CASES[name]
         lanes = _lane_samples(V, starts, targets, cfg, LANES)
         assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
-        got = {row: limit or "failed" for row, (_, failed, limit) in enumerate(lanes) if failed}
+        got = {row: error[1] for row, (_, error) in enumerate(lanes) if error}
         assert got.keys() == ends.keys()
         assert all(got[row].startswith(end) for row, end in ends.items())
+
+    def test_lanes_failed_in_the_field_alone_run_again(self, monkeypatch):
+        # Every row fails, by escape or in the field. The batch records the
+        # escapes; only the 28 domain failures run again, in the orbit loop.
+        V, starts, targets, cfg = _MIXED_GRID
+        module = importlib.import_module("lyapset.flow")
+        orbits, inner = [], module._compiled
+
+        def recording(V, method, lanes=False):
+            loop = inner(V, method, lanes)
+            return loop if lanes else lambda y, *args: orbits.append(y) or loop(y, *args)
+
+        monkeypatch.setattr(module, "_compiled", recording)
+        lanes = _lane_samples(V, starts, targets, cfg, LANES)
+        kinds = [error[0] for _, error in lanes]
+        assert kinds.count("EscapedDomainError") == 21
+        assert kinds.count("EvalDomainError") == 28
+        domain = [starts[row] for row, kind in enumerate(kinds) if kind == "EvalDomainError"]
+        assert sorted(orbits) == domain
+        orbits.clear()
+        assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
+        assert orbits == starts
 
 
 class TestCompiledCache:
@@ -479,6 +514,4 @@ class TestCompiledCache:
             out = []
             _compiled(V, cfg.method)([-0.0], [0.5], cfg, out)
             assert out[0][0].hex() == bits
-            assert _lane_samples(V, [[-0.0], [-0.0]], [0.5], cfg) == [
-                ([(0, [bits])], False, None)
-            ] * 2
+            assert _lane_samples(V, [[-0.0], [-0.0]], [0.5], cfg) == [([(0, [bits])], None)] * 2

@@ -4,10 +4,12 @@ from dataclasses import fields
 import pytest
 
 from lyapset.errors import ProblemFormatError
+from lyapset.expr import MAX_DEPTH
 from lyapset.flow import IntegratorConfig
 from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint
 from lyapset.problem import _SECTIONS, MAX_STARTS, ProblemDefinition, load_problem
 
+from test_expr import deep_text
 from test_geometry import all_variants
 
 FULL_PROBLEM = {
@@ -254,6 +256,18 @@ class TestValidationPointers:
         raw["certificate"]["L"] = "x3^2"
         _expect_pointer(raw, "/certificate/L")
 
+    @pytest.mark.parametrize("shape", ["calls", "sum", "parentheses"])
+    def test_expression_too_deep(self, shape):
+        raw = copy.deepcopy(FULL_PROBLEM)
+        raw["field"][1] = deep_text(shape, MAX_DEPTH)
+        raw["certificate"]["L"] = deep_text(shape, MAX_DEPTH)
+        ProblemDefinition.from_json(raw)
+        raw["certificate"]["L"] = deep_text(shape, MAX_DEPTH + 1)
+        err = _expect_pointer(raw, "/certificate/L")
+        assert err.message.endswith(")") and err.message.count("position") == 1
+        raw["field"][1] = deep_text(shape, MAX_DEPTH + 1)
+        _expect_pointer(raw, "/field/1")
+
     def test_converse_quadrature_name(self):
         raw = copy.deepcopy(FULL_PROBLEM)
         raw["converse"]["quadrature"] = "midpoint"
@@ -380,6 +394,10 @@ class TestLoadProblem:
         with pytest.raises(ProblemFormatError) as exc_info:
             load_problem(str(path))
         assert "byte offset 27" in str(exc_info.value)
+        path.write_bytes('{"field": ["\u00e9", ]}'.encode("utf-8"))  # é is two bytes
+        with pytest.raises(ProblemFormatError) as exc_info:
+            load_problem(str(path))
+        assert "byte offset 17" in str(exc_info.value)
 
     def test_overlong_integer_is_format_error(self, tmp_path):
         # Python 3.11+ refuses to convert an int literal this long; earlier
@@ -390,6 +408,17 @@ class TestLoadProblem:
         with pytest.raises(ProblemFormatError) as exc_info:
             load_problem(str(path))
         assert exc_info.value.pointer in ("", "/set/coords/0")
+
+    @pytest.mark.parametrize("data, message", [
+        (b'{"dimension": 1, \xff}', "not UTF-8 text at byte offset 17"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+    ])
+    def test_unreadable_bytes_fail_at_the_root(self, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ProblemFormatError) as exc_info:
+            load_problem(str(path))
+        assert (exc_info.value.pointer, exc_info.value.message) == ("", message)
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
