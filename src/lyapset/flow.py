@@ -13,15 +13,20 @@ one generated function runs a whole orbit, with state and slopes in
 locals and the field, the step control, the blow-up test and the step
 budget inlined. The tests keep a step-by-step loop that calls the field
 closure once per stage as its reference; the two agree bitwise, attempt
-counts and errors included. Output samples are forced step endpoints,
-never interpolants, so a recorded state is exactly the integrator state.
+counts and errors included. The loop steps freely to the last output
+time, clipping the step only there, and records each output time that an
+accepted step passes from the method's continuous extension over that
+step's slopes, so a sample costs a few operations, not a step. A sample
+is an interpolant, not an integrator state, except where a step ends on
+it, as at the last output time, which is therefore flow()'s state.
 
 integrate_lanes() is the one door to the generated loops: every orbit
 runs through it, and a failure comes back as the exception of its row.
 From _LANES_FROM starts up it runs lanes: each start is a column of
 NumPy arrays, with its own time, step size and next output
-time; acceptance is masked per lane, and a lane leaves the batch when it
-finishes or fails. Below that it runs the orbit loop once per start,
+time; acceptance is masked per lane, the samples that the steps of one
+pass passed go to the caller together, and a lane leaves the batch when
+it finishes or fails. Below that it runs the orbit loop once per start,
 faster there: a lane pass costs about as much whatever the number of
 lanes. The batch is generated too, around the orbit loop's step emitter,
 so the attempt and the step control are written once: a lane stage state
@@ -88,6 +93,17 @@ _STATE_ROWS = (
     ((1, _B1), (3, _B3), (4, _B4), (5, _B5), (6, _B6)),
 )
 _ERROR_ROW = ((1, _E1), (3, _E3), (4, _E4), (5, _E5), (6, _E6), (7, _E7))
+# The weights d_i of Dormand-Prince's continuous extension in Hairer's
+# contd5 form (Shampine 1986; HNW II.6), the last term of a sample.
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432,
+    87487479700 / 32700410799,
+    -10690763975 / 1880347072,
+    701980252875 / 199316789632,
+    -1453857185 / 822651844,
+    69997945 / 29380423,
+)
+_DENSE_ROW = ((1, _D1), (3, _D3), (4, _D4), (5, _D5), (6, _D6), (7, _D7))
 
 _MIN_STEP = 1e-12
 
@@ -149,15 +165,17 @@ def _pick(a: str, op: str, b: str, lanes: bool) -> str:
     return f"{a} if {a} {op} {b} else {b}"
 
 
-def _escape_test(xs, lanes: bool) -> list[str]:
+def _escape_test(xs, lanes: bool, mask: str = "ok") -> list[str]:
     """Raise where the state xs left the blow-up radius; over lanes, record
-    the same error for each lane still ok there and clear its ok."""
+    the same error for each lane of mask there and clear its ok."""
     norm2 = " + ".join(f"{v} * {v}" for v in xs)
+    state = f"[{', '.join(xs)}]"
     if not lanes:
-        return [f"if {norm2} > radius2: raise EscapedDomainError(t, [{', '.join(xs)}])"]
-    return [f"escaped = ok & ({norm2} > radius2)", "if escaped.any():",
+        return [f"if {norm2} > radius2: raise EscapedDomainError(t, {state})"]
+    return [f"escaped = {mask} & ({norm2} > radius2)", "if escaped.any():",
             "    errors.update((row, EscapedDomainError(t, state)) for row, t, state in "
-            "zip(rows[escaped].tolist(), t[escaped].tolist(), y[:, escaped].T.tolist()))",
+            "zip(rows[escaped].tolist(), t[escaped].tolist(), "
+            f"array({state})[:, escaped].T.tolist()))",
             "    ok &= ~escaped"]
 
 
@@ -168,12 +186,14 @@ _UNDERFLOW = 'StepLimitError(f"step size underflow at t={t:.6g}")'
 
 def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
     """The loop body of one step attempt from the state y at time t, with
-    remaining = target - t: the step size h, the stages with the field
-    inlined, and the step control, which moves y, t and the slope k1 on
-    acceptance, tests the blow-up radius and sets the next step size
-    h_next. With lanes, y is an (n, m) array, one column per lane, and the
-    body clears ok on the lanes where the scalar body raises, recording in
-    errors, by row, what it raises on escape and on step size underflow."""
+    remaining = horizon - t: the step size h, clipped only at the horizon,
+    the stages with the field inlined, and the step control. On acceptance
+    it moves t, tests the blow-up radius at the new state, records every
+    target the step passed, then moves y and the slope k1; it sets the next
+    step size h_next. With lanes, y is an (n, m) array, one column per
+    lane, and the body clears ok on the lanes where the scalar body raises,
+    recording in errors, by row, what it raises on escape and on step size
+    underflow."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     y = "y" if lanes else ys
@@ -200,30 +220,97 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
             code.extend(f"{xs[i]} = y{i} + {terms(i)}" for i in range(n))
         return f"s{s}" if lanes else xs, slope(xs, s)
 
-    at_target = ("where(h == remaining, target, t + h)" if lanes
-                 else "target if h == remaining else t + h")
+    def combination(row, i):
+        return " + ".join(f"{c!r} * {at(k[j], i)}" for j, c in row)
+
+    def samples(new):
+        """Record each target in (t_old, t] that the step from y to the
+        state new passed: new itself at a target equal to t, else the
+        method's continuous extension at theta = (target - t_old) / h.
+        Dormand-Prince's is Hairer's contd5 form of Shampine's 4th-order
+        extension; RK4's is the classical one of order 3 (HNW II.6). The
+        orbit loop appends each sample to out; the batch hands every (lane,
+        sample) pair of the pass to one visit call, rows repeating."""
+        def pair(v, i):
+            """Coordinate i of v at a sample: over lanes, v at its lane."""
+            return f"{v}.take(lane, 1)" if lanes else v[i]
+
+        h = "h[lane]" if lanes else "h"
+        if method == "rk4_fixed":
+            prepare = []
+            weights = [f"b1 = theta * (1.0 + theta * (-1.5 + theta * {2 / 3!r}))",
+                       f"b2 = theta * theta * (1.0 - theta * {2 / 3!r})",
+                       f"b4 = theta * theta * (-0.5 + theta * {2 / 3!r})"]
+            value = [f"{pair(y, i)} + {h} * (b1 * {pair(k[1], i)} + b2 * ({pair(k[2], i)} + "
+                     f"{pair(k[3], i)}) + b4 * {pair(k[4], i)})" for i in each]
+        else:
+            dd, c3, c4, c5 = (name if lanes else [f"{name}_{i}" for i in range(n)]
+                              for name in ("dd", "c3", "c4", "c5"))
+            prepare = [line for i in each for line in (
+                f"{at(dd, i)} = {at(new, i)} - {at(y, i)}",
+                f"{at(c3, i)} = h * {at(k[1], i)} - {at(dd, i)}",
+                f"{at(c4, i)} = {at(dd, i)} - h * {at(k[7], i)} - {at(c3, i)}",
+                f"{at(c5, i)} = h * ({combination(_DENSE_ROW, i)})",
+            )]
+            weights = ["theta1 = 1.0 - theta"]
+            value = [f"{pair(y, i)} + theta * ({pair(dd, i)} + theta1 * ({pair(c3, i)} + "
+                     f"theta * ({pair(c4, i)} + theta1 * {pair(c5, i)})))" for i in each]
+        if not lanes:
+            return ["if target <= t:",
+                    *("    " + line for line in prepare),
+                    "    while target <= t:",
+                    "        if target == t:",
+                    f"            out.append([{', '.join(new)}])",
+                    "        else:",
+                    "            theta = (target - t_old) / h",
+                    *("            " + line for line in weights),
+                    f"            out.append([{', '.join(value)}])",
+                    "        target = next(pending, inf)"]
+        # count: per ok lane, the targets in (t_old, t], counted one at a
+        # time, since a step passes few; ahead is targets, then inf.
+        return ["passed = ok & (ahead[j] <= t)",
+                "if passed.any():",
+                "    count = zeros(passed.size, int)",
+                "    while passed.any():",
+                "        count += passed",
+                "        passed &= ahead[j + count] <= t",
+                *("    " + line for line in prepare),
+                "    lane = arange(count.size).repeat(count)",
+                "    js = arange(lane.size) + (j + count - count.cumsum()).repeat(count)",
+                "    target = ahead[js]",
+                "    theta = (target - t_old[lane]) / h[lane]",
+                *("    " + line for line in weights),
+                f"    sample = {value[0]}",
+                "    hit = target == t[lane]",
+                "    if hit.any():",
+                f"        sample[:, hit] = {new}.take(lane[hit], 1)",
+                "    visit(rows[lane], js, sample.T)",
+                "    j = j + count"]
+
+    at_horizon = ("where(h == remaining, horizon, t + h)" if lanes
+                  else "horizon if h == remaining else t + h")
     if method == "rk4_fixed":  # the stages of the reference _rk4_step, term for term
         code.append("h = " + _pick("remaining", "<", "dt", lanes))
         if lanes:
             code.append(f"{', '.join(ys)}, = y")
-        k = [slope(ys, 1)]
+        k = {1: slope(ys, 1)}
         for s, scale in ((2, "0.5 * h"), (3, "0.5 * h"), (4, "h")):
-            k.append(stage(s, lambda i: f"{scale} * {at(k[-1], i)}")[1])
-        step = [f"{at(y, i)} + h / 6.0 * ({at(k[0], i)} + 2.0 * {at(k[1], i)} + "
-                f"2.0 * {at(k[2], i)} + {at(k[3], i)})" for i in each]
-        code += ([f"y = {step[0]}", f"{', '.join(ys)}, = y"] if lanes
-                 else [f"{', '.join(ys)}, = {', '.join(step)},"])
-        return code + [f"t = {at_target}", *_escape_test(ys, lanes)]
+            k[s] = stage(s, lambda i: f"{scale} * {at(k[s - 1], i)}")[1]
+        step = [f"{at(y, i)} + h / 6.0 * ({at(k[1], i)} + 2.0 * {at(k[2], i)} + "
+                f"2.0 * {at(k[3], i)} + {at(k[4], i)})" for i in each]
+        xs = [f"s5_{i}" for i in range(n)]
+        code += ([f"s5 = {step[0]}", f"{', '.join(xs)}, = s5"] if lanes
+                 else [f"{', '.join(xs)}, = {', '.join(step)},"])
+        return code + ["t_old = t", f"t = {at_horizon}", *_escape_test(xs, lanes),
+                       *samples("s5" if lanes else xs),
+                       "y = s5" if lanes else f"{', '.join(ys)}, = {', '.join(xs)},"]
 
     code.append("h = " + _pick("remaining", "<", "h_next", lanes))
     k = {1: "k1" if lanes else [f"k1_{i}" for i in range(n)]}
-
-    def combination(row, i):
-        return " + ".join(f"{c!r} * {at(k[j], i)}" for j, c in row)
-
     for s, row in enumerate(_STATE_ROWS, start=2):
         y5, k[s] = stage(s, lambda i: f"h * ({combination(row, i)})")
     # The last state is y5 and its slope is k7.
+    xs = [f"s7_{i}" for i in range(n)]
     for i in each:
         code += [
             f"a = abs({at(y, i)})",
@@ -236,22 +323,26 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
     if lanes:
         code += [
             "accept = enorm <= 1.0",
-            f"y, k1 = where(accept, {y5}, y), where(accept, {k[7]}, k1)",
-            f"{', '.join(ys)}, = y",
-            f"t = where(accept, {at_target}, t)",
-            *_escape_test(ys, lanes),  # a rejected lane keeps a state that passed it
+            "t_old = t",
+            f"t = where(accept, {at_horizon}, t)",
+            # A rejected lane keeps a state that passed the test.
+            *_escape_test(xs, lanes, "ok & accept"),
             f"stalled = ok & ~accept & (h <= {_MIN_STEP!r})",
             "if stalled.any():",
             f"    errors.update((row, {_UNDERFLOW}) for row, t in "  # t lane by lane
             "zip(rows[stalled].tolist(), t[stalled].tolist()))",
             "    ok &= ~stalled",
+            *samples(y5),
+            "y, k1 = where(accept, s7, y), where(accept, k7, k1)",
         ]
     else:
         code += [
             "if enorm <= 1.0:",
+            "    t_old = t",
+            f"    t = {at_horizon}",
+            *("    " + line for line in _escape_test(xs, lanes)),
+            *("    " + line for line in samples(y5)),
             f"    {', '.join(ys)}, {', '.join(k[1])} = {', '.join(y5)}, {', '.join(k[7])}",
-            f"    t = {at_target}",
-            *("    " + line for line in _escape_test(ys, lanes)),
             f"elif h <= {_MIN_STEP!r}:",
             f"    raise {_UNDERFLOW}",
         ]
@@ -276,14 +367,16 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     """Generate the loop of V and method around one _emit_step body.
 
     orbit(y, targets, cfg, out) -> the number of step attempts integrates
-    from y through each target in order, forcing a step endpoint onto
-    each, and appends the state there to out, so the samples reached
-    before a failure stay with the caller; it is bitwise the step-by-step
-    reference loop in the tests. With lanes, batch(y, targets, cfg, visit)
-    -> errors runs the columns of the (n, m) array y as integrate_lanes
-    describes, with None for a lane that failed inside the field. Operations
-    on constants alone raise on every lane: the first field evaluation
-    catches them and fails every lane; anything visit raises passes through."""
+    from y to the last target, stepping freely and clipping the step only
+    there, and appends the sample at each target to out as an accepted step
+    passes it, so the samples reached before a failure stay with the
+    caller; it is bitwise the step-by-step reference loop in the tests.
+    With lanes, batch(y, targets, cfg, visit) -> errors runs the columns of
+    the (n, m) array y as integrate_lanes describes, with None for a lane
+    that failed inside the field, and hands visit the samples of each pass
+    after its step. Operations on constants alone raise on every lane: the
+    first field evaluation catches them and fails every lane; anything
+    visit raises passes through."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     adaptive = method == "rk45_adaptive"
@@ -312,41 +405,25 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     # which no longer reads them.
     body = _emit_step(V, method, lanes)
     if not lanes:
-        code += [
-            "for target in targets:",
-            "    while True:",
-            "        remaining = target - t",
-            "        if remaining <= 0.0:",
-            "            break",
-            "        steps += 1",
-            "        if steps > max_steps:",
-            f"            raise {_EXCEEDED}",
-        ] + ["        " + line for line in body] + [f"    out.append([{', '.join(ys)}])"]
+        code += ["pending = iter(targets)", "target = next(pending)",
+                 "while t < horizon:",
+                 "    remaining = horizon - t",
+                 "    steps += 1",
+                 "    if steps > max_steps:",
+                 f"        raise {_EXCEEDED}"] + ["    " + line for line in body]
         return _define("_orbit", "y, targets, cfg, out", code, "steps",
                        f"{method} orbit of {V.label()}")
     # The values each lane carries, kept or dropped together.
     carried = ["rows", "t", "j", "y"] + (["h_next", "k1"] if adaptive else [])
-
-    def keep(mask):
-        return f"{', '.join(carried)} = {', '.join(f'{v}[..., {mask}]' for v in carried)}"
-
     code += [
         "last = len(targets)",
+        "ahead = full_like(targets, inf, shape=last + 1)",
+        "ahead[:last] = targets",
         "while True:",
-        "    if not ok.all():",
+        "    live = ok & (j < last)",  # a lane past its last target is at the horizon
+        "    if not live.all():",
         "        errors.update((row, errors.get(row)) for row in rows[~ok].tolist())",
-        "        " + keep("ok"),
-        "    while True:",
-        "        target = targets[j]",
-        "        remaining = target - t",
-        "        reached = remaining <= 0.0",
-        "        if not reached.any():",
-        "            break",
-        "        visit(rows[reached], j[reached], y[:, reached].T.copy())",
-        "        j = j + reached",
-        "        more = j < last",
-        "        if not more.all():",
-        "            " + keep("more"),
+        f"        {', '.join(carried)} = {', '.join(f'{v}[..., live]' for v in carried)}",
         "    if not rows.size:",
         "        break",
         "    steps += 1",
@@ -354,6 +431,7 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
         f"        errors.update((row, {_EXCEEDED}) for row, t in zip(rows.tolist(), t.tolist()))",
         "        break",
         "    ok = ones(rows.size, bool)",
+        "    remaining = horizon - t",
     ] + ["    " + line for line in body]
     return _define("_batch", "y, targets, cfg, visit", code, "errors",
                    f"{method} lanes of {V.label()}", lanes=True)
@@ -365,6 +443,8 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
 # loops cost in proportion. BENCH_13.json, median time of the orbit loops
 # over that of the batch at 3 / 25 / 49 / 100 starts: harmonic field
 # 0.06 / 0.47 / 0.96 / 1.39, 4-D cycle field 0.08 / 0.78 / 1.22 / 2.27.
+# With samples interpolated (BENCH_18.json) both still cross 1 between 25
+# and 100 starts.
 _LANES_FROM = 50
 
 
@@ -376,9 +456,10 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     rows up one lane batch, each row a lane with its own t, h and next
     target, and below that one orbit loop per row. visit(rows, j, states)
     receives row numbers, the index in targets of the target each reached
-    and the states there, (len(rows), n): from the batch, the lanes that
-    reached a target together, and from an orbit loop, one row's samples
-    in one call, j increasing. visit runs under np.errstate(all="ignore")
+    and the states there, (len(rows), n): from the batch, every (row,
+    target) pair that the steps of one pass passed, a row repeating, j
+    increasing within it; from an orbit loop, one row's samples in one
+    call, j increasing. visit runs under np.errstate(all="ignore")
     either way, and what it raises passes through. A row leaves after its
     last target, or where the scalar loop raises: on escape, a domain
     failure of the field, the step budget or a step size underflow.
@@ -441,9 +522,10 @@ def flow_rows(V: VectorFieldSpec, starts, t: float, cfg: IntegratorConfig):
     return moved[:first], errors.get(first)
 
 
-# Each output sample is a step endpoint, so an orbit on a finer grid than
-# this cannot finish within the default step budget.
-MAX_SAMPLES = IntegratorConfig.max_steps
+# The most output samples one orbit records. Samples are interpolated
+# within steps, so this bounds the samples and the memory they take, not
+# the steps, which max_steps bounds.
+MAX_SAMPLES = 10_000_000
 
 
 def check_sampling(T: float, out_dt: float) -> None:

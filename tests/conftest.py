@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from lyapset.expr import VectorFieldSpec
-from lyapset.flow import IntegratorConfig, trajectory
+from lyapset.flow import IntegratorConfig, _compiled, sample_times, trajectory
 from lyapset.geometry import PointCloud
 
 VDP_PERIOD = 6.663286859322498
@@ -39,6 +39,16 @@ LANES, ORBITS = 1, sys.maxsize
 def lanes_from(count: int):
     """Context in which integrate_lanes' _LANES_FROM is count."""
     return mock.patch.object(importlib.import_module("lyapset.flow"), "_LANES_FROM", count)
+
+
+def orbit_attempts(texts, start, T: float, out_dt: float, **options) -> int:
+    """The step attempts of the generated orbit loop on the field texts from
+    start through sample_times(T, out_dt), under IntegratorConfig(**options).
+    A test that needs a step budget to run out partway sets it below this
+    count, so the budget follows the integrator instead of pinning it."""
+    cfg = IntegratorConfig(**options)
+    V = VectorFieldSpec.from_strings(texts)
+    return _compiled(V, cfg.method)(list(start), sample_times(T, out_dt)[1:], cfg, [])
 
 
 @pytest.fixture(scope="session")

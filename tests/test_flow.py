@@ -19,7 +19,7 @@ from lyapset.flow import (
     semigroup_defect,
     trajectory,
 )
-from conftest import LANES, ORBITS, lanes_from
+from conftest import LANES, ORBITS, lanes_from, orbit_attempts
 from test_expr import any_exprs
 
 # One strategy per dimension, built once: building one per draw costs ~25 ms.
@@ -135,6 +135,17 @@ class TestTrajectory:
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 1.0]), np.full((2, 1), np.nan))
+
+    @pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+    def test_final_sample_is_flow_bitwise(self, vdp, method):
+        # The steps do not depend on the sample times, and the sample at the
+        # horizon is the state of the step that ends there, not an
+        # interpolant: it is flow's state, bit for bit.
+        cfg = IntegratorConfig(method=method, dt=0.03)
+        for x, T, out_dt in (([2.0, 0.0], 6.5, 0.01), ([0.5, -1.5], 3.0, 0.7),
+                             ([1.0, 1.0], 0.4, 0.4)):
+            final = trajectory(vdp, x, T, out_dt, cfg).states[-1]
+            assert final.tobytes() == flow(vdp, x, T, cfg).tobytes()
 
     def test_samples_consistent_with_flow(self, osc, cfg_tight):
         tr = trajectory(osc, [1.0, 0.0], 3.0, 0.5, cfg_tight)
@@ -266,10 +277,22 @@ class TestGeneratedOrbit:
     # A harmonic delta-probe orbit, as the stability block runs it.
     @example(_orbit_case(["x2", "-x1"], [0.3, 0.1], sample_times(8.0, 0.1)[1:],
                          rel_tol=1e-10, abs_tol=1e-13))
-    # One step from 0.2 to 0.9: without the snap onto the target, t ends
-    # just below 0.9 and one more step follows.
-    @example(_orbit_case(["0"], [1.0], [0.2, 0.9], dt=100.0))
+    # One step to 0.2, then one from 0.2 onto the horizon 0.9: without the
+    # snap onto the horizon, t ends at 0.2 + 0.7, just below 0.9, and one
+    # more step follows. Then one step to the horizon, with 0.2 inside it.
+    @example(_orbit_case(["0"], [1.0], [0.2, 0.9], dt=0.2))
     @example(_orbit_case(["0"], [1.0], [0.2, 0.9], method="rk4_fixed", dt=100.0))
+    # Several samples per step, and several steps per sample.
+    @example(_orbit_case(["x2", "-x1"], [1.0, 0.0], sample_times(2.0, 0.01)[1:],
+                         rel_tol=1e-3, abs_tol=1e-6))
+    @example(_orbit_case(["x2", "-x1"], [1.0, 0.0], [1.5, 3.0], rel_tol=1e-12, abs_tol=1e-14))
+    # Targets on step endpoints (0.25 and 1.5, and with RK4 each target):
+    # there the sample is the new state, not the extension at theta = 1.
+    @example(_orbit_case(["1"], [0.0], [0.25, 1.0, 1.5, 2.0], dt=0.25))
+    @example(_orbit_case(["x1"], [1.0], [0.25, 1.0, 1.5, 2.0], method="rk4_fixed", dt=0.25))
+    # RK4 with its step above out_dt: three or four samples per step.
+    @example(_orbit_case(["x2", "-x1"], [1.0, 0.0], sample_times(2.0, 0.1)[1:],
+                         method="rk4_fixed", dt=0.35))
     # The slope -1/x1 blows up at t = 0.5: the step size underflows.
     @example(_orbit_case(["-1 / x1"], [1.0], [0.4, 1.0], max_steps=10_000))
     # Escape at the start, before any step.
@@ -383,11 +406,23 @@ class TestLaneBatch:
     # a square that overflows, also under exp(-inf) = 0.
     @example(_lanes_case(["x1^2"], [[2.817595433862767], [1e200], [0.5]]))
     @example(_lanes_case(["exp(-(x1^2))"], [[1e200], [0.5]]))
-    # One step from 0.2 to 0.9 within a budget of two: without the snap
-    # onto the target, t ends just below 0.9 and a third step follows.
-    @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], dt=100.0, max_steps=2))
+    # Two steps, to 0.2 and from there onto the horizon 0.9, within a
+    # budget of two: without the snap onto the horizon, t ends just below
+    # 0.9 and a third step follows. Then one step with 0.2 inside it.
+    @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], dt=0.2, max_steps=2))
     @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], method="rk4_fixed", dt=100.0,
                          max_steps=2))
+    # Several samples per step and lanes apart in time, several steps per
+    # sample, targets on step endpoints, and RK4 with its step above out_dt.
+    @example(_batch_case(["x2", "-x1"], [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
+                         sample_times(2.0, 0.01)[1:], rel_tol=1e-3, abs_tol=1e-6))
+    @example(_batch_case(["x2", "-x1"], [[1.0, 0.0], [0.5, 0.5]], [1.5, 3.0],
+                         rel_tol=1e-12, abs_tol=1e-14))
+    @example(_batch_case(["1"], [[0.0], [1.0]], [0.25, 1.0, 1.5, 2.0], dt=0.25))
+    @example(_batch_case(["x1"], [[1.0], [-0.5]], [0.25, 1.0, 1.5, 2.0], method="rk4_fixed",
+                         dt=0.25))
+    @example(_batch_case(["x2", "-x1"], [[1.0, 0.0], [0.3, -0.2]], sample_times(2.0, 0.1)[1:],
+                         method="rk4_fixed", dt=0.35))
     # Lanes that leave the batch at different targets: the step size of
     # the first underflows where -1/x1 blows up at t = 0.5; the second
     # finishes.
@@ -430,22 +465,25 @@ class TestLaneBatch:
             assert exc_info.value is error
 
 
+_HARMONIC_HALF_BUDGET = orbit_attempts(["x2", "-x1"], [0.3, 0.1], 8.0, 0.1) // 2
+
 # name: (batch case, {row: the start of the text of the error that ends it}).
 _DISPATCH_CASES = {
     # Escapes at the start and mid-orbit at two different targets, and a
     # start that finishes.
     "escape": (_batch_case(["x1"], [[1.0], [0.1], [0.5], [-5.0]], sample_times(3.0, 0.5)[1:],
                            blowup_radius=4.0),
-               {0: "escaped domain at t=1.42117", 2: "escaped domain at t=2.11982",
+               {0: "escaped domain at t=1.44609", 2: "escaped domain at t=2.10921",
                 3: "escaped domain at t=0"}),
     "domain": (_batch_case(["-sqrt(x1 - 0.5)", "-x2"], [[1.0, 1.0], [0.0, 1.0], [5.0, 0.5]],
                            [0.5, 1.0, 3.0], method="rk4_fixed", dt=0.4),
                {0: "math domain error", 1: "math domain error"}),
-    # The equilibrium takes about one attempt per target and finishes; the
-    # other starts run out of steps.
+    # The equilibrium finishes in a few growing steps; the other starts run
+    # out of steps halfway.
     "step-budget": (_batch_case(["x2", "-x1"], [[0.3, 0.1], [0.0, 0.0], [2.0, -1.0]],
-                                sample_times(8.0, 0.1)[1:], max_steps=120),
-                    {0: "exceeded 120 steps", 2: "exceeded 120 steps"}),
+                                sample_times(8.0, 0.1)[1:], max_steps=_HARMONIC_HALF_BUDGET),
+                    {0: f"exceeded {_HARMONIC_HALF_BUDGET} steps",
+                     2: f"exceeded {_HARMONIC_HALF_BUDGET} steps"}),
     "underflow": (_batch_case(["-1 / x1"], [[1.0], [2.0], [0.5]], [0.1, 0.4, 1.0],
                               max_steps=10_000),
                   {0: "step size underflow", 2: "step size underflow"}),
@@ -475,6 +513,24 @@ class TestLoopDispatch:
         got = {row: error[1] for row, (_, error) in enumerate(lanes) if error}
         assert got.keys() == ends.keys()
         assert all(got[row].startswith(end) for row, end in ends.items())
+
+    def test_no_sample_inside_an_escaping_step(self):
+        # x e^t leaves radius 4 at t = ln(4 / x), inside a step that ends
+        # at the escape time; the targets every 0.01 inside that step are
+        # not recorded, whichever loop runs the orbit.
+        V, starts, targets, cfg = _batch_case(["x1"], [[1.0], [2.0]],
+                                              sample_times(3.0, 0.01)[1:], blowup_radius=4.0)
+        for loop in (LANES, ORBITS):
+            rows = _lane_samples(V, starts, targets, cfg, loop)
+            for (x,), (samples, error) in zip(starts, rows):
+                escape = float.fromhex(error[2])
+                assert error[0] == "EscapedDomainError" and escape > math.log(4.0 / x)
+                assert [j for j, _ in samples] == list(range(len(samples)))
+                assert all(float.fromhex(state[0]) <= 4.0 for _, state in samples)
+                # The first target left out lies before the escape, so
+                # inside the escaping step: each earlier step recorded
+                # every target up to its end.
+                assert targets[len(samples)] < escape
 
     def test_lanes_failed_in_the_field_alone_run_again(self, monkeypatch):
         # Every row fails, by escape or in the field. The batch records the

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import LANES, ORBITS, lanes_from
+from conftest import LANES, ORBITS, lanes_from, orbit_attempts
 from lyapset.errors import EscapedDomainError, EvalDomainError, LyapsetError, StepLimitError
 from lyapset.expr import ScalarFieldSpec, VectorFieldSpec, compile_scalar
 from lyapset.flow import IntegratorConfig, flow, trajectory
@@ -157,11 +157,15 @@ class TestWindowedSup:
 
 
 # x1 = e^t x1(0) leaves the blow-up radius 3, sqrt fails where x2 < -0.2,
-# and with a budget of 30 steps the orbits that move in x2 end before
-# t = 2. Only the equilibrium at the origin runs to the end.
-_MIXED = VectorFieldSpec.from_strings(["x1", "-x2 * sqrt(x2 + 0.2)"])
-_MIXED_CFG = IntegratorConfig(blowup_radius=3.0, max_steps=30)
+# and with a budget one attempt short of the shorter of their orbits to
+# t = 2, the orbits that move in x2 end before t = 2. Only the equilibrium
+# at the origin runs to the end.
+_MIXED_TEXTS = ["x1", "-x2 * sqrt(x2 + 0.2)"]
+_MIXED = VectorFieldSpec.from_strings(_MIXED_TEXTS)
 _MIXED_POINTS = [[0.0, 0.0], [1.0, 0.0], [0.0, -0.5], [0.0, 0.5], [2.9, 0.0], [0.05, -0.1]]
+_MIXED_BUDGET = min(orbit_attempts(_MIXED_TEXTS, p, 2.0, 0.1, blowup_radius=3.0)
+                    for p in ([0.0, 0.5], [0.05, -0.1])) - 1
+_MIXED_CFG = IntegratorConfig(blowup_radius=3.0, max_steps=_MIXED_BUDGET)
 
 
 def _converse_rows_one_by_one(V, M, points, cfg, cc):
@@ -187,9 +191,9 @@ class TestConverseTable:
         cc = ConverseConfig(1.0, 0.1)
         expected = _converse_rows_one_by_one(_MIXED, ORIGIN_2D, _MIXED_POINTS, _MIXED_CFG, cc)
         assert [row[3] for row in expected] == [
-            None, "escaped domain at t=1.1", "math domain error",
-            "exceeded 30 steps at t=1.46672", "escaped domain at t=0.06",
-            "exceeded 30 steps at t=1.46421",
+            None, "escaped domain at t=1.15928", "math domain error",
+            f"exceeded {_MIXED_BUDGET} steps at t=1.93782", "escaped domain at t=0.06",
+            f"exceeded {_MIXED_BUDGET} steps at t=1.61495",
         ]
         for loop in (LANES, ORBITS):
             with lanes_from(loop):
@@ -223,6 +227,11 @@ class TestConverseTable:
         blob = table.to_json()
         assert blob["rows"][0]["error"] is not None
         assert blob["lambda"] == 1.0
+
+
+# Half the attempts of an orbit from the sample box of
+# test_failures_from_either_loop to t = 2, the shortest horizon it runs.
+_SHORT_BUDGET = orbit_attempts(_MIXED_TEXTS, [0.1, -0.19995], 2.0, 0.1, blowup_radius=3.0) // 2
 
 
 class TestVerifyConverseProperties:
@@ -265,12 +274,13 @@ class TestVerifyConverseProperties:
         assert report.strict_violations == ()
         assert report.total_violations == 0
 
-    @pytest.mark.parametrize("max_steps", [30, 10_000_000])
+    @pytest.mark.parametrize("max_steps", [pytest.param(_SHORT_BUDGET, id="short"), 10_000_000])
     def test_failures_from_either_loop(self, max_steps):
         # Samples on both sides of the sqrt domain edge x2 = -0.2, some of
         # whose continuity probes cross it; with the full budget most
-        # escape by t = 4. The report, failures and their order included,
-        # does not depend on the loop.
+        # escape by t = 4, with the short one the orbits that do not fail
+        # at their start run out of steps. The report, failures and their
+        # order included, does not depend on the loop.
         cfg = IntegratorConfig(blowup_radius=3.0, max_steps=max_steps)
         box = Box([0.0, -0.20005], [0.1, -0.19995])
         reports = []
@@ -281,8 +291,8 @@ class TestVerifyConverseProperties:
         assert reports[0] == reports[1]
         texts = " ".join(text for _, text in reports[0]["integration_failures"])
         assert "math domain error" in texts
-        if max_steps == 30:
-            assert "exceeded 30 steps" in texts
+        if max_steps == _SHORT_BUDGET:
+            assert f"exceeded {_SHORT_BUDGET} steps" in texts
         else:
             assert "escaped domain" in texts and "continuity probe: math domain error" in texts
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import LANES, ORBITS, lanes_from
+from conftest import LANES, ORBITS, lanes_from, orbit_attempts
 from flow_reference import _walk
 from lyapset import stability
 from lyapset.cli import _run_stability
@@ -97,6 +97,13 @@ def _delta_bits(estimate, args, knobs):
             None if witness is None else [float(v).hex() for v in witness])
 
 
+# Step budgets of the probes below (horizon 10, out_dt 0.1): half the
+# attempts of a sink orbit from inside epsilon, and one attempt short of
+# the constant field's orbit, which grows its step five-fold per attempt
+# and so leaves epsilon = 0.5 in its first few.
+_SINK_HALF_BUDGET = orbit_attempts(["-x1", "-x2"], [0.25, 0.0], 10.0, 0.1) // 2
+_ONE_SHORT_BUDGET = orbit_attempts(["1"], [0.0], 10.0, 0.1) - 1
+
 # name: (field, set, epsilon, integrator settings)
 _PARITY_CASES = {
     "sink": (["-x1", "-x2"], ORIGIN_2D, 0.5, {}),
@@ -110,9 +117,9 @@ _PARITY_CASES = {
     # Starts with x1 < -0.2 fail at the first field evaluation.
     "sqrt-domain": (["-x1 * sqrt(x1 + 0.2)", "-x2"], ORIGIN_2D, 0.5, {}),
     # The step budget runs out inside epsilon: both raise.
-    "step-limit-inside": (["-x1", "-x2"], ORIGIN_2D, 0.5, {"max_steps": 30}),
+    "step-limit-inside": (["-x1", "-x2"], ORIGIN_2D, 0.5, {"max_steps": _SINK_HALF_BUDGET}),
     # Every orbit leaves epsilon by t = 1, then runs out of steps.
-    "step-limit-after-exit": (["1"], SinglePoint([0.0]), 0.5, {"max_steps": 30}),
+    "step-limit-after-exit": (["1"], SinglePoint([0.0]), 0.5, {"max_steps": _ONE_SHORT_BUDGET}),
 }
 
 
@@ -283,7 +290,7 @@ class TestEstimateDelta:
     def test_exit_before_step_limit_is_witness(self):
         V = VectorFieldSpec.from_strings(["1"])
         M = SinglePoint([0.0])
-        cfg = IntegratorConfig(max_steps=30)
+        cfg = IntegratorConfig(max_steps=_ONE_SHORT_BUDGET)
         delta, witness = estimate_delta(
             V, M, 0.5, cfg, horizon_T=10.0, shell_samples=4, out_dt=0.1
         )
@@ -307,7 +314,7 @@ class TestEstimateDelta:
     def test_step_limit_inside_epsilon_raises(self, sink2):
         with pytest.raises(StepLimitError):
             estimate_delta(
-                sink2, ORIGIN_2D, 0.5, IntegratorConfig(max_steps=30),
+                sink2, ORIGIN_2D, 0.5, IntegratorConfig(max_steps=_SINK_HALF_BUDGET),
                 horizon_T=10.0, shell_samples=4, out_dt=0.1,
             )
 
@@ -414,15 +421,18 @@ def _invariance_outcome(check, V, M, cfg):
 
 
 # name: (field, set, integrator settings, outcome). A cloud's members are
-# the starts, in order: (1, 0) escapes past radius 2 by t = 0.7, and the
-# equilibrium at the origin runs out of 30 steps; _FussySet's distance
-# raises once the orbit reaches x1 < 0.
+# the starts, in order: (1, 0) escapes past radius 2 by t = 0.71, within
+# the budget, and (0, 1), which decays, runs out of steps halfway to the
+# horizon; _FussySet's distance raises once the orbit reaches x1 < 0.
+_INVARIANCE_BUDGET = {"blowup_radius": 2.0,
+                      "max_steps": orbit_attempts(["x1", "-x2"], [0.0, 1.0], 10.0, 0.1,
+                                                  blowup_radius=2.0) // 2}
 _INVARIANCE_CASES = {
     "inside": (["-x1", "-x2"], ClosedBall([0.0, 0.0], 0.5), {}, "value"),
-    "escape-then-step-limit": (["x1", "-x2"], PointCloud([[1.0, 0.0], [0.0, 0.0]]),
-                               {"blowup_radius": 2.0, "max_steps": 30}, "inf"),
-    "step-limit-then-escape": (["x1", "-x2"], PointCloud([[0.0, 0.0], [1.0, 0.0]]),
-                               {"blowup_radius": 2.0, "max_steps": 30}, "StepLimitError"),
+    "escape-then-step-limit": (["x1", "-x2"], PointCloud([[1.0, 0.0], [0.0, 1.0]]),
+                               _INVARIANCE_BUDGET, "inf"),
+    "step-limit-then-escape": (["x1", "-x2"], PointCloud([[0.0, 1.0], [1.0, 0.0]]),
+                               _INVARIANCE_BUDGET, "StepLimitError"),
     "distance-error": (["-1", "0"], _FussySet([0.0, 0.0]), {}, "OrbitUnboundedError"),
 }
 
