@@ -40,6 +40,15 @@ compiled and cached:
                    abs_tol 1e-12; it has no orbit_loop counterpart
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
                    its first epsilon, with the stability block's settings
+  omega/cluster    limits._greedy_cluster of perfbench's cycle_cloud omega
+                   window: the 4-D cycle field from (0.5, 0, 0, 0) after a
+                   transient of 60, 6.7 time units at out_dt 0.01 (671
+                   samples), cluster_tol 1e-3
+  omega/hausdorff  geometry.hausdorff of that window's representatives and
+                   their images a flow of out_dt later, as estimate_omega
+                   takes its invariance defect
+  estimate_omega/vanderpol
+                   estimate_omega with problems/vanderpol.json's omega block
   analyze/<name>   `lyapset analyze` in process, per bundled problem
 
 A checkout whose flow module generates whole orbit loops, _compiled(V,
@@ -78,12 +87,15 @@ import calib  # noqa: E402  (perfbench is a directory of scripts, not a package)
 PROBLEMS = ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")
 HARMONIC = ["x2", "-x1"]
 CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
+CYCLE_X0 = [0.5, 0.0, 0.0, 0.0]  # cycle_cloud's omega start
 VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
 # field/m of the lane_batch and orbit_loop layers
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "lane_batch/vdp/1681": (7, 1),
+           "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
+           "estimate_omega/vanderpol": (10, 1),
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
               for kind in ("lane_batch", "orbit_loop") for batch in BATCHES}}
 
@@ -145,6 +157,8 @@ def worker(src: str) -> dict:
 
     flow = importlib.import_module("lyapset.flow")
     cli = importlib.import_module("lyapset.cli")
+    geometry = importlib.import_module("lyapset.geometry")
+    limits = importlib.import_module("lyapset.limits")
     harmonic = ls.VectorFieldSpec.from_strings(HARMONIC)
     cycle = ls.VectorFieldSpec.from_strings(CYCLE)
     tight = ls.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-13)
@@ -180,6 +194,18 @@ def worker(src: str) -> dict:
     vdp_targets = numpy.asarray(ls.sample_times(20.0, 0.05)[1:])
     vdp_cfg = ls.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
     layers["lane_batch/vdp/1681"] = lambda: _lane_batch(flow, vdp, nodes, vdp_targets, vdp_cfg)
+    # cycle_cloud's omega window, its representatives and their images
+    window = ls.trajectory(cycle, ls.flow(cycle, CYCLE_X0, 60.0, ls.IntegratorConfig()), 6.7,
+                           0.01, ls.IntegratorConfig()).states
+    reps = limits._greedy_cluster(window, 1e-3)
+    moved, _ = flow.flow_rows(cycle, reps, 0.01, ls.IntegratorConfig())
+    layers["omega/cluster"] = lambda: limits._greedy_cluster(window, 1e-3)
+    layers["omega/hausdorff"] = lambda: geometry.hausdorff(moved, reps)
+    vanderpol = ls.load_problem(os.path.join(ROOT, "problems", "vanderpol.json"))
+    omega = vanderpol.omega
+    layers["estimate_omega/vanderpol"] = lambda: ls.estimate_omega(
+        vanderpol.field, omega["x0"], vanderpol.integrator, transient_T=omega["transient"],
+        window_T=omega["window"], out_dt=omega["out_dt"], cluster_tol=omega["cluster_tol"])
     out_dir = tempfile.mkdtemp()
     for name in PROBLEMS:
         path = os.path.join(ROOT, "problems", f"{name}.json")

@@ -10,20 +10,24 @@ array; `distance` of one point applies it to a one-row array, so the point
 and array forms agree bitwise.
 
 Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
-seeded rays out of the set and bisects all of them together.
+seeded rays out of the set and bisects all of them together. Finite sets
+are clustered, and their Hausdorff distance taken, by one search over
+sorted windows of their widest coordinate.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 
-# Largest number of pairwise-distance entries materialized at once. Small
-# chunks keep the difference arrays in cache and the peak memory low;
-# chunking does not change any row's minimum, so results are the same bits.
+# Largest number of point pairs whose differences are materialized at
+# once, beyond one row's. Small chunks keep the difference arrays in cache
+# and the peak memory low; chunking does not change any pair's squared
+# distance, so results are the same bits.
 _CHUNK_ENTRIES = 16_384
 
 
@@ -283,24 +287,163 @@ def _as_points(A) -> np.ndarray:
     return pts
 
 
+# Sorted windows. Pairs of points are searched along one coordinate: the
+# widest one of the input, sorted once. The squared distance of a pair is a
+# sum of squares, each at most the sum, since adding a nonnegative term
+# never lowers a rounded sum. So a pair whose squared distance is at most b
+# lies within _reach(b) on that coordinate, and only the pairs inside that
+# window of the sorted order are tested.
+
+
+def _widest_axis(*sets: np.ndarray) -> int:
+    """The coordinate along which the union of the (k, n) sets spreads most."""
+    hi = np.max([s.max(axis=0) for s in sets], axis=0)
+    lo = np.min([s.min(axis=0) for s in sets], axis=0)
+    return int(np.argmax(hi - lo))
+
+
+def _reach(bound):
+    """A gap on one coordinate that no pair with squared distance <= bound
+    exceeds. The factor covers the rounding of the difference, its square
+    and this root; the floor covers squares that underflow."""
+    return 1.000001 * np.sqrt(np.maximum(bound, 2.0**-1022))
+
+
+def _windows(key: np.ndarray, at, reach):
+    """Per value of at, the slice [lo, hi) of the sorted key within reach.
+    Rounding is monotone, so at - reach and at + reach, rounded, still
+    enclose every key within reach."""
+    return np.searchsorted(key, at - reach, "left"), np.searchsorted(key, at + reach, "right")
+
+
+def _pair_chunks(lo: np.ndarray, hi: np.ndarray):
+    """The pairs (i, j) with lo[i] <= j < hi[i], ordered by i then j, as index
+    arrays in chunks of whole rows. A chunk ends before the row whose first
+    pair reaches the next multiple of _CHUNK_ENTRIES, so it holds at most
+    that many pairs and one row more."""
+    sizes = hi - lo
+    before = np.cumsum(sizes) - sizes
+    total = int(before[-1] + sizes[-1]) if sizes.size else 0
+    cuts = np.searchsorted(before, np.arange(0, total, _CHUNK_ENTRIES)).tolist()
+    for r0, r1 in zip(cuts, cuts[1:] + [sizes.size]):
+        i = np.repeat(np.arange(r0, r1), sizes[r0:r1])
+        if i.size:
+            yield i, lo[i] + np.arange(i.size) - (before[i] - before[r0])
+
+
+def _squared(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances of paired rows: one formula for every tested pair,
+    a sum over the rows of C-contiguous (m, n) differences."""
+    d = p - q
+    return (d * d).sum(-1)
+
+
+def _row_minima(P: np.ndarray, Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row i of P, the smallest squared distance to Q[lo[i]:hi[i]]."""
+    out = np.full(P.shape[0], np.inf)
+    for i, j in _pair_chunks(lo, hi):
+        first = np.flatnonzero(np.diff(i, prepend=-1))
+        out[i[first]] = np.minimum.reduceat(_squared(P.take(i, 0), Q.take(j, 0)), first)
+    return out
+
+
+def _directed(P: np.ndarray, Q: np.ndarray, axis: int, floor: float) -> float:
+    """The larger of floor and the largest over rows of P of the smallest
+    squared distance to Q."""
+    Q = Q.take(np.argsort(Q[:, axis], kind="stable"), 0)
+    key, at = Q[:, axis].copy(), P[:, axis]
+    near = np.searchsorted(key, at)
+    bound = _row_minima(P, Q, np.maximum(near - 2, 0), np.minimum(near + 2, key.size))
+
+    def largest(rows, floor):
+        if not rows.size:
+            return floor
+        found = _row_minima(P.take(rows, 0), Q, *_windows(key, at[rows], _reach(bound[rows])))
+        return max(floor, float(found.max()))
+
+    # The loosest row's minimum is a first floor; a row whose bound does not
+    # exceed the floor cannot raise it.
+    floor = largest(np.array([np.argmax(bound)]), floor)
+    return largest(np.flatnonzero(bound > floor), floor)
+
+
+def _greedy_cluster(samples: np.ndarray, tol: float) -> np.ndarray:
+    """First-come representatives: a sample within tol of an earlier
+    representative merges into it, and any other sample becomes one.
+
+    A sample is tested only against the representatives within tol's reach
+    on the samples' widest coordinate, sorted once. Samples go in blocks of
+    isqrt(2 * _CHUNK_ENTRIES), in order. A block is first tested against
+    the earlier representatives; the samples that none of them takes are
+    tested against each other and resolved in sample order. So a converged
+    window that collapses to one representative costs O(k), and a window
+    whose representatives seldom share a reach about O(k) too. Each tested
+    pair is decided by `_squared`, the squared distance of the plain loop
+    that tests every representative (the tests' oracle), and every pair
+    outside the reach is farther than tol, so the representatives are that
+    loop's, bit for bit. Worst case: representatives that all share the
+    sorted coordinate, where every pair of them is tested, as in the plain
+    loop.
+    """
+    tol2 = tol * tol
+    k = samples.shape[0]
+    axis = _widest_axis(samples)
+    order = np.argsort(samples[:, axis], kind="stable")
+    rank = np.empty(k, np.intp)
+    rank[order] = np.arange(k)
+    lo, hi = _windows(samples[order, axis], samples[:, axis], _reach(tol2))
+    rep = np.zeros(k, bool)
+
+    def close(rows, among):
+        """Close pairs (a, j): sample j, at a sorted position in among,
+        within tol of sample rows[a]; in order of a."""
+        for a, b in _pair_chunks(np.searchsorted(among, lo[rows]), np.searchsorted(among, hi[rows])):
+            j = order[among[b]]
+            near = _squared(samples.take(rows[a], 0), samples.take(j, 0)) <= tol2
+            yield a[near], j[near]
+
+    block = math.isqrt(2 * _CHUNK_ENTRIES)
+    for start in range(0, k, block):
+        rows = np.arange(start, min(start + block, k))
+        taken = np.zeros(rows.size, bool)
+        for a, _ in close(rows, np.flatnonzero(rep[order])):
+            taken[a] = True
+        rows = rows[~taken]
+        rep[rows] = True
+        for a, j in close(rows, np.sort(rank[rows])):
+            earlier = j < rows[a]
+            a, j = a[earlier], j[earlier]
+            cuts = np.flatnonzero(np.diff(a, prepend=-1, append=-1)).tolist()
+            for s, e in zip(cuts, cuts[1:]):  # a's partners are final: all come before it
+                if rep[j[s:e]].any():
+                    rep[rows[a[s]]] = False
+    return samples[rep]
+
+
 def hausdorff(A, B) -> float:
     """Hausdorff distance between two finite point sets.
 
-    Brute force rather than PointCloud's KD-tree: SciPy's import costs
-    more memory than these sets, and runs without a cloud set never load it.
-    One chunked pass over squared distances keeps row and running column
-    minima; one monotone square root at the end gives the same bits as
-    taking it per entry in each direction.
+    Examines only the pairs that can hold a row's minimum. Per direction,
+    the searched set is sorted once along the widest coordinate of both
+    sets, and the two sorted neighbours on either side of a row bound the
+    row's smallest squared distance. The minimum lies within that bound's
+    reach on the sorted coordinate, so only that window is searched. A row
+    whose bound does not exceed a minimum already found cannot raise the
+    maximum and is skipped: the early break of Taha & Hanbury (IEEE TPAMI
+    37, 2015). Every examined pair's squared distance is `_squared`'s, the
+    brute force's formula, and one monotone square root at the end gives
+    the bits of taking it per entry, so the result is the brute force's,
+    bit for bit. Difference arrays hold at most _CHUNK_ENTRIES pairs and
+    one row more.
+    Worst case: sets far apart, or members that share the sorted
+    coordinate, make each window the whole set, and up to k_A * k_B pairs
+    are examined per direction.
+
+    Not PointCloud's KD-tree: importing SciPy for it raised `bundled_cli`'s
+    peak RSS by about 21%, and runs without a cloud set never load SciPy.
     """
     pa, pb = _as_points(A), _as_points(B)
     if pa.shape[1] != pb.shape[1]:
         raise DimensionMismatchError("hausdorff operands differ in dimension")
-    worst = 0.0
-    col_min = np.full(pb.shape[0], np.inf)
-    rows = max(1, _CHUNK_ENTRIES // pb.shape[0])
-    for start in range(0, pa.shape[0], rows):
-        diff = pa[start : start + rows, None, :] - pb[None, :, :]
-        sq = (diff * diff).sum(-1)
-        worst = max(worst, float(sq.min(axis=1).max()))
-        np.minimum(col_min, sq.min(axis=0), out=col_min)
-    return float(np.sqrt(max(worst, float(col_min.max()))))
+    axis = _widest_axis(pa, pb)
+    return float(np.sqrt(_directed(pb, pa, axis, _directed(pa, pb, axis, 0.0))))

@@ -34,7 +34,7 @@ from .flow import (
     sample_times,
     trajectory,
 )
-from .geometry import Box, CompactSet, PointCloud, as_point, hausdorff
+from .geometry import Box, CompactSet, PointCloud, _greedy_cluster, as_point, hausdorff
 
 LABEL_ATTRACTED = "attracted"
 LABEL_WEAK = "weakly_attracted"
@@ -63,21 +63,6 @@ class AttractionVerdict:
     def __post_init__(self):
         if self.min_distance > self.final_distance + 1e-15:
             raise ValueError("min_distance cannot exceed final_distance")
-
-
-def _greedy_cluster(samples: np.ndarray, tol: float) -> np.ndarray:
-    """First-come representatives; later points within tol merge silently."""
-    reps = np.empty_like(samples)
-    count = 0
-    tol2 = tol * tol
-    for p in samples:
-        if count:
-            diff = reps[:count] - p
-            if np.min((diff * diff).sum(axis=1)) <= tol2:
-                continue
-        reps[count] = p
-        count += 1
-    return reps[:count].copy()
 
 
 def estimate_omega(
@@ -179,7 +164,7 @@ class RoaGrid:
         lines = [header]
         for i in range(self.nodes.shape[0]):
             coords = ",".join(repr(float(c)) for c in self.nodes[i])
-            lines.append(f"{coords},{self.labels[i]},{self.final_distances[i]!r}")
+            lines.append(f"{coords},{self.labels[i]},{float(self.final_distances[i])!r}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:

@@ -1,14 +1,18 @@
 import contextlib
+import csv
 import io
 import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import lyapset
 from lyapset import __version__
 from lyapset.cli import NEGATIVE_VERDICTS, main
 from lyapset.errors import ProblemFormatError
@@ -65,6 +69,32 @@ class TestAnalyze:
         assert rc == 2
         assert "stability: unstable_witness" in out
         assert "certificate: rejected" in out
+
+    def test_roa_csv_final_distance_is_a_number(self, tmp_path):
+        path = _stage("linear_sink.json", tmp_path)
+        assert main(["analyze", path]) == 0
+        with open(tmp_path / "linear_sink.roa.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 81
+        for row in rows:
+            assert float(row["final_distance"]) >= 0.0, row
+
+    def test_bundled_problems_never_import_scipy(self, tmp_path):
+        # SciPy's import costs more memory than any bundled problem uses; only
+        # a point-cloud set (PointCloud's KD-tree) may load it.
+        paths = [os.path.join(PROBLEM_DIR, f"{name}.json") for name in
+                 ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")]
+        script = (
+            "import sys\n"
+            "from lyapset.cli import main\n"
+            "codes = [main(['analyze', p, '--out-dir', sys.argv[1]]) for p in sys.argv[2:]]\n"
+            "print(codes, 'scipy' in sys.modules, any(m.startswith('scipy.') for m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lyapset.__file__)))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path), *paths], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 2, 0] False False"
 
     def test_omega_block_reports_defect(self, tmp_path, capsys):
         path = _stage("vanderpol.json", tmp_path)

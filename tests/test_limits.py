@@ -1,8 +1,12 @@
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from lyapset import geometry
 from lyapset.errors import (
     DimensionMismatchError,
     EscapedDomainError,
@@ -10,8 +14,15 @@ from lyapset.errors import (
     StepLimitError,
 )
 from lyapset.expr import VectorFieldSpec
-from lyapset.flow import IntegratorConfig, flow, trajectory
-from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint, hausdorff
+from lyapset.flow import IntegratorConfig, flow, flow_rows, trajectory
+from lyapset.geometry import (
+    Box,
+    ClosedBall,
+    PointCloud,
+    SinglePoint,
+    _greedy_cluster,
+    hausdorff,
+)
 from lyapset.limits import (
     LABEL_ATTRACTED,
     LABEL_ERROR,
@@ -22,8 +33,12 @@ from lyapset.limits import (
     roa_grid,
 )
 from lyapset.lyapunov import ConverseConfig, converse_table
+from lyapset.problem import load_problem
 
 from conftest import LANES, ORBITS, OSC_ALIGNED_DT, TWO_PI, circle_cloud, lanes_from
+from test_geometry import hausdorff_brute
+
+PROBLEM_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
 class TestEstimateOmega:
@@ -132,6 +147,104 @@ class TestOmegaProperties:
         for V, x, knobs in cases:
             est = estimate_omega(V, x, cfg, **knobs)
             assert est.invariance_defect <= 10 * knobs["cluster_tol"]
+
+
+def _greedy_cluster_loop(samples: np.ndarray, tol: float) -> np.ndarray:
+    """Reference clustering: each sample against every representative so far."""
+    reps = np.empty_like(samples)
+    count = 0
+    tol2 = tol * tol
+    for p in samples:
+        if count:
+            diff = reps[:count] - p
+            if np.min((diff * diff).sum(axis=1)) <= tol2:
+                continue
+        reps[count] = p
+        count += 1
+    return reps[:count].copy()
+
+
+def _cluster_window(kind: str, n: int, k: int, tol: float, seed: int) -> np.ndarray:
+    """k samples in R^n of one kind, drawn from seed."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (k, n))
+    if kind == "rounded":
+        x = np.round(x, 1)
+    elif kind == "duplicates":
+        x = np.round(x, 1)[rng.integers(0, max(1, k // 4), k)]
+    elif kind == "constant":
+        x[:, rng.integers(n)] = 0.25
+    elif kind == "converged":  # every pair within tol
+        x = 0.3 + x * (0.49 * tol / math.sqrt(n))
+    elif kind == "tiny":  # squared gaps underflow to 0 or to subnormals
+        x = np.round(3.0 * x) * 1e-162
+    return x
+
+
+# Cluster tolerances: 1e-161 squares to a subnormal, 1e-170 to 0.
+_CLUSTER_TOLS = (1e-3, 0.05, 0.4, 1e-161, 1e-170)
+
+
+@st.composite
+def _cluster_cases(draw):
+    """(kind, n, k, tol, seed, chunk entries). At 7 entries the blocks hold 3
+    samples and a chunk about one row, so those cases keep to 60 samples."""
+    chunk = draw(st.sampled_from([geometry._CHUNK_ENTRIES, 7]))
+    kind = draw(st.sampled_from(["uniform", "rounded", "duplicates", "constant", "converged",
+                                 "tiny"]))
+    k = draw(st.integers(1, 400 if chunk > 7 else 60))
+    tol = draw(st.sampled_from(_CLUSTER_TOLS))
+    return kind, draw(st.integers(1, 9)), k, tol, draw(st.integers(0, 2**32 - 1)), chunk
+
+
+def _omega_case(name: str):
+    """Field, start, integrator and estimate_omega knobs of a real window:
+    a bundled problem's omega block, or perfbench's 4-D cycle."""
+    if name == "cycle":
+        V = VectorFieldSpec.from_strings(["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"])
+        return V, [0.5, 0.0, 0.0, 0.0], IntegratorConfig(), dict(
+            transient_T=60.0, window_T=6.7, out_dt=0.01, cluster_tol=1e-3)
+    problem = load_problem(os.path.join(PROBLEM_DIR, f"{name}.json"))
+    block = problem.omega
+    return problem.field, block["x0"], problem.integrator, dict(
+        transient_T=block["transient"], window_T=block["window"], out_dt=block["out_dt"],
+        cluster_tol=block["cluster_tol"])
+
+
+class TestGreedyCluster:
+    @settings(max_examples=300, deadline=None)
+    @given(_cluster_cases())
+    @example(("uniform", 8, 300, 0.4, 1, geometry._CHUNK_ENTRIES))  # pairwise sums
+    @example(("uniform", 9, 60, 0.4, 2, 7))
+    @example(("rounded", 2, 400, 0.05, 3, geometry._CHUNK_ENTRIES))
+    @example(("duplicates", 3, 400, 1e-3, 4, geometry._CHUNK_ENTRIES))
+    @example(("constant", 2, 400, 0.05, 5, geometry._CHUNK_ENTRIES))
+    @example(("converged", 9, 400, 1e-3, 6, geometry._CHUNK_ENTRIES))
+    @example(("converged", 1, 60, 0.05, 7, 7))
+    @example(("tiny", 2, 200, 1e-170, 8, geometry._CHUNK_ENTRIES))
+    @example(("tiny", 4, 200, 1e-161, 9, geometry._CHUNK_ENTRIES))
+    def test_matches_loop_oracle_bitwise(self, case):
+        kind, n, k, tol, seed, chunk = case
+        samples = _cluster_window(kind, n, k, tol, seed)
+        with mock.patch.object(geometry, "_CHUNK_ENTRIES", chunk):
+            got = _greedy_cluster(samples, tol)
+        expected = _greedy_cluster_loop(samples, tol)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        if kind == "converged":
+            assert got.shape[0] == 1
+
+    @pytest.mark.parametrize("name", ["harmonic_oscillator", "vanderpol", "cycle"])
+    def test_estimate_matches_oracles_bitwise(self, name):
+        V, x, cfg, knobs = _omega_case(name)
+        est = estimate_omega(V, x, cfg, **knobs)
+        settled = flow(V, x, knobs["transient_T"], cfg)
+        window = trajectory(V, settled, knobs["window_T"], knobs["out_dt"], cfg).states
+        reps = _greedy_cluster_loop(window, knobs["cluster_tol"])
+        moved, error = flow_rows(V, reps, knobs["out_dt"], cfg)
+        assert error is None
+        assert est.points.points.tobytes() == reps.tobytes()
+        assert est.invariance_defect.hex() == hausdorff_brute(moved, reps).hex()
 
 
 class TestClassifyAttraction:
