@@ -24,20 +24,24 @@ compiled and cached:
   converse_orbit   one orbit of the 4-D cycle field of perfbench's
                    cycle_cloud: T = 10, out_dt 0.02, default tolerances
   lane_batch/<field>/<m>
-                   the generated lane batch, as integrate_lanes runs it from
-                   its _LANES_FROM starts up, on m = 1, 3, 25, 49 and 100
-                   starts: the harmonic field from [-1, 1]^2 with the
-                   probe_orbit tolerances, the cycle field from [-1, 1]^4
-                   with the default ones; T = 8, out_dt 0.1
+                   integrate_lanes with flow._LANES_FROM forced to 1, so
+                   that the lane batch runs every lane to its end, on m =
+                   1, 3, 25, 49 and 100 starts: the harmonic field from
+                   [-1, 1]^2 with the probe_orbit tolerances, the cycle
+                   field from [-1, 1]^4 with the default ones; T = 8,
+                   out_dt 0.1
   orbit_loop/<field>/<m>
-                   the same starts through one generated orbit loop each,
-                   with the sample arrays integrate_lanes hands to visit
-                   below _LANES_FROM starts
+                   the same with _LANES_FROM forced to sys.maxsize: one
+                   generated orbit loop per start
   lane_batch/vdp/1681
-                   the lane batch of perfbench's vdp_roa_grid: the
-                   reversed Van der Pol field from the 41 x 41 grid nodes
-                   of [-3, 3]^2, T = 20, out_dt 0.05, rel_tol 1e-9,
-                   abs_tol 1e-12; it has no orbit_loop counterpart
+                   lane_batch on perfbench's vdp_roa_grid: the reversed
+                   Van der Pol field from the 41 x 41 grid nodes of
+                   [-3, 3]^2, T = 20, out_dt 0.05, rel_tol 1e-9, abs_tol
+                   1e-12; it has no orbit_loop counterpart
+  integrate_lanes/vdp/1681
+                   the same grid at the checkout's own _LANES_FROM, as
+                   roa_grid runs it: where the batch hands its last lanes
+                   to orbit loops, it does so here
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
                    its first epsilon, with the stability block's settings
   omega/cluster    limits._greedy_cluster of perfbench's cycle_cloud omega
@@ -52,10 +56,11 @@ compiled and cached:
   analyze/<name>   `lyapset analyze` in process, per bundled problem
 
 A checkout whose flow module generates whole orbit loops, _compiled(V,
-method) with an optional lanes switch, also reports per layer the scalar
-orbits and their step attempts (orbits run as lanes are not counted);
-these repeat exactly, and each checkout's per-attempt times use its own
-counts. Per checkout,
+method) with an optional lanes switch, also reports per layer the runs of
+the orbit loop, from a start or resumed from a lane, and the step attempts
+made in them; the attempts a lane made before the orbit loop resumed it
+are not counted, nor are lanes. These repeat exactly, and each
+checkout's per-attempt times use its own counts. Per checkout,
 orbit_over_lane gives, per field and m, the median time of the orbit
 loops over that of the lane batch: above 1 the batch is faster. This is
 a measurement, not a gate: perfbench holds the gated end-to-end metrics.
@@ -94,6 +99,7 @@ BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "lane_batch/vdp/1681": (7, 1),
+           "integrate_lanes/vdp/1681": (7, 1),
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            "estimate_omega/vanderpol": (10, 1),
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
@@ -114,16 +120,19 @@ def _timed(fn, runs: int, calls: int) -> list[dict]:
 
 def _counting(compiled, counts: list[int]):
     """compiled, the generator of whole orbit loops, with scalar loops that
-    add each orbit and its attempts to counts; lane batches pass uncounted."""
+    add each run and its own attempts to counts: a run resumed from a lane
+    (its fifth argument, whose third entry is the lane's attempts) adds
+    only those it makes. Lane batches pass uncounted."""
     def counted(V, method, lanes=False):
         if lanes:
             return compiled(V, method, lanes=True)
         orbit = compiled(V, method)
 
         def run(*args):
+            resume = args[4] if len(args) > 4 else None
             counts[0] += 1
             attempts = orbit(*args)
-            counts[1] += attempts
+            counts[1] += attempts - (resume[2] if resume else 0)
             return attempts
 
         return run
@@ -135,17 +144,15 @@ def _ignore(rows, j, states):
     """A visit that reads nothing."""
 
 
-def _lane_batch(flow, V, starts, targets, cfg):
-    with numpy.errstate(all="ignore"):
-        flow._compiled(V, cfg.method, lanes=True)(starts.T.copy(), targets, cfg, _ignore)
-
-
-def _orbit_loops(flow, V, starts, targets, cfg):
-    orbit, times = flow._compiled(V, cfg.method), targets.tolist()
-    for row, y in enumerate(starts.tolist()):
-        out = []
-        orbit(y, times, cfg, out)
-        _ignore(numpy.full(len(out), row), numpy.arange(len(out)), numpy.array(out))
+def _integrate(flow, lanes_from, V, starts, targets, cfg):
+    """integrate_lanes with flow._LANES_FROM set to lanes_from, or left as
+    it is for None."""
+    kept = flow._LANES_FROM
+    flow._LANES_FROM = kept if lanes_from is None else lanes_from
+    try:
+        flow.integrate_lanes(V, starts, targets, cfg, _ignore)
+    finally:
+        flow._LANES_FROM = kept
 
 
 def worker(src: str) -> dict:
@@ -184,16 +191,20 @@ def worker(src: str) -> dict:
         field, m = batch.split("/")
         V, cfg = fields[field]
         starts = numpy.random.default_rng(0).uniform(-1.0, 1.0, (int(m), V.dim))
-        for kind, run in (("lane_batch", _lane_batch), ("orbit_loop", _orbit_loops)):
+        for kind, lanes_from in (("lane_batch", 1), ("orbit_loop", sys.maxsize)):
             layers[f"{kind}/{batch}"] = (
-                lambda run=run, V=V, starts=starts, cfg=cfg: run(flow, V, starts, targets, cfg))
+                lambda lanes_from=lanes_from, V=V, starts=starts, cfg=cfg:
+                _integrate(flow, lanes_from, V, starts, targets, cfg))
     # roa_grid's nodes, in its order
     axis = numpy.linspace(-3.0, 3.0, 41)
     nodes = numpy.stack([c.reshape(-1) for c in numpy.meshgrid(axis, axis, indexing="ij")], -1)
     vdp = ls.VectorFieldSpec.from_strings(VDP_REVERSED)
     vdp_targets = numpy.asarray(ls.sample_times(20.0, 0.05)[1:])
     vdp_cfg = ls.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    layers["lane_batch/vdp/1681"] = lambda: _lane_batch(flow, vdp, nodes, vdp_targets, vdp_cfg)
+    for name, lanes_from in (("lane_batch", 1), ("integrate_lanes", None)):
+        layers[f"{name}/vdp/1681"] = (
+            lambda lanes_from=lanes_from: _integrate(flow, lanes_from, vdp, nodes, vdp_targets,
+                                                     vdp_cfg))
     # cycle_cloud's omega window, its representatives and their images
     window = ls.trajectory(cycle, ls.flow(cycle, CYCLE_X0, 60.0, ls.IntegratorConfig()), 6.7,
                            0.01, ls.IntegratorConfig()).states

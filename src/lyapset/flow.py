@@ -28,20 +28,25 @@ time; acceptance is masked per lane, the samples that the steps of one
 pass passed go to the caller together, and a lane leaves the batch when
 it finishes or fails. Below that it runs the orbit loop once per start,
 faster there: a lane pass costs about as much whatever the number of
-lanes. The batch is generated too, around the orbit loop's step emitter,
-so the attempt and the step control are written once: a lane stage state
-is one (n, m) array operation, and the orbit loop's conditionals become
-where, fmin or fmax. A lane performs the IEEE operations of the scalar
-loop in the same order, so its samples are bitwise those of the scalar
-loop, and the choice of loop changes no bit. That rests on NumPy
+lanes. By the same rule the batch stops once fewer than _LANES_FROM
+lanes are live, and the orbit loop finishes each of the rest, resumed
+from the lane's loop state: state, slope, time, step size, next output
+time and attempts so far. The batch is generated too, around the orbit
+loop's step emitter, so the attempt and the step control are written
+once: a lane stage state is one (n, m) array operation, and the orbit
+loop's conditionals become where, fmin or fmax. A lane performs the IEEE
+operations of the scalar loop in the same order, so its samples are
+bitwise those of the scalar loop, and the choice of loop, or the pass at
+which a lane moves to the orbit loop, changes no bit. That rests on NumPy
 functions that round as libm does: float_power for powers other than
 squares and for the step factor (np.power differs), sin, cos and sqrt,
 while exp and tanh are evaluated element by element with math. A square
 a^2 is a * a, the correctly rounded square, in every evaluator, lanes
 included. Where the scalar code raises, a lane leaves the batch with that
 error instead, so one bad start never aborts the batch; a lane that
-failed inside the field has no error text there, and runs once more in
-the orbit loop for it.
+failed inside the field has no error text there, and the orbit loop
+resumes it from its state before the failing attempt, which fails there
+again. So no orbit is integrated twice.
 """
 
 from __future__ import annotations
@@ -193,7 +198,8 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
     step size h_next. With lanes, y is an (n, m) array, one column per
     lane, and the body clears ok on the lanes where the scalar body raises,
     recording in errors, by row, what it raises on escape and on step size
-    underflow."""
+    underflow; a lane cleared with no error failed inside the field, and
+    leaves for the orbit loop with its state from before this attempt."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     y = "y" if lanes else ys
@@ -366,85 +372,122 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
 def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     """Generate the loop of V and method around one _emit_step body.
 
-    orbit(y, targets, cfg, out) -> the number of step attempts integrates
-    from y to the last target, stepping freely and clipping the step only
-    there, and appends the sample at each target to out as an accepted step
-    passes it, so the samples reached before a failure stay with the
-    caller; it is bitwise the step-by-step reference loop in the tests.
-    With lanes, batch(y, targets, cfg, visit) -> errors runs the columns of
-    the (n, m) array y as integrate_lanes describes, with None for a lane
-    that failed inside the field, and hands visit the samples of each pass
-    after its step. Operations on constants alone raise on every lane: the
-    first field evaluation catches them and fails every lane; anything
-    visit raises passes through."""
+    orbit(y, targets, cfg, out, resume=None) -> the number of step attempts
+    integrates from y to the last target, stepping freely and clipping the
+    step only there, and appends the sample at each target to out as an
+    accepted step passes it, so the samples reached before a failure stay
+    with the caller; it is bitwise the step-by-step reference loop in the
+    tests. It starts from the point y at t = 0, or, given resume, from the
+    state y that a lane left: resume is (t, j, attempts), then h_next and
+    k1 for Dormand-Prince, and the next sample is targets[j].
+    With lanes, batch(y, targets, cfg, visit, lanes_from) -> (errors, left)
+    runs the columns of the (n, m) array y as integrate_lanes describes,
+    handing visit the samples of each pass after its step, while at least
+    lanes_from lanes are live and the step budget lasts. left lists the
+    lanes it did not finish in groups (attempts, rows, t, j, y[, h_next,
+    k1]) of their loop state, a column per lane; a lane that failed inside
+    the field, which has no error text there, is in it with its state
+    before the failing attempt, or, with attempts None, as a start whose
+    field failed at the point itself. Operations on constants alone raise
+    on every lane: the first field evaluation catches them and leaves
+    every lane that did not escape as such a start; anything visit raises
+    passes through."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     adaptive = method == "rk45_adaptive"
-    code = [f"{', '.join(ys)}, = y", "t = zeros(y.shape[1])" if lanes else "t = 0.0",
-            "radius2 = cfg.blowup_radius * cfg.blowup_radius"]
-    if lanes:
-        code += ["rows, j, errors = arange(t.size), zeros(t.size, int), {}",
-                 "ok = ones(t.size, bool)"]
-    code += [*_escape_test(ys, lanes),
-             "dt, max_steps, horizon = cfg.dt, cfg.max_steps, targets[-1]", "steps = 0"]
-    if lanes:  # every lane evaluates the field at its start, as a first attempt does
-        field: list[str] = []
-        k1 = _emit_results(V.components, ys, field, lanes)
-        code += ["try:", *("    " + line for line in field),
-                 "except (ValueError, ZeroDivisionError, OverflowError):",
-                 "    return {row: errors.get(row) for row in range(t.size)}"]
-        code += [f"k1 = array([{', '.join(k1)}])"] if adaptive else []
-    elif adaptive:
-        code.append(f"{', '.join(f'k1_{i}' for i in range(n))}, = "
-                    f"{', '.join(_emit_results(V.components, ys, code))},")
-    if adaptive:  # h_next is min(dt, horizon)
-        code += ["atol, rtol = cfg.abs_tol, cfg.rel_tol",
-                 "h_next = horizon if horizon < dt else dt"]
-        code += ["h_next = full_like(t, h_next)"] if lanes else []
+    code = [f"{', '.join(ys)}, = y", "radius2 = cfg.blowup_radius * cfg.blowup_radius",
+            "dt, max_steps, horizon = cfg.dt, cfg.max_steps, targets[-1]"]
+    code += ["atol, rtol = cfg.abs_tol, cfg.rel_tol"] if adaptive else []
     # The loop body; its temporaries may reuse names of the code above,
     # which no longer reads them.
     body = _emit_step(V, method, lanes)
     if not lanes:
-        code += ["pending = iter(targets)", "target = next(pending)",
+        start = ["t, steps = 0.0, 0", *_escape_test(ys, lanes)]
+        state = ["t", "j", "steps"]
+        if adaptive:  # h_next is min(dt, horizon)
+            k1 = _emit_results(V.components, ys, start)
+            start += [f"{', '.join(f'k1_{i}' for i in range(n))}, = {', '.join(k1)},",
+                      "h_next = horizon if horizon < dt else dt"]
+            state += ["h_next", *(f"k1_{i}" for i in range(n))]
+        code += ["if resume is None:", *("    " + line for line in start),
+                 "    pending = iter(targets)",
+                 "else:",
+                 f"    {', '.join(state)}, = resume",
+                 "    pending = iter(targets[j:])",
+                 "target = next(pending)",
                  "while t < horizon:",
                  "    remaining = horizon - t",
                  "    steps += 1",
                  "    if steps > max_steps:",
                  f"        raise {_EXCEEDED}"] + ["    " + line for line in body]
-        return _define("_orbit", "y, targets, cfg, out", code, "steps",
+        return _define("_orbit", "y, targets, cfg, out, resume=None", code, "steps",
                        f"{method} orbit of {V.label()}")
-    # The values each lane carries, kept or dropped together.
-    carried = ["rows", "t", "j", "y"] + (["h_next", "k1"] if adaptive else [])
+    code += ["t = zeros(y.shape[1])",
+             "rows, j, errors, left = arange(t.size), zeros(t.size, int), {}, []",
+             "ok = ones(t.size, bool)", *_escape_test(ys, lanes), "steps = 0"]
+    # Every lane evaluates the field at its start, as a first attempt does.
+    field: list[str] = []
+    k1 = _emit_results(V.components, ys, field, lanes)
+    code += ["try:", *("    " + line for line in field),
+             "except (ValueError, ZeroDivisionError, OverflowError):",
+             "    return errors, [(None, rows[~escaped])]"]
+    if adaptive:  # h_next is min(dt, horizon)
+        code += [f"k1 = array([{', '.join(k1)}])",
+                 "h_next = full_like(t, horizon if horizon < dt else dt)"]
+    # The loop state of each lane, kept, dropped or left together; was
+    # holds it before the pass's attempt.
+    carried = ", ".join(["rows", "t", "j", "y"] + (["h_next", "k1"] if adaptive else []))
     code += [
         "last = len(targets)",
         "ahead = full_like(targets, inf, shape=last + 1)",
         "ahead[:last] = targets",
+        f"was = {carried}",
         "while True:",
         "    live = ok & (j < last)",  # a lane past its last target is at the horizon
         "    if not live.all():",
-        "        errors.update((row, errors.get(row)) for row in rows[~ok].tolist())",
-        f"        {', '.join(carried)} = {', '.join(f'{v}[..., live]' for v in carried)}",
-        "    if not rows.size:",
+        "        failed = ~ok",  # in the field, where no error was recorded
+        "        failed[failed] = [row not in errors for row in rows[failed].tolist()]",
+        "        if failed.any():",
+        "            left.append((steps - 1 if steps else None, *(v[..., failed] for v in was)))",
+        f"        {carried} = (v[..., live] for v in ({carried}))",
+        "    if rows.size < lanes_from or steps == max_steps:",
+        f"        left.append((steps, {carried}))",
         "        break",
         "    steps += 1",
-        "    if steps > max_steps:",
-        f"        errors.update((row, {_EXCEEDED}) for row, t in zip(rows.tolist(), t.tolist()))",
-        "        break",
         "    ok = ones(rows.size, bool)",
+        f"    was = {carried}",
         "    remaining = horizon - t",
     ] + ["    " + line for line in body]
-    return _define("_batch", "y, targets, cfg, visit", code, "errors",
+    return _define("_batch", "y, targets, cfg, visit, lanes_from", code, "errors, left",
                    f"{method} lanes of {V.label()}", lanes=True)
 
 
+def _unfinished(starts, left):
+    """(row, y, resume) for the orbit loop, per lane of a batch's left: a
+    start as its point, with resume None, else its loop state as floats."""
+    for attempts, rows, *state in left:
+        if attempts is None:
+            yield from ((row, starts[row].tolist(), None) for row in rows.tolist())
+            continue
+        t, j, y, *slopes = state
+        columns = [t.tolist(), j.tolist(), [attempts] * rows.size]
+        if slopes:  # h_next and k1
+            columns += np.vstack(slopes).tolist()
+        yield from zip(rows.tolist(), y.T.tolist(), zip(*columns))
+
+
 # Starts from which integrate_lanes runs lanes, not one orbit loop per
-# start. A lane batch costs about the same whatever the number of lanes
+# start, and the live lanes below which a batch leaves the rest to orbit
+# loops. A lane pass costs about the same whatever the number of lanes
 # (harmonic field, T = 8, out_dt 0.1: 57-78 ms for 1-100 starts), orbit
 # loops cost in proportion. BENCH_13.json, median time of the orbit loops
 # over that of the batch at 3 / 25 / 49 / 100 starts: harmonic field
 # 0.06 / 0.47 / 0.96 / 1.39, 4-D cycle field 0.08 / 0.78 / 1.22 / 2.27.
 # With samples interpolated (BENCH_18.json) both still cross 1 between 25
-# and 100 starts.
+# and 100 starts. The 41 x 41 Van der Pol ROA grid of BENCH_20.json runs
+# 520 passes; its last 114, with fewer than 50 lanes live, took 13.8 ms,
+# about 120 us a pass, and the 48 lanes left there take 3.5 ms as orbit
+# loops, 1008 attempts (2-core Xeon, min of 7 runs).
 _LANES_FROM = 50
 
 
@@ -454,15 +497,18 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     Each row takes the steps, and the bits, that the scalar orbit loop
     takes from that start alone, whichever loop runs it: from _LANES_FROM
     rows up one lane batch, each row a lane with its own t, h and next
-    target, and below that one orbit loop per row. visit(rows, j, states)
-    receives row numbers, the index in targets of the target each reached
-    and the states there, (len(rows), n): from the batch, every (row,
-    target) pair that the steps of one pass passed, a row repeating, j
-    increasing within it; from an orbit loop, one row's samples in one
-    call, j increasing. visit runs under np.errstate(all="ignore")
-    either way, and what it raises passes through. A row leaves after its
-    last target, or where the scalar loop raises: on escape, a domain
-    failure of the field, the step budget or a step size underflow.
+    target, while at least _LANES_FROM lanes are live, and one orbit loop
+    per row below that and for each row the batch left, resumed where its
+    lane stopped. visit(rows, j, states) receives row numbers, the index
+    in targets of the target each reached and the states there,
+    (len(rows), n): from the batch, every (row, target) pair that the
+    steps of one pass passed, a row repeating, j increasing within it;
+    from an orbit loop, the row's samples in one call, j increasing, and
+    for a row the batch left, only those it had not visited. visit runs
+    under np.errstate(all="ignore") either way, and what it raises passes
+    through. A row leaves after its last target, or where the scalar loop
+    raises: on escape, a domain failure of the field, the step budget or
+    a step size underflow.
     targets must be positive and strictly increasing. Returns, by failed
     row, the EscapedDomainError, EvalDomainError or StepLimitError that the
     orbit loop raises from that start alone: same type and text, and for
@@ -476,22 +522,24 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     targets = np.asarray(targets, dtype=float)
     times = targets.tolist()  # the orbit loop runs on floats
     with np.errstate(all="ignore"):
+        errors, left = {}, [(None, np.arange(len(starts)))]
         if len(starts) >= _LANES_FROM:
-            errors = _compiled(V, cfg.method, lanes=True)(starts.T.copy(), targets, cfg, visit)
-            # A lane that failed inside the field has no error yet: the orbit
-            # loop raises it from the same start, its samples visited already.
-            rerun, visit = [row for row, error in errors.items() if error is None], None
-        else:
-            errors, rerun = {}, range(len(starts))
-        orbit = _compiled(V, cfg.method) if rerun else None
-        for row in rerun:
+            batch = _compiled(V, cfg.method, lanes=True)
+            errors, left = batch(starts.T.copy(), targets, cfg, visit, _LANES_FROM)
+        orbits = list(_unfinished(starts, left))
+        orbit = _compiled(V, cfg.method) if orbits else None
+        for row, y, resume in orbits:
             out: list = []
             try:
-                orbit(starts[row].tolist(), times, cfg, out)
+                orbit(y, times, cfg, out, resume)
             except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
-                errors[row] = exc
-            if out and visit is not None:
-                visit(np.full(len(out), row), np.arange(len(out)), np.array(out))
+                # Kept bare: the frames of its traceback, or its cause's, link
+                # back to ones holding errors, a cycle only the collector frees.
+                errors[row] = exc.with_traceback(None)
+                exc.__cause__ = exc.__context__ = None
+            if out:
+                j = resume[1] if resume else 0
+                visit(np.full(len(out), row), np.arange(j, j + len(out)), np.array(out))
         return errors
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,6 +355,31 @@ _MIXED_GRID = _batch_case(
     sample_times(2.0, 0.05)[1:],
 )
 
+# A 7 x 7 grid with x1 in [0.6, 2], to t = 4: on every orbit the slope
+# -sqrt(x1 - 0.5) fails in the field once a stage passes x1 = 0.5, which
+# the flow from x1 = a reaches at t = 2 * sqrt(a - 0.5) >= 0.63.
+_SQRT_GRID = _batch_case(
+    ["-sqrt(x1 - 0.5)", "-x2"],
+    np.stack([c.reshape(-1) for c in np.meshgrid(np.linspace(0.6, 2.0, 7),
+                                                  np.linspace(-1.0, 1.0, 7), indexing="ij")],
+             -1).tolist(),
+    sample_times(4.0, 0.05)[1:],
+)
+
+
+def _record_orbits(monkeypatch) -> list:
+    """Log (row, y, resume) of each orbit loop that integrate_lanes runs."""
+    module = importlib.import_module("lyapset.flow")
+    orbits, inner = [], module._unfinished
+
+    def recording(starts, left):
+        for orbit in inner(starts, left):
+            orbits.append(orbit)
+            yield orbit
+
+    monkeypatch.setattr(module, "_unfinished", recording)
+    return orbits
+
 
 @st.composite
 def _lane_batches(draw):
@@ -438,13 +464,16 @@ class TestLaneBatch:
     @example(_batch_case(["x1"], [[1.0], [0.5], [-2.0]], sample_times(3.0, 0.5)[1:],
                          method="rk4_fixed", dt=0.1, blowup_radius=4.0))
     # Escapes and domain failures in one batch: the lanes that fail in the
-    # field run again in the orbit loop for their errors.
+    # field resume in the orbit loop for their errors.
     @example(_MIXED_GRID)
     def test_bitwise_equal_to_orbit_loop(self, case):
+        # Every lane threshold: the batch alone, then the batch handing its
+        # last lanes to orbit loops at each pass a lane leaves, then orbit
+        # loops alone.
         V, starts, targets, cfg = case
-        assert _lane_samples(V, starts, targets, cfg) == [
-            _orbit_samples(V, y, targets, cfg) for y in starts
-        ]
+        alone = [_orbit_samples(V, y, targets, cfg) for y in starts]
+        for loop in (LANES, *range(2, len(starts) + 1), ORBITS):
+            assert _lane_samples(V, starts, targets, cfg, loop) == alone, loop
 
     @pytest.mark.parametrize("text", ["x1^2", "exp(-(x1^2))"])
     def test_square_overflow_fails_its_lane(self, text):
@@ -482,8 +511,8 @@ _DISPATCH_CASES = {
     # out of steps halfway.
     "step-budget": (_batch_case(["x2", "-x1"], [[0.3, 0.1], [0.0, 0.0], [2.0, -1.0]],
                                 sample_times(8.0, 0.1)[1:], max_steps=_HARMONIC_HALF_BUDGET),
-                    {0: f"exceeded {_HARMONIC_HALF_BUDGET} steps",
-                     2: f"exceeded {_HARMONIC_HALF_BUDGET} steps"}),
+                    {0: f"exceeded {_HARMONIC_HALF_BUDGET} steps at t=",
+                     2: f"exceeded {_HARMONIC_HALF_BUDGET} steps at t="}),
     "underflow": (_batch_case(["-1 / x1"], [[1.0], [2.0], [0.5]], [0.1, 0.4, 1.0],
                               max_steps=10_000),
                   {0: "step size underflow", 2: "step size underflow"}),
@@ -506,13 +535,20 @@ class TestLoopDispatch:
             assert generated == [m >= module._LANES_FROM]
 
     @pytest.mark.parametrize("name", sorted(_DISPATCH_CASES))
-    def test_either_loop_gives_the_same_bits(self, name):
+    def test_either_loop_gives_the_same_bits(self, name, monkeypatch):
         (V, starts, targets, cfg), ends = _DISPATCH_CASES[name]
         lanes = _lane_samples(V, starts, targets, cfg, LANES)
         assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
         got = {row: error[1] for row, (_, error) in enumerate(lanes) if error}
         assert got.keys() == ends.keys()
         assert all(got[row].startswith(end) for row, end in ends.items())
+        # At each threshold inside the batch, the batch hands its lanes to
+        # orbit loops once enough have left, so failures come from resumed
+        # orbits too, with the same bits.
+        orbits = _record_orbits(monkeypatch)
+        for loop in range(2, len(starts) + 1):
+            assert _lane_samples(V, starts, targets, cfg, loop) == lanes, loop
+        assert ends.keys() & {row for row, _, resume in orbits if resume is not None}
 
     def test_no_sample_inside_an_escaping_step(self):
         # x e^t leaves radius 4 at t = ln(4 / x), inside a step that ends
@@ -532,27 +568,37 @@ class TestLoopDispatch:
                 # every target up to its end.
                 assert targets[len(samples)] < escape
 
-    def test_lanes_failed_in_the_field_alone_run_again(self, monkeypatch):
-        # Every row fails, by escape or in the field. The batch records the
-        # escapes; only the 28 domain failures run again, in the orbit loop.
-        V, starts, targets, cfg = _MIXED_GRID
-        module = importlib.import_module("lyapset.flow")
-        orbits, inner = [], module._compiled
-
-        def recording(V, method, lanes=False):
-            loop = inner(V, method, lanes)
-            return loop if lanes else lambda y, *args: orbits.append(y) or loop(y, *args)
-
-        monkeypatch.setattr(module, "_compiled", recording)
+    @pytest.mark.parametrize("name", ["mixed", "sqrt"])
+    def test_lanes_failed_in_the_field_resume_at_the_failing_attempt(self, name, monkeypatch):
+        # Each lane that fails in the field reaches the orbit loop with its
+        # state before the failing attempt: resumed there with a budget of
+        # one more attempt it fails in the field, and its start's own orbit
+        # loop fails in the field at that attempt, not before. No start is
+        # run from its point again. The mixed grid's 28 domain failures
+        # happen in the first attempt, at t = 0; the sqrt grid's 49 after
+        # t = 0.6.
+        V, starts, targets, cfg = {"mixed": _MIXED_GRID, "sqrt": _SQRT_GRID}[name]
+        orbits = _record_orbits(monkeypatch)
         lanes = _lane_samples(V, starts, targets, cfg, LANES)
-        kinds = [error[0] for _, error in lanes]
-        assert kinds.count("EscapedDomainError") == 21
-        assert kinds.count("EvalDomainError") == 28
-        domain = [starts[row] for row, kind in enumerate(kinds) if kind == "EvalDomainError"]
-        assert sorted(orbits) == domain
+        domain = [row for row, (_, error) in enumerate(lanes)
+                  if error and error[0] == "EvalDomainError"]
+        assert sorted(row for row, _, _ in orbits) == domain
+        assert len(domain) == {"mixed": 28, "sqrt": 49}[name]
+        orbit = _compiled(V, cfg.method)
+        for row, y, resume in orbits:
+            t, _, attempts = resume[:3]
+            assert t == 0.0 if name == "mixed" else t > 0.6
+            one_more = replace(cfg, max_steps=attempts + 1)
+            for run in ((y, resume), (starts[row], None)):
+                with pytest.raises(EvalDomainError) as failed:
+                    orbit(run[0], targets, one_more, [], run[1])
+                assert str(failed.value) == lanes[row][1][1]
+            if attempts:
+                with pytest.raises(StepLimitError):
+                    orbit(starts[row], targets, replace(cfg, max_steps=attempts), [])
         orbits.clear()
         assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
-        assert orbits == starts
+        assert orbits == [(row, y, None) for row, y in enumerate(starts)]
 
 
 class TestCompiledCache:

@@ -735,6 +735,40 @@ def test_failing_probes_stop_at_their_first_exit(monkeypatch):
     assert len(calls) == 21
 
 
+def test_first_exit_stops_across_the_lane_handoff(monkeypatch):
+    # The saddle's origin is unstable. Of 60 points, 59 lie on its stable
+    # axis and decay, so their largest distance is their first; point 40
+    # leaves epsilon near t = ln 5 and escapes near t = ln 40, before any other
+    # orbit ends. So the pass ends once points 0-39 end inside, whichever
+    # loop runs them. With all 60 as the lane threshold, the batch hands
+    # its other 59 lanes to orbit loops when point 40 escapes: the _Stop
+    # raised in the visit of point 39's resumed orbit ends the pass, and
+    # points 41-59 never run there.
+    V = VectorFieldSpec.from_strings(["-x1", "x2"])
+    points = np.stack([np.linspace(-0.45, 0.45, 60), np.zeros(60)], axis=1)
+    points[40, 1] = 0.1
+    times = sample_times(10.0, 0.1)
+    cfg = IntegratorConfig(blowup_radius=4.0)
+    flow = importlib.import_module("lyapset.flow")
+    resumes, compiled = [], flow._compiled
+
+    def recording(V, method, lanes=False):
+        loop = compiled(V, method, lanes)
+        return loop if lanes else lambda y, *args: resumes.append(args[-1]) or loop(y, *args)
+
+    monkeypatch.setattr(flow, "_compiled", recording)
+    exits = []
+    for loop in (LANES, len(points), ORBITS):
+        resumes.clear()
+        with lanes_from(loop):
+            witness, worst = stability._first_exit(V, ORIGIN_2D, points, 0.5, times, cfg)
+        exits.append((witness.tolist(), [v.hex() for v in worst.tolist()]))
+        if loop == len(points):
+            assert len(resumes) == 40 and None not in resumes
+    assert exits[0][0] == points[40].tolist()
+    assert exits[1] == exits[0] and exits[2] == exits[0]
+
+
 class TestClassifyStabilityOnePass:
     def test_one_lane_batch(self, sink2, cfg, monkeypatch):
         calls = _count_lane_batches(monkeypatch)
