@@ -122,7 +122,8 @@ def _counting(compiled, counts: list[int]):
     """compiled, the generator of whole orbit loops, with scalar loops that
     add each run and its own attempts to counts: a run resumed from a lane
     (its fifth argument, whose third entry is the lane's attempts) adds
-    only those it makes. Lane batches pass uncounted."""
+    only those it makes. A run that raises adds the attempts its error
+    carries, where the loop attaches them. Lane batches pass uncounted."""
     def counted(V, method, lanes=False):
         if lanes:
             return compiled(V, method, lanes=True)
@@ -130,9 +131,14 @@ def _counting(compiled, counts: list[int]):
 
         def run(*args):
             resume = args[4] if len(args) > 4 else None
+            before = resume[2] if resume else 0
             counts[0] += 1
-            attempts = orbit(*args)
-            counts[1] += attempts - (resume[2] if resume else 0)
+            try:
+                attempts = orbit(*args)
+            except Exception as exc:
+                counts[1] += getattr(exc, "attempts", before) - before
+                raise
+            counts[1] += attempts - before
             return attempts
 
         return run

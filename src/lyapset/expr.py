@@ -551,15 +551,22 @@ def _emit_results(exprs, xs, code: list[str], lanes: bool = False) -> list[str]:
 
 
 def _define(name: str, params: str, code: list[str], returns: str, doc: str,
-            lanes: bool = False):
+            lanes: bool = False, attempts: str | None = None):
     """Exec generated code as one function. Scalar code maps Python's math
     exceptions to EvalDomainError. Lane code, in which only operations on
-    constants alone raise, catches them itself where it first runs them."""
+    constants alone raise, catches them itself where it first runs them.
+    Given attempts, a count in scalar code that starts at 0, the lyapset
+    errors the function raises carry its value as `attempts`."""
     body = code + [f"return {returns}"]
     if not lanes:
         body = ["try:", *("    " + line for line in body),
                 "except (ValueError, ZeroDivisionError, OverflowError) as exc:",
                 "    raise EvalDomainError(str(exc)) from exc"]
+    if attempts:
+        body = [f"{attempts} = 0", "try:", *("    " + line for line in body),
+                "except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:",
+                f"    exc.attempts = {attempts}",
+                "    raise"]
     src = "\n".join([f"def {name}({params}):", *("    " + line for line in body)])
     scope = dict(_LANE_NAMESPACE if lanes else _NAMESPACE)
     exec(src, scope)  # source is generated solely from validated ASTs

@@ -377,9 +377,11 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     step only there, and appends the sample at each target to out as an
     accepted step passes it, so the samples reached before a failure stay
     with the caller; it is bitwise the step-by-step reference loop in the
-    tests. It starts from the point y at t = 0, or, given resume, from the
-    state y that a lane left: resume is (t, j, attempts), then h_next and
-    k1 for Dormand-Prince, and the next sample is targets[j].
+    tests. An error it raises carries the attempts made, a failing one
+    included, as `attempts`: max_steps where the budget runs out. It
+    starts from the point y at t = 0, or, given resume, from the state y
+    that a lane left: resume is (t, j, attempts), then h_next and k1 for
+    Dormand-Prince, and the next sample is targets[j].
     With lanes, batch(y, targets, cfg, visit, lanes_from) -> (errors, left)
     runs the columns of the (n, m) array y as integrate_lanes describes,
     handing visit the samples of each pass after its step, while at least
@@ -417,11 +419,11 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
                  "target = next(pending)",
                  "while t < horizon:",
                  "    remaining = horizon - t",
-                 "    steps += 1",
-                 "    if steps > max_steps:",
-                 f"        raise {_EXCEEDED}"] + ["    " + line for line in body]
+                 "    if steps >= max_steps:",
+                 f"        raise {_EXCEEDED}",
+                 "    steps += 1"] + ["    " + line for line in body]
         return _define("_orbit", "y, targets, cfg, out, resume=None", code, "steps",
-                       f"{method} orbit of {V.label()}")
+                       f"{method} orbit of {V.label()}", attempts="steps")
     code += ["t = zeros(y.shape[1])",
              "rows, j, errors, left = arange(t.size), zeros(t.size, int), {}, []",
              "ok = ones(t.size, bool)", *_escape_test(ys, lanes), "steps = 0"]
@@ -512,7 +514,8 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     targets must be positive and strictly increasing. Returns, by failed
     row, the EscapedDomainError, EvalDomainError or StepLimitError that the
     orbit loop raises from that start alone: same type and text, and for
-    an escape the same time and state bits.
+    an escape the same time and state bits; one raised by the orbit loop
+    carries the row's attempts, its lane's included, as `attempts`.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != V.dim:

@@ -10,8 +10,9 @@ array; `distance` of one point applies it to a one-row array, so the point
 and array forms agree bitwise.
 
 Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
-seeded rays out of the set and bisects all of them together. Finite sets
-are clustered, and their Hausdorff distance taken, by one search over
+rays out of the set and bisects all of them together. A sampling call
+draws from one seeded generator, one array call per kind of draw. Finite
+sets are clustered, and their Hausdorff distance taken, by one search over
 sorted windows of their widest coordinate.
 """
 
@@ -57,7 +58,8 @@ class CompactSet:
         raise NotImplementedError
 
     def sample_points(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Points of the set itself (members and boundary), (k, n)."""
+        """Points of the set itself (members and boundary), (k, n), drawn
+        from rng with one array call per kind of draw."""
         raise NotImplementedError
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -155,16 +157,11 @@ class ClosedBall(CompactSet):
 
     def sample_points(self, count, rng):
         # Center first, then alternating exact-boundary and interior points.
-        out = [self.center]
-        for k in range(count - 1):
-            u = rng.standard_normal(self.dim)
-            u /= np.linalg.norm(u)
-            if k % 2 == 0:
-                out.append(self.center + self.radius * u)
-            else:
-                scale = rng.uniform() ** (1.0 / self.dim)
-                out.append(self.center + self.radius * scale * u)
-        return np.asarray(out)
+        u = rng.standard_normal((max(count - 1, 0), self.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        scale = np.ones(len(u))
+        scale[1::2] = rng.uniform(size=len(u) // 2) ** (1.0 / self.dim)
+        return np.vstack([self.center, self.center + self.radius * scale[:, None] * u])
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -190,14 +187,10 @@ class Box(CompactSet):
         return np.linalg.norm(points - nearest, axis=-1)
 
     def sample_points(self, count, rng):
-        corners = [
-            np.asarray(c)
-            for c in itertools.islice(itertools.product(*zip(self.lo, self.hi)), 64)
-        ]
-        out = corners[: max(1, count)]
-        while len(out) < count:
-            out.append(rng.uniform(self.lo, self.hi))
-        return np.asarray(out)
+        corners = np.array(list(itertools.islice(
+            itertools.product(*zip(self.lo, self.hi)), min(max(1, count), 64))))
+        extra = rng.uniform(self.lo, self.hi, size=(max(count - len(corners), 0), self.dim))
+        return np.vstack([corners, extra])
 
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
@@ -209,23 +202,21 @@ class Box(CompactSet):
         return f"Box({self.lo.tolist()}, {self.hi.tolist()})"
 
 
-def _shell_points(M: CompactSet, radii, rngs) -> np.ndarray:
+def _shell_points(M: CompactSet, radii, rng: np.random.Generator) -> np.ndarray:
     """Row i lies at distance radii[i] from the set, to 1e-12 relative.
 
-    Ray i draws its direction and base point from rngs[i], in ray order, so
-    rays that share one generator draw in turn. All rays then grow their
-    outer bound by doubling and bisect together, one `distances` call per
-    step over the rays not yet done.
+    The m rays draw from rng in three array calls: all unit directions,
+    max(4, m) members of the set, and each ray's base among them, so the
+    rays of a cloud spread over it. All rays then grow their outer bound
+    by doubling and bisect together, one `distances` call per step over
+    the rays not yet done.
     """
     r = np.asarray(radii, dtype=float)
     tol = 1e-12 * np.maximum(1.0, r)
-    u = np.empty((r.size, M.dim))
-    base = np.empty_like(u)
-    for i, rng in enumerate(rngs):
-        u[i] = rng.standard_normal(M.dim)
-        u[i] /= np.linalg.norm(u[i])
-        members = M.sample_points(4, rng)
-        base[i] = members[rng.integers(0, members.shape[0])]
+    u = rng.standard_normal((r.size, M.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    members = M.sample_points(max(4, r.size), rng)
+    base = members[rng.integers(0, members.shape[0], size=r.size)]
 
     def along(rays, s):
         return base[rays] + s[:, None] * u[rays]
@@ -259,23 +250,21 @@ def _shell_points(M: CompactSet, radii, rngs) -> np.ndarray:
 def sample_shell(M: CompactSet, r: float, count: int, seed: int) -> PointCloud:
     """Sample `count` points of the shell {x : d(x, M) = r}, deterministically.
 
-    Points are drawn by shooting seeded random rays out of the set and
-    bisecting along each ray until the distance matches r.
+    Points are drawn by shooting random rays out of the set, all from one
+    generator seeded with seed, and bisecting each until d matches r.
     """
     if r <= 0:
         raise ValueError("shell sampling needs r > 0")
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return PointCloud(_shell_points(M, [r] * count, [rng] * count))
+    return PointCloud(_shell_points(M, [r] * count, np.random.default_rng(seed)))
 
 
 def sample_set_points(M: CompactSet, count: int, seed: int) -> PointCloud:
     """Sample members (and boundary, where meaningful) of the set itself."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    return PointCloud(M.sample_points(count, rng))
+    return PointCloud(M.sample_points(count, np.random.default_rng(seed)))
 
 
 def _as_points(A) -> np.ndarray:

@@ -35,7 +35,7 @@ from .expr import (
     compile_vector_field,
 )
 from .flow import IntegratorConfig, check_sampling, flow_rows, sample_times
-from .geometry import Box, CompactSet, _shell_points, as_point, sample_set_points
+from .geometry import Box, CompactSet, _shell_points, as_point
 from .limits import _distance_pass
 
 _QUADRATURES = ("trapezoid", "simpson")
@@ -351,12 +351,10 @@ def central_gradient(fn, x) -> list[float]:
     return out
 
 
-def _annulus_points(M: CompactSet, r_in: float, r_out: float, count: int, seed: int):
+def _annulus_points(M: CompactSet, r_in: float, r_out: float, count: int, rng):
     """Points with d in (r_in, r_out], radii drawn uniformly per sample."""
-    u = np.random.default_rng([seed, 23]).uniform(size=count)
-    radii = r_in + (1.0 - u) * (r_out - r_in)  # 1 - u in (0, 1]
-    seeds = [(seed * 2_654_435_761 + 97 * j + 31) % (2**31) for j in range(count)]
-    return _shell_points(M, radii, [np.random.default_rng(s) for s in seeds])
+    u = rng.uniform(size=count)
+    return _shell_points(M, r_in + (1.0 - u) * (r_out - r_in), rng)  # 1 - u in (0, 1]
 
 
 def verify_certificate(
@@ -394,8 +392,9 @@ def verify_certificate(
         gradient_mode = "central_differences"
         notes.append(f"gradient fallback: {exc}")
 
-    annulus = _annulus_points(M, r_in, r_out, n_samples, seed)
-    on_set = sample_set_points(M, SET_SAMPLES, (seed * 31 + 7) % (2**31)).points
+    rng = np.random.default_rng(seed)
+    annulus = _annulus_points(M, r_in, r_out, n_samples, rng)
+    on_set = M.sample_points(SET_SAMPLES, rng)
 
     positivity, zero_max, gradient_margin, decrease_margin = math.inf, 0.0, -math.inf, -math.inf
     # Closures get Python floats: on NumPy scalars a division by zero

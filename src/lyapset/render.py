@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flow import partial_trajectory
+from .flow import integrate_lanes, sample_times
 from .geometry import Box, ClosedBall, PointCloud, SinglePoint
 from .problem import ProblemDefinition
 
@@ -165,18 +165,28 @@ def _orbit_starts(problem: ProblemDefinition) -> list[list[float]]:
     return starts
 
 
+def _sampled_orbits(problem, starts, horizon: float):
+    """Per start, its orbit's (times, states) every 0.02 up to horizon, or
+    up to an integration failure, from one integrate_lanes call."""
+    times = sample_times(horizon, 0.02)
+    states = [[x] for x in starts]
+
+    def visit(rows, j, reached):  # j increases within each row
+        for row, x in zip(rows.tolist(), reached):
+            states[row].append(x)
+
+    integrate_lanes(problem.field, starts, times[1:], problem.integrator, visit)
+    return [(times[: len(s)], s) for s in states]
+
+
 def _orbits(problem, frame: _Frame, ax_i: int, ax_j: int) -> list[str]:
-    out = []
     horizon = 12.0
     if problem.omega is not None:
         horizon = min(12.0, problem.omega["transient"] + problem.omega["window"])
-    for start in _orbit_starts(problem):
-        traj, _ = partial_trajectory(
-            problem.field, start, horizon, 0.02, problem.integrator
-        )
-        pts = [(frame.sx(s[ax_i]), frame.sy(s[ax_j])) for s in traj.states]
-        out.append(_polyline(pts, "orbit"))
-    return out
+    return [
+        _polyline([(frame.sx(s[ax_i]), frame.sy(s[ax_j])) for s in states], "orbit")
+        for _, states in _sampled_orbits(problem, _orbit_starts(problem), horizon)
+    ]
 
 
 def _radius_rings(problem, report, frame: _Frame) -> list[str]:
@@ -245,14 +255,11 @@ def _render_1d(problem: ProblemDefinition, report: dict) -> str:
                 f' y="{SIZE - MARGIN}" width="{_fmt(w)}" height="14" fill="{color}"/>'
             )
     n_orbits = 7
-    for k in range(n_orbits):
-        x0 = xmin + (k + 0.5) * (xmax - xmin) / n_orbits
-        traj, _ = partial_trajectory(
-            problem.field, [x0], horizon, 0.02, problem.integrator
-        )
+    starts = [[xmin + (k + 0.5) * (xmax - xmin) / n_orbits] for k in range(n_orbits)]
+    for times, states in _sampled_orbits(problem, starts, horizon):
         pts = [
             (frame.sx(float(s[0])), frame.sy(float(t)))
-            for t, s in zip(traj.times, traj.states)
+            for t, s in zip(times, states)
             if frame.xmin <= s[0] <= frame.xmax
         ]
         if len(pts) >= 2:

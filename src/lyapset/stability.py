@@ -88,22 +88,13 @@ class StabilityReport:
         }
 
 
-def _interior_seed(seed: int, j: int) -> int:
-    return (seed * 1_000_003 + 7919 * j + 13) % (2**31)
-
-
-def _candidate_points(
-    M: CompactSet, delta: float, shell_samples: int, seed: int
-) -> np.ndarray:
-    """Shell points at distance delta plus interior points at radii delta*u."""
-    u = np.random.default_rng([seed, 17]).uniform(size=math.ceil(shell_samples / 4))
-    inner = [j for j in range(u.size) if delta * u[j] > 0]
-    return _shell_points(
-        M,
-        [delta] * shell_samples + [delta * u[j] for j in inner],
-        [np.random.default_rng(seed)] * shell_samples
-        + [np.random.default_rng(_interior_seed(seed, j)) for j in inner],
-    )
+def _candidate_points(M: CompactSet, delta: float, shell_samples: int, seed: int) -> np.ndarray:
+    """Shell points at distance delta plus interior points at radii
+    delta*u, all drawn from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    inner = delta * rng.uniform(size=math.ceil(shell_samples / 4))
+    radii = np.concatenate([np.full(shell_samples, delta), inner[inner > 0]])
+    return _shell_points(M, radii, rng)
 
 
 def _first_exit(V, M, points, epsilon: float, times, cfg):

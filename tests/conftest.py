@@ -41,6 +41,20 @@ def lanes_from(count: int):
     return mock.patch.object(importlib.import_module("lyapset.flow"), "_LANES_FROM", count)
 
 
+def count_generators(monkeypatch) -> list:
+    """Record each np.random.default_rng construction from here on; returns
+    the list of their arguments."""
+    made = []
+    construct = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return construct(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return made
+
+
 def orbit_attempts(texts, start, T: float, out_dt: float, **options) -> int:
     """The step attempts of the generated orbit loop on the field texts from
     start through sample_times(T, out_dt), under IntegratorConfig(**options).

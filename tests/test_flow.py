@@ -568,6 +568,31 @@ class TestLoopDispatch:
                 # every target up to its end.
                 assert targets[len(samples)] < escape
 
+    def test_orbit_loop_errors_carry_their_attempts(self):
+        # x e^t leaves radius 1000 at t = ln(1000) from 1, inside attempt
+        # `attempts`: with that budget it still escapes, with one less the
+        # budget runs out first. A resumed orbit counts its lane's attempts.
+        V, starts, targets, cfg = _batch_case(["x1"], [[1.0], [100.0]], [20.0],
+                                              blowup_radius=1000.0)
+        ignore = lambda rows, j, states: None  # noqa: E731
+        with lanes_from(ORBITS):
+            error = integrate_lanes(V, starts[:1], targets, cfg, ignore)[0]
+            assert isinstance(error, EscapedDomainError)
+            budget = replace(cfg, max_steps=error.attempts)
+            again = integrate_lanes(V, starts[:1], targets, budget, ignore)[0]
+            assert (type(again), str(again), again.attempts) == (
+                EscapedDomainError, str(error), error.attempts)
+            short = replace(cfg, max_steps=error.attempts - 1)
+            limited = integrate_lanes(V, starts[:1], targets, short, ignore)[0]
+            assert isinstance(limited, StepLimitError)
+            assert limited.attempts == error.attempts - 1
+        # With both starts in a batch, the second escapes first and the
+        # first finishes in a resumed orbit loop.
+        with lanes_from(2):
+            errors = integrate_lanes(V, starts, targets, cfg, ignore)
+        assert not hasattr(errors[1], "attempts")
+        assert (str(errors[0]), errors[0].attempts) == (str(error), error.attempts)
+
     @pytest.mark.parametrize("name", ["mixed", "sqrt"])
     def test_lanes_failed_in_the_field_resume_at_the_failing_attempt(self, name, monkeypatch):
         # Each lane that fails in the field reaches the orbit loop with its

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from lyapset.geometry import (
     sample_shell,
 )
 
-from conftest import circle_cloud
+from conftest import circle_cloud, count_generators
 
 
 def hausdorff_brute(a: np.ndarray, b: np.ndarray) -> float:
@@ -124,15 +125,15 @@ class TestSampleShell:
         for p in approx.points:
             assert abs(M.distance(p) - 0.2) <= 1e-9
 
+    def test_one_generator_per_call(self, monkeypatch):
+        made = count_generators(monkeypatch)
+        sample_shell(circle_cloud(100), 0.2, 50, 5)
+        assert made == [(5,)]
 
-def _shell_point_reference(M, r, rng):
+
+def _shell_point_reference(M, r, u, base):
     """One ray at a time, as the shell sampler once ran, on M.distance."""
     target_tol = 1e-12 * max(1.0, r)
-    u = rng.standard_normal(M.dim)
-    u /= np.linalg.norm(u)
-    base = M.sample_points(4, rng)
-    base = base[rng.integers(0, base.shape[0])]
-
     s_hi = r
     for _ in range(90):
         if M.distance(base + s_hi * u) >= r:
@@ -168,24 +169,66 @@ def _parity_sets(n, rng):
 
 
 class TestShellPoints:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize("shared", [True, False], ids=["shared_rng", "per_ray_rng"])
-    def test_bitwise_equal_to_per_ray_reference(self, n, shared):
-        rng = np.random.default_rng([n, shared])
+    # Every ray draws from the one generator of the call.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4], ids=lambda n: f"shared_rng-{n}")
+    def test_bitwise_equal_to_per_ray_reference(self, n):
+        rng = np.random.default_rng(n)
         for trial in range(4):
             for kind, M in _parity_sets(n, rng).items():
                 rays = int(rng.integers(1, 7))
                 radii = [float(r) for r in 10.0 ** rng.uniform(-6, 1, size=rays)]
-                seeds = [[n, trial, j] for j in range(rays)]
-
-                def generators():
-                    if shared:
-                        return [np.random.default_rng(seeds[0])] * rays
-                    return [np.random.default_rng(s) for s in seeds]
-
-                got = geometry._shell_points(M, radii, generators())
-                want = [_shell_point_reference(M, r, g) for r, g in zip(radii, generators())]
+                got = geometry._shell_points(M, radii, np.random.default_rng([n, trial]))
+                # The documented draws: all directions, then max(4, m)
+                # members, then each ray's base among them.
+                draws = np.random.default_rng([n, trial])
+                u = draws.standard_normal((rays, n))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                members = M.sample_points(max(4, rays), draws)
+                base = members[draws.integers(0, members.shape[0], size=rays)]
+                want = [_shell_point_reference(M, *ray) for ray in zip(radii, u, base)]
                 assert got.tobytes() == np.asarray(want).tobytes(), (kind, radii)
+
+    def test_cloud_rays_spread_over_the_cloud(self):
+        # Each ray picks its base among as many members as there are rays,
+        # so many rays of a large cloud start from many members.
+        M = PointCloud(np.random.default_rng(2).uniform(-1, 1, size=(500, 2)))
+        pts = geometry._shell_points(M, [1e-3] * 100, np.random.default_rng(0))
+        nearest = M._tree.query(pts)[1]
+        assert len(set(nearest.tolist())) > 50
+
+
+def _box_points_reference(box, count, rng):
+    """The box's members as once drawn: corners, then one uniform point per
+    loop pass."""
+    corners = [np.asarray(c) for c in itertools.islice(itertools.product(*zip(box.lo, box.hi)), 64)]
+    out = corners[: max(1, count)]
+    while len(out) < count:
+        out.append(rng.uniform(box.lo, box.hi))
+    return np.asarray(out)
+
+
+class TestSamplePoints:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_box_bitwise_equal_to_point_loop(self, n):
+        rng = np.random.default_rng(n)
+        lo = rng.uniform(-1, 1, size=n)
+        for hi in (lo + rng.uniform(0.1, 2.0, size=n), lo):
+            box = Box(lo, hi)
+            for count in (0, 1, 2, 5, 64, 70, 200):
+                got = box.sample_points(count, np.random.default_rng([n, count]))
+                want = _box_points_reference(box, count, np.random.default_rng([n, count]))
+                assert got.tobytes() == want.tobytes(), (count, hi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ball_center_then_sphere_and_interior(self, n):
+        ball = ClosedBall(np.arange(n) * 0.5, 0.75)
+        pts = ball.sample_points(41, np.random.default_rng(n))
+        assert pts.shape == (41, n)
+        assert np.array_equal(pts[0], ball.center)
+        radii = np.linalg.norm(pts - ball.center, axis=1)
+        assert np.allclose(radii[1::2], 0.75, rtol=1e-14, atol=0.0)
+        assert np.all(radii[2::2] < 0.75)
+        assert ball.sample_points(1, np.random.default_rng(0)).tobytes() == ball.center.tobytes()
 
 
 class TestSampleSetPoints:

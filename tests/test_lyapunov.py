@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import LANES, ORBITS, lanes_from, orbit_attempts
+from conftest import LANES, ORBITS, circle_cloud, count_generators, lanes_from, orbit_attempts
 from lyapset.errors import EscapedDomainError, EvalDomainError, LyapsetError, StepLimitError
 from lyapset.expr import ScalarFieldSpec, VectorFieldSpec, compile_scalar
 from lyapset.flow import IntegratorConfig, flow, trajectory
@@ -13,6 +13,7 @@ from lyapset.lyapunov import (
     _annulus_points,
     _big_l_at,
     _windowed_sup,
+    DECREASE_SAMPLES,
     VERDICT_ACCEPTED,
     VERDICT_REJECTED,
     CertificateReport,
@@ -339,6 +340,13 @@ class TestVerifyCertificate:
         assert report.trajectory_decrease_margin < 0
         assert report.gradient_mode == "symbolic"
 
+    def test_one_generator_per_call(self, sink2, cfg, monkeypatch):
+        # The annulus and the set members come from one generator.
+        L = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
+        made = count_generators(monkeypatch)
+        verify_certificate(sink2, circle_cloud(100), L, 0.05, 0.5, 200, 7, cfg)
+        assert made == [(7,)]
+
     def test_unstable_field_rejected(self, grow1, cfg):
         L = ScalarFieldSpec.from_string("x1^2", 1)
         report = verify_certificate(
@@ -398,8 +406,9 @@ class TestVerifyCertificate:
                                decrease_time=decrease_time)
 
     # name: (candidate, integrator settings). Over the decrease time the
-    # field moves x1 by -1 and scales x2 by e: the 19th sample leaves the
-    # radius 5, and sqrt(x1 + 2) fails first at the 9th sample's image.
+    # field moves x1 by -1 and scales x2 by e: at seed 6 the 13th sample
+    # leaves the radius 5, and sqrt(x1 + 2) fails first at the 3rd
+    # sample's image, both among the DECREASE_SAMPLES that are flowed.
     _DECREASE_CASES = {
         "escape": ("x1^2 + x2^2", {"blowup_radius": 5.0}),
         "domain": ("sqrt(x1 + 2) - sqrt(2)", {}),
@@ -416,15 +425,18 @@ class TestVerifyCertificate:
         L = ScalarFieldSpec.from_string(text, 2)
         cfg = IntegratorConfig(**settings)
         lfn = compile_scalar(L.body)
+        expected = None
+        annulus = _annulus_points(ORIGIN_2D, 0.1, 2.0, 40, np.random.default_rng(6))
         try:
-            for p in _annulus_points(ORIGIN_2D, 0.1, 2.0, 40, 3):
+            for p in annulus[:DECREASE_SAMPLES]:
                 lfn(flow(V, p, 1.0, cfg).tolist())
         except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:
             expected = type(exc).__name__, str(exc)
+        assert expected is not None, "no decrease sample failed"
         for loop in (LANES, ORBITS):
             with lanes_from(loop):
                 try:
-                    report = verify_certificate(V, ORIGIN_2D, L, 0.1, 2.0, 40, 3, cfg)
+                    report = verify_certificate(V, ORIGIN_2D, L, 0.1, 2.0, 40, 6, cfg)
                 except StepLimitError as exc:
                     assert expected == ("StepLimitError", str(exc))
                     continue

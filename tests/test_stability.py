@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import LANES, ORBITS, lanes_from, orbit_attempts
+from conftest import LANES, ORBITS, circle_cloud, count_generators, lanes_from, orbit_attempts
 from flow_reference import _walk
 from lyapset import stability
 from lyapset.cli import _run_stability
@@ -144,6 +144,12 @@ class TestEstimateDelta:
         )
         assert delta is None
         assert witness is not None
+
+    def test_candidate_points_from_one_generator(self, monkeypatch):
+        made = count_generators(monkeypatch)
+        points = stability._candidate_points(circle_cloud(60), 0.1, 10, 4)
+        assert made == [(4,)]
+        assert len(points) == 10 + 3
 
     def test_witness_replays(self, grow1, pitchfork, cfg):
         # A witness is only honest if integrating it really leaves the
