@@ -33,15 +33,23 @@ compiled and cached:
   orbit_loop/<field>/<m>
                    the same with _LANES_FROM forced to sys.maxsize: one
                    generated orbit loop per start
+  native_orbit/<field>/<m>
+                   the same with flow._NATIVE_FROM forced to 0: the native
+                   loop runs every start, where the checkout has one and
+                   it builds; the native layers are left out elsewhere
   lane_batch/vdp/1681
                    lane_batch on perfbench's vdp_roa_grid: the reversed
                    Van der Pol field from the 41 x 41 grid nodes of
                    [-3, 3]^2, T = 20, out_dt 0.05, rel_tol 1e-9, abs_tol
                    1e-12; it has no orbit_loop counterpart
+  native_orbit/vdp/1681
+                   the same grid through the native loop
   integrate_lanes/vdp/1681
-                   the same grid at the checkout's own _LANES_FROM, as
+                   the same grid at the checkout's own defaults, as
                    roa_grid runs it: where the batch hands its last lanes
-                   to orbit loops, it does so here
+                   to orbit loops, or the native loop runs, it does so here
+  native_build     one cold build of the native loop of the 4-D cycle
+                   field, into a temporary cache
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
                    its first epsilon, with the stability block's settings
   omega/cluster    limits._greedy_cluster of perfbench's cycle_cloud omega
@@ -55,15 +63,25 @@ compiled and cached:
                    estimate_omega with problems/vanderpol.json's omega block
   analyze/<name>   `lyapset analyze` in process, per bundled problem
 
+The layers named after a loop force it; attempt and probe_orbit force
+the orbit loop, so they time its attempt. The others run at the
+checkout's own defaults, after the counting pass and one untimed call:
+where a checkout builds a field's native loop once the field has done
+enough work in the process, converse_orbit and the analyses run it.
+
 A checkout whose flow module generates whole orbit loops, _compiled(V,
 method) with an optional lanes switch, also reports per layer the runs of
-the orbit loop, from a start or resumed from a lane, and the step attempts
-made in them; the attempts a lane made before the orbit loop resumed it
-are not counted, nor are lanes. These repeat exactly, and each
-checkout's per-attempt times use its own counts. Per checkout,
-orbit_over_lane gives, per field and m, the median time of the orbit
-loops over that of the lane batch: above 1 the batch is faster. This is
-a measurement, not a gate: perfbench holds the gated end-to-end metrics.
+the orbit loop, from a start or resumed from a lane or a native row, the
+rows of the native loop, and the step attempts made in them; the
+attempts a lane made before the orbit loop resumed it are not counted,
+nor are lanes, while a native row's attempts come from the per-row
+counts that the native loop returns, so that they equal the orbit loop's.
+These repeat exactly, and each checkout's per-attempt times use its own
+counts. Per checkout, orbit_over_lane gives, per field and m, the median
+time of the orbit loops over that of the lane batch: above 1 the batch
+is faster; orbit_over_native gives the orbit loops' over the native
+loop's. This is a measurement, not a gate: perfbench holds the gated
+end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -78,6 +96,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -99,11 +118,15 @@ BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "lane_batch/vdp/1681": (7, 1),
-           "integrate_lanes/vdp/1681": (7, 1),
+           "native_orbit/vdp/1681": (7, 1), "integrate_lanes/vdp/1681": (7, 1),
+           "native_build": (5, 1),
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            "estimate_omega/vanderpol": (10, 1),
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
-              for kind in ("lane_batch", "orbit_loop") for batch in BATCHES}}
+              for kind in ("lane_batch", "orbit_loop", "native_orbit") for batch in BATCHES}}
+# How the layers named after a loop force it: (_LANES_FROM, _NATIVE_FROM).
+LOOPS = {"lane_batch": (1, sys.maxsize), "orbit_loop": (sys.maxsize, sys.maxsize),
+         "native_orbit": (None, 0)}
 
 
 def _timed(fn, runs: int, calls: int) -> list[dict]:
@@ -121,9 +144,10 @@ def _timed(fn, runs: int, calls: int) -> list[dict]:
 def _counting(compiled, counts: list[int]):
     """compiled, the generator of whole orbit loops, with scalar loops that
     add each run and its own attempts to counts: a run resumed from a lane
-    (its fifth argument, whose third entry is the lane's attempts) adds
-    only those it makes. A run that raises adds the attempts its error
-    carries, where the loop attaches them. Lane batches pass uncounted."""
+    or a native row (its fifth argument, whose third entry is the
+    attempts made before) adds only those it makes. A run that raises adds
+    the attempts its error carries, where the loop attaches them. Lane
+    batches pass uncounted."""
     def counted(V, method, lanes=False):
         if lanes:
             return compiled(V, method, lanes=True)
@@ -146,19 +170,68 @@ def _counting(compiled, counts: list[int]):
     return counted
 
 
+def _counting_native(native, counts: list[int]):
+    """native, the builder of native loops, with runs that add their rows
+    and the per-row attempts they return to counts[2] and counts[1]."""
+    def counted(V, method):
+        run = native(V, method)
+        if run is None:
+            return None
+
+        def counted_run(*args):
+            errors, left, attempts = run(*args)
+            counts[1] += int(attempts.sum())
+            counts[2] += attempts.size
+            return errors, left, attempts
+
+        return counted_run
+
+    return counted
+
+
 def _ignore(rows, j, states):
     """A visit that reads nothing."""
 
 
-def _integrate(flow, lanes_from, V, starts, targets, cfg):
-    """integrate_lanes with flow._LANES_FROM set to lanes_from, or left as
-    it is for None."""
-    kept = flow._LANES_FROM
-    flow._LANES_FROM = kept if lanes_from is None else lanes_from
+@contextlib.contextmanager
+def _forced(flow, lanes_from=None, native_from=None):
+    """flow's _LANES_FROM and _NATIVE_FROM set, where given and where the
+    checkout has them."""
+    forced = {name: value for name, value in (("_LANES_FROM", lanes_from),
+                                              ("_NATIVE_FROM", native_from))
+              if value is not None and hasattr(flow, name)}
+    kept = {name: getattr(flow, name) for name in forced}
+    for name, value in forced.items():
+        setattr(flow, name, value)
     try:
-        flow.integrate_lanes(V, starts, targets, cfg, _ignore)
+        yield
     finally:
-        flow._LANES_FROM = kept
+        for name, value in kept.items():
+            setattr(flow, name, value)
+
+
+def _integrate(flow, loop, V, starts, targets, cfg):
+    """integrate_lanes with the loop of LOOPS forced, or at the checkout's
+    defaults for None."""
+    with _forced(flow, *LOOPS.get(loop, (None, None))):
+        flow.integrate_lanes(V, starts, targets, cfg, _ignore)
+
+
+def _cold_build(flow, V, method):
+    """Build the native loop of V and method into a new temporary cache."""
+    cache = tempfile.mkdtemp()
+    kept = os.environ.get("XDG_CACHE_HOME")
+    os.environ["XDG_CACHE_HOME"] = cache
+    flow._native.cache_clear()
+    flow._LIBRARIES.clear()
+    try:
+        flow._native(V, method)
+    finally:
+        if kept is None:
+            del os.environ["XDG_CACHE_HOME"]
+        else:
+            os.environ["XDG_CACHE_HOME"] = kept
+        shutil.rmtree(cache)
 
 
 def worker(src: str) -> dict:
@@ -184,33 +257,44 @@ def worker(src: str) -> dict:
                           shell_samples=block["shell_samples"],
                           seed=problem.block_seed("stability"), out_dt=block["out_dt"])
 
+    # The native layers, where the checkout has a native loop and it builds.
+    native = hasattr(flow, "_native") and flow._native(harmonic, "rk45_adaptive") is not None
+
+    def orbit_loop(fn):
+        def forced():
+            with _forced(flow, native_from=sys.maxsize):
+                fn()
+        return forced
+
     layers = {
-        "attempt": lambda: ls.flow(harmonic, [0.3, 0.1], 8.0, tight),
-        "probe_orbit": lambda: ls.trajectory(harmonic, [0.3, 0.1], 8.0, 0.1, tight),
+        "attempt": orbit_loop(lambda: ls.flow(harmonic, [0.3, 0.1], 8.0, tight)),
+        "probe_orbit": orbit_loop(lambda: ls.trajectory(harmonic, [0.3, 0.1], 8.0, 0.1, tight)),
         "converse_orbit": lambda: ls.trajectory(
             cycle, [1.0, -0.5, 0.5, 0.2], 10.0, 0.02, ls.IntegratorConfig()),
         "estimate_delta": delta,
     }
     targets = numpy.asarray(ls.sample_times(8.0, 0.1)[1:])
     fields = {"harmonic": (harmonic, tight), "cycle": (cycle, ls.IntegratorConfig())}
+    loops = ["lane_batch", "orbit_loop"] + (["native_orbit"] if native else [])
     for batch in BATCHES:
         field, m = batch.split("/")
         V, cfg = fields[field]
         starts = numpy.random.default_rng(0).uniform(-1.0, 1.0, (int(m), V.dim))
-        for kind, lanes_from in (("lane_batch", 1), ("orbit_loop", sys.maxsize)):
+        for kind in loops:
             layers[f"{kind}/{batch}"] = (
-                lambda lanes_from=lanes_from, V=V, starts=starts, cfg=cfg:
-                _integrate(flow, lanes_from, V, starts, targets, cfg))
+                lambda kind=kind, V=V, starts=starts, cfg=cfg:
+                _integrate(flow, kind, V, starts, targets, cfg))
     # roa_grid's nodes, in its order
     axis = numpy.linspace(-3.0, 3.0, 41)
     nodes = numpy.stack([c.reshape(-1) for c in numpy.meshgrid(axis, axis, indexing="ij")], -1)
     vdp = ls.VectorFieldSpec.from_strings(VDP_REVERSED)
     vdp_targets = numpy.asarray(ls.sample_times(20.0, 0.05)[1:])
     vdp_cfg = ls.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    for name, lanes_from in (("lane_batch", 1), ("integrate_lanes", None)):
+    for name in [loop for loop in loops if loop != "orbit_loop"] + ["integrate_lanes"]:
         layers[f"{name}/vdp/1681"] = (
-            lambda lanes_from=lanes_from: _integrate(flow, lanes_from, vdp, nodes, vdp_targets,
-                                                     vdp_cfg))
+            lambda name=name: _integrate(flow, name, vdp, nodes, vdp_targets, vdp_cfg))
+    if native:
+        layers["native_build"] = lambda: _cold_build(flow, cycle, "rk45_adaptive")
     # cycle_cloud's omega window, its representatives and their images
     window = ls.trajectory(cycle, ls.flow(cycle, CYCLE_X0, 60.0, ls.IntegratorConfig()), 6.7,
                            0.01, ls.IntegratorConfig()).states
@@ -234,16 +318,25 @@ def worker(src: str) -> dict:
         layers[f"analyze/{name}"] = analyze
 
     result = {"timings": {}, "counts": None}
-    # Scalar orbits and attempts, where flow generates whole orbit loops.
+    # Scalar orbits, native rows and their attempts, where flow generates
+    # whole orbit loops.
     if tuple(inspect.signature(flow._compiled).parameters)[:2] == ("V", "method"):
-        original, counts = flow._compiled, [0, 0]
+        original, counts = flow._compiled, [0, 0, 0]
         flow._compiled = _counting(original, counts)
+        if native:
+            original_native = flow._native
+            flow._native = _counting_native(original_native, counts)
         result["counts"] = {}
         for name, fn in layers.items():
-            counts[:] = [0, 0]
+            if name == "native_build":
+                continue
+            counts[:] = [0, 0, 0]
             fn()
-            result["counts"][name] = {"orbits": counts[0], "attempts": counts[1]}
+            result["counts"][name] = {"orbits": counts[0], "attempts": counts[1],
+                                      "native_rows": counts[2]}
         flow._compiled = original
+        if native:
+            flow._native = original_native
     for name, fn in layers.items():
         result["timings"][name] = _timed(fn, *REPEATS.get(name, (5, 1)))
     for name in os.listdir(out_dir):
@@ -323,9 +416,11 @@ def main() -> int:
         }
     for entry in report["checkouts"].values():
         layers = entry["layers"]
-        entry["orbit_over_lane"] = {
-            batch: layers[f"orbit_loop/{batch}"]["median_s"] / layers[f"lane_batch/{batch}"]["median_s"]
-            for batch in BATCHES}
+        for name, kind in (("orbit_over_lane", "lane_batch"),
+                           ("orbit_over_native", "native_orbit")):
+            if f"{kind}/{BATCHES[0]}" in layers:
+                entry[name] = {batch: layers[f"orbit_loop/{batch}"]["median_s"]
+                               / layers[f"{kind}/{batch}"]["median_s"] for batch in BATCHES}
     # Per-attempt times from each checkout's own counts: a checkout that
     # samples orbits by interpolation takes fewer steps than one that ends
     # a step on every sample.

@@ -19,6 +19,10 @@ operand is a NumPy array holding one value per lane (one start of a
 batch of orbits). It performs the same IEEE operations in the same
 order, with functions picked to round as libm does, and instead of
 raising it clears a mask ok on the lanes where the scalar code raises.
+Its third form is C, for the integrator's native loop: the same
+operations in the same order, libm's functions, min and max as the
+builtins' comparisons, and a jump to the label failed where the Python
+code raises.
 """
 
 from __future__ import annotations
@@ -467,85 +471,119 @@ _LANE_OK_AFTER = {
 }
 
 
-def _guard(code: list[str], e: Expr, operand: str, message: str, lanes: bool) -> None:
+# The same conditions in C, where a failing one ends the attempt: the
+# row's loop stops before it and the orbit loop resumes it there.
+_C_OK_BEFORE = {
+    "sqrt": "{a} >= 0.0 || {a} != {a}",
+    "sin": "!isinf({a})",
+    "cos": "!isinf({a})",
+    "div": "{b} != 0.0",
+}
+_C_OK_AFTER = {
+    "exp": "isfinite({t})",
+    "pow": "isfinite({t}) || !isfinite({b})",
+}
+_C_FAIL = "goto failed;"
+
+
+def _guard(code: list[str], e: Expr, operand: str, message: str, target: str) -> None:
     """Append a finiteness check of operand, the value of node e."""
     if isinstance(e, Const) and math.isfinite(e.value):
         return
-    if lanes:
+    if target == "lanes":
         code.append(f"ok &= isfinite({operand})")
+    elif target == "c":
+        code.append(f"if (!isfinite({operand})) {_C_FAIL}")
     else:
         code.append(f"if not -inf < {operand} < inf: raise EvalDomainError({message!r})")
 
 
-def _emit(e: Expr, xs, code: list[str], lanes: bool = False) -> str:
+def _assign(name: str, text: str, target: str) -> str:
+    """The statement that sets the new temporary name to text."""
+    return f"double {name} = {text};" if target == "c" else f"{name} = {text}"
+
+
+def _emit(e: Expr, xs, code: list[str], target: str = "python") -> str:
     """Append the statements computing e to code; return its operand text.
 
-    xs[i] is the operand text of x_{i+1}. With lanes, operands are arrays
-    and the code clears ok where the scalar code raises.
+    xs[i] is the operand text of x_{i+1}. target is "python", "lanes" or
+    "c". With lanes, operands are arrays and the code clears ok where the
+    Python code raises; in C, the code jumps to the label failed there.
     """
+    lanes, c = target == "lanes", target == "c"
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
         return xs[e.index - 1]
     a = b = None
     if isinstance(e, Unary):
-        a = _emit(e.arg, xs, code, lanes)
+        a = _emit(e.arg, xs, code, target)
         if e.op in ("tanh", "exp"):
             # tanh maps Inf to 1.0 and exp maps -Inf to 0.0, so their
             # operand must be checked.
-            _guard(code, e.arg, a, _INTERMEDIATE, lanes)
-        text = f"-{a}" if e.op == "neg" else f"{e.op}({a})"
+            _guard(code, e.arg, a, _INTERMEDIATE, target)
+        if e.op == "neg":
+            text = f"-({a})" if c else f"-{a}"
+        else:
+            text = f"{'fabs' if c and e.op == 'abs' else e.op}({a})"
     elif isinstance(e, Nary):
         args = []
         for arg in e.args:
-            args.append(_emit(arg, xs, code, lanes))
-            _guard(code, arg, args[-1], _INTERMEDIATE, lanes)
-        text = f"{e.op}({', '.join(args)})"
+            args.append(_emit(arg, xs, code, target))
+            _guard(code, arg, args[-1], _INTERMEDIATE, target)
+        if c:  # the builtins' left fold, one comparison at a time
+            text = args[0]
+            for arg in args[1:]:
+                text = f"{e.op}2({text}, {arg})"
+        else:
+            text = f"{e.op}({', '.join(args)})"
     elif e.op == "pow" and _is_const(e.right, 2.0):
         # The square is a product: a non-finite base gives a non-finite
         # product, so one guard after it stands for the base check and for
         # the OverflowError of math.pow.
-        a = _emit(e.left, xs, code, lanes)
+        a = _emit(e.left, xs, code, target)
         name = f"t{len(code)}"
-        code.append(f"{name} = {a} * {a}")
-        _guard(code, e, name, _INTERMEDIATE, lanes)
+        code.append(_assign(name, f"{a} * {a}", target))
+        _guard(code, e, name, _INTERMEDIATE, target)
         return name
     else:
-        a = _emit(e.left, xs, code, lanes)
+        a = _emit(e.left, xs, code, target)
         if e.op == "pow":
             # pow maps Inf^0 to 1.0 and Inf^-1 to 0.0; check the base.
-            _guard(code, e.left, a, _INTERMEDIATE, lanes)
-        b = _emit(e.right, xs, code, lanes)
+            _guard(code, e.left, a, _INTERMEDIATE, target)
+        b = _emit(e.right, xs, code, target)
         if e.op == "div":
             # x/Inf is 0.0; check the divisor.
-            _guard(code, e.right, b, _INTERMEDIATE, lanes)
+            _guard(code, e.right, b, _INTERMEDIATE, target)
         text = f"pow({a}, {b})" if e.op == "pow" else f"{a} {_SYMBOLS[e.op]} {b}"
     name = f"t{len(code)}"
-    if lanes and e.op in _LANE_OK_BEFORE:
-        code.append(f"ok &= {_LANE_OK_BEFORE[e.op].format(a=a, b=b)}")
-    code.append(f"{name} = {text}")
-    if lanes and e.op in _LANE_OK_AFTER:
-        ok = _LANE_OK_AFTER[e.op]
+    before, after = (_C_OK_BEFORE, _C_OK_AFTER) if c else (_LANE_OK_BEFORE, _LANE_OK_AFTER)
+    check = "if (!({})) " + _C_FAIL if c else "ok &= {}"
+    if (lanes or c) and e.op in before:
+        code.append(check.format(before[e.op].format(a=a, b=b)))
+    code.append(_assign(name, text, target))
+    if (lanes or c) and e.op in after:
+        ok = after[e.op]
         if e.op == "pow" and isinstance(e.right, Const) and math.isfinite(e.right.value):
             ok = "isfinite({t})"  # the usual exponent, a finite constant
-        code.append(f"ok &= {ok.format(a=a, b=b, t=name)}")
+        code.append(check.format(ok.format(a=a, b=b, t=name)))
     return name
 
 
-def _emit_results(exprs, xs, code: list[str], lanes: bool = False) -> list[str]:
+def _emit_results(exprs, xs, code: list[str], target: str = "python") -> list[str]:
     """Emit each expression as a checked result; return the plain names that
     hold the results (an x[i] or literal result gets a temporary, and with
     lanes a result that reads no variable is spread over the lanes)."""
     names = []
     for e in exprs:
-        v = _emit(e, xs, code, lanes)
-        if lanes and max_var_index(e) == 0:
+        v = _emit(e, xs, code, target)
+        if target == "lanes" and max_var_index(e) == 0:
             v = f"full_like({xs[0]}, {v})"
         if not v.isidentifier():  # x[i], a literal or a spread constant
             name = f"t{len(code)}"
-            code.append(f"{name} = {v}")
+            code.append(_assign(name, v, target))
             v = name
-        _guard(code, e, v, _RESULT, lanes)
+        _guard(code, e, v, _RESULT, target)
         names.append(v)
     return names
 

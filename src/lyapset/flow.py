@@ -47,11 +47,28 @@ error instead, so one bad start never aborts the batch; a lane that
 failed inside the field has no error text there, and the orbit loop
 resumes it from its state before the failing attempt, which fails there
 again. So no orbit is integrated twice.
+
+The emitter has a third target, C. Once a field and method have done
+enough work in the process, integrate_lanes builds their native loop,
+the orbit loop's attempt statement for statement over doubles and libm,
+with a C compiler ($CC, else cc) and runs it through ctypes, in calls of
+at most _BUFFER samples written to a caller-owned buffer; each filled
+buffer reaches visit in one call, rows ascending. The build is cached
+under ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with
+contraction and builtins off, so that gcc neither fuses a * b + c nor
+merges sin and cos: the native loop's bits are the orbit loop's. Where
+the orbit loop raises inside the field, and on an exhausted budget or a
+step size underflow, the native loop stops the row before that attempt
+and the orbit loop resumes it there and raises the exact error; an
+escape comes back as its time and state. Without a compiler, or where a
+build or load fails, the Python loops run, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,20 +179,41 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _pick(a: str, op: str, b: str, lanes: bool) -> str:
+def _choose(cond: str, a: str, b: str, target: str) -> str:
+    """a where cond holds, else b."""
+    if target == "lanes":
+        return f"where({cond}, {a}, {b})"
+    return f"{cond} ? {a} : {b}" if target == "c" else f"{a} if {cond} else {b}"
+
+
+def _pick(a: str, op: str, b: str, target: str) -> str:
     """min(a, b) for op "<" and max(a, b) for ">": a conditional, or over
     lanes fmin or fmax. Both pick b where a is NaN; no b here can be NaN."""
-    if lanes:
+    if target == "lanes":
         return f"{'fmin' if op == '<' else 'fmax'}({a}, {b})"
-    return f"{a} if {a} {op} {b} else {b}"
+    return _choose(f"{a} {op} {b}", a, b, target)
 
 
-def _escape_test(xs, lanes: bool, mask: str = "ok") -> list[str]:
+def _block(head: str, body: list[str], target: str) -> list[str]:
+    """The compound statement head, an if, elif, else or while with its
+    condition, over the lines body: in Python, or in C."""
+    if target != "c":
+        return [head + ":", *("    " + line for line in body)]
+    word, _, cond = head.partition(" ")
+    word = "else if" if word == "elif" else word
+    return [f"{word} ({cond}) {{" if cond else f"{word} {{", *("    " + line for line in body), "}"]
+
+
+def _escape_test(xs, target: str, mask: str = "ok") -> list[str]:
     """Raise where the state xs left the blow-up radius; over lanes, record
-    the same error for each lane of mask there and clear its ok."""
+    the same error for each lane of mask there and clear its ok; in C, end
+    the row there with the state xs."""
     norm2 = " + ".join(f"{v} * {v}" for v in xs)
     state = f"[{', '.join(xs)}]"
-    if not lanes:
+    if target == "c":
+        moves = [f"y{i} = {x};" for i, x in enumerate(xs) if x != f"y{i}"]
+        return _block(f"if {norm2} > radius2", [*moves, "goto escaped;"], target)
+    if target != "lanes":
         return [f"if {norm2} > radius2: raise EscapedDomainError(t, {state})"]
     return [f"escaped = {mask} & ({norm2} > radius2)", "if escaped.any():",
             "    errors.update((row, EscapedDomainError(t, state)) for row, t, state in "
@@ -189,18 +227,27 @@ _EXCEEDED = 'StepLimitError(f"exceeded {max_steps} steps at t={t:.6g}")'
 _UNDERFLOW = 'StepLimitError(f"step size underflow at t={t:.6g}")'
 
 
-def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
+def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
     """The loop body of one step attempt from the state y at time t, with
     remaining = horizon - t: the step size h, clipped only at the horizon,
     the stages with the field inlined, and the step control. On acceptance
     it moves t, tests the blow-up radius at the new state, records every
     target the step passed, then moves y and the slope k1; it sets the next
-    step size h_next. With lanes, y is an (n, m) array, one column per
-    lane, and the body clears ok on the lanes where the scalar body raises,
-    recording in errors, by row, what it raises on escape and on step size
-    underflow; a lane cleared with no error failed inside the field, and
-    leaves for the orbit loop with its state from before this attempt."""
+    step size h_next. target is "python", the orbit loop's body, "lanes"
+    or "c". With lanes, y is an (n, m) array, one column per lane, and the
+    body clears ok on the lanes where the Python body raises, recording in
+    errors, by row, what it raises on escape and on step size underflow; a
+    lane cleared with no error failed inside the field, and leaves for the
+    orbit loop with its state from before this attempt. The C body is the
+    Python body statement for statement, over doubles and libm; where the
+    Python body raises it jumps, on escape to the label escaped with the
+    escaped state in y, else to the label failed, where the row stops to
+    be resumed before this attempt by the orbit loop, which raises there.
+    It writes each sample to the buffer's count-th entry, as _c_source
+    lays it out, which has room for every target the step can pass."""
     n = V.dim
+    lanes, c = target == "lanes", target == "c"
+    end = ";" if c else ""
     ys = [f"y{i}" for i in range(n)]
     y = "y" if lanes else ys
     each = [None] if lanes else range(n)  # one statement over lanes, or one per coordinate
@@ -210,9 +257,16 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
         """Coordinate i of v, a list of names; or v itself, an (n, m) array."""
         return v if i is None else v[i]
 
+    def assign(names, values) -> list[str]:
+        """names = values at once; in C one by one, as no value reads a
+        name set before it."""
+        if c:
+            return [f"{name} = {value};" for name, value in zip(names, values)]
+        return [f"{', '.join(names)}, = {', '.join(values)},"]
+
     def slope(xs, s):
         """Append the field at xs; return its values, as names or an array."""
-        ks = _emit_results(V.components, xs, code, lanes)
+        ks = _emit_results(V.components, xs, code, target)
         if lanes:
             code.append(f"k{s} = array([{', '.join(ks)}])")
         return f"k{s}" if lanes else ks
@@ -223,7 +277,7 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
         if lanes:
             code.extend([f"s{s} = y + {terms(None)}", f"{', '.join(xs)}, = s{s}"])
         else:
-            code.extend(f"{xs[i]} = y{i} + {terms(i)}" for i in range(n))
+            code.extend(f"{xs[i]} = y{i} + {terms(i)}{end}" for i in range(n))
         return f"s{s}" if lanes else xs, slope(xs, s)
 
     def combination(row, i):
@@ -235,8 +289,9 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
         method's continuous extension at theta = (target - t_old) / h.
         Dormand-Prince's is Hairer's contd5 form of Shampine's 4th-order
         extension; RK4's is the classical one of order 3 (HNW II.6). The
-        orbit loop appends each sample to out; the batch hands every (lane,
-        sample) pair of the pass to one visit call, rows repeating."""
+        orbit loop appends each sample to out, the C loop writes it to the
+        buffer; the batch hands every (lane, sample) pair of the pass to
+        one visit call, rows repeating."""
         def pair(v, i):
             """Coordinate i of v at a sample: over lanes, v at its lane."""
             return f"{v}.take(lane, 1)" if lanes else v[i]
@@ -262,16 +317,21 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
             value = [f"{pair(y, i)} + theta * ({pair(dd, i)} + theta1 * ({pair(c3, i)} + "
                      f"theta * ({pair(c4, i)} + theta1 * {pair(c5, i)})))" for i in each]
         if not lanes:
-            return ["if target <= t:",
-                    *("    " + line for line in prepare),
-                    "    while target <= t:",
-                    "        if target == t:",
-                    f"            out.append([{', '.join(new)}])",
-                    "        else:",
-                    "            theta = (target - t_old) / h",
-                    *("            " + line for line in weights),
-                    f"            out.append([{', '.join(value)}])",
-                    "        target = next(pending, inf)"]
+            if c:
+                record = lambda values: [  # noqa: E731
+                    f"buf[{n} * count + {i}] = {v};" for i, v in enumerate(values)]
+                advance = ["at[count] = row;", "at[cap + count] = j;", "count += 1;",
+                           "j += 1;", "target = targets[j];"]
+            else:
+                record = lambda values: [f"out.append([{', '.join(values)}])"]  # noqa: E731
+                advance = ["target = next(pending, inf)"]
+            interpolate = [f"theta = (target - t_old) / h{end}", *(w + end for w in weights),
+                           *record(value)]
+            sample = [*_block("if target == t", record(new), target),
+                      *_block("else", interpolate, target), *advance]
+            return _block("if target <= t", [*(line + end for line in prepare),
+                                             *_block("while target <= t", sample, target)],
+                          target)
         # count: per ok lane, the targets in (t_old, t], counted one at a
         # time, since a step passes few; ahead is targets, then inf.
         return ["passed = ok & (ahead[j] <= t)",
@@ -293,10 +353,9 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
                 "    visit(rows[lane], js, sample.T)",
                 "    j = j + count"]
 
-    at_horizon = ("where(h == remaining, horizon, t + h)" if lanes
-                  else "horizon if h == remaining else t + h")
+    at_horizon = _choose("h == remaining", "horizon", "t + h", target)
     if method == "rk4_fixed":  # the stages of the reference _rk4_step, term for term
-        code.append("h = " + _pick("remaining", "<", "dt", lanes))
+        code.append("h = " + _pick("remaining", "<", "dt", target) + end)
         if lanes:
             code.append(f"{', '.join(ys)}, = y")
         k = {1: slope(ys, 1)}
@@ -305,13 +364,12 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
         step = [f"{at(y, i)} + h / 6.0 * ({at(k[1], i)} + 2.0 * {at(k[2], i)} + "
                 f"2.0 * {at(k[3], i)} + {at(k[4], i)})" for i in each]
         xs = [f"s5_{i}" for i in range(n)]
-        code += ([f"s5 = {step[0]}", f"{', '.join(xs)}, = s5"] if lanes
-                 else [f"{', '.join(xs)}, = {', '.join(step)},"])
-        return code + ["t_old = t", f"t = {at_horizon}", *_escape_test(xs, lanes),
+        code += [f"s5 = {step[0]}", f"{', '.join(xs)}, = s5"] if lanes else assign(xs, step)
+        return code + ["t_old = t" + end, f"t = {at_horizon}" + end, *_escape_test(xs, target),
                        *samples("s5" if lanes else xs),
-                       "y = s5" if lanes else f"{', '.join(ys)}, = {', '.join(xs)},"]
+                       *(["y = s5"] if lanes else assign(ys, xs))]
 
-    code.append("h = " + _pick("remaining", "<", "h_next", lanes))
+    code.append("h = " + _pick("remaining", "<", "h_next", target) + end)
     k = {1: "k1" if lanes else [f"k1_{i}" for i in range(n)]}
     for s, row in enumerate(_STATE_ROWS, start=2):
         y5, k[s] = stage(s, lambda i: f"h * ({combination(row, i)})")
@@ -319,20 +377,20 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
     xs = [f"s7_{i}" for i in range(n)]
     for i in each:
         code += [
-            f"a = abs({at(y, i)})",
-            f"b = abs({at(y5, i)})",
+            f"a = {'fabs' if c else 'abs'}({at(y, i)}){end}",
+            f"b = {'fabs' if c else 'abs'}({at(y5, i)}){end}",
             f"{'r' if lanes else f'r{i}'} = h * ({combination(_ERROR_ROW, i)}) / "
-            f"(atol + rtol * ({_pick('b', '>', 'a', lanes)}))",
+            f"(atol + rtol * ({_pick('b', '>', 'a', target)})){end}",
         ]
     rs = [f"r[{i}]" if lanes else f"r{i}" for i in range(n)]
-    code.append(f"enorm = sqrt(({' + '.join(f'{r} * {r}' for r in rs)}) / {n})")
+    code.append(f"enorm = sqrt(({' + '.join(f'{r} * {r}' for r in rs)}) / {n}){end}")
     if lanes:
         code += [
             "accept = enorm <= 1.0",
             "t_old = t",
             f"t = where(accept, {at_horizon}, t)",
             # A rejected lane keeps a state that passed the test.
-            *_escape_test(xs, lanes, "ok & accept"),
+            *_escape_test(xs, target, "ok & accept"),
             f"stalled = ok & ~accept & (h <= {_MIN_STEP!r})",
             "if stalled.any():",
             f"    errors.update((row, {_UNDERFLOW}) for row, t in "  # t lane by lane
@@ -342,30 +400,26 @@ def _emit_step(V: VectorFieldSpec, method: str, lanes: bool) -> list[str]:
             "y, k1 = where(accept, s7, y), where(accept, k7, k1)",
         ]
     else:
-        code += [
-            "if enorm <= 1.0:",
-            "    t_old = t",
-            f"    t = {at_horizon}",
-            *("    " + line for line in _escape_test(xs, lanes)),
-            *("    " + line for line in samples(y5)),
-            f"    {', '.join(ys)}, {', '.join(k[1])} = {', '.join(y5)}, {', '.join(k[7])}",
-            f"elif h <= {_MIN_STEP!r}:",
-            f"    raise {_UNDERFLOW}",
-        ]
+        accepted = ["t_old = t" + end, f"t = {at_horizon}" + end, *_escape_test(xs, target),
+                    *samples(y5), *assign(ys + k[1], y5 + k[7])]
+        code += [*_block("if enorm <= 1.0", accepted, target),
+                 *_block(f"elif h <= {_MIN_STEP!r}",
+                         ["goto failed;" if c else f"raise {_UNDERFLOW}"], target)]
     # Over lanes pow is float_power, which gives inf at enorm 0, so the
     # factor is then 5.0, as in the scalar special case.
     factor = [
-        "factor = 0.9 * " + ("pow(enorm, -0.2)" if lanes else "enorm ** -0.2"),
-        "factor = " + _pick("factor", ">", "0.2", lanes),
-        "factor = " + _pick("factor", "<", "5.0", lanes),
+        "factor = 0.9 * " + ("enorm ** -0.2" if target == "python" else "pow(enorm, -0.2)"),
+        "factor = " + _pick("factor", ">", "0.2", target),
+        "factor = " + _pick("factor", "<", "5.0", target),
     ]
     if not lanes:
-        factor = ["if enorm == 0.0:", "    factor = 5.0", "else:"] + ["    " + f for f in factor]
-    return code + factor + [
+        factor = [*_block("if enorm == 0.0", ["factor = 5.0" + end], target),
+                  *_block("else", [line + end for line in factor], target)]
+    return code + factor + [line + end for line in (
         "h_next = h * factor",
-        "h_next = " + _pick(repr(_MIN_STEP), ">", "h_next", lanes),
-        "h_next = " + _pick("horizon", "<", "h_next", lanes),
-    ]
+        "h_next = " + _pick(repr(_MIN_STEP), ">", "h_next", target),
+        "h_next = " + _pick("horizon", "<", "h_next", target),
+    )]
 
 
 @lru_cache(maxsize=128)
@@ -393,7 +447,12 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     field failed at the point itself. Operations on constants alone raise
     on every lane: the first field evaluation catches them and leaves
     every lane that did not escape as such a start; anything visit raises
-    passes through."""
+    passes through.
+    The orbit loop carries the work meter of V and method, its attribute
+    work, which integrate_lanes sets and reads: so the meter is dropped
+    with the loop, and starts again from 0 where the cache is cleared.
+    Their third form, the native loop, is _native's, generated by
+    _c_source around the same _emit_step body in C."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     adaptive = method == "rk45_adaptive"
@@ -402,9 +461,9 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     code += ["atol, rtol = cfg.abs_tol, cfg.rel_tol"] if adaptive else []
     # The loop body; its temporaries may reuse names of the code above,
     # which no longer reads them.
-    body = _emit_step(V, method, lanes)
+    body = _emit_step(V, method, "lanes" if lanes else "python")
     if not lanes:
-        start = ["t, steps = 0.0, 0", *_escape_test(ys, lanes)]
+        start = ["t, steps = 0.0, 0", *_escape_test(ys, "python")]
         state = ["t", "j", "steps"]
         if adaptive:  # h_next is min(dt, horizon)
             k1 = _emit_results(V.components, ys, start)
@@ -426,10 +485,10 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
                        f"{method} orbit of {V.label()}", attempts="steps")
     code += ["t = zeros(y.shape[1])",
              "rows, j, errors, left = arange(t.size), zeros(t.size, int), {}, []",
-             "ok = ones(t.size, bool)", *_escape_test(ys, lanes), "steps = 0"]
+             "ok = ones(t.size, bool)", *_escape_test(ys, "lanes"), "steps = 0"]
     # Every lane evaluates the field at its start, as a first attempt does.
     field: list[str] = []
-    k1 = _emit_results(V.components, ys, field, lanes)
+    k1 = _emit_results(V.components, ys, field, "lanes")
     code += ["try:", *("    " + line for line in field),
              "except (ValueError, ZeroDivisionError, OverflowError):",
              "    return errors, [(None, rows[~escaped])]"]
@@ -465,17 +524,297 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
 
 
 def _unfinished(starts, left):
-    """(row, y, resume) for the orbit loop, per lane of a batch's left: a
-    start as its point, with resume None, else its loop state as floats."""
+    """(row, y, resume) for the orbit loop, per row of a batch's left: a
+    start as its point, with resume None, else its loop state as floats.
+    A group's attempts are one count, a lane batch's, or one per row."""
     for attempts, rows, *state in left:
         if attempts is None:
             yield from ((row, starts[row].tolist(), None) for row in rows.tolist())
             continue
         t, j, y, *slopes = state
-        columns = [t.tolist(), j.tolist(), [attempts] * rows.size]
+        columns = [t.tolist(), j.tolist(), np.broadcast_to(attempts, rows.shape).tolist()]
         if slopes:  # h_next and k1
             columns += np.vstack(slopes).tolist()
         yield from zip(rows.tolist(), y.T.tolist(), zip(*columns))
+
+
+# What a row of the native loop is: not started, cut off by a full buffer,
+# finished, escaped, stopped for the orbit loop to resume it before an
+# attempt, or failed in the field at its start.
+_FRESH, _RUNNING, _DONE, _ESCAPED, _LEFT, _LEFT_AT_START = range(6)
+
+_C_PRELUDE = """#include <float.h>
+#include <math.h>
+#include <stdint.h>
+
+#if FLT_EVAL_METHOD != 0
+#error "each double operation must round to double"
+#endif
+
+static const double inf = HUGE_VAL;
+static double min2(double a, double b) { return b < a ? b : a; }
+static double max2(double a, double b) { return b > a ? b : a; }
+"""
+
+
+def _c_source(V: VectorFieldSpec, method: str) -> str:
+    """The C translation unit of the native loop of V and method: one
+    function,
+
+        int64_t orbits(int64_t m, int64_t *next, double *f, int64_t *l,
+                       const double *cfg, int64_t max_steps,
+                       const double *targets, int64_t last,
+                       double *buf, int64_t *at, int64_t cap)
+
+    which runs the rows next[0], ..., m - 1 around the _emit_step body in
+    C, as the orbit loop runs them in Python. Row r's loop state is f[r],
+    (t, h_next, y, k1), and l[r], (status, j, attempts); cfg is (dt,
+    abs_tol, rel_tol, blowup_radius, horizon), and targets holds the last
+    targets, then inf. Samples go to the buffer, cap of them: the k-th
+    state to buf[k], its row to at[k] and its j to at[cap + k]. Before an
+    attempt that could pass more targets than the buffer has room for,
+    the function keeps the row's state, sets next[0] to the row and
+    returns the count of samples written; after the last row, next[0] is
+    m. It stops a row for the orbit loop, to be resumed where the Python
+    loop raises, before the attempt: on an exhausted budget, a failure in
+    the field or a step size underflow, or when one step passes more
+    targets than the whole buffer holds."""
+    n = V.dim
+    ys = [f"y{i}" for i in range(n)]
+    adaptive = method == "rk45_adaptive"
+    scalars = ["t", "h", "h_next", "t_old", "remaining", "a", "b", "enorm", "factor", "theta",
+               "theta1", "b1", "b2", "b4", "target"]
+    per_coordinate = ["y", "k1_", "r", "dd_", "c3_", "c4_", "c5_",
+                      *(f"s{s}_" for s in range(2, 8))]
+    names = scalars + [f"{name}{i}" for name in per_coordinate for i in range(n)]
+    state = ["t", "h_next", *ys, *(f"k1_{i}" for i in range(n))]
+    start = _escape_test(ys, "c")
+    if adaptive:  # h_next is min(dt, horizon)
+        field: list[str] = []
+        k1 = _emit_results(V.components, ys, field, "c")
+        start += ["{", *("    " + line for line in field),
+                  *(f"    k1_{i} = {k};" for i, k in enumerate(k1)), "}",
+                  "h_next = horizon < dt ? horizon : dt;"]
+    step = "h_next" if adaptive else "dt"
+    loop = [
+        "const double dt = cfg[0], atol = cfg[1], rtol = cfg[2];",
+        "const double radius2 = cfg[3] * cfg[3], horizon = cfg[4];",
+        "int64_t count = 0, row, j, steps;",
+        f"double {', '.join(names)};",
+        "for (row = *next; row < m; row++) {",
+        f"    double *s = f + {len(state)} * row;",
+        "    int64_t *q = l + 3 * row;",
+        *(f"    {name} = s[{i}];" for i, name in enumerate(state)),
+        "    j = q[1];",
+        "    steps = q[2];",
+        *("    " + line for line in _block(f"if q[0] == {_FRESH}", start, "c")),
+        "    target = targets[j];",
+        *("    " + line for line in _block("while t < horizon", [
+            "remaining = horizon - t;",
+            "if (steps >= max_steps) goto left;",
+            # The targets an accepted attempt passes lie in (t, t_new],
+            # with t_new = t + h, or the horizon where h is remaining.
+            "if (j + cap - count < last && "
+            f"targets[j + cap - count] <= ({step} < remaining ? t + {step} : horizon)) goto full;",
+            "steps += 1;",
+            *_emit_step(V, method, "c"),
+        ], "c")),
+        f"    q[0] = {_DONE};",
+        "    goto save;",
+        "escaped:",
+        f"    q[0] = {_ESCAPED};",
+        "    goto save;",
+        "failed:",
+        f"    if (steps == 0) {{ q[0] = {_LEFT_AT_START}; continue; }}",
+        "    steps -= 1;",  # the orbit loop makes the failing attempt again
+        "left:",
+        f"    q[0] = {_LEFT};",
+        "    goto save;",
+        "full:",
+        "    if (count == 0) goto left;",
+        f"    q[0] = {_RUNNING};",
+        "save:",
+        *(f"    s[{i}] = {name};" for i, name in enumerate(state)),
+        "    q[1] = j;",
+        "    q[2] = steps;",
+        f"    if (q[0] == {_RUNNING}) {{ *next = row; return count; }}",
+        "}",
+        "*next = m;",
+        "return count;",
+    ]
+    return "\n".join([
+        _C_PRELUDE,
+        "int64_t orbits(int64_t m, int64_t *next, double *f, int64_t *l, const double *cfg,",
+        "               int64_t max_steps, const double *targets, int64_t last,",
+        "               double *buf, int64_t *at, int64_t cap)",
+        "{", *("    " + line for line in loop), "}", ""])
+
+
+# Samples per native call: each call fills at most this buffer, and each
+# filled buffer reaches visit in one call. It bounds what a visit reduces
+# at once: with 16,384 the peak memory of perfbench's cycle_cloud was 1.3
+# MiB above the Python loops', with 4,096 it is 0.6 MiB above.
+_BUFFER = 4096
+_LONG_MAX = 2 ** 63 - 1
+
+
+@lru_cache(maxsize=128)
+def _native(V: VectorFieldSpec, method: str):
+    """The native loop of V and method, or None where it cannot be built
+    or loaded.
+
+    run(starts, targets, cfg, visit) -> (errors, left, attempts) runs the
+    rows of starts, cut into calls by the buffer: each call's samples
+    reach visit in one call, rows ascending and j increasing within a row,
+    a row cut off by the full buffer continuing in the next call. errors
+    holds the escapes, each an EscapedDomainError of the row's time and
+    state that carries its attempts; left holds, in the lane batch's
+    groups, the rows stopped for the orbit loop, which resumes them; and
+    attempts is the attempts of each row, up to where it stopped."""
+    orbits = _library(_c_source(V, method))
+    if orbits is None:
+        return None
+    n = V.dim
+    width = 2 + 2 * n
+
+    def run(starts, targets, cfg, visit):
+        m = len(starts)
+        f = np.zeros((m, width))
+        f[:, 2:2 + n] = starts
+        l = np.zeros((m, 3), np.int64)
+        ahead = np.append(targets, math.inf)
+        c = np.array([cfg.dt, cfg.abs_tol, cfg.rel_tol, cfg.blowup_radius, targets[-1]])
+        # steps >= max_steps as Python compares them; no run reaches 2^63 - 1.
+        max_steps = math.ceil(cfg.max_steps) if cfg.max_steps < _LONG_MAX else _LONG_MAX
+        cap = min(_BUFFER, m * len(targets))  # the most samples the rows have
+        next_row = np.zeros(1, np.int64)
+        while next_row[0] < m:
+            # A buffer per call, which visit may keep.
+            buf, at = np.empty((cap, n)), np.empty((2, cap), np.int64)
+            count = orbits(m, next_row.ctypes.data, f.ctypes.data, l.ctypes.data, c.ctypes.data,
+                           max_steps, ahead.ctypes.data, len(targets), buf.ctypes.data,
+                           at.ctypes.data, cap)
+            if count:
+                visit(at[0, :count], at[1, :count], buf[:count])
+        status, attempts = l[:, 0], l[:, 2]
+        errors = {}
+        for row in np.flatnonzero(status == _ESCAPED).tolist():
+            errors[row] = EscapedDomainError(float(f[row, 0]), f[row, 2:2 + n].tolist())
+            errors[row].attempts = int(attempts[row])
+        rows = np.flatnonzero(status == _LEFT)
+        state = [f[rows, 0], l[rows, 1], f[rows, 2:2 + n].T]
+        if method == "rk45_adaptive":
+            state += [f[rows, 1], f[rows, 2 + n:].T]
+        left = [(None, np.flatnonzero(status == _LEFT_AT_START)), (attempts[rows], rows, *state)]
+        return errors, left, attempts
+
+    return run
+
+
+# Compiler flags of the native loop. Without contraction gcc would fuse a
+# * b + c into one rounding where the target has an FMA, and builtins let
+# it fuse sin and cos into sincos: either changes bits.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
+_BUILD_TIMEOUT_S = 120
+# Loaded orbits functions by the hash of their source and build, or None
+# where the build or load failed: a cleared _native costs no build again.
+_LIBRARIES: dict = {}
+
+
+def _sha256(data: bytes) -> str:
+    """The hex sha256 of data. hashlib loads OpenSSL, 3.6 MiB of memory
+    on x86-64 Linux, which a run that draws no random numbers, such as
+    perfbench's vdp_roa_grid, does not load otherwise; so the
+    interpreter's own module is taken where it has one, as the random
+    module does."""
+    try:
+        from _sha2 import sha256  # Python 3.12 on
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def _library(source: str):
+    """The orbits function of source, built with $CC, else cc, and cached
+    by the sha256 of the source, the flags, the compiler and the platform
+    in ${XDG_CACHE_HOME:-~/.cache}/lyapset; None where it cannot be built
+    or loaded. Nothing here is imported before the first native loop."""
+    import platform
+    import shlex
+
+    try:
+        compiler = shlex.split(os.environ.get("CC") or "cc")
+    except ValueError:  # unbalanced quotes: no compiler
+        return None
+    key = _sha256("\0".join(
+        [source, *_CFLAGS, *compiler, sys.platform, platform.machine()]).encode())
+    if key not in _LIBRARIES:
+        _LIBRARIES[key] = _open(key, source, compiler)
+    return _LIBRARIES[key]
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "lyapset")
+
+
+def _open(key: str, source: str, compiler: list[str]):
+    """Load the cached build of key, else build it into the cache, else,
+    where the cache is not writable, into a directory for this process."""
+    import tempfile
+
+    path = os.path.join(_cache_dir(), key + ".so")
+    loaded = _dlopen(path) if os.path.exists(path) else None
+    if loaded is None:
+        try:
+            os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
+            loaded = _compile(source, compiler, path)
+        except OSError:
+            with tempfile.TemporaryDirectory() as scratch:
+                loaded = _compile(source, compiler, os.path.join(scratch, key + ".so"))
+    return loaded
+
+
+def _compile(source: str, compiler: list[str], path: str):
+    """Build source into path, written under a temporary name in its
+    directory and then renamed, and load it; None where the compiler is
+    missing, fails or times out, or the build does not load. Raises
+    OSError where the directory is not writable."""
+    import subprocess
+    import tempfile
+
+    handle, building = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(handle)
+    try:
+        subprocess.run([*compiler, *_CFLAGS, "-o", building, "-x", "c", "-", "-lm"],
+                       input=source, text=True, capture_output=True, check=True,
+                       timeout=_BUILD_TIMEOUT_S)
+        os.replace(building, path)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        if os.path.exists(building):
+            os.remove(building)
+    return _dlopen(path)
+
+
+def _dlopen(path: str):
+    import ctypes
+
+    try:
+        orbits = ctypes.CDLL(path).orbits
+    except (OSError, AttributeError):
+        return None
+    orbits.restype = ctypes.c_int64
+    orbits.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+    return orbits
 
 
 # Starts from which integrate_lanes runs lanes, not one orbit loop per
@@ -493,29 +832,54 @@ def _unfinished(starts, left):
 _LANES_FROM = 50
 
 
+# Work of a (field, method) from which integrate_lanes runs the native
+# loop: the attempts its orbit loops made, plus rows x targets of the call
+# at hand. A build takes 0.1-0.3 s, so a small run builds nothing. Of the
+# 397 (field, method) pairs that the tier-1 suite of ea9f16b integrates,
+# 9 reach 20k attempts, and they hold 95% of its 3.17M attempts.
+_NATIVE_FROM = 20_000
+
+
+def _runs_natively(cfg: IntegratorConfig, targets: np.ndarray) -> bool:
+    """Whether the native loop takes cfg and targets as the orbit loop
+    does: it takes the settings as doubles, where the orbit loop would
+    take an int as it is, and its buffer's room check reads the targets
+    as increasing."""
+    return (all(isinstance(v, float) for v in (cfg.dt, cfg.abs_tol, cfg.rel_tol,
+                                               cfg.blowup_radius))
+            and bool(np.all(targets[1:] > targets[:-1])))
+
+
 def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit):
     """Integrate every row of starts through the targets.
 
     Each row takes the steps, and the bits, that the scalar orbit loop
-    takes from that start alone, whichever loop runs it: from _LANES_FROM
-    rows up one lane batch, each row a lane with its own t, h and next
-    target, while at least _LANES_FROM lanes are live, and one orbit loop
-    per row below that and for each row the batch left, resumed where its
-    lane stopped. visit(rows, j, states) receives row numbers, the index
-    in targets of the target each reached and the states there,
-    (len(rows), n): from the batch, every (row, target) pair that the
-    steps of one pass passed, a row repeating, j increasing within it;
-    from an orbit loop, the row's samples in one call, j increasing, and
-    for a row the batch left, only those it had not visited. visit runs
-    under np.errstate(all="ignore") either way, and what it raises passes
-    through. A row leaves after its last target, or where the scalar loop
-    raises: on escape, a domain failure of the field, the step budget or
-    a step size underflow.
+    takes from that start alone, whichever loop runs it. Once the field
+    and method have done _NATIVE_FROM work, as the meter of their orbit
+    loop counts it (see _compiled), _native's loop runs the rows, in
+    calls of at most _BUFFER samples; each call's samples reach visit in
+    one call, rows ascending, and a row it stops before a failing attempt
+    is resumed there by the orbit loop. Below that, or where no native
+    loop can be built, from _LANES_FROM rows up one lane batch runs,
+    each row a lane with its own t, h and next target, while at least
+    _LANES_FROM lanes are live, and one orbit loop per row below that and
+    for each row the batch left, resumed where its lane stopped. visit(rows, j, states)
+    receives row numbers, the index in targets of the target each reached
+    and the states there, (len(rows), n), arrays of its own: from the
+    native loop or the batch, every (row, target) pair of a buffer or of
+    the steps of one pass, a row repeating, j increasing within it; from
+    an orbit loop, the row's samples in one call, j increasing, and for a
+    row that one of the others left, only those it had not visited. visit
+    runs under np.errstate(all="ignore") either way, and what it raises
+    passes through. A row leaves after its last target, or where the
+    scalar loop raises: on escape, a domain failure of the field, the
+    step budget or a step size underflow.
     targets must be positive and strictly increasing. Returns, by failed
     row, the EscapedDomainError, EvalDomainError or StepLimitError that the
     orbit loop raises from that start alone: same type and text, and for
-    an escape the same time and state bits; one raised by the orbit loop
-    carries the row's attempts, its lane's included, as `attempts`.
+    an escape the same time and state bits; one raised by the orbit loop,
+    or an escape of the native loop, carries the row's attempts as
+    `attempts`.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != V.dim:
@@ -524,22 +888,29 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
         raise ValueError("state point coordinates must be finite")
     targets = np.asarray(targets, dtype=float)
     times = targets.tolist()  # the orbit loop runs on floats
+    orbit = _compiled(V, cfg.method)
+    orbit.work = getattr(orbit, "work", 0) + len(starts) * len(times)
+    native = None
+    if orbit.work >= _NATIVE_FROM and _runs_natively(cfg, targets):
+        native = _native(V, cfg.method)
     with np.errstate(all="ignore"):
         errors, left = {}, [(None, np.arange(len(starts)))]
-        if len(starts) >= _LANES_FROM:
+        if native is not None:
+            errors, left, _ = native(starts, targets, cfg, visit)
+        elif len(starts) >= _LANES_FROM:
             batch = _compiled(V, cfg.method, lanes=True)
             errors, left = batch(starts.T.copy(), targets, cfg, visit, _LANES_FROM)
-        orbits = list(_unfinished(starts, left))
-        orbit = _compiled(V, cfg.method) if orbits else None
-        for row, y, resume in orbits:
+        for row, y, resume in _unfinished(starts, left):
             out: list = []
             try:
-                orbit(y, times, cfg, out, resume)
+                attempts = orbit(y, times, cfg, out, resume)
             except (EscapedDomainError, EvalDomainError, StepLimitError) as exc:
                 # Kept bare: the frames of its traceback, or its cause's, link
                 # back to ones holding errors, a cycle only the collector frees.
                 errors[row] = exc.with_traceback(None)
                 exc.__cause__ = exc.__context__ = None
+                attempts = exc.attempts
+            orbit.work += attempts
             if out:
                 j = resume[1] if resume else 0
                 visit(np.full(len(out), row), np.arange(j, j + len(out)), np.array(out))

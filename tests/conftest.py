@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import os
 import sys
 from unittest import mock
 
@@ -39,6 +40,37 @@ LANES, ORBITS = 1, sys.maxsize
 def lanes_from(count: int):
     """Context in which integrate_lanes' _LANES_FROM is count."""
     return mock.patch.object(importlib.import_module("lyapset.flow"), "_LANES_FROM", count)
+
+
+def native(on: bool):
+    """Context in which integrate_lanes runs the native loop on every call
+    (on), where it can be built, or never."""
+    return mock.patch.object(importlib.import_module("lyapset.flow"), "_NATIVE_FROM",
+                             0 if on else sys.maxsize)
+
+
+def native_builds(V, method: str = "rk45_adaptive") -> bool:
+    """Whether the native loop of V and method builds and loads here."""
+    return importlib.import_module("lyapset.flow")._native(V, method) is not None
+
+
+def pytest_addoption(parser):
+    parser.addoption("--native", choices=("auto", "always"), default="auto",
+                     help="always: run every integration through the native loop, where a test "
+                          "does not pin it; auto: once a field has done enough work, as a run does")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _native_cache(request, tmp_path_factory):
+    """Native builds go to a cache of the session's own, not the user's;
+    with --native=always every field runs natively."""
+    cache = str(tmp_path_factory.mktemp("cache"))
+    with mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
+        if request.config.getoption("--native") == "always":
+            with native(True):
+                yield
+        else:
+            yield
 
 
 def count_generators(monkeypatch) -> list:

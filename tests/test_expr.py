@@ -318,7 +318,7 @@ def _lanes(e, x1):
     """Run the lane form of e, an expression in x1 alone, on the lane
     values x1: (values, ok)."""
     code = ["ok = ones(x0.shape, bool)"]
-    (name,) = _emit_results([e], ["x0"], code, lanes=True)
+    (name,) = _emit_results([e], ["x0"], code, "lanes")
     fn = _define("_lanes", "x0", code, f"{name}, ok", "lane expression", lanes=True)
     with np.errstate(all="ignore"):  # as integrate_lanes runs lane code
         return fn(np.array(x1))

@@ -20,7 +20,7 @@ from lyapset.flow import (
     semigroup_defect,
     trajectory,
 )
-from conftest import LANES, ORBITS, lanes_from, orbit_attempts
+from conftest import LANES, ORBITS, lanes_from, native, native_builds, orbit_attempts
 from test_expr import any_exprs
 
 # One strategy per dimension, built once: building one per draw costs ~25 ms.
@@ -222,11 +222,12 @@ def _error_bits(error):
     return bits
 
 
-def _generated_orbit(V, y, targets, cfg):
-    """Samples, attempt count (None on failure) and error of the generated loop."""
-    out = []
+def _generated_orbit(V, y, targets, cfg, out=None, resume=None):
+    """Samples, attempt count (None on failure) and error of the generated
+    loop: from y, or resumed from resume after the samples out."""
+    out = [] if out is None else out
     try:
-        attempts = _compiled(V, cfg.method)(list(y), targets, cfg, out)
+        attempts = _compiled(V, cfg.method)(list(y), targets, cfg, out, resume)
     except _FAILURES as exc:
         return out, None, exc
     return out, attempts, None
@@ -272,48 +273,98 @@ def _orbits(draw):
     return V, y, targets, cfg
 
 
-class TestGeneratedOrbit:
-    @settings(max_examples=200, deadline=None)
-    @given(_orbits())
+# Explicit cases of the orbit loop's parity with the reference walk.
+_WALK_CASES = [
     # A harmonic delta-probe orbit, as the stability block runs it.
-    @example(_orbit_case(["x2", "-x1"], [0.3, 0.1], sample_times(8.0, 0.1)[1:],
-                         rel_tol=1e-10, abs_tol=1e-13))
+    _orbit_case(["x2", "-x1"], [0.3, 0.1], sample_times(8.0, 0.1)[1:],
+                rel_tol=1e-10, abs_tol=1e-13),
     # One step to 0.2, then one from 0.2 onto the horizon 0.9: without the
     # snap onto the horizon, t ends at 0.2 + 0.7, just below 0.9, and one
     # more step follows. Then one step to the horizon, with 0.2 inside it.
-    @example(_orbit_case(["0"], [1.0], [0.2, 0.9], dt=0.2))
-    @example(_orbit_case(["0"], [1.0], [0.2, 0.9], method="rk4_fixed", dt=100.0))
+    _orbit_case(["0"], [1.0], [0.2, 0.9], dt=0.2),
+    _orbit_case(["0"], [1.0], [0.2, 0.9], method="rk4_fixed", dt=100.0),
     # Several samples per step, and several steps per sample.
-    @example(_orbit_case(["x2", "-x1"], [1.0, 0.0], sample_times(2.0, 0.01)[1:],
-                         rel_tol=1e-3, abs_tol=1e-6))
-    @example(_orbit_case(["x2", "-x1"], [1.0, 0.0], [1.5, 3.0], rel_tol=1e-12, abs_tol=1e-14))
+    _orbit_case(["x2", "-x1"], [1.0, 0.0], sample_times(2.0, 0.01)[1:],
+                rel_tol=1e-3, abs_tol=1e-6),
+    _orbit_case(["x2", "-x1"], [1.0, 0.0], [1.5, 3.0], rel_tol=1e-12, abs_tol=1e-14),
     # Targets on step endpoints (0.25 and 1.5, and with RK4 each target):
     # there the sample is the new state, not the extension at theta = 1.
-    @example(_orbit_case(["1"], [0.0], [0.25, 1.0, 1.5, 2.0], dt=0.25))
-    @example(_orbit_case(["x1"], [1.0], [0.25, 1.0, 1.5, 2.0], method="rk4_fixed", dt=0.25))
+    _orbit_case(["1"], [0.0], [0.25, 1.0, 1.5, 2.0], dt=0.25),
+    _orbit_case(["x1"], [1.0], [0.25, 1.0, 1.5, 2.0], method="rk4_fixed", dt=0.25),
     # RK4 with its step above out_dt: three or four samples per step.
-    @example(_orbit_case(["x2", "-x1"], [1.0, 0.0], sample_times(2.0, 0.1)[1:],
-                         method="rk4_fixed", dt=0.35))
+    _orbit_case(["x2", "-x1"], [1.0, 0.0], sample_times(2.0, 0.1)[1:],
+                method="rk4_fixed", dt=0.35),
     # The slope -1/x1 blows up at t = 0.5: the step size underflows.
-    @example(_orbit_case(["-1 / x1"], [1.0], [0.4, 1.0], max_steps=10_000))
+    _orbit_case(["-1 / x1"], [1.0], [0.4, 1.0], max_steps=10_000),
     # Escape at the start, before any step.
-    @example(_orbit_case(["x2", "-x1"], [3.0, 4.0], [1.0], blowup_radius=4.0))
-    @example(_orbit_case(["x2", "-x1"], [3.0, 4.0], [1.0], method="rk4_fixed",
-                         blowup_radius=4.0))
+    _orbit_case(["x2", "-x1"], [3.0, 4.0], [1.0], blowup_radius=4.0),
+    _orbit_case(["x2", "-x1"], [3.0, 4.0], [1.0], method="rk4_fixed",
+                blowup_radius=4.0),
     # A domain failure of the first slope, and one inside an RK4 step.
-    @example(_orbit_case(["sqrt(x1)"], [-1.0], [1.0]))
-    @example(_orbit_case(["-sqrt(x1 - 0.5)"], [1.0], [3.0], method="rk4_fixed", dt=0.4))
+    _orbit_case(["sqrt(x1)"], [-1.0], [1.0]),
+    _orbit_case(["-sqrt(x1 - 0.5)"], [1.0], [3.0], method="rk4_fixed", dt=0.4),
+]
+
+
+def _with(cases):
+    """The hypothesis test, with each of cases as an explicit example."""
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+# Random cases of a parity test of the native loop, each a build of its own.
+_NATIVE_EXAMPLES = 40
+
+
+def _native_orbit(V, y, targets, cfg):
+    """_generated_orbit's result from the native loop, resumed in the
+    orbit loop where it stops; the orbit loop's where there is no native
+    loop."""
+    flow_module = importlib.import_module("lyapset.flow")
+    run = flow_module._native(V, cfg.method)
+    if run is None:
+        return _generated_orbit(V, y, targets, cfg)
+    out = []
+    starts = np.array([y], float)
+    visit = lambda rows, j, states: out.extend(states.tolist())  # noqa: E731
+    errors, left, attempts = run(starts, np.asarray(targets, float), cfg, visit)
+    if errors:
+        return out, None, errors[0]
+    resumed = list(flow_module._unfinished(starts, left))
+    if resumed:
+        (_, start, resume), = resumed
+        return _generated_orbit(V, start, targets, cfg, out, resume)
+    return out, int(attempts[0]), None
+
+
+class TestGeneratedOrbit:
+    @settings(max_examples=200, deadline=None)
+    @given(_orbits())
+    @_with(_WALK_CASES)
     def test_bitwise_equal_to_reference_walk(self, case):
         V, y, targets, cfg = case
         assert _orbit_bits(_generated_orbit(V, y, targets, cfg)) == _orbit_bits(
             _reference_orbit(V, y, targets, cfg)
         )
 
+    @settings(max_examples=_NATIVE_EXAMPLES, deadline=None)
+    @given(_orbits())
+    @_with(_WALK_CASES)
+    def test_native_loop_bitwise_equal_to_reference_walk(self, case):
+        V, y, targets, cfg = case
+        assert _orbit_bits(_native_orbit(V, y, targets, cfg)) == _orbit_bits(
+            _reference_orbit(V, y, targets, cfg)
+        )
 
-def _lane_samples(V, starts, targets, cfg, loop=LANES):
+
+def _lane_samples(V, starts, targets, cfg, loop=LANES, attempts=False):
     """Per start of one integrate_lanes call, with _LANES_FROM set to loop:
     the bits of its samples, in the order visit saw them, and the
-    _error_bits of the error returned for it."""
+    _error_bits of the error returned for it, then, with attempts, the
+    attempts it carries."""
     samples = [[] for _ in starts]
 
     def visit(rows, j, states):
@@ -324,7 +375,10 @@ def _lane_samples(V, starts, targets, cfg, loop=LANES):
         errors = integrate_lanes(V, starts, targets, cfg, visit)
     assert set(errors) <= set(range(len(starts)))
     assert all(isinstance(error, _FAILURES) for error in errors.values())
-    return [(samples[i], _error_bits(errors.get(i))) for i in range(len(starts))]
+    rows = [(samples[i], _error_bits(errors.get(i))) for i in range(len(starts))]
+    if attempts:
+        rows = [(*row, getattr(errors.get(i), "attempts", None)) for i, row in enumerate(rows)]
+    return rows
 
 
 def _orbit_samples(V, y, targets, cfg):
@@ -403,69 +457,75 @@ def _lane_batches(draw):
     return V, starts, targets, cfg
 
 
-class TestLaneBatch:
-    @settings(max_examples=200, deadline=None)
-    @given(_lane_batches())
+# Explicit cases of the lane batch's parity with the orbit loop.
+_LANE_CASES = [
     # One case per place where the scalar code raises: each guard, then
     # each Python float or math exception, then a non-finite operand of
     # exp, which fails though exp(-inf) is finite, then a constant
     # expression that raises on every lane.
-    @example(_lanes_case(["x1 * 1e300 * 1e300"], [[1.0], [0.0]]))
-    @example(_lanes_case(["tanh(x1 * 1e300 * 1e300)"], [[1.0], [0.5e-300]]))
-    @example(_lanes_case(["(x1 * 1e300 * 1e300)^0"], [[1.0], [1e-300]]))
-    @example(_lanes_case(["1 / (x1 * 1e300 * 1e300)"], [[1.0], [1e-300]]))
-    @example(_lanes_case(["min(x1 * 1e300 * 1e300, -x1)"], [[1.0], [0.0]]))
-    @example(_lanes_case(["max(-x1, x1 * 1e300 * 1e300)"], [[1.0], [-1e-300]]))
-    @example(_lanes_case(["sqrt(x1)"], [[-1.0], [-0.0], [2.0]]))
-    @example(_lanes_case(["sin(x1 * 1e300 * 1e300)"], [[1.0], [-3.0e-300]]))
-    @example(_lanes_case(["cos(x1 * 1e300 * 1e300)"], [[-1.0], [1e-300]]))
-    @example(_lanes_case(["1 / x1"], [[0.0], [-0.0], [0.5]]))
-    @example(_lanes_case(["exp(x1 * 1000)"], [[1.0], [-1.0], [0.5]]))
-    @example(_lanes_case(["x1^-3"], [[1e-300], [0.0], [2.0]]))
-    @example(_lanes_case(["x1^0.5"], [[-1.0], [4.0]]))
-    @example(_lanes_case(["x1^3"], [[1e200], [-1e100]]))
-    @example(_lanes_case(["exp(-(x1 * 1e300 * 1e300))", "-x2"], [[1.0, 1.0], [-1.0, 0.0]]))
-    @example(_lanes_case(["1 / 0 + x1"], [[1.0], [2.0]]))
+    _lanes_case(["x1 * 1e300 * 1e300"], [[1.0], [0.0]]),
+    _lanes_case(["tanh(x1 * 1e300 * 1e300)"], [[1.0], [0.5e-300]]),
+    _lanes_case(["(x1 * 1e300 * 1e300)^0"], [[1.0], [1e-300]]),
+    _lanes_case(["1 / (x1 * 1e300 * 1e300)"], [[1.0], [1e-300]]),
+    _lanes_case(["min(x1 * 1e300 * 1e300, -x1)"], [[1.0], [0.0]]),
+    _lanes_case(["max(-x1, x1 * 1e300 * 1e300)"], [[1.0], [-1e-300]]),
+    _lanes_case(["sqrt(x1)"], [[-1.0], [-0.0], [2.0]]),
+    _lanes_case(["sin(x1 * 1e300 * 1e300)"], [[1.0], [-3.0e-300]]),
+    _lanes_case(["cos(x1 * 1e300 * 1e300)"], [[-1.0], [1e-300]]),
+    _lanes_case(["1 / x1"], [[0.0], [-0.0], [0.5]]),
+    _lanes_case(["exp(x1 * 1000)"], [[1.0], [-1.0], [0.5]]),
+    _lanes_case(["x1^-3"], [[1e-300], [0.0], [2.0]]),
+    _lanes_case(["x1^0.5"], [[-1.0], [4.0]]),
+    _lanes_case(["x1^3"], [[1e200], [-1e100]]),
+    _lanes_case(["exp(-(x1 * 1e300 * 1e300))", "-x2"], [[1.0, 1.0], [-1.0, 0.0]]),
+    _lanes_case(["1 / 0 + x1"], [[1.0], [2.0]]),
     # A cube that np.power rounds differently from libm's pow.
-    @example(_lanes_case(["x1^3"], [[2.3383853854339334], [0.5]]))
+    _lanes_case(["x1^3"], [[2.3383853854339334], [0.5]]),
     # Squares are products: a base whose square pow rounds otherwise, and
     # a square that overflows, also under exp(-inf) = 0.
-    @example(_lanes_case(["x1^2"], [[2.817595433862767], [1e200], [0.5]]))
-    @example(_lanes_case(["exp(-(x1^2))"], [[1e200], [0.5]]))
+    _lanes_case(["x1^2"], [[2.817595433862767], [1e200], [0.5]]),
+    _lanes_case(["exp(-(x1^2))"], [[1e200], [0.5]]),
     # Two steps, to 0.2 and from there onto the horizon 0.9, within a
     # budget of two: without the snap onto the horizon, t ends just below
     # 0.9 and a third step follows. Then one step with 0.2 inside it.
-    @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], dt=0.2, max_steps=2))
-    @example(_batch_case(["0"], [[1.0]], [0.2, 0.9], method="rk4_fixed", dt=100.0,
-                         max_steps=2))
+    _batch_case(["0"], [[1.0]], [0.2, 0.9], dt=0.2, max_steps=2),
+    _batch_case(["0"], [[1.0]], [0.2, 0.9], method="rk4_fixed", dt=100.0,
+                max_steps=2),
     # Several samples per step and lanes apart in time, several steps per
     # sample, targets on step endpoints, and RK4 with its step above out_dt.
-    @example(_batch_case(["x2", "-x1"], [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
-                         sample_times(2.0, 0.01)[1:], rel_tol=1e-3, abs_tol=1e-6))
-    @example(_batch_case(["x2", "-x1"], [[1.0, 0.0], [0.5, 0.5]], [1.5, 3.0],
-                         rel_tol=1e-12, abs_tol=1e-14))
-    @example(_batch_case(["1"], [[0.0], [1.0]], [0.25, 1.0, 1.5, 2.0], dt=0.25))
-    @example(_batch_case(["x1"], [[1.0], [-0.5]], [0.25, 1.0, 1.5, 2.0], method="rk4_fixed",
-                         dt=0.25))
-    @example(_batch_case(["x2", "-x1"], [[1.0, 0.0], [0.3, -0.2]], sample_times(2.0, 0.1)[1:],
-                         method="rk4_fixed", dt=0.35))
+    _batch_case(["x2", "-x1"], [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
+                sample_times(2.0, 0.01)[1:], rel_tol=1e-3, abs_tol=1e-6),
+    _batch_case(["x2", "-x1"], [[1.0, 0.0], [0.5, 0.5]], [1.5, 3.0],
+                rel_tol=1e-12, abs_tol=1e-14),
+    _batch_case(["1"], [[0.0], [1.0]], [0.25, 1.0, 1.5, 2.0], dt=0.25),
+    _batch_case(["x1"], [[1.0], [-0.5]], [0.25, 1.0, 1.5, 2.0], method="rk4_fixed",
+                dt=0.25),
+    _batch_case(["x2", "-x1"], [[1.0, 0.0], [0.3, -0.2]], sample_times(2.0, 0.1)[1:],
+                method="rk4_fixed", dt=0.35),
     # Lanes that leave the batch at different targets: the step size of
     # the first underflows where -1/x1 blows up at t = 0.5; the second
     # finishes.
-    @example(_batch_case(["-1 / x1"], [[1.0], [2.0]], [0.4, 1.0], max_steps=10_000))
+    _batch_case(["-1 / x1"], [[1.0], [2.0]], [0.4, 1.0], max_steps=10_000),
     # A stage overflows in an attempt at the smallest step size: the scalar
     # loop raises the domain failure before its step control can underflow.
-    @example(_batch_case(["x1 * 1e300"], [[0.1], [0.0]], [1e-12], dt=1e-12,
-                         blowup_radius=1e308))
+    _batch_case(["x1 * 1e300"], [[0.1], [0.0]], [1e-12], dt=1e-12,
+                blowup_radius=1e308),
     # Harmonic delta probes, one of them started outside the blow-up
     # radius, all out of step budget before the horizon.
-    @example(_batch_case(["x2", "-x1"], [[0.3, 0.1], [3.0, 4.0], [0.0, 1.0]],
-                         sample_times(8.0, 0.1)[1:], blowup_radius=4.0, max_steps=60))
-    @example(_batch_case(["x1"], [[1.0], [0.5], [-2.0]], sample_times(3.0, 0.5)[1:],
-                         method="rk4_fixed", dt=0.1, blowup_radius=4.0))
+    _batch_case(["x2", "-x1"], [[0.3, 0.1], [3.0, 4.0], [0.0, 1.0]],
+                sample_times(8.0, 0.1)[1:], blowup_radius=4.0, max_steps=60),
+    _batch_case(["x1"], [[1.0], [0.5], [-2.0]], sample_times(3.0, 0.5)[1:],
+                method="rk4_fixed", dt=0.1, blowup_radius=4.0),
     # Escapes and domain failures in one batch: the lanes that fail in the
     # field resume in the orbit loop for their errors.
-    @example(_MIXED_GRID)
+    _MIXED_GRID,
+]
+
+
+class TestLaneBatch:
+    @settings(max_examples=200, deadline=None)
+    @given(_lane_batches())
+    @_with(_LANE_CASES)
     def test_bitwise_equal_to_orbit_loop(self, case):
         # Every lane threshold: the batch alone, then the batch handing its
         # last lanes to orbit loops at each pass a lane leaves, then orbit
@@ -474,6 +534,15 @@ class TestLaneBatch:
         alone = [_orbit_samples(V, y, targets, cfg) for y in starts]
         for loop in (LANES, *range(2, len(starts) + 1), ORBITS):
             assert _lane_samples(V, starts, targets, cfg, loop) == alone, loop
+
+    @settings(max_examples=_NATIVE_EXAMPLES, deadline=None)
+    @given(_lane_batches())
+    @_with(_LANE_CASES)
+    def test_native_loop_bitwise_equal_to_orbit_loop(self, case):
+        V, starts, targets, cfg = case
+        alone = [_orbit_samples(V, y, targets, cfg) for y in starts]
+        with native(True):
+            assert _lane_samples(V, starts, targets, cfg, ORBITS) == alone
 
     @pytest.mark.parametrize("text", ["x1^2", "exp(-(x1^2))"])
     def test_square_overflow_fails_its_lane(self, text):
@@ -531,24 +600,40 @@ class TestLoopDispatch:
         monkeypatch.setattr(module, "_compiled", recording)
         for m in (1, module._LANES_FROM - 1, module._LANES_FROM, module._LANES_FROM + 1):
             generated.clear()
-            integrate_lanes(osc, np.zeros((m, 2)), [0.5], cfg, lambda rows, j, states: None)
-            assert generated == [m >= module._LANES_FROM]
+            with native(False):
+                integrate_lanes(osc, np.zeros((m, 2)), [0.5], cfg, lambda rows, j, states: None)
+            # The orbit loop, which holds the work meter, and the batch.
+            assert generated == [False] + [True] * (m >= module._LANES_FROM)
 
     @pytest.mark.parametrize("name", sorted(_DISPATCH_CASES))
     def test_either_loop_gives_the_same_bits(self, name, monkeypatch):
         (V, starts, targets, cfg), ends = _DISPATCH_CASES[name]
-        lanes = _lane_samples(V, starts, targets, cfg, LANES)
-        assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
-        got = {row: error[1] for row, (_, error) in enumerate(lanes) if error}
+        with native(False):
+            lanes = _lane_samples(V, starts, targets, cfg, LANES)
+            assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
+            got = {row: error[1] for row, (_, error) in enumerate(lanes) if error}
+            assert got.keys() == ends.keys()
+            assert all(got[row].startswith(end) for row, end in ends.items())
+            # At each threshold inside the batch, the batch hands its lanes
+            # to orbit loops once enough have left, so failures come from
+            # resumed orbits too, with the same bits.
+            orbits = _record_orbits(monkeypatch)
+            for loop in range(2, len(starts) + 1):
+                assert _lane_samples(V, starts, targets, cfg, loop) == lanes, loop
+        assert ends.keys() & {row for row, _, resume in orbits if resume is not None}
+
+    @pytest.mark.parametrize("name", sorted(_DISPATCH_CASES))
+    def test_native_loop_gives_the_same_bits(self, name):
+        # The native loop, and the orbit loop where it resumes a row: the
+        # orbit loop's bits, and every error carries the same attempts.
+        (V, starts, targets, cfg), ends = _DISPATCH_CASES[name]
+        with native(False):
+            alone = _lane_samples(V, starts, targets, cfg, ORBITS, attempts=True)
+        with native(True):
+            assert _lane_samples(V, starts, targets, cfg, ORBITS, attempts=True) == alone
+        got = {row: error[1] for row, (_, error, _) in enumerate(alone) if error}
         assert got.keys() == ends.keys()
         assert all(got[row].startswith(end) for row, end in ends.items())
-        # At each threshold inside the batch, the batch hands its lanes to
-        # orbit loops once enough have left, so failures come from resumed
-        # orbits too, with the same bits.
-        orbits = _record_orbits(monkeypatch)
-        for loop in range(2, len(starts) + 1):
-            assert _lane_samples(V, starts, targets, cfg, loop) == lanes, loop
-        assert ends.keys() & {row for row, _, resume in orbits if resume is not None}
 
     def test_no_sample_inside_an_escaping_step(self):
         # x e^t leaves radius 4 at t = ln(4 / x), inside a step that ends
@@ -588,10 +673,17 @@ class TestLoopDispatch:
             assert limited.attempts == error.attempts - 1
         # With both starts in a batch, the second escapes first and the
         # first finishes in a resumed orbit loop.
-        with lanes_from(2):
+        with lanes_from(2), native(False):
             errors = integrate_lanes(V, starts, targets, cfg, ignore)
         assert not hasattr(errors[1], "attempts")
         assert (str(errors[0]), errors[0].attempts) == (str(error), error.attempts)
+        # The native loop's escapes carry their attempts too.
+        with lanes_from(ORBITS), native(False):
+            second = integrate_lanes(V, starts[1:], targets, cfg, ignore)[0]
+        with native(True):
+            errors = integrate_lanes(V, starts, targets, cfg, ignore)
+        assert [(str(e), e.attempts) for e in (errors[0], errors[1])] == [
+            (str(error), error.attempts), (str(second), second.attempts)]
 
     @pytest.mark.parametrize("name", ["mixed", "sqrt"])
     def test_lanes_failed_in_the_field_resume_at_the_failing_attempt(self, name, monkeypatch):
@@ -622,7 +714,8 @@ class TestLoopDispatch:
                 with pytest.raises(StepLimitError):
                     orbit(starts[row], targets, replace(cfg, max_steps=attempts), [])
         orbits.clear()
-        assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
+        with native(False):
+            assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
         assert orbits == [(row, y, None) for row, y in enumerate(starts)]
 
 

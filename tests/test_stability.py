@@ -1,11 +1,13 @@
 import importlib
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import LANES, ORBITS, circle_cloud, count_generators, lanes_from, orbit_attempts
+from conftest import (LANES, ORBITS, circle_cloud, count_generators, lanes_from, native,
+                      native_builds, orbit_attempts)
 from flow_reference import _walk
 from lyapset import stability
 from lyapset.cli import _run_stability
@@ -672,9 +674,11 @@ def _bundled_stability(name: str):
 def _count_stability_orbits(monkeypatch) -> list:
     """Log one entry per orbit that starts in the stability module's own
     distance passes, its delta probes and invariance check, not its grid:
-    one per run of the orbit loop, or per lane of a batch."""
+    one per run of the orbit loop, or per lane of a batch. The native loop
+    is off: it runs every row of a pass's buffer, past an early stop."""
     calls, inside = [], []
     flow = importlib.import_module("lyapset.flow")
+    monkeypatch.setattr(flow, "_NATIVE_FROM", sys.maxsize)
     compiled, distance_pass = flow._compiled, stability._distance_pass
 
     def counting_compiled(V, method, lanes=False):
@@ -741,6 +745,36 @@ def test_failing_probes_stop_at_their_first_exit(monkeypatch):
     assert len(calls) == 21
 
 
+def _saddle_first_exits(on: bool, monkeypatch):
+    """The saddle case of the first-exit tests: per lane threshold LANES,
+    60 and ORBITS, with the native loop on or off, the (witness, worst
+    bits) of _first_exit and the resume arguments of the orbit loops it
+    ran."""
+    V = VectorFieldSpec.from_strings(["-x1", "x2"])
+    points = np.stack([np.linspace(-0.45, 0.45, 60), np.zeros(60)], axis=1)
+    points[40, 1] = 0.1
+    times = sample_times(10.0, 0.1)
+    cfg = IntegratorConfig(blowup_radius=4.0)
+    flow = importlib.import_module("lyapset.flow")
+    compiled = flow._compiled
+    runs = []
+
+    def recording(V, method, lanes=False):
+        loop = compiled(V, method, lanes)
+        return loop if lanes else lambda y, *args: runs[-1].append(args[-1]) or loop(y, *args)
+
+    monkeypatch.setattr(flow, "_compiled", recording)
+    exits = []
+    for loop in (LANES, len(points), ORBITS):
+        runs.append([])
+        with lanes_from(loop), native(on):
+            witness, worst = stability._first_exit(V, ORIGIN_2D, points, 0.5, times, cfg)
+        exits.append((witness.tolist(), [v.hex() for v in worst.tolist()]))
+    assert exits[0][0] == points[40].tolist()
+    assert exits[1] == exits[0] and exits[2] == exits[0]
+    return V, runs
+
+
 def test_first_exit_stops_across_the_lane_handoff(monkeypatch):
     # The saddle's origin is unstable. Of 60 points, 59 lie on its stable
     # axis and decay, so their largest distance is their first; point 40
@@ -750,29 +784,17 @@ def test_first_exit_stops_across_the_lane_handoff(monkeypatch):
     # its other 59 lanes to orbit loops when point 40 escapes: the _Stop
     # raised in the visit of point 39's resumed orbit ends the pass, and
     # points 41-59 never run there.
-    V = VectorFieldSpec.from_strings(["-x1", "x2"])
-    points = np.stack([np.linspace(-0.45, 0.45, 60), np.zeros(60)], axis=1)
-    points[40, 1] = 0.1
-    times = sample_times(10.0, 0.1)
-    cfg = IntegratorConfig(blowup_radius=4.0)
-    flow = importlib.import_module("lyapset.flow")
-    resumes, compiled = [], flow._compiled
+    _, (_, resumes, _) = _saddle_first_exits(False, monkeypatch)
+    assert len(resumes) == 40 and None not in resumes
 
-    def recording(V, method, lanes=False):
-        loop = compiled(V, method, lanes)
-        return loop if lanes else lambda y, *args: resumes.append(args[-1]) or loop(y, *args)
 
-    monkeypatch.setattr(flow, "_compiled", recording)
-    exits = []
-    for loop in (LANES, len(points), ORBITS):
-        resumes.clear()
-        with lanes_from(loop):
-            witness, worst = stability._first_exit(V, ORIGIN_2D, points, 0.5, times, cfg)
-        exits.append((witness.tolist(), [v.hex() for v in worst.tolist()]))
-        if loop == len(points):
-            assert len(resumes) == 40 and None not in resumes
-    assert exits[0][0] == points[40].tolist()
-    assert exits[1] == exits[0] and exits[2] == exits[0]
+def test_first_exit_from_the_native_loop(monkeypatch):
+    # The native loop runs all 60 points in one buffer, and no orbit loop,
+    # as none fails in the field; the _Stop in that buffer's visit ends
+    # the pass with the same witness and largest distances.
+    V, runs = _saddle_first_exits(True, monkeypatch)
+    if native_builds(V):
+        assert runs == [[], [], []]
 
 
 class TestClassifyStabilityOnePass:
