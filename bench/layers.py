@@ -23,31 +23,36 @@ compiled and cached:
                    rel_tol 1e-10, abs_tol 1e-13
   converse_orbit   one orbit of the 4-D cycle field of perfbench's
                    cycle_cloud: T = 10, out_dt 0.02, default tolerances
-  lane_batch/<field>/<m>
-                   integrate_lanes with flow._LANES_FROM forced to 1, so
-                   that the lane batch runs every lane to its end, on m =
+  orbit_loop/<field>/<m>
+                   integrate_lanes with flow._NATIVE_FROM forced to
+                   sys.maxsize: one generated orbit loop per start, on m =
                    1, 3, 25, 49 and 100 starts: the harmonic field from
                    [-1, 1]^2 with the probe_orbit tolerances, the cycle
                    field from [-1, 1]^4 with the default ones; T = 8,
                    out_dt 0.1
-  orbit_loop/<field>/<m>
-                   the same with _LANES_FROM forced to sys.maxsize: one
-                   generated orbit loop per start
   native_orbit/<field>/<m>
-                   the same with flow._NATIVE_FROM forced to 0: the native
-                   loop runs every start, where the checkout has one and
-                   it builds; the native layers are left out elsewhere
-  lane_batch/vdp/1681
-                   lane_batch on perfbench's vdp_roa_grid: the reversed
+                   the same with _NATIVE_FROM forced to 0: the native loop
+                   runs every start, where the checkout has one and it
+                   builds; the native layers are left out elsewhere
+  lane_batch/<field>/<m>
+                   the same with flow._LANES_FROM forced to 1 and the
+                   native loop off, so that the NumPy lane batch runs
+                   every lane to its end; only where the checkout has
+                   _LANES_FROM, as checkouts before the batch was removed
+                   do
+  native_orbit/vdp/1681
+                   native_orbit on perfbench's vdp_roa_grid: the reversed
                    Van der Pol field from the 41 x 41 grid nodes of
                    [-3, 3]^2, T = 20, out_dt 0.05, rel_tol 1e-9, abs_tol
                    1e-12; it has no orbit_loop counterpart
-  native_orbit/vdp/1681
-                   the same grid through the native loop
+  lane_batch/vdp/1681
+                   the same grid through the lane batch, where the
+                   checkout has one
   integrate_lanes/vdp/1681
                    the same grid at the checkout's own defaults, as
-                   roa_grid runs it: where the batch hands its last lanes
-                   to orbit loops, or the native loop runs, it does so here
+                   roa_grid runs it: where the native loop runs, or a lane
+                   batch hands its last lanes to orbit loops, it does so
+                   here
   native_build     one cold build of the native loop of the 4-D cycle
                    field, into a temporary cache
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
@@ -70,18 +75,18 @@ where a checkout builds a field's native loop once the field has done
 enough work in the process, converse_orbit and the analyses run it.
 
 A checkout whose flow module generates whole orbit loops, _compiled(V,
-method) with an optional lanes switch, also reports per layer the runs of
-the orbit loop, from a start or resumed from a lane or a native row, the
-rows of the native loop, and the step attempts made in them; the
-attempts a lane made before the orbit loop resumed it are not counted,
-nor are lanes, while a native row's attempts come from the per-row
-counts that the native loop returns, so that they equal the orbit loop's.
-These repeat exactly, and each checkout's per-attempt times use its own
-counts. Per checkout, orbit_over_lane gives, per field and m, the median
-time of the orbit loops over that of the lane batch: above 1 the batch
-is faster; orbit_over_native gives the orbit loops' over the native
-loop's. This is a measurement, not a gate: perfbench holds the gated
-end-to-end metrics.
+method), also reports per layer the runs of the orbit loop, from a start
+or resumed from a native row (or from a lane, where the checkout has a
+lane batch), the rows of the native loop, and the step attempts made in
+them; a native row's attempts come from the per-row counts that the
+native loop returns, so that they equal the orbit loop's, while lanes
+and the attempts a lane made before the orbit loop resumed it are not
+counted. These repeat exactly, and each checkout's per-attempt times use
+its own counts. Per checkout, orbit_over_native gives, per field and m,
+the median time of the orbit loops over that of the native loop: above 1
+the native loop is faster; orbit_over_lane gives the same over the lane
+batch, where the checkout has one. This is a measurement, not a gate:
+perfbench holds the gated end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ HARMONIC = ["x2", "-x1"]
 CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
 CYCLE_X0 = [0.5, 0.0, 0.0, 0.0]  # cycle_cloud's omega start
 VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
-# field/m of the lane_batch and orbit_loop layers
+# field/m of the orbit_loop, native_orbit and lane_batch layers
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
@@ -142,15 +147,16 @@ def _timed(fn, runs: int, calls: int) -> list[dict]:
 
 
 def _counting(compiled, counts: list[int]):
-    """compiled, the generator of whole orbit loops, with scalar loops that
-    add each run and its own attempts to counts: a run resumed from a lane
-    or a native row (its fifth argument, whose third entry is the
+    """compiled, the generator of whole orbit loops, with orbit loops that
+    add each run and its own attempts to counts: a run resumed from a
+    native row or a lane (its fifth argument, whose third entry is the
     attempts made before) adds only those it makes. A run that raises adds
-    the attempts its error carries, where the loop attaches them. Lane
-    batches pass uncounted."""
-    def counted(V, method, lanes=False):
-        if lanes:
-            return compiled(V, method, lanes=True)
+    the attempts its error carries, where the loop attaches them. Any
+    other form that compiled generates, given options, such as an older
+    checkout's lane batch, passes uncounted."""
+    def counted(V, method, **options):
+        if options:
+            return compiled(V, method, **options)
         orbit = compiled(V, method)
 
         def run(*args):
@@ -275,7 +281,8 @@ def worker(src: str) -> dict:
     }
     targets = numpy.asarray(ls.sample_times(8.0, 0.1)[1:])
     fields = {"harmonic": (harmonic, tight), "cycle": (cycle, ls.IntegratorConfig())}
-    loops = ["lane_batch", "orbit_loop"] + (["native_orbit"] if native else [])
+    loops = ((["lane_batch"] if hasattr(flow, "_LANES_FROM") else []) + ["orbit_loop"]
+             + (["native_orbit"] if native else []))
     for batch in BATCHES:
         field, m = batch.split("/")
         V, cfg = fields[field]

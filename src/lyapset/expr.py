@@ -14,12 +14,7 @@ per-field step in flow.py. Both evaluators use the same primitive
 operations (math.pow and friends, and a * a for a^2), so values agree
 bitwise wherever both succeed.
 
-The generator also writes a lane form of the same code, in which every
-operand is a NumPy array holding one value per lane (one start of a
-batch of orbits). It performs the same IEEE operations in the same
-order, with functions picked to round as libm does, and instead of
-raising it clears a mask ok on the lanes where the scalar code raises.
-Its third form is C, for the integrator's native loop: the same
+The generator also writes C, for the integrator's native loop: the same
 operations in the same order, libm's functions, min and max as the
 builtins' comparisons, and a jump to the label failed where the Python
 code raises.
@@ -30,8 +25,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -400,79 +393,12 @@ _NAMESPACE.update(EvalDomainError=EvalDomainError, EscapedDomainError=EscapedDom
 _SYMBOLS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
-def _lane_fold(prefer):
-    """Builtin min or max over lanes: fold left, taking the next argument
-    b only where prefer(b, current) holds, so NaN and signed-zero results
-    match the builtins."""
-    def fold(a, *rest):
-        for b in rest:
-            a = np.where(prefer(b, a), b, a)
-        return a
-    return fold
-
-
-def _lane_each(fn):
-    """Apply a math function lane by lane, where NumPy's ufunc rounds
-    differently from libm."""
-    def each(a):
-        if np.ndim(a):
-            return np.fromiter(map(fn, a.tolist()), float, a.size)
-        return fn(a)
-    return each
-
-
-def _exp_or_inf(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:  # the ok mask flags it
-        return math.inf
-
-
-# Globals of generated lane code. np.float_power, np.sin, np.cos and
-# np.sqrt return libm's bits; np.power, np.exp and np.tanh do not always.
-# pow serves exponents other than 2: every evaluator takes a^2 as a * a,
-# the correctly rounded square. The lane batch records the two flow errors.
-_LANE_NAMESPACE = {
-    "EscapedDomainError": EscapedDomainError,
-    "StepLimitError": StepLimitError,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "pow": np.float_power,
-    "exp": _lane_each(_exp_or_inf),
-    "tanh": _lane_each(math.tanh),
-    "min": _lane_fold(np.less),
-    "max": _lane_fold(np.greater),
-    "isfinite": np.isfinite,
-    "isinf": np.isinf,
-    "where": np.where,
-    "fmin": np.fmin,
-    "fmax": np.fmax,
-    "array": np.array,
-    "full_like": np.full_like,
-    "zeros": np.zeros,
-    "ones": np.ones,
-    "arange": np.arange,
-    "inf": math.inf,
-}
-# Lanes where an operation does not raise in Python, as masks over its
-# operands a, b and its value t. sqrt raises below zero but not on NaN
-# (a != a), sin and cos on infinities, a division on a zero divisor, exp
-# and pow when finite operands give a non-finite value.
-_LANE_OK_BEFORE = {
-    "sqrt": "({a} >= 0.0) | ({a} != {a})",
-    "sin": "~isinf({a})",
-    "cos": "~isinf({a})",
-    "div": "{b} != 0.0",
-}
-_LANE_OK_AFTER = {
-    "exp": "isfinite({t})",  # its operand is checked before
-    "pow": "isfinite({t}) | ~isfinite({b})",
-}
-
-
-# The same conditions in C, where a failing one ends the attempt: the
-# row's loop stops before it and the orbit loop resumes it there.
+# Where an operation does not raise in Python, as C conditions over its
+# operands a, b and its value t; where one fails, the attempt ends: the
+# row's loop stops before it and the orbit loop resumes it there. sqrt
+# raises below zero but not on NaN (a != a), sin and cos on infinities, a
+# division on a zero divisor, exp and pow when finite operands give a
+# non-finite value.
 _C_OK_BEFORE = {
     "sqrt": "{a} >= 0.0 || {a} != {a}",
     "sin": "!isinf({a})",
@@ -480,7 +406,7 @@ _C_OK_BEFORE = {
     "div": "{b} != 0.0",
 }
 _C_OK_AFTER = {
-    "exp": "isfinite({t})",
+    "exp": "isfinite({t})",  # its operand is checked before
     "pow": "isfinite({t}) || !isfinite({b})",
 }
 _C_FAIL = "goto failed;"
@@ -490,9 +416,7 @@ def _guard(code: list[str], e: Expr, operand: str, message: str, target: str) ->
     """Append a finiteness check of operand, the value of node e."""
     if isinstance(e, Const) and math.isfinite(e.value):
         return
-    if target == "lanes":
-        code.append(f"ok &= isfinite({operand})")
-    elif target == "c":
+    if target == "c":
         code.append(f"if (!isfinite({operand})) {_C_FAIL}")
     else:
         code.append(f"if not -inf < {operand} < inf: raise EvalDomainError({message!r})")
@@ -506,11 +430,10 @@ def _assign(name: str, text: str, target: str) -> str:
 def _emit(e: Expr, xs, code: list[str], target: str = "python") -> str:
     """Append the statements computing e to code; return its operand text.
 
-    xs[i] is the operand text of x_{i+1}. target is "python", "lanes" or
-    "c". With lanes, operands are arrays and the code clears ok where the
-    Python code raises; in C, the code jumps to the label failed there.
+    xs[i] is the operand text of x_{i+1}. target is "python" or "c"; in
+    C, the code jumps to the label failed where the Python code raises.
     """
-    lanes, c = target == "lanes", target == "c"
+    c = target == "c"
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
@@ -557,29 +480,24 @@ def _emit(e: Expr, xs, code: list[str], target: str = "python") -> str:
             _guard(code, e.right, b, _INTERMEDIATE, target)
         text = f"pow({a}, {b})" if e.op == "pow" else f"{a} {_SYMBOLS[e.op]} {b}"
     name = f"t{len(code)}"
-    before, after = (_C_OK_BEFORE, _C_OK_AFTER) if c else (_LANE_OK_BEFORE, _LANE_OK_AFTER)
-    check = "if (!({})) " + _C_FAIL if c else "ok &= {}"
-    if (lanes or c) and e.op in before:
-        code.append(check.format(before[e.op].format(a=a, b=b)))
+    if c and e.op in _C_OK_BEFORE:
+        code.append(f"if (!({_C_OK_BEFORE[e.op].format(a=a, b=b)})) {_C_FAIL}")
     code.append(_assign(name, text, target))
-    if (lanes or c) and e.op in after:
-        ok = after[e.op]
+    if c and e.op in _C_OK_AFTER:
+        ok = _C_OK_AFTER[e.op]
         if e.op == "pow" and isinstance(e.right, Const) and math.isfinite(e.right.value):
             ok = "isfinite({t})"  # the usual exponent, a finite constant
-        code.append(check.format(ok.format(a=a, b=b, t=name)))
+        code.append(f"if (!({ok.format(a=a, b=b, t=name)})) {_C_FAIL}")
     return name
 
 
 def _emit_results(exprs, xs, code: list[str], target: str = "python") -> list[str]:
     """Emit each expression as a checked result; return the plain names that
-    hold the results (an x[i] or literal result gets a temporary, and with
-    lanes a result that reads no variable is spread over the lanes)."""
+    hold the results (an x[i] or literal result gets a temporary)."""
     names = []
     for e in exprs:
         v = _emit(e, xs, code, target)
-        if target == "lanes" and max_var_index(e) == 0:
-            v = f"full_like({xs[0]}, {v})"
-        if not v.isidentifier():  # x[i], a literal or a spread constant
+        if not v.isidentifier():  # x[i] or a literal
             name = f"t{len(code)}"
             code.append(_assign(name, v, target))
             v = name
@@ -589,24 +507,21 @@ def _emit_results(exprs, xs, code: list[str], target: str = "python") -> list[st
 
 
 def _define(name: str, params: str, code: list[str], returns: str, doc: str,
-            lanes: bool = False, attempts: str | None = None):
-    """Exec generated code as one function. Scalar code maps Python's math
-    exceptions to EvalDomainError. Lane code, in which only operations on
-    constants alone raise, catches them itself where it first runs them.
-    Given attempts, a count in scalar code that starts at 0, the lyapset
-    errors the function raises carry its value as `attempts`."""
-    body = code + [f"return {returns}"]
-    if not lanes:
-        body = ["try:", *("    " + line for line in body),
-                "except (ValueError, ZeroDivisionError, OverflowError) as exc:",
-                "    raise EvalDomainError(str(exc)) from exc"]
+            attempts: str | None = None):
+    """Exec generated code as one function that maps Python's math
+    exceptions to EvalDomainError. Given attempts, a count in the code
+    that starts at 0, the lyapset errors the function raises carry its
+    value as `attempts`."""
+    body = ["try:", *("    " + line for line in code + [f"return {returns}"]),
+            "except (ValueError, ZeroDivisionError, OverflowError) as exc:",
+            "    raise EvalDomainError(str(exc)) from exc"]
     if attempts:
         body = [f"{attempts} = 0", "try:", *("    " + line for line in body),
                 "except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:",
                 f"    exc.attempts = {attempts}",
                 "    raise"]
     src = "\n".join([f"def {name}({params}):", *("    " + line for line in body)])
-    scope = dict(_LANE_NAMESPACE if lanes else _NAMESPACE)
+    scope = dict(_NAMESPACE)
     exec(src, scope)  # source is generated solely from validated ASTs
     fn = scope[name]
     fn.__doc__ = doc

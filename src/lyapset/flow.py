@@ -22,46 +22,22 @@ it, as at the last output time, which is therefore flow()'s state.
 
 integrate_lanes() is the one door to the generated loops: every orbit
 runs through it, and a failure comes back as the exception of its row.
-From _LANES_FROM starts up it runs lanes: each start is a column of
-NumPy arrays, with its own time, step size and next output
-time; acceptance is masked per lane, the samples that the steps of one
-pass passed go to the caller together, and a lane leaves the batch when
-it finishes or fails. Below that it runs the orbit loop once per start,
-faster there: a lane pass costs about as much whatever the number of
-lanes. By the same rule the batch stops once fewer than _LANES_FROM
-lanes are live, and the orbit loop finishes each of the rest, resumed
-from the lane's loop state: state, slope, time, step size, next output
-time and attempts so far. The batch is generated too, around the orbit
-loop's step emitter, so the attempt and the step control are written
-once: a lane stage state is one (n, m) array operation, and the orbit
-loop's conditionals become where, fmin or fmax. A lane performs the IEEE
-operations of the scalar loop in the same order, so its samples are
-bitwise those of the scalar loop, and the choice of loop, or the pass at
-which a lane moves to the orbit loop, changes no bit. That rests on NumPy
-functions that round as libm does: float_power for powers other than
-squares and for the step factor (np.power differs), sin, cos and sqrt,
-while exp and tanh are evaluated element by element with math. A square
-a^2 is a * a, the correctly rounded square, in every evaluator, lanes
-included. Where the scalar code raises, a lane leaves the batch with that
-error instead, so one bad start never aborts the batch; a lane that
-failed inside the field has no error text there, and the orbit loop
-resumes it from its state before the failing attempt, which fails there
-again. So no orbit is integrated twice.
-
-The emitter has a third target, C. Once a field and method have done
-enough work in the process, integrate_lanes builds their native loop,
-the orbit loop's attempt statement for statement over doubles and libm,
-with a C compiler ($CC, else cc) and runs it through ctypes, in calls of
-at most _BUFFER samples written to a caller-owned buffer; each filled
-buffer reaches visit in one call, rows ascending. The build is cached
-under ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with
-contraction and builtins off, so that gcc neither fuses a * b + c nor
-merges sin and cos: the native loop's bits are the orbit loop's. Where
-the orbit loop raises inside the field, and on an exhausted budget or a
-step size underflow, the native loop stops the row before that attempt
-and the orbit loop resumes it there and raises the exact error; an
-escape comes back as its time and state. Without a compiler, or where a
-build or load fails, the Python loops run, with the same bits.
+It runs the orbit loop once per start until a field and method have done
+enough work in the process; from then on it builds and runs their native
+loop. The emitter has a second target, C, for it: the orbit loop's
+attempt statement for statement over doubles and libm, built with a C
+compiler ($CC, else cc) and run through ctypes, in calls of at most
+_BUFFER samples written to a caller-owned buffer; each filled buffer
+reaches visit in one call, rows ascending. The build is cached under
+${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with contraction and
+builtins off, so that gcc neither fuses a * b + c nor merges sin and cos:
+the native loop's bits are the orbit loop's. Where the orbit loop raises
+inside the field, and on an exhausted budget or a step size underflow,
+the native loop stops the row before that attempt and the orbit loop
+resumes it there, from the row's loop state, and raises the exact error;
+an escape comes back as its time and state. So no orbit is integrated
+twice. Without a compiler, or where a build or load fails, the orbit loop
+runs every start, with the same bits.
 """
 
 from __future__ import annotations
@@ -181,16 +157,12 @@ class Trajectory:
 
 def _choose(cond: str, a: str, b: str, target: str) -> str:
     """a where cond holds, else b."""
-    if target == "lanes":
-        return f"where({cond}, {a}, {b})"
     return f"{cond} ? {a} : {b}" if target == "c" else f"{a} if {cond} else {b}"
 
 
 def _pick(a: str, op: str, b: str, target: str) -> str:
-    """min(a, b) for op "<" and max(a, b) for ">": a conditional, or over
-    lanes fmin or fmax. Both pick b where a is NaN; no b here can be NaN."""
-    if target == "lanes":
-        return f"{'fmin' if op == '<' else 'fmax'}({a}, {b})"
+    """min(a, b) for op "<" and max(a, b) for ">", as a conditional; it
+    picks b where a is NaN, and no b here can be NaN."""
     return _choose(f"{a} {op} {b}", a, b, target)
 
 
@@ -204,25 +176,17 @@ def _block(head: str, body: list[str], target: str) -> list[str]:
     return [f"{word} ({cond}) {{" if cond else f"{word} {{", *("    " + line for line in body), "}"]
 
 
-def _escape_test(xs, target: str, mask: str = "ok") -> list[str]:
-    """Raise where the state xs left the blow-up radius; over lanes, record
-    the same error for each lane of mask there and clear its ok; in C, end
-    the row there with the state xs."""
+def _escape_test(xs, target: str) -> list[str]:
+    """Raise where the state xs left the blow-up radius; in C, end the row
+    there with the state xs."""
     norm2 = " + ".join(f"{v} * {v}" for v in xs)
-    state = f"[{', '.join(xs)}]"
     if target == "c":
         moves = [f"y{i} = {x};" for i, x in enumerate(xs) if x != f"y{i}"]
         return _block(f"if {norm2} > radius2", [*moves, "goto escaped;"], target)
-    if target != "lanes":
-        return [f"if {norm2} > radius2: raise EscapedDomainError(t, {state})"]
-    return [f"escaped = {mask} & ({norm2} > radius2)", "if escaped.any():",
-            "    errors.update((row, EscapedDomainError(t, state)) for row, t, state in "
-            "zip(rows[escaped].tolist(), t[escaped].tolist(), "
-            f"array({state})[:, escaped].T.tolist()))",
-            "    ok &= ~escaped"]
+    return [f"if {norm2} > radius2: raise EscapedDomainError(t, [{', '.join(xs)}])"]
 
 
-# The StepLimitErrors, formatted where t is the orbit's or lane's time.
+# The StepLimitErrors, formatted where t is the orbit's time.
 _EXCEEDED = 'StepLimitError(f"exceeded {max_steps} steps at t={t:.6g}")'
 _UNDERFLOW = 'StepLimitError(f"step size underflow at t={t:.6g}")'
 
@@ -233,29 +197,19 @@ def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
     the stages with the field inlined, and the step control. On acceptance
     it moves t, tests the blow-up radius at the new state, records every
     target the step passed, then moves y and the slope k1; it sets the next
-    step size h_next. target is "python", the orbit loop's body, "lanes"
-    or "c". With lanes, y is an (n, m) array, one column per lane, and the
-    body clears ok on the lanes where the Python body raises, recording in
-    errors, by row, what it raises on escape and on step size underflow; a
-    lane cleared with no error failed inside the field, and leaves for the
-    orbit loop with its state from before this attempt. The C body is the
-    Python body statement for statement, over doubles and libm; where the
-    Python body raises it jumps, on escape to the label escaped with the
-    escaped state in y, else to the label failed, where the row stops to
-    be resumed before this attempt by the orbit loop, which raises there.
-    It writes each sample to the buffer's count-th entry, as _c_source
-    lays it out, which has room for every target the step can pass."""
+    step size h_next. target is "python", the orbit loop's body, or "c".
+    The C body is the Python body statement for statement, over doubles
+    and libm; where the Python body raises it jumps, on escape to the
+    label escaped with the escaped state in y, else to the label failed,
+    where the row stops to be resumed before this attempt by the orbit
+    loop, which raises there. It writes each sample to the buffer's
+    count-th entry, as _c_source lays it out, which has room for every
+    target the step can pass."""
     n = V.dim
-    lanes, c = target == "lanes", target == "c"
+    c = target == "c"
     end = ";" if c else ""
     ys = [f"y{i}" for i in range(n)]
-    y = "y" if lanes else ys
-    each = [None] if lanes else range(n)  # one statement over lanes, or one per coordinate
     code: list[str] = []
-
-    def at(v, i):
-        """Coordinate i of v, a list of names; or v itself, an (n, m) array."""
-        return v if i is None else v[i]
 
     def assign(names, values) -> list[str]:
         """names = values at once; in C one by one, as no value reads a
@@ -264,24 +218,14 @@ def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
             return [f"{name} = {value};" for name, value in zip(names, values)]
         return [f"{', '.join(names)}, = {', '.join(values)},"]
 
-    def slope(xs, s):
-        """Append the field at xs; return its values, as names or an array."""
-        ks = _emit_results(V.components, xs, code, target)
-        if lanes:
-            code.append(f"k{s} = array([{', '.join(ks)}])")
-        return f"k{s}" if lanes else ks
-
     def stage(s, terms):
         """Append the state y + terms(i) of stage s; return it and its slope."""
         xs = [f"s{s}_{i}" for i in range(n)]
-        if lanes:
-            code.extend([f"s{s} = y + {terms(None)}", f"{', '.join(xs)}, = s{s}"])
-        else:
-            code.extend(f"{xs[i]} = y{i} + {terms(i)}{end}" for i in range(n))
-        return f"s{s}" if lanes else xs, slope(xs, s)
+        code.extend(f"{xs[i]} = y{i} + {terms(i)}{end}" for i in range(n))
+        return xs, _emit_results(V.components, xs, code, target)
 
     def combination(row, i):
-        return " + ".join(f"{c!r} * {at(k[j], i)}" for j, c in row)
+        return " + ".join(f"{weight!r} * {k[j][i]}" for j, weight in row)
 
     def samples(new):
         """Record each target in (t_old, t] that the step from y to the
@@ -290,141 +234,89 @@ def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
         Dormand-Prince's is Hairer's contd5 form of Shampine's 4th-order
         extension; RK4's is the classical one of order 3 (HNW II.6). The
         orbit loop appends each sample to out, the C loop writes it to the
-        buffer; the batch hands every (lane, sample) pair of the pass to
-        one visit call, rows repeating."""
-        def pair(v, i):
-            """Coordinate i of v at a sample: over lanes, v at its lane."""
-            return f"{v}.take(lane, 1)" if lanes else v[i]
-
-        h = "h[lane]" if lanes else "h"
+        buffer."""
         if method == "rk4_fixed":
             prepare = []
             weights = [f"b1 = theta * (1.0 + theta * (-1.5 + theta * {2 / 3!r}))",
                        f"b2 = theta * theta * (1.0 - theta * {2 / 3!r})",
                        f"b4 = theta * theta * (-0.5 + theta * {2 / 3!r})"]
-            value = [f"{pair(y, i)} + {h} * (b1 * {pair(k[1], i)} + b2 * ({pair(k[2], i)} + "
-                     f"{pair(k[3], i)}) + b4 * {pair(k[4], i)})" for i in each]
+            value = [f"y{i} + h * (b1 * {k[1][i]} + b2 * ({k[2][i]} + {k[3][i]}) + "
+                     f"b4 * {k[4][i]})" for i in range(n)]
         else:
-            dd, c3, c4, c5 = (name if lanes else [f"{name}_{i}" for i in range(n)]
-                              for name in ("dd", "c3", "c4", "c5"))
-            prepare = [line for i in each for line in (
-                f"{at(dd, i)} = {at(new, i)} - {at(y, i)}",
-                f"{at(c3, i)} = h * {at(k[1], i)} - {at(dd, i)}",
-                f"{at(c4, i)} = {at(dd, i)} - h * {at(k[7], i)} - {at(c3, i)}",
-                f"{at(c5, i)} = h * ({combination(_DENSE_ROW, i)})",
+            prepare = [line for i in range(n) for line in (
+                f"dd_{i} = {new[i]} - y{i}",
+                f"c3_{i} = h * {k[1][i]} - dd_{i}",
+                f"c4_{i} = dd_{i} - h * {k[7][i]} - c3_{i}",
+                f"c5_{i} = h * ({combination(_DENSE_ROW, i)})",
             )]
             weights = ["theta1 = 1.0 - theta"]
-            value = [f"{pair(y, i)} + theta * ({pair(dd, i)} + theta1 * ({pair(c3, i)} + "
-                     f"theta * ({pair(c4, i)} + theta1 * {pair(c5, i)})))" for i in each]
-        if not lanes:
-            if c:
-                record = lambda values: [  # noqa: E731
-                    f"buf[{n} * count + {i}] = {v};" for i, v in enumerate(values)]
-                advance = ["at[count] = row;", "at[cap + count] = j;", "count += 1;",
-                           "j += 1;", "target = targets[j];"]
-            else:
-                record = lambda values: [f"out.append([{', '.join(values)}])"]  # noqa: E731
-                advance = ["target = next(pending, inf)"]
-            interpolate = [f"theta = (target - t_old) / h{end}", *(w + end for w in weights),
-                           *record(value)]
-            sample = [*_block("if target == t", record(new), target),
-                      *_block("else", interpolate, target), *advance]
-            return _block("if target <= t", [*(line + end for line in prepare),
-                                             *_block("while target <= t", sample, target)],
-                          target)
-        # count: per ok lane, the targets in (t_old, t], counted one at a
-        # time, since a step passes few; ahead is targets, then inf.
-        return ["passed = ok & (ahead[j] <= t)",
-                "if passed.any():",
-                "    count = zeros(passed.size, int)",
-                "    while passed.any():",
-                "        count += passed",
-                "        passed &= ahead[j + count] <= t",
-                *("    " + line for line in prepare),
-                "    lane = arange(count.size).repeat(count)",
-                "    js = arange(lane.size) + (j + count - count.cumsum()).repeat(count)",
-                "    target = ahead[js]",
-                "    theta = (target - t_old[lane]) / h[lane]",
-                *("    " + line for line in weights),
-                f"    sample = {value[0]}",
-                "    hit = target == t[lane]",
-                "    if hit.any():",
-                f"        sample[:, hit] = {new}.take(lane[hit], 1)",
-                "    visit(rows[lane], js, sample.T)",
-                "    j = j + count"]
+            value = [f"y{i} + theta * (dd_{i} + theta1 * (c3_{i} + theta * (c4_{i} + "
+                     f"theta1 * c5_{i})))" for i in range(n)]
+        if c:
+            record = lambda values: [  # noqa: E731
+                f"buf[{n} * count + {i}] = {v};" for i, v in enumerate(values)]
+            advance = ["at[count] = row;", "at[cap + count] = j;", "count += 1;",
+                       "j += 1;", "target = targets[j];"]
+        else:
+            record = lambda values: [f"out.append([{', '.join(values)}])"]  # noqa: E731
+            advance = ["target = next(pending, inf)"]
+        interpolate = [f"theta = (target - t_old) / h{end}", *(w + end for w in weights),
+                       *record(value)]
+        sample = [*_block("if target == t", record(new), target),
+                  *_block("else", interpolate, target), *advance]
+        return _block("if target <= t", [*(line + end for line in prepare),
+                                         *_block("while target <= t", sample, target)],
+                      target)
 
     at_horizon = _choose("h == remaining", "horizon", "t + h", target)
     if method == "rk4_fixed":  # the stages of the reference _rk4_step, term for term
         code.append("h = " + _pick("remaining", "<", "dt", target) + end)
-        if lanes:
-            code.append(f"{', '.join(ys)}, = y")
-        k = {1: slope(ys, 1)}
+        k = {1: _emit_results(V.components, ys, code, target)}
         for s, scale in ((2, "0.5 * h"), (3, "0.5 * h"), (4, "h")):
-            k[s] = stage(s, lambda i: f"{scale} * {at(k[s - 1], i)}")[1]
-        step = [f"{at(y, i)} + h / 6.0 * ({at(k[1], i)} + 2.0 * {at(k[2], i)} + "
-                f"2.0 * {at(k[3], i)} + {at(k[4], i)})" for i in each]
+            k[s] = stage(s, lambda i: f"{scale} * {k[s - 1][i]}")[1]
         xs = [f"s5_{i}" for i in range(n)]
-        code += [f"s5 = {step[0]}", f"{', '.join(xs)}, = s5"] if lanes else assign(xs, step)
+        code += assign(xs, [f"y{i} + h / 6.0 * ({k[1][i]} + 2.0 * {k[2][i]} + "
+                            f"2.0 * {k[3][i]} + {k[4][i]})" for i in range(n)])
         return code + ["t_old = t" + end, f"t = {at_horizon}" + end, *_escape_test(xs, target),
-                       *samples("s5" if lanes else xs),
-                       *(["y = s5"] if lanes else assign(ys, xs))]
+                       *samples(xs), *assign(ys, xs)]
 
     code.append("h = " + _pick("remaining", "<", "h_next", target) + end)
-    k = {1: "k1" if lanes else [f"k1_{i}" for i in range(n)]}
+    k = {1: [f"k1_{i}" for i in range(n)]}
     for s, row in enumerate(_STATE_ROWS, start=2):
         y5, k[s] = stage(s, lambda i: f"h * ({combination(row, i)})")
     # The last state is y5 and its slope is k7.
-    xs = [f"s7_{i}" for i in range(n)]
-    for i in each:
+    fabs = "fabs" if c else "abs"
+    for i in range(n):
         code += [
-            f"a = {'fabs' if c else 'abs'}({at(y, i)}){end}",
-            f"b = {'fabs' if c else 'abs'}({at(y5, i)}){end}",
-            f"{'r' if lanes else f'r{i}'} = h * ({combination(_ERROR_ROW, i)}) / "
+            f"a = {fabs}(y{i}){end}",
+            f"b = {fabs}({y5[i]}){end}",
+            f"r{i} = h * ({combination(_ERROR_ROW, i)}) / "
             f"(atol + rtol * ({_pick('b', '>', 'a', target)})){end}",
         ]
-    rs = [f"r[{i}]" if lanes else f"r{i}" for i in range(n)]
-    code.append(f"enorm = sqrt(({' + '.join(f'{r} * {r}' for r in rs)}) / {n}){end}")
-    if lanes:
-        code += [
-            "accept = enorm <= 1.0",
-            "t_old = t",
-            f"t = where(accept, {at_horizon}, t)",
-            # A rejected lane keeps a state that passed the test.
-            *_escape_test(xs, target, "ok & accept"),
-            f"stalled = ok & ~accept & (h <= {_MIN_STEP!r})",
-            "if stalled.any():",
-            f"    errors.update((row, {_UNDERFLOW}) for row, t in "  # t lane by lane
-            "zip(rows[stalled].tolist(), t[stalled].tolist()))",
-            "    ok &= ~stalled",
-            *samples(y5),
-            "y, k1 = where(accept, s7, y), where(accept, k7, k1)",
-        ]
-    else:
-        accepted = ["t_old = t" + end, f"t = {at_horizon}" + end, *_escape_test(xs, target),
-                    *samples(y5), *assign(ys + k[1], y5 + k[7])]
-        code += [*_block("if enorm <= 1.0", accepted, target),
-                 *_block(f"elif h <= {_MIN_STEP!r}",
-                         ["goto failed;" if c else f"raise {_UNDERFLOW}"], target)]
-    # Over lanes pow is float_power, which gives inf at enorm 0, so the
-    # factor is then 5.0, as in the scalar special case.
+    code.append(f"enorm = sqrt(({' + '.join(f'r{i} * r{i}' for i in range(n))}) / {n}){end}")
+    accepted = ["t_old = t" + end, f"t = {at_horizon}" + end, *_escape_test(y5, target),
+                *samples(y5), *assign(ys + k[1], y5 + k[7])]
+    code += [*_block("if enorm <= 1.0", accepted, target),
+             *_block(f"elif h <= {_MIN_STEP!r}",
+                     ["goto failed;" if c else f"raise {_UNDERFLOW}"], target)]
     factor = [
-        "factor = 0.9 * " + ("enorm ** -0.2" if target == "python" else "pow(enorm, -0.2)"),
+        "factor = 0.9 * " + ("pow(enorm, -0.2)" if c else "enorm ** -0.2"),
         "factor = " + _pick("factor", ">", "0.2", target),
         "factor = " + _pick("factor", "<", "5.0", target),
     ]
-    if not lanes:
-        factor = [*_block("if enorm == 0.0", ["factor = 5.0" + end], target),
-                  *_block("else", [line + end for line in factor], target)]
-    return code + factor + [line + end for line in (
-        "h_next = h * factor",
-        "h_next = " + _pick(repr(_MIN_STEP), ">", "h_next", target),
-        "h_next = " + _pick("horizon", "<", "h_next", target),
-    )]
+    return code + [
+        *_block("if enorm == 0.0", ["factor = 5.0" + end], target),
+        *_block("else", [line + end for line in factor], target),
+        *(line + end for line in (
+            "h_next = h * factor",
+            "h_next = " + _pick(repr(_MIN_STEP), ">", "h_next", target),
+            "h_next = " + _pick("horizon", "<", "h_next", target),
+        ))]
 
 
 @lru_cache(maxsize=128)
-def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
-    """Generate the loop of V and method around one _emit_step body.
+def _compiled(V: VectorFieldSpec, method: str):
+    """Generate the orbit loop of V and method around one _emit_step body.
 
     orbit(y, targets, cfg, out, resume=None) -> the number of step attempts
     integrates from y to the last target, stepping freely and clipping the
@@ -434,105 +326,53 @@ def _compiled(V: VectorFieldSpec, method: str, lanes: bool = False):
     tests. An error it raises carries the attempts made, a failing one
     included, as `attempts`: max_steps where the budget runs out. It
     starts from the point y at t = 0, or, given resume, from the state y
-    that a lane left: resume is (t, j, attempts), then h_next and k1 for
-    Dormand-Prince, and the next sample is targets[j].
-    With lanes, batch(y, targets, cfg, visit, lanes_from) -> (errors, left)
-    runs the columns of the (n, m) array y as integrate_lanes describes,
-    handing visit the samples of each pass after its step, while at least
-    lanes_from lanes are live and the step budget lasts. left lists the
-    lanes it did not finish in groups (attempts, rows, t, j, y[, h_next,
-    k1]) of their loop state, a column per lane; a lane that failed inside
-    the field, which has no error text there, is in it with its state
-    before the failing attempt, or, with attempts None, as a start whose
-    field failed at the point itself. Operations on constants alone raise
-    on every lane: the first field evaluation catches them and leaves
-    every lane that did not escape as such a start; anything visit raises
-    passes through.
+    where the native loop stopped a row: resume is (t, j, attempts), then
+    h_next and k1 for Dormand-Prince, and the next sample is targets[j].
     The orbit loop carries the work meter of V and method, its attribute
     work, which integrate_lanes sets and reads: so the meter is dropped
     with the loop, and starts again from 0 where the cache is cleared.
-    Their third form, the native loop, is _native's, generated by
-    _c_source around the same _emit_step body in C."""
+    The native loop is _native's, generated by _c_source around the same
+    _emit_step body in C."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     adaptive = method == "rk45_adaptive"
     code = [f"{', '.join(ys)}, = y", "radius2 = cfg.blowup_radius * cfg.blowup_radius",
             "dt, max_steps, horizon = cfg.dt, cfg.max_steps, targets[-1]"]
     code += ["atol, rtol = cfg.abs_tol, cfg.rel_tol"] if adaptive else []
-    # The loop body; its temporaries may reuse names of the code above,
-    # which no longer reads them.
-    body = _emit_step(V, method, "lanes" if lanes else "python")
-    if not lanes:
-        start = ["t, steps = 0.0, 0", *_escape_test(ys, "python")]
-        state = ["t", "j", "steps"]
-        if adaptive:  # h_next is min(dt, horizon)
-            k1 = _emit_results(V.components, ys, start)
-            start += [f"{', '.join(f'k1_{i}' for i in range(n))}, = {', '.join(k1)},",
-                      "h_next = horizon if horizon < dt else dt"]
-            state += ["h_next", *(f"k1_{i}" for i in range(n))]
-        code += ["if resume is None:", *("    " + line for line in start),
-                 "    pending = iter(targets)",
-                 "else:",
-                 f"    {', '.join(state)}, = resume",
-                 "    pending = iter(targets[j:])",
-                 "target = next(pending)",
-                 "while t < horizon:",
-                 "    remaining = horizon - t",
-                 "    if steps >= max_steps:",
-                 f"        raise {_EXCEEDED}",
-                 "    steps += 1"] + ["    " + line for line in body]
-        return _define("_orbit", "y, targets, cfg, out, resume=None", code, "steps",
-                       f"{method} orbit of {V.label()}", attempts="steps")
-    code += ["t = zeros(y.shape[1])",
-             "rows, j, errors, left = arange(t.size), zeros(t.size, int), {}, []",
-             "ok = ones(t.size, bool)", *_escape_test(ys, "lanes"), "steps = 0"]
-    # Every lane evaluates the field at its start, as a first attempt does.
-    field: list[str] = []
-    k1 = _emit_results(V.components, ys, field, "lanes")
-    code += ["try:", *("    " + line for line in field),
-             "except (ValueError, ZeroDivisionError, OverflowError):",
-             "    return errors, [(None, rows[~escaped])]"]
+    start = ["t, steps = 0.0, 0", *_escape_test(ys, "python")]
+    state = ["t", "j", "steps"]
     if adaptive:  # h_next is min(dt, horizon)
-        code += [f"k1 = array([{', '.join(k1)}])",
-                 "h_next = full_like(t, horizon if horizon < dt else dt)"]
-    # The loop state of each lane, kept, dropped or left together; was
-    # holds it before the pass's attempt.
-    carried = ", ".join(["rows", "t", "j", "y"] + (["h_next", "k1"] if adaptive else []))
-    code += [
-        "last = len(targets)",
-        "ahead = full_like(targets, inf, shape=last + 1)",
-        "ahead[:last] = targets",
-        f"was = {carried}",
-        "while True:",
-        "    live = ok & (j < last)",  # a lane past its last target is at the horizon
-        "    if not live.all():",
-        "        failed = ~ok",  # in the field, where no error was recorded
-        "        failed[failed] = [row not in errors for row in rows[failed].tolist()]",
-        "        if failed.any():",
-        "            left.append((steps - 1 if steps else None, *(v[..., failed] for v in was)))",
-        f"        {carried} = (v[..., live] for v in ({carried}))",
-        "    if rows.size < lanes_from or steps == max_steps:",
-        f"        left.append((steps, {carried}))",
-        "        break",
-        "    steps += 1",
-        "    ok = ones(rows.size, bool)",
-        f"    was = {carried}",
-        "    remaining = horizon - t",
-    ] + ["    " + line for line in body]
-    return _define("_batch", "y, targets, cfg, visit, lanes_from", code, "errors, left",
-                   f"{method} lanes of {V.label()}", lanes=True)
+        k1 = _emit_results(V.components, ys, start)
+        start += [f"{', '.join(f'k1_{i}' for i in range(n))}, = {', '.join(k1)},",
+                  "h_next = horizon if horizon < dt else dt"]
+        state += ["h_next", *(f"k1_{i}" for i in range(n))]
+    # The loop body's temporaries may reuse names of the code above, which
+    # no longer reads them.
+    code += ["if resume is None:", *("    " + line for line in start),
+             "    pending = iter(targets)",
+             "else:",
+             f"    {', '.join(state)}, = resume",
+             "    pending = iter(targets[j:])",
+             "target = next(pending)",
+             "while t < horizon:",
+             "    remaining = horizon - t",
+             "    if steps >= max_steps:",
+             f"        raise {_EXCEEDED}",
+             "    steps += 1"] + ["    " + line for line in _emit_step(V, method, "python")]
+    return _define("_orbit", "y, targets, cfg, out, resume=None", code, "steps",
+                   f"{method} orbit of {V.label()}", attempts="steps")
 
 
 def _unfinished(starts, left):
-    """(row, y, resume) for the orbit loop, per row of a batch's left: a
-    start as its point, with resume None, else its loop state as floats.
-    A group's attempts are one count, a lane batch's, or one per row."""
+    """(row, y, resume) for the orbit loop, per row of the native loop's
+    left: a start as its point, with resume None, else its loop state, the
+    row's attempts included, as Python floats and ints."""
     for attempts, rows, *state in left:
         if attempts is None:
             yield from ((row, starts[row].tolist(), None) for row in rows.tolist())
             continue
         t, j, y, *slopes = state
-        columns = [t.tolist(), j.tolist(), np.broadcast_to(attempts, rows.shape).tolist()]
+        columns = [t.tolist(), j.tolist(), attempts.tolist()]
         if slopes:  # h_next and k1
             columns += np.vstack(slopes).tolist()
         yield from zip(rows.tolist(), y.T.tolist(), zip(*columns))
@@ -668,7 +508,7 @@ def _native(V: VectorFieldSpec, method: str):
     reach visit in one call, rows ascending and j increasing within a row,
     a row cut off by the full buffer continuing in the next call. errors
     holds the escapes, each an EscapedDomainError of the row's time and
-    state that carries its attempts; left holds, in the lane batch's
+    state that carries its attempts; left holds, in _unfinished's
     groups, the rows stopped for the orbit loop, which resumes them; and
     attempts is the attempts of each row, up to where it stopped."""
     orbits = _library(_c_source(V, method))
@@ -817,21 +657,6 @@ def _dlopen(path: str):
     return orbits
 
 
-# Starts from which integrate_lanes runs lanes, not one orbit loop per
-# start, and the live lanes below which a batch leaves the rest to orbit
-# loops. A lane pass costs about the same whatever the number of lanes
-# (harmonic field, T = 8, out_dt 0.1: 57-78 ms for 1-100 starts), orbit
-# loops cost in proportion. BENCH_13.json, median time of the orbit loops
-# over that of the batch at 3 / 25 / 49 / 100 starts: harmonic field
-# 0.06 / 0.47 / 0.96 / 1.39, 4-D cycle field 0.08 / 0.78 / 1.22 / 2.27.
-# With samples interpolated (BENCH_18.json) both still cross 1 between 25
-# and 100 starts. The 41 x 41 Van der Pol ROA grid of BENCH_20.json runs
-# 520 passes; its last 114, with fewer than 50 lanes live, took 13.8 ms,
-# about 120 us a pass, and the 48 lanes left there take 3.5 ms as orbit
-# loops, 1008 attempts (2-core Xeon, min of 7 runs).
-_LANES_FROM = 50
-
-
 # Work of a (field, method) from which integrate_lanes runs the native
 # loop: the attempts its orbit loops made, plus rows x targets of the call
 # at hand. A build takes 0.1-0.3 s, so a small run builds nothing. Of the
@@ -853,26 +678,23 @@ def _runs_natively(cfg: IntegratorConfig, targets: np.ndarray) -> bool:
 def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit):
     """Integrate every row of starts through the targets.
 
-    Each row takes the steps, and the bits, that the scalar orbit loop
+    Each row takes the steps, and the bits, that the orbit loop
     takes from that start alone, whichever loop runs it. Once the field
     and method have done _NATIVE_FROM work, as the meter of their orbit
     loop counts it (see _compiled), _native's loop runs the rows, in
     calls of at most _BUFFER samples; each call's samples reach visit in
     one call, rows ascending, and a row it stops before a failing attempt
     is resumed there by the orbit loop. Below that, or where no native
-    loop can be built, from _LANES_FROM rows up one lane batch runs,
-    each row a lane with its own t, h and next target, while at least
-    _LANES_FROM lanes are live, and one orbit loop per row below that and
-    for each row the batch left, resumed where its lane stopped. visit(rows, j, states)
-    receives row numbers, the index in targets of the target each reached
-    and the states there, (len(rows), n), arrays of its own: from the
-    native loop or the batch, every (row, target) pair of a buffer or of
-    the steps of one pass, a row repeating, j increasing within it; from
-    an orbit loop, the row's samples in one call, j increasing, and for a
-    row that one of the others left, only those it had not visited. visit
+    loop can be built, one orbit loop runs each row. visit(rows, j,
+    states) receives row numbers, the index in targets of the target each
+    reached and the states there, (len(rows), n), arrays of its own: from
+    the native loop, every (row, target) pair of a buffer, a row
+    repeating, j increasing within it; from an orbit loop, the row's
+    samples in one call, j increasing, and for a row that the native loop
+    stopped, only those it had not visited. visit
     runs under np.errstate(all="ignore") either way, and what it raises
     passes through. A row leaves after its last target, or where the
-    scalar loop raises: on escape, a domain failure of the field, the
+    orbit loop raises: on escape, a domain failure of the field, the
     step budget or a step size underflow.
     targets must be positive and strictly increasing. Returns, by failed
     row, the EscapedDomainError, EvalDomainError or StepLimitError that the
@@ -897,9 +719,6 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
         errors, left = {}, [(None, np.arange(len(starts)))]
         if native is not None:
             errors, left, _ = native(starts, targets, cfg, visit)
-        elif len(starts) >= _LANES_FROM:
-            batch = _compiled(V, cfg.method, lanes=True)
-            errors, left = batch(starts.T.copy(), targets, cfg, visit, _LANES_FROM)
         for row, y, resume in _unfinished(starts, left):
             out: list = []
             try:

@@ -15,7 +15,8 @@ runs set members through the same pass and reports the largest
 excursion. uniform_attraction_time finds the first sampled time after
 which a whole start collection stays within epsilon. classify_stability
 aggregates these plus a neighborhood attraction grid into one verdict,
-reading the uniform time off the one lane pass that labels the grid.
+reading the uniform time off the one integrate_lanes pass that labels
+the grid.
 
 Everything here is evidence from finitely many seeded samples, not
 proof; reports carry the seed and sample counts so runs replay exactly.

@@ -32,16 +32,6 @@ TWO_PI = 2.0 * math.pi
 # omega set maps onto itself under a one-step flow probe.
 OSC_ALIGNED_DT = TWO_PI / 628.0
 
-# integrate_lanes runs the lane batch from _LANES_FROM starts up and one
-# orbit loop per start below; these values of it force either loop.
-LANES, ORBITS = 1, sys.maxsize
-
-
-def lanes_from(count: int):
-    """Context in which integrate_lanes' _LANES_FROM is count."""
-    return mock.patch.object(importlib.import_module("lyapset.flow"), "_LANES_FROM", count)
-
-
 def native(on: bool):
     """Context in which integrate_lanes runs the native loop on every call
     (on), where it can be built, or never."""

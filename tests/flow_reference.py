@@ -6,7 +6,7 @@ _rk4_step for the fixed method), the error norm and the blow-up test
 written as loops, and the builtin min and max in the step control. It
 steps freely to the last target and reads each sample off the step that
 passed it, through the method's continuous extension (_dp_dense,
-_rk4_dense). The generated loops, and the lanes through them, must
+_rk4_dense). The generated orbit loops, in Python and in C, must
 reproduce it bit for bit, attempt counts and errors included.
 """
 

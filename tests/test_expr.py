@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,8 +18,6 @@ from lyapset.expr import (
     Unary,
     Var,
     VectorFieldSpec,
-    _define,
-    _emit_results,
     compile_gradient,
     compile_scalar,
     compile_vector_field,
@@ -34,7 +31,7 @@ from lyapset.expr import (
 )
 from lyapset.flow import IntegratorConfig, integrate_lanes
 
-from conftest import LANES, ORBITS, lanes_from
+from conftest import native
 
 
 class TestParse:
@@ -187,13 +184,13 @@ class TestDepthBound:
         V = VectorFieldSpec((e,), 1)
         cfg = IntegratorConfig(max_steps=20)
         runs = []
-        for loop in (LANES, ORBITS):  # the lane batch, then the orbit loop
+        for on in (False, True):  # the orbit loop, then the native loop
             samples = {}
 
             def visit(rows, j, states):
                 samples.update(zip(zip(rows.tolist(), j.tolist()), states.tolist()))
 
-            with lanes_from(loop):
+            with native(on):
                 errors = integrate_lanes(V, [[0.7], [-0.3]], [0.01, 0.02], cfg, visit)
             runs.append((samples, {row: str(error) for row, error in errors.items()}))
         assert runs[0] == runs[1] and len(runs[0][0]) + len(runs[0][1]) >= 2
@@ -314,16 +311,6 @@ _SQUARE = Binary("pow", Var(1), Const(2.0))
 _POW_MISROUNDS = 2.817595433862767
 
 
-def _lanes(e, x1):
-    """Run the lane form of e, an expression in x1 alone, on the lane
-    values x1: (values, ok)."""
-    code = ["ok = ones(x0.shape, bool)"]
-    (name,) = _emit_results([e], ["x0"], code, "lanes")
-    fn = _define("_lanes", "x0", code, f"{name}, ok", "lane expression", lanes=True)
-    with np.errstate(all="ignore"):  # as integrate_lanes runs lane code
-        return fn(np.array(x1))
-
-
 class TestInterpretedVsCompiled:
     @settings(max_examples=100, deadline=None)
     @given(any_exprs(2), st.lists(st.floats(-2, 2, allow_nan=False), min_size=2, max_size=2))
@@ -370,8 +357,6 @@ class TestInterpretedVsCompiled:
         assert _bits([eval_expr(_SQUARE, x), compile_scalar(_SQUARE)(x)]) == _bits([square] * 2)
         assert _bits(compile_vector_field(V)(x)) == _bits([square, 0.0])
         assert _bits(compile_gradient(cube)(x)) == _bits([3.0 * square, 0.0])
-        values, ok = _lanes(_SQUARE, [x[0], -x[0]])
-        assert _bits(values) == _bits([square] * 2) and ok.all()
 
     @pytest.mark.parametrize("e", [_SQUARE, Unary("exp", neg(_SQUARE))])
     def test_square_overflow_fails(self, e):
@@ -379,8 +364,6 @@ class TestInterpretedVsCompiled:
         for evaluate in (lambda x: eval_expr(e, x), compile_scalar(e)):
             with pytest.raises(EvalDomainError):
                 evaluate([1e200])
-        _, ok = _lanes(e, [1e200, 0.5])
-        assert ok.tolist() == [False, True]
 
 
 class TestGradientVsFiniteDifferences:

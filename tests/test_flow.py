@@ -20,7 +20,7 @@ from lyapset.flow import (
     semigroup_defect,
     trajectory,
 )
-from conftest import LANES, ORBITS, lanes_from, native, native_builds, orbit_attempts
+from conftest import native, native_builds, orbit_attempts
 from test_expr import any_exprs
 
 # One strategy per dimension, built once: building one per draw costs ~25 ms.
@@ -360,19 +360,17 @@ class TestGeneratedOrbit:
         )
 
 
-def _lane_samples(V, starts, targets, cfg, loop=LANES, attempts=False):
-    """Per start of one integrate_lanes call, with _LANES_FROM set to loop:
-    the bits of its samples, in the order visit saw them, and the
-    _error_bits of the error returned for it, then, with attempts, the
-    attempts it carries."""
+def _lane_samples(V, starts, targets, cfg, attempts=False):
+    """Per start, or lane, of one integrate_lanes call: the bits of its
+    samples, in the order visit saw them, and the _error_bits of the error
+    returned for it, then, with attempts, the attempts it carries."""
     samples = [[] for _ in starts]
 
     def visit(rows, j, states):
         for row, target, state in zip(rows.tolist(), j.tolist(), states):
             samples[row].append((target, [float(v).hex() for v in state]))
 
-    with lanes_from(loop):
-        errors = integrate_lanes(V, starts, targets, cfg, visit)
+    errors = integrate_lanes(V, starts, targets, cfg, visit)
     assert set(errors) <= set(range(len(starts)))
     assert all(isinstance(error, _FAILURES) for error in errors.values())
     rows = [(samples[i], _error_bits(errors.get(i))) for i in range(len(starts))]
@@ -394,7 +392,7 @@ def _batch_case(texts, starts, targets, **options):
 
 def _lanes_case(texts, starts):
     """A batch of starts on the field texts, run to t = 1e-300 in one step
-    of that size, so stage states stay at the starts and lanes fail or not
+    of that size, so stage states stay at the starts and rows fail or not
     as the field does there. The blow-up radius lets starts near 1e300
     reach the field's guards."""
     return _batch_case(texts, starts, [1e-300], dt=1e-300, blowup_radius=1e308)
@@ -457,12 +455,13 @@ def _lane_batches(draw):
     return V, starts, targets, cfg
 
 
-# Explicit cases of the lane batch's parity with the orbit loop.
+# Explicit cases of the native loop's parity with the orbit loop, on the
+# lanes, or rows, of one integrate_lanes call.
 _LANE_CASES = [
-    # One case per place where the scalar code raises: each guard, then
+    # One case per place where the orbit loop raises: each guard, then
     # each Python float or math exception, then a non-finite operand of
     # exp, which fails though exp(-inf) is finite, then a constant
-    # expression that raises on every lane.
+    # expression that raises on every row.
     _lanes_case(["x1 * 1e300 * 1e300"], [[1.0], [0.0]]),
     _lanes_case(["tanh(x1 * 1e300 * 1e300)"], [[1.0], [0.5e-300]]),
     _lanes_case(["(x1 * 1e300 * 1e300)^0"], [[1.0], [1e-300]]),
@@ -491,7 +490,7 @@ _LANE_CASES = [
     _batch_case(["0"], [[1.0]], [0.2, 0.9], dt=0.2, max_steps=2),
     _batch_case(["0"], [[1.0]], [0.2, 0.9], method="rk4_fixed", dt=100.0,
                 max_steps=2),
-    # Several samples per step and lanes apart in time, several steps per
+    # Several samples per step and rows apart in time, several steps per
     # sample, targets on step endpoints, and RK4 with its step above out_dt.
     _batch_case(["x2", "-x1"], [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
                 sample_times(2.0, 0.01)[1:], rel_tol=1e-3, abs_tol=1e-6),
@@ -502,11 +501,10 @@ _LANE_CASES = [
                 dt=0.25),
     _batch_case(["x2", "-x1"], [[1.0, 0.0], [0.3, -0.2]], sample_times(2.0, 0.1)[1:],
                 method="rk4_fixed", dt=0.35),
-    # Lanes that leave the batch at different targets: the step size of
-    # the first underflows where -1/x1 blows up at t = 0.5; the second
-    # finishes.
+    # Rows that end at different targets: the step size of the first
+    # underflows where -1/x1 blows up at t = 0.5; the second finishes.
     _batch_case(["-1 / x1"], [[1.0], [2.0]], [0.4, 1.0], max_steps=10_000),
-    # A stage overflows in an attempt at the smallest step size: the scalar
+    # A stage overflows in an attempt at the smallest step size: the orbit
     # loop raises the domain failure before its step control can underflow.
     _batch_case(["x1 * 1e300"], [[0.1], [0.0]], [1e-12], dt=1e-12,
                 blowup_radius=1e308),
@@ -516,24 +514,14 @@ _LANE_CASES = [
                 sample_times(8.0, 0.1)[1:], blowup_radius=4.0, max_steps=60),
     _batch_case(["x1"], [[1.0], [0.5], [-2.0]], sample_times(3.0, 0.5)[1:],
                 method="rk4_fixed", dt=0.1, blowup_radius=4.0),
-    # Escapes and domain failures in one batch: the lanes that fail in the
+    # Escapes and domain failures in one batch: the rows that fail in the
     # field resume in the orbit loop for their errors.
     _MIXED_GRID,
 ]
 
 
 class TestLaneBatch:
-    @settings(max_examples=200, deadline=None)
-    @given(_lane_batches())
-    @_with(_LANE_CASES)
-    def test_bitwise_equal_to_orbit_loop(self, case):
-        # Every lane threshold: the batch alone, then the batch handing its
-        # last lanes to orbit loops at each pass a lane leaves, then orbit
-        # loops alone.
-        V, starts, targets, cfg = case
-        alone = [_orbit_samples(V, y, targets, cfg) for y in starts]
-        for loop in (LANES, *range(2, len(starts) + 1), ORBITS):
-            assert _lane_samples(V, starts, targets, cfg, loop) == alone, loop
+    """The lanes of one integrate_lanes call, its rows, through either loop."""
 
     @settings(max_examples=_NATIVE_EXAMPLES, deadline=None)
     @given(_lane_batches())
@@ -542,13 +530,14 @@ class TestLaneBatch:
         V, starts, targets, cfg = case
         alone = [_orbit_samples(V, y, targets, cfg) for y in starts]
         with native(True):
-            assert _lane_samples(V, starts, targets, cfg, ORBITS) == alone
+            assert _lane_samples(V, starts, targets, cfg) == alone
 
     @pytest.mark.parametrize("text", ["x1^2", "exp(-(x1^2))"])
     def test_square_overflow_fails_its_lane(self, text):
         V, starts, targets, cfg = _lanes_case([text], [[1e200], [0.5]])
-        for loop in (LANES, ORBITS):
-            rows = _lane_samples(V, starts, targets, cfg, loop)
+        for on in (False, True):
+            with native(on):
+                rows = _lane_samples(V, starts, targets, cfg)
             assert [error is not None for _, error in rows] == [True, False]
 
     def test_visit_exception_propagates_unchanged(self, osc, cfg):
@@ -557,8 +546,8 @@ class TestLaneBatch:
         def visit(rows, j, states):
             raise error
 
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop), pytest.raises(ZeroDivisionError) as exc_info:
+        for on in (False, True):
+            with native(on), pytest.raises(ZeroDivisionError) as exc_info:
                 integrate_lanes(osc, [[1.0, 0.0], [0.5, 0.5]], [0.5, 1.0], cfg, visit)
             assert exc_info.value is error
 
@@ -589,51 +578,51 @@ _DISPATCH_CASES = {
 
 
 class TestLoopDispatch:
-    def test_lane_batch_from_lanes_from_starts(self, osc, cfg, monkeypatch):
-        module = importlib.import_module("lyapset.flow")
-        generated, inner = [], module._compiled
-
-        def recording(V, method, lanes=False):
-            generated.append(lanes)
-            return inner(V, method, lanes)
-
-        monkeypatch.setattr(module, "_compiled", recording)
-        for m in (1, module._LANES_FROM - 1, module._LANES_FROM, module._LANES_FROM + 1):
-            generated.clear()
-            with native(False):
-                integrate_lanes(osc, np.zeros((m, 2)), [0.5], cfg, lambda rows, j, states: None)
-            # The orbit loop, which holds the work meter, and the batch.
-            assert generated == [False] + [True] * (m >= module._LANES_FROM)
+    def test_one_orbit_loop_per_start_below_the_meter(self, osc, cfg, monkeypatch):
+        # With the native loop off, every start is one run of the orbit
+        # loop, from the start, whatever the number of starts; with it on,
+        # the orbit loop runs only the rows it stops, and these starts
+        # finish in it.
+        orbits = _record_orbits(monkeypatch)
+        for m in (1, 49, 50, 51):
+            for on in (False, True):
+                orbits.clear()
+                with native(on):
+                    integrate_lanes(osc, np.zeros((m, 2)), [0.5], cfg,
+                                    lambda rows, j, states: None)
+                expected = [] if on and native_builds(osc) else list(range(m))
+                assert [(row, resume) for row, _, resume in orbits] == [
+                    (row, None) for row in expected]
 
     @pytest.mark.parametrize("name", sorted(_DISPATCH_CASES))
     def test_either_loop_gives_the_same_bits(self, name, monkeypatch):
+        # The native loop hands the rows it stops to orbit loops, so
+        # failures other than escapes come from resumed orbits, with the
+        # orbit loop's bits.
         (V, starts, targets, cfg), ends = _DISPATCH_CASES[name]
         with native(False):
-            lanes = _lane_samples(V, starts, targets, cfg, LANES)
-            assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
-            got = {row: error[1] for row, (_, error) in enumerate(lanes) if error}
-            assert got.keys() == ends.keys()
-            assert all(got[row].startswith(end) for row, end in ends.items())
-            # At each threshold inside the batch, the batch hands its lanes
-            # to orbit loops once enough have left, so failures come from
-            # resumed orbits too, with the same bits.
-            orbits = _record_orbits(monkeypatch)
-            for loop in range(2, len(starts) + 1):
-                assert _lane_samples(V, starts, targets, cfg, loop) == lanes, loop
-        assert ends.keys() & {row for row, _, resume in orbits if resume is not None}
+            alone = _lane_samples(V, starts, targets, cfg)
+        got = {row: error[1] for row, (_, error) in enumerate(alone) if error}
+        assert got.keys() == ends.keys()
+        assert all(got[row].startswith(end) for row, end in ends.items())
+        orbits = _record_orbits(monkeypatch)
+        with native(True):
+            assert _lane_samples(V, starts, targets, cfg) == alone
+        if native_builds(V):
+            resumed = {row: resume for row, _, resume in orbits}
+            assert resumed.keys() == {row for row, (_, error) in enumerate(alone)
+                                      if error and error[0] != "EscapedDomainError"}
+            assert None not in resumed.values()
 
     @pytest.mark.parametrize("name", sorted(_DISPATCH_CASES))
     def test_native_loop_gives_the_same_bits(self, name):
-        # The native loop, and the orbit loop where it resumes a row: the
-        # orbit loop's bits, and every error carries the same attempts.
-        (V, starts, targets, cfg), ends = _DISPATCH_CASES[name]
+        # The native loop, and the orbit loop where it resumes a row: every
+        # error carries the attempts that it carries from the orbit loop.
+        (V, starts, targets, cfg), _ = _DISPATCH_CASES[name]
         with native(False):
-            alone = _lane_samples(V, starts, targets, cfg, ORBITS, attempts=True)
+            alone = _lane_samples(V, starts, targets, cfg, attempts=True)
         with native(True):
-            assert _lane_samples(V, starts, targets, cfg, ORBITS, attempts=True) == alone
-        got = {row: error[1] for row, (_, error, _) in enumerate(alone) if error}
-        assert got.keys() == ends.keys()
-        assert all(got[row].startswith(end) for row, end in ends.items())
+            assert _lane_samples(V, starts, targets, cfg, attempts=True) == alone
 
     def test_no_sample_inside_an_escaping_step(self):
         # x e^t leaves radius 4 at t = ln(4 / x), inside a step that ends
@@ -641,8 +630,9 @@ class TestLoopDispatch:
         # not recorded, whichever loop runs the orbit.
         V, starts, targets, cfg = _batch_case(["x1"], [[1.0], [2.0]],
                                               sample_times(3.0, 0.01)[1:], blowup_radius=4.0)
-        for loop in (LANES, ORBITS):
-            rows = _lane_samples(V, starts, targets, cfg, loop)
+        for on in (False, True):
+            with native(on):
+                rows = _lane_samples(V, starts, targets, cfg)
             for (x,), (samples, error) in zip(starts, rows):
                 escape = float.fromhex(error[2])
                 assert error[0] == "EscapedDomainError" and escape > math.log(4.0 / x)
@@ -656,11 +646,11 @@ class TestLoopDispatch:
     def test_orbit_loop_errors_carry_their_attempts(self):
         # x e^t leaves radius 1000 at t = ln(1000) from 1, inside attempt
         # `attempts`: with that budget it still escapes, with one less the
-        # budget runs out first. A resumed orbit counts its lane's attempts.
+        # budget runs out first.
         V, starts, targets, cfg = _batch_case(["x1"], [[1.0], [100.0]], [20.0],
                                               blowup_radius=1000.0)
         ignore = lambda rows, j, states: None  # noqa: E731
-        with lanes_from(ORBITS):
+        with native(False):
             error = integrate_lanes(V, starts[:1], targets, cfg, ignore)[0]
             assert isinstance(error, EscapedDomainError)
             budget = replace(cfg, max_steps=error.attempts)
@@ -671,15 +661,8 @@ class TestLoopDispatch:
             limited = integrate_lanes(V, starts[:1], targets, short, ignore)[0]
             assert isinstance(limited, StepLimitError)
             assert limited.attempts == error.attempts - 1
-        # With both starts in a batch, the second escapes first and the
-        # first finishes in a resumed orbit loop.
-        with lanes_from(2), native(False):
-            errors = integrate_lanes(V, starts, targets, cfg, ignore)
-        assert not hasattr(errors[1], "attempts")
-        assert (str(errors[0]), errors[0].attempts) == (str(error), error.attempts)
-        # The native loop's escapes carry their attempts too.
-        with lanes_from(ORBITS), native(False):
             second = integrate_lanes(V, starts[1:], targets, cfg, ignore)[0]
+        # The native loop's escapes carry their attempts too.
         with native(True):
             errors = integrate_lanes(V, starts, targets, cfg, ignore)
         assert [(str(e), e.attempts) for e in (errors[0], errors[1])] == [
@@ -687,20 +670,28 @@ class TestLoopDispatch:
 
     @pytest.mark.parametrize("name", ["mixed", "sqrt"])
     def test_lanes_failed_in_the_field_resume_at_the_failing_attempt(self, name, monkeypatch):
-        # Each lane that fails in the field reaches the orbit loop with its
-        # state before the failing attempt: resumed there with a budget of
-        # one more attempt it fails in the field, and its start's own orbit
-        # loop fails in the field at that attempt, not before. No start is
-        # run from its point again. The mixed grid's 28 domain failures
-        # happen in the first attempt, at t = 0; the sqrt grid's 49 after
-        # t = 0.6.
+        # Each row that fails in the field reaches the orbit loop from the
+        # native loop with its state before the failing attempt: resumed
+        # there with a budget of one more attempt it fails in the field,
+        # and its start's own orbit loop fails in the field at that
+        # attempt, not before. No start is run from its point again. The
+        # mixed grid's 28 domain failures happen in the first attempt, at
+        # t = 0; the sqrt grid's 49 after t = 0.6. With the native loop
+        # off, every start runs in the orbit loop from its point.
         V, starts, targets, cfg = {"mixed": _MIXED_GRID, "sqrt": _SQRT_GRID}[name]
         orbits = _record_orbits(monkeypatch)
-        lanes = _lane_samples(V, starts, targets, cfg, LANES)
-        domain = [row for row, (_, error) in enumerate(lanes)
+        with native(False):
+            alone = _lane_samples(V, starts, targets, cfg)
+        assert orbits == [(row, y, None) for row, y in enumerate(starts)]
+        domain = [row for row, (_, error) in enumerate(alone)
                   if error and error[0] == "EvalDomainError"]
-        assert sorted(row for row, _, _ in orbits) == domain
         assert len(domain) == {"mixed": 28, "sqrt": 49}[name]
+        orbits.clear()
+        with native(True):
+            assert _lane_samples(V, starts, targets, cfg) == alone
+        if not native_builds(V):
+            return
+        assert sorted(row for row, _, _ in orbits) == domain
         orbit = _compiled(V, cfg.method)
         for row, y, resume in orbits:
             t, _, attempts = resume[:3]
@@ -709,14 +700,10 @@ class TestLoopDispatch:
             for run in ((y, resume), (starts[row], None)):
                 with pytest.raises(EvalDomainError) as failed:
                     orbit(run[0], targets, one_more, [], run[1])
-                assert str(failed.value) == lanes[row][1][1]
+                assert str(failed.value) == alone[row][1][1]
             if attempts:
                 with pytest.raises(StepLimitError):
                     orbit(starts[row], targets, replace(cfg, max_steps=attempts), [])
-        orbits.clear()
-        with native(False):
-            assert _lane_samples(V, starts, targets, cfg, ORBITS) == lanes
-        assert orbits == [(row, y, None) for row, y in enumerate(starts)]
 
 
 class TestCompiledCache:
@@ -725,8 +712,7 @@ class TestCompiledCache:
         minus = plus.negated()  # Const(-0.0)
         expected = compile_vector_field(minus)([1.0])[0].hex()
         assert expected == "-0x0.0p+0"
-        for lanes in (False, True):
-            assert _compiled(plus, "rk4_fixed", lanes) is not _compiled(minus, "rk4_fixed", lanes)
+        assert _compiled(plus, "rk4_fixed") is not _compiled(minus, "rk4_fixed")
         # From -0.0 an RK4 step adds h / 6 * (sum of slopes), which keeps
         # the sign of zero only when every slope is -0.0.
         cfg = IntegratorConfig(method="rk4_fixed", dt=0.5)
@@ -734,4 +720,7 @@ class TestCompiledCache:
             out = []
             _compiled(V, cfg.method)([-0.0], [0.5], cfg, out)
             assert out[0][0].hex() == bits
-            assert _lane_samples(V, [[-0.0], [-0.0]], [0.5], cfg) == [([(0, [bits])], None)] * 2
+            for on in (False, True):
+                with native(on):
+                    rows = _lane_samples(V, [[-0.0], [-0.0]], [0.5], cfg)
+                assert rows == [([(0, [bits])], None)] * 2

@@ -35,7 +35,7 @@ from lyapset.limits import (
 from lyapset.lyapunov import ConverseConfig, converse_table
 from lyapset.problem import load_problem
 
-from conftest import LANES, ORBITS, OSC_ALIGNED_DT, TWO_PI, circle_cloud, lanes_from
+from conftest import OSC_ALIGNED_DT, TWO_PI, circle_cloud, native
 from test_geometry import hausdorff_brute
 
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
@@ -93,15 +93,15 @@ class TestEstimateOmega:
         with pytest.raises(OrbitUnboundedError):
             estimate_omega(grow1, [1.0], cfg)
 
-    @pytest.mark.parametrize("loop", [LANES, ORBITS])
-    def test_probe_escape_raises_the_flow_text(self, grow1, loop):
+    @pytest.mark.parametrize("on", [False, True])
+    def test_probe_escape_raises_the_flow_text(self, grow1, on):
         # x1' = x1 from 1 stays below 10 through the window [1, 2]; the
         # probe carries the last representative, e^2, on to e^2.5 > 10.
         cfg = IntegratorConfig(blowup_radius=10.0)
         last = trajectory(grow1, flow(grow1, [1.0], 1.0, cfg), 1.0, 0.5, cfg).states[-1]
         with pytest.raises(EscapedDomainError) as scalar:
             flow(grow1, last, 0.5, cfg)
-        with lanes_from(loop), pytest.raises(OrbitUnboundedError) as probe:
+        with native(on), pytest.raises(OrbitUnboundedError) as probe:
             estimate_omega(grow1, [1.0], cfg, transient_T=1.0, window_T=1.0, out_dt=0.5)
         assert str(probe.value) == f"representative escaped during probe: {scalar.value}"
 
@@ -435,14 +435,14 @@ class TestRoaGrid:
 
     @pytest.mark.parametrize("case", sorted(_POINTWISE_CASES))
     def test_lanes_match_pointwise_bitwise(self, case):
-        # The grid runs its nodes as lanes of one batch here;
-        # classify_attraction runs one orbit alone. They must agree bit
-        # for bit.
+        # The grid runs its nodes in one integrate_lanes call, through the
+        # native loop here; classify_attraction runs one orbit alone. They
+        # must agree bit for bit.
         texts, M, res, options, horizon_T, tol = _POINTWISE_CASES[case]
         V = VectorFieldSpec.from_strings(texts)
         box = Box([-2.0] * V.dim, [2.0] * V.dim)
         cfg = IntegratorConfig(**options)
-        with lanes_from(LANES):
+        with native(True):
             grid = roa_grid(V, M, box, res, cfg, horizon_T=horizon_T, tol=tol, out_dt=0.1)
         rows = [_grid_row(V, node, M, cfg, horizon_T, tol) for node in grid.nodes]
         assert list(zip(
@@ -456,8 +456,8 @@ class TestRoaGrid:
         V = VectorFieldSpec.from_strings(texts)
         box = Box([-2.0] * V.dim, [2.0] * V.dim)
         grids = []
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop):
+        for on in (False, True):
+            with native(on):
                 grid = roa_grid(V, M, box, res, IntegratorConfig(**options), horizon_T=horizon_T,
                                 tol=tol, out_dt=0.1)
             grids.append((

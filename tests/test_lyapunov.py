@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import LANES, ORBITS, circle_cloud, count_generators, lanes_from, orbit_attempts
+from conftest import circle_cloud, count_generators, native, orbit_attempts
 from lyapset.errors import EscapedDomainError, EvalDomainError, LyapsetError, StepLimitError
 from lyapset.expr import ScalarFieldSpec, VectorFieldSpec, compile_scalar
 from lyapset.flow import IntegratorConfig, flow, trajectory
@@ -196,8 +196,8 @@ class TestConverseTable:
             f"exceeded {_MIXED_BUDGET} steps at t=1.93782", "escaped domain at t=0.06",
             f"exceeded {_MIXED_BUDGET} steps at t=1.61495",
         ]
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop):
+        for on in (False, True):
+            with native(on):
                 table = converse_table(_MIXED, ORIGIN_2D, _MIXED_POINTS, _MIXED_CFG, cc)
             got = [(r.ell.hex(), r.big_l.hex(), r.tail_ok, r.error) for r in table.rows]
             assert got == expected
@@ -285,8 +285,8 @@ class TestVerifyConverseProperties:
         cfg = IntegratorConfig(blowup_radius=3.0, max_steps=max_steps)
         box = Box([0.0, -0.20005], [0.1, -0.19995])
         reports = []
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop):
+        for on in (False, True):
+            with native(on):
                 reports.append(verify_converse_properties(
                     _MIXED, ORIGIN_2D, box, 12, 5, cfg, ConverseConfig(1.0, 0.1)).to_json())
         assert reports[0] == reports[1]
@@ -433,8 +433,8 @@ class TestVerifyCertificate:
         except (EvalDomainError, EscapedDomainError, StepLimitError) as exc:
             expected = type(exc).__name__, str(exc)
         assert expected is not None, "no decrease sample failed"
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop):
+        for on in (False, True):
+            with native(on):
                 try:
                     report = verify_certificate(V, ORIGIN_2D, L, 0.1, 2.0, 40, 6, cfg)
                 except StepLimitError as exc:

@@ -17,7 +17,7 @@ import lyapset
 from lyapset.errors import EscapedDomainError, EvalDomainError
 from lyapset.expr import _FUNCTIONS, VectorFieldSpec
 from lyapset.flow import IntegratorConfig, integrate_lanes, sample_times
-from conftest import ORBITS, lanes_from, native, native_builds
+from conftest import native, native_builds
 
 flow = importlib.import_module("lyapset.flow")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -37,10 +37,9 @@ def _error(error):
 
 
 def _run(V, starts, targets, cfg, on):
-    """Per row of one integrate_lanes call, with the native loop on or off
-    and below it orbit loops alone: the (j, state bits) of its samples in
-    the order visit saw them, and _error of its error; then (rows, j) of
-    each visit call."""
+    """Per row of one integrate_lanes call, with the native loop on or off:
+    the (j, state bits) of its samples in the order visit saw them, and
+    _error of its error; then (rows, j) of each visit call."""
     samples = [[] for _ in starts]
     calls = []
 
@@ -49,7 +48,7 @@ def _run(V, starts, targets, cfg, on):
         for row, target, state in zip(rows.tolist(), j.tolist(), states.tolist()):
             samples[row].append((target, [v.hex() for v in state]))
 
-    with native(on), lanes_from(ORBITS):
+    with native(on):
         errors = integrate_lanes(V, starts, targets, cfg, visit)
     return [(samples[i], _error(errors.get(i))) for i in range(len(starts))], calls
 

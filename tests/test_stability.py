@@ -6,8 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import (LANES, ORBITS, circle_cloud, count_generators, lanes_from, native,
-                      native_builds, orbit_attempts)
+from conftest import circle_cloud, count_generators, native, native_builds, orbit_attempts
 from flow_reference import _walk
 from lyapset import stability
 from lyapset.cli import _run_stability
@@ -309,14 +308,14 @@ class TestEstimateDelta:
 
     @pytest.mark.parametrize("case", sorted(_PARITY_CASES))
     def test_same_bits_from_either_loop(self, case):
-        # Lanes or orbit loops, the same delta, witness or StepLimitError
-        # as the sample-by-sample probe.
+        # Orbit loops or the native loop, the same delta, witness or
+        # StepLimitError as the sample-by-sample probe.
         texts, M, eps, settings = _PARITY_CASES[case]
         args = (VectorFieldSpec.from_strings(texts), M, eps, IntegratorConfig(**settings))
         knobs = {"horizon_T": 10.0, "shell_samples": 8, "out_dt": 0.1, "tol": 1e-3}
         expected = _delta_bits(_delta_sample_by_sample, args, knobs)
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop):
+        for on in (False, True):
+            with native(on):
                 assert _delta_bits(estimate_delta, args, knobs) == expected
 
     def test_step_limit_inside_epsilon_raises(self, sink2):
@@ -456,8 +455,8 @@ class TestInvarianceOrder:
             assert expected[0] == outcome
         else:
             assert (expected == "inf") == (outcome == "inf")
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop):
+        for on in (False, True):
+            with native(on):
                 assert _invariance_outcome(check_positive_invariance, *args) == expected
 
 
@@ -498,13 +497,14 @@ class TestUniformAttractionTime:
 
     @pytest.mark.parametrize("case", sorted(_START_BY_START_CASES))
     def test_matches_start_by_start_loop(self, case, cfg):
-        # The starts run as lanes of one batch here; the reference runs
-        # them one by one and stops at the first that decides.
+        # The starts run in one integrate_lanes call, through the native
+        # loop here; the reference runs them one by one and stops at the
+        # first that decides.
         texts, starts = _START_BY_START_CASES[case]
         V = VectorFieldSpec.from_strings(texts)
         K = PointCloud(starts)
         args = (V, K, ORIGIN_2D, 0.1, cfg, 10.0, 0.1)
-        with lanes_from(LANES):
+        with native(True):
             got = uniform_attraction_time(*args)
         expected = _uniform_start_by_start(*args)
         assert got.integration_failed == expected.integration_failed
@@ -522,8 +522,8 @@ class TestUniformAttractionTime:
         args = (VectorFieldSpec.from_strings(texts), PointCloud(starts), M, 0.1, cfg,
                 10.0, 0.1)
         estimates = []
-        for loop in (LANES, ORBITS):
-            with lanes_from(loop):
+        for on in (False, True):
+            with native(on):
                 est = uniform_attraction_time(*args)
             estimates.append((est.value if est.value is None else est.value.hex(),
                               est.integration_failed))
@@ -629,7 +629,7 @@ class TestClassifyStability:
             )
 
 
-def _count_lane_batches(monkeypatch) -> list:
+def _count_integrate_lanes(monkeypatch) -> list:
     """Wrap integrate_lanes wherever it is looked up; returns the call log."""
     calls = []
     modules = [importlib.import_module(f"lyapset.{m}") for m in ("flow", "limits")]
@@ -674,20 +674,20 @@ def _bundled_stability(name: str):
 def _count_stability_orbits(monkeypatch) -> list:
     """Log one entry per orbit that starts in the stability module's own
     distance passes, its delta probes and invariance check, not its grid:
-    one per run of the orbit loop, or per lane of a batch. The native loop
-    is off: it runs every row of a pass's buffer, past an early stop."""
+    one per run of the orbit loop. The native loop is off: it runs every
+    row of a pass's buffer, past an early stop."""
     calls, inside = [], []
     flow = importlib.import_module("lyapset.flow")
     monkeypatch.setattr(flow, "_NATIVE_FROM", sys.maxsize)
     compiled, distance_pass = flow._compiled, stability._distance_pass
 
-    def counting_compiled(V, method, lanes=False):
-        loop = compiled(V, method, lanes)
+    def counting_compiled(V, method):
+        loop = compiled(V, method)
 
-        def counted(y, *args):
+        def counted(*args):
             if inside:
-                calls.extend([1] * (y.shape[1] if lanes else 1))
-            return loop(y, *args)
+                calls.append(1)
+            return loop(*args)
 
         return counted
 
@@ -745,11 +745,12 @@ def test_failing_probes_stop_at_their_first_exit(monkeypatch):
     assert len(calls) == 21
 
 
-def _saddle_first_exits(on: bool, monkeypatch):
-    """The saddle case of the first-exit tests: per lane threshold LANES,
-    60 and ORBITS, with the native loop on or off, the (witness, worst
-    bits) of _first_exit and the resume arguments of the orbit loops it
-    ran."""
+def _saddle_first_exits(monkeypatch):
+    """The saddle case of the first-exit tests: the (witness, worst bits)
+    of _first_exit with the native loop off, on, and on with a buffer of
+    one sample, which stops a row for the orbit loop to resume once one
+    of its steps passes two targets; asserted equal. Returns the field
+    and, per run, the resume arguments of the orbit loops it ran."""
     V = VectorFieldSpec.from_strings(["-x1", "x2"])
     points = np.stack([np.linspace(-0.45, 0.45, 60), np.zeros(60)], axis=1)
     points[40, 1] = 0.1
@@ -759,15 +760,16 @@ def _saddle_first_exits(on: bool, monkeypatch):
     compiled = flow._compiled
     runs = []
 
-    def recording(V, method, lanes=False):
-        loop = compiled(V, method, lanes)
-        return loop if lanes else lambda y, *args: runs[-1].append(args[-1]) or loop(y, *args)
+    def recording(V, method):
+        loop = compiled(V, method)
+        return lambda y, *args: runs[-1].append(args[-1]) or loop(y, *args)
 
     monkeypatch.setattr(flow, "_compiled", recording)
     exits = []
-    for loop in (LANES, len(points), ORBITS):
+    for on, buffer in ((False, flow._BUFFER), (True, flow._BUFFER), (True, 1)):
         runs.append([])
-        with lanes_from(loop), native(on):
+        monkeypatch.setattr(flow, "_BUFFER", buffer)
+        with native(on):
             witness, worst = stability._first_exit(V, ORIGIN_2D, points, 0.5, times, cfg)
         exits.append((witness.tolist(), [v.hex() for v in worst.tolist()]))
     assert exits[0][0] == points[40].tolist()
@@ -780,26 +782,27 @@ def test_first_exit_stops_across_the_lane_handoff(monkeypatch):
     # axis and decay, so their largest distance is their first; point 40
     # leaves epsilon near t = ln 5 and escapes near t = ln 40, before any other
     # orbit ends. So the pass ends once points 0-39 end inside, whichever
-    # loop runs them. With all 60 as the lane threshold, the batch hands
-    # its other 59 lanes to orbit loops when point 40 escapes: the _Stop
-    # raised in the visit of point 39's resumed orbit ends the pass, and
-    # points 41-59 never run there.
-    _, (_, resumes, _) = _saddle_first_exits(False, monkeypatch)
-    assert len(resumes) == 40 and None not in resumes
+    # loop runs them. With a buffer of one sample, the native loop hands
+    # each row to the orbit loop at its first step that passes two
+    # targets: the _Stop raised in the visit of point 39's resumed orbit
+    # ends the pass, and points 41-59 are never resumed.
+    V, (_, _, resumes) = _saddle_first_exits(monkeypatch)
+    if native_builds(V):
+        assert len(resumes) == 40 and None not in resumes
 
 
 def test_first_exit_from_the_native_loop(monkeypatch):
     # The native loop runs all 60 points in one buffer, and no orbit loop,
     # as none fails in the field; the _Stop in that buffer's visit ends
     # the pass with the same witness and largest distances.
-    V, runs = _saddle_first_exits(True, monkeypatch)
+    V, (_, runs, _) = _saddle_first_exits(monkeypatch)
     if native_builds(V):
-        assert runs == [[], [], []]
+        assert runs == []
 
 
 class TestClassifyStabilityOnePass:
     def test_one_lane_batch(self, sink2, cfg, monkeypatch):
-        calls = _count_lane_batches(monkeypatch)
+        calls = _count_integrate_lanes(monkeypatch)
         report = classify_stability(
             sink2, ORIGIN_2D, cfg, epsilons=[0.1],
             roa_box=Box([-0.4, -0.4], [0.4, 0.4]), resolution=5,
@@ -807,7 +810,8 @@ class TestClassifyStabilityOnePass:
         )
         assert report.verdict == VERDICT_STABLE and report.uniform_T > 0
         # Two delta probes of 4 shell and 1 interior points, the invariance
-        # check's one set point, then one batch for the whole 5x5 grid.
+        # check's one set point, then one integrate_lanes call for the
+        # whole 5x5 grid.
         assert calls == [5, 5, 1, 25]
 
     @pytest.mark.parametrize("case", sorted(_GRID_PARITY_CASES))
