@@ -44,7 +44,14 @@ compiled and cached:
                    native_orbit on perfbench's vdp_roa_grid: the reversed
                    Van der Pol field from the 41 x 41 grid nodes of
                    [-3, 3]^2, T = 20, out_dt 0.05, rel_tol 1e-9, abs_tol
-                   1e-12; it has no orbit_loop counterpart
+                   1e-12; it has no orbit_loop counterpart. Its 672,400
+                   samples are past flow._PARALLEL_FROM, so where the
+                   checkout cuts a native run into row slices on threads,
+                   this runs as many slices as the host has cores
+  native_orbit/vdp/1681/serial
+                   the same with flow._WORKERS forced to 1, one slice in
+                   the caller's thread; a checkout without _WORKERS runs
+                   every native call so, and times the same call here
   lane_batch/vdp/1681
                    the same grid through the lane batch, where the
                    checkout has one
@@ -123,15 +130,19 @@ BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "lane_batch/vdp/1681": (7, 1),
-           "native_orbit/vdp/1681": (7, 1), "integrate_lanes/vdp/1681": (7, 1),
+           "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
+           "integrate_lanes/vdp/1681": (7, 1),
            "native_build": (5, 1),
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            "estimate_omega/vanderpol": (10, 1),
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
               for kind in ("lane_batch", "orbit_loop", "native_orbit") for batch in BATCHES}}
-# How the layers named after a loop force it: (_LANES_FROM, _NATIVE_FROM).
-LOOPS = {"lane_batch": (1, sys.maxsize), "orbit_loop": (sys.maxsize, sys.maxsize),
-         "native_orbit": (None, 0)}
+# How the layers named after a loop force it: the flow constants they set,
+# where the checkout has them.
+LOOPS = {"lane_batch": {"_LANES_FROM": 1, "_NATIVE_FROM": sys.maxsize},
+         "orbit_loop": {"_LANES_FROM": sys.maxsize, "_NATIVE_FROM": sys.maxsize},
+         "native_orbit": {"_NATIVE_FROM": 0},
+         "native_orbit/serial": {"_NATIVE_FROM": 0, "_WORKERS": 1}}
 
 
 def _timed(fn, runs: int, calls: int) -> list[dict]:
@@ -200,12 +211,9 @@ def _ignore(rows, j, states):
 
 
 @contextlib.contextmanager
-def _forced(flow, lanes_from=None, native_from=None):
-    """flow's _LANES_FROM and _NATIVE_FROM set, where given and where the
-    checkout has them."""
-    forced = {name: value for name, value in (("_LANES_FROM", lanes_from),
-                                              ("_NATIVE_FROM", native_from))
-              if value is not None and hasattr(flow, name)}
+def _forced(flow, **values):
+    """flow's constants set to values, where the checkout has them."""
+    forced = {name: value for name, value in values.items() if hasattr(flow, name)}
     kept = {name: getattr(flow, name) for name in forced}
     for name, value in forced.items():
         setattr(flow, name, value)
@@ -219,7 +227,7 @@ def _forced(flow, lanes_from=None, native_from=None):
 def _integrate(flow, loop, V, starts, targets, cfg):
     """integrate_lanes with the loop of LOOPS forced, or at the checkout's
     defaults for None."""
-    with _forced(flow, *LOOPS.get(loop, (None, None))):
+    with _forced(flow, **LOOPS.get(loop, {})):
         flow.integrate_lanes(V, starts, targets, cfg, _ignore)
 
 
@@ -268,7 +276,7 @@ def worker(src: str) -> dict:
 
     def orbit_loop(fn):
         def forced():
-            with _forced(flow, native_from=sys.maxsize):
+            with _forced(flow, _NATIVE_FROM=sys.maxsize):
                 fn()
         return forced
 
@@ -301,6 +309,8 @@ def worker(src: str) -> dict:
         layers[f"{name}/vdp/1681"] = (
             lambda name=name: _integrate(flow, name, vdp, nodes, vdp_targets, vdp_cfg))
     if native:
+        layers["native_orbit/vdp/1681/serial"] = lambda: _integrate(
+            flow, "native_orbit/serial", vdp, nodes, vdp_targets, vdp_cfg)
         layers["native_build"] = lambda: _cold_build(flow, cycle, "rk45_adaptive")
     # cycle_cloud's omega window, its representatives and their images
     window = ls.trajectory(cycle, ls.flow(cycle, CYCLE_X0, 60.0, ls.IntegratorConfig()), 6.7,

@@ -28,7 +28,13 @@ loop. The emitter has a second target, C, for it: the orbit loop's
 attempt statement for statement over doubles and libm, built with a C
 compiler ($CC, else cc) and run through ctypes, in calls of at most
 _BUFFER samples written to a caller-owned buffer; each filled buffer
-reaches visit in one call, rows ascending. The build is cached under
+reaches visit in one call, rows ascending. A run of _PARALLEL_FROM
+samples or more cuts its rows into one contiguous slice per core, each
+slice's calls on a thread of its own, as ctypes releases the GIL during a
+call; visit still runs in the caller's thread, taking the buffers
+round-robin by slice, an order fixed for a given number of slices. A row
+runs within one slice, so its samples, error and attempts do not depend
+on the slices. The build is cached under
 ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with contraction and
 builtins off, so that gcc neither fuses a * b + c nor merges sin and cos:
 the native loop's bits are the orbit loop's. Where the orbit loop raises
@@ -496,6 +502,87 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
 # MiB above the Python loops', with 4,096 it is 0.6 MiB above.
 _BUFFER = 4096
 _LONG_MAX = 2 ** 63 - 1
+# Samples, rows x targets, from which a native run cuts its rows into
+# slices that run on threads of their own. Below it the calls run in the
+# caller's thread: on a 2-core Xeon, two slices took a delta probe of 81
+# x 120 samples from 2.4 to 3.4 ms and a converse table of 24 x 1000 from
+# 4.2 to 4.5 ms, the largest calls of the bundled problems and of
+# perfbench's cycle_cloud, and perfbench's 41 x 41 x 400 ROA grid from 82
+# to 66 ms (BENCH_24.json).
+_PARALLEL_FROM = 16 * _BUFFER
+# The most slices of a parallel run; None for the cores this process may
+# run on.
+_WORKERS = None
+
+
+def _slices(m: int, samples: int) -> int:
+    """W, the slices that a native run of m rows and samples samples cuts
+    its rows into: 1 below _PARALLEL_FROM, else the cores or _WORKERS, at
+    most one slice per row."""
+    if samples < _PARALLEL_FROM:
+        return 1
+    cores = _WORKERS
+    if cores is None:
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks here, as on macOS
+            cores = os.cpu_count() or 1
+    return min(cores, m)
+
+
+def _sliced(calls, m: int, w: int, visit) -> None:
+    """visit(*batch) of every batch of calls(lo, hi) over w contiguous
+    slices [lo, hi) of range(m): with w = 1 in this thread; else each
+    slice's calls run in a thread of their own, handing their batches
+    over one at a time, and visit takes them in this thread, round-robin
+    by slice, so that their order is fixed for a given w. Whatever stops
+    this, visit raising included, every thread has ended before it
+    returns or raises."""
+    if w == 1:
+        for batch in calls(0, m):
+            visit(*batch)
+        return
+    import queue
+    import threading
+
+    stop = threading.Event()
+    queues = [queue.Queue(maxsize=1) for _ in range(w)]
+
+    def work(lo, hi, out):
+        # A slice's batches are tuples; its end is None, or what it raised.
+        end = None
+        try:
+            for batch in calls(lo, hi):
+                out.put(batch)
+                if stop.is_set():
+                    break
+        except BaseException as exc:  # raised again in the caller's thread
+            end = exc
+        finally:
+            out.put(end)
+
+    threads = [threading.Thread(target=work, args=(m * i // w, m * (i + 1) // w, out),
+                                daemon=True) for i, out in enumerate(queues)]
+    for thread in threads:
+        thread.start()
+    running = list(queues)
+    try:
+        while running:
+            for out in list(running):
+                batch = out.get()
+                if isinstance(batch, tuple):
+                    visit(*batch)
+                    continue
+                running.remove(out)
+                if batch is not None:
+                    raise batch
+    finally:
+        stop.set()
+        for out in running:  # take each open slice's batches to its end, so that it ends
+            while isinstance(out.get(), tuple):
+                pass
+        for thread in threads:
+            thread.join()
 
 
 @lru_cache(maxsize=128)
@@ -504,13 +591,18 @@ def _native(V: VectorFieldSpec, method: str):
     or loaded.
 
     run(starts, targets, cfg, visit) -> (errors, left, attempts) runs the
-    rows of starts, cut into calls by the buffer: each call's samples
-    reach visit in one call, rows ascending and j increasing within a row,
-    a row cut off by the full buffer continuing in the next call. errors
-    holds the escapes, each an EscapedDomainError of the row's time and
-    state that carries its attempts; left holds, in _unfinished's
+    rows of starts, cut into W contiguous slices by _slices, and each
+    slice into calls by the buffer; from _PARALLEL_FROM samples each slice
+    runs in a thread of its own, through ctypes, which releases the GIL
+    during a call. Each call's samples reach visit in one call, in the
+    caller's thread: rows ascending and j increasing within a row, a row
+    cut off by the full buffer continuing in its slice's next call; the
+    calls are taken round-robin by slice, an order fixed for a given W.
+    errors holds the escapes, each an EscapedDomainError of the row's time
+    and state that carries its attempts; left holds, in _unfinished's
     groups, the rows stopped for the orbit loop, which resumes them; and
-    attempts is the attempts of each row, up to where it stopped."""
+    attempts is the attempts of each row, up to where it stopped. A row
+    runs alone, in its slice, so none of these depends on W."""
     orbits = _library(_c_source(V, method))
     if orbits is None:
         return None
@@ -527,15 +619,20 @@ def _native(V: VectorFieldSpec, method: str):
         # steps >= max_steps as Python compares them; no run reaches 2^63 - 1.
         max_steps = math.ceil(cfg.max_steps) if cfg.max_steps < _LONG_MAX else _LONG_MAX
         cap = min(_BUFFER, m * len(targets))  # the most samples the rows have
-        next_row = np.zeros(1, np.int64)
-        while next_row[0] < m:
-            # A buffer per call, which visit may keep.
-            buf, at = np.empty((cap, n)), np.empty((2, cap), np.int64)
-            count = orbits(m, next_row.ctypes.data, f.ctypes.data, l.ctypes.data, c.ctypes.data,
-                           max_steps, ahead.ctypes.data, len(targets), buf.ctypes.data,
-                           at.ctypes.data, cap)
-            if count:
-                visit(at[0, :count], at[1, :count], buf[:count])
+
+        def calls(lo, hi):
+            """The samples of each call over rows lo..hi - 1, as visit takes them."""
+            next_row = np.array([lo], np.int64)
+            while next_row[0] < hi:
+                # A buffer per call, which visit may keep.
+                buf, at = np.empty((cap, n)), np.empty((2, cap), np.int64)
+                count = orbits(hi, next_row.ctypes.data, f.ctypes.data, l.ctypes.data,
+                               c.ctypes.data, max_steps, ahead.ctypes.data, len(targets),
+                               buf.ctypes.data, at.ctypes.data, cap)
+                if count:
+                    yield at[0, :count], at[1, :count], buf[:count]
+
+        _sliced(calls, m, _slices(m, m * len(targets)), visit)
         status, attempts = l[:, 0], l[:, 2]
         errors = {}
         for row in np.flatnonzero(status == _ESCAPED).tolist():
@@ -682,20 +779,29 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     takes from that start alone, whichever loop runs it. Once the field
     and method have done _NATIVE_FROM work, as the meter of their orbit
     loop counts it (see _compiled), _native's loop runs the rows, in
-    calls of at most _BUFFER samples; each call's samples reach visit in
-    one call, rows ascending, and a row it stops before a failing attempt
-    is resumed there by the orbit loop. Below that, or where no native
-    loop can be built, one orbit loop runs each row. visit(rows, j,
-    states) receives row numbers, the index in targets of the target each
-    reached and the states there, (len(rows), n), arrays of its own: from
-    the native loop, every (row, target) pair of a buffer, a row
-    repeating, j increasing within it; from an orbit loop, the row's
-    samples in one call, j increasing, and for a row that the native loop
-    stopped, only those it had not visited. visit
-    runs under np.errstate(all="ignore") either way, and what it raises
-    passes through. A row leaves after its last target, or where the
-    orbit loop raises: on escape, a domain failure of the field, the
-    step budget or a step size underflow.
+    calls of at most _BUFFER samples, from _PARALLEL_FROM samples in row
+    slices on threads; each call's samples reach visit in one call, rows
+    ascending within it, the calls round-robin by slice, and a row it
+    stops before a failing attempt is resumed there by the orbit loop.
+    Below that, or where no native loop can be built, one orbit loop runs
+    each row. visit(rows, j, states) receives row numbers, the index in
+    targets of the target each reached and the states there, (len(rows),
+    n), arrays of its own: from the native loop, every (row, target) pair
+    of a buffer, a row repeating, j increasing within it and across its
+    calls; from an orbit loop, the row's samples in one call, j
+    increasing, and for a row that the native loop stopped, only those it
+    had not visited. So the order of rows across calls depends on the
+    slices, and the order of one row's samples does not; what a caller
+    reduces from its visits is the same whatever the slices where it holds
+    for any order of rows, as it does for _sweep (fmin, fmax and
+    maximum.at, and the value of the largest j as the last), for
+    _big_l_values and flow_rows (written by row and j) and for
+    _first_exit (it stops at an exit only once every earlier row has
+    ended inside). visit runs in the caller's thread, under
+    np.errstate(all="ignore") either way, and what it raises passes
+    through once every thread has ended. A row leaves after its last
+    target, or where the orbit loop raises: on escape, a domain failure
+    of the field, the step budget or a step size underflow.
     targets must be positive and strictly increasing. Returns, by failed
     row, the EscapedDomainError, EvalDomainError or StepLimitError that the
     orbit loop raises from that start alone: same type and text, and for

@@ -39,6 +39,14 @@ def native(on: bool):
                              0 if on else sys.maxsize)
 
 
+def sliced(workers: int | None):
+    """Context in which every native run cuts its rows into min(workers,
+    rows) slices, each on a thread of its own from 2 slices on; None for
+    the cores, as a large run does."""
+    flow = importlib.import_module("lyapset.flow")
+    return mock.patch.multiple(flow, _PARALLEL_FROM=0, _WORKERS=workers)
+
+
 def native_builds(V, method: str = "rk45_adaptive") -> bool:
     """Whether the native loop of V and method builds and loads here."""
     return importlib.import_module("lyapset.flow")._native(V, method) is not None
@@ -46,18 +54,21 @@ def native_builds(V, method: str = "rk45_adaptive") -> bool:
 
 def pytest_addoption(parser):
     parser.addoption("--native", choices=("auto", "always"), default="auto",
-                     help="always: run every integration through the native loop, where a test "
-                          "does not pin it; auto: once a field has done enough work, as a run does")
+                     help="always: run every integration through the native loop, in row slices "
+                          "on at least two threads, where a test does not pin it; auto: once a "
+                          "field has done enough work, and on threads from a large run on, as a "
+                          "run does")
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _native_cache(request, tmp_path_factory):
     """Native builds go to a cache of the session's own, not the user's;
-    with --native=always every field runs natively."""
+    with --native=always every field runs natively, each run in at least
+    two row slices on threads of their own."""
     cache = str(tmp_path_factory.mktemp("cache"))
     with mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
         if request.config.getoption("--native") == "always":
-            with native(True):
+            with native(True), sliced(max(2, os.cpu_count() or 1)):
                 yield
         else:
             yield

@@ -5,7 +5,6 @@ Each test computes its measurements first, prints a single
 asserts, so a red run still shows the full scoreboard.
 """
 
-import json
 import math
 import shutil
 from pathlib import Path
@@ -15,7 +14,7 @@ import pytest
 
 from conftest import OSC_ALIGNED_DT, TWO_PI
 from lyapset.cli import main as cli_main
-from lyapset.errors import EscapedDomainError, EvalDomainError
+from lyapset.errors import EvalDomainError
 from lyapset.expr import (
     Binary,
     Const,

@@ -8,7 +8,7 @@ from conftest import circle_cloud, count_generators, native, orbit_attempts
 from lyapset.errors import EscapedDomainError, EvalDomainError, LyapsetError, StepLimitError
 from lyapset.expr import ScalarFieldSpec, VectorFieldSpec, compile_scalar
 from lyapset.flow import IntegratorConfig, flow, trajectory
-from lyapset.geometry import Box, PointCloud, SinglePoint
+from lyapset.geometry import Box, SinglePoint
 from lyapset.lyapunov import (
     _annulus_points,
     _big_l_at,

@@ -1,25 +1,30 @@
 """The native orbit loop: bitwise parity with the Python loops across
-buffer calls, for every function and for failures that the orbit loop
-resumes, and runs whose output no missing, failing, truncated, read-only
-or concurrent build changes."""
+buffer calls and row slices run on threads, for every function and for
+failures that the orbit loop resumes, and runs whose output no missing,
+failing, truncated, read-only or concurrent build changes."""
 
 import importlib
 import os
 import stat
 import subprocess
 import sys
+import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import lyapset
-from lyapset.errors import EscapedDomainError, EvalDomainError
+from lyapset.errors import EscapedDomainError
 from lyapset.expr import _FUNCTIONS, VectorFieldSpec
 from lyapset.flow import IntegratorConfig, integrate_lanes, sample_times
-from conftest import native, native_builds
+from lyapset.geometry import SinglePoint
+from conftest import native, native_builds, orbit_attempts, sliced
 
 flow = importlib.import_module("lyapset.flow")
+limits = importlib.import_module("lyapset.limits")
+stability = importlib.import_module("lyapset.stability")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(lyapset.__file__))
 HARMONIC = VectorFieldSpec.from_strings(["x2", "-x1"])
@@ -102,6 +107,193 @@ class TestBuffer:
             integrate_lanes(HARMONIC, np.zeros((50, 2)), sample_times(2.0, 0.1)[1:],
                             IntegratorConfig(), visit)
         assert len(calls) == 1 and 0 < calls[0] <= 10
+
+
+_HARMONIC_HALF_BUDGET = orbit_attempts(["x2", "-x1"], [0.3, 0.1], 8.0, 0.1) // 2
+
+# name: (field, starts, targets, config) of one native run of many rows,
+# some of which end in each way a row can end before its last target.
+_SLICED_CASES = {
+    # Escapes at the start and at different times, and starts that finish.
+    "escape": (["x1"], [[v] for v in np.linspace(-5.0, 1.0, 13)], sample_times(3.0, 0.05)[1:],
+               IntegratorConfig(blowup_radius=4.0)),
+    # Failures in the field at the start (x1 > 0.5) and later on, which
+    # the orbit loop resumes.
+    "domain": (["1", "sqrt(0.5 - x1)"], [[v, 0.0] for v in np.linspace(-1.5, 0.75, 10)],
+               sample_times(2.0, 0.05)[1:], IntegratorConfig()),
+    # The equilibrium finishes; the other starts run out of steps halfway.
+    "step-budget": (["x2", "-x1"], [[0.3 * k, 0.1] for k in range(-5, 6)] + [[0.0, 0.0]],
+                    sample_times(8.0, 0.1)[1:], IntegratorConfig(max_steps=_HARMONIC_HALF_BUDGET)),
+    # The step size underflows where -1/x1 blows up, at t = x1^2 / 2.
+    "underflow": (["-1 / x1"], [[v] for v in (1.0, 2.0, 0.5, 0.25, 1.5, 3.0, 0.75)],
+                  [0.1, 0.4, 1.0], IntegratorConfig(max_steps=10_000)),
+    # Several samples per step, so that rows straddle the small buffer of
+    # the buffer test below; one start lies outside the blow-up radius.
+    "dense": (["x2", "-x1"], [[np.cos(a), np.sin(a)] for a in np.linspace(0, 3, 9)]
+              + [[3.0, 3.0]], sample_times(4.0, 0.1)[1:],
+              IntegratorConfig(method="rk4_fixed", dt=0.35, blowup_radius=4.0)),
+}
+
+
+def _sliced_run(name, workers):
+    """_run of _SLICED_CASES[name] with the native loop on, in min(workers,
+    rows) slices, and the per-row attempts of _native's run there, or None
+    where no native loop builds."""
+    texts, starts, targets, cfg = _SLICED_CASES[name]
+    V = VectorFieldSpec.from_strings(texts)
+    with sliced(workers):
+        rows, calls = _run(V, starts, targets, cfg, True)
+        run = flow._native(V, cfg.method)
+        attempts = None if run is None else run(
+            np.array(starts, float), np.asarray(targets), cfg, lambda *batch: None)[2].tolist()
+    return rows, calls, attempts
+
+
+def _slice_of(rows, m, w):
+    """The slice of w over m rows that holds every row of rows."""
+    (i,) = {next(i for i in range(w) if row < m * (i + 1) // w) for row in rows}
+    return i
+
+
+@pytest.fixture()
+def fast_switching():
+    """Threads switch every microsecond, so that slices interleave as
+    finely as the interpreter lets them."""
+    kept = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(kept)
+
+
+@pytest.mark.usefixtures("fast_switching")
+class TestSlices:
+    """A native run cut into row slices, each slice's calls on a thread of
+    their own: every row's samples, error and attempts are the serial
+    run's and the orbit loop's, bit for bit, whatever the slices."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 50])
+    @pytest.mark.parametrize("name", sorted(_SLICED_CASES))
+    def test_bitwise_equal_to_the_serial_run_and_the_orbit_loop(self, name, workers):
+        texts, starts, targets, cfg = _SLICED_CASES[name]
+        V = VectorFieldSpec.from_strings(texts)
+        serial, _, serial_attempts = _sliced_run(name, 1)
+        assert serial == _run(V, starts, targets, cfg, False)[0]
+        before = threading.active_count()
+        rows, calls, attempts = _sliced_run(name, workers)
+        assert threading.active_count() == before
+        assert rows == serial and attempts == serial_attempts
+        if attempts is None:
+            return
+        # The attempts of a row that ends in the native loop are the
+        # orbit loop's; of a row it stops, those before the failing one,
+        # which the orbit loop's error counts.
+        orbit = flow._compiled(V, cfg.method)
+        for row, start in enumerate(starts):
+            error = rows[row][1]
+            if error is None:
+                assert attempts[row] == orbit(list(start), targets, cfg, [])
+            elif error[0] == "EscapedDomainError":
+                assert attempts[row] == error[2]
+            else:
+                assert attempts[row] <= error[2]
+        # Calls go round-robin by slice, each within one slice.
+        w = min(workers, len(starts))
+        order = [_slice_of(call_rows, len(starts), w) for call_rows, _ in calls]
+        assert order == [i for k in range(len(order)) for i in range(w)
+                         if order.count(i) > k]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name", ["dense", "escape"])
+    def test_rows_cut_across_buffers(self, name, workers, monkeypatch):
+        # A buffer of 7 samples: a row goes on in its slice's next call, or,
+        # where one step passes more targets than that, in the orbit loop,
+        # so the attempts are those of the serial run at that buffer.
+        expected = _sliced_run(name, 1)[0]
+        monkeypatch.setattr(flow, "_BUFFER", 7)
+        rows, calls, attempts = _sliced_run(name, workers)
+        assert (rows, attempts) == (expected, _sliced_run(name, 1)[2])
+        if attempts is not None:  # some row is visited in more than one call
+            assert any(sum(row in call_rows for call_rows, _ in calls) > 1
+                       for row in range(len(rows)))
+
+    @pytest.mark.parametrize("workers", [2, 3, 50])
+    def test_the_visit_order_repeats(self, workers):
+        assert _sliced_run("dense", workers)[1] == _sliced_run("dense", workers)[1]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("error", [limits._Stop(), RuntimeError("raised by visit")])
+    @pytest.mark.parametrize("at_call", [1, 3])
+    def test_a_visit_that_raises_ends_every_thread(self, error, at_call, workers, monkeypatch):
+        monkeypatch.setattr(flow, "_BUFFER", 64)
+        calls = []
+
+        def visit(rows, j, states):
+            calls.append(rows)
+            if len(calls) == at_call:
+                raise error
+
+        before = threading.active_count()
+        with native(True), sliced(workers), pytest.raises(type(error)) as raised:
+            integrate_lanes(HARMONIC, np.zeros((50, 2)), sample_times(2.0, 0.1)[1:],
+                            IntegratorConfig(rel_tol=1e-3), visit)
+        assert raised.value is error
+        assert threading.active_count() == before
+        if native_builds(HARMONIC):
+            assert len(calls) == at_call
+
+    def test_a_slice_that_raises_ends_every_thread(self):
+        # The first slice raises at its second batch: the caller raises it
+        # when it takes it, after one batch of each slice.
+        def calls(lo, hi):
+            for k in range(5):
+                if lo == 0 and k == 1:
+                    raise MemoryError("raised by a slice")
+                yield ([lo, k],)
+
+        visited = []
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="raised by a slice"):
+            flow._sliced(calls, 9, 3, visited.append)
+        assert threading.active_count() == before
+        assert visited == [[0, 0], [3, 0], [6, 0]]
+
+    @pytest.mark.parametrize("w", [1, 2, 4])
+    def test_batches_go_round_robin_by_slice(self, w):
+        # Of 10 rows, rows 0, 2 and 5 make 3, 1 and 2 batches, each named
+        # (first row of its slice, row, index).
+        batches = {0: 3, 2: 1, 5: 2}
+        visited = []
+        flow._sliced(lambda lo, hi: (((lo, row, k),) for row in range(lo, hi)
+                                     for k in range(batches.get(row, 0))),
+                     10, w, visited.append)
+        expected = {1: [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 2, 0), (0, 5, 0), (0, 5, 1)],
+                    2: [(0, 0, 0), (5, 5, 0), (0, 0, 1), (5, 5, 1), (0, 0, 2), (0, 2, 0)],
+                    4: [(0, 0, 0), (2, 2, 0), (5, 5, 0), (0, 0, 1), (5, 5, 1), (0, 0, 2)]}[w]
+        assert visited == expected
+
+
+def test_a_large_delta_probe_stops_at_the_serial_witness():
+    # 801 points of a saddle, 80,100 samples, so past _PARALLEL_FROM at
+    # its own value. All but two start on the stable axis and stay
+    # inside; point 300 leaves epsilon late and point 700, in a later
+    # slice, early. Whatever the slices, the witness is point 300: the
+    # pass stops only once every earlier point has ended inside.
+    V = VectorFieldSpec.from_strings(["-x1", "x2"])
+    points = np.stack([np.linspace(-0.45, 0.45, 801), np.zeros(801)], axis=1)
+    points[300, 1], points[700, 1] = 0.02, 0.3
+    times = sample_times(10.0, 0.1)
+    assert len(points) * (len(times) - 1) >= flow._PARALLEL_FROM
+    cfg = IntegratorConfig(blowup_radius=4.0)
+    origin = SinglePoint([0.0, 0.0])
+    with native(False):
+        expected, _ = stability._first_exit(V, origin, points, 0.5, times, cfg)
+    assert expected.tolist() == points[300].tolist()
+    for workers in (1, 2, 3):
+        with native(True), mock.patch.object(flow, "_WORKERS", workers):
+            witness, _ = stability._first_exit(V, origin, points, 0.5, times, cfg)
+        assert witness.tolist() == expected.tolist()
 
 
 # Per function of the expression language, a field that calls it; the
@@ -267,6 +459,13 @@ class TestBuildsNeverHurt:
         assert outputs == [(expected.stdout, "")] * 2
         if native_builds(VectorFieldSpec.from_strings(["x2", "(1 - x1^2)*x2 - x1"])):
             assert len(os.listdir(cache / "lyapset")) == 1
+
+
+def test_import_loads_no_queue():
+    # Only a run past _PARALLEL_FROM imports queue, so that importing the
+    # package costs no more than before row slices.
+    done = _python("import sys, lyapset.cli\nprint('queue' in sys.modules)\n")
+    assert done.stdout.split() == ["False"]
 
 
 def test_import_builds_nothing(tmp_path):
