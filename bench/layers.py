@@ -11,8 +11,8 @@ seconds, and the median in calibration units: the layer's time over the
 time of a fixed pure-Python loop run around and inside it
 (perfbench/calib.py). No minimum is given in calibration units: for a
 layer spent mostly in NumPy, one run's calibration, not the layer, sets
-it (BENCH_12.json: lane_batch/1 had min_cal at 0.16 of its median while
-min_s was at 0.69).
+it (BENCH_12.json: the NumPy lane batch of one lane had min_cal at 0.16
+of its median while min_s was at 0.69).
 
 Layers, each timed after one untimed call so that generated code is
 compiled and cached:
@@ -34,12 +34,6 @@ compiled and cached:
                    the same with _NATIVE_FROM forced to 0: the native loop
                    runs every start, where the checkout has one and it
                    builds; the native layers are left out elsewhere
-  lane_batch/<field>/<m>
-                   the same with flow._LANES_FROM forced to 1 and the
-                   native loop off, so that the NumPy lane batch runs
-                   every lane to its end; only where the checkout has
-                   _LANES_FROM, as checkouts before the batch was removed
-                   do
   native_orbit/vdp/1681
                    native_orbit on perfbench's vdp_roa_grid: the reversed
                    Van der Pol field from the 41 x 41 grid nodes of
@@ -52,14 +46,10 @@ compiled and cached:
                    the same with flow._WORKERS forced to 1, one slice in
                    the caller's thread; a checkout without _WORKERS runs
                    every native call so, and times the same call here
-  lane_batch/vdp/1681
-                   the same grid through the lane batch, where the
-                   checkout has one
   integrate_lanes/vdp/1681
                    the same grid at the checkout's own defaults, as
-                   roa_grid runs it: where the native loop runs, or a lane
-                   batch hands its last lanes to orbit loops, it does so
-                   here
+                   roa_grid runs it: where the native loop runs, it does
+                   so here
   native_build     one cold build of the native loop of the 4-D cycle
                    field, into a temporary cache
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
@@ -83,17 +73,14 @@ enough work in the process, converse_orbit and the analyses run it.
 
 A checkout whose flow module generates whole orbit loops, _compiled(V,
 method), also reports per layer the runs of the orbit loop, from a start
-or resumed from a native row (or from a lane, where the checkout has a
-lane batch), the rows of the native loop, and the step attempts made in
-them; a native row's attempts come from the per-row counts that the
-native loop returns, so that they equal the orbit loop's, while lanes
-and the attempts a lane made before the orbit loop resumed it are not
-counted. These repeat exactly, and each checkout's per-attempt times use
+or resumed from a native row, the rows of the native loop, and the step
+attempts made in them; a native row's attempts come from the per-row
+counts that the native loop returns, so that they equal the orbit
+loop's. These repeat exactly, and each checkout's per-attempt times use
 its own counts. Per checkout, orbit_over_native gives, per field and m,
 the median time of the orbit loops over that of the native loop: above 1
-the native loop is faster; orbit_over_lane gives the same over the lane
-batch, where the checkout has one. This is a measurement, not a gate:
-perfbench holds the gated end-to-end metrics.
+the native loop is faster. This is a measurement, not a gate: perfbench
+holds the gated end-to-end metrics.
 """
 
 from __future__ import annotations
@@ -125,22 +112,20 @@ HARMONIC = ["x2", "-x1"]
 CYCLE = ["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"]
 CYCLE_X0 = [0.5, 0.0, 0.0, 0.0]  # cycle_cloud's omega start
 VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
-# field/m of the orbit_loop, native_orbit and lane_batch layers
+# field/m of the orbit_loop and native_orbit layers
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
-           "estimate_delta": (3, 1), "lane_batch/vdp/1681": (7, 1),
-           "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
+           "estimate_delta": (3, 1), "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
            "integrate_lanes/vdp/1681": (7, 1),
            "native_build": (5, 1),
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            "estimate_omega/vanderpol": (10, 1),
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
-              for kind in ("lane_batch", "orbit_loop", "native_orbit") for batch in BATCHES}}
+              for kind in ("orbit_loop", "native_orbit") for batch in BATCHES}}
 # How the layers named after a loop force it: the flow constants they set,
 # where the checkout has them.
-LOOPS = {"lane_batch": {"_LANES_FROM": 1, "_NATIVE_FROM": sys.maxsize},
-         "orbit_loop": {"_LANES_FROM": sys.maxsize, "_NATIVE_FROM": sys.maxsize},
+LOOPS = {"orbit_loop": {"_NATIVE_FROM": sys.maxsize},
          "native_orbit": {"_NATIVE_FROM": 0},
          "native_orbit/serial": {"_NATIVE_FROM": 0, "_WORKERS": 1}}
 
@@ -160,14 +145,10 @@ def _timed(fn, runs: int, calls: int) -> list[dict]:
 def _counting(compiled, counts: list[int]):
     """compiled, the generator of whole orbit loops, with orbit loops that
     add each run and its own attempts to counts: a run resumed from a
-    native row or a lane (its fifth argument, whose third entry is the
-    attempts made before) adds only those it makes. A run that raises adds
-    the attempts its error carries, where the loop attaches them. Any
-    other form that compiled generates, given options, such as an older
-    checkout's lane batch, passes uncounted."""
-    def counted(V, method, **options):
-        if options:
-            return compiled(V, method, **options)
+    native row (its fifth argument, whose third entry is the attempts made
+    before) adds only those it makes. A run that raises adds the attempts
+    its error carries, where the loop attaches them."""
+    def counted(V, method):
         orbit = compiled(V, method)
 
         def run(*args):
@@ -289,8 +270,7 @@ def worker(src: str) -> dict:
     }
     targets = numpy.asarray(ls.sample_times(8.0, 0.1)[1:])
     fields = {"harmonic": (harmonic, tight), "cycle": (cycle, ls.IntegratorConfig())}
-    loops = ((["lane_batch"] if hasattr(flow, "_LANES_FROM") else []) + ["orbit_loop"]
-             + (["native_orbit"] if native else []))
+    loops = ["orbit_loop"] + (["native_orbit"] if native else [])
     for batch in BATCHES:
         field, m = batch.split("/")
         V, cfg = fields[field]
@@ -305,7 +285,7 @@ def worker(src: str) -> dict:
     vdp = ls.VectorFieldSpec.from_strings(VDP_REVERSED)
     vdp_targets = numpy.asarray(ls.sample_times(20.0, 0.05)[1:])
     vdp_cfg = ls.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-    for name in [loop for loop in loops if loop != "orbit_loop"] + ["integrate_lanes"]:
+    for name in (["native_orbit"] if native else []) + ["integrate_lanes"]:
         layers[f"{name}/vdp/1681"] = (
             lambda name=name: _integrate(flow, name, vdp, nodes, vdp_targets, vdp_cfg))
     if native:
@@ -433,11 +413,10 @@ def main() -> int:
         }
     for entry in report["checkouts"].values():
         layers = entry["layers"]
-        for name, kind in (("orbit_over_lane", "lane_batch"),
-                           ("orbit_over_native", "native_orbit")):
-            if f"{kind}/{BATCHES[0]}" in layers:
-                entry[name] = {batch: layers[f"orbit_loop/{batch}"]["median_s"]
-                               / layers[f"{kind}/{batch}"]["median_s"] for batch in BATCHES}
+        if f"native_orbit/{BATCHES[0]}" in layers:
+            entry["orbit_over_native"] = {
+                batch: layers[f"orbit_loop/{batch}"]["median_s"]
+                / layers[f"native_orbit/{batch}"]["median_s"] for batch in BATCHES}
     # Per-attempt times from each checkout's own counts: a checkout that
     # samples orbits by interpolation takes fewer steps than one that ends
     # a step on every sample.

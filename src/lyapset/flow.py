@@ -31,19 +31,18 @@ _BUFFER samples written to a caller-owned buffer; each filled buffer
 reaches visit in one call, rows ascending. A run of _PARALLEL_FROM
 samples or more cuts its rows into one contiguous slice per core, each
 slice's calls on a thread of its own, as ctypes releases the GIL during a
-call; visit still runs in the caller's thread, taking the buffers
-round-robin by slice, an order fixed for a given number of slices. A row
-runs within one slice, so its samples, error and attempts do not depend
-on the slices. The build is cached under
-${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with contraction and
-builtins off, so that gcc neither fuses a * b + c nor merges sin and cos:
-the native loop's bits are the orbit loop's. Where the orbit loop raises
-inside the field, and on an exhausted budget or a step size underflow,
-the native loop stops the row before that attempt and the orbit loop
-resumes it there, from the row's loop state, and raises the exact error;
-an escape comes back as its time and state. So no orbit is integrated
-twice. Without a compiler, or where a build or load fails, the orbit loop
-runs every start, with the same bits.
+call; visit still runs in the caller's thread, taking the buffers as they
+arrive, each slice's in their order. A row runs within one slice, so its
+samples, error and attempts do not depend on the slices. The build is
+cached under ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with
+contraction and builtins off, so that gcc neither fuses a * b + c nor
+merges sin and cos: the native loop's bits are the orbit loop's. Where
+the orbit loop raises inside the field, and on an exhausted budget or a
+step size underflow, the native loop stops the row before that attempt
+and the orbit loop resumes it there, from the row's loop state, and
+raises the exact error; an escape comes back as its time and state. So
+no orbit is integrated twice. Without a compiler, or where a build or
+load fails, the orbit loop runs every start, with the same bits.
 """
 
 from __future__ import annotations
@@ -533,11 +532,11 @@ def _slices(m: int, samples: int) -> int:
 def _sliced(calls, m: int, w: int, visit) -> None:
     """visit(*batch) of every batch of calls(lo, hi) over w contiguous
     slices [lo, hi) of range(m): with w = 1 in this thread; else each
-    slice's calls run in a thread of their own, handing their batches
-    over one at a time, and visit takes them in this thread, round-robin
-    by slice, so that their order is fixed for a given w. Whatever stops
-    this, visit raising included, every thread has ended before it
-    returns or raises."""
+    slice's calls run in a thread of their own, putting their batches into
+    one queue of w, and visit takes them in this thread as they arrive, so
+    each slice's batches in their order. Whatever stops this, visit
+    raising included, every thread has ended before it returns or
+    raises."""
     if w == 1:
         for batch in calls(0, m):
             visit(*batch)
@@ -546,9 +545,10 @@ def _sliced(calls, m: int, w: int, visit) -> None:
     import threading
 
     stop = threading.Event()
-    queues = [queue.Queue(maxsize=1) for _ in range(w)]
+    # At most 2w + 1 batches alive: w queued, one in each thread, one in visit.
+    out = queue.Queue(maxsize=w)
 
-    def work(lo, hi, out):
+    def work(lo, hi):
         # A slice's batches are tuples; its end is None, or what it raised.
         end = None
         try:
@@ -561,26 +561,25 @@ def _sliced(calls, m: int, w: int, visit) -> None:
         finally:
             out.put(end)
 
-    threads = [threading.Thread(target=work, args=(m * i // w, m * (i + 1) // w, out),
-                                daemon=True) for i, out in enumerate(queues)]
+    threads = [threading.Thread(target=work, args=(m * i // w, m * (i + 1) // w), daemon=True)
+               for i in range(w)]
     for thread in threads:
         thread.start()
-    running = list(queues)
+    running = w
     try:
         while running:
-            for out in list(running):
-                batch = out.get()
-                if isinstance(batch, tuple):
-                    visit(*batch)
-                    continue
-                running.remove(out)
-                if batch is not None:
-                    raise batch
+            batch = out.get()
+            if isinstance(batch, tuple):
+                visit(*batch)
+                continue
+            running -= 1
+            if batch is not None:
+                raise batch
     finally:
         stop.set()
-        for out in running:  # take each open slice's batches to its end, so that it ends
-            while isinstance(out.get(), tuple):
-                pass
+        while running:  # take the open slices' batches to their ends, so that they end
+            if not isinstance(out.get(), tuple):
+                running -= 1
         for thread in threads:
             thread.join()
 
@@ -597,7 +596,7 @@ def _native(V: VectorFieldSpec, method: str):
     during a call. Each call's samples reach visit in one call, in the
     caller's thread: rows ascending and j increasing within a row, a row
     cut off by the full buffer continuing in its slice's next call; the
-    calls are taken round-robin by slice, an order fixed for a given W.
+    calls are taken as they arrive, each slice's in their order.
     errors holds the escapes, each an EscapedDomainError of the row's time
     and state that carries its attempts; left holds, in _unfinished's
     groups, the rows stopped for the orbit loop, which resumes them; and
@@ -781,7 +780,7 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     loop counts it (see _compiled), _native's loop runs the rows, in
     calls of at most _BUFFER samples, from _PARALLEL_FROM samples in row
     slices on threads; each call's samples reach visit in one call, rows
-    ascending within it, the calls round-robin by slice, and a row it
+    ascending within it, the calls as they arrive, and a row it
     stops before a failing attempt is resumed there by the orbit loop.
     Below that, or where no native loop can be built, one orbit loop runs
     each row. visit(rows, j, states) receives row numbers, the index in
@@ -790,9 +789,9 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     of a buffer, a row repeating, j increasing within it and across its
     calls; from an orbit loop, the row's samples in one call, j
     increasing, and for a row that the native loop stopped, only those it
-    had not visited. So the order of rows across calls depends on the
-    slices, and the order of one row's samples does not; what a caller
-    reduces from its visits is the same whatever the slices where it holds
+    had not visited. So the order of rows across calls may change from one
+    run to the next, and the order of one row's samples does not; what a
+    caller reduces from its visits is the same in every run where it holds
     for any order of rows, as it does for _sweep (fmin, fmax and
     maximum.at, and the value of the largest j as the last), for
     _big_l_values and flow_rows (written by row and j) and for

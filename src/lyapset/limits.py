@@ -75,8 +75,8 @@ def estimate_omega(
     cluster_tol: float = 1e-3,
 ) -> OmegaEstimate:
     """Cluster a post-transient orbit window into limit-set representatives."""
-    if not (transient_T > 0 and window_T > 0):
-        raise ValueError("transient_T and window_T must be > 0")
+    if not (transient_T > 0 and window_T > 0 and cluster_tol > 0):
+        raise ValueError("transient_T, window_T and cluster_tol must be > 0")
     x = as_point(x, V.dim)
     try:
         settled = flow(V, x, transient_T, cfg)

@@ -111,6 +111,13 @@ class TestEstimateOmega:
         with pytest.raises(ValueError):
             estimate_omega(sink1, [1.0], cfg, window_T=-1.0)
 
+    @pytest.mark.parametrize("tol", [-0.05, 0.0, float("nan")])
+    def test_invalid_cluster_tol(self, osc, cfg, tol):
+        # A negative radius would cluster as its absolute value and report
+        # the negative one.
+        with pytest.raises(ValueError, match="cluster_tol must be > 0"):
+            estimate_omega(osc, [1.0, 0.0], cfg, cluster_tol=tol)
+
 
 class TestOmegaProperties:
     def test_shift_invariance_of_estimate(self, sink1, osc, vdp, cfg):
