@@ -12,7 +12,12 @@ time of a fixed pure-Python loop run around and inside it
 (perfbench/calib.py). No minimum is given in calibration units: for a
 layer spent mostly in NumPy, one run's calibration, not the layer, sets
 it (BENCH_12.json: the NumPy lane batch of one lane had min_cal at 0.16
-of its median while min_s was at 0.69).
+of its median while min_s was at 0.69). A layer that ran a native call
+in row slices on threads is marked "threaded": true. Its median_cal
+cannot be compared with a serial layer's: the calibration loop runs
+while the slice threads hold the cores (BENCH_25.json: the threaded
+native_orbit/vdp/1681 at 48.1 ms and 217.8 cal, the serial layer at 80.3
+ms and 253.2 cal). Compare threaded layers in seconds.
 
 Layers, each timed after one untimed call so that generated code is
 compiled and cached:
@@ -47,9 +52,13 @@ compiled and cached:
                    the caller's thread; a checkout without _WORKERS runs
                    every native call so, and times the same call here
   integrate_lanes/vdp/1681
-                   the same grid at the checkout's own defaults, as
-                   roa_grid runs it: where the native loop runs, it does
-                   so here
+                   the same grid at the checkout's own defaults, with a
+                   visit that reads nothing: where the native loop runs,
+                   it does so here
+  roa_grid/vdp/41  roa_grid itself on that grid, as perfbench's
+                   vdp_roa_grid calls it (SinglePoint origin, tol 1e-3):
+                   the integration with the distances to the set and
+                   their reductions, wherever the checkout takes them
   native_build     one cold build of the native loop of the 4-D cycle
                    field, into a temporary cache
   estimate_delta   estimate_delta on problems/harmonic_oscillator.json at
@@ -117,7 +126,7 @@ BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
-           "integrate_lanes/vdp/1681": (7, 1),
+           "integrate_lanes/vdp/1681": (7, 1), "roa_grid/vdp/41": (7, 1),
            "native_build": (5, 1),
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            "estimate_omega/vanderpol": (10, 1),
@@ -288,6 +297,9 @@ def worker(src: str) -> dict:
     for name in (["native_orbit"] if native else []) + ["integrate_lanes"]:
         layers[f"{name}/vdp/1681"] = (
             lambda name=name: _integrate(flow, name, vdp, nodes, vdp_targets, vdp_cfg))
+    layers["roa_grid/vdp/41"] = lambda: ls.roa_grid(
+        vdp, ls.SinglePoint([0.0, 0.0]), ls.Box([-3.0, -3.0], [3.0, 3.0]), 41, vdp_cfg,
+        20.0, 1e-3, out_dt=0.05)
     if native:
         layers["native_orbit/vdp/1681/serial"] = lambda: _integrate(
             flow, "native_orbit/serial", vdp, nodes, vdp_targets, vdp_cfg)
@@ -314,26 +326,33 @@ def worker(src: str) -> dict:
 
         layers[f"analyze/{name}"] = analyze
 
-    result = {"timings": {}, "counts": None}
+    result = {"timings": {}, "counts": None, "threaded": {name: False for name in layers}}
     # Scalar orbits, native rows and their attempts, where flow generates
-    # whole orbit loops.
+    # whole orbit loops; and the layers that cut a native call into more
+    # than one row slice, where flow does.
     if tuple(inspect.signature(flow._compiled).parameters)[:2] == ("V", "method"):
         original, counts = flow._compiled, [0, 0, 0]
         flow._compiled = _counting(original, counts)
         if native:
             original_native = flow._native
             flow._native = _counting_native(original_native, counts)
+        original_slices, slices = getattr(flow, "_slices", None), []
+        if original_slices:
+            flow._slices = lambda *args: slices.append(original_slices(*args)) or slices[-1]
         result["counts"] = {}
         for name, fn in layers.items():
             if name == "native_build":
                 continue
-            counts[:] = [0, 0, 0]
+            counts[:], slices[:] = [0, 0, 0], []
             fn()
             result["counts"][name] = {"orbits": counts[0], "attempts": counts[1],
                                       "native_rows": counts[2]}
+            result["threaded"][name] = max(slices, default=1) > 1
         flow._compiled = original
         if native:
             flow._native = original_native
+        if original_slices:
+            flow._slices = original_slices
     for name, fn in layers.items():
         result["timings"][name] = _timed(fn, *REPEATS.get(name, (5, 1)))
     for name in os.listdir(out_dir):
@@ -407,8 +426,9 @@ def main() -> int:
         layers = results[0]["timings"]
         report["checkouts"][name] = {
             "source": _source(os.path.abspath(checkouts[name])),
-            "layers": {layer: _summary([run for res in results for run in res["timings"][layer]])
-                       for layer in layers},
+            "layers": {layer: {
+                **_summary([run for res in results for run in res["timings"][layer]]),
+                "threaded": results[0]["threaded"][layer]} for layer in layers},
             "counts": results[0]["counts"],
         }
     for entry in report["checkouts"].values():

@@ -33,7 +33,11 @@ samples or more cuts its rows into one contiguous slice per core, each
 slice's calls on a thread of its own, as ctypes releases the GIL during a
 call; visit still runs in the caller's thread, taking the buffers as they
 arrive, each slice's in their order. A row runs within one slice, so its
-samples, error and attempts do not depend on the slices. The build is
+samples, error and attempts do not depend on the slices. Given a point, a
+ball or a box of fewer than 8 coordinates, the C loop also takes each
+sample's distance to it with NumPy's bits: it passes them to visit, ends
+a row at its first distance outside a given epsilon, or reduces them per
+row and per target in C, so that those samples never reach visit. The build is
 cached under ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with
 contraction and builtins off, so that gcc neither fuses a * b + c nor
 merges sin and cos: the native loop's bits are the orbit loop's. Where
@@ -63,7 +67,7 @@ from .errors import (
 )
 # compile_vector_field stays importable here, where perfbench's tracer wraps it.
 from .expr import VectorFieldSpec, _define, _emit_results, compile_vector_field  # noqa: F401
-from .geometry import as_point
+from .geometry import Box, ClosedBall, CompactSet, SinglePoint, as_point
 
 _METHODS = ("rk4_fixed", "rk45_adaptive")
 
@@ -207,9 +211,9 @@ def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
     and libm; where the Python body raises it jumps, on escape to the
     label escaped with the escaped state in y, else to the label failed,
     where the row stops to be resumed before this attempt by the orbit
-    loop, which raises there. It writes each sample to the buffer's
-    count-th entry, as _c_source lays it out, which has room for every
-    target the step can pass."""
+    loop, which raises there. It takes each sample as _c_sample does:
+    where it writes samples to the buffer, as _c_source lays it out, the
+    buffer has room for every target the step can pass."""
     n = V.dim
     c = target == "c"
     end = ";" if c else ""
@@ -238,8 +242,8 @@ def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
         method's continuous extension at theta = (target - t_old) / h.
         Dormand-Prince's is Hairer's contd5 form of Shampine's 4th-order
         extension; RK4's is the classical one of order 3 (HNW II.6). The
-        orbit loop appends each sample to out, the C loop writes it to the
-        buffer."""
+        orbit loop appends each sample to out, the C loop takes it as
+        _c_sample does."""
         if method == "rk4_fixed":
             prepare = []
             weights = [f"b1 = theta * (1.0 + theta * (-1.5 + theta * {2 / 3!r}))",
@@ -258,10 +262,8 @@ def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
             value = [f"y{i} + theta * (dd_{i} + theta1 * (c3_{i} + theta * (c4_{i} + "
                      f"theta1 * c5_{i})))" for i in range(n)]
         if c:
-            record = lambda values: [  # noqa: E731
-                f"buf[{n} * count + {i}] = {v};" for i, v in enumerate(values)]
-            advance = ["at[count] = row;", "at[cap + count] = j;", "count += 1;",
-                       "j += 1;", "target = targets[j];"]
+            record = lambda values: [f"p{i} = {v};" for i, v in enumerate(values)]  # noqa: E731
+            advance = _c_sample(n)
         else:
             record = lambda values: [f"out.append([{', '.join(values)}])"]  # noqa: E731
             advance = ["target = next(pending, inf)"]
@@ -385,8 +387,86 @@ def _unfinished(starts, left):
 
 # What a row of the native loop is: not started, cut off by a full buffer,
 # finished, escaped, stopped for the orbit loop to resume it before an
-# attempt, or failed in the field at its start.
-_FRESH, _RUNNING, _DONE, _ESCAPED, _LEFT, _LEFT_AT_START = range(6)
+# attempt, failed in the field at its start, or finished at a sample not
+# within epsilon of the set.
+_FRESH, _RUNNING, _DONE, _ESCAPED, _LEFT, _LEFT_AT_START, _EXITED = range(7)
+
+# The sets whose distances the native loop takes, by their kind there, 0
+# for none: these classes themselves, as a subclass may measure otherwise.
+_POINT, _BALL, _BOX = 1, 2, 3
+_SET_KINDS = {SinglePoint: _POINT, ClosedBall: _BALL, Box: _BOX}
+# From 8 coordinates on, NumPy's norm sums the squares pairwise, not from
+# left to right as the native loop does.
+_NORM_PAIRWISE_FROM = 8
+
+
+@dataclass(frozen=True, eq=False)
+class _Near:
+    """The set M whose distances a caller of integrate_lanes reduces, for
+    the native loop to take them itself, as _c_sample does, where it takes
+    M's. A finite epsilon ends a row at its first sample whose distance is
+    not < epsilon. With sums, (m, 3) and C-contiguous, the native loop
+    reduces each row's distances into sums[row], (lowest, latest, largest
+    at a target j >= tail), from the values there, and each target's
+    largest into peak, instead of passing them to visit."""
+
+    M: CompactSet
+    epsilon: float = math.inf
+    sums: np.ndarray | None = None
+    peak: np.ndarray | None = None
+    tail: int = 0
+
+
+def _set_params(near: _Near | None, n: int) -> np.ndarray:
+    """The set argument of the native loop: (kind, epsilon, radius), then
+    the point or the centre, or lo and hi; kind 0 where there is no near,
+    or its set is not one whose distances the loop takes."""
+    params = np.zeros(3 + 2 * n)
+    kind = _SET_KINDS.get(type(near.M), 0) if near is not None else 0
+    if kind and n < _NORM_PAIRWISE_FROM:
+        M = near.M
+        vectors = (M.lo, M.hi) if kind == _BOX else (M.center if kind == _BALL else M.point,)
+        params[:3] = kind, near.epsilon, M.radius if kind == _BALL else 0.0
+        params[3:3 + n * len(vectors)] = np.concatenate(vectors)
+    return params
+
+
+def _c_sample(n: int) -> list[str]:
+    """The C statements that take the sample p0, ..., p{n-1} at targets[j]
+    of row. Where kind is not 0, d is its distance to the set, by NumPy's
+    operations in NumPy's order, so with the bits of the set's distances:
+    the norm of the differences is the square root of their squares summed
+    from left to right, as np.linalg.norm sums them below
+    _NORM_PAIRWISE_FROM coordinates; a ball's is max(0, norm - radius) as
+    np.maximum takes it, and a box's the norm of p - clip(p, lo, hi). With
+    sums, the row's reductions and the slice's peak at j take d, min2 and
+    max2 being fmin and fmax where the value reduced into is not NaN, as
+    it never is; else the sample, its distance and its row and j go to the
+    buffer. Then it moves to the next target, and where stops, it ends the
+    row at a distance not < epsilon."""
+    def norm(differences):
+        lines = []
+        for i, difference in enumerate(differences):
+            lines += [f"e = {difference};", "d = d + e * e;" if i else "d = e * e;"]
+        return lines + ["d = sqrt(d);"]
+
+    clip = [f"p{i} - (p{i} < lo[{i}] ? lo[{i}] : p{i} > hi[{i}] ? hi[{i}] : p{i})"
+            for i in range(n)]
+    shell = _block(f"if kind == {_BALL}", ["d = d - radius;", "d = 0.0 >= d ? 0.0 : d;"], "c")
+    return [
+        *_block(f"if kind == {_BOX}", norm(clip), "c"),
+        *_block("elif kind", [*norm([f"p{i} - center[{i}]" for i in range(n)]), *shell], "c"),
+        *_block("if sums", ["u = sums + 3 * row;", "u[0] = min2(u[0], d);", "u[1] = d;",
+                            "if (j >= tail) u[2] = max2(u[2], d);",
+                            "peak[j] = max2(peak[j], d);"], "c"),
+        *_block("else", [*(f"buf[{n} * count + {i}] = p{i};" for i in range(n)),
+                         "if (kind) dist[count] = d;",
+                         "at[count] = row;", "at[cap + count] = j;", "count += 1;"], "c"),
+        "j += 1;",
+        "target = targets[j];",
+        "if (stops && !(d < epsilon)) goto exited;",
+    ]
+
 
 _C_PRELUDE = """#include <float.h>
 #include <math.h>
@@ -407,29 +487,38 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
     function,
 
         int64_t orbits(int64_t m, int64_t *next, double *f, int64_t *l,
-                       const double *cfg, int64_t max_steps,
-                       const double *targets, int64_t last,
-                       double *buf, int64_t *at, int64_t cap)
+                       const double *cfg, int64_t max_steps, int64_t last,
+                       double *buf, int64_t *at, double *dist,
+                       int64_t cap, double *sums, double *peak,
+                       int64_t tail)
 
     which runs the rows next[0], ..., m - 1 around the _emit_step body in
     C, as the orbit loop runs them in Python. Row r's loop state is f[r],
     (t, h_next, y, k1), and l[r], (status, j, attempts); cfg is (dt,
-    abs_tol, rel_tol, blowup_radius, horizon), and targets holds the last
-    targets, then inf. Samples go to the buffer, cap of them: the k-th
-    state to buf[k], its row to at[k] and its j to at[cap + k]. Before an
-    attempt that could pass more targets than the buffer has room for,
-    the function keeps the row's state, sets next[0] to the row and
-    returns the count of samples written; after the last row, next[0] is
-    m. It stops a row for the orbit loop, to be resumed where the Python
-    loop raises, before the attempt: on an exhausted budget, a failure in
-    the field or a step size underflow, or when one step passes more
-    targets than the whole buffer holds."""
+    abs_tol, rel_tol, blowup_radius, horizon), then the set, _set_params'
+    array, then the last targets and inf. Where the set's kind is not 0
+    the function takes each sample's distance to the set, and a finite
+    epsilon ends a row, finished, at its first distance not < epsilon,
+    after which the function sets next[0] to the next row and returns, so
+    that the caller sees the exit. With sums, each sample's distance is
+    reduced into sums and peak as _Near lays them out, with tail its
+    first target there, and nothing is written to the buffer, which has no
+    room then. Else samples go to the buffer, cap of them: the k-th state
+    to buf[k], its distance, where kind is not 0, to dist[k], its row to
+    at[k] and its j to at[cap + k]. Before an attempt that could pass more
+    targets than the buffer has room for, the function keeps the row's
+    state, sets next[0] to the row and returns the count of samples
+    written; after the last row, next[0] is m. It stops a row for the
+    orbit loop, to be resumed where the Python loop raises, before the
+    attempt: on an exhausted budget, a failure in the field or a step size
+    underflow, or when one step passes more targets than the whole buffer
+    holds."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     adaptive = method == "rk45_adaptive"
     scalars = ["t", "h", "h_next", "t_old", "remaining", "a", "b", "enorm", "factor", "theta",
-               "theta1", "b1", "b2", "b4", "target"]
-    per_coordinate = ["y", "k1_", "r", "dd_", "c3_", "c4_", "c5_",
+               "theta1", "b1", "b2", "b4", "target", "d", "e"]
+    per_coordinate = ["y", "k1_", "r", "dd_", "c3_", "c4_", "c5_", "p",
                       *(f"s{s}_" for s in range(2, 8))]
     names = scalars + [f"{name}{i}" for name in per_coordinate for i in range(n)]
     state = ["t", "h_next", *ys, *(f"k1_{i}" for i in range(n))]
@@ -444,8 +533,13 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
     loop = [
         "const double dt = cfg[0], atol = cfg[1], rtol = cfg[2];",
         "const double radius2 = cfg[3] * cfg[3], horizon = cfg[4];",
+        f"const double *set = cfg + 5, *targets = cfg + {8 + 2 * n};",
+        "const int64_t kind = (int64_t) set[0];",
+        f"const double epsilon = set[1], radius = set[2], *center = set + 3, *lo = set + 3, "
+        f"*hi = set + {3 + n};",
+        "const int stops = kind != 0 && epsilon < inf;",
         "int64_t count = 0, row, j, steps;",
-        f"double {', '.join(names)};",
+        f"double {', '.join(names)}, *u;",
         "for (row = *next; row < m; row++) {",
         f"    double *s = f + {len(state)} * row;",
         "    int64_t *q = l + 3 * row;",
@@ -459,7 +553,7 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
             "if (steps >= max_steps) goto left;",
             # The targets an accepted attempt passes lie in (t, t_new],
             # with t_new = t + h, or the horizon where h is remaining.
-            "if (j + cap - count < last && "
+            "if (!sums && j + cap - count < last && "
             f"targets[j + cap - count] <= ({step} < remaining ? t + {step} : horizon)) goto full;",
             "steps += 1;",
             *_emit_step(V, method, "c"),
@@ -468,6 +562,9 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
         "    goto save;",
         "escaped:",
         f"    q[0] = {_ESCAPED};",
+        "    goto save;",
+        "exited:",
+        f"    q[0] = {_EXITED};",
         "    goto save;",
         "failed:",
         f"    if (steps == 0) {{ q[0] = {_LEFT_AT_START}; continue; }}",
@@ -483,6 +580,7 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
         "    q[1] = j;",
         "    q[2] = steps;",
         f"    if (q[0] == {_RUNNING}) {{ *next = row; return count; }}",
+        f"    if (q[0] == {_EXITED}) {{ *next = row + 1; return count; }}",
         "}",
         "*next = m;",
         "return count;",
@@ -490,8 +588,8 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
     return "\n".join([
         _C_PRELUDE,
         "int64_t orbits(int64_t m, int64_t *next, double *f, int64_t *l, const double *cfg,",
-        "               int64_t max_steps, const double *targets, int64_t last,",
-        "               double *buf, int64_t *at, int64_t cap)",
+        "               int64_t max_steps, int64_t last, double *buf, int64_t *at,",
+        "               double *dist, int64_t cap, double *sums, double *peak, int64_t tail)",
         "{", *("    " + line for line in loop), "}", ""])
 
 
@@ -584,19 +682,29 @@ def _sliced(calls, m: int, w: int, visit) -> None:
             thread.join()
 
 
+def _address(a: np.ndarray | None):
+    """The address of a's data for ctypes, None for None."""
+    return None if a is None else a.ctypes.data
+
+
 @lru_cache(maxsize=128)
 def _native(V: VectorFieldSpec, method: str):
     """The native loop of V and method, or None where it cannot be built
     or loaded.
 
-    run(starts, targets, cfg, visit) -> (errors, left, attempts) runs the
-    rows of starts, cut into W contiguous slices by _slices, and each
-    slice into calls by the buffer; from _PARALLEL_FROM samples each slice
-    runs in a thread of its own, through ctypes, which releases the GIL
-    during a call. Each call's samples reach visit in one call, in the
+    run(starts, targets, cfg, visit, near=None) -> (errors, left, attempts)
+    runs the rows of starts, cut into W contiguous slices by _slices, and
+    each slice into calls by the buffer; from _PARALLEL_FROM samples each
+    slice runs in a thread of its own, through ctypes, which releases the
+    GIL during a call. Each call's samples reach visit in one call, in the
     caller's thread: rows ascending and j increasing within a row, a row
     cut off by the full buffer continuing in its slice's next call; the
-    calls are taken as they arrive, each slice's in their order.
+    calls are taken as they arrive, each slice's in their order. Where
+    near's set is one whose distances the loop takes (_set_params), visit
+    takes them too, as a fourth argument, and a row that an epsilon ends
+    ends its call; with near.sums, the rows' distances are reduced into
+    near's arrays, each slice's peak into its own array, merged with fmax
+    once every slice has ended, and no sample reaches visit.
     errors holds the escapes, each an EscapedDomainError of the row's time
     and state that carries its attempts; left holds, in _unfinished's
     groups, the rows stopped for the orbit loop, which resumes them; and
@@ -608,30 +716,50 @@ def _native(V: VectorFieldSpec, method: str):
     n = V.dim
     width = 2 + 2 * n
 
-    def run(starts, targets, cfg, visit):
+    def run(starts, targets, cfg, visit, near=None):
         m = len(starts)
         f = np.zeros((m, width))
         f[:, 2:2 + n] = starts
         l = np.zeros((m, 3), np.int64)
-        ahead = np.append(targets, math.inf)
-        c = np.array([cfg.dt, cfg.abs_tol, cfg.rel_tol, cfg.blowup_radius, targets[-1]])
+        near_set = _set_params(near, n)
+        c = np.concatenate([(cfg.dt, cfg.abs_tol, cfg.rel_tol, cfg.blowup_radius, targets[-1]),
+                            near_set, targets, (math.inf,)])
         # steps >= max_steps as Python compares them; no run reaches 2^63 - 1.
         max_steps = math.ceil(cfg.max_steps) if cfg.max_steps < _LONG_MAX else _LONG_MAX
-        cap = min(_BUFFER, m * len(targets))  # the most samples the rows have
+        sums = near.sums if near_set[0] else None
+        if sums is not None and not all(
+                a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+                and a.flags.writeable for a, shape in ((sums, (m, 3)), (near.peak, targets.shape))):
+            raise ValueError("near.sums and near.peak must be writable C-contiguous float64 "
+                             "arrays of shapes (rows, 3) and (targets,)")
+        # The most samples the rows have, and none where they are reduced.
+        cap = 0 if sums is not None else min(_BUFFER, m * len(targets))
+        peaks = []
+
+        # Addresses are taken once per run where they can be, as each
+        # costs a microsecond or two.
+        fixed = (f.ctypes.data, l.ctypes.data, c.ctypes.data, max_steps, len(targets))
 
         def calls(lo, hi):
             """The samples of each call over rows lo..hi - 1, as visit takes them."""
             next_row = np.array([lo], np.int64)
+            peak = None if sums is None else np.full(len(targets), -math.inf)
+            peaks.append(peak)
+            head = (hi, next_row.ctypes.data, *fixed)
+            rest = (cap, _address(sums), _address(peak), 0 if sums is None else near.tail)
             while next_row[0] < hi:
                 # A buffer per call, which visit may keep.
                 buf, at = np.empty((cap, n)), np.empty((2, cap), np.int64)
-                count = orbits(hi, next_row.ctypes.data, f.ctypes.data, l.ctypes.data,
-                               c.ctypes.data, max_steps, ahead.ctypes.data, len(targets),
-                               buf.ctypes.data, at.ctypes.data, cap)
+                dist = np.empty(cap) if near_set[0] and sums is None else None
+                count = orbits(*head, buf.ctypes.data, at.ctypes.data, _address(dist), *rest)
                 if count:
-                    yield at[0, :count], at[1, :count], buf[:count]
+                    yield at[0, :count], at[1, :count], buf[:count], *(
+                        () if dist is None else (dist[:count],))
 
         _sliced(calls, m, _slices(m, m * len(targets)), visit)
+        if sums is not None:
+            for peak in peaks:  # exact maxima, in any order of the slices
+                np.fmax(near.peak, peak, out=near.peak)
         status, attempts = l[:, 0], l[:, 2]
         errors = {}
         for row in np.flatnonzero(status == _ESCAPED).tolist():
@@ -748,8 +876,9 @@ def _dlopen(path: str):
         return None
     orbits.restype = ctypes.c_int64
     orbits.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_int64]
     return orbits
 
 
@@ -771,7 +900,8 @@ def _runs_natively(cfg: IntegratorConfig, targets: np.ndarray) -> bool:
             and bool(np.all(targets[1:] > targets[:-1])))
 
 
-def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit):
+def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit,
+                    near: _Near | None = None):
     """Integrate every row of starts through the targets.
 
     Each row takes the steps, and the bits, that the orbit loop
@@ -801,6 +931,14 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     through once every thread has ended. A row leaves after its last
     target, or where the orbit loop raises: on escape, a domain failure
     of the field, the step budget or a step size underflow.
+    A caller that reduces distances to a set passes near, a _Near. Where
+    the native loop takes that set's distances, it passes them to visit
+    as a fourth argument, d, with NumPy's bits; a finite near.epsilon then
+    ends a native row, finished, at its first sample whose distance is not
+    < epsilon, and with near.sums the native rows reduce their distances
+    there and reach no visit. The orbit loop's rows, the resumed ones
+    included, always reach visit with three arguments, and the caller
+    takes their distances and reduces them itself.
     targets must be positive and strictly increasing. Returns, by failed
     row, the EscapedDomainError, EvalDomainError or StepLimitError that the
     orbit loop raises from that start alone: same type and text, and for
@@ -823,7 +961,7 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     with np.errstate(all="ignore"):
         errors, left = {}, [(None, np.arange(len(starts)))]
         if native is not None:
-            errors, left, _ = native(starts, targets, cfg, visit)
+            errors, left, _ = native(starts, targets, cfg, visit, near)
         for row, y, resume in _unfinished(starts, left):
             out: list = []
             try:

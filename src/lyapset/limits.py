@@ -27,6 +27,7 @@ from .errors import (
 from .expr import VectorFieldSpec
 from .flow import (
     IntegratorConfig,
+    _Near,
     flow,
     flow_rows,
     integrate_lanes,
@@ -184,35 +185,42 @@ class _Stop(Exception):
     """Raised through integrate_lanes when a reduction has seen enough."""
 
 
-def _distance_pass(V: VectorFieldSpec, M: CompactSet, starts, times, cfg, reduce):
+def _distance_pass(V: VectorFieldSpec, M: CompactSet, starts, times, cfg, reduce,
+                   epsilon: float = math.inf, sums=None):
     """Pass reduce(rows, j, d) the distances d to M of the starts, sample j
     = 0 of times, then of their samples as integrate_lanes visits them; a
     distance that raises is NaN, and its row keeps its first error. Returns
     integrate_lanes' orbit errors by row, and apart from them that distance
     error or None by row. If reduce returns True the pass ends with no
-    orbit error."""
+    orbit error. The native loop takes the samples' distances where it can
+    (flow._set_params), and the bits are M.distances' either way; a finite
+    epsilon ends such a row at its first distance not < epsilon, which
+    reduce has seen, and sums, as (sums, peak, tail) of flow._Near, has
+    them reduce their distances there instead of in reduce."""
     if M.dim != V.dim:
         raise DimensionMismatchError(f"set dimension {M.dim} != field dimension {V.dim}")
     m = len(starts)
     raised: list[LyapsetError | None] = [None] * m
 
-    def visit(rows, j, states):
-        try:
-            d = M.distances(states)
-        except LyapsetError:
-            d = np.empty(len(rows))
-            for i, (row, p) in enumerate(zip(rows.tolist(), states)):
-                try:
-                    d[i] = M.distances(p[None, :])[0]
-                except LyapsetError as exc:
-                    d[i] = math.nan
-                    raised[row] = raised[row] or exc
+    def visit(rows, j, states, d=None):
+        if d is None:
+            try:
+                d = M.distances(states)
+            except LyapsetError:
+                d = np.empty(len(rows))
+                for i, (row, p) in enumerate(zip(rows.tolist(), states)):
+                    try:
+                        d[i] = M.distances(p[None, :])[0]
+                    except LyapsetError as exc:
+                        d[i] = math.nan
+                        raised[row] = raised[row] or exc
         if reduce(rows, j + 1, d):
             raise _Stop
 
     try:
         visit(np.arange(m), np.full(m, -1), starts)
-        return integrate_lanes(V, starts, times[1:], cfg, visit), raised
+        near = _Near(M, epsilon, *(sums or ()))
+        return integrate_lanes(V, starts, times[1:], cfg, visit, near), raised
     except _Stop:
         return {}, raised
 
@@ -222,13 +230,15 @@ def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
     the tail maximum, as classify_attraction reads them, and per sample the
     largest over all starts. Returns (failed, errors, lowest, latest,
     tail_max, peak); a start whose distance raised or whose orbit failed
-    has failed, with the distance's error text, else a step limit's."""
+    has failed, with the distance's error text, else a step limit's. The
+    native loop reduces its rows' samples into the same arrays, each an
+    exact minimum, maximum or last value, so the bits do not depend on the
+    loop or the order of the rows."""
     m = len(starts)
     in_tail = np.asarray(times) >= (1.0 - TAIL_FRACTION) * times[-1]
-    lowest = np.full(m, math.inf)
-    latest = np.empty(m)
+    sums = np.tile([math.inf, math.nan, -math.inf], (m, 1))
+    lowest, latest, tail_max = sums.T
     newest = np.full(m, -1)  # per start, the j of the sample latest holds
-    tail_max = np.full(m, -math.inf)
     peak = np.full(len(times), -math.inf)
 
     def reduce(rows, j, d):
@@ -242,7 +252,11 @@ def _sweep(V: VectorFieldSpec, M: CompactSet, starts: np.ndarray, times, cfg):
         np.fmax.at(tail_max, rows[tail], d[tail])
         np.fmax.at(peak, j, d)
 
-    orbit, raised = _distance_pass(V, M, starts, times, cfg, reduce)
+    # The tail holds times[-1], and its first target is one before its
+    # first sample, as times[0] is the start.
+    tail = int(np.argmax(in_tail)) - 1
+    orbit, raised = _distance_pass(V, M, starts, times, cfg, reduce, math.inf,
+                                   (sums, peak[1:], tail))
     failed = np.array([exc is not None or row in orbit for row, exc in enumerate(raised)], bool)
     errors = [str(exc or orbit[row]) if exc or isinstance(orbit.get(row), StepLimitError)
               else None for row, exc in enumerate(raised)]

@@ -114,7 +114,7 @@ def _first_exit(V, M, points, epsilon: float, times, cfg):
         first = np.argmin(done & (worst < epsilon))  # the first row still open
         return not worst[first] < epsilon
 
-    orbit, raised = _distance_pass(V, M, points, times, cfg, reduce)
+    orbit, raised = _distance_pass(V, M, points, times, cfg, reduce, epsilon)
     for row, p in enumerate(points):
         if raised[row]:
             raise raised[row]

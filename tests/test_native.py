@@ -1,9 +1,11 @@
 """The native orbit loop: bitwise parity with the Python loops across
 buffer calls and row slices run on threads, for every function and for
-failures that the orbit loop resumes, and runs whose output no missing,
-failing, truncated, read-only or concurrent build changes."""
+failures that the orbit loop resumes, the distances to a set and the
+reductions it takes in C, and runs whose output no missing, failing,
+truncated, read-only or concurrent build changes."""
 
 import importlib
+import math
 import os
 import stat
 import subprocess
@@ -19,7 +21,9 @@ import lyapset
 from lyapset.errors import EscapedDomainError
 from lyapset.expr import _FUNCTIONS, VectorFieldSpec
 from lyapset.flow import IntegratorConfig, integrate_lanes, sample_times
-from lyapset.geometry import SinglePoint
+from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint
+from lyapset.limits import roa_grid
+from lyapset.stability import uniform_attraction_time
 from conftest import native, native_builds, orbit_attempts, sliced
 
 flow = importlib.import_module("lyapset.flow")
@@ -296,6 +300,220 @@ def test_a_large_delta_probe_stops_at_the_serial_witness():
         with native(True), mock.patch.object(flow, "_WORKERS", workers):
             witness, _ = stability._first_exit(V, origin, points, 0.5, times, cfg)
         assert witness.tolist() == expected.tolist()
+
+
+# No start of the distance tests escapes, the largest included.
+_UNBOUNDED = IntegratorConfig(blowup_radius=1e200)
+
+
+def _native_distances(M, points):
+    """The distances to M that integrate_lanes passes visit, with the
+    native loop on, for points, the samples at t = 1 of the zero field
+    started there; None where visit takes none, so that the caller takes
+    every distance itself."""
+    V = VectorFieldSpec.from_strings(["0"] * points.shape[1])
+    got, given = np.full(len(points), math.nan), []
+
+    def visit(rows, j, states, d=None):
+        assert states.tolist() == points[rows].tolist()
+        given.append(d is not None)
+        if d is not None:
+            got[rows] = d
+
+    with native(True):
+        assert integrate_lanes(V, points, [1.0], _UNBOUNDED, visit, flow._Near(M)) == {}
+    assert len(set(given)) == 1
+    return got if given[0] else None
+
+
+def _spread(rng, rows, n):
+    """Points whose coordinates have random signs and span 16 decades."""
+    return rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (rows, n))
+
+
+def _point_case(n, rng):
+    c = rng.standard_normal(n)
+    return SinglePoint(c), np.vstack([c, c + _spread(rng, 300, n), _spread(rng, 300, n)])
+
+
+def _ball_case(n, rng):
+    c = rng.standard_normal(n)
+    u = rng.standard_normal((200, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    r = 0.7
+    # The centre, points on the sphere (to rounding), inside it and far out.
+    return ClosedBall(c, r), np.vstack([c, c + r * u, c + 0.3 * r * u, c + _spread(rng, 300, n)])
+
+
+def _box_case(n, rng):
+    lo, hi = -rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    inside = rng.uniform(lo, hi, (200, n))
+    faces = inside.copy()
+    axis = rng.integers(0, n, 200)
+    faces[np.arange(200), axis] = np.where(rng.uniform(size=200) < 0.5, lo[axis], hi[axis])
+    return Box(lo, hi), np.vstack([lo, hi, inside, faces, _spread(rng, 300, n)])
+
+
+_SET_CASES = {"point": _point_case, "ball": _ball_case, "box": _box_case}
+
+
+class _Shifted(SinglePoint):
+    """A point whose distances are 1 more than its own."""
+
+    def distances(self, points):
+        return super().distances(points) + 1.0
+
+
+class TestSetDistances:
+    """The native loop's distances to the sets whose distances it takes
+    are the sets' own, bit for bit; other sets leave them to visit."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("kind", sorted(_SET_CASES))
+    def test_bitwise_the_sets_own(self, kind, n):
+        M, points = _SET_CASES[kind](n, np.random.default_rng(n))
+        expected = M.distances(points)
+        if kind != "point":
+            assert np.count_nonzero(expected == 0.0) >= 200  # inside and on the boundary
+        got = _native_distances(M, points)
+        if not native_builds(VectorFieldSpec.from_strings(["0"] * n)):
+            assert got is None
+            return
+        assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected.tolist()]
+
+    @pytest.mark.parametrize("M", [
+        PointCloud([[0.0, 0.0], [1.0, 0.5]]),
+        SinglePoint([0.0] * 8),
+        _Shifted([0.0, 0.0]),
+    ], ids=["cloud", "8-D point", "subclass"])
+    def test_other_sets_leave_them_to_visit(self, M):
+        points = _spread(np.random.default_rng(0), 40, M.dim) * 1e-6
+        assert _native_distances(M, points) is None
+
+    def test_a_subclass_measures_with_its_own_distances(self):
+        # Its distances are the point's plus 1, so no sample reads below 1.
+        seen = []
+        with native(True):
+            limits._distance_pass(HARMONIC, _Shifted([0.0, 0.0]), np.array([[0.5, 0.0]] * 30),
+                                  sample_times(2.0, 0.1), IntegratorConfig(),
+                                  lambda rows, j, d: seen.extend(d.tolist()))
+        assert len(seen) == 30 * 21 and min(seen) >= 1.0
+
+    def test_reduction_arrays_are_checked(self):
+        run = flow._native(HARMONIC, "rk45_adaptive")
+        if run is None:
+            return
+        for sums, peak in ((np.zeros((2, 2)), np.zeros(5)), (np.zeros((2, 3)), np.zeros(4)),
+                           (np.zeros((3, 2)).T, np.zeros(5))):
+            near = flow._Near(SinglePoint([0.0, 0.0]), sums=sums, peak=peak)
+            with pytest.raises(ValueError, match="near.sums"):
+                run(np.zeros((2, 2)), np.arange(1.0, 6.0), IntegratorConfig(), None, near)
+
+    @pytest.mark.parametrize("epsilon", [0.5, math.inf])
+    def test_an_epsilon_ends_a_row_at_its_first_sample_outside(self, epsilon):
+        # On the saddle, row 0 leaves epsilon 0.5 near t = ln 5 and escapes
+        # radius 4 near t = ln 40; row 1 decays. A finite epsilon ends row
+        # 0, finished, at its first distance not < 0.5; an infinite one
+        # stops no row, as without a set.
+        V = VectorFieldSpec.from_strings(["-x1", "x2"])
+        targets = sample_times(5.0, 0.1)[1:]
+        distances, calls = {0: [], 1: []}, []
+
+        def visit(rows, j, states, d=None):
+            assert d is not None or not native_builds(V)
+            calls.append(set(rows.tolist()))
+            for row, state in zip(rows.tolist(), states):
+                distances[row].append(float(np.linalg.norm(state)))
+
+        with native(True):
+            errors = integrate_lanes(V, [[0.0, 0.1], [0.3, 0.0]], targets,
+                                     IntegratorConfig(blowup_radius=4.0), visit,
+                                     flow._Near(SinglePoint([0.0, 0.0]), epsilon))
+        assert len(distances[1]) == len(targets)
+        first_out = next(k for k, d in enumerate(distances[0]) if d >= 0.5)
+        if epsilon < math.inf and native_builds(V):
+            assert errors == {} and len(distances[0]) == first_out + 1
+            assert calls == [{0}, {1}]  # the exit ends its call
+        else:
+            assert list(errors) == [0] and isinstance(errors[0], EscapedDomainError)
+            assert len(distances[0]) > first_out + 1
+
+
+_HARMONIC_BUDGET = orbit_attempts(["x2", "-x1"], [0.6, 0.0], 4.0, 0.05) // 2
+
+# name: (field, set, grid half-width, horizon, config) of the sweep parity
+# tests: escapes, each set kind, failures in the field that the orbit loop
+# resumes after the native loop's samples, and exhausted step budgets.
+_SWEEP_CASES = {
+    "point": (["-x2", "x1 - (1 - x1^2)*x2"], SinglePoint([0.0, 0.0]), 3.0, 6.0,
+              IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)),
+    "ball": (["-x2", "x1 - (1 - x1^2)*x2"], ClosedBall([0.1, 0.0], 0.3), 2.0, 6.0,
+             IntegratorConfig()),
+    "box": (["-x1 + x2", "-x1 - x2"], Box([-0.2, -0.1], [0.3, 0.2]), 1.0, 4.0,
+            IntegratorConfig()),
+    "domain": (["1", "sqrt(0.5 - x1)"], SinglePoint([0.0, 0.0]), 1.0, 2.0, IntegratorConfig()),
+    "step-budget": (["x2", "-x1"], ClosedBall([0.0, 0.0], 0.1), 0.6, 4.0,
+                    IntegratorConfig(max_steps=_HARMONIC_BUDGET)),
+}
+
+
+def _sweep(name, on, workers=1):
+    """Every field of the 7 x 7 RoaGrid of _SWEEP_CASES[name], floats as
+    bits, the uniform attraction time of its nodes, and the tail maxima
+    of its _sweep, with the native loop on in min(workers, 49) slices, or
+    off."""
+    texts, M, half, horizon, cfg = _SWEEP_CASES[name]
+    V = VectorFieldSpec.from_strings(texts)
+    box = Box([-half, -half], [half, half])
+    with native(on), sliced(workers):
+        grid = roa_grid(V, M, box, 7, cfg, horizon_T=horizon, tol=0.05, out_dt=0.05)
+        uniform = uniform_attraction_time(V, PointCloud(grid.nodes), M, 0.2, cfg, horizon, 0.05)
+        tail_max = limits._sweep(V, M, grid.nodes, sample_times(horizon, 0.05), cfg)[4]
+    bits = lambda values: [v.hex() for v in values.tolist()]  # noqa: E731
+    return (grid.labels, bits(grid.final_distances), bits(grid.min_distances),
+            bits(grid.peak_distances), grid.escaped, grid.errors,
+            uniform.value, uniform.integration_failed, bits(tail_max))
+
+
+@pytest.mark.usefixtures("fast_switching")
+class TestSweepParity:
+    """roa_grid and uniform_attraction_time, whose native rows reduce
+    their distances in C, give the orbit loop's fields at any slices."""
+
+    @pytest.mark.parametrize("buffer", [flow._BUFFER, 7])
+    @pytest.mark.parametrize("name", sorted(_SWEEP_CASES))
+    def test_the_orbit_loops_fields_at_1_2_and_3_slices(self, name, buffer, monkeypatch):
+        monkeypatch.setattr(flow, "_BUFFER", buffer)
+        expected = _sweep(name, False)
+        labels, _, _, _, escaped, errors, *_ = expected
+        if name == "domain":  # failures after some samples
+            assert any(escaped) and "attracted" not in labels
+        if name == "step-budget":
+            assert any(e and "exceeded" in e for e in errors) and None in errors
+        for workers in (1, 2, 3):
+            assert _sweep(name, True, workers) == expected
+
+    def test_native_rows_reach_no_visit(self, monkeypatch):
+        # The native loop reduces every row itself, so neither visit nor
+        # the set's distances see a sample past the starts.
+        texts, M, half, horizon, cfg = _SWEEP_CASES["point"]
+        V = VectorFieldSpec.from_strings(texts)
+        visits, taken = [], []
+        inner = limits.integrate_lanes
+
+        def counting(V, starts, targets, cfg, visit, near=None):
+            return inner(V, starts, targets, cfg,
+                         lambda *batch: visits.append(len(batch[0])) or visit(*batch), near)
+
+        monkeypatch.setattr(limits, "integrate_lanes", counting)
+        with native(True), mock.patch.object(
+                SinglePoint, "distances",
+                lambda self, p, own=SinglePoint.distances: taken.append(len(p)) or own(self, p)):
+            roa_grid(V, M, Box([-half, -half], [half, half]), 7, cfg, horizon_T=horizon,
+                     tol=0.05, out_dt=0.05)
+        assert taken[0] == 49 and sum(visits) == sum(taken[1:])
+        if native_builds(V):
+            assert taken == [49] and visits == []
 
 
 # Per function of the expression language, a field that calls it; the

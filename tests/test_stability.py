@@ -749,8 +749,10 @@ def _saddle_first_exits(monkeypatch):
     """The saddle case of the first-exit tests: the (witness, worst bits)
     of _first_exit with the native loop off, on, and on with a buffer of
     one sample, which stops a row for the orbit loop to resume once one
-    of its steps passes two targets; asserted equal. Returns the field
-    and, per run, the resume arguments of the orbit loops it ran."""
+    of its steps passes two targets; asserted equal, but for the worst of
+    the witness, which the native loop ends at its first sample outside
+    epsilon and the orbit loop does not. Returns the field and, per run,
+    the resume arguments of the orbit loops it ran."""
     V = VectorFieldSpec.from_strings(["-x1", "x2"])
     points = np.stack([np.linspace(-0.45, 0.45, 60), np.zeros(60)], axis=1)
     points[40, 1] = 0.1
@@ -771,6 +773,8 @@ def _saddle_first_exits(monkeypatch):
         monkeypatch.setattr(flow, "_BUFFER", buffer)
         with native(on):
             witness, worst = stability._first_exit(V, ORIGIN_2D, points, 0.5, times, cfg)
+        assert not worst[40] < 0.5
+        worst[40] = np.nan
         exits.append((witness.tolist(), [v.hex() for v in worst.tolist()]))
     assert exits[0][0] == points[40].tolist()
     assert exits[1] == exits[0] and exits[2] == exits[0]
@@ -792,12 +796,41 @@ def test_first_exit_stops_across_the_lane_handoff(monkeypatch):
 
 
 def test_first_exit_from_the_native_loop(monkeypatch):
-    # The native loop runs all 60 points in one buffer, and no orbit loop,
-    # as none fails in the field; the _Stop in that buffer's visit ends
-    # the pass with the same witness and largest distances.
+    # The native loop runs points 0-40 in one call, and no orbit loop, as
+    # none fails in the field: it ends point 40 at its exit, and so the
+    # call; the _Stop in that call's visit ends the pass with the same
+    # witness and largest distances, the witness's aside.
     V, (_, runs, _) = _saddle_first_exits(monkeypatch)
     if native_builds(V):
         assert runs == []
+
+
+def test_probe_rows_end_at_their_exit(monkeypatch):
+    # unstable_linear's probes all fail. The orbit loop runs the first
+    # point's orbit to its end before the pass stops; the native loop ends
+    # each point at its first sample outside epsilon, and its call there,
+    # so its probes reduce at most 10% more samples than the orbit loop's,
+    # not the samples of every point of a buffer.
+    problem, block, knobs = _bundled_stability("unstable_linear")
+    distance_pass = stability._distance_pass
+    results, samples = [], []
+
+    def counted(V, M, points, times, cfg, reduce, *rest):
+        def counting(rows, j, d):
+            samples[-1] += len(rows)
+            return reduce(rows, j, d)
+
+        return distance_pass(V, M, points, times, cfg, counting, *rest)
+
+    monkeypatch.setattr(stability, "_distance_pass", counted)
+    for on in (False, True):
+        samples.append(0)
+        with native(on):
+            delta, witness = estimate_delta(problem.field, problem.set_spec, block["epsilons"][0],
+                                            problem.integrator, **knobs)
+        results.append((delta, None if witness is None else witness.tolist()))
+    assert results[0][0] is None and results[1] == results[0]
+    assert samples[1] <= 1.1 * samples[0]
 
 
 class TestClassifyStabilityOnePass:
