@@ -72,6 +72,17 @@ compiled and cached:
                    takes its invariance defect
   estimate_omega/vanderpol
                    estimate_omega with problems/vanderpol.json's omega block
+  shell_points/point/10, shell_points/ball/100
+                   geometry._shell_points with a generator seeded anew
+                   per call: 10 rays at r = 0.05 around the origin of R^2,
+                   as a delta probe draws them, and 100 rays at r = 0.3
+                   around the ball of radius 0.5 at the origin of R^2, as
+                   a certificate annulus does. They run in C where the
+                   checkout has the shell function (flow._shell_kernel)
+                   and it builds
+  shell_points/<set>/<m>/numpy
+                   the same with flow._shell_kernel forced to give no
+                   function, so that the NumPy loops run the rays
   analyze/<name>   `lyapset analyze` in process, per bundled problem
 
 The layers named after a loop force it; attempt and probe_orbit force
@@ -123,12 +134,15 @@ CYCLE_X0 = [0.5, 0.0, 0.0, 0.0]  # cycle_cloud's omega start
 VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
 # field/m of the orbit_loop and native_orbit layers
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
+# the shell_points layers; each also runs as <layer>/numpy, with NumPy forced
+SHELLS = ("shell_points/point/10", "shell_points/ball/100")
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
            "integrate_lanes/vdp/1681": (7, 1), "roa_grid/vdp/41": (7, 1),
            "native_build": (5, 1),
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
+           **{f"{shell}{forced}": (20, 10) for shell in SHELLS for forced in ("", "/numpy")},
            "estimate_omega/vanderpol": (10, 1),
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
               for kind in ("orbit_loop", "native_orbit") for batch in BATCHES}}
@@ -311,6 +325,17 @@ def worker(src: str) -> dict:
     moved, _ = flow.flow_rows(cycle, reps, 0.01, ls.IntegratorConfig())
     layers["omega/cluster"] = lambda: limits._greedy_cluster(window, 1e-3)
     layers["omega/hausdorff"] = lambda: geometry.hausdorff(moved, reps)
+    shells = [(ls.SinglePoint([0.0, 0.0]), [0.05] * 10), (ls.ClosedBall([0.0, 0.0], 0.5), [0.3] * 100)]
+    for name, (M, radii) in zip(SHELLS, shells):
+        def shell(M=M, radii=radii):
+            geometry._shell_points(M, radii, numpy.random.default_rng(0))
+
+        def numpy_shell(shell=shell):
+            with _forced(flow, _shell_kernel=lambda n: None):
+                shell()
+
+        layers[name] = shell
+        layers[f"{name}/numpy"] = numpy_shell
     vanderpol = ls.load_problem(os.path.join(ROOT, "problems", "vanderpol.json"))
     omega = vanderpol.omega
     layers["estimate_omega/vanderpol"] = lambda: ls.estimate_omega(

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,8 +181,7 @@ def cmd_analyze(args) -> int:
     report_path = os.path.join(out_dir, f"{stem}.report.json")
     try:
         with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(_json_safe(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n")
         for kind, text in csvs.items():
             with open(os.path.join(out_dir, f"{stem}.{kind}.csv"), "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -262,7 +262,9 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lyapset",
         description="Numerical stability analysis of compact invariant sets of ODE flows.",
@@ -272,23 +274,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="run the analyses in a problem file")
     p_analyze.add_argument("problem", help="path to a problem JSON file")
     p_analyze.add_argument("--out-dir", default=None, help="directory for report files")
-    p_analyze.set_defaults(fn=cmd_analyze)
 
     p_plot = sub.add_parser("plot", help="render a report as SVG")
     p_plot.add_argument("report", help="path to a .report.json file")
     p_plot.add_argument("--axes", default=None, help="coordinate pair i,j for n > 2")
     p_plot.add_argument("--out", default=None, help="output SVG path")
-    p_plot.set_defaults(fn=cmd_plot)
 
     p_self = sub.add_parser("selftest", help="run bundled closed-form checks")
     p_self.add_argument("--filter", default=None, help="substring filter on check names")
-    p_self.set_defaults(fn=cmd_selftest)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # The commands are looked up at each call, not kept in the cached
+    # parser, so that one replaced in this module is the one that runs.
+    commands = {"analyze": cmd_analyze, "plot": cmd_plot, "selftest": cmd_selftest}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

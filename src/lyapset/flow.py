@@ -37,16 +37,20 @@ samples, error and attempts do not depend on the slices. Given a point, a
 ball or a box of fewer than 8 coordinates, the C loop also takes each
 sample's distance to it with NumPy's bits: it passes them to visit, ends
 a row at its first distance outside a given epsilon, or reduces them per
-row and per target in C, so that those samples never reach visit. The build is
-cached under ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with
-contraction and builtins off, so that gcc neither fuses a * b + c nor
-merges sin and cos: the native loop's bits are the orbit loop's. Where
+row and per target in C, so that those samples never reach visit. One
+emitter writes those distances, and a second C source uses it too: the
+shell rays of geometry._shell_points for such a set, one source per
+dimension, built on first use. Each build is cached under
+${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with contraction and
+builtins off, so that gcc neither fuses a * b + c nor merges sin and
+cos: the native loop's bits are the orbit loop's. Where
 the orbit loop raises inside the field, and on an exhausted budget or a
 step size underflow, the native loop stops the row before that attempt
 and the orbit loop resumes it there, from the row's loop state, and
 raises the exact error; an escape comes back as its time and state. So
 no orbit is integrated twice. Without a compiler, or where a build or
-load fails, the orbit loop runs every start, with the same bits.
+load fails, the orbit loop runs every start, and NumPy every shell ray,
+with the same bits.
 """
 
 from __future__ import annotations
@@ -431,19 +435,15 @@ def _set_params(near: _Near | None, n: int) -> np.ndarray:
     return params
 
 
-def _c_sample(n: int) -> list[str]:
-    """The C statements that take the sample p0, ..., p{n-1} at targets[j]
-    of row. Where kind is not 0, d is its distance to the set, by NumPy's
+def _c_distance(n: int) -> list[str]:
+    """The C statements that set d, where kind is not 0, to the distance
+    of p0, ..., p{n-1} to the set of _set_params' array, by NumPy's
     operations in NumPy's order, so with the bits of the set's distances:
     the norm of the differences is the square root of their squares summed
     from left to right, as np.linalg.norm sums them below
     _NORM_PAIRWISE_FROM coordinates; a ball's is max(0, norm - radius) as
-    np.maximum takes it, and a box's the norm of p - clip(p, lo, hi). With
-    sums, the row's reductions and the slice's peak at j take d, min2 and
-    max2 being fmin and fmax where the value reduced into is not NaN, as
-    it never is; else the sample, its distance and its row and j go to the
-    buffer. Then it moves to the next target, and where stops, it ends the
-    row at a distance not < epsilon."""
+    np.maximum takes it, and a box's the norm of p - clip(p, lo, hi). They
+    read kind, radius, center, lo and hi, and write e and d."""
     def norm(differences):
         lines = []
         for i, difference in enumerate(differences):
@@ -452,10 +452,23 @@ def _c_sample(n: int) -> list[str]:
 
     clip = [f"p{i} - (p{i} < lo[{i}] ? lo[{i}] : p{i} > hi[{i}] ? hi[{i}] : p{i})"
             for i in range(n)]
-    shell = _block(f"if kind == {_BALL}", ["d = d - radius;", "d = 0.0 >= d ? 0.0 : d;"], "c")
+    ball = _block(f"if kind == {_BALL}", ["d = d - radius;", "d = 0.0 >= d ? 0.0 : d;"], "c")
     return [
         *_block(f"if kind == {_BOX}", norm(clip), "c"),
-        *_block("elif kind", [*norm([f"p{i} - center[{i}]" for i in range(n)]), *shell], "c"),
+        *_block("elif kind", [*norm([f"p{i} - center[{i}]" for i in range(n)]), *ball], "c"),
+    ]
+
+
+def _c_sample(n: int) -> list[str]:
+    """The C statements that take the sample p0, ..., p{n-1} at targets[j]
+    of row. Where kind is not 0, d is its distance to the set, as
+    _c_distance takes it. With sums, the row's reductions and the slice's
+    peak at j take d, min2 and max2 being fmin and fmax where the value
+    reduced into is not NaN, as it never is; else the sample, its distance
+    and its row and j go to the buffer. Then it moves to the next target,
+    and where stops, it ends the row at a distance not < epsilon."""
+    return [
+        *_c_distance(n),
         *_block("if sums", ["u = sums + 3 * row;", "u[0] = min2(u[0], d);", "u[1] = d;",
                             "if (j >= tail) u[2] = max2(u[2], d);",
                             "peak[j] = max2(peak[j], d);"], "c"),
@@ -593,6 +606,83 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
         "{", *("    " + line for line in loop), "}", ""])
 
 
+def _shell_source(n: int) -> str:
+    """The C translation unit of the shell rays of n coordinates: one
+    function,
+
+        void shell(int64_t m, const double *base, const double *u,
+                   const double *r, const double *tol, const double *set,
+                   double *out)
+
+    which runs geometry._shell_points' search for each of the m rays as
+    its NumPy loops do. Ray i starts at base[i] along the unit vector
+    u[i], rows of n. Its outer bound s starts at r[i] and doubles, up to
+    90 times, while base[i] + s u[i] lies at a distance < r[i] from the
+    set. Then up to 256 halvings of [lo, hi] = [0, s], at mid = 0.5 (lo +
+    hi), look for a point at a distance within tol[i] of r[i]; out[i] is
+    that point, else the midpoint of the last bounds. set is _set_params'
+    array, its kind not 0, and the distances are _c_distance's, so every
+    point has the NumPy loops' bits."""
+    def point(s):
+        return [f"p{i} = b[{i}] + {s} * v[{i}];" for i in range(n)]
+
+    def loop(head, body):
+        return ["    " + line for line in _block(head, body, "c")]
+
+    body = [
+        "const int64_t kind = (int64_t) set[0];",
+        f"const double radius = set[2], *center = set + 3, *lo = set + 3, *hi = set + {3 + n};",
+        "const double *b, *v;",
+        f"double s_lo, s_hi, mid, d, e, {', '.join(f'p{i}' for i in range(n))};",
+        "int64_t i, k;",
+        "for (i = 0; i < m; i++) {",
+        f"    b = base + {n} * i;",
+        f"    v = u + {n} * i;",
+        "    s_hi = r[i];",
+        *loop("for k = 0; k < 90; k++", [
+            *point("s_hi"), *_c_distance(n), "if (!(d < r[i])) break;", "s_hi = s_hi * 2.0;"]),
+        "    s_lo = 0.0;",
+        *loop("for k = 0; k < 256; k++", [
+            "mid = 0.5 * (s_lo + s_hi);", *point("mid"), *_c_distance(n),
+            "if (fabs(d - r[i]) <= tol[i]) break;",
+            "if (d < r[i]) s_lo = mid; else s_hi = mid;"]),
+        *loop("if k == 256", ["mid = 0.5 * (s_lo + s_hi);", *point("mid")]),
+        *(f"    out[{n} * i + {i}] = p{i};" for i in range(n)),
+        "}",
+    ]
+    return "\n".join([
+        _C_PRELUDE,
+        "void shell(int64_t m, const double *base, const double *u, const double *r,",
+        "           const double *tol, const double *set, double *out)",
+        "{", *("    " + line for line in body), "}", ""])
+
+
+@lru_cache(maxsize=None)
+def _shell_kernel(n: int):
+    """The shell function of _shell_source(n), or None where it cannot be
+    built or loaded."""
+    return _library(_shell_source(n), "shell")
+
+
+def _shell_rays(M: CompactSet, base: np.ndarray, u: np.ndarray, r: np.ndarray,
+                tol: np.ndarray) -> np.ndarray | None:
+    """The points of geometry._shell_points' rays from base along u,
+    found in C with the bits of its NumPy loops; None where M is not a set
+    whose distances the native code takes (_set_params) or the shell
+    function of its dimension cannot be built or loaded, so that the
+    caller runs them. base and u are C-contiguous float64 arrays of
+    r.size rows and M.dim columns, r a float64 array and tol a C-contiguous
+    one of r.size entries."""
+    params = _set_params(_Near(M), M.dim)
+    shell = _shell_kernel(M.dim) if params[0] else None
+    if shell is None:
+        return None
+    # Named, so that each array outlives the call that reads it.
+    arrays = (base, u, np.ascontiguousarray(r), tol, params, np.empty_like(u))
+    shell(r.size, *(a.ctypes.data for a in arrays))
+    return arrays[-1]
+
+
 # Samples per native call: each call fills at most this buffer, and each
 # filled buffer reaches visit in one call. It bounds what a visit reduces
 # at once: with 16,384 the peak memory of perfbench's cycle_cloud was 1.3
@@ -710,7 +800,7 @@ def _native(V: VectorFieldSpec, method: str):
     groups, the rows stopped for the orbit loop, which resumes them; and
     attempts is the attempts of each row, up to where it stopped. A row
     runs alone, in its slice, so none of these depends on W."""
-    orbits = _library(_c_source(V, method))
+    orbits = _library(_c_source(V, method), "orbits")
     if orbits is None:
         return None
     n = V.dim
@@ -780,8 +870,11 @@ def _native(V: VectorFieldSpec, method: str):
 # it fuse sin and cos into sincos: either changes bits.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
-# Loaded orbits functions by the hash of their source and build, or None
-# where the build or load failed: a cleared _native costs no build again.
+# The functions that the C sources export: their result, then their
+# arguments, by letter: i an int64_t, p a pointer, v no value.
+_EXPORTS = {"orbits": "iippppiipppippi", "shell": "vipppppp"}
+# Loaded functions by the hash of their source and build, or None where
+# the build or load failed: a cleared _native costs no build again.
 _LIBRARIES: dict = {}
 
 
@@ -801,11 +894,12 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _library(source: str):
-    """The orbits function of source, built with $CC, else cc, and cached
-    by the sha256 of the source, the flags, the compiler and the platform
-    in ${XDG_CACHE_HOME:-~/.cache}/lyapset; None where it cannot be built
-    or loaded. Nothing here is imported before the first native loop."""
+def _library(source: str, name: str):
+    """The function name of source, as _EXPORTS types it, built with $CC,
+    else cc, and cached by the sha256 of the source, the flags, the
+    compiler and the platform in ${XDG_CACHE_HOME:-~/.cache}/lyapset; None
+    where it cannot be built or loaded. Nothing here is imported before
+    the first native call."""
     import platform
     import shlex
 
@@ -816,7 +910,7 @@ def _library(source: str):
     key = _sha256("\0".join(
         [source, *_CFLAGS, *compiler, sys.platform, platform.machine()]).encode())
     if key not in _LIBRARIES:
-        _LIBRARIES[key] = _open(key, source, compiler)
+        _LIBRARIES[key] = _open(key, source, compiler, name)
     return _LIBRARIES[key]
 
 
@@ -827,24 +921,24 @@ def _cache_dir() -> str:
     return os.path.join(base, "lyapset")
 
 
-def _open(key: str, source: str, compiler: list[str]):
+def _open(key: str, source: str, compiler: list[str], name: str):
     """Load the cached build of key, else build it into the cache, else,
     where the cache is not writable, into a directory for this process."""
     import tempfile
 
     path = os.path.join(_cache_dir(), key + ".so")
-    loaded = _dlopen(path) if os.path.exists(path) else None
+    loaded = _dlopen(path, name) if os.path.exists(path) else None
     if loaded is None:
         try:
             os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
-            loaded = _compile(source, compiler, path)
+            loaded = _compile(source, compiler, path, name)
         except OSError:
             with tempfile.TemporaryDirectory() as scratch:
-                loaded = _compile(source, compiler, os.path.join(scratch, key + ".so"))
+                loaded = _compile(source, compiler, os.path.join(scratch, key + ".so"), name)
     return loaded
 
 
-def _compile(source: str, compiler: list[str], path: str):
+def _compile(source: str, compiler: list[str], path: str, name: str):
     """Build source into path, written under a temporary name in its
     directory and then renamed, and load it; None where the compiler is
     missing, fails or times out, or the build does not load. Raises
@@ -864,22 +958,19 @@ def _compile(source: str, compiler: list[str], path: str):
     finally:
         if os.path.exists(building):
             os.remove(building)
-    return _dlopen(path)
+    return _dlopen(path, name)
 
 
-def _dlopen(path: str):
+def _dlopen(path: str, name: str):
     import ctypes
 
     try:
-        orbits = ctypes.CDLL(path).orbits
+        function = getattr(ctypes.CDLL(path), name)
     except (OSError, AttributeError):
         return None
-    orbits.restype = ctypes.c_int64
-    orbits.argtypes = [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_int64]
-    return orbits
+    types = {"i": ctypes.c_int64, "p": ctypes.c_void_p, "v": None}
+    function.restype, *function.argtypes = (types[letter] for letter in _EXPORTS[name])
+    return function
 
 
 # Work of a (field, method) from which integrate_lanes runs the native

@@ -10,10 +10,12 @@ array; `distance` of one point applies it to a one-row array, so the point
 and array forms agree bitwise.
 
 Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
-rays out of the set and bisects all of them together. A sampling call
-draws from one seeded generator, one array call per kind of draw. Finite
-sets are clustered, and their Hausdorff distance taken, by one search over
-sorted windows of their widest coordinate.
+rays out of the set and bisects them: for a point, a ball or a box of
+fewer than 8 coordinates in one C call, elsewhere all together in NumPy,
+with the same bits either way. A sampling call draws from one seeded
+generator, one array call per kind of draw. Finite sets are clustered,
+and their Hausdorff distance taken, by one search over sorted windows of
+their widest coordinate.
 """
 
 from __future__ import annotations
@@ -209,14 +211,23 @@ def _shell_points(M: CompactSet, radii, rng: np.random.Generator) -> np.ndarray:
     max(4, m) members of the set, and each ray's base among them, so the
     rays of a cloud spread over it. All rays then grow their outer bound
     by doubling and bisect together, one `distances` call per step over
-    the rays not yet done.
+    the rays not yet done. For a point, a ball or a box of fewer than 8
+    coordinates, one C call (flow._shell_rays) runs that search ray by
+    ray instead, by the same operations in the same order, so with the
+    same bits; other sets, and runs where it cannot be built, take these
+    loops.
     """
+    from .flow import _shell_rays  # flow imports this module
+
     r = np.asarray(radii, dtype=float)
     tol = 1e-12 * np.maximum(1.0, r)
     u = rng.standard_normal((r.size, M.dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     members = M.sample_points(max(4, r.size), rng)
     base = members[rng.integers(0, members.shape[0], size=r.size)]
+    out = _shell_rays(M, base, u, r, tol)
+    if out is not None:
+        return out
 
     def along(rays, s):
         return base[rays] + s[:, None] * u[rays]

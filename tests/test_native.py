@@ -2,8 +2,10 @@
 buffer calls and row slices run on threads, for every function and for
 failures that the orbit loop resumes, the distances to a set and the
 reductions it takes in C, and runs whose output no missing, failing,
-truncated, read-only or concurrent build changes."""
+truncated, read-only or concurrent build changes. The shell rays in C:
+bitwise parity with the NumPy loops, and the sets they leave to them."""
 
+import contextlib
 import importlib
 import math
 import os
@@ -21,13 +23,15 @@ import lyapset
 from lyapset.errors import EscapedDomainError
 from lyapset.expr import _FUNCTIONS, VectorFieldSpec
 from lyapset.flow import IntegratorConfig, integrate_lanes, sample_times
-from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint
+from lyapset.geometry import Box, ClosedBall, PointCloud, SinglePoint, sample_shell
 from lyapset.limits import roa_grid
 from lyapset.stability import uniform_attraction_time
 from conftest import native, native_builds, orbit_attempts, sliced
 
 flow = importlib.import_module("lyapset.flow")
+geometry = importlib.import_module("lyapset.geometry")
 limits = importlib.import_module("lyapset.limits")
+lyapunov = importlib.import_module("lyapset.lyapunov")
 stability = importlib.import_module("lyapset.stability")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(lyapset.__file__))
@@ -433,10 +437,118 @@ class TestSetDistances:
         first_out = next(k for k, d in enumerate(distances[0]) if d >= 0.5)
         if epsilon < math.inf and native_builds(V):
             assert errors == {} and len(distances[0]) == first_out + 1
-            assert calls == [{0}, {1}]  # the exit ends its call
+            # The exit ends its call. Row slices on threads, as under
+            # --native=always, may deliver the two calls in either order.
+            assert sorted(calls, key=min) == [{0}, {1}]
         else:
             assert list(errors) == [0] and isinstance(errors[0], EscapedDomainError)
             assert len(distances[0]) > first_out + 1
+
+
+def _shells(on: bool):
+    """Context in which _shell_points runs its rays in C (on), where the
+    shell function of the set's dimension builds, or never."""
+    return contextlib.nullcontext() if on else mock.patch.object(
+        flow, "_shell_kernel", lambda n: None)
+
+
+def _shell_bits(M, radii, seed, on):
+    """The bits of _shell_points' points for M and radii, drawn from a
+    generator seeded with seed, with the shell function on or off."""
+    with _shells(on):
+        return geometry._shell_points(M, radii, np.random.default_rng(seed)).tobytes()
+
+
+def _shell_sets(kind, n, rng):
+    """Sets of kind in n coordinates: a ball of radius 0 among the balls
+    and a box with lo == hi among the boxes."""
+    c = rng.standard_normal(n)
+    return {"point": [SinglePoint(c)],
+            "ball": [ClosedBall(c, float(rng.uniform(0.1, 2.0))), ClosedBall(c, 0.0)],
+            "box": [Box(c, c + rng.uniform(0.1, 2.0, n)), Box(c, c)]}[kind]
+
+
+class TestShellKernel:
+    """_shell_points' C rays have the NumPy loops' bits, and only a point,
+    a ball or a box of fewer than 8 coordinates takes them."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("kind", ["point", "ball", "box"])
+    def test_bitwise_the_numpy_loops(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        builds = flow._shell_kernel(n) is not None
+        for M in _shell_sets(kind, n, rng):
+            for trial in range(4):
+                radii = 10.0 ** rng.uniform(-8.0, 8.0, int(rng.integers(1, 40)))
+                if trial % 2:
+                    radii = np.repeat(radii, 2)[::2]  # a strided view
+                expected = _shell_bits(M, radii, trial, False)
+                # The C rays take no distance in Python.
+                unused = mock.patch.object(type(M), "distances", side_effect=AssertionError)
+                with unused if builds else contextlib.nullcontext():
+                    assert _shell_bits(M, radii, trial, True) == expected, (M, radii)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_rays_that_never_reach_the_shell(self, n):
+        # Sets far wider than r * 2^90. The box's rays start at its
+        # corners, where a step of r * 2^90 or less rounds back to the
+        # corner; the ball's first member, its centre, starts rays that
+        # stay inside (seed 0 starts some there in each dimension here).
+        # Each such ray doubles 90 times, halves 256 times at a distance of
+        # 0 and ends on the midpoint of its last bounds.
+        r = 1e-5
+        box, ball = Box([-1e40] * n, [1e40] * n), ClosedBall([0.0] * n, 1e30)
+        with _shells(True):
+            at_corners = geometry._shell_points(box, [r] * 3, np.random.default_rng(n))
+            rays = geometry._shell_points(ball, [r] * 8, np.random.default_rng(0))
+        assert np.all(box.distances(at_corners) == 0.0)
+        from_centre = np.linalg.norm(rays, axis=1) <= 2.0 ** 90 * r
+        assert np.any(from_centre)
+        assert np.allclose(np.linalg.norm(rays[from_centre], axis=1), 2.0 ** 90 * r, rtol=1e-12)
+        assert at_corners.tobytes() == _shell_bits(box, [r] * 3, n, False)
+        assert rays.tobytes() == _shell_bits(ball, [r] * 8, 0, False)
+
+    @pytest.mark.parametrize("M", [SinglePoint([0.5, -1.0]), ClosedBall([0.0, 0.0, 1.0], 0.5),
+                                   Box([-1.0, 0.0], [1.0, 0.5])], ids=["point", "ball", "box"])
+    def test_the_samplers_give_the_same_points(self, M):
+        def samples(on):
+            with _shells(on):
+                return (sample_shell(M, 0.3, 16, 5).points.tobytes(),
+                        stability._candidate_points(M, 0.2, 10, 7).tobytes(),
+                        lyapunov._annulus_points(M, 0.05, 1.0, 50,
+                                                 np.random.default_rng(3)).tobytes())
+
+        assert samples(True) == samples(False)
+
+    @pytest.mark.parametrize("M", [
+        PointCloud([[0.0, 0.0], [1.0, 0.5]]),
+        SinglePoint([0.0] * 8),
+        _Shifted([0.0, 0.0]),
+    ], ids=["cloud", "8-D point", "subclass"])
+    def test_other_sets_take_their_own_distances(self, M):
+        radii = [1.5, 2.0, 3.0]
+        built = []
+        kernel = flow._shell_kernel
+        with mock.patch.object(flow, "_shell_kernel", lambda n: built.append(n) or kernel(n)), \
+                mock.patch.object(M, "distances", wraps=M.distances) as distances:
+            points = geometry._shell_points(M, radii, np.random.default_rng(0))
+        assert built == [] and distances.call_count > 0
+        # The subclass's own distance is the one its shell points are at.
+        assert np.allclose(M.distances(points), radii, rtol=1e-9)
+
+    def test_without_a_build_the_same_bits(self):
+        # As under CC=/nonexistent: no shell function loads, and the
+        # NumPy loops give the same points.
+        cases = [(SinglePoint([0.0, 1.0]), [0.5] * 10), (ClosedBall([1.0] * 3, 0.2), [1e-6, 3.0]),
+                 (Box([0.0] * 5, [1.0] * 5), list(10.0 ** np.arange(-8.0, 8.0)))]
+        expected = [_shell_bits(M, radii, 11, True) for M, radii in cases]
+        flow._shell_kernel.cache_clear()
+        try:
+            with mock.patch.object(flow, "_library", lambda source, name: None):
+                assert [flow._shell_kernel(M.dim) for M, _ in cases] == [None] * 3
+                assert [_shell_bits(M, radii, 11, True) for M, radii in cases] == expected
+        finally:
+            flow._shell_kernel.cache_clear()
 
 
 _HARMONIC_BUDGET = orbit_attempts(["x2", "-x1"], [0.6, 0.0], 4.0, 0.05) // 2
