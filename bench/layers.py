@@ -70,6 +70,16 @@ compiled and cached:
   omega/hausdorff  geometry.hausdorff of that window's representatives and
                    their images a flow of out_dt later, as estimate_omega
                    takes its invariance defect
+  cloud_distances/cycle/<m>
+                   PointCloud.distances on cycle_cloud's omega cloud of m
+                   members (671), over the points that one pass of that
+                   workload at seed 0 queries: its converse samples and
+                   its certificate's shell points, in their calls. Below 8
+                   coordinates they run in C where the checkout has the
+                   nearest search (flow._nearest_kernel) and it builds
+  cloud_distances/cycle/<m>/kdtree
+                   the same with flow._nearest_kernel forced to give no
+                   function, so that SciPy's KD-tree answers
   estimate_omega/vanderpol
                    estimate_omega with problems/vanderpol.json's omega block
   shell_points/point/10, shell_points/ball/100
@@ -136,6 +146,8 @@ VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # the shell_points layers; each also runs as <layer>/numpy, with NumPy forced
 SHELLS = ("shell_points/point/10", "shell_points/ball/100")
+# the cloud_distances layer; it also runs as <layer>/kdtree, with the tree forced
+CLOUD = "cloud_distances/cycle/671"
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
@@ -144,6 +156,7 @@ REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            **{f"{shell}{forced}": (20, 10) for shell in SHELLS for forced in ("", "/numpy")},
            "estimate_omega/vanderpol": (10, 1),
+           **{f"{CLOUD}{forced}": (20, 2) for forced in ("", "/kdtree")},
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
               for kind in ("orbit_loop", "native_orbit") for batch in BATCHES}}
 # How the layers named after a loop force it: the flow constants they set,
@@ -208,6 +221,22 @@ def _counting_native(native, counts: list[int]):
         return counted_run
 
     return counted
+
+
+def _queried(cls, run) -> list:
+    """The point arrays that run passes to cls.distances, in order."""
+    seen, original = [], cls.distances
+
+    def recording(self, points):
+        seen.append(numpy.array(points))
+        return original(self, points)
+
+    cls.distances = recording
+    try:
+        run()
+    finally:
+        cls.distances = original
+    return seen
 
 
 def _ignore(rows, j, states):
@@ -336,6 +365,26 @@ def worker(src: str) -> dict:
 
         layers[name] = shell
         layers[f"{name}/numpy"] = numpy_shell
+    # cycle_cloud's pass at seed 0: its cloud, and the points it queries
+    cloud = ls.PointCloud(ls.estimate_omega(cycle, CYCLE_X0, ls.IntegratorConfig(),
+                                            transient_T=60.0, window_T=6.7).points.points)
+    if not CLOUD.endswith(f"/{len(cloud)}"):
+        sys.exit(f"cycle_cloud's omega cloud has {len(cloud)} members, not those of {CLOUD}")
+    queries = _queried(ls.PointCloud, lambda: (
+        ls.converse_table(cycle, cloud, numpy.random.default_rng(0).uniform(-3.0, 3.0, (24, 4)),
+                          ls.IntegratorConfig(), ls.ConverseConfig(10.0, 0.02)),
+        ls.verify_certificate(cycle, cloud, ls.ScalarFieldSpec.from_string(
+            "x1^2 + x2^2 + x3^2 + x4^2", 4), 0.05, 1.0, 200, 0, ls.IntegratorConfig())))
+
+    def distances():
+        for points in queries:
+            cloud.distances(points)
+
+    def kdtree():
+        with _forced(flow, _nearest_kernel=lambda: None):
+            distances()
+
+    layers[CLOUD], layers[f"{CLOUD}/kdtree"] = distances, kdtree
     vanderpol = ls.load_problem(os.path.join(ROOT, "problems", "vanderpol.json"))
     omega = vanderpol.omega
     layers["estimate_omega/vanderpol"] = lambda: ls.estimate_omega(

@@ -40,7 +40,9 @@ a row at its first distance outside a given epsilon, or reduces them per
 row and per target in C, so that those samples never reach visit. One
 emitter writes those distances, and a second C source uses it too: the
 shell rays of geometry._shell_points for such a set, one source per
-dimension, built on first use. Each build is cached under
+dimension, built on first use. A third source, one for every dimension,
+is the nearest-member search that takes a point cloud's distances below
+8 coordinates. Each build is cached under
 ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with contraction and
 builtins off, so that gcc neither fuses a * b + c nor merges sin and
 cos: the native loop's bits are the orbit loop's. Where
@@ -49,8 +51,8 @@ step size underflow, the native loop stops the row before that attempt
 and the orbit loop resumes it there, from the row's loop state, and
 raises the exact error; an escape comes back as its time and state. So
 no orbit is integrated twice. Without a compiler, or where a build or
-load fails, the orbit loop runs every start, and NumPy every shell ray,
-with the same bits.
+load fails, the orbit loop runs every start, NumPy every shell ray and
+SciPy's KD-tree every cloud distance, with the same bits.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .errors import (
 )
 # compile_vector_field stays importable here, where perfbench's tracer wraps it.
 from .expr import VectorFieldSpec, _define, _emit_results, compile_vector_field  # noqa: F401
-from .geometry import Box, ClosedBall, CompactSet, SinglePoint, as_point
+from .geometry import Box, ClosedBall, CompactSet, PointCloud, SinglePoint, as_point
 
 _METHODS = ("rk4_fixed", "rk45_adaptive")
 
@@ -399,8 +401,9 @@ _FRESH, _RUNNING, _DONE, _ESCAPED, _LEFT, _LEFT_AT_START, _EXITED = range(7)
 # for none: these classes themselves, as a subclass may measure otherwise.
 _POINT, _BALL, _BOX = 1, 2, 3
 _SET_KINDS = {SinglePoint: _POINT, ClosedBall: _BALL, Box: _BOX}
-# From 8 coordinates on, NumPy's norm sums the squares pairwise, not from
-# left to right as the native loop does.
+# From 8 coordinates on, NumPy's norm sums the squares pairwise, and
+# cKDTree in four accumulators, not from left to right as the native code
+# does.
 _NORM_PAIRWISE_FROM = 8
 
 
@@ -683,6 +686,89 @@ def _shell_rays(M: CompactSet, base: np.ndarray, u: np.ndarray, r: np.ndarray,
     return arrays[-1]
 
 
+# The nearest-member search of a point cloud: Friedman, Baskett & Shustek
+# (IEEE Trans. Comput. C-24, 1975) over the members sorted on one
+# coordinate, the key. A query scans down from its place in the key, then
+# up, and a side ends at its first member whose gap on the key, squared,
+# is not below the best squared distance so far: that square is a term of
+# the member's sum, a rounded sum of squares is never below one of its
+# terms, and the gaps only grow along a side. So every member left out has
+# a sum at least the best, and the result is the square root of the exact
+# minimum of the sums, taken from left to right, as cKDTree takes them
+# below _NORM_PAIRWISE_FROM coordinates: the tree's bits. One side, then
+# the other, and not the nearer gap first: that branch mispredicts, and on
+# a 2-core Xeon it took the 31,816 queries of perfbench's cycle_cloud from
+# 7.9 to 15.4 ms, for 4% fewer members tested.
+_NEAREST_SOURCE = _C_PRELUDE + """
+static double squares(const double *p, const double *q, int64_t n)
+{
+    double s = 0.0, e;
+    int64_t c;
+    for (c = 0; c < n; c++) {
+        e = p[c] - q[c];
+        s = s + e * e;
+    }
+    return s;
+}
+
+void nearest(int64_t m, const double *queries, int64_t k, int64_t n, int64_t axis,
+             const double *members, const double *key, double *out)
+{
+    const double *p;
+    double at, e, best;
+    int64_t i, j, lo, hi, mid;
+    for (i = 0; i < m; i++) {
+        p = queries + n * i;
+        at = p[axis];
+        lo = 0;
+        hi = k;
+        while (lo < hi) {
+            mid = lo + (hi - lo) / 2;
+            if (key[mid] < at) lo = mid + 1; else hi = mid;
+        }
+        best = inf;
+        for (j = lo - 1; j >= 0; j--) {
+            e = at - key[j];
+            if (!(e * e < best)) break;
+            best = min2(best, squares(p, members + n * j, n));
+        }
+        for (j = lo; j < k; j++) {
+            e = key[j] - at;
+            if (!(e * e < best)) break;
+            best = min2(best, squares(p, members + n * j, n));
+        }
+        out[i] = sqrt(best);
+    }
+}
+"""
+
+
+@lru_cache(maxsize=None)
+def _nearest_kernel():
+    """The nearest function of _NEAREST_SOURCE, or None where it cannot be
+    built or loaded."""
+    return _library(_NEAREST_SOURCE, "nearest")
+
+
+def _nearest(M: PointCloud, points: np.ndarray) -> np.ndarray | None:
+    """The distances of points, float64 of shape (..., M.dim), to the
+    cloud M, in C with cKDTree's bits; None where M has
+    _NORM_PAIRWISE_FROM coordinates or more or the search cannot be built
+    or loaded, so that the caller queries the tree. Raises the tree's
+    ValueError on a point that is not finite."""
+    search = _nearest_kernel() if M.dim < _NORM_PAIRWISE_FROM else None
+    if search is None:
+        return None
+    if not np.all(np.isfinite(points)):
+        raise ValueError("'x' must be finite, check for nan or inf values")
+    axis, members, key = M._sorted()
+    queries = np.ascontiguousarray(points.reshape(-1, M.dim))
+    out = np.empty(queries.shape[0])
+    search(queries.shape[0], queries.ctypes.data, key.size, M.dim, axis,
+           members.ctypes.data, key.ctypes.data, out.ctypes.data)
+    return out.reshape(points.shape[:-1])
+
+
 # Samples per native call: each call fills at most this buffer, and each
 # filled buffer reaches visit in one call. It bounds what a visit reduces
 # at once: with 16,384 the peak memory of perfbench's cycle_cloud was 1.3
@@ -872,7 +958,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 # The functions that the C sources export: their result, then their
 # arguments, by letter: i an int64_t, p a pointer, v no value.
-_EXPORTS = {"orbits": "iippppiipppippi", "shell": "vipppppp"}
+_EXPORTS = {"orbits": "iippppiipppippi", "shell": "vipppppp", "nearest": "vipiiippp"}
 # Loaded functions by the hash of their source and build, or None where
 # the build or load failed: a cleared _native costs no build again.
 _LIBRARIES: dict = {}

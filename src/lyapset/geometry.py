@@ -5,7 +5,9 @@ a single point, a finite point cloud (a sampled curve or cycle, an
 omega-limit estimate, points drawn from a set or its shell), a closed
 Euclidean ball, and an axis-aligned box. Every variant answers
 exact point-to-set distances; the point cloud answers the minimum over its
-members. Each variant has one distance formula, `distances` over an (m, n)
+members, below 8 coordinates by a C search over its members sorted on
+their widest coordinate, else by SciPy's KD-tree, with the same bits.
+Each variant has one distance formula, `distances` over an (m, n)
 array; `distance` of one point applies it to a one-row array, so the point
 and array forms agree bitwise.
 
@@ -102,7 +104,11 @@ class SinglePoint(CompactSet):
 class PointCloud(CompactSet):
     """A finite set of points, itself compact: a sampling of a set, or the
     representatives of an omega-limit estimate. Distance is the minimum
-    over members."""
+    over members, the square root of the least sum of squared differences
+    taken from left to right. Below 8 coordinates a C search over the
+    members sorted on their widest coordinate takes it (flow._nearest);
+    from 8 on, or where that search cannot be built, SciPy's KD-tree does,
+    with the same bits below 8."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -112,19 +118,31 @@ class PointCloud(CompactSet):
             raise ValueError("point cloud members must be finite")
         self.points = pts
         self.dim = pts.shape[1]
+        self._by_key = None
         self._tree = None
 
-    def _nearest(self, points: np.ndarray) -> np.ndarray:
-        if self._tree is None:
-            # Imported on first use: SciPy's import costs more than lyapset's.
-            from scipy.spatial import cKDTree
-
-            self._tree = cKDTree(self.points)
-        return self._tree.query(points, k=1)[0]
+    def _sorted(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The members' widest coordinate, the members sorted on it, and
+        their values there, C-contiguous; sorted on first use."""
+        if self._by_key is None:
+            axis = _widest_axis(self.points)
+            members = self.points.take(np.argsort(self.points[:, axis], kind="stable"), 0)
+            self._by_key = axis, members, members[:, axis].copy()
+        return self._by_key
 
     def distances(self, points):
+        from .flow import _nearest  # flow imports this module
+
         points = self._check_dim(np.asarray(points, dtype=float))
-        return self._nearest(points)
+        out = _nearest(self, points)
+        if out is None:
+            if self._tree is None:
+                # Imported on first use: SciPy's import costs more than lyapset's.
+                from scipy.spatial import cKDTree
+
+                self._tree = cKDTree(self.points)
+            out = self._tree.query(points, k=1)[0]
+        return out
 
     def sample_points(self, count, rng):
         if count >= self.points.shape[0]:
@@ -189,8 +207,15 @@ class Box(CompactSet):
         return np.linalg.norm(points - nearest, axis=-1)
 
     def sample_points(self, count, rng):
-        corners = np.array(list(itertools.islice(
-            itertools.product(*zip(self.lo, self.hi)), min(max(1, count), 64))))
+        # Up to 64 corners: every corner, in product order, where they fit;
+        # else as many drawn at random, a bit per coordinate picking lo (0)
+        # or hi (1), so that rays from them do not all start at lo in the
+        # leading coordinates.
+        k = min(max(1, count), 64)
+        if 2 ** self.dim <= k:
+            corners = np.array(list(itertools.product(*zip(self.lo, self.hi))))
+        else:
+            corners = np.where(rng.integers(0, 2, size=(k, self.dim)) == 1, self.hi, self.lo)
         extra = rng.uniform(self.lo, self.hi, size=(max(count - len(corners), 0), self.dim))
         return np.vstack([corners, extra])
 
@@ -439,8 +464,9 @@ def hausdorff(A, B) -> float:
     coordinate, make each window the whole set, and up to k_A * k_B pairs
     are examined per direction.
 
-    Not PointCloud's KD-tree: importing SciPy for it raised `bundled_cli`'s
-    peak RSS by about 21%, and runs without a cloud set never load SciPy.
+    Not PointCloud's distances: they take every row's minimum, where this
+    skips the rows that cannot raise the maximum, and without a compiler
+    they load SciPy's KD-tree, which this never does.
     """
     pa, pb = _as_points(A), _as_points(B)
     if pa.shape[1] != pb.shape[1]:

@@ -81,7 +81,8 @@ class TestAnalyze:
 
     def test_bundled_problems_never_import_scipy(self, tmp_path):
         # SciPy's import costs more memory than any bundled problem uses; only
-        # a point-cloud set (PointCloud's KD-tree) may load it.
+        # a point-cloud set may load it, for PointCloud's KD-tree, which takes
+        # its distances without a compiler or from 8 coordinates on.
         paths = [os.path.join(PROBLEM_DIR, f"{name}.json") for name in
                  ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")]
         script = (
@@ -95,6 +96,31 @@ class TestAnalyze:
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 2, 0] False False"
+
+    def test_cloud_run_imports_scipy_only_without_the_search(self):
+        # An omega cloud, a converse table and a certificate against it, as
+        # perfbench's cycle_cloud runs them, small: SciPy stays unloaded
+        # where the C nearest search builds, and its tree answers elsewhere.
+        script = (
+            "import importlib, sys\n"
+            "import lyapset as ls\n"
+            "V = ls.VectorFieldSpec.from_strings(['x2', '(1 - x1^2)*x2 - x1'])\n"
+            "cfg = ls.IntegratorConfig()\n"
+            "est = ls.estimate_omega(V, [2.0, 0.0], cfg, transient_T=20.0, window_T=6.7)\n"
+            "M = ls.PointCloud(est.points.points)\n"
+            "table = ls.converse_table(V, M, [[0.5, 0.5], [3.0, 0.0]], cfg,\n"
+            "                          ls.ConverseConfig(5.0, 0.05))\n"
+            "report = ls.verify_certificate(V, M, ls.ScalarFieldSpec.from_string('x1^2 + x2^2', 2),\n"
+            "                               0.05, 1.0, 20, 0, cfg)\n"
+            "built = importlib.import_module('lyapset.flow')._nearest_kernel() is not None\n"
+            "print(len(table.rows), built, 'scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lyapset.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        rows, built, loaded = done.stdout.split()
+        assert rows == "2" and loaded == str(built == "False")
 
     def test_omega_block_reports_defect(self, tmp_path, capsys):
         path = _stage("vanderpol.json", tmp_path)

@@ -82,13 +82,14 @@ class TestDistance:
                 assert float(batch[i]).hex() == M.distance(p).hex()
 
     def test_cloud_tree_matches_bruteforce(self):
+        # Three coordinates, summed from left to right either way: the same bits.
         rng = np.random.default_rng(11)
         cloud = PointCloud(rng.uniform(-1, 1, size=(200, 3)))
         pts = rng.uniform(-2, 2, size=(64, 3))
         fast = cloud.distances(pts)
         diff = pts[:, None, :] - cloud.points[None, :, :]
         slow = np.sqrt((diff * diff).sum(axis=-1)).min(axis=1)
-        assert np.allclose(fast, slow, atol=1e-12)
+        assert fast.tobytes() == slow.tobytes()
 
 
 class TestSampleShell:
@@ -193,15 +194,21 @@ class TestShellPoints:
         # so many rays of a large cloud start from many members.
         M = PointCloud(np.random.default_rng(2).uniform(-1, 1, size=(500, 2)))
         pts = geometry._shell_points(M, [1e-3] * 100, np.random.default_rng(0))
-        nearest = M._tree.query(pts)[1]
+        diff = pts[:, None, :] - M.points[None, :, :]
+        nearest = (diff * diff).sum(axis=-1).argmin(axis=1)
         assert len(set(nearest.tolist())) > 50
 
 
 def _box_points_reference(box, count, rng):
-    """The box's members as once drawn: corners, then one uniform point per
-    loop pass."""
-    corners = [np.asarray(c) for c in itertools.islice(itertools.product(*zip(box.lo, box.hi)), 64)]
-    out = corners[: max(1, count)]
+    """The box's members drawn one at a time: up to 64 corners, every one
+    in product order where they fit, else each coordinate of each picked
+    by a draw of 0 (lo) or 1 (hi); then one uniform point per loop pass."""
+    k = min(max(1, count), 64)
+    if 2 ** box.dim <= k:
+        out = [np.asarray(c) for c in itertools.product(*zip(box.lo, box.hi))]
+    else:
+        bits = rng.integers(0, 2, size=(k, box.dim))
+        out = [np.array([(lo, hi)[b] for lo, hi, b in zip(box.lo, box.hi, row)]) for row in bits]
     while len(out) < count:
         out.append(rng.uniform(box.lo, box.hi))
     return np.asarray(out)
@@ -218,6 +225,14 @@ class TestSamplePoints:
                 got = box.sample_points(count, np.random.default_rng([n, count]))
                 want = _box_points_reference(box, count, np.random.default_rng([n, count]))
                 assert got.tobytes() == want.tobytes(), (count, hi)
+
+    def test_box_corners_drawn_where_they_do_not_fit(self):
+        # 128 corners in 7 coordinates: the 64 drawn are corners, and they
+        # do not all share lo in the leading coordinates.
+        box = Box([0.0] * 7, [1.0] * 7)
+        corners = box.sample_points(64, np.random.default_rng(0))
+        assert np.all((corners == 0.0) | (corners == 1.0))
+        assert np.all(corners.max(axis=0) == 1.0) and np.all(corners.min(axis=0) == 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_ball_center_then_sphere_and_interior(self, n):

@@ -3,7 +3,9 @@ buffer calls and row slices run on threads, for every function and for
 failures that the orbit loop resumes, the distances to a set and the
 reductions it takes in C, and runs whose output no missing, failing,
 truncated, read-only or concurrent build changes. The shell rays in C:
-bitwise parity with the NumPy loops, and the sets they leave to them."""
+bitwise parity with the NumPy loops, and the sets they leave to them. A
+point cloud's nearest search in C: bitwise parity with SciPy's KD-tree,
+and the clouds and runs it leaves to the tree."""
 
 import contextlib
 import importlib
@@ -549,6 +551,104 @@ class TestShellKernel:
                 assert [_shell_bits(M, radii, 11, True) for M, radii in cases] == expected
         finally:
             flow._shell_kernel.cache_clear()
+
+
+def _nearest_brute(members, points):
+    """The distances of points to the members: per pair the squared
+    differences summed from left to right, the least, then its root."""
+    total = 0.0
+    for c in range(members.shape[1]):
+        e = points[:, None, c] - members[None, :, c]
+        total = total + e * e
+    return np.sqrt(total.min(axis=1))
+
+
+def _nearest_clouds(n, rng):
+    """Clouds of n coordinates, with queries for each: 1 and 2 members,
+    duplicate members, a lattice whose queries tie exactly, and random
+    clouds over 16 decades of scale."""
+    lattice = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * n, indexing="ij"), -1).reshape(-1, n)
+    half = rng.integers(-6, 7, size=(200, n)) / 2.0  # on, between and beyond lattice nodes
+    cases = [(rng.uniform(-1, 1, (1, n)), rng.uniform(-2, 2, (50, n))),
+             (rng.uniform(-1, 1, (2, n)), rng.uniform(-2, 2, (50, n))),
+             (np.repeat(rng.uniform(-1, 1, (5, n)), 3, axis=0), rng.uniform(-2, 2, (100, n))),
+             (lattice[rng.permutation(len(lattice))[:300]], half)]
+    for scale in 10.0 ** np.arange(-8.0, 9.0, 2.0):
+        cases.append((scale * rng.uniform(-1, 1, (int(rng.integers(3, 200)), n)),
+                      scale * rng.uniform(-2, 2, (200, n))))
+    return cases
+
+
+class TestNearest:
+    """A cloud's distances come from the C search below 8 coordinates,
+    with the bits of cKDTree and of a left-to-right brute force; from 8
+    on, and where the search does not build, from the tree."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bitwise_the_tree_and_the_brute_force(self, n):
+        tree = pytest.importorskip("scipy.spatial").cKDTree
+        for members, points in _nearest_clouds(n, np.random.default_rng(n)):
+            got = PointCloud(members).distances(points)
+            assert got.tobytes() == _nearest_brute(members, points).tobytes(), members.shape
+            assert got.tobytes() == tree(members).query(points, k=1)[0].tobytes(), members.shape
+
+    def test_takes_no_tree_where_it_builds(self, monkeypatch):
+        if flow._nearest_kernel() is None:
+            pytest.skip("no nearest search builds here")
+        spatial = pytest.importorskip("scipy.spatial")
+        monkeypatch.setattr(spatial, "cKDTree", mock.Mock(side_effect=AssertionError))
+        rng = np.random.default_rng(0)
+        members, points = rng.uniform(-1, 1, (40, 3)), rng.uniform(-2, 2, (30, 3))
+        got = PointCloud(members).distances(points[::-1])  # a strided view
+        assert got.tobytes() == _nearest_brute(members, points[::-1]).tobytes()
+
+    def test_squares_that_overflow(self):
+        # Squared distances past the largest double are inf, as the tree's.
+        M = PointCloud([[0.0, 0.0, 0.0], [1.0, -1.0, 2.0]])
+        points = np.array([[1e200, 0.0, 0.0], [0.0, -1e155, 1e155], [1e154, 0.0, 0.0]])
+        got = M.distances(points)
+        assert got[0] == got[1] == math.inf and math.isfinite(got[2])
+        tree = pytest.importorskip("scipy.spatial").cKDTree(M.points)
+        assert got.tobytes() == tree.query(points, k=1)[0].tobytes()
+
+    def test_no_points(self):
+        got = PointCloud([[0.0, 1.0], [2.0, 3.0]]).distances(np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_points_that_are_not_finite(self, bad):
+        members = [[0.0, 1.0], [2.0, 3.0]]
+        points = np.array([[0.5, 0.5], [bad, 0.0]])
+        with pytest.raises(ValueError) as raised:
+            PointCloud(members).distances(points)
+        tree = pytest.importorskip("scipy.spatial").cKDTree(members)
+        with pytest.raises(ValueError) as expected:
+            tree.query(points, k=1)
+        assert str(raised.value) == str(expected.value)
+
+    def test_eight_coordinates_take_the_tree(self):
+        rng = np.random.default_rng(8)
+        members, points = rng.uniform(-1, 1, (50, 8)), rng.uniform(-2, 2, (20, 8))
+        tree = pytest.importorskip("scipy.spatial").cKDTree(members)
+        with mock.patch.object(flow, "_nearest_kernel", side_effect=AssertionError):
+            got = PointCloud(members).distances(points)
+        assert got.tobytes() == tree.query(points, k=1)[0].tobytes()
+
+    def test_without_a_build_the_tree(self):
+        # As under CC=/nonexistent: no search loads, and the tree answers.
+        tree = pytest.importorskip("scipy.spatial").cKDTree
+        rng = np.random.default_rng(3)
+        members, points = rng.uniform(-1, 1, (60, 4)), rng.uniform(-2, 2, (40, 4))
+        flow._nearest_kernel.cache_clear()
+        try:
+            with mock.patch.object(flow, "_library", lambda source, name: None):
+                assert flow._nearest_kernel() is None
+                M = PointCloud(members)
+                got = M.distances(points)
+            assert M._tree is not None
+        finally:
+            flow._nearest_kernel.cache_clear()
+        assert got.tobytes() == tree(members).query(points, k=1)[0].tobytes()
 
 
 _HARMONIC_BUDGET = orbit_attempts(["x2", "-x1"], [0.6, 0.0], 4.0, 0.05) // 2
