@@ -28,12 +28,16 @@ loop. The emitter has a second target, C, for it: the orbit loop's
 attempt statement for statement over doubles and libm, built with a C
 compiler ($CC, else cc) and run through ctypes, in calls of at most
 _BUFFER samples written to a caller-owned buffer; each filled buffer
-reaches visit in one call, rows ascending. A run of _PARALLEL_FROM
-samples or more cuts its rows into one contiguous slice per core, each
-slice's calls on a thread of its own, as ctypes releases the GIL during a
-call; visit still runs in the caller's thread, taking the buffers as they
-arrive, each slice's in their order. A row runs within one slice, so its
-samples, error and attempts do not depend on the slices. Given a point, a
+reaches visit in one call. A call keeps two rows in flight, their
+attempts alternating, so that one core overlaps the chains of dependent
+stages of two orbits; a buffer therefore holds the samples of two rows
+interleaved, each row's in order. A run of _PARALLEL_FROM samples or more
+cuts its rows into one contiguous slice per core, each slice's calls on
+a thread of its own, as ctypes releases the GIL during a call; visit
+still runs in the caller's thread, taking the buffers as they arrive,
+each slice's in their order. A row runs within one slice and runs the
+same statements whichever row shares its call, so its samples, error and
+attempts depend neither on the slices nor on the lanes. Given a point, a
 ball or a box of fewer than 8 coordinates, the C loop also takes each
 sample's distance to it with NumPy's bits: it passes them to visit, ends
 a row at its first distance outside a given epsilon, or reduces them per
@@ -459,6 +463,7 @@ def _c_distance(n: int) -> list[str]:
     return [
         *_block(f"if kind == {_BOX}", norm(clip), "c"),
         *_block("elif kind", [*norm([f"p{i} - center[{i}]" for i in range(n)]), *ball], "c"),
+        *_block("else", ["d = 0.0;"], "c"),
     ]
 
 
@@ -492,10 +497,17 @@ _C_PRELUDE = """#include <float.h>
 #error "each double operation must round to double"
 #endif
 
-static const double inf = HUGE_VAL;
-static double min2(double a, double b) { return b < a ? b : a; }
-static double max2(double a, double b) { return b > a ? b : a; }
+static inline double min2(double a, double b) { return b < a ? b : a; }
+static inline double max2(double a, double b) { return b > a ? b : a; }
 """
+
+# What the attempts of a lane return where the buffer has no room for the
+# targets the next step could pass but holds samples: the row stays
+# _RUNNING and the call returns.
+_FULL = -1
+# Each lane's attempts are inlined, so that its loop state stays in
+# registers; the start of a row is not, as it runs once per row.
+_INLINE = "static inline __attribute__((always_inline))"
 
 
 def _c_source(V: VectorFieldSpec, method: str) -> str:
@@ -508,63 +520,121 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
                        int64_t cap, double *sums, double *peak,
                        int64_t tail)
 
-    which runs the rows next[0], ..., m - 1 around the _emit_step body in
-    C, as the orbit loop runs them in Python. Row r's loop state is f[r],
-    (t, h_next, y, k1), and l[r], (status, j, attempts); cfg is (dt,
-    abs_tol, rel_tol, blowup_radius, horizon), then the set, _set_params'
-    array, then the last targets and inf. Where the set's kind is not 0
-    the function takes each sample's distance to the set, and a finite
+    which runs the rows from next[0] to m - 1 around the _emit_step body
+    in C, as the orbit loop runs them in Python, two rows in flight. A
+    lane holds one row's loop state; the two lanes' attempts alternate,
+    and a lane whose row ends takes the next row. A row runs exactly the
+    statements it runs alone, so nothing of it depends on the other lane:
+    the lanes only let the core overlap two chains of dependent stages.
+    One lane runs on alone, in a loop of its own, once no row is left to
+    take, and always where a finite epsilon stops rows, so that a stop
+    ends the call as soon as it happens.
+
+    Row r's loop state is f[r], (t, h_next, y, k1), of which RK4 keeps t
+    and y, and l[r], (status, j, attempts); cfg is (dt, abs_tol,
+    rel_tol, blowup_radius, horizon), then the set, _set_params' array,
+    then the last targets and inf. next[0] is the lowest row not
+    finished: a call takes the rows from there whose status is _FRESH or
+    _RUNNING, in ascending order. Where the set's kind is not 0 the
+    function takes each sample's distance to the set, and a finite
     epsilon ends a row, finished, at its first distance not < epsilon,
-    after which the function sets next[0] to the next row and returns, so
-    that the caller sees the exit. With sums, each sample's distance is
-    reduced into sums and peak as _Near lays them out, with tail its
-    first target there, and nothing is written to the buffer, which has no
-    room then. Else samples go to the buffer, cap of them: the k-th state
-    to buf[k], its distance, where kind is not 0, to dist[k], its row to
-    at[k] and its j to at[cap + k]. Before an attempt that could pass more
-    targets than the buffer has room for, the function keeps the row's
-    state, sets next[0] to the row and returns the count of samples
-    written; after the last row, next[0] is m. It stops a row for the
-    orbit loop, to be resumed where the Python loop raises, before the
-    attempt: on an exhausted budget, a failure in the field or a step size
-    underflow, or when one step passes more targets than the whole buffer
-    holds."""
+    and the call with it, so that the caller sees the exit. With sums,
+    each sample's distance is reduced into sums and peak as _Near lays
+    them out, with tail its first target there, and nothing is written to
+    the buffer, which has no room then. Else samples go to the buffer,
+    cap of them: the k-th state to buf[k], its distance, where kind is
+    not 0, to dist[k], its row to at[k] and its j to at[cap + k]. Before
+    an attempt that could pass more targets than the buffer has room for,
+    the function saves the rows in flight as _RUNNING and returns the
+    count of samples written; after the last row, next[0] is m. It stops
+    a row for the orbit loop, to be resumed where the Python loop raises,
+    before the attempt: on an exhausted budget, a failure in the field or
+    a step size underflow, or when one step passes more targets than the
+    whole buffer holds."""
     n = V.dim
     ys = [f"y{i}" for i in range(n)]
     adaptive = method == "rk45_adaptive"
-    scalars = ["t", "h", "h_next", "t_old", "remaining", "a", "b", "enorm", "factor", "theta",
-               "theta1", "b1", "b2", "b4", "target", "d", "e"]
-    per_coordinate = ["y", "k1_", "r", "dd_", "c3_", "c4_", "c5_", "p",
-                      *(f"s{s}_" for s in range(2, 8))]
-    names = scalars + [f"{name}{i}" for name in per_coordinate for i in range(n)]
-    state = ["t", "h_next", *ys, *(f"k1_{i}" for i in range(n))]
+    width = 2 + 2 * n
+    # Where f[r] holds each name of a row's loop state, and the names kept.
+    slots = {name: i for i, name in enumerate(["t", "h_next", *ys, *(f"k1_{i}" for i in range(n))])}
+    state = list(slots) if adaptive else ["t", *ys]
+    lane = [*state, "target"]
+    temporaries = ["h", "t_old", "remaining", "theta", "d", "e"]
+    per_coordinate = ["p", *(f"s{s}_" for s in range(2, 6))]
+    if adaptive:
+        temporaries += ["a", "b", "enorm", "factor", "theta1"]
+        per_coordinate += ["r", "dd_", "c3_", "c4_", "c5_", "s6_", "s7_"]
+    else:
+        temporaries += ["b1", "b2", "b4"]
+    temporaries += [f"{name}{i}" for name in per_coordinate for i in range(n)]
+    # The arguments of orbits after l, which the attempts read too.
+    call = ("const double *cfg, int64_t max_steps, int64_t last, double *buf, int64_t *at, "
+            "double *dist, int64_t cap, double *sums, double *peak, int64_t tail")
+
+    def labels(body, ends):
+        """The lines of the labels of ends, (label, lines), that body jumps to."""
+        text = "\n".join(body)
+        return [line for label, lines in ends if f"goto {label};" in text
+                for line in [f"{label}:", *lines]]
+
+    # take(row, ...): the first row from row on that is _FRESH or _RUNNING,
+    # started where it is _FRESH, or m where none is left. A start that
+    # escapes, or fails in the field, ends its row there.
     start = _escape_test(ys, "c")
+    started = []
     if adaptive:  # h_next is min(dt, horizon)
-        field: list[str] = []
-        k1 = _emit_results(V.components, ys, field, "c")
-        start += ["{", *("    " + line for line in field),
-                  *(f"    k1_{i} = {k};" for i, k in enumerate(k1)), "}",
+        k1 = _emit_results(V.components, ys, start, "c")
+        start += [*(f"k1_{i} = {k};" for i, k in enumerate(k1)),
                   "h_next = horizon < dt ? horizon : dt;"]
+        started = [f"s[{slots[name]}] = {name};" for name in state if name not in ("t", *ys)]
+    take = [
+        "const double radius2 = cfg[3] * cfg[3];",
+        *(["const double dt = cfg[0], horizon = cfg[4];"] if adaptive else []),
+        f"double {', '.join(state[1:])};",
+        "double *s;",
+        "int64_t *q;",
+        *_block("for ; row < m; row++", [
+            f"s = f + {width} * row;",
+            "q = l + 3 * row;",
+            f"if (q[0] == {_RUNNING}) return row;",
+            f"if (q[0] != {_FRESH}) continue;",
+            *(f"{y} = s[{slots[y]}];" for y in ys),
+            "{", *("    " + line for line in start), "}",
+            *started,
+            "return row;",
+            *labels(start, [("escaped", [f"q[0] = {_ESCAPED};", "continue;"]),
+                            ("failed", [f"q[0] = {_LEFT_AT_START};"])])], "c"),
+        "return m;",
+    ]
+    # load(L, row, ...) and save(L, status, ...) move a row's loop state
+    # between the arrays and lane L; attempts(L, alone, ...) makes one
+    # attempt of L's row, or with alone every attempt until the row ends or
+    # stops, and returns the row's status, or _FULL.
+    load = [
+        f"const double *s = f + {width} * row;",
+        "const int64_t *q = l + 3 * row;",
+        *(f"L->{name} = s[{slots[name]}];" for name in state),
+        "L->target = targets[q[1]];",
+        "L->row = row;",
+        "L->j = q[1];",
+        "L->steps = q[2];",
+    ]
     step = "h_next" if adaptive else "dt"
-    loop = [
-        "const double dt = cfg[0], atol = cfg[1], rtol = cfg[2];",
+    body = _emit_step(V, method, "c")
+    attempts = [
+        "const double atol = cfg[1], rtol = cfg[2];" if adaptive else "const double dt = cfg[0];",
         "const double radius2 = cfg[3] * cfg[3], horizon = cfg[4];",
         f"const double *set = cfg + 5, *targets = cfg + {8 + 2 * n};",
         "const int64_t kind = (int64_t) set[0];",
-        f"const double epsilon = set[1], radius = set[2], *center = set + 3, *lo = set + 3, "
+        "const double epsilon = set[1], radius = set[2], *center = set + 3, *lo = set + 3, "
         f"*hi = set + {3 + n};",
-        "const int stops = kind != 0 && epsilon < inf;",
-        "int64_t count = 0, row, j, steps;",
-        f"double {', '.join(names)}, *u;",
-        "for (row = *next; row < m; row++) {",
-        f"    double *s = f + {len(state)} * row;",
-        "    int64_t *q = l + 3 * row;",
-        *(f"    {name} = s[{i}];" for i, name in enumerate(state)),
-        "    j = q[1];",
-        "    steps = q[2];",
-        *("    " + line for line in _block(f"if q[0] == {_FRESH}", start, "c")),
-        "    target = targets[j];",
-        *("    " + line for line in _block("while t < horizon", [
+        "const int stops = kind != 0 && epsilon < HUGE_VAL;",
+        "const int64_t row = L->row;",
+        f"double {', '.join(f'{name} = L->{name}' for name in lane)};",
+        f"int64_t j = L->j, steps = L->steps, count = *counted, status = {_RUNNING};",
+        f"double {', '.join(temporaries)}, *u;",
+        "do {",
+        *("    " + line for line in [
             "remaining = horizon - t;",
             "if (steps >= max_steps) goto left;",
             # The targets an accepted attempt passes lie in (t, t_new],
@@ -572,41 +642,93 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
             "if (!sums && j + cap - count < last && "
             f"targets[j + cap - count] <= ({step} < remaining ? t + {step} : horizon)) goto full;",
             "steps += 1;",
-            *_emit_step(V, method, "c"),
-        ], "c")),
-        f"    q[0] = {_DONE};",
-        "    goto save;",
-        "escaped:",
-        f"    q[0] = {_ESCAPED};",
-        "    goto save;",
-        "exited:",
-        f"    q[0] = {_EXITED};",
-        "    goto save;",
-        "failed:",
-        f"    if (steps == 0) {{ q[0] = {_LEFT_AT_START}; continue; }}",
-        "    steps -= 1;",  # the orbit loop makes the failing attempt again
+            *body]),
+        "} while (alone && t < horizon);",
+        f"if (!(t < horizon)) status = {_DONE};",
+        "goto save;",
+        # After a failure the orbit loop makes the failing attempt again.
+        *labels(body, [("escaped", [f"status = {_ESCAPED};", "goto save;"]),
+                       ("exited", [f"status = {_EXITED};", "goto save;"]),
+                       ("failed", ["steps -= 1;"])]),
         "left:",
-        f"    q[0] = {_LEFT};",
-        "    goto save;",
+        f"status = {_LEFT};",
+        "goto save;",
         "full:",
-        "    if (count == 0) goto left;",
-        f"    q[0] = {_RUNNING};",
+        f"status = count ? {_FULL} : {_LEFT};",
         "save:",
-        *(f"    s[{i}] = {name};" for i, name in enumerate(state)),
-        "    q[1] = j;",
-        "    q[2] = steps;",
-        f"    if (q[0] == {_RUNNING}) {{ *next = row; return count; }}",
-        f"    if (q[0] == {_EXITED}) {{ *next = row + 1; return count; }}",
-        "}",
-        "*next = m;",
+        *(f"L->{name} = {name};" for name in lane),
+        "L->j = j;",
+        "L->steps = steps;",
+        "*counted = count;",
+        "return status;",
+    ]
+    save = [
+        f"double *s = f + {width} * L->row;",
+        "int64_t *q = l + 3 * L->row;",
+        "q[0] = status;",
+        *(f"s[{slots[name]}] = L->{name};" for name in state),
+        "q[1] = L->j;",
+        "q[2] = L->steps;",
+    ]
+    arguments = "&count, cfg, max_steps, last, buf, at, dist, cap, sums, peak, tail"
+
+    def take_into(L, ended):
+        """Take the next row into lane L, else do ended."""
+        return ["cursor = take(cursor, m, f, l, cfg);", f"if (cursor == m) {ended}",
+                f"load(&{L}, cursor, f, l, targets);", "cursor += 1;"]
+
+    def lanes(L, ended):
+        """An attempt of lane L of two; where its row ends, take the next."""
+        return [f"status = attempts(&{L}, 0, {arguments});",
+                *_block(f"if status != {_RUNNING}", [
+                    f"if (status == {_FULL}) goto full;",
+                    f"save(&{L}, status, f, l);", *take_into(L, ended)], "c")]
+
+    orbits = [
+        f"const double *targets = cfg + {8 + 2 * n};",
+        "const int stops = (int64_t) cfg[5] != 0 && cfg[6] < HUGE_VAL;",
+        "int64_t count = 0, cursor = next[0], status;",
+        "struct lane A, B;",
+        *take_into("A", "goto finished;"),
+        "if (stops) goto alone;",
+        *take_into("B", "goto alone;"),
+        *_block("for ;;", [*lanes("A", "{ A = B; goto alone; }"), *lanes("B", "goto alone;")],
+                "c"),
+        "full:",
+        f"save(&A, {_RUNNING}, f, l);",
+        f"save(&B, {_RUNNING}, f, l);",
+        "next[0] = A.row < B.row ? A.row : B.row;",
+        "return count;",
+        "alone:",
+        *_block("for ;;", [
+            f"status = attempts(&A, 1, {arguments});",
+            f"if (status == {_FULL}) {{ save(&A, {_RUNNING}, f, l); next[0] = A.row; "
+            "return count; }",
+            "save(&A, status, f, l);",
+            f"if (status == {_EXITED}) {{ next[0] = cursor; return count; }}",
+            *take_into("A", "break;")], "c"),
+        "finished:",
+        "next[0] = m;",
         "return count;",
     ]
+
+    def function(head, lines):
+        return [head, "{", *("    " + line for line in lines), "}", ""]
+
     return "\n".join([
         _C_PRELUDE,
-        "int64_t orbits(int64_t m, int64_t *next, double *f, int64_t *l, const double *cfg,",
-        "               int64_t max_steps, int64_t last, double *buf, int64_t *at,",
-        "               double *dist, int64_t cap, double *sums, double *peak, int64_t tail)",
-        "{", *("    " + line for line in loop), "}", ""])
+        f"struct lane {{ double {', '.join(lane)}; int64_t row, j, steps; }};", "",
+        *function("static __attribute__((noinline)) int64_t take(int64_t row, int64_t m, "
+                  "double *f, int64_t *l, const double *cfg)", take),
+        *function(f"{_INLINE} void load(struct lane *L, int64_t row, const double *f, "
+                  "const int64_t *l, const double *targets)", load),
+        *function(f"{_INLINE} int64_t attempts(struct lane *L, int alone, int64_t *counted, "
+                  f"{call})", attempts),
+        *function(f"{_INLINE} void save(const struct lane *L, int64_t status, double *f, "
+                  "int64_t *l)", save),
+        *function(f"int64_t orbits(int64_t m, int64_t *next, double *f, int64_t *l, {call})",
+                  orbits),
+    ])
 
 
 def _shell_source(n: int) -> str:
@@ -726,7 +848,7 @@ void nearest(int64_t m, const double *queries, int64_t k, int64_t n, int64_t axi
             mid = lo + (hi - lo) / 2;
             if (key[mid] < at) lo = mid + 1; else hi = mid;
         }
-        best = inf;
+        best = HUGE_VAL;
         for (j = lo - 1; j >= 0; j--) {
             e = at - key[j];
             if (!(e * e < best)) break;
@@ -872,10 +994,12 @@ def _native(V: VectorFieldSpec, method: str):
     runs the rows of starts, cut into W contiguous slices by _slices, and
     each slice into calls by the buffer; from _PARALLEL_FROM samples each
     slice runs in a thread of its own, through ctypes, which releases the
-    GIL during a call. Each call's samples reach visit in one call, in the
-    caller's thread: rows ascending and j increasing within a row, a row
-    cut off by the full buffer continuing in its slice's next call; the
-    calls are taken as they arrive, each slice's in their order. Where
+    GIL during a call. A call keeps two rows in flight, as _c_source
+    describes, and each call's samples reach visit in one call, in the
+    caller's thread: the two rows' samples interleaved, j increasing
+    within a row, a row cut off by the full buffer continuing in its
+    slice's next call; the calls are taken as they arrive, each slice's in
+    their order. Where
     near's set is one whose distances the loop takes (_set_params), visit
     takes them too, as a fourth argument, and a row that an epsilon ends
     ends its call; with near.sums, the rows' distances are reduced into
@@ -885,7 +1009,8 @@ def _native(V: VectorFieldSpec, method: str):
     and state that carries its attempts; left holds, in _unfinished's
     groups, the rows stopped for the orbit loop, which resumes them; and
     attempts is the attempts of each row, up to where it stopped. A row
-    runs alone, in its slice, so none of these depends on W."""
+    runs within its slice, and the same statements beside any other row,
+    so none of these depends on W or on which rows share a call."""
     orbits = _library(_c_source(V, method), "orbits")
     if orbits is None:
         return None
@@ -1061,7 +1186,7 @@ def _dlopen(path: str, name: str):
 
 # Work of a (field, method) from which integrate_lanes runs the native
 # loop: the attempts its orbit loops made, plus rows x targets of the call
-# at hand. A build takes 0.1-0.3 s, so a small run builds nothing. Of the
+# at hand. A build takes 0.2-0.7 s, so a small run builds nothing. Of the
 # 397 (field, method) pairs that the tier-1 suite of ea9f16b integrates,
 # 9 reach 20k attempts, and they hold 95% of its 3.17M attempts.
 _NATIVE_FROM = 20_000
@@ -1086,22 +1211,23 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     and method have done _NATIVE_FROM work, as the meter of their orbit
     loop counts it (see _compiled), _native's loop runs the rows, in
     calls of at most _BUFFER samples, from _PARALLEL_FROM samples in row
-    slices on threads; each call's samples reach visit in one call, rows
-    ascending within it, the calls as they arrive, and a row it
+    slices on threads; each call keeps two rows in flight and its samples
+    reach visit in one call, the calls as they arrive, and a row it
     stops before a failing attempt is resumed there by the orbit loop.
     Below that, or where no native loop can be built, one orbit loop runs
     each row. visit(rows, j, states) receives row numbers, the index in
     targets of the target each reached and the states there, (len(rows),
     n), arrays of its own: from the native loop, every (row, target) pair
-    of a buffer, a row repeating, j increasing within it and across its
-    calls; from an orbit loop, the row's samples in one call, j
-    increasing, and for a row that the native loop stopped, only those it
-    had not visited. So the order of rows across calls may change from one
-    run to the next, and the order of one row's samples does not; what a
-    caller reduces from its visits is the same in every run where it holds
-    for any order of rows, as it does for _sweep (fmin, fmax and
-    maximum.at, and the value of the largest j as the last), for
-    _big_l_values and flow_rows (written by row and j) and for
+    of a buffer, the samples of its two rows in flight interleaved, not
+    ascending, j increasing within a row and across its calls; from an
+    orbit loop, the row's samples in one call, j increasing, and for a
+    row that the native loop stopped, only those it had not visited. So
+    the order of rows within and across calls may change from one run to
+    the next, and the order of one row's samples does not; what a caller
+    reduces from its visits is the same in every run where it holds for
+    any order of rows, as it does for _sweep (fmin, fmax and maximum.at,
+    and the value of the largest j as the last), for _big_l_values,
+    flow_rows and render._sampled_orbits (written by row and j) and for
     _first_exit (it stops at an exit only once every earlier row has
     ended inside). visit runs in the caller's thread, under
     np.errstate(all="ignore") either way, and what it raises passes
@@ -1112,7 +1238,8 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     the native loop takes that set's distances, it passes them to visit
     as a fourth argument, d, with NumPy's bits; a finite near.epsilon then
     ends a native row, finished, at its first sample whose distance is not
-    < epsilon, and with near.sums the native rows reduce their distances
+    < epsilon, and its call with it, as such a run keeps one row in flight
+    per call; with near.sums the native rows reduce their distances
     there and reach no visit. The orbit loop's rows, the resumed ones
     included, always reach visit with three arguments, and the caller
     takes their distances and reduces them itself.

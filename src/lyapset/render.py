@@ -72,7 +72,9 @@ class _Frame:
 
 
 def _polyline(points, cls: str) -> str:
-    coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points)
+    """The polyline through points, (x, y) pairs, each written as _fmt does."""
+    flat = np.asarray(points, dtype=float).ravel().tolist()
+    coords = " ".join(["%.4f,%.4f"] * (len(flat) // 2)) % tuple(flat)
     return f'<polyline class="{cls}" points="{coords}"/>'
 
 
@@ -166,27 +168,34 @@ def _orbit_starts(problem: ProblemDefinition) -> list[list[float]]:
 
 
 def _sampled_orbits(problem, starts, horizon: float):
-    """Per start, its orbit's (times, states) every 0.02 up to horizon, or
-    up to an integration failure, from one integrate_lanes call."""
-    times = sample_times(horizon, 0.02)
-    states = [[x] for x in starts]
+    """The orbits of starts sampled every 0.02 up to horizon, from one
+    integrate_lanes call: the times, the states, (rows, times, n) with a
+    row's sample j at [row, j], and per row the samples it reached, up to
+    an integration failure. Each sample is written where it belongs, so
+    the order in which integrate_lanes visits them does not matter."""
+    times = np.asarray(sample_times(horizon, 0.02))
+    starts = np.asarray(starts, dtype=float)
+    states = np.empty((len(starts), len(times), starts.shape[1]))
+    states[:, 0] = starts
+    reached = np.ones(len(starts), dtype=int)
 
-    def visit(rows, j, reached):  # j increases within each row
-        for row, x in zip(rows.tolist(), reached):
-            states[row].append(x)
+    def visit(rows, j, samples):
+        states[rows, j + 1] = samples
+        np.maximum.at(reached, rows, j + 2)
 
     integrate_lanes(problem.field, starts, times[1:], problem.integrator, visit)
-    return [(times[: len(s)], s) for s in states]
+    return times, states, reached
 
 
 def _orbits(problem, frame: _Frame, ax_i: int, ax_j: int) -> list[str]:
     horizon = 12.0
     if problem.omega is not None:
         horizon = min(12.0, problem.omega["transient"] + problem.omega["window"])
-    return [
-        _polyline([(frame.sx(s[ax_i]), frame.sy(s[ax_j])) for s in states], "orbit")
-        for _, states in _sampled_orbits(problem, _orbit_starts(problem), horizon)
-    ]
+    _, states, reached = _sampled_orbits(problem, _orbit_starts(problem), horizon)
+    # _Frame's maps take arrays too, with the same operations per element.
+    xs, ys = frame.sx(states[..., ax_i]), frame.sy(states[..., ax_j])
+    return [_polyline(np.stack([x[:k], y[:k]], axis=1), "orbit")
+            for x, y, k in zip(xs, ys, reached.tolist())]
 
 
 def _radius_rings(problem, report, frame: _Frame) -> list[str]:
@@ -256,13 +265,11 @@ def _render_1d(problem: ProblemDefinition, report: dict) -> str:
             )
     n_orbits = 7
     starts = [[xmin + (k + 0.5) * (xmax - xmin) / n_orbits] for k in range(n_orbits)]
-    for times, states in _sampled_orbits(problem, starts, horizon):
-        pts = [
-            (frame.sx(float(s[0])), frame.sy(float(t)))
-            for t, s in zip(times, states)
-            if frame.xmin <= s[0] <= frame.xmax
-        ]
-        if len(pts) >= 2:
+    times, states, reached = _sampled_orbits(problem, starts, horizon)
+    for x, k in zip(states[..., 0], reached.tolist()):
+        inside = (frame.xmin <= x[:k]) & (x[:k] <= frame.xmax)
+        if np.count_nonzero(inside) >= 2:
+            pts = np.stack([frame.sx(x[:k][inside]), frame.sy(times[:k][inside])], axis=1)
             parts.append(_polyline(pts, "orbit"))
     if isinstance(problem.set_spec, SinglePoint):
         x = _fmt(frame.sx(problem.set_spec.point[0]))

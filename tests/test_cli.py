@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lyapset
-from lyapset import __version__
+from lyapset import __version__, render
 from lyapset.cli import NEGATIVE_VERDICTS, main
 from lyapset.errors import ProblemFormatError
 from lyapset.expr import print_expr
@@ -474,6 +474,34 @@ class TestPlot:
         assert main(["plot", report, "--out", str(out1)]) == 0
         assert main(["plot", report, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_polyline_formats_each_point_as_fmt_does(self):
+        points = [(0.0, -0.0), (-1.23456, 1e-9), (123456.78915, -5e-5), (2.5e-5, 0.00015),
+                  (1e15 / 3, -7.0)]
+        coords = " ".join(f"{render._fmt(x)},{render._fmt(y)}" for x, y in points)
+        assert render._polyline(points, "orbit") == f'<polyline class="orbit" points="{coords}"/>'
+
+    @pytest.mark.parametrize("name", ["harmonic_oscillator", "unstable_linear"])
+    def test_orbits_do_not_depend_on_the_order_of_visits(self, name, tmp_path, monkeypatch):
+        # The SVG of a 2-D and of a 1-D problem, with every visit's samples
+        # reversed and the visits delivered last first.
+        path = _stage(f"{name}.json", tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", path, "--out-dir", str(tmp_path)]) in (0, 2)
+        problem = lyapset.load_problem(path)
+        report = _read_report(tmp_path, name)
+        expected = render.render_svg(problem, report)
+        inner = render.integrate_lanes
+
+        def reversing(V, starts, targets, cfg, visit, near=None):
+            visits = []
+            errors = inner(V, starts, targets, cfg, lambda *batch: visits.append(batch), near)
+            for batch in reversed(visits):
+                visit(*(a[::-1] for a in batch))
+            return errors
+
+        monkeypatch.setattr(render, "integrate_lanes", reversing)
+        assert render.render_svg(problem, report) == expected
 
     def test_three_dimensional_needs_axes(self, tmp_path, capsys):
         problem = {

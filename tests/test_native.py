@@ -11,6 +11,7 @@ import contextlib
 import importlib
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -75,30 +76,66 @@ def _same_bits(V, starts, targets, cfg):
     return got, calls
 
 
+def _assert_visit_contract(calls, size):
+    """The calls of a run, as _run records them, visit each (row, j) once,
+    each row's j from 0 up by 1 within and across calls, at most size
+    samples a call; the rows of a call come in any order."""
+    pairs = [pair for call_rows, js in calls for pair in zip(call_rows, js)]
+    assert len(set(pairs)) == len(pairs)
+    for call_rows, _ in calls:
+        assert len(call_rows) <= size
+    for row in {row for row, _ in pairs}:
+        js = [j for r, j in pairs if r == row]
+        assert js == list(range(len(js)))
+
+
+def _interleaves(calls) -> bool:
+    """Whether some call, as _run records them, visits a row, then another,
+    then the first again: two rows in flight at once."""
+    for call_rows, _ in calls:
+        runs = [row for k, row in enumerate(call_rows) if k == 0 or call_rows[k - 1] != row]
+        if len(set(runs)) < len(runs):
+            return True
+    return False
+
+
 _RK4_DENSE = IntegratorConfig(method="rk4_fixed", dt=0.35)
 
 
+# Starts of the buffer tests; the fourth lies outside the blow-up radius 4.
+_BUFFER_STARTS = [[1.0, 0.0], [0.0, 0.0], [0.3, -0.2], [3.0, 3.0], [-0.7, 0.1], [0.5, 0.5],
+                  [-0.2, 0.9], [0.05, -0.6]]
+
+
 class TestBuffer:
+    @pytest.mark.usefixtures("fast_switching")
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("cfg", [IntegratorConfig(rel_tol=1e-3, abs_tol=1e-6), _RK4_DENSE])
     def test_rows_straddle_buffer_calls(self, size, cfg, monkeypatch):
-        # Several samples per step, so a step may need more room than the
-        # buffer has left, or than it holds at all: the row stops there,
-        # to continue in the next call or, from an empty buffer, in the
-        # orbit loop. One start lies outside the blow-up radius.
-        starts = [[1.0, 0.0], [0.0, 0.0], [0.3, -0.2], [3.0, 3.0], [-0.7, 0.1]]
+        # Several samples per step, so a step of either row in flight may
+        # need more room than the buffer has left, or than it holds at all:
+        # the rows in flight stop there, to continue in the next call or,
+        # from an empty buffer, in the orbit loop; at 1, 2 and 3 slices.
         monkeypatch.setattr(flow, "_BUFFER", size)
         cfg = replace(cfg, blowup_radius=4.0)
-        rows, calls = _same_bits(HARMONIC, starts, sample_times(4.0, 0.1)[1:], cfg)
-        assert rows[3][1][0] == "EscapedDomainError"
-        if not native_builds(HARMONIC, cfg.method):
-            return
-        assert len(calls) > 1
-        for call_rows, js in calls:
-            assert len(call_rows) <= max(size, len(sample_times(4.0, 0.1)))
-            assert call_rows == sorted(call_rows)
-            pairs = list(zip(call_rows, js))
-            assert all(b[1] == a[1] + 1 for a, b in zip(pairs, pairs[1:]) if a[0] == b[0])
+        for workers in (1, 2, 3):
+            with sliced(workers):
+                rows, calls = _same_bits(HARMONIC, _BUFFER_STARTS, sample_times(4.0, 0.1)[1:],
+                                         cfg)
+            assert rows[3][1][0] == "EscapedDomainError"
+            if not native_builds(HARMONIC, cfg.method):
+                return
+            assert len(calls) > 1
+            _assert_visit_contract(calls, max(size, len(sample_times(4.0, 0.1))))
+
+    @pytest.mark.parametrize("method", ["rk45_adaptive", "rk4_fixed"])
+    def test_a_call_interleaves_two_rows(self, method):
+        # Each native call keeps two rows in flight, their attempts
+        # alternating, so their samples share a buffer in turns.
+        cfg = IntegratorConfig(method=method, blowup_radius=4.0)
+        calls = _same_bits(HARMONIC, _BUFFER_STARTS, sample_times(4.0, 0.1)[1:], cfg)[1]
+        if native_builds(HARMONIC, method):
+            assert _interleaves(calls)
 
     def test_a_stop_in_visit_ends_the_pass_after_one_buffer(self, monkeypatch):
         class Stop(Exception):
@@ -211,6 +248,7 @@ class TestSlices:
         # Each call lies within one slice.
         for call_rows, _ in calls:
             _slice_of(call_rows, len(starts), min(workers, len(starts)))
+        _assert_visit_contract(calls, max(flow._BUFFER, len(targets)))
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("name", ["dense", "escape"])
@@ -803,6 +841,34 @@ def test_targets_out_of_order():
     # The native loop bounds a step's samples by the buffer's room only
     # over increasing targets; others run in the orbit loop, unchecked.
     _same_bits(HARMONIC, [[1.0, 0.0], [0.2, 0.3]], [0.5, 0.2, 1.0, 1.0], IntegratorConfig())
+
+
+# name: the emitted C sources built with every warning as an error. The
+# fields read every coordinate: a stage state that a field never reads is
+# set but not used, which is the field's doing, not the emitter's.
+_SOURCES = {
+    **{f"{n}-D {method}": (lambda texts=texts, method=method: flow._c_source(
+        VectorFieldSpec.from_strings(texts), method))
+       for n, texts in ((1, ["x1 - x1^3"]),
+                        (4, ["x2", "-x1 + (1 - x1^2 - x2^2)*x2", "-x3 + x4", "-x4 - x3"]))
+       for method in flow._METHODS},
+    "shell": lambda: flow._shell_source(2),
+    "nearest": lambda: flow._NEAREST_SOURCE,
+}
+
+
+def test_emitted_c_builds_without_warnings(tmp_path):
+    # -Wall -Wextra turn a declaration that the method does not use, and a
+    # read of a variable, a lane's state included, that may not be set,
+    # into errors.
+    if not native_builds(HARMONIC):
+        pytest.skip("no native loop builds here")
+    compiler = shlex.split(os.environ.get("CC") or "cc")
+    for name, source in _SOURCES.items():
+        done = subprocess.run([*compiler, *flow._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                               "-o", str(tmp_path / "built.so"), "-x", "c", "-", "-lm"],
+                              input=source(), text=True, capture_output=True, timeout=300)
+        assert done.returncode == 0, f"{name}: {done.stderr}"
 
 
 def _python(script: str, *args, **env) -> subprocess.CompletedProcess:

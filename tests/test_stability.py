@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import circle_cloud, count_generators, native, native_builds, orbit_attempts
+from conftest import circle_cloud, count_generators, native, native_builds, orbit_attempts, sliced
 from flow_reference import _walk
 from lyapset import stability
-from lyapset.cli import _run_stability
+from lyapset.cli import _run_stability, main
 from lyapset.errors import (
     EscapedDomainError,
     EvalDomainError,
@@ -831,6 +831,31 @@ def test_probe_rows_end_at_their_exit(monkeypatch):
         results.append((delta, None if witness is None else witness.tolist()))
     assert results[0][0] is None and results[1] == results[0]
     assert samples[1] <= 1.1 * samples[0]
+
+
+def test_analyze_probe_work_is_pinned(monkeypatch, tmp_path):
+    # `analyze problems/unstable_linear.json` with the native loop forced
+    # on: its first exits, the delta probes (1,564 samples) and the
+    # invariance check (151), reduce 1,715 samples. A finite epsilon keeps
+    # one row in flight per native call, so that a probe's call ends at its
+    # first exit. One slice, as every probe of the bundled problems runs:
+    # with slices on threads, another slice's calls may reach the
+    # reduction before the pass stops.
+    distance_pass, samples = stability._distance_pass, []
+
+    def counted(V, M, points, times, cfg, reduce, *rest):
+        def counting(rows, j, d):
+            samples.append(len(rows))
+            return reduce(rows, j, d)
+
+        return distance_pass(V, M, points, times, cfg, counting, *rest)
+
+    monkeypatch.setattr(stability, "_distance_pass", counted)
+    with native(True), sliced(1):
+        assert main(["analyze", os.path.join(_PROBLEM_DIR, "unstable_linear.json"),
+                     "--out-dir", str(tmp_path)]) == 2
+    if native_builds(VectorFieldSpec.from_strings(["x1"])):
+        assert sum(samples) == 1715
 
 
 class TestClassifyStabilityOnePass:
