@@ -6,9 +6,9 @@ Each NAME=SRC argument names the `src/` directory of one checkout. Every
 checkout runs in its own fresh interpreter (this script with --worker),
 and the checkouts take turns for --rounds rounds, so slow drifts of a
 shared host fall on all of them alike. The output holds the environment
-and, per checkout and layer, the median and minimum over all repeats in
-seconds, and the median in calibration units: the layer's time over the
-time of a fixed pure-Python loop run around and inside it
+and, per checkout and layer, the median, quartiles and minimum over all
+repeats in seconds, and the median in calibration units: the layer's
+time over the time of a fixed pure-Python loop run around and inside it
 (perfbench/calib.py). No minimum is given in calibration units: for a
 layer spent mostly in NumPy, one run's calibration, not the layer, sets
 it (BENCH_12.json: the NumPy lane batch of one lane had min_cal at 0.16
@@ -88,11 +88,12 @@ compiled and cached:
                    as a delta probe draws them, and 100 rays at r = 0.3
                    around the ball of radius 0.5 at the origin of R^2, as
                    a certificate annulus does. They run in C where the
-                   checkout has the shell function (flow._shell_kernel)
-                   and it builds
+                   checkout has the shell function (flow._shell_search,
+                   or flow._shell_kernel of one source per dimension) and
+                   it builds
   shell_points/<set>/<m>/numpy
-                   the same with flow._shell_kernel forced to give no
-                   function, so that the NumPy loops run the rays
+                   the same with that loader forced to give no function,
+                   so that the NumPy loops run the rays
   analyze/<name>   `lyapset analyze` in process, per bundled problem
 
 The layers named after a loop force it; attempt and probe_orbit force
@@ -360,7 +361,7 @@ def worker(src: str) -> dict:
             geometry._shell_points(M, radii, numpy.random.default_rng(0))
 
         def numpy_shell(shell=shell):
-            with _forced(flow, _shell_kernel=lambda n: None):
+            with _forced(flow, _shell_search=lambda: None, _shell_kernel=lambda n: None):
                 shell()
 
         layers[name] = shell
@@ -469,7 +470,9 @@ def environment() -> dict:
 
 def _summary(runs: list[dict]) -> dict:
     s = [r["s"] for r in runs]
-    return {"k": len(runs), "median_s": statistics.median(s), "min_s": min(s),
+    q1_s, _, q3_s = statistics.quantiles(s, n=4) if len(s) > 1 else s * 3
+    return {"k": len(runs), "median_s": statistics.median(s), "q1_s": q1_s, "q3_s": q3_s,
+            "min_s": min(s),
             "median_cal": statistics.median(r["cal"] for r in runs)}
 
 

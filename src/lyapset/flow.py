@@ -41,12 +41,12 @@ attempts depend neither on the slices nor on the lanes. Given a point, a
 ball or a box of fewer than 8 coordinates, the C loop also takes each
 sample's distance to it with NumPy's bits: it passes them to visit, ends
 a row at its first distance outside a given epsilon, or reduces them per
-row and per target in C, so that those samples never reach visit. One
-emitter writes those distances, and a second C source uses it too: the
-shell rays of geometry._shell_points for such a set, one source per
-dimension, built on first use. A third source, one for every dimension,
-is the nearest-member search that takes a point cloud's distances below
-8 coordinates. Each build is cached under
+row and per target in C, so that those samples never reach visit. One C
+function, in the prelude of every native source, takes those distances;
+a second source, built once for every dimension, runs the shell rays of
+geometry._shell_points for such a set with it, and a third is the
+nearest-member search that takes a point cloud's distances below 8
+coordinates. Each build is cached under
 ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with contraction and
 builtins off, so that gcc neither fuses a * b + c nor merges sin and
 cos: the native loop's bits are the orbit loop's. Where
@@ -145,6 +145,9 @@ class IntegratorConfig:
             raise ValueError("blowup_radius must be > 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        # As doubles, so that the orbit loop and the native loop compute alike.
+        for name in ("dt", "rel_tol", "abs_tol", "blowup_radius"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +275,7 @@ def _emit_step(V: VectorFieldSpec, method: str, target: str) -> list[str]:
             value = [f"y{i} + theta * (dd_{i} + theta1 * (c3_{i} + theta * (c4_{i} + "
                      f"theta1 * c5_{i})))" for i in range(n)]
         if c:
-            record = lambda values: [f"p{i} = {v};" for i, v in enumerate(values)]  # noqa: E731
+            record = lambda values: [f"p[{i}] = {v};" for i, v in enumerate(values)]  # noqa: E731
             advance = _c_sample(n)
         else:
             record = lambda values: [f"out.append([{', '.join(values)}])"]  # noqa: E731
@@ -428,59 +431,32 @@ class _Near:
     tail: int = 0
 
 
-def _set_params(near: _Near | None, n: int) -> np.ndarray:
-    """The set argument of the native loop: (kind, epsilon, radius), then
-    the point or the centre, or lo and hi; kind 0 where there is no near,
-    or its set is not one whose distances the loop takes."""
+def _set_params(M: CompactSet | None, n: int, epsilon: float = math.inf) -> np.ndarray:
+    """The set argument of the native code: (kind, epsilon, radius), then
+    the point or the centre, or lo and hi; kind 0 where M is not a set
+    whose distances that code takes, or is None."""
     params = np.zeros(3 + 2 * n)
-    kind = _SET_KINDS.get(type(near.M), 0) if near is not None else 0
+    kind = _SET_KINDS.get(type(M), 0)
     if kind and n < _NORM_PAIRWISE_FROM:
-        M = near.M
         vectors = (M.lo, M.hi) if kind == _BOX else (M.center if kind == _BALL else M.point,)
-        params[:3] = kind, near.epsilon, M.radius if kind == _BALL else 0.0
+        params[:3] = kind, epsilon, M.radius if kind == _BALL else 0.0
         params[3:3 + n * len(vectors)] = np.concatenate(vectors)
     return params
 
 
-def _c_distance(n: int) -> list[str]:
-    """The C statements that set d, where kind is not 0, to the distance
-    of p0, ..., p{n-1} to the set of _set_params' array, by NumPy's
-    operations in NumPy's order, so with the bits of the set's distances:
-    the norm of the differences is the square root of their squares summed
-    from left to right, as np.linalg.norm sums them below
-    _NORM_PAIRWISE_FROM coordinates; a ball's is max(0, norm - radius) as
-    np.maximum takes it, and a box's the norm of p - clip(p, lo, hi). They
-    read kind, radius, center, lo and hi, and write e and d."""
-    def norm(differences):
-        lines = []
-        for i, difference in enumerate(differences):
-            lines += [f"e = {difference};", "d = d + e * e;" if i else "d = e * e;"]
-        return lines + ["d = sqrt(d);"]
-
-    clip = [f"p{i} - (p{i} < lo[{i}] ? lo[{i}] : p{i} > hi[{i}] ? hi[{i}] : p{i})"
-            for i in range(n)]
-    ball = _block(f"if kind == {_BALL}", ["d = d - radius;", "d = 0.0 >= d ? 0.0 : d;"], "c")
-    return [
-        *_block(f"if kind == {_BOX}", norm(clip), "c"),
-        *_block("elif kind", [*norm([f"p{i} - center[{i}]" for i in range(n)]), *ball], "c"),
-        *_block("else", ["d = 0.0;"], "c"),
-    ]
-
-
 def _c_sample(n: int) -> list[str]:
-    """The C statements that take the sample p0, ..., p{n-1} at targets[j]
-    of row. Where kind is not 0, d is its distance to the set, as
-    _c_distance takes it. With sums, the row's reductions and the slice's
+    """The C statements that take the sample p at targets[j] of row, and
+    d, its set_distance. With sums, the row's reductions and the slice's
     peak at j take d, min2 and max2 being fmin and fmax where the value
     reduced into is not NaN, as it never is; else the sample, its distance
     and its row and j go to the buffer. Then it moves to the next target,
     and where stops, it ends the row at a distance not < epsilon."""
     return [
-        *_c_distance(n),
+        f"d = set_distance(set, p, {n});",
         *_block("if sums", ["u = sums + 3 * row;", "u[0] = min2(u[0], d);", "u[1] = d;",
                             "if (j >= tail) u[2] = max2(u[2], d);",
                             "peak[j] = max2(peak[j], d);"], "c"),
-        *_block("else", [*(f"buf[{n} * count + {i}] = p{i};" for i in range(n)),
+        *_block("else", [*(f"buf[{n} * count + {i}] = p[{i}];" for i in range(n)),
                          "if (kind) dist[count] = d;",
                          "at[count] = row;", "at[cap + count] = j;", "count += 1;"], "c"),
         "j += 1;",
@@ -489,6 +465,14 @@ def _c_sample(n: int) -> list[str]:
     ]
 
 
+# The C code that begins every native source. set_distance(set, p, n) is
+# the distance of the point p of n < _NORM_PAIRWISE_FROM coordinates to
+# the set of _set_params' array, 0 for kind 0, by NumPy's operations in
+# NumPy's order, so with the set's own bits: a norm is the square root of
+# the squares summed from left to right (squares), as np.linalg.norm and
+# cKDTree sum them below _NORM_PAIRWISE_FROM coordinates; a ball's
+# distance is max(0, norm - radius) as np.maximum takes it, and a box's
+# the norm of p - clip(p, lo, hi).
 _C_PRELUDE = """#include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -497,8 +481,40 @@ _C_PRELUDE = """#include <float.h>
 #error "each double operation must round to double"
 #endif
 
+""" + f"enum {{ BALL = {_BALL}, BOX = {_BOX} }};" + """
+
 static inline double min2(double a, double b) { return b < a ? b : a; }
 static inline double max2(double a, double b) { return b > a ? b : a; }
+
+static inline double squares(const double *p, const double *q, int64_t n)
+{
+    double s = 0.0, e;
+    int64_t c;
+    for (c = 0; c < n; c++) {
+        e = p[c] - q[c];
+        s = s + e * e;
+    }
+    return s;
+}
+
+static inline double set_distance(const double *set, const double *p, int64_t n)
+{
+    const int64_t kind = (int64_t) set[0];
+    const double *lo = set + 3, *hi = set + 3 + n;
+    double d = 0.0, e;
+    int64_t c;
+    if (kind == BOX) {
+        for (c = 0; c < n; c++) {
+            e = p[c] - (p[c] < lo[c] ? lo[c] : p[c] > hi[c] ? hi[c] : p[c]);
+            d = d + e * e;
+        }
+        return sqrt(d);
+    }
+    d = kind ? sqrt(squares(p, set + 3, n)) : 0.0;
+    if (kind == BALL)
+        d = 0.0 >= d - set[2] ? 0.0 : d - set[2];
+    return d;
+}
 """
 
 # What the attempts of a lane return where the buffer has no room for the
@@ -559,8 +575,8 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
     slots = {name: i for i, name in enumerate(["t", "h_next", *ys, *(f"k1_{i}" for i in range(n))])}
     state = list(slots) if adaptive else ["t", *ys]
     lane = [*state, "target"]
-    temporaries = ["h", "t_old", "remaining", "theta", "d", "e"]
-    per_coordinate = ["p", *(f"s{s}_" for s in range(2, 6))]
+    temporaries = ["h", "t_old", "remaining", "theta", "d", f"p[{n}]"]
+    per_coordinate = [f"s{s}_" for s in range(2, 6)]
     if adaptive:
         temporaries += ["a", "b", "enorm", "factor", "theta1"]
         per_coordinate += ["r", "dd_", "c3_", "c4_", "c5_", "s6_", "s7_"]
@@ -624,10 +640,8 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
     attempts = [
         "const double atol = cfg[1], rtol = cfg[2];" if adaptive else "const double dt = cfg[0];",
         "const double radius2 = cfg[3] * cfg[3], horizon = cfg[4];",
-        f"const double *set = cfg + 5, *targets = cfg + {8 + 2 * n};",
+        f"const double *set = cfg + 5, *targets = cfg + {8 + 2 * n}, epsilon = set[1];",
         "const int64_t kind = (int64_t) set[0];",
-        "const double epsilon = set[1], radius = set[2], *center = set + 3, *lo = set + 3, "
-        f"*hi = set + {3 + n};",
         "const int stops = kind != 0 && epsilon < HUGE_VAL;",
         "const int64_t row = L->row;",
         f"double {', '.join(f'{name} = L->{name}' for name in lane)};",
@@ -731,62 +745,58 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
     ])
 
 
-def _shell_source(n: int) -> str:
-    """The C translation unit of the shell rays of n coordinates: one
-    function,
-
-        void shell(int64_t m, const double *base, const double *u,
-                   const double *r, const double *tol, const double *set,
-                   double *out)
-
-    which runs geometry._shell_points' search for each of the m rays as
-    its NumPy loops do. Ray i starts at base[i] along the unit vector
-    u[i], rows of n. Its outer bound s starts at r[i] and doubles, up to
-    90 times, while base[i] + s u[i] lies at a distance < r[i] from the
-    set. Then up to 256 halvings of [lo, hi] = [0, s], at mid = 0.5 (lo +
-    hi), look for a point at a distance within tol[i] of r[i]; out[i] is
-    that point, else the midpoint of the last bounds. set is _set_params'
-    array, its kind not 0, and the distances are _c_distance's, so every
-    point has the NumPy loops' bits."""
-    def point(s):
-        return [f"p{i} = b[{i}] + {s} * v[{i}];" for i in range(n)]
-
-    def loop(head, body):
-        return ["    " + line for line in _block(head, body, "c")]
-
-    body = [
-        "const int64_t kind = (int64_t) set[0];",
-        f"const double radius = set[2], *center = set + 3, *lo = set + 3, *hi = set + {3 + n};",
-        "const double *b, *v;",
-        f"double s_lo, s_hi, mid, d, e, {', '.join(f'p{i}' for i in range(n))};",
-        "int64_t i, k;",
-        "for (i = 0; i < m; i++) {",
-        f"    b = base + {n} * i;",
-        f"    v = u + {n} * i;",
-        "    s_hi = r[i];",
-        *loop("for k = 0; k < 90; k++", [
-            *point("s_hi"), *_c_distance(n), "if (!(d < r[i])) break;", "s_hi = s_hi * 2.0;"]),
-        "    s_lo = 0.0;",
-        *loop("for k = 0; k < 256; k++", [
-            "mid = 0.5 * (s_lo + s_hi);", *point("mid"), *_c_distance(n),
-            "if (fabs(d - r[i]) <= tol[i]) break;",
-            "if (d < r[i]) s_lo = mid; else s_hi = mid;"]),
-        *loop("if k == 256", ["mid = 0.5 * (s_lo + s_hi);", *point("mid")]),
-        *(f"    out[{n} * i + {i}] = p{i};" for i in range(n)),
-        "}",
-    ]
-    return "\n".join([
-        _C_PRELUDE,
-        "void shell(int64_t m, const double *base, const double *u, const double *r,",
-        "           const double *tol, const double *set, double *out)",
-        "{", *("    " + line for line in body), "}", ""])
+# geometry._shell_points' search in C, for each of the m rays of n
+# coordinates, as its NumPy loops run it. Ray i starts at base[i] along
+# the unit vector u[i], rows of n. Its outer bound s starts at r[i] and
+# doubles, up to 90 times, while base[i] + s u[i] lies at a distance <
+# r[i] from the set. Then up to 256 halvings of [lo, hi] = [0, s], at mid
+# = 0.5 (lo + hi), look for a point at a distance within tol[i] of r[i];
+# out[i] is that point, else the midpoint of the last bounds. set is
+# _set_params' array, its kind not 0: with set_distance's distances every
+# point has the NumPy loops' bits. |d - r| <= tol is tested on both signs,
+# as r - d is exactly -(d - r) and, with builtins off, fabs is a call.
+_SHELL_SOURCE = _C_PRELUDE + """
+void shell(int64_t m, int64_t n, const double *base, const double *u, const double *r,
+           const double *tol, const double *set, double *out)
+{
+    const double *b, *v;
+    double s_lo, s_hi, mid, d, *p;
+    int64_t i, k, c;
+    for (i = 0; i < m; i++) {
+        b = base + n * i;
+        v = u + n * i;
+        p = out + n * i;
+        s_hi = r[i];
+        for (k = 0; k < 90; k++) {
+            for (c = 0; c < n; c++)
+                p[c] = b[c] + s_hi * v[c];
+            if (!(set_distance(set, p, n) < r[i])) break;
+            s_hi = s_hi * 2.0;
+        }
+        s_lo = 0.0;
+        for (k = 0; k < 256; k++) {
+            mid = 0.5 * (s_lo + s_hi);
+            for (c = 0; c < n; c++)
+                p[c] = b[c] + mid * v[c];
+            d = set_distance(set, p, n);
+            if (d - r[i] <= tol[i] && r[i] - d <= tol[i]) break;
+            if (d < r[i]) s_lo = mid; else s_hi = mid;
+        }
+        if (k == 256) {
+            mid = 0.5 * (s_lo + s_hi);
+            for (c = 0; c < n; c++)
+                p[c] = b[c] + mid * v[c];
+        }
+    }
+}
+"""
 
 
 @lru_cache(maxsize=None)
-def _shell_kernel(n: int):
-    """The shell function of _shell_source(n), or None where it cannot be
+def _shell_search():
+    """The shell function of _SHELL_SOURCE, or None where it cannot be
     built or loaded."""
-    return _library(_shell_source(n), "shell")
+    return _library(_SHELL_SOURCE, "shell")
 
 
 def _shell_rays(M: CompactSet, base: np.ndarray, u: np.ndarray, r: np.ndarray,
@@ -794,17 +804,17 @@ def _shell_rays(M: CompactSet, base: np.ndarray, u: np.ndarray, r: np.ndarray,
     """The points of geometry._shell_points' rays from base along u,
     found in C with the bits of its NumPy loops; None where M is not a set
     whose distances the native code takes (_set_params) or the shell
-    function of its dimension cannot be built or loaded, so that the
-    caller runs them. base and u are C-contiguous float64 arrays of
-    r.size rows and M.dim columns, r a float64 array and tol a C-contiguous
-    one of r.size entries."""
-    params = _set_params(_Near(M), M.dim)
-    shell = _shell_kernel(M.dim) if params[0] else None
+    function cannot be built or loaded, so that the caller runs them.
+    base and u are C-contiguous float64 arrays of r.size rows and M.dim
+    columns, r a float64 array and tol a C-contiguous one of r.size
+    entries."""
+    params = _set_params(M, M.dim)
+    shell = _shell_search() if params[0] else None
     if shell is None:
         return None
     # Named, so that each array outlives the call that reads it.
     arrays = (base, u, np.ascontiguousarray(r), tol, params, np.empty_like(u))
-    shell(r.size, *(a.ctypes.data for a in arrays))
+    shell(r.size, M.dim, *(a.ctypes.data for a in arrays))
     return arrays[-1]
 
 
@@ -822,17 +832,6 @@ def _shell_rays(M: CompactSet, base: np.ndarray, u: np.ndarray, r: np.ndarray,
 # a 2-core Xeon it took the 31,816 queries of perfbench's cycle_cloud from
 # 7.9 to 15.4 ms, for 4% fewer members tested.
 _NEAREST_SOURCE = _C_PRELUDE + """
-static double squares(const double *p, const double *q, int64_t n)
-{
-    double s = 0.0, e;
-    int64_t c;
-    for (c = 0; c < n; c++) {
-        e = p[c] - q[c];
-        s = s + e * e;
-    }
-    return s;
-}
-
 void nearest(int64_t m, const double *queries, int64_t k, int64_t n, int64_t axis,
              const double *members, const double *key, double *out)
 {
@@ -1022,7 +1021,7 @@ def _native(V: VectorFieldSpec, method: str):
         f = np.zeros((m, width))
         f[:, 2:2 + n] = starts
         l = np.zeros((m, 3), np.int64)
-        near_set = _set_params(near, n)
+        near_set = _set_params(near.M, n, near.epsilon) if near else _set_params(None, n)
         c = np.concatenate([(cfg.dt, cfg.abs_tol, cfg.rel_tol, cfg.blowup_radius, targets[-1]),
                             near_set, targets, (math.inf,)])
         # steps >= max_steps as Python compares them; no run reaches 2^63 - 1.
@@ -1083,7 +1082,7 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
 # The functions that the C sources export: their result, then their
 # arguments, by letter: i an int64_t, p a pointer, v no value.
-_EXPORTS = {"orbits": "iippppiipppippi", "shell": "vipppppp", "nearest": "vipiiippp"}
+_EXPORTS = {"orbits": "iippppiipppippi", "shell": "viipppppp", "nearest": "vipiiippp"}
 # Loaded functions by the hash of their source and build, or None where
 # the build or load failed: a cleared _native costs no build again.
 _LIBRARIES: dict = {}
@@ -1192,16 +1191,6 @@ def _dlopen(path: str, name: str):
 _NATIVE_FROM = 20_000
 
 
-def _runs_natively(cfg: IntegratorConfig, targets: np.ndarray) -> bool:
-    """Whether the native loop takes cfg and targets as the orbit loop
-    does: it takes the settings as doubles, where the orbit loop would
-    take an int as it is, and its buffer's room check reads the targets
-    as increasing."""
-    return (all(isinstance(v, float) for v in (cfg.dt, cfg.abs_tol, cfg.rel_tol,
-                                               cfg.blowup_radius))
-            and bool(np.all(targets[1:] > targets[:-1])))
-
-
 def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, visit,
                     near: _Near | None = None):
     """Integrate every row of starts through the targets.
@@ -1243,12 +1232,12 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     there and reach no visit. The orbit loop's rows, the resumed ones
     included, always reach visit with three arguments, and the caller
     takes their distances and reduces them itself.
-    targets must be positive and strictly increasing. Returns, by failed
-    row, the EscapedDomainError, EvalDomainError or StepLimitError that the
-    orbit loop raises from that start alone: same type and text, and for
-    an escape the same time and state bits; one raised by the orbit loop,
-    or an escape of the native loop, carries the row's attempts as
-    `attempts`.
+    targets must be positive and strictly increasing, else it raises
+    ValueError. Returns, by failed row, the EscapedDomainError,
+    EvalDomainError or StepLimitError that the orbit loop raises from that
+    start alone: same type and text, and for an escape the same time and
+    state bits; one raised by the orbit loop, or an escape of the native
+    loop, carries the row's attempts as `attempts`.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] != V.dim:
@@ -1256,12 +1245,13 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     if not np.all(np.isfinite(starts)):
         raise ValueError("state point coordinates must be finite")
     targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 1 or not (targets.size and targets[0] > 0
+                                 and np.all(targets[1:] > targets[:-1])):
+        raise ValueError("targets must be a nonempty 1-D array, positive and strictly increasing")
     times = targets.tolist()  # the orbit loop runs on floats
     orbit = _compiled(V, cfg.method)
     orbit.work = getattr(orbit, "work", 0) + len(starts) * len(times)
-    native = None
-    if orbit.work >= _NATIVE_FROM and _runs_natively(cfg, targets):
-        native = _native(V, cfg.method)
+    native = _native(V, cfg.method) if orbit.work >= _NATIVE_FROM else None
     with np.errstate(all="ignore"):
         errors, left = {}, [(None, np.arange(len(starts)))]
         if native is not None:

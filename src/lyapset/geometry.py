@@ -13,11 +13,11 @@ and array forms agree bitwise.
 
 Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
 rays out of the set and bisects them: for a point, a ball or a box of
-fewer than 8 coordinates in one C call, elsewhere all together in NumPy,
-with the same bits either way. A sampling call draws from one seeded
-generator, one array call per kind of draw. Finite sets are clustered,
-and their Hausdorff distance taken, by one search over sorted windows of
-their widest coordinate.
+fewer than 8 coordinates in one call of a C search, one build for every
+dimension, elsewhere all together in NumPy, with the same bits either
+way. A sampling call draws from one seeded generator, one array call per
+kind of draw. Finite sets are clustered, and their Hausdorff distance
+taken, by one search over sorted windows of their widest coordinate.
 """
 
 from __future__ import annotations
@@ -239,8 +239,9 @@ def _shell_points(M: CompactSet, radii, rng: np.random.Generator) -> np.ndarray:
     the rays not yet done. For a point, a ball or a box of fewer than 8
     coordinates, one C call (flow._shell_rays) runs that search ray by
     ray instead, by the same operations in the same order, so with the
-    same bits; other sets, and runs where it cannot be built, take these
-    loops.
+    same bits: one build serves every dimension, and its distances are
+    the native orbit loop's. Other sets, and runs where it cannot be
+    built, take these loops.
     """
     from .flow import _shell_rays  # flow imports this module
 

@@ -62,11 +62,17 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session", autouse=True)
 def _native_cache(request, tmp_path_factory):
-    """Native builds go to a cache of the session's own, not the user's;
-    with --native=always every field runs natively, each run in at least
-    two row slices on threads of their own."""
-    cache = str(tmp_path_factory.mktemp("cache"))
-    with mock.patch.dict(os.environ, XDG_CACHE_HOME=cache):
+    """Native builds go to pytest's cache, not the user's, and are kept
+    from one session to the next; to a directory of the session's own
+    where the cache provider is off. A build is keyed by its source, flags
+    and compiler, so a stale one never loads; a test that needs a cold or
+    failing build gives it a cache of its own. With --native=always every
+    field runs natively, each run in at least two row slices on threads of
+    their own."""
+    provider = getattr(request.config, "cache", None)
+    cache = (provider.mkdir("lyapset-native") if provider is not None
+             else tmp_path_factory.mktemp("cache"))
+    with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(cache)):
         if request.config.getoption("--native") == "always":
             with native(True), sliced(max(2, os.cpu_count() or 1)):
                 yield

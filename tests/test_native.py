@@ -487,9 +487,9 @@ class TestSetDistances:
 
 def _shells(on: bool):
     """Context in which _shell_points runs its rays in C (on), where the
-    shell function of the set's dimension builds, or never."""
+    shell function builds, or never."""
     return contextlib.nullcontext() if on else mock.patch.object(
-        flow, "_shell_kernel", lambda n: None)
+        flow, "_shell_search", lambda: None)
 
 
 def _shell_bits(M, radii, seed, on):
@@ -516,7 +516,7 @@ class TestShellKernel:
     @pytest.mark.parametrize("kind", ["point", "ball", "box"])
     def test_bitwise_the_numpy_loops(self, kind, n):
         rng = np.random.default_rng([n, len(kind)])
-        builds = flow._shell_kernel(n) is not None
+        builds = flow._shell_search() is not None
         for M in _shell_sets(kind, n, rng):
             for trial in range(4):
                 radii = 10.0 ** rng.uniform(-8.0, 8.0, int(rng.integers(1, 40)))
@@ -568,8 +568,8 @@ class TestShellKernel:
     def test_other_sets_take_their_own_distances(self, M):
         radii = [1.5, 2.0, 3.0]
         built = []
-        kernel = flow._shell_kernel
-        with mock.patch.object(flow, "_shell_kernel", lambda n: built.append(n) or kernel(n)), \
+        search = flow._shell_search
+        with mock.patch.object(flow, "_shell_search", lambda: built.append(M.dim) or search()), \
                 mock.patch.object(M, "distances", wraps=M.distances) as distances:
             points = geometry._shell_points(M, radii, np.random.default_rng(0))
         assert built == [] and distances.call_count > 0
@@ -582,13 +582,38 @@ class TestShellKernel:
         cases = [(SinglePoint([0.0, 1.0]), [0.5] * 10), (ClosedBall([1.0] * 3, 0.2), [1e-6, 3.0]),
                  (Box([0.0] * 5, [1.0] * 5), list(10.0 ** np.arange(-8.0, 8.0)))]
         expected = [_shell_bits(M, radii, 11, True) for M, radii in cases]
-        flow._shell_kernel.cache_clear()
+        flow._shell_search.cache_clear()
         try:
             with mock.patch.object(flow, "_library", lambda source, name: None):
-                assert [flow._shell_kernel(M.dim) for M, _ in cases] == [None] * 3
+                assert [flow._shell_search() for M, _ in cases] == [None] * 3
                 assert [_shell_bits(M, radii, 11, True) for M, radii in cases] == expected
         finally:
-            flow._shell_kernel.cache_clear()
+            flow._shell_search.cache_clear()
+
+    def test_one_build_serves_every_dimension(self, tmp_path):
+        # A fresh loader, with a cache of its own, compiles the shell
+        # search once, and its rays in 1 to 7 coordinates keep the NumPy
+        # loops' bits.
+        compiled = []
+        compile_ = flow._compile
+        flow._shell_search.cache_clear()
+        try:
+            with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(tmp_path)), \
+                    mock.patch.object(flow, "_LIBRARIES", {}), \
+                    mock.patch.object(flow, "_compile",
+                                      lambda source, *args: compiled.append(source)
+                                      or compile_(source, *args)):
+                for n in range(1, 8):
+                    for kind in ("point", "ball", "box"):
+                        for M in _shell_sets(kind, n, np.random.default_rng(n)):
+                            assert (_shell_bits(M, [0.1, 2.0], n, True)
+                                    == _shell_bits(M, [0.1, 2.0], n, False))
+                built = flow._shell_search() is not None
+        finally:
+            flow._shell_search.cache_clear()
+        assert compiled == [flow._SHELL_SOURCE]
+        if built:
+            assert len(list((tmp_path / "lyapset").glob("*.so"))) == 1
 
 
 def _nearest_brute(members, points):
@@ -831,16 +856,21 @@ def test_huge_step_budget():
 
 @pytest.mark.parametrize("options", [{"dt": 1}, {"blowup_radius": 10}])
 def test_settings_given_as_ints(options):
-    # The orbit loop takes them as they are; the native loop would take
-    # doubles, so they run in Python, with the orbit loop's bits.
+    # The config keeps them as doubles, so the native loop runs them, with
+    # the orbit loop's bits.
     cfg = IntegratorConfig(**options)
+    assert all(type(v) is float for v in (cfg.dt, cfg.rel_tol, cfg.abs_tol, cfg.blowup_radius))
     _same_bits(HARMONIC, [[1.0, 0.0]], sample_times(2.0, 0.1)[1:], cfg)
 
 
 def test_targets_out_of_order():
-    # The native loop bounds a step's samples by the buffer's room only
-    # over increasing targets; others run in the orbit loop, unchecked.
-    _same_bits(HARMONIC, [[1.0, 0.0], [0.2, 0.3]], [0.5, 0.2, 1.0, 1.0], IntegratorConfig())
+    # Targets must be positive and strictly increasing: others are refused
+    # before any loop runs.
+    for targets in ([0.5, 0.2, 1.0], [0.5, 1.0, 1.0], [0.0, 1.0], [-1.0, 1.0], [math.nan], [],
+                    [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate_lanes(HARMONIC, [[1.0, 0.0]], targets, IntegratorConfig(),
+                            mock.Mock(side_effect=AssertionError))
 
 
 # name: the emitted C sources built with every warning as an error. The
@@ -852,7 +882,7 @@ _SOURCES = {
        for n, texts in ((1, ["x1 - x1^3"]),
                         (4, ["x2", "-x1 + (1 - x1^2 - x2^2)*x2", "-x3 + x4", "-x4 - x3"]))
        for method in flow._METHODS},
-    "shell": lambda: flow._shell_source(2),
+    "shell": lambda: flow._SHELL_SOURCE,
     "nearest": lambda: flow._NEAREST_SOURCE,
 }
 
