@@ -74,12 +74,14 @@ compiled and cached:
                    PointCloud.distances on cycle_cloud's omega cloud of m
                    members (671), over the points that one pass of that
                    workload at seed 0 queries: its converse samples and
-                   its certificate's shell points, in their calls. Below 8
-                   coordinates they run in C where the checkout has the
-                   nearest search (flow._nearest_kernel) and it builds
-  cloud_distances/cycle/<m>/kdtree
+                   its certificate's shell points, in their calls. They
+                   run in C where the checkout has the nearest search
+                   (flow._nearest_kernel) and it builds
+  cloud_distances/cycle/<m>/numpy
                    the same with flow._nearest_kernel forced to give no
-                   function, so that SciPy's KD-tree answers
+                   function, so that the checkout's fallback answers: the
+                   NumPy search over sorted windows, or in a checkout
+                   older than it, SciPy's KD-tree
   estimate_omega/vanderpol
                    estimate_omega with problems/vanderpol.json's omega block
   shell_points/point/10, shell_points/ball/100
@@ -147,7 +149,7 @@ VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # the shell_points layers; each also runs as <layer>/numpy, with NumPy forced
 SHELLS = ("shell_points/point/10", "shell_points/ball/100")
-# the cloud_distances layer; it also runs as <layer>/kdtree, with the tree forced
+# the cloud_distances layer; it also runs as <layer>/numpy, with the fallback forced
 CLOUD = "cloud_distances/cycle/671"
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
@@ -157,7 +159,7 @@ REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            **{f"{shell}{forced}": (20, 10) for shell in SHELLS for forced in ("", "/numpy")},
            "estimate_omega/vanderpol": (10, 1),
-           **{f"{CLOUD}{forced}": (20, 2) for forced in ("", "/kdtree")},
+           **{f"{CLOUD}{forced}": (20, 2) for forced in ("", "/numpy")},
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
               for kind in ("orbit_loop", "native_orbit") for batch in BATCHES}}
 # How the layers named after a loop force it: the flow constants they set,
@@ -381,11 +383,11 @@ def worker(src: str) -> dict:
         for points in queries:
             cloud.distances(points)
 
-    def kdtree():
+    def fallback():
         with _forced(flow, _nearest_kernel=lambda: None):
             distances()
 
-    layers[CLOUD], layers[f"{CLOUD}/kdtree"] = distances, kdtree
+    layers[CLOUD], layers[f"{CLOUD}/numpy"] = distances, fallback
     vanderpol = ls.load_problem(os.path.join(ROOT, "problems", "vanderpol.json"))
     omega = vanderpol.omega
     layers["estimate_omega/vanderpol"] = lambda: ls.estimate_omega(

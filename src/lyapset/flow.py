@@ -38,25 +38,24 @@ still runs in the caller's thread, taking the buffers as they arrive,
 each slice's in their order. A row runs within one slice and runs the
 same statements whichever row shares its call, so its samples, error and
 attempts depend neither on the slices nor on the lanes. Given a point, a
-ball or a box of fewer than 8 coordinates, the C loop also takes each
-sample's distance to it with NumPy's bits: it passes them to visit, ends
-a row at its first distance outside a given epsilon, or reduces them per
-row and per target in C, so that those samples never reach visit. One C
-function, in the prelude of every native source, takes those distances;
-a second source, built once for every dimension, runs the shell rays of
+ball or a box, the C loop also takes each sample's distance to it with
+the set's own bits: it passes them to visit, ends a row at its first
+distance outside a given epsilon, or reduces them per row and per target
+in C, so that those samples never reach visit. One C function, in the
+prelude of every native source, takes those distances; a second source,
+built once for every dimension, runs the shell rays of
 geometry._shell_points for such a set with it, and a third is the
-nearest-member search that takes a point cloud's distances below 8
-coordinates. Each build is cached under
-${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with contraction and
-builtins off, so that gcc neither fuses a * b + c nor merges sin and
-cos: the native loop's bits are the orbit loop's. Where
+nearest-member search that takes a point cloud's distances. Each build is
+cached under ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with
+contraction and builtins off, so that gcc neither fuses a * b + c nor
+merges sin and cos: the native loop's bits are the orbit loop's. Where
 the orbit loop raises inside the field, and on an exhausted budget or a
 step size underflow, the native loop stops the row before that attempt
 and the orbit loop resumes it there, from the row's loop state, and
 raises the exact error; an escape comes back as its time and state. So
 no orbit is integrated twice. Without a compiler, or where a build or
-load fails, the orbit loop runs every start, NumPy every shell ray and
-SciPy's KD-tree every cloud distance, with the same bits.
+load fails, the orbit loop runs every start, and NumPy every shell ray
+and cloud distance, with the same bits.
 """
 
 from __future__ import annotations
@@ -408,10 +407,6 @@ _FRESH, _RUNNING, _DONE, _ESCAPED, _LEFT, _LEFT_AT_START, _EXITED = range(7)
 # for none: these classes themselves, as a subclass may measure otherwise.
 _POINT, _BALL, _BOX = 1, 2, 3
 _SET_KINDS = {SinglePoint: _POINT, ClosedBall: _BALL, Box: _BOX}
-# From 8 coordinates on, NumPy's norm sums the squares pairwise, and
-# cKDTree in four accumulators, not from left to right as the native code
-# does.
-_NORM_PAIRWISE_FROM = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,7 +432,7 @@ def _set_params(M: CompactSet | None, n: int, epsilon: float = math.inf) -> np.n
     whose distances that code takes, or is None."""
     params = np.zeros(3 + 2 * n)
     kind = _SET_KINDS.get(type(M), 0)
-    if kind and n < _NORM_PAIRWISE_FROM:
+    if kind:
         vectors = (M.lo, M.hi) if kind == _BOX else (M.center if kind == _BALL else M.point,)
         params[:3] = kind, epsilon, M.radius if kind == _BALL else 0.0
         params[3:3 + n * len(vectors)] = np.concatenate(vectors)
@@ -466,13 +461,12 @@ def _c_sample(n: int) -> list[str]:
 
 
 # The C code that begins every native source. set_distance(set, p, n) is
-# the distance of the point p of n < _NORM_PAIRWISE_FROM coordinates to
-# the set of _set_params' array, 0 for kind 0, by NumPy's operations in
-# NumPy's order, so with the set's own bits: a norm is the square root of
-# the squares summed from left to right (squares), as np.linalg.norm and
-# cKDTree sum them below _NORM_PAIRWISE_FROM coordinates; a ball's
-# distance is max(0, norm - radius) as np.maximum takes it, and a box's
-# the norm of p - clip(p, lo, hi).
+# the distance of the point p of n coordinates to the set of _set_params'
+# array, 0 for kind 0, by the set's operations in its order, so with its
+# own bits: a norm is the square root of the squares summed from left to
+# right (squares), as geometry._squared sums them; a ball's distance is
+# max(0, norm - radius) as np.maximum takes it, and a box's the norm of
+# p - clip(p, lo, hi).
 _C_PRELUDE = """#include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -826,8 +820,8 @@ def _shell_rays(M: CompactSet, base: np.ndarray, u: np.ndarray, r: np.ndarray,
 # the member's sum, a rounded sum of squares is never below one of its
 # terms, and the gaps only grow along a side. So every member left out has
 # a sum at least the best, and the result is the square root of the exact
-# minimum of the sums, taken from left to right, as cKDTree takes them
-# below _NORM_PAIRWISE_FROM coordinates: the tree's bits. One side, then
+# minimum of the sums, taken from left to right, as geometry._squared
+# takes them: the bits of the sorted-window search. One side, then
 # the other, and not the nearer gap first: that branch mispredicts, and on
 # a 2-core Xeon it took the 31,816 queries of perfbench's cycle_cloud from
 # 7.9 to 15.4 ms, for 4% fewer members tested.
@@ -871,23 +865,18 @@ def _nearest_kernel():
     return _library(_NEAREST_SOURCE, "nearest")
 
 
-def _nearest(M: PointCloud, points: np.ndarray) -> np.ndarray | None:
-    """The distances of points, float64 of shape (..., M.dim), to the
-    cloud M, in C with cKDTree's bits; None where M has
-    _NORM_PAIRWISE_FROM coordinates or more or the search cannot be built
-    or loaded, so that the caller queries the tree. Raises the tree's
-    ValueError on a point that is not finite."""
-    search = _nearest_kernel() if M.dim < _NORM_PAIRWISE_FROM else None
+def _nearest(M: PointCloud, queries: np.ndarray) -> np.ndarray | None:
+    """The distances of queries, finite points in a C-contiguous float64
+    array of M.dim columns, to the cloud M, in C; None where the search
+    cannot be built or loaded, so that the caller searches in NumPy."""
+    search = _nearest_kernel()
     if search is None:
         return None
-    if not np.all(np.isfinite(points)):
-        raise ValueError("'x' must be finite, check for nan or inf values")
     axis, members, key = M._sorted()
-    queries = np.ascontiguousarray(points.reshape(-1, M.dim))
     out = np.empty(queries.shape[0])
     search(queries.shape[0], queries.ctypes.data, key.size, M.dim, axis,
            members.ctypes.data, key.ctypes.data, out.ctypes.data)
-    return out.reshape(points.shape[:-1])
+    return out
 
 
 # Samples per native call: each call fills at most this buffer, and each
@@ -1225,11 +1214,11 @@ def integrate_lanes(V: VectorFieldSpec, starts, targets, cfg: IntegratorConfig, 
     of the field, the step budget or a step size underflow.
     A caller that reduces distances to a set passes near, a _Near. Where
     the native loop takes that set's distances, it passes them to visit
-    as a fourth argument, d, with NumPy's bits; a finite near.epsilon then
-    ends a native row, finished, at its first sample whose distance is not
-    < epsilon, and its call with it, as such a run keeps one row in flight
-    per call; with near.sums the native rows reduce their distances
-    there and reach no visit. The orbit loop's rows, the resumed ones
+    as a fourth argument, d, with the set's own bits; a finite
+    near.epsilon then ends a native row, finished, at its first sample
+    whose distance is not < epsilon, and its call with it, as such a run
+    keeps one row in flight per call; with near.sums the native rows
+    reduce their distances there and reach no visit. The orbit loop's rows, the resumed ones
     included, always reach visit with three arguments, and the caller
     takes their distances and reduces them itself.
     targets must be positive and strictly increasing, else it raises

@@ -4,19 +4,19 @@ A state point is a 1-D float ndarray. Compact sets come in four variants:
 a single point, a finite point cloud (a sampled curve or cycle, an
 omega-limit estimate, points drawn from a set or its shell), a closed
 Euclidean ball, and an axis-aligned box. Every variant answers
-exact point-to-set distances; the point cloud answers the minimum over its
-members, below 8 coordinates by a C search over its members sorted on
-their widest coordinate, else by SciPy's KD-tree, with the same bits.
-Each variant has one distance formula, `distances` over an (m, n)
-array; `distance` of one point applies it to a one-row array, so the point
-and array forms agree bitwise.
+exact point-to-set distances from one sum in every dimension: the squared
+differences added from left to right (`_squared`), as the native code adds
+them. The point cloud answers the minimum over its members, by a C search
+over its members sorted on their widest coordinate, or without a compiler
+by the sorted-window search below, with the same bits. Each variant has
+one distance formula, `distances` over an (m, n) array; `distance` of one
+point applies it to a one-row array, so both forms agree bitwise.
 
 Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
-rays out of the set and bisects them: for a point, a ball or a box of
-fewer than 8 coordinates in one call of a C search, one build for every
-dimension, elsewhere all together in NumPy, with the same bits either
-way. A sampling call draws from one seeded generator, one array call per
-kind of draw. Finite sets are clustered, and their Hausdorff distance
+rays out of the set and bisects them: for a point, a ball or a box in one
+call of a C search, elsewhere all together in NumPy, with the same bits
+either way. A sampling call draws from one seeded generator, one array
+call per kind of draw. Finite sets are clustered, and their Hausdorff distance
 taken, by one search over sorted windows of their widest coordinate.
 """
 
@@ -72,7 +72,8 @@ class CompactSet:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def _check_dim(self, x: np.ndarray) -> np.ndarray:
+    def _check_dim(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DimensionMismatchError(
                 f"point dimension {x.shape[-1]} != set dimension {self.dim}"
@@ -86,7 +87,7 @@ class SinglePoint(CompactSet):
         self.dim = self.point.size
 
     def distances(self, points):
-        return np.linalg.norm(self._check_dim(points) - self.point, axis=-1)
+        return np.sqrt(_squared(self._check_dim(points), self.point))
 
     def sample_points(self, count, rng):
         return self.point[None, :].copy()
@@ -104,11 +105,10 @@ class SinglePoint(CompactSet):
 class PointCloud(CompactSet):
     """A finite set of points, itself compact: a sampling of a set, or the
     representatives of an omega-limit estimate. Distance is the minimum
-    over members, the square root of the least sum of squared differences
-    taken from left to right. Below 8 coordinates a C search over the
-    members sorted on their widest coordinate takes it (flow._nearest);
-    from 8 on, or where that search cannot be built, SciPy's KD-tree does,
-    with the same bits below 8."""
+    over members, the square root of the least `_squared` sum. A C search
+    over the members sorted on their widest coordinate takes it
+    (flow._nearest); where that search cannot be built, the sorted-window
+    search of `hausdorff` does, exactly too, so with the same bits."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -119,7 +119,6 @@ class PointCloud(CompactSet):
         self.points = pts
         self.dim = pts.shape[1]
         self._by_key = None
-        self._tree = None
 
     def _sorted(self) -> tuple[int, np.ndarray, np.ndarray]:
         """The members' widest coordinate, the members sorted on it, and
@@ -133,16 +132,19 @@ class PointCloud(CompactSet):
     def distances(self, points):
         from .flow import _nearest  # flow imports this module
 
-        points = self._check_dim(np.asarray(points, dtype=float))
-        out = _nearest(self, points)
+        points = self._check_dim(points)
+        if not np.all(np.isfinite(points)):
+            raise ValueError("'x' must be finite, check for nan or inf values")
+        queries = np.ascontiguousarray(points.reshape(-1, self.dim))
+        out = _nearest(self, queries)
         if out is None:
-            if self._tree is None:
-                # Imported on first use: SciPy's import costs more than lyapset's.
-                from scipy.spatial import cKDTree
-
-                self._tree = cKDTree(self.points)
-            out = self._tree.query(points, k=1)[0]
-        return out
+            axis, members, key = self._sorted()
+            at = queries[:, axis]
+            # Squares past the largest double are inf, as in C.
+            with np.errstate(over="ignore"):
+                bound = _bounds(queries, members, key, at)
+                out = np.sqrt(_row_minima(queries, members, *_windows(key, at, _reach(bound))))
+        return out.reshape(points.shape[:-1])
 
     def sample_points(self, count, rng):
         if count >= self.points.shape[0]:
@@ -172,7 +174,7 @@ class ClosedBall(CompactSet):
         self.dim = self.center.size
 
     def distances(self, points):
-        d = np.linalg.norm(self._check_dim(points) - self.center, axis=-1)
+        d = np.sqrt(_squared(self._check_dim(points), self.center))
         return np.maximum(0.0, d - self.radius)
 
     def sample_points(self, count, rng):
@@ -202,9 +204,8 @@ class Box(CompactSet):
         self.dim = self.lo.size
 
     def distances(self, points):
-        points = self._check_dim(np.asarray(points, dtype=float))
-        nearest = np.clip(points, self.lo, self.hi)
-        return np.linalg.norm(points - nearest, axis=-1)
+        points = self._check_dim(points)
+        return np.sqrt(_squared(points, np.clip(points, self.lo, self.hi)))
 
     def sample_points(self, count, rng):
         # Up to 64 corners: every corner, in product order, where they fit;
@@ -236,12 +237,11 @@ def _shell_points(M: CompactSet, radii, rng: np.random.Generator) -> np.ndarray:
     max(4, m) members of the set, and each ray's base among them, so the
     rays of a cloud spread over it. All rays then grow their outer bound
     by doubling and bisect together, one `distances` call per step over
-    the rays not yet done. For a point, a ball or a box of fewer than 8
-    coordinates, one C call (flow._shell_rays) runs that search ray by
-    ray instead, by the same operations in the same order, so with the
-    same bits: one build serves every dimension, and its distances are
-    the native orbit loop's. Other sets, and runs where it cannot be
-    built, take these loops.
+    the rays not yet done. For a point, a ball or a box, one C call
+    (flow._shell_rays) runs that search ray by ray instead, by the same
+    operations in the same order, so with the same bits: one build serves
+    every dimension, and its distances are the native orbit loop's. Other
+    sets, and runs where it cannot be built, take these loops.
     """
     from .flow import _shell_rays  # flow imports this module
 
@@ -358,10 +358,14 @@ def _pair_chunks(lo: np.ndarray, hi: np.ndarray):
 
 
 def _squared(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances of paired rows: one formula for every tested pair,
-    a sum over the rows of C-contiguous (m, n) differences."""
-    d = p - q
-    return (d * d).sum(-1)
+    """Squared distances of the rows of p and q, broadcast: the squared
+    differences added column by column from left to right, as the C
+    prelude's squares adds them; NumPy's row sums are pairwise from 8 on."""
+    s = 0.0
+    for c in range(p.shape[-1]):
+        e = p[..., c] - q[..., c]
+        s = s + e * e
+    return s
 
 
 def _row_minima(P: np.ndarray, Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -373,13 +377,19 @@ def _row_minima(P: np.ndarray, Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     return out
 
 
+def _bounds(P: np.ndarray, Q: np.ndarray, key: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Per row of P, at on Q's sorted coordinate key, the least squared
+    distance to its two neighbours on either side: a bound on its minimum."""
+    near = np.searchsorted(key, at)
+    return _row_minima(P, Q, np.maximum(near - 2, 0), np.minimum(near + 2, key.size))
+
+
 def _directed(P: np.ndarray, Q: np.ndarray, axis: int, floor: float) -> float:
     """The larger of floor and the largest over rows of P of the smallest
     squared distance to Q."""
     Q = Q.take(np.argsort(Q[:, axis], kind="stable"), 0)
     key, at = Q[:, axis].copy(), P[:, axis]
-    near = np.searchsorted(key, at)
-    bound = _row_minima(P, Q, np.maximum(near - 2, 0), np.minimum(near + 2, key.size))
+    bound = _bounds(P, Q, key, at)
 
     def largest(rows, floor):
         if not rows.size:
@@ -466,8 +476,7 @@ def hausdorff(A, B) -> float:
     are examined per direction.
 
     Not PointCloud's distances: they take every row's minimum, where this
-    skips the rows that cannot raise the maximum, and without a compiler
-    they load SciPy's KD-tree, which this never does.
+    skips the rows that cannot raise the maximum.
     """
     pa, pb = _as_points(A), _as_points(B)
     if pa.shape[1] != pb.shape[1]:

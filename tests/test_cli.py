@@ -80,9 +80,8 @@ class TestAnalyze:
             assert float(row["final_distance"]) >= 0.0, row
 
     def test_bundled_problems_never_import_scipy(self, tmp_path):
-        # SciPy's import costs more memory than any bundled problem uses; only
-        # a point-cloud set may load it, for PointCloud's KD-tree, which takes
-        # its distances without a compiler or from 8 coordinates on.
+        # SciPy's import costs more memory than any bundled problem uses, and
+        # lyapset needs nothing of it.
         paths = [os.path.join(PROBLEM_DIR, f"{name}.json") for name in
                  ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")]
         script = (
@@ -97,13 +96,22 @@ class TestAnalyze:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[0, 0, 2, 0] False False"
 
-    def test_cloud_run_imports_scipy_only_without_the_search(self):
+    @pytest.mark.parametrize("search", ["built", "forced off"])
+    def test_cloud_run_needs_no_scipy(self, search):
         # An omega cloud, a converse table and a certificate against it, as
-        # perfbench's cycle_cloud runs them, small: SciPy stays unloaded
-        # where the C nearest search builds, and its tree answers elsewhere.
+        # perfbench's cycle_cloud runs them, small, where importing SciPy
+        # fails: with the C nearest search, and with it forced off, as
+        # without a compiler.
         script = (
-            "import importlib, sys\n"
+            "import importlib.abc, sys\n"
+            "class NoScipy(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
             "import lyapset as ls\n"
+            "if sys.argv[1] == 'forced off':\n"
+            "    importlib.import_module('lyapset.flow')._nearest_kernel = lambda: None\n"
             "V = ls.VectorFieldSpec.from_strings(['x2', '(1 - x1^2)*x2 - x1'])\n"
             "cfg = ls.IntegratorConfig()\n"
             "est = ls.estimate_omega(V, [2.0, 0.0], cfg, transient_T=20.0, window_T=6.7)\n"
@@ -112,15 +120,13 @@ class TestAnalyze:
             "                          ls.ConverseConfig(5.0, 0.05))\n"
             "report = ls.verify_certificate(V, M, ls.ScalarFieldSpec.from_string('x1^2 + x2^2', 2),\n"
             "                               0.05, 1.0, 20, 0, cfg)\n"
-            "built = importlib.import_module('lyapset.flow')._nearest_kernel() is not None\n"
-            "print(len(table.rows), built, 'scipy' in sys.modules)\n"
+            "print(len(table.rows), 'scipy' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lyapset.__file__)))
-        done = subprocess.run([sys.executable, "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-c", script, search], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        rows, built, loaded = done.stdout.split()
-        assert rows == "2" and loaded == str(built == "False")
+        assert done.stdout.split() == ["2", "False"]
 
     def test_omega_block_reports_defect(self, tmp_path, capsys):
         path = _stage("vanderpol.json", tmp_path)

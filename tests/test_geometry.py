@@ -21,12 +21,21 @@ from lyapset.geometry import (
 from conftest import circle_cloud, count_generators
 
 
+def pair_squares(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances of every row of p to every row of q, (k_p, k_q):
+    the squared differences summed from left to right."""
+    total = 0.0
+    for c in range(p.shape[1]):
+        e = p[:, None, c] - q[None, :, c]
+        total = total + e * e
+    return total
+
+
 def hausdorff_brute(a: np.ndarray, b: np.ndarray) -> float:
     """Reference Hausdorff distance: every pairwise distance at once."""
 
     def directed(p, q):
-        diff = p[:, None, :] - q[None, :, :]
-        return float(np.sqrt((diff * diff).sum(-1)).min(axis=1).max())
+        return float(np.sqrt(pair_squares(p, q)).min(axis=1).max())
 
     return max(directed(a, b), directed(b, a))
 
@@ -78,6 +87,8 @@ class TestDistance:
         pts = rng.uniform(-2, 2, size=(40, 2))
         for M in all_variants():
             batch = M.distances(pts)
+            # A list of rows is taken as their array.
+            assert M.distances(pts.tolist()).tobytes() == batch.tobytes()
             for i, p in enumerate(pts):
                 assert float(batch[i]).hex() == M.distance(p).hex()
 
@@ -87,8 +98,7 @@ class TestDistance:
         cloud = PointCloud(rng.uniform(-1, 1, size=(200, 3)))
         pts = rng.uniform(-2, 2, size=(64, 3))
         fast = cloud.distances(pts)
-        diff = pts[:, None, :] - cloud.points[None, :, :]
-        slow = np.sqrt((diff * diff).sum(axis=-1)).min(axis=1)
+        slow = np.sqrt(pair_squares(pts, cloud.points)).min(axis=1)
         assert fast.tobytes() == slow.tobytes()
 
 
@@ -315,7 +325,7 @@ class TestHausdorff:
         a, b = rng.uniform(-1, 1, (45, 3)), rng.uniform(-1, 1, (35, 3))
         a[:, 0], b[:, 0] = 0.0, 3.0
         cases += [(a, b), (np.full((6, 2), 0.5), np.full((4, 2), 0.5))]
-        # NumPy sums rows of eight or more terms pairwise.
+        # Rows of eight terms or more, which NumPy's own sums add pairwise.
         for n in (8, 9, 12):
             cases.append((rng.uniform(-2, 2, (50, n)), rng.uniform(-2, 2, (40, n))))
         for a, b in cases:

@@ -4,8 +4,10 @@ failures that the orbit loop resumes, the distances to a set and the
 reductions it takes in C, and runs whose output no missing, failing,
 truncated, read-only or concurrent build changes. The shell rays in C:
 bitwise parity with the NumPy loops, and the sets they leave to them. A
-point cloud's nearest search in C: bitwise parity with SciPy's KD-tree,
-and the clouds and runs it leaves to the tree."""
+point cloud's nearest search in C: bitwise parity with a left-to-right
+brute force and with the NumPy search that runs where it does not build.
+Every set kind's distances, in 1 to 12 coordinates: bitwise a plain
+Python loop."""
 
 import contextlib
 import importlib
@@ -401,6 +403,28 @@ def _box_case(n, rng):
 _SET_CASES = {"point": _point_case, "ball": _ball_case, "box": _box_case}
 
 
+def _python_distance(M, p):
+    """M's distance to the point p, a list, by a plain loop over Python
+    floats: the squared differences summed from left to right, then
+    math.sqrt, the least sum first for a cloud, the radius taken off for a
+    ball and the point clipped first for a box."""
+
+    def root(q):
+        s = 0.0
+        for a, b in zip(p, q):
+            e = a - b
+            s = s + e * e
+        return math.sqrt(s)
+
+    if isinstance(M, PointCloud):
+        return min(root(q) for q in M.points.tolist())
+    if isinstance(M, Box):
+        return root([min(max(a, lo), hi) for a, lo, hi in zip(p, M.lo.tolist(), M.hi.tolist())])
+    if isinstance(M, ClosedBall):
+        return max(0.0, root(M.center.tolist()) - M.radius)
+    return root(M.point.tolist())
+
+
 class _Shifted(SinglePoint):
     """A point whose distances are 1 more than its own."""
 
@@ -410,9 +434,10 @@ class _Shifted(SinglePoint):
 
 class TestSetDistances:
     """The native loop's distances to the sets whose distances it takes
-    are the sets' own, bit for bit; other sets leave them to visit."""
+    are the sets' own, bit for bit, in every dimension; other sets leave
+    them to visit."""
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("kind", sorted(_SET_CASES))
     def test_bitwise_the_sets_own(self, kind, n):
         M, points = _SET_CASES[kind](n, np.random.default_rng(n))
@@ -425,11 +450,27 @@ class TestSetDistances:
             return
         assert [d.hex() for d in got.tolist()] == [d.hex() for d in expected.tolist()]
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_kind_is_a_python_loop(self, n):
+        # A point, a ball and a box, their distances in NumPy and in the
+        # native loop; a cloud, its distances from the C search and from
+        # the NumPy search: each bitwise a plain loop over Python floats.
+        rng = np.random.default_rng([n, 12])
+        cases = [_SET_CASES[kind](n, rng) for kind in sorted(_SET_CASES)]
+        cases.append((PointCloud(rng.standard_normal((40, n))),
+                      rng.standard_normal((200, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, 1))))
+        for M, points in cases:
+            expected = [_python_distance(M, p).hex() for p in points.tolist()]
+            got = [M.distances(points), _native_distances(M, points)]
+            with _searches(False):
+                got.append(M.distances(points))
+            for d in got:
+                assert d is None or [v.hex() for v in d.tolist()] == expected, M
+
     @pytest.mark.parametrize("M", [
         PointCloud([[0.0, 0.0], [1.0, 0.5]]),
-        SinglePoint([0.0] * 8),
         _Shifted([0.0, 0.0]),
-    ], ids=["cloud", "8-D point", "subclass"])
+    ], ids=["cloud", "subclass"])
     def test_other_sets_leave_them_to_visit(self, M):
         points = _spread(np.random.default_rng(0), 40, M.dim) * 1e-6
         assert _native_distances(M, points) is None
@@ -510,9 +551,9 @@ def _shell_sets(kind, n, rng):
 
 class TestShellKernel:
     """_shell_points' C rays have the NumPy loops' bits, and only a point,
-    a ball or a box of fewer than 8 coordinates takes them."""
+    a ball or a box takes them."""
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("kind", ["point", "ball", "box"])
     def test_bitwise_the_numpy_loops(self, kind, n):
         rng = np.random.default_rng([n, len(kind)])
@@ -562,9 +603,8 @@ class TestShellKernel:
 
     @pytest.mark.parametrize("M", [
         PointCloud([[0.0, 0.0], [1.0, 0.5]]),
-        SinglePoint([0.0] * 8),
         _Shifted([0.0, 0.0]),
-    ], ids=["cloud", "8-D point", "subclass"])
+    ], ids=["cloud", "subclass"])
     def test_other_sets_take_their_own_distances(self, M):
         radii = [1.5, 2.0, 3.0]
         built = []
@@ -592,7 +632,7 @@ class TestShellKernel:
 
     def test_one_build_serves_every_dimension(self, tmp_path):
         # A fresh loader, with a cache of its own, compiles the shell
-        # search once, and its rays in 1 to 7 coordinates keep the NumPy
+        # search once, and its rays in 1 to 12 coordinates keep the NumPy
         # loops' bits.
         compiled = []
         compile_ = flow._compile
@@ -603,7 +643,7 @@ class TestShellKernel:
                     mock.patch.object(flow, "_compile",
                                       lambda source, *args: compiled.append(source)
                                       or compile_(source, *args)):
-                for n in range(1, 8):
+                for n in range(1, 13):
                     for kind in ("point", "ball", "box"):
                         for M in _shell_sets(kind, n, np.random.default_rng(n)):
                             assert (_shell_bits(M, [0.1, 2.0], n, True)
@@ -618,100 +658,132 @@ class TestShellKernel:
 
 def _nearest_brute(members, points):
     """The distances of points to the members: per pair the squared
-    differences summed from left to right, the least, then its root."""
+    differences summed from left to right, the least, then its root.
+    Squares past the largest double are inf."""
     total = 0.0
-    for c in range(members.shape[1]):
-        e = points[:, None, c] - members[None, :, c]
-        total = total + e * e
+    with np.errstate(over="ignore"):
+        for c in range(members.shape[1]):
+            e = points[:, None, c] - members[None, :, c]
+            total = total + e * e
     return np.sqrt(total.min(axis=1))
 
 
 def _nearest_clouds(n, rng):
     """Clouds of n coordinates, with queries for each: 1 and 2 members,
-    duplicate members, a lattice whose queries tie exactly, and random
+    duplicate members, lattice nodes whose queries tie exactly, and random
     clouds over 16 decades of scale."""
-    lattice = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * n, indexing="ij"), -1).reshape(-1, n)
+    if n < 8:
+        lattice = np.stack(np.meshgrid(*[np.arange(-2.0, 3.0)] * n, indexing="ij"), -1)
+        lattice = lattice.reshape(-1, n)
+        nodes = lattice[rng.permutation(len(lattice))[:300]]
+    else:  # 5^n nodes are too many to list: 300 drawn among them
+        nodes = rng.integers(-2, 3, (300, n)).astype(float)
     half = rng.integers(-6, 7, size=(200, n)) / 2.0  # on, between and beyond lattice nodes
     cases = [(rng.uniform(-1, 1, (1, n)), rng.uniform(-2, 2, (50, n))),
              (rng.uniform(-1, 1, (2, n)), rng.uniform(-2, 2, (50, n))),
              (np.repeat(rng.uniform(-1, 1, (5, n)), 3, axis=0), rng.uniform(-2, 2, (100, n))),
-             (lattice[rng.permutation(len(lattice))[:300]], half)]
+             (nodes, half)]
     for scale in 10.0 ** np.arange(-8.0, 9.0, 2.0):
         cases.append((scale * rng.uniform(-1, 1, (int(rng.integers(3, 200)), n)),
                       scale * rng.uniform(-2, 2, (200, n))))
     return cases
 
 
-class TestNearest:
-    """A cloud's distances come from the C search below 8 coordinates,
-    with the bits of cKDTree and of a left-to-right brute force; from 8
-    on, and where the search does not build, from the tree."""
+def _searches(on: bool):
+    """Context in which a cloud's distances come from the C search (on),
+    where it builds, or from the NumPy search over sorted windows."""
+    return contextlib.nullcontext() if on else mock.patch.object(
+        flow, "_nearest_kernel", lambda: None)
 
-    @pytest.mark.parametrize("n", range(1, 8))
+
+def _tree():
+    """SciPy's cKDTree where SciPy is installed, else None."""
+    try:
+        from scipy.spatial import cKDTree
+    except ImportError:
+        return None
+    return cKDTree
+
+
+class TestNearest:
+    """A cloud's distances come from the C search, and where it does not
+    build from the NumPy search over sorted windows, in every dimension
+    with the bits of a left-to-right brute force. Below 8 coordinates they
+    are also those of SciPy's KD-tree, where SciPy is installed: an
+    independent search, which sums in four accumulators from 8 on."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_bitwise_the_tree_and_the_brute_force(self, n):
-        tree = pytest.importorskip("scipy.spatial").cKDTree
+        tree = _tree() if n < 8 else None
         for members, points in _nearest_clouds(n, np.random.default_rng(n)):
-            got = PointCloud(members).distances(points)
-            assert got.tobytes() == _nearest_brute(members, points).tobytes(), members.shape
-            assert got.tobytes() == tree(members).query(points, k=1)[0].tobytes(), members.shape
+            expected = _nearest_brute(members, points).tobytes()
+            for on in (True, False):
+                with _searches(on):
+                    got = PointCloud(members).distances(points)
+                assert got.tobytes() == expected, (members.shape, on)
+            if tree is not None:
+                assert tree(members).query(points, k=1)[0].tobytes() == expected, members.shape
 
     def test_takes_no_tree_where_it_builds(self, monkeypatch):
+        # Nor the NumPy search: the C search alone.
         if flow._nearest_kernel() is None:
             pytest.skip("no nearest search builds here")
-        spatial = pytest.importorskip("scipy.spatial")
-        monkeypatch.setattr(spatial, "cKDTree", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(geometry, "_row_minima", mock.Mock(side_effect=AssertionError))
         rng = np.random.default_rng(0)
         members, points = rng.uniform(-1, 1, (40, 3)), rng.uniform(-2, 2, (30, 3))
         got = PointCloud(members).distances(points[::-1])  # a strided view
         assert got.tobytes() == _nearest_brute(members, points[::-1]).tobytes()
 
     def test_squares_that_overflow(self):
-        # Squared distances past the largest double are inf, as the tree's.
+        # Squared distances past the largest double are inf, with no warning.
         M = PointCloud([[0.0, 0.0, 0.0], [1.0, -1.0, 2.0]])
         points = np.array([[1e200, 0.0, 0.0], [0.0, -1e155, 1e155], [1e154, 0.0, 0.0]])
-        got = M.distances(points)
-        assert got[0] == got[1] == math.inf and math.isfinite(got[2])
-        tree = pytest.importorskip("scipy.spatial").cKDTree(M.points)
-        assert got.tobytes() == tree.query(points, k=1)[0].tobytes()
+        for on in (True, False):
+            with _searches(on):
+                got = M.distances(points)
+            assert got[0] == got[1] == math.inf and math.isfinite(got[2])
+            assert got.tobytes() == _nearest_brute(M.points, points).tobytes()
 
     def test_no_points(self):
-        got = PointCloud([[0.0, 1.0], [2.0, 3.0]]).distances(np.empty((0, 2)))
-        assert got.shape == (0,) and got.dtype == np.float64
+        for on in (True, False):
+            with _searches(on):
+                got = PointCloud([[0.0, 1.0], [2.0, 3.0]]).distances(np.empty((0, 2)))
+            assert got.shape == (0,) and got.dtype == np.float64
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_points_that_are_not_finite(self, bad):
-        members = [[0.0, 1.0], [2.0, 3.0]]
         points = np.array([[0.5, 0.5], [bad, 0.0]])
-        with pytest.raises(ValueError) as raised:
-            PointCloud(members).distances(points)
-        tree = pytest.importorskip("scipy.spatial").cKDTree(members)
-        with pytest.raises(ValueError) as expected:
-            tree.query(points, k=1)
-        assert str(raised.value) == str(expected.value)
+        for on in (True, False):
+            with _searches(on), pytest.raises(ValueError) as raised:
+                PointCloud([[0.0, 1.0], [2.0, 3.0]]).distances(points)
+            assert str(raised.value) == "'x' must be finite, check for nan or inf values"
 
-    def test_eight_coordinates_take_the_tree(self):
+    def test_eight_coordinates_take_the_search(self):
+        # As every dimension does: the NumPy search runs only where the C
+        # search does not build.
         rng = np.random.default_rng(8)
         members, points = rng.uniform(-1, 1, (50, 8)), rng.uniform(-2, 2, (20, 8))
-        tree = pytest.importorskip("scipy.spatial").cKDTree(members)
-        with mock.patch.object(flow, "_nearest_kernel", side_effect=AssertionError):
+        with mock.patch.object(geometry, "_row_minima", wraps=geometry._row_minima) as searched:
             got = PointCloud(members).distances(points)
-        assert got.tobytes() == tree.query(points, k=1)[0].tobytes()
+        assert searched.called == (flow._nearest_kernel() is None)
+        assert got.tobytes() == _nearest_brute(members, points).tobytes()
 
-    def test_without_a_build_the_tree(self):
-        # As under CC=/nonexistent: no search loads, and the tree answers.
-        tree = pytest.importorskip("scipy.spatial").cKDTree
+    def test_without_a_build_the_window_search(self):
+        # As under CC=/nonexistent: no search loads, and the NumPy search
+        # over sorted windows answers.
         rng = np.random.default_rng(3)
         members, points = rng.uniform(-1, 1, (60, 4)), rng.uniform(-2, 2, (40, 4))
         flow._nearest_kernel.cache_clear()
         try:
-            with mock.patch.object(flow, "_library", lambda source, name: None):
+            with mock.patch.object(flow, "_library", lambda source, name: None), \
+                    mock.patch.object(geometry, "_row_minima",
+                                      wraps=geometry._row_minima) as searched:
                 assert flow._nearest_kernel() is None
-                M = PointCloud(members)
-                got = M.distances(points)
-            assert M._tree is not None
+                got = PointCloud(members).distances(points)
+            assert searched.called
         finally:
             flow._nearest_kernel.cache_clear()
-        assert got.tobytes() == tree(members).query(points, k=1)[0].tobytes()
+        assert got.tobytes() == _nearest_brute(members, points).tobytes()
 
 
 _HARMONIC_BUDGET = orbit_attempts(["x2", "-x1"], [0.6, 0.0], 4.0, 0.05) // 2
