@@ -97,6 +97,10 @@ compiled and cached:
                    the same with that loader forced to give no function,
                    so that the NumPy loops run the rays
   analyze/<name>   `lyapset analyze` in process, per bundled problem
+  report/<name>    the encoding of that problem's report alone, as its
+                   analyze writes it: cli._report_text where the checkout
+                   has it, else json.dumps with indent=2 after
+                   cli._json_safe
 
 The layers named after a loop force it; attempt and probe_orbit force
 the orbit loop, so they time its attempt. The others run at the
@@ -159,6 +163,7 @@ REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 
            "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
            **{f"{shell}{forced}": (20, 10) for shell in SHELLS for forced in ("", "/numpy")},
            "estimate_omega/vanderpol": (10, 1),
+           **{f"report/{name}": (20, 5) for name in PROBLEMS},
            **{f"{CLOUD}{forced}": (20, 2) for forced in ("", "/numpy")},
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
               for kind in ("orbit_loop", "native_orbit") for batch in BATCHES}}
@@ -240,6 +245,30 @@ def _queried(cls, run) -> list:
     finally:
         cls.distances = original
     return seen
+
+
+def _reports(cli, runs) -> list:
+    """The report that each of runs, an analyze run, hands to the writer:
+    the first argument of cli._report_text, or in a checkout older than
+    it, of cli._json_safe, through which the report reaches json.dumps."""
+    name = "_report_text" if hasattr(cli, "_report_text") else "_json_safe"
+    original, reports = getattr(cli, name), []
+    for run in runs:
+        seen = []
+        setattr(cli, name, lambda value, *args: seen.append(value) or original(value, *args))
+        try:
+            run()
+        finally:
+            setattr(cli, name, original)
+        reports.append(seen[0])
+    return reports
+
+
+def _encode(cli, report) -> str:
+    """report as the checkout's analyze encodes it."""
+    if hasattr(cli, "_report_text"):
+        return cli._report_text(report)
+    return json.dumps(cli._json_safe(report), indent=2, sort_keys=True)
 
 
 def _ignore(rows, j, states):
@@ -402,6 +431,8 @@ def worker(src: str) -> dict:
                 cli.main(["analyze", path, "--out-dir", out_dir])
 
         layers[f"analyze/{name}"] = analyze
+    for name, report in zip(PROBLEMS, _reports(cli, [layers[f"analyze/{name}"] for name in PROBLEMS])):
+        layers[f"report/{name}"] = lambda report=report: _encode(cli, report)
 
     result = {"timings": {}, "counts": None, "threaded": {name: False for name in layers}}
     # Scalar orbits, native rows and their attempts, where flow generates

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -55,6 +56,69 @@ def _json_safe(value):
     return value
 
 
+@lru_cache(maxsize=None)
+def _encoder(depth: int):
+    """The encode of a strict JSON encoder whose item separator starts a
+    line at depth, as indent=2 does; without indent it is the C encoder,
+    where CPython has one."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+
+
+def _leaf(items, depth: int) -> str | None:
+    """items, a non-empty list at depth, as indent=2 writes it, from one
+    encoder call where it holds only scalars, or only non-empty lists of
+    scalars; else None. The encoded text shows which: one "[" per list
+    (a string that holds one only sends items the slow way), no "{" and
+    no "[]". An encoded string holds no raw newline, so "],\n" followed
+    by the rows' indent and "[" is always a boundary between two rows."""
+    rows = isinstance(items[0], (list, tuple))
+    if isinstance(items[0], dict) or rows and not all(isinstance(r, (list, tuple)) for r in items):
+        return None
+    encode = _encoder(depth + 1 + rows)
+    try:
+        text = encode(items)
+    except ValueError:  # a NaN or an infinity
+        text = encode(_json_safe(items))
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if "{" in text or text.count("[") != (len(items) + 1 if rows else 1):
+        return None
+    if not rows:
+        return "[" + inner + text[1:-1] + pad + "]"
+    if "[]" in text:
+        return None
+    inner2 = inner + "  "
+    body = text[2:-2].replace("]," + inner2 + "[", inner + "]," + inner + "[" + inner2)
+    return "[" + inner + "[" + inner2 + body + inner + "]" + pad + "]"
+
+
+def _report_text(value, depth: int = 0) -> str:
+    """json.dumps(_json_safe(value), indent=2, sort_keys=True), each line
+    after the first indented by depth more levels, with the same bytes;
+    each list of scalars, or of rows of them, is one encoder call."""
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):  # keys that json converts
+            return json.dumps(_json_safe(value), indent=2, sort_keys=True).replace("\n", pad)
+        items = [f"{encode_basestring_ascii(key)}: {_report_text(value[key], depth + 1)}"
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        text = _leaf(value, depth)
+        if text is not None:
+            return text
+        items = [_report_text(v, depth + 1) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "null" if math.isnan(value) else '"Infinity"' if value > 0 else '"-Infinity"'
+    return _encoder(0)(value)
+
+
 def _block_box(problem: ProblemDefinition, block: dict, pad: float = 0.0) -> Box:
     """The block's box, or the set's bounding box padded by pad."""
     if "box" in block:
@@ -71,7 +135,7 @@ def _run_omega(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict,
         out_dt=block["out_dt"], cluster_tol=block["cluster_tol"],
     )
     return {
-        "representatives": [[float(c) for c in p] for p in est.points.points],
+        "representatives": est.points.points.tolist(),
         "invariance_defect": est.invariance_defect,
         "transient_T": est.transient_T,
         "window_T": est.window_T,
@@ -89,7 +153,7 @@ def _run_roa(problem: ProblemDefinition, cfg: IntegratorConfig) -> tuple[dict, s
     )
     out = {
         "labels": list(grid.labels),
-        "final_distances": [float(v) for v in grid.final_distances],
+        "final_distances": grid.final_distances.tolist(),
         "summary": grid.to_json(),
     }
     return out, grid.to_csv()
@@ -181,7 +245,7 @@ def cmd_analyze(args) -> int:
     report_path = os.path.join(out_dir, f"{stem}.report.json")
     try:
         with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_json_safe(report), indent=2, sort_keys=True) + "\n")
+            fh.write(_report_text(report) + "\n")
         for kind, text in csvs.items():
             with open(os.path.join(out_dir, f"{stem}.{kind}.csv"), "w", encoding="utf-8") as fh:
                 fh.write(text)

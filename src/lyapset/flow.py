@@ -46,7 +46,8 @@ prelude of every native source, takes those distances; a second source,
 built once for every dimension, runs the shell rays of
 geometry._shell_points for such a set with it, and a third is the
 nearest-member search that takes a point cloud's distances. Each build is
-cached under ${XDG_CACHE_HOME:-~/.cache}/lyapset, and it is made with
+cached under ${XDG_CACHE_HOME:-~/.cache}/lyapset, until it has not been
+loaded for _STALE_S when a new build is written, and it is made with
 contraction and builtins off, so that gcc neither fuses a * b + c nor
 merges sin and cos: the native loop's bits are the orbit loop's. Where
 the orbit loop raises inside the field, and on an exhausted budget or a
@@ -60,6 +61,7 @@ and cloud distance, with the same bits.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -1069,6 +1071,9 @@ def _native(V: VectorFieldSpec, method: str):
 # it fuse sin and cos into sincos: either changes bits.
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fno-builtin", "-fPIC", "-shared")
 _BUILD_TIMEOUT_S = 120
+# A cached build that no process has loaded for this long is removed when
+# a new build is written beside it: every load touches its build's mtime.
+_STALE_S = 30 * 24 * 3600
 # The functions that the C sources export: their result, then their
 # arguments, by letter: i an int64_t, p a pointer, v no value.
 _EXPORTS = {"orbits": "iippppiipppippi", "shell": "viipppppp", "nearest": "vipiiippp"}
@@ -1121,20 +1126,40 @@ def _cache_dir() -> str:
 
 
 def _open(key: str, source: str, compiler: list[str], name: str):
-    """Load the cached build of key, else build it into the cache, else,
-    where the cache is not writable, into a directory for this process."""
+    """Load the cached build of key and touch it, else build it into the
+    cache and remove the builds there that are _STALE_S old, else, where
+    the cache is not writable, build it into a directory for this
+    process."""
     import tempfile
 
     path = os.path.join(_cache_dir(), key + ".so")
     loaded = _dlopen(path, name) if os.path.exists(path) else None
-    if loaded is None:
-        try:
-            os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
-            loaded = _compile(source, compiler, path, name)
-        except OSError:
-            with tempfile.TemporaryDirectory() as scratch:
-                loaded = _compile(source, compiler, os.path.join(scratch, key + ".so"), name)
+    if loaded is not None:
+        with contextlib.suppress(OSError):
+            os.utime(path)
+        return loaded
+    try:
+        os.makedirs(os.path.dirname(path), mode=0o700, exist_ok=True)
+        loaded = _compile(source, compiler, path, name)
+    except OSError:
+        with tempfile.TemporaryDirectory() as scratch:
+            return _compile(source, compiler, os.path.join(scratch, key + ".so"), name)
+    if loaded is not None:
+        _prune(os.path.dirname(path))
     return loaded
+
+
+def _prune(directory: str) -> None:
+    """Remove the builds in directory that no process has loaded for
+    _STALE_S; one that cannot be read or removed stays."""
+    import time
+
+    stale = time.time() - _STALE_S
+    with contextlib.suppress(OSError), os.scandir(directory) as entries:
+        for entry in entries:
+            with contextlib.suppress(OSError):
+                if entry.name.endswith(".so") and entry.stat().st_mtime < stale:
+                    os.remove(entry.path)
 
 
 def _compile(source: str, compiler: list[str], path: str, name: str):

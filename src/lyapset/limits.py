@@ -162,11 +162,10 @@ class RoaGrid:
     def to_csv(self) -> str:
         n = self.nodes.shape[1]
         header = ",".join(f"x{i + 1}" for i in range(n)) + ",label,final_distance"
-        lines = [header]
-        for i in range(self.nodes.shape[0]):
-            coords = ",".join(repr(float(c)) for c in self.nodes[i])
-            lines.append(f"{coords},{self.labels[i]},{float(self.final_distances[i])!r}")
-        return "\n".join(lines) + "\n"
+        row = ",".join(["%r"] * n) + ",%s,%r"
+        lines = [row % (*x, label, d) for x, label, d in
+                 zip(self.nodes.tolist(), self.labels, self.final_distances.tolist())]
+        return "\n".join([header, *lines]) + "\n"
 
     def to_json(self) -> dict:
         return {

@@ -172,7 +172,7 @@ class ConverseTable:
         header = ",".join(f"x{i + 1}" for i in range(n)) + ",ell,big_l,tail_ok,error"
         lines = [header]
         for r in self.rows:
-            coords = ",".join(repr(float(c)) for c in r.x)
+            coords = ",".join(map(repr, r.x.tolist()))
             err = "" if r.error is None else r.error.replace(",", ";")
             lines.append(f"{coords},{r.ell!r},{r.big_l!r},{int(r.tail_ok)},{err}")
         return "\n".join(lines) + "\n"

@@ -102,20 +102,15 @@ def _roa_cells(problem, report, frame: _Frame) -> list[str]:
     axes = [np.linspace(lo[d], hi[d], res[d]) for d in (0, 1)]
     widths = [(hi[d] - lo[d]) / (res[d] - 1) for d in (0, 1)]  # resolution >= 2 at load
     labels = block["labels"]
-    out = []
-    idx = 0
-    for a in axes[0]:
-        for b in axes[1]:
-            color = COLOR_CELL.get(labels[idx], COLOR_CELL["error"])
-            w = frame.scale_x(widths[0])
-            h = frame.scale_y(widths[1])
-            out.append(
-                f'<rect class="cell" x="{_fmt(frame.sx(a) - w / 2)}"'
-                f' y="{_fmt(frame.sy(b) - h / 2)}" width="{_fmt(w)}"'
-                f' height="{_fmt(h)}" fill="{color}"/>'
-            )
-            idx += 1
-    return out
+    w = frame.scale_x(widths[0])
+    h = frame.scale_y(widths[1])
+    # Node (a, b) is row-major over the axes; _Frame's maps take arrays
+    # too, with the same operations per element.
+    xs = np.repeat(frame.sx(axes[0]) - w / 2, res[1]).tolist()
+    ys = np.tile(frame.sy(axes[1]) - h / 2, res[0]).tolist()
+    cell = f'<rect class="cell" x="%.4f" y="%.4f" width="{_fmt(w)}" height="{_fmt(h)}" fill="%s"/>'
+    return [cell % (x, y, COLOR_CELL.get(labels[idx], COLOR_CELL["error"]))
+            for idx, (x, y) in enumerate(zip(xs, ys))]
 
 
 def _set_marks(problem, frame: _Frame, ax_i: int, ax_j: int) -> list[str]:

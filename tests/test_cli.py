@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -8,12 +9,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import lyapset
-from lyapset import __version__, render
+from lyapset import __version__, cli, render
 from lyapset.cli import NEGATIVE_VERDICTS, main
 from lyapset.errors import ProblemFormatError
 from lyapset.expr import print_expr
@@ -279,6 +282,91 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+BUNDLED = ("harmonic_oscillator", "linear_sink", "unstable_linear", "vanderpol")
+
+
+def _dumps(value) -> str:
+    """The bytes the report writer gives: indent=2's pure-Python encoder
+    after _json_safe."""
+    return json.dumps(cli._json_safe(value), indent=2, sort_keys=True)
+
+
+@contextlib.contextmanager
+def _with_encoder(kind: str):
+    """The C encoder where CPython has one ("c"), or the pure-Python one,
+    as where _json has no C module ("python")."""
+    with mock.patch.object(json.encoder, "c_make_encoder",
+                           json.encoder.c_make_encoder if kind == "c" else None):
+        yield
+
+
+@pytest.fixture(scope="module")
+def bundled_reports(tmp_path_factory):
+    """Each bundled problem's report as analyze hands it to the writer,
+    and the file it wrote."""
+    tmp = tmp_path_factory.mktemp("bundled")
+    seen, write = [], cli._report_text
+
+    def capture(value, depth=0):
+        if depth == 0:
+            seen.append(value)
+        return write(value, depth)
+
+    with mock.patch.object(cli, "_report_text", capture), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for stem in BUNDLED:
+            main(["analyze", _stage(f"{stem}.json", tmp)])
+    assert len(seen) == len(BUNDLED)
+    return [(report, (tmp / f"{stem}.report.json").read_text(encoding="utf-8"))
+            for report, stem in zip(seen, BUNDLED)]
+
+
+_WRITER_CASES = [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5, 10**40, -(10**40), True, False,
+    None, [], {}, (), [[]], [[], []], [[1.0], []], [(1, 2), (3, 4)], (((1,),),),
+    np.float64(2.5), [np.float64(math.nan), np.float64(-0.0)], "\u00e9\u4e2d\U0001f600",
+    ["[", "{", '"],\n  ["', "],\n    ["], [["],\n    [", "a"], ["{"]], [[1, [2]], [3]],
+    [[[1]], [[2]]], [[1], "["], [[1], {"a": 1}], [{"a": [1]}], [[1, 2], 3], [1, [2]],
+    [[math.inf, -math.inf], [math.nan, 1.0]], {"z": 1, "a": {"y": [], "x": {}}},
+    {1: "a", 2: [1]}, {"k": {1.5: 2, 0: [3, 4]}}, [[True, None], [False, "x"]],
+]
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.text(alphabet=st.sampled_from('[]{}",: \n\\a\u00e9\U0001f600'), max_size=6))
+_TREES = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    st.lists(st.lists(_SCALARS, min_size=1, max_size=3), min_size=1, max_size=4)),
+    max_leaves=40)
+
+
+@pytest.mark.parametrize("kind", ["c", "python"])
+class TestReportWriter:
+    """The report writer gives json.dumps(_json_safe(x), indent=2,
+    sort_keys=True) byte for byte, with either encoder."""
+
+    def test_bundled_reports(self, kind, bundled_reports):
+        with _with_encoder(kind):
+            for report, written in bundled_reports:
+                assert written == cli._report_text(report) + "\n" == _dumps(report) + "\n"
+                # The contract that CI checks: the file re-encodes to itself.
+                assert written == json.dumps(json.loads(written), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("case", _WRITER_CASES, ids=range(len(_WRITER_CASES)))
+    def test_hand_made_cases(self, kind, case):
+        with _with_encoder(kind):
+            for value in (case, [case], [case, case], {"k": case}, [[case]], {"a": [case, {}]}):
+                assert cli._report_text(value) == _dumps(value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_generated_trees(self, kind, tree):
+        with _with_encoder(kind):
+            assert cli._report_text(tree) == _dumps(tree)
+            assert cli._report_text({"blocks": [tree]}) == _dumps({"blocks": [tree]})
+
+
 _EXPRS = any_exprs(2)  # built once: building it per draw costs ~25 ms
 
 
@@ -461,6 +549,28 @@ _MALFORMED_POINTERS = {"not-an-object": "/", "number-block": "/blocks/stability"
 
 
 class TestPlot:
+    @pytest.mark.parametrize("resolution", [11, [3, 4]])
+    def test_cells_as_written_one_by_one(self, oscillator_run, resolution):
+        # Cells written from arrays have the bytes of each node's rectangle
+        # formatted on its own, in row-major order over the axes.
+        report = json.loads((oscillator_run / "harmonic_oscillator.report.json").read_text())
+        report["problem"]["roa"]["resolution"] = resolution
+        problem = ProblemDefinition.from_json(report["problem"])
+        res = resolution if isinstance(resolution, list) else [resolution] * 2
+        labels = (["unknown", *render.COLOR_CELL] * 40)[: res[0] * res[1]]
+        report["blocks"]["roa"]["labels"] = labels
+        frame = render._Frame(*render._plot_bounds(problem, 0, 1))
+        lo, hi = problem.roa["box"]
+        w = frame.scale_x((hi[0] - lo[0]) / (res[0] - 1))
+        h = frame.scale_y((hi[1] - lo[1]) / (res[1] - 1))
+        nodes = itertools.product(*(np.linspace(lo[d], hi[d], res[d]) for d in (0, 1)))
+        fmt = render._fmt
+        assert render._roa_cells(problem, report, frame) == [
+            f'<rect class="cell" x="{fmt(frame.sx(a) - w / 2)}" y="{fmt(frame.sy(b) - h / 2)}"'
+            f' width="{fmt(w)}" height="{fmt(h)}"'
+            f' fill="{render.COLOR_CELL.get(labels[k], render.COLOR_CELL["error"])}"/>'
+            for k, (a, b) in enumerate(nodes)]
+
     def test_grid_cell_count(self, oscillator_run, capsys):
         report = str(oscillator_run / "harmonic_oscillator.report.json")
         rc = main(["plot", report])

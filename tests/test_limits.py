@@ -519,6 +519,10 @@ class TestRoaGrid:
         lines = text.strip().split("\n")
         assert lines[0] == "x1,x2,label,final_distance"
         assert len(lines) == 1 + 9
+        # Each number as repr writes the float, element by element.
+        assert lines[1:] == [
+            ",".join(repr(float(c)) for c in node) + f",{label},{float(d)!r}"
+            for node, label, d in zip(grid.nodes, grid.labels, grid.final_distances)]
 
     def test_validation(self, sink2, cfg):
         with pytest.raises(TypeError):

@@ -225,6 +225,11 @@ class TestConverseTable:
         assert bad.error is not None
         assert math.isnan(bad.ell) and math.isnan(bad.big_l)
         assert good.error is None
+        # Each number as repr writes the float, element by element.
+        assert table.to_csv().split("\n")[1:-1] == [
+            ",".join(repr(float(c)) for c in r.x)
+            + f",{r.ell!r},{r.big_l!r},{int(r.tail_ok)},{(r.error or '').replace(',', ';')}"
+            for r in table.rows]
         blob = table.to_json()
         assert blob["rows"][0]["error"] is not None
         assert blob["lambda"] == 1.0

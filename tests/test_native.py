@@ -2,7 +2,8 @@
 buffer calls and row slices run on threads, for every function and for
 failures that the orbit loop resumes, the distances to a set and the
 reductions it takes in C, and runs whose output no missing, failing,
-truncated, read-only or concurrent build changes. The shell rays in C:
+truncated, read-only or concurrent build changes; a new build removes the
+builds that no process has loaded for a month. The shell rays in C:
 bitwise parity with the NumPy loops, and the sets they leave to them. A
 point cloud's nearest search in C: bitwise parity with a left-to-right
 brute force and with the NumPy search that runs where it does not build.
@@ -18,6 +19,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -1059,6 +1061,32 @@ class TestBuildsNeverHurt:
         assert outputs == [(expected.stdout, "")] * 2
         if native_builds(VectorFieldSpec.from_strings(["x2", "(1 - x1^2)*x2 - x1"])):
             assert len(os.listdir(cache / "lyapset")) == 1
+
+
+def test_a_new_build_removes_stale_ones(tmp_path):
+    # A build written into the cache removes the builds beside it that no
+    # process has loaded for _STALE_S; a fresh build and other files stay.
+    # A load touches its build, so a build in use never turns stale.
+    cache = tmp_path / "lyapset"
+    cache.mkdir()
+    old = time.time() - flow._STALE_S - 60
+    for name in ("stale.so", "fresh.so", "stale.txt"):
+        (cache / name).write_bytes(b"")
+    for name in ("stale.so", "stale.txt"):
+        os.utime(cache / name, (old, old))
+
+    def load():
+        with mock.patch.dict(os.environ, XDG_CACHE_HOME=str(tmp_path)), \
+                mock.patch.object(flow, "_LIBRARIES", {}):
+            return flow._library(flow._SHELL_SOURCE, "shell")
+
+    if load() is None:
+        pytest.skip("no shell search builds here")
+    (build,) = (path for path in cache.glob("*.so") if path.name != "fresh.so")
+    assert sorted(os.listdir(cache)) == sorted([build.name, "fresh.so", "stale.txt"])
+    os.utime(build, (old, old))
+    assert load() is not None
+    assert build.stat().st_mtime > old + 60
 
 
 def test_import_loads_no_queue():
