@@ -70,6 +70,18 @@ compiled and cached:
   omega/hausdorff  geometry.hausdorff of that window's representatives and
                    their images a flow of out_dt later, as estimate_omega
                    takes its invariance defect
+  omega/hausdorff/numpy
+                   the same with flow._nearest_kernel forced to give no
+                   function: where hausdorff takes PointCloud's distances,
+                   the NumPy search over sorted windows answers them; a
+                   checkout whose hausdorff has a search of its own runs
+                   the same call as omega/hausdorff
+  hausdorff/far/4000
+                   geometry.hausdorff of two 4,000-point sets of R^2, drawn
+                   from [-1, 1]^2 and from it moved by 100 in each
+                   coordinate: no member has a near partner, so no row's
+                   search ends early. Also run as hausdorff/far/4000/numpy,
+                   with the nearest search forced off as above
   cloud_distances/cycle/<m>
                    PointCloud.distances on cycle_cloud's omega cloud of m
                    members (671), over the points that one pass of that
@@ -155,12 +167,15 @@ BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3
 SHELLS = ("shell_points/point/10", "shell_points/ball/100")
 # the cloud_distances layer; it also runs as <layer>/numpy, with the fallback forced
 CLOUD = "cloud_distances/cycle/671"
+# the Hausdorff layers; each also runs as <layer>/numpy, with the fallback forced
+HAUSDORFF = ("omega/hausdorff", "hausdorff/far/4000")
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
            "integrate_lanes/vdp/1681": (7, 1), "roa_grid/vdp/41": (7, 1),
            "native_build": (5, 1),
-           "omega/cluster": (20, 5), "omega/hausdorff": (20, 5),
+           "omega/cluster": (20, 5), "omega/hausdorff": (20, 5), "omega/hausdorff/numpy": (20, 5),
+           "hausdorff/far/4000": (7, 1), "hausdorff/far/4000/numpy": (7, 1),
            **{f"{shell}{forced}": (20, 10) for shell in SHELLS for forced in ("", "/numpy")},
            "estimate_omega/vanderpol": (10, 1),
            **{f"report/{name}": (20, 5) for name in PROBLEMS},
@@ -385,7 +400,18 @@ def worker(src: str) -> dict:
     reps = limits._greedy_cluster(window, 1e-3)
     moved, _ = flow.flow_rows(cycle, reps, 0.01, ls.IntegratorConfig())
     layers["omega/cluster"] = lambda: limits._greedy_cluster(window, 1e-3)
-    layers["omega/hausdorff"] = lambda: geometry.hausdorff(moved, reps)
+    rng = numpy.random.default_rng(3)
+    near, far = rng.uniform(-1.0, 1.0, (4000, 2)), rng.uniform(-1.0, 1.0, (4000, 2)) + 100.0
+    for name, (A, B) in zip(HAUSDORFF, [(moved, reps), (near, far)]):
+        def hausdorff(A=A, B=B):
+            geometry.hausdorff(A, B)
+
+        def numpy_hausdorff(hausdorff=hausdorff):
+            with _forced(flow, _nearest_kernel=lambda: None):
+                hausdorff()
+
+        layers[name] = hausdorff
+        layers[f"{name}/numpy"] = numpy_hausdorff
     shells = [(ls.SinglePoint([0.0, 0.0]), [0.05] * 10), (ls.ClosedBall([0.0, 0.0], 0.5), [0.3] * 100)]
     for name, (M, radii) in zip(SHELLS, shells):
         def shell(M=M, radii=radii):

@@ -16,8 +16,9 @@ Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
 rays out of the set and bisects them: for a point, a ball or a box in one
 call of a C search, elsewhere all together in NumPy, with the same bits
 either way. A sampling call draws from one seeded generator, one array
-call per kind of draw. Finite sets are clustered, and their Hausdorff distance
-taken, by one search over sorted windows of their widest coordinate.
+call per kind of draw. Finite sets are clustered by a search over sorted
+windows of their widest coordinate. Their Hausdorff distance is the larger
+of the two one-sided maxima of the point cloud's own distances.
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ class PointCloud(CompactSet):
     representatives of an omega-limit estimate. Distance is the minimum
     over members, the square root of the least `_squared` sum. A C search
     over the members sorted on their widest coordinate takes it
-    (flow._nearest); where that search cannot be built, the sorted-window
-    search of `hausdorff` does, exactly too, so with the same bits."""
+    (flow._nearest); where that search cannot be built, a NumPy search over
+    sorted windows does, exactly too, so with the same bits. `hausdorff`
+    takes its one-sided maxima from these distances."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -140,9 +142,12 @@ class PointCloud(CompactSet):
         if out is None:
             axis, members, key = self._sorted()
             at = queries[:, axis]
-            # Squares past the largest double are inf, as in C.
+            near = np.searchsorted(key, at)
+            # The two sorted neighbours on either side bound a query's least
+            # squared distance. Squares past the largest double are inf, as in C.
             with np.errstate(over="ignore"):
-                bound = _bounds(queries, members, key, at)
+                bound = _row_minima(queries, members, np.maximum(near - 2, 0),
+                                    np.minimum(near + 2, key.size))
                 out = np.sqrt(_row_minima(queries, members, *_windows(key, at, _reach(bound))))
         return out.reshape(points.shape[:-1])
 
@@ -304,15 +309,6 @@ def sample_set_points(M: CompactSet, count: int, seed: int) -> PointCloud:
     return PointCloud(M.sample_points(count, np.random.default_rng(seed)))
 
 
-def _as_points(A) -> np.ndarray:
-    pts = A.points if isinstance(A, PointCloud) else np.asarray(A, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("hausdorff needs nonempty point sets")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("hausdorff needs finite points")
-    return pts
-
-
 # Sorted windows. Pairs of points are searched along one coordinate: the
 # widest one of the input, sorted once. The squared distance of a pair is a
 # sum of squares, each at most the sum, since adding a nonnegative term
@@ -321,11 +317,9 @@ def _as_points(A) -> np.ndarray:
 # window of the sorted order are tested.
 
 
-def _widest_axis(*sets: np.ndarray) -> int:
-    """The coordinate along which the union of the (k, n) sets spreads most."""
-    hi = np.max([s.max(axis=0) for s in sets], axis=0)
-    lo = np.min([s.min(axis=0) for s in sets], axis=0)
-    return int(np.argmax(hi - lo))
+def _widest_axis(points: np.ndarray) -> int:
+    """The coordinate along which the (k, n) points spread most."""
+    return int(np.argmax(points.max(axis=0) - points.min(axis=0)))
 
 
 def _reach(bound):
@@ -375,32 +369,6 @@ def _row_minima(P: np.ndarray, Q: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
         first = np.flatnonzero(np.diff(i, prepend=-1))
         out[i[first]] = np.minimum.reduceat(_squared(P.take(i, 0), Q.take(j, 0)), first)
     return out
-
-
-def _bounds(P: np.ndarray, Q: np.ndarray, key: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Per row of P, at on Q's sorted coordinate key, the least squared
-    distance to its two neighbours on either side: a bound on its minimum."""
-    near = np.searchsorted(key, at)
-    return _row_minima(P, Q, np.maximum(near - 2, 0), np.minimum(near + 2, key.size))
-
-
-def _directed(P: np.ndarray, Q: np.ndarray, axis: int, floor: float) -> float:
-    """The larger of floor and the largest over rows of P of the smallest
-    squared distance to Q."""
-    Q = Q.take(np.argsort(Q[:, axis], kind="stable"), 0)
-    key, at = Q[:, axis].copy(), P[:, axis]
-    bound = _bounds(P, Q, key, at)
-
-    def largest(rows, floor):
-        if not rows.size:
-            return floor
-        found = _row_minima(P.take(rows, 0), Q, *_windows(key, at[rows], _reach(bound[rows])))
-        return max(floor, float(found.max()))
-
-    # The loosest row's minimum is a first floor; a row whose bound does not
-    # exceed the floor cannot raise it.
-    floor = largest(np.array([np.argmax(bound)]), floor)
-    return largest(np.flatnonzero(bound > floor), floor)
 
 
 def _greedy_cluster(samples: np.ndarray, tol: float) -> np.ndarray:
@@ -457,29 +425,15 @@ def _greedy_cluster(samples: np.ndarray, tol: float) -> np.ndarray:
 
 
 def hausdorff(A, B) -> float:
-    """Hausdorff distance between two finite point sets.
-
-    Examines only the pairs that can hold a row's minimum. Per direction,
-    the searched set is sorted once along the widest coordinate of both
-    sets, and the two sorted neighbours on either side of a row bound the
-    row's smallest squared distance. The minimum lies within that bound's
-    reach on the sorted coordinate, so only that window is searched. A row
-    whose bound does not exceed a minimum already found cannot raise the
-    maximum and is skipped: the early break of Taha & Hanbury (IEEE TPAMI
-    37, 2015). Every examined pair's squared distance is `_squared`'s, the
-    brute force's formula, and one monotone square root at the end gives
-    the bits of taking it per entry, so the result is the brute force's,
-    bit for bit. Difference arrays hold at most _CHUNK_ENTRIES pairs and
-    one row more.
-    Worst case: sets far apart, or members that share the sorted
-    coordinate, make each window the whole set, and up to k_A * k_B pairs
-    are examined per direction.
-
-    Not PointCloud's distances: they take every row's minimum, where this
-    skips the rows that cannot raise the maximum.
+    """Hausdorff distance between two finite point sets, (k, n) arrays or
+    PointClouds: the larger of the two one-sided maxima of
+    PointCloud.distances, each member's distance to the other set. Each
+    is the square root of a least `_squared` sum, the brute force's
+    formula, and the square root is monotone, so the result is the brute
+    force's, bit for bit. A PointCloud operand keeps its sorted members
+    for later distances. Worst case, without a compiler: sets far apart
+    make each window of the NumPy search the whole other set, and every
+    pair is tested, in both directions.
     """
-    pa, pb = _as_points(A), _as_points(B)
-    if pa.shape[1] != pb.shape[1]:
-        raise DimensionMismatchError("hausdorff operands differ in dimension")
-    axis = _widest_axis(pa, pb)
-    return float(np.sqrt(_directed(pb, pa, axis, _directed(pa, pb, axis, 0.0))))
+    a, b = (S if isinstance(S, PointCloud) else PointCloud(S) for S in (A, B))
+    return float(max(b.distances(a.points).max(), a.distances(b.points).max()))

@@ -3,9 +3,11 @@
 An omega-limit estimate is built from a finite window of the orbit after
 a transient, clustered to representatives; its quality is reported as the
 Hausdorff defect between the representatives and their own image under a
-short flow, since a true limit set is invariant. Attraction verdicts use
-the tail of a sampled orbit: attracted means the entire final tenth of
-the samples is within tolerance, a mere dip counts as weak attraction.
+short flow, since a true limit set is invariant. The defect is taken by
+the nearest search of the estimate's own PointCloud, which keeps its sorted
+members for later distances. Attraction verdicts use the tail of a sampled
+orbit: attracted means the entire final tenth of the samples is within
+tolerance, a mere dip counts as weak attraction.
 """
 
 from __future__ import annotations
@@ -92,13 +94,14 @@ def estimate_omega(
     moved, error = flow_rows(V, reps, tau, cfg)
     if error is not None:
         raise OrbitUnboundedError(f"representative escaped during probe: {error}") from error
-    defect = hausdorff(moved, reps)
+    cloud = PointCloud(reps)
+    defect = hausdorff(moved, cloud)
 
     meta = (
         f"omega window=[{transient_T},{transient_T + window_T}] "
         f"out_dt={out_dt} tau={tau} cluster_tol={cluster_tol}"
     )
-    return OmegaEstimate(PointCloud(reps), transient_T, window_T, cluster_tol, defect, meta)
+    return OmegaEstimate(cloud, transient_T, window_T, cluster_tol, defect, meta)
 
 
 def classify_attraction(

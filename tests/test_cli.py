@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -722,6 +723,53 @@ class TestPlot:
         rc = main(["plot", str(tmp_path / "absent.report.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+# Problems and reports that take the render branches no bundled problem
+# takes, each with lines that only its branches write and the SHA-256 of
+# the whole SVG, pinned so that any change to its bytes shows. None draws
+# an epsilon or delta ring: the box case has pairs, but a box gets none.
+_RENDER_BRANCHES = {
+    # _render_1d: the ROA strip, one cell per node, and a line per member
+    # of a 1-D cloud.
+    "1d_cloud_roa": (
+        {"dimension": 1, "field": ["x1 - x1^3"], "seed": 1,
+         "set": {"type": "cloud", "points": [[-1.0], [1.0]]},
+         "roa": {"box": [[-2.0], [2.0]], "resolution": 5, "horizon": 5.0}},
+        {"blocks": {"roa": {"labels": ["not_attracted_within_horizon", "attracted",
+                                       "weakly_attracted", "attracted", "error"]}}},
+        ['<rect class="cell" x="258.6364" y="590" width="122.7273" height="14" fill="#e6b84c"/>',
+         '<line class="setline" x1="197.2727" y1="50" x2="197.2727" y2="590"/>'],
+        "d90f5dd353e2c35b0a90ac51bf46414037d691845a06441185d9d086153343c5"),
+    # A box's mark, bounds from the stability box, and no rings around a box.
+    "2d_box_stability_box": (
+        {"dimension": 2, "field": ["-x1", "-x2"], "seed": 1,
+         "set": {"type": "box", "lo": [-0.5, -0.25], "hi": [0.5, 0.25]},
+         "stability": {"epsilons": [0.5], "box": [[-1.5, -1.0], [1.5, 1.0]]}},
+        {"blocks": {"stability": {"pairs": [{"epsilon": 0.5, "delta": 0.25}]}}},
+        ['<rect class="setline" x="238.1818" y="258.6364" width="163.6364" height="122.7273"/>',
+         '<text x="50" y="606">-1.6500</text>'],
+        "c5ba068411565c2eee358779098235978843ce0872971ba3f8a0ba978fcbfbba"),
+    # A cloud's mark, and bounds padded by the largest epsilon.
+    "2d_cloud_eps_padded": (
+        {"dimension": 2, "field": ["x2", "-x1"], "seed": 1,
+         "set": {"type": "cloud", "points": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]},
+         "stability": {"epsilons": [0.5, 2.0]}},
+        {"blocks": {}},
+        ['<polyline class="setline" points="401.8182,369.0909 320.0000,270.9091 238.1818,369.0909"/>',
+         '<text x="50" y="606">-3.3000</text>'],
+        "9b4ef0306fec57872ee13932dea1188102f93863264dfaae0f87e9f622296c55"),
+}
+
+
+class TestRenderBranches:
+    @pytest.mark.parametrize("case", sorted(_RENDER_BRANCHES))
+    def test_svg_keeps_its_bytes(self, case):
+        problem, report, lines, digest = _RENDER_BRANCHES[case]
+        svg = render.render_svg(ProblemDefinition.from_json(problem), report)
+        assert set(lines) <= set(svg.splitlines())
+        assert "ellipse" not in svg
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 class TestSelftest:

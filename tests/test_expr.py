@@ -66,6 +66,26 @@ class TestParse:
             parse("x1 + * 2", 1)
         assert exc_info.value.position == 5
 
+    @pytest.mark.parametrize("text,message,position", [
+        ("x1 $ 2", "unexpected character '$'", 3),
+        ("(x1 + 2", "expected ')'", 7),
+        ("sin(x1", "expected ')'", 6),
+        ("", "empty expression", 0),
+        ("   ", "empty expression", 3),
+        ("x1 2", "unexpected token '2'", 3),
+        ("x1 + x0", "variable index must be >= 1: x0", 5),
+    ])
+    def test_syntax_error_and_its_position(self, text, message, position):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse(text, 1)
+        assert exc_info.value.position == position
+        assert str(exc_info.value) == f"{message} (at position {position})"
+
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1") as exc_info:
+            parse("1", 0)
+        assert exc_info.type is ValueError  # not a syntax error: no position
+
     def test_unknown_identifier(self):
         with pytest.raises(ExprSyntaxError):
             parse("y1 + 1", 2)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,8 @@ from lyapset.geometry import (
 
 from conftest import circle_cloud, count_generators
 
+flow = importlib.import_module("lyapset.flow")  # the package exports a function named flow
+
 
 def pair_squares(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distances of every row of p to every row of q, (k_p, k_q):
@@ -29,6 +32,12 @@ def pair_squares(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         e = p[:, None, c] - q[None, :, c]
         total = total + e * e
     return total
+
+
+def no_nearest_search(monkeypatch):
+    """Force PointCloud's distances onto the NumPy search, as where the C
+    nearest search cannot be built."""
+    monkeypatch.setattr(flow, "_nearest_kernel", lambda: None)
 
 
 def hausdorff_brute(a: np.ndarray, b: np.ndarray) -> float:
@@ -299,11 +308,18 @@ class TestHausdorff:
             assert hausdorff(a, b) == hausdorff(b, a)
             assert hausdorff(a, c) <= hausdorff(a, b) + hausdorff(b, c) + 1e-12
 
-    # At 7 pairs a chunk holds one row's pairs, or those of a few short
-    # rows, so every search spans many chunks.
-    @pytest.mark.parametrize("chunk", [geometry._CHUNK_ENTRIES, 7])
-    def test_matches_unchunked_oracle_bitwise(self, chunk, monkeypatch):
+    # Hausdorff takes PointCloud's distances: in C where the nearest search
+    # builds, and in the "numpy" cases with it forced off, by the NumPy
+    # search over sorted windows. At 7 pairs a chunk of that search holds
+    # one row's pairs, or those of a few short rows, so every search spans
+    # many chunks.
+    @pytest.mark.parametrize("chunk,numpy_search", [
+        (geometry._CHUNK_ENTRIES, False), (7, False), (geometry._CHUNK_ENTRIES, True), (7, True)],
+        ids=[str(geometry._CHUNK_ENTRIES), "7", f"numpy-{geometry._CHUNK_ENTRIES}", "numpy-7"])
+    def test_matches_unchunked_oracle_bitwise(self, chunk, numpy_search, monkeypatch):
         monkeypatch.setattr(geometry, "_CHUNK_ENTRIES", chunk)
+        if numpy_search:
+            no_nearest_search(monkeypatch)
         rng = np.random.default_rng(47)
         sizes = [(671, 671, 4)] + [
             (int(rng.integers(1, 60)), int(rng.integers(1, 60)), int(rng.integers(1, 7)))
@@ -338,6 +354,12 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff(np.zeros((1, 2)), a)
 
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            hausdorff(np.zeros((2, 2)), np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            hausdorff(PointCloud(np.zeros((3, 3))), np.zeros((2, 2)))
+
 
 class TestPeakMemory:
     """No k^2 array: what the pair searches hold at once stays within a
@@ -357,6 +379,11 @@ class TestPeakMemory:
         a = rng.uniform(-1, 1, (4000, 2))
         b = rng.uniform(-1, 1, (4000, 2)) + 100.0
         assert self._peak(lambda: hausdorff(a, b)) < 16 * geometry._CHUNK_ENTRIES * 2 * 8
+
+    def test_far_apart_hausdorff_numpy_search(self, monkeypatch):
+        # Every window of the NumPy search is the whole other set here.
+        no_nearest_search(monkeypatch)
+        self.test_far_apart_hausdorff()
 
     def test_converged_window_clustering(self):
         window = 0.5 + np.random.default_rng(4).uniform(-1e-5, 1e-5, (20_000, 2))
