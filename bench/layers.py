@@ -86,7 +86,10 @@ compiled and cached:
                    PointCloud.distances on cycle_cloud's omega cloud of m
                    members (671), over the points that one pass of that
                    workload at seed 0 queries: its converse samples and
-                   its certificate's shell points, in their calls. They
+                   its certificate's shell points, in their calls, with
+                   the shell function forced to give no function, so that
+                   the NumPy loops ask for the shell rays' distances as
+                   they do in a checkout whose C rays take no cloud. They
                    run in C where the checkout has the nearest search
                    (flow._nearest_kernel) and it builds
   cloud_distances/cycle/<m>/numpy
@@ -105,6 +108,13 @@ compiled and cached:
                    checkout has the shell function (flow._shell_search,
                    or flow._shell_kernel of one source per dimension) and
                    it builds
+  shell_points/cloud/200
+                   lyapunov._annulus_points on cycle_cloud's omega cloud
+                   and annulus, (0.05, 1], 200 rays from a generator
+                   seeded with 0, as that workload's certificate draws
+                   them at seed 0; in C where the checkout's shell
+                   function takes a cloud, else in the NumPy loops, whose
+                   distances the nearest search takes
   shell_points/<set>/<m>/numpy
                    the same with that loader forced to give no function,
                    so that the NumPy loops run the rays
@@ -164,7 +174,7 @@ VDP_REVERSED = ["-x2", "x1 - (1 - x1^2)*x2"]
 # field/m of the orbit_loop and native_orbit layers
 BATCHES = tuple(f"{field}/{m}" for field in ("harmonic", "cycle") for m in (1, 3, 25, 49, 100))
 # the shell_points layers; each also runs as <layer>/numpy, with NumPy forced
-SHELLS = ("shell_points/point/10", "shell_points/ball/100")
+SHELLS = ("shell_points/point/10", "shell_points/ball/100", "shell_points/cloud/200")
 # the cloud_distances layer; it also runs as <layer>/numpy, with the fallback forced
 CLOUD = "cloud_distances/cycle/671"
 # the Hausdorff layers; each also runs as <layer>/numpy, with the fallback forced
@@ -412,10 +422,20 @@ def worker(src: str) -> dict:
 
         layers[name] = hausdorff
         layers[f"{name}/numpy"] = numpy_hausdorff
-    shells = [(ls.SinglePoint([0.0, 0.0]), [0.05] * 10), (ls.ClosedBall([0.0, 0.0], 0.5), [0.3] * 100)]
+    # cycle_cloud's pass at seed 0: its cloud, and the points it queries
+    cloud = ls.PointCloud(ls.estimate_omega(cycle, CYCLE_X0, ls.IntegratorConfig(),
+                                            transient_T=60.0, window_T=6.7).points.points)
+    if not CLOUD.endswith(f"/{len(cloud)}"):
+        sys.exit(f"cycle_cloud's omega cloud has {len(cloud)} members, not those of {CLOUD}")
+    lyapunov = importlib.import_module("lyapset.lyapunov")
+    shells = [(ls.SinglePoint([0.0, 0.0]), [0.05] * 10), (ls.ClosedBall([0.0, 0.0], 0.5), [0.3] * 100),
+              (cloud, None)]
     for name, (M, radii) in zip(SHELLS, shells):
         def shell(M=M, radii=radii):
-            geometry._shell_points(M, radii, numpy.random.default_rng(0))
+            if radii is None:
+                lyapunov._annulus_points(M, 0.05, 1.0, 200, numpy.random.default_rng(0))
+            else:
+                geometry._shell_points(M, radii, numpy.random.default_rng(0))
 
         def numpy_shell(shell=shell):
             with _forced(flow, _shell_search=lambda: None, _shell_kernel=lambda n: None):
@@ -423,16 +443,12 @@ def worker(src: str) -> dict:
 
         layers[name] = shell
         layers[f"{name}/numpy"] = numpy_shell
-    # cycle_cloud's pass at seed 0: its cloud, and the points it queries
-    cloud = ls.PointCloud(ls.estimate_omega(cycle, CYCLE_X0, ls.IntegratorConfig(),
-                                            transient_T=60.0, window_T=6.7).points.points)
-    if not CLOUD.endswith(f"/{len(cloud)}"):
-        sys.exit(f"cycle_cloud's omega cloud has {len(cloud)} members, not those of {CLOUD}")
-    queries = _queried(ls.PointCloud, lambda: (
-        ls.converse_table(cycle, cloud, numpy.random.default_rng(0).uniform(-3.0, 3.0, (24, 4)),
-                          ls.IntegratorConfig(), ls.ConverseConfig(10.0, 0.02)),
-        ls.verify_certificate(cycle, cloud, ls.ScalarFieldSpec.from_string(
-            "x1^2 + x2^2 + x3^2 + x4^2", 4), 0.05, 1.0, 200, 0, ls.IntegratorConfig())))
+    with _forced(flow, _shell_search=lambda: None, _shell_kernel=lambda n: None):
+        queries = _queried(ls.PointCloud, lambda: (
+            ls.converse_table(cycle, cloud, numpy.random.default_rng(0).uniform(-3.0, 3.0, (24, 4)),
+                              ls.IntegratorConfig(), ls.ConverseConfig(10.0, 0.02)),
+            ls.verify_certificate(cycle, cloud, ls.ScalarFieldSpec.from_string(
+                "x1^2 + x2^2 + x3^2 + x4^2", 4), 0.05, 1.0, 200, 0, ls.IntegratorConfig())))
 
     def distances():
         for points in queries:

@@ -44,8 +44,9 @@ distance outside a given epsilon, or reduces them per row and per target
 in C, so that those samples never reach visit. One C function, in the
 prelude of every native source, takes those distances; a second source,
 built once for every dimension, runs the shell rays of
-geometry._shell_points for such a set with it, and a third is the
-nearest-member search that takes a point cloud's distances. Each build is
+geometry._shell_points with it for such a set, and for a point cloud
+with the sorted scan of a third, the nearest-member search that takes a
+point cloud's distances. Each build is
 cached under ${XDG_CACHE_HOME:-~/.cache}/lyapset, until it has not been
 loaded for _STALE_S when a new build is written, and it is made with
 contraction and builtins off, so that gcc neither fuses a * b + c nor
@@ -741,44 +742,109 @@ def _c_source(V: VectorFieldSpec, method: str) -> str:
     ])
 
 
+# The nearest-member search of a point cloud: Friedman, Baskett & Shustek
+# (IEEE Trans. Comput. C-24, 1975) over the members sorted on one
+# coordinate, the key. scan(p, ...) scans down from p's place in the key,
+# then up, and a side ends at its first member whose gap on the key,
+# squared, is not below the best squared distance so far: that square is a
+# term of the member's sum, a rounded sum of squares is never below one of
+# its terms, and the gaps only grow along a side. So every member left out
+# has a sum at least the best, and scan returns the exact minimum of best
+# and the sums, taken from left to right, as geometry._squared takes them:
+# from best = HUGE_VAL, its root has the sorted-window search's bits.
+# With stop, it returns the first sum s below best with r - sqrt(s) > tol:
+# the distance is at most sqrt(s), so it is below r - tol too. stop is a
+# constant at each call, so nearest compiles without that test. One side,
+# then the other, and not the nearer gap first: that branch mispredicts,
+# and on a 2-core Xeon it took the 31,816 queries of perfbench's
+# cycle_cloud from 7.9 to 15.4 ms, for 4% fewer members tested.
+_SCAN = f"""
+{_INLINE} double scan(const double *p, int64_t k, int64_t n, int64_t axis,
+                      const double *members, const double *key, double best,
+                      int stop, double r, double tol)
+""" + """{
+    const double at = p[axis];
+    double e, s;
+    int64_t j, lo = 0, hi = k, mid;
+    while (lo < hi) {
+        mid = lo + (hi - lo) / 2;
+        if (key[mid] < at) lo = mid + 1; else hi = mid;
+    }
+    for (j = lo - 1; j >= 0; j--) {
+        e = at - key[j];
+        if (!(e * e < best)) break;
+        s = squares(p, members + n * j, n);
+        if (stop && s < best && r - sqrt(s) > tol) return s;
+        best = min2(best, s);
+    }
+    for (j = lo; j < k; j++) {
+        e = key[j] - at;
+        if (!(e * e < best)) break;
+        s = squares(p, members + n * j, n);
+        if (stop && s < best && r - sqrt(s) > tol) return s;
+        best = min2(best, s);
+    }
+    return best;
+}
+"""
+
 # geometry._shell_points' search in C, for each of the m rays of n
 # coordinates, as its NumPy loops run it. Ray i starts at base[i] along
 # the unit vector u[i], rows of n. Its outer bound s starts at r[i] and
 # doubles, up to 90 times, while base[i] + s u[i] lies at a distance <
 # r[i] from the set. Then up to 256 halvings of [lo, hi] = [0, s], at mid
 # = 0.5 (lo + hi), look for a point at a distance within tol[i] of r[i];
-# out[i] is that point, else the midpoint of the last bounds. set is
-# _set_params' array, its kind not 0: with set_distance's distances every
-# point has the NumPy loops' bits. |d - r| <= tol is tested on both signs,
-# as r - d is exactly -(d - r) and, with builtins off, fabs is a call.
-_SHELL_SOURCE = _C_PRELUDE + """
-void shell(int64_t m, int64_t n, const double *base, const double *u, const double *r,
-           const double *tol, const double *set, double *out)
+# out[i] is that point, else the midpoint of the last bounds. |d - r| <=
+# tol is tested on both signs, as r - d is exactly -(d - r) and, with
+# builtins off, fabs is a call. set is _set_params' array. With k = 0 its
+# kind is not 0, and set_distance's distances give every point the NumPy
+# loops' bits. Else the set is the cloud of k members sorted on axis (key),
+# and a point depends only on two tests of each d, d < r and |d - r| <=
+# tol, which scan's d settles. It starts from a bound U = (r + 2 tol)^2
+# where sqrt(U) - r > tol, else HUGE_VAL: where no sum is below U, d =
+# sqrt(U) and the exact distance are both beyond r + tol; where it stops
+# early, both are below r - tol; otherwise d is exact. So a cloud's points
+# have those bits too.
+_SHELL_SOURCE = _C_PRELUDE + _SCAN + """
+static inline double distance(const double *set, const double *p, int64_t n, int64_t k,
+                              int64_t axis, const double *members, const double *key,
+                              double bound, double r, double tol)
+{
+    return k ? sqrt(scan(p, k, n, axis, members, key, bound, 1, r, tol))
+             : set_distance(set, p, n);
+}
+
+void shell(int64_t m, int64_t n, int64_t k, int64_t axis, const double *base,
+           const double *u, const double *r, const double *tol, const double *set,
+           const double *members, const double *key, double *out)
 {
     const double *b, *v;
-    double s_lo, s_hi, mid, d, *p;
-    int64_t i, k, c;
+    double s_lo, s_hi, mid, d, bound, *p;
+    int64_t i, t, c;
     for (i = 0; i < m; i++) {
         b = base + n * i;
         v = u + n * i;
         p = out + n * i;
+        bound = (r[i] + 2.0 * tol[i]) * (r[i] + 2.0 * tol[i]);
+        if (!(sqrt(bound) - r[i] > tol[i])) bound = HUGE_VAL;
         s_hi = r[i];
-        for (k = 0; k < 90; k++) {
+        for (t = 0; t < 90; t++) {
             for (c = 0; c < n; c++)
                 p[c] = b[c] + s_hi * v[c];
-            if (!(set_distance(set, p, n) < r[i])) break;
+            if (!(distance(set, p, n, k, axis, members, key, bound, r[i], tol[i]) < r[i]))
+                break;
             s_hi = s_hi * 2.0;
         }
         s_lo = 0.0;
-        for (k = 0; k < 256; k++) {
+        for (t = 0; t < 256; t++) {
             mid = 0.5 * (s_lo + s_hi);
             for (c = 0; c < n; c++)
                 p[c] = b[c] + mid * v[c];
-            d = set_distance(set, p, n);
+            d = distance(set, p, n, k, axis, members, key, bound, r[i], tol[i]);
             if (d - r[i] <= tol[i] && r[i] - d <= tol[i]) break;
             if (d < r[i]) s_lo = mid; else s_hi = mid;
         }
-        if (k == 256) {
+        if (t == 256) {
             mid = 0.5 * (s_lo + s_hi);
             for (c = 0; c < n; c++)
                 p[c] = b[c] + mid * v[c];
@@ -798,64 +864,36 @@ def _shell_search():
 def _shell_rays(M: CompactSet, base: np.ndarray, u: np.ndarray, r: np.ndarray,
                 tol: np.ndarray) -> np.ndarray | None:
     """The points of geometry._shell_points' rays from base along u,
-    found in C with the bits of its NumPy loops; None where M is not a set
-    whose distances the native code takes (_set_params) or the shell
-    function cannot be built or loaded, so that the caller runs them.
-    base and u are C-contiguous float64 arrays of r.size rows and M.dim
-    columns, r a float64 array and tol a C-contiguous one of r.size
-    entries."""
+    found in C with the bits of its NumPy loops; None where M is neither a
+    set whose distances the native code takes (_set_params) nor a
+    PointCloud itself, where a cloud's ray could reach a point that is not
+    finite, on which its distances raise, or where the shell function
+    cannot be built or loaded, so that the caller runs them. base and u
+    are C-contiguous float64 arrays of r.size rows and M.dim columns, r a
+    float64 array and tol a C-contiguous one of r.size entries."""
     params = _set_params(M, M.dim)
-    shell = _shell_search() if params[0] else None
+    cloud = type(M) is PointCloud
+    # A ray's points lie within |r| 2^90 of its base, a member, so below
+    # this bound they are finite.
+    if cloud and not np.abs(r).max(initial=0.0) < 2.0 ** -91 * (1e300 - np.abs(base).max(initial=0.0)):
+        return None
+    shell = _shell_search() if params[0] or cloud else None
     if shell is None:
         return None
+    axis, members, key = M._sorted() if cloud else (0, params, params[:0])
     # Named, so that each array outlives the call that reads it.
-    arrays = (base, u, np.ascontiguousarray(r), tol, params, np.empty_like(u))
-    shell(r.size, M.dim, *(a.ctypes.data for a in arrays))
+    arrays = (base, u, np.ascontiguousarray(r), tol, params, members, key, np.empty_like(u))
+    shell(r.size, M.dim, key.size, axis, *(a.ctypes.data for a in arrays))
     return arrays[-1]
 
 
-# The nearest-member search of a point cloud: Friedman, Baskett & Shustek
-# (IEEE Trans. Comput. C-24, 1975) over the members sorted on one
-# coordinate, the key. A query scans down from its place in the key, then
-# up, and a side ends at its first member whose gap on the key, squared,
-# is not below the best squared distance so far: that square is a term of
-# the member's sum, a rounded sum of squares is never below one of its
-# terms, and the gaps only grow along a side. So every member left out has
-# a sum at least the best, and the result is the square root of the exact
-# minimum of the sums, taken from left to right, as geometry._squared
-# takes them: the bits of the sorted-window search. One side, then
-# the other, and not the nearer gap first: that branch mispredicts, and on
-# a 2-core Xeon it took the 31,816 queries of perfbench's cycle_cloud from
-# 7.9 to 15.4 ms, for 4% fewer members tested.
-_NEAREST_SOURCE = _C_PRELUDE + """
+_NEAREST_SOURCE = _C_PRELUDE + _SCAN + """
 void nearest(int64_t m, const double *queries, int64_t k, int64_t n, int64_t axis,
              const double *members, const double *key, double *out)
 {
-    const double *p;
-    double at, e, best;
-    int64_t i, j, lo, hi, mid;
-    for (i = 0; i < m; i++) {
-        p = queries + n * i;
-        at = p[axis];
-        lo = 0;
-        hi = k;
-        while (lo < hi) {
-            mid = lo + (hi - lo) / 2;
-            if (key[mid] < at) lo = mid + 1; else hi = mid;
-        }
-        best = HUGE_VAL;
-        for (j = lo - 1; j >= 0; j--) {
-            e = at - key[j];
-            if (!(e * e < best)) break;
-            best = min2(best, squares(p, members + n * j, n));
-        }
-        for (j = lo; j < k; j++) {
-            e = key[j] - at;
-            if (!(e * e < best)) break;
-            best = min2(best, squares(p, members + n * j, n));
-        }
-        out[i] = sqrt(best);
-    }
+    int64_t i;
+    for (i = 0; i < m; i++)
+        out[i] = sqrt(scan(queries + n * i, k, n, axis, members, key, HUGE_VAL, 0, 0.0, 0.0));
 }
 """
 
@@ -1076,7 +1114,7 @@ _BUILD_TIMEOUT_S = 120
 _STALE_S = 30 * 24 * 3600
 # The functions that the C sources export: their result, then their
 # arguments, by letter: i an int64_t, p a pointer, v no value.
-_EXPORTS = {"orbits": "iippppiipppippi", "shell": "viipppppp", "nearest": "vipiiippp"}
+_EXPORTS = {"orbits": "iippppiipppippi", "shell": "viiiipppppppp", "nearest": "vipiiippp"}
 # Loaded functions by the hash of their source and build, or None where
 # the build or load failed: a cleared _native costs no build again.
 _LIBRARIES: dict = {}

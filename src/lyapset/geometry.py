@@ -13,9 +13,9 @@ one distance formula, `distances` over an (m, n) array; `distance` of one
 point applies it to a one-row array, so both forms agree bitwise.
 
 Points on the shell {x : d(x, M) = r} come from one sampler, which shoots
-rays out of the set and bisects them: for a point, a ball or a box in one
-call of a C search, elsewhere all together in NumPy, with the same bits
-either way. A sampling call draws from one seeded generator, one array
+rays out of the set and bisects them: for a point, a ball, a box or a
+point cloud in one call of a C search, elsewhere all together in NumPy,
+with the same bits either way. A sampling call draws from one seeded generator, one array
 call per kind of draw. Finite sets are clustered by a search over sorted
 windows of their widest coordinate. Their Hausdorff distance is the larger
 of the two one-sided maxima of the point cloud's own distances.
@@ -110,7 +110,9 @@ class PointCloud(CompactSet):
     over the members sorted on their widest coordinate takes it
     (flow._nearest); where that search cannot be built, a NumPy search over
     sorted windows does, exactly too, so with the same bits. `hausdorff`
-    takes its one-sided maxima from these distances."""
+    takes its one-sided maxima from these distances. Shell rays out of the
+    cloud itself, not of a subclass, run in C with the C search's scan
+    (flow._shell_rays)."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -242,11 +244,14 @@ def _shell_points(M: CompactSet, radii, rng: np.random.Generator) -> np.ndarray:
     max(4, m) members of the set, and each ray's base among them, so the
     rays of a cloud spread over it. All rays then grow their outer bound
     by doubling and bisect together, one `distances` call per step over
-    the rays not yet done. For a point, a ball or a box, one C call
-    (flow._shell_rays) runs that search ray by ray instead, by the same
-    operations in the same order, so with the same bits: one build serves
-    every dimension, and its distances are the native orbit loop's. Other
-    sets, and runs where it cannot be built, take these loops.
+    the rays not yet done. For a point, a ball, a box or a point cloud,
+    one C call (flow._shell_rays) runs that search ray by ray instead, by
+    the same operations in the same order, so with the same bits: one
+    build serves every dimension, and its distances are the native orbit
+    loop's, or for a cloud the C nearest search's scan, which ends once a
+    step's two tests, d < r and |d - r| <= tol, are decided as the exact
+    distance decides them. Other sets, and runs where it cannot be built,
+    take these loops.
     """
     from .flow import _shell_rays  # flow imports this module
 

@@ -434,6 +434,13 @@ class _Shifted(SinglePoint):
         return super().distances(points) + 1.0
 
 
+class _ShiftedCloud(PointCloud):
+    """A cloud whose distances are 1 more than its own."""
+
+    def distances(self, points):
+        return super().distances(points) + 1.0
+
+
 class TestSetDistances:
     """The native loop's distances to the sets whose distances it takes
     are the sets' own, bit for bit, in every dimension; other sets leave
@@ -475,6 +482,7 @@ class TestSetDistances:
     ], ids=["cloud", "subclass"])
     def test_other_sets_leave_them_to_visit(self, M):
         points = _spread(np.random.default_rng(0), 40, M.dim) * 1e-6
+        assert flow._set_params(M, M.dim)[0] == 0  # no kind: a cloud is no point
         assert _native_distances(M, points) is None
 
     def test_a_subclass_measures_with_its_own_distances(self):
@@ -543,26 +551,34 @@ def _shell_bits(M, radii, seed, on):
 
 
 def _shell_sets(kind, n, rng):
-    """Sets of kind in n coordinates: a ball of radius 0 among the balls
-    and a box with lo == hi among the boxes."""
+    """Sets of kind in n coordinates: a ball of radius 0 among the balls,
+    a box with lo == hi among the boxes, and among the clouds one of one
+    member and one whose members come in pairs."""
     c = rng.standard_normal(n)
     return {"point": [SinglePoint(c)],
             "ball": [ClosedBall(c, float(rng.uniform(0.1, 2.0))), ClosedBall(c, 0.0)],
-            "box": [Box(c, c + rng.uniform(0.1, 2.0, n)), Box(c, c)]}[kind]
+            "box": [Box(c, c + rng.uniform(0.1, 2.0, n)), Box(c, c)],
+            "cloud": [PointCloud(c[None, :]),
+                      PointCloud(np.repeat(c + rng.standard_normal((4, n)), 2, axis=0)),
+                      PointCloud(c + rng.standard_normal((int(rng.integers(2, 40)), n)))]}[kind]
 
 
 class TestShellKernel:
     """_shell_points' C rays have the NumPy loops' bits, and only a point,
-    a ball or a box takes them."""
+    a ball, a box or a point cloud takes them."""
 
     @pytest.mark.parametrize("n", range(1, 13))
-    @pytest.mark.parametrize("kind", ["point", "ball", "box"])
+    @pytest.mark.parametrize("kind", ["point", "ball", "box", "cloud"])
     def test_bitwise_the_numpy_loops(self, kind, n):
         rng = np.random.default_rng([n, len(kind)])
         builds = flow._shell_search() is not None
         for M in _shell_sets(kind, n, rng):
             for trial in range(4):
                 radii = 10.0 ** rng.uniform(-8.0, 8.0, int(rng.integers(1, 40)))
+                if kind == "cloud":
+                    # Far below the members' spacing, far above the cloud's
+                    # extent, and one whose scan bound (r + 2 tol)^2 overflows.
+                    radii = np.append(radii, [1e-3, 50.0, 2e154])
                 if trial % 2:
                     radii = np.repeat(radii, 2)[::2]  # a strided view
                 expected = _shell_bits(M, radii, trial, False)
@@ -592,7 +608,9 @@ class TestShellKernel:
         assert rays.tobytes() == _shell_bits(ball, [r] * 8, 0, False)
 
     @pytest.mark.parametrize("M", [SinglePoint([0.5, -1.0]), ClosedBall([0.0, 0.0, 1.0], 0.5),
-                                   Box([-1.0, 0.0], [1.0, 0.5])], ids=["point", "ball", "box"])
+                                   Box([-1.0, 0.0], [1.0, 0.5]),
+                                   PointCloud([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])],
+                             ids=["point", "ball", "box", "cloud"])
     def test_the_samplers_give_the_same_points(self, M):
         def samples(on):
             with _shells(on):
@@ -606,28 +624,50 @@ class TestShellKernel:
     @pytest.mark.parametrize("M", [
         PointCloud([[0.0, 0.0], [1.0, 0.5]]),
         _Shifted([0.0, 0.0]),
-    ], ids=["cloud", "subclass"])
+        _ShiftedCloud([[0.0, 0.0], [1.0, 0.5]]),
+    ], ids=["cloud", "subclass", "cloud_subclass"])
     def test_other_sets_take_their_own_distances(self, M):
+        # A cloud's rays take its distances in C, where the shell function
+        # builds; a subclass, even of PointCloud, takes the NumPy loops.
         radii = [1.5, 2.0, 3.0]
         built = []
         search = flow._shell_search
         with mock.patch.object(flow, "_shell_search", lambda: built.append(M.dim) or search()), \
                 mock.patch.object(M, "distances", wraps=M.distances) as distances:
             points = geometry._shell_points(M, radii, np.random.default_rng(0))
-        assert built == [] and distances.call_count > 0
-        # The subclass's own distance is the one its shell points are at.
+        if type(M) is PointCloud:
+            assert built == [M.dim] and (distances.call_count == 0) == (search() is not None)
+        else:
+            assert built == [] and distances.call_count > 0
+        # The set's own distance is the one its shell points are at.
         assert np.allclose(M.distances(points), radii, rtol=1e-9)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 1e300])
+    def test_cloud_rays_that_may_leave_the_doubles(self, r):
+        # A ray of r that is not finite, or beyond 1e300 / 2^91, may reach
+        # a point that is not finite, on which a cloud's distances raise:
+        # such rays take the NumPy loops, with their error or their bits.
+        M = PointCloud([[0.0, 0.0], [1.0, 0.5]])
+
+        def outcome(on):
+            try:
+                return _shell_bits(M, [0.5, r], 3, on)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(True) == outcome(False)
 
     def test_without_a_build_the_same_bits(self):
         # As under CC=/nonexistent: no shell function loads, and the
         # NumPy loops give the same points.
         cases = [(SinglePoint([0.0, 1.0]), [0.5] * 10), (ClosedBall([1.0] * 3, 0.2), [1e-6, 3.0]),
-                 (Box([0.0] * 5, [1.0] * 5), list(10.0 ** np.arange(-8.0, 8.0)))]
+                 (Box([0.0] * 5, [1.0] * 5), list(10.0 ** np.arange(-8.0, 8.0))),
+                 (PointCloud(np.eye(4)), [1e-3, 0.5, 50.0])]
         expected = [_shell_bits(M, radii, 11, True) for M, radii in cases]
         flow._shell_search.cache_clear()
         try:
             with mock.patch.object(flow, "_library", lambda source, name: None):
-                assert [flow._shell_search() for M, _ in cases] == [None] * 3
+                assert [flow._shell_search() for M, _ in cases] == [None] * 4
                 assert [_shell_bits(M, radii, 11, True) for M, radii in cases] == expected
         finally:
             flow._shell_search.cache_clear()
@@ -646,7 +686,7 @@ class TestShellKernel:
                                       lambda source, *args: compiled.append(source)
                                       or compile_(source, *args)):
                 for n in range(1, 13):
-                    for kind in ("point", "ball", "box"):
+                    for kind in ("point", "ball", "box", "cloud"):
                         for M in _shell_sets(kind, n, np.random.default_rng(n)):
                             assert (_shell_bits(M, [0.1, 2.0], n, True)
                                     == _shell_bits(M, [0.1, 2.0], n, False))
