@@ -118,6 +118,19 @@ compiled and cached:
   shell_points/<set>/<m>/numpy
                    the same with that loader forced to give no function,
                    so that the NumPy loops run the rays
+  converse_table/cycle/24
+                   converse_table as one pass of cycle_cloud calls it at
+                   seed 0: its 24 starts from [-3, 3]^4, its omega cloud,
+                   ConverseConfig(10, 0.02) and default tolerances; the
+                   orbits, the nearest search and the sliding maxima of
+                   24 curves of 1,001 samples
+  converse_table/cycle/24/T50
+                   the same at horizon 50, curves of 5,001 samples
+  verify_certificate/cycle/200
+                   verify_certificate as that pass calls it: the sum of
+                   squares on the annulus (0.05, 1] around the cloud, 200
+                   samples, seed 0; the shell rays, 32 decrease orbits and
+                   the candidate's margins
   analyze/<name>   `lyapset analyze` in process, per bundled problem
   report/<name>    the encoding of that problem's report alone, as its
                    analyze writes it: cli._report_text where the checkout
@@ -179,6 +192,9 @@ SHELLS = ("shell_points/point/10", "shell_points/ball/100", "shell_points/cloud/
 CLOUD = "cloud_distances/cycle/671"
 # the Hausdorff layers; each also runs as <layer>/numpy, with the fallback forced
 HAUSDORFF = ("omega/hausdorff", "hausdorff/far/4000")
+# cycle_cloud's converse and certificate calls at seed 0
+CONVERSE, CONVERSE_T50, CERTIFICATE = (
+    "converse_table/cycle/24", "converse_table/cycle/24/T50", "verify_certificate/cycle/200")
 # layer: (timed runs per worker, calls per run); analyze layers: (5, 1).
 REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 2),
            "estimate_delta": (3, 1), "native_orbit/vdp/1681": (7, 1), "native_orbit/vdp/1681/serial": (7, 1),
@@ -188,6 +204,7 @@ REPEATS = {"attempt": (30, 10), "probe_orbit": (30, 10), "converse_orbit": (20, 
            "hausdorff/far/4000": (7, 1), "hausdorff/far/4000/numpy": (7, 1),
            **{f"{shell}{forced}": (20, 10) for shell in SHELLS for forced in ("", "/numpy")},
            "estimate_omega/vanderpol": (10, 1),
+           CONVERSE: (20, 1), CONVERSE_T50: (7, 1), CERTIFICATE: (20, 2),
            **{f"report/{name}": (20, 5) for name in PROBLEMS},
            **{f"{CLOUD}{forced}": (20, 2) for forced in ("", "/numpy")},
            **{f"{kind}/{batch}": (20, 2) if int(batch.split("/")[1]) <= 3 else (10, 1)
@@ -443,12 +460,17 @@ def worker(src: str) -> dict:
 
         layers[name] = shell
         layers[f"{name}/numpy"] = numpy_shell
+    # made once, as the workload makes them
+    cycle_starts = numpy.random.default_rng(0).uniform(-3.0, 3.0, (24, 4))
+    candidate = ls.ScalarFieldSpec.from_string("x1^2 + x2^2 + x3^2 + x4^2", 4)
+    cycle_cfg = ls.IntegratorConfig()
+    for name, horizon in ((CONVERSE, 10.0), (CONVERSE_T50, 50.0)):
+        layers[name] = lambda cc=ls.ConverseConfig(horizon, 0.02): ls.converse_table(
+            cycle, cloud, cycle_starts, cycle_cfg, cc)
+    layers[CERTIFICATE] = lambda: ls.verify_certificate(
+        cycle, cloud, candidate, 0.05, 1.0, 200, 0, cycle_cfg)
     with _forced(flow, _shell_search=lambda: None, _shell_kernel=lambda n: None):
-        queries = _queried(ls.PointCloud, lambda: (
-            ls.converse_table(cycle, cloud, numpy.random.default_rng(0).uniform(-3.0, 3.0, (24, 4)),
-                              ls.IntegratorConfig(), ls.ConverseConfig(10.0, 0.02)),
-            ls.verify_certificate(cycle, cloud, ls.ScalarFieldSpec.from_string(
-                "x1^2 + x2^2 + x3^2 + x4^2", 4), 0.05, 1.0, 200, 0, ls.IntegratorConfig())))
+        queries = _queried(ls.PointCloud, lambda: (layers[CONVERSE](), layers[CERTIFICATE]()))
 
     def distances():
         for points in queries:

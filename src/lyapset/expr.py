@@ -507,11 +507,11 @@ def _emit_results(exprs, xs, code: list[str], target: str = "python") -> list[st
 
 
 def _define(name: str, params: str, code: list[str], returns: str, doc: str,
-            attempts: str | None = None):
+            attempts: str | None = None, scope: dict | None = None):
     """Exec generated code as one function that maps Python's math
     exceptions to EvalDomainError. Given attempts, a count in the code
     that starts at 0, the lyapset errors the function raises carry its
-    value as `attempts`."""
+    value as `attempts`. scope adds globals of the code to _NAMESPACE."""
     body = ["try:", *("    " + line for line in code + [f"return {returns}"]),
             "except (ValueError, ZeroDivisionError, OverflowError) as exc:",
             "    raise EvalDomainError(str(exc)) from exc"]
@@ -521,7 +521,7 @@ def _define(name: str, params: str, code: list[str], returns: str, doc: str,
                 f"    exc.attempts = {attempts}",
                 "    raise"]
     src = "\n".join([f"def {name}({params}):", *("    " + line for line in body)])
-    scope = dict(_NAMESPACE)
+    scope = {**_NAMESPACE, **(scope or {})}
     exec(src, scope)  # source is generated solely from validated ASTs
     fn = scope[name]
     fn.__doc__ = doc

@@ -192,7 +192,8 @@ def _pick(a: str, op: str, b: str, target: str) -> str:
 
 def _block(head: str, body: list[str], target: str) -> list[str]:
     """The compound statement head, an if, elif, else or while with its
-    condition, over the lines body: in Python, or in C."""
+    condition, over the lines body: in Python, or in C. In Python, head
+    may also open a for loop or a def."""
     if target != "c":
         return [head + ":", *("    " + line for line in body)]
     word, _, cond = head.partition(" ")

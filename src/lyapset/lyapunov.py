@@ -6,35 +6,46 @@ used to certify asymptotic stability: ell(x), the largest future
 distance to the set, and big_L(x), the weighted integral of ell along
 the orbit with weight alpha(t) = exp(-lambda*t). Both replace the
 infinite horizon by a truncation whose error bound exp(-lambda*T)/lambda
-times ell_max is reported, never hidden.
+times ell_max is reported, never hidden. ell along a whole curve is a
+sliding maximum, taken for every row at once from running maxima, in
+time linear in the curve; the quadrature weights are computed once per
+ConverseConfig.
 
 verify_certificate checks a user-supplied candidate function the same
 way the constructed one is justified: zero on the set, positive on an
 annulus around it, derivative along the field negative, and decreasing
-along sampled orbits, flowing its samples in one pass too.
+along sampled orbits, flowing its samples in one pass too. One function,
+generated once per field and candidate with both inlined, evaluates all
+its samples in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     EscapedDomainError,
     EvalDomainError,
     NondifferentiableError,
 )
-from .expr import (
+# The compile functions stay importable here, where perfbench's tracer wraps them.
+from .expr import (  # noqa: F401
     ScalarFieldSpec,
     VectorFieldSpec,
+    _define,
+    _emit_closure,
+    _emit_results,
     compile_gradient,
     compile_scalar,
     compile_vector_field,
+    differentiate,
+    print_expr,
 )
-from .flow import IntegratorConfig, check_sampling, flow_rows, sample_times
+from .flow import IntegratorConfig, _block, check_sampling, flow_rows, sample_times
 from .geometry import Box, CompactSet, _shell_points, as_point
 from .limits import _distance_pass
 
@@ -82,6 +93,13 @@ class ConverseConfig:
         """Grid intervals covering the horizon; horizon snaps to the grid."""
         return max(1, int(round(self.horizon_T / self.out_dt)))
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """alpha(t) at the steps + 1 grid times of one quadrature, read-only."""
+        weights = np.exp(-self.lam * self.out_dt * np.arange(self.steps + 1))
+        weights.flags.writeable = False
+        return weights
+
 
 def truncation_bound(ell_max: float, cc: ConverseConfig) -> float:
     """Tail of the weighted integral beyond the horizon, assuming the
@@ -101,10 +119,33 @@ def _quadrature(values: np.ndarray, h: float, rule: str) -> float:
 
 
 def _windowed_sup(d: np.ndarray, window: int) -> np.ndarray:
-    """out[..., k] = max(d[..., k : k+window+1]). A maximum picks one of its
-    inputs, and equal distances have equal bits (no set kind returns -0.0),
-    so the result does not depend on the order the window is scanned in."""
-    return sliding_window_view(d, window + 1, axis=-1).max(axis=-1)
+    """out[..., k] = max(d[..., k : k+window+1]), in time linear in d's
+    length (van Herk 1992; Gil & Werman 1993). Each window of size =
+    window + 1 holds exactly one anchor a = window + j*size, and its
+    maximum is the larger of max(d[k..a]), a running maximum of the block
+    ending at a taken backwards, and max(d[a..k+window]), one of the block
+    starting at a taken forwards. For converse_table's curves of length 2
+    window + 1 there is one anchor, so these are two running maxima that
+    meet at index window. A window that holds a NaN (a row that failed)
+    gives NaN, as a maximum over it does. A maximum picks one of its
+    inputs, and equal distances have equal bits (no set kind returns
+    -0.0), so the result does not depend on the order the window is
+    scanned in."""
+    size = window + 1
+    count = d.shape[-1] - window
+    if count < 1:
+        raise ValueError("window longer than the curve")
+    blocks = -(-count // size)
+    lead, span = d.shape[:-1], blocks * size
+    # d[..., :span] backwards, block by block: the blocks end at the anchors
+    backward = np.maximum.accumulate(d[..., span - 1 :: -1].reshape(*lead, blocks, size), axis=-1)
+    forward = d[..., window:]
+    if span > count:  # the last block's tail is never read
+        forward = np.concatenate([forward, np.zeros((*lead, span - count))], axis=-1)
+    forward = np.maximum.accumulate(forward.reshape(*lead, blocks, size), axis=-1)
+    forward = forward.reshape(*lead, span)[..., :count]
+    backward = backward.reshape(*lead, span)[..., ::-1][..., :count]
+    return np.maximum(backward, forward, out=forward)
 
 
 def _big_l_values(V, M, starts, cfg, cc: ConverseConfig, n_steps: int):
@@ -141,10 +182,8 @@ def ell(V: VectorFieldSpec, M: CompactSet, x, cfg: IntegratorConfig, cc: Convers
 
 def _big_l_at(ellhat: np.ndarray, k0: int, cc: ConverseConfig) -> float:
     """Weighted quadrature of ell-hat over [t_k0, t_k0 + horizon]."""
-    m = cc.steps
-    window = ellhat[k0 : k0 + m + 1]
-    weights = np.exp(-cc.lam * cc.out_dt * np.arange(m + 1))
-    return _quadrature(weights * window, cc.out_dt, cc.quadrature)
+    window = ellhat[k0 : k0 + cc.steps + 1]
+    return _quadrature(cc.weights * window, cc.out_dt, cc.quadrature)
 
 
 def big_L(V: VectorFieldSpec, M: CompactSet, x, cfg: IntegratorConfig, cc: ConverseConfig) -> float:
@@ -357,6 +396,63 @@ def _annulus_points(M: CompactSet, r_in: float, r_out: float, count: int, rng):
     return _shell_points(M, r_in + (1.0 - u) * (r_out - r_in), rng)  # 1 - u in (0, 1]
 
 
+@lru_cache(maxsize=128)
+def _certificate_check(V: VectorFieldSpec, L: ScalarFieldSpec):
+    """Generate the margins of verify_certificate for V and L, and the note
+    of a gradient fallback, or None.
+
+    check(on_set, annulus, starts, moved) takes lists of rows of Python
+    floats (on NumPy scalars a division by zero returns inf with a warning
+    instead of raising) and returns (zero_max, positivity,
+    gradient_margin, decrease_margin): the largest |L| on the set; over
+    the annulus the smallest L and the largest grad L . V; and the largest
+    L(q) - L(p) over the pairs (p, q) of starts and moved. L, each dL/dx_i
+    and each V_i are inlined and evaluated in that order, so the first
+    failure is the one that evaluating them point by point meets first.
+    Where L is not differentiable, the gradient is central_gradient over
+    L, generated as a function in check. The products are added by sum()
+    over their list, which compensates from Python 3.12 on, and each
+    margin is reduced with the builtin min or max, its running value
+    first, which keeps the earlier of two equal values (0.0 and -0.0)."""
+    n = V.dim
+    xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
+    row, moved_row = ", ".join(xs) + ",", ", ".join(ys) + ","
+    code, note = [], None
+    try:
+        parts = [differentiate(L.body, i) for i in range(1, n + 1)]
+    except NondifferentiableError as exc:
+        parts, note = None, f"gradient fallback: {exc}"
+        body, (value,) = _emit_closure([L.body])
+        code += _block("def L(x)", [*body, f"return {value}"], "python")
+    on_set: list[str] = []
+    (value,) = _emit_results([L.body], xs, on_set)
+    on_set.append(f"zero_max = max(zero_max, abs({value}))")
+    annulus: list[str] = []
+    (value,) = _emit_results([L.body], xs, annulus)
+    annulus.append(f"positivity = min(positivity, {value})")
+    if parts is None:
+        annulus.append(f"g = central_gradient(L, [{', '.join(xs)}])")
+        gradient = [f"g[{i}]" for i in range(n)]
+    else:
+        gradient = _emit_results(parts, xs, annulus)
+    products = ", ".join(f"{g} * {v}" for g, v in
+                         zip(gradient, _emit_results(V.components, xs, annulus)))
+    annulus.append(f"gradient_margin = max(gradient_margin, sum([{products}]))")
+    decrease: list[str] = []
+    (after,) = _emit_results([L.body], ys, decrease)
+    (before,) = _emit_results([L.body], xs, decrease)
+    decrease.append(f"decrease_margin = max(decrease_margin, {after} - {before})")
+    code += ["zero_max, positivity, gradient_margin, decrease_margin = 0.0, inf, -inf, -inf",
+             *_block(f"for {row} in on_set", on_set, "python"),
+             *_block(f"for {row} in annulus", annulus, "python"),
+             *_block(f"for ({row}), ({moved_row}) in zip(starts, moved)", decrease, "python")]
+    check = _define("_check", "on_set, annulus, starts, moved", code,
+                    "zero_max, positivity, gradient_margin, decrease_margin",
+                    f"certificate margins of {print_expr(L.body)!r} for {V.label()}",
+                    scope={"central_gradient": central_gradient})
+    return check, note
+
+
 def verify_certificate(
     V: VectorFieldSpec,
     M: CompactSet,
@@ -369,9 +465,15 @@ def verify_certificate(
     zero_tol: float = 1e-9,
     decrease_time: float = 1.0,
 ) -> CertificateReport:
-    """Evaluate a candidate function against the four certificate margins.
-    An evaluation failure or an escaping orbit rejects the candidate; an
-    exhausted step budget, which says nothing about it, raises."""
+    """Evaluate a candidate function against the four certificate margins,
+    in one call of the check that _certificate_check generates for V and
+    the candidate. The first DECREASE_SAMPLES annulus points are flowed
+    for decrease_time before it; the check evaluates the set members, the
+    annulus and then the flowed rows, and a failed flow is raised only
+    after the rows flowed before it, so the first failure decides the note
+    as it does point by point. An evaluation failure or an escaping orbit
+    rejects the candidate; an exhausted step budget, which says nothing
+    about it, raises."""
     if not (r_in >= 0 and r_out > r_in):
         raise ValueError("annulus needs 0 <= r_in < r_out")
     if Lcand.dim != V.dim:
@@ -380,37 +482,16 @@ def verify_certificate(
         raise ValueError("n_samples must be >= 1")
     if not decrease_time > 0:
         raise ValueError("decrease_time must be > 0")
-    notes: list[str] = []
-
-    lfn = compile_scalar(Lcand.body)
-    vfn = compile_vector_field(V)
-    try:
-        gfn = compile_gradient(Lcand)
-        gradient_mode = "symbolic"
-    except NondifferentiableError as exc:
-        gfn = lambda pt: central_gradient(lfn, pt)  # noqa: E731
-        gradient_mode = "central_differences"
-        notes.append(f"gradient fallback: {exc}")
+    check, note = _certificate_check(V, Lcand)
+    notes = [note] if note else []
 
     rng = np.random.default_rng(seed)
     annulus = _annulus_points(M, r_in, r_out, n_samples, rng)
     on_set = M.sample_points(SET_SAMPLES, rng)
-
-    positivity, zero_max, gradient_margin, decrease_margin = math.inf, 0.0, -math.inf, -math.inf
-    # Closures get Python floats: on NumPy scalars a division by zero
-    # returns inf with a warning instead of raising.
+    moved, error = flow_rows(V, annulus[:DECREASE_SAMPLES], decrease_time, cfg)
     try:
-        for p in on_set:
-            zero_max = max(zero_max, abs(lfn(p.tolist())))
-        for p in annulus:
-            pt = p.tolist()
-            positivity = min(positivity, lfn(pt))
-            g = gfn(pt)
-            v = vfn(pt)
-            gradient_margin = max(gradient_margin, sum(a * b for a, b in zip(g, v)))
-        moved, error = flow_rows(V, annulus[:DECREASE_SAMPLES], decrease_time, cfg)
-        for p, q in zip(annulus, moved):  # the rows before the first failure
-            decrease_margin = max(decrease_margin, lfn(q.tolist()) - lfn(p.tolist()))
+        zero_max, positivity, gradient_margin, decrease_margin = check(
+            on_set.tolist(), annulus.tolist(), annulus[: len(moved)].tolist(), moved.tolist())
         if error is not None:
             raise error
     except (EvalDomainError, EscapedDomainError) as exc:
@@ -429,6 +510,6 @@ def verify_certificate(
         verdict=VERDICT_ACCEPTED if accepted else VERDICT_REJECTED,
         samples=n_samples,
         seed=seed,
-        gradient_mode=gradient_mode,
+        gradient_mode="central_differences" if note else "symbolic",
         notes=tuple(notes),
     )

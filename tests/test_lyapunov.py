@@ -1,19 +1,36 @@
 import math
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
 
 from conftest import circle_cloud, count_generators, native, orbit_attempts
-from lyapset.errors import EscapedDomainError, EvalDomainError, LyapsetError, StepLimitError
-from lyapset.expr import ScalarFieldSpec, VectorFieldSpec, compile_scalar
-from lyapset.flow import IntegratorConfig, flow, trajectory
-from lyapset.geometry import Box, SinglePoint
+from lyapset.errors import (
+    EscapedDomainError,
+    EvalDomainError,
+    LyapsetError,
+    NondifferentiableError,
+    StepLimitError,
+)
+from lyapset.expr import (
+    ScalarFieldSpec,
+    VectorFieldSpec,
+    compile_gradient,
+    compile_scalar,
+    compile_vector_field,
+)
+from lyapset.flow import IntegratorConfig, flow, flow_rows, trajectory
+from lyapset.geometry import Box, PointCloud, SinglePoint
+from lyapset.limits import estimate_omega
 from lyapset.lyapunov import (
     _annulus_points,
     _big_l_at,
+    _certificate_check,
     _windowed_sup,
     DECREASE_SAMPLES,
+    PROBE_TIMES,
+    SET_SAMPLES,
     VERDICT_ACCEPTED,
     VERDICT_REJECTED,
     CertificateReport,
@@ -51,6 +68,14 @@ class TestConverseConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ConverseConfig(**kwargs)
+
+    def test_weights_computed_once(self):
+        # The weights are the per-call formula's bits, made once and read-only.
+        cc = ConverseConfig(10.0, 0.1, lam=0.5)
+        expected = np.exp(-cc.lam * cc.out_dt * np.arange(cc.steps + 1))
+        assert cc.weights is cc.weights
+        assert cc.weights.tobytes() == expected.tobytes()
+        assert not cc.weights.flags.writeable
 
     def test_truncation_bound_formula(self):
         cc = ConverseConfig(10.0, 0.1, lam=0.5)
@@ -144,7 +169,50 @@ def _windowed_sup_deque(d: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def _windowed_sup_explicit(d: np.ndarray, window: int) -> np.ndarray:
+    """Reference sliding maximum: np.max over each window, which gives NaN
+    for a window that holds one."""
+    return np.stack([np.max(d[..., k : k + window + 1], axis=-1)
+                     for k in range(d.shape[-1] - window)], axis=-1)
+
+
 class TestWindowedSup:
+    @pytest.mark.parametrize("window", [0, 1, 3, 10, 25])
+    @pytest.mark.parametrize("extra", [0, 1, 7, max(int(round(p / 0.1)) for p in PROBE_TIMES)])
+    def test_rows_bitwise_explicit_max(self, window, extra):
+        # Rows as _big_l_values leaves them: NaN past a failure, from the
+        # start or partway, among finite curves; ties, +-inf and lengths
+        # 2w + 1 (converse_table) and 2w + 1 + the largest probe index
+        # (verify_converse_properties) among them.
+        rng = np.random.default_rng(window * 100 + extra)
+        size = 2 * window + 1 + extra
+        d = rng.uniform(0.0, 2.0, size=(9, size))
+        d[1] = np.round(d[1], 0)  # ties
+        d[2] = 0.5
+        d[3, size // 2 :] = math.nan
+        d[4, :] = math.nan
+        d[5, -1:] = math.nan
+        d[6, rng.integers(0, size, 3)] = math.inf
+        d[7, rng.integers(0, size, 3)] = -math.inf
+        d[8, size // 3 :] = math.nan
+        d[8, : size // 3] = math.inf
+        got = _windowed_sup(d, window)
+        assert got.shape == (9, size - window)
+        assert got.tobytes() == _windowed_sup_explicit(d, window).tobytes()
+        for row in range(9):
+            assert _windowed_sup(d[row], window).tobytes() == got[row].tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 64])
+    def test_extreme_windows(self, size):
+        rng = np.random.default_rng(size)
+        d = rng.uniform(-1.0, 1.0, size=(3, size))
+        d[1, -1] = math.nan
+        d[2, 0] = -math.inf
+        for window in {0, size - 1}:
+            assert _windowed_sup(d, window).tobytes() == _windowed_sup_explicit(d, window).tobytes()
+        with pytest.raises(ValueError):
+            _windowed_sup(d, size)
+
     def test_matches_deque_oracle_bitwise(self):
         rng = np.random.default_rng(5)
         curves = [rng.uniform(0.0, 2.0, size=401), np.linspace(0.0, 3.0, 301),
@@ -332,7 +400,152 @@ class TestConstructedLIsItsOwnCertificate:
             checked += 1
 
 
+def _certificate_one_by_one(V, M, Lcand, r_in, r_out, n_samples, seed, cfg,
+                            zero_tol=1e-9, decrease_time=1.0):
+    """verify_certificate's report from three compiled closures called point
+    by point, the decrease rows flowed after the annulus is evaluated."""
+    notes = []
+    lfn = compile_scalar(Lcand.body)
+    vfn = compile_vector_field(V)
+    try:
+        gfn = compile_gradient(Lcand)
+        gradient_mode = "symbolic"
+    except NondifferentiableError as exc:
+        gfn = lambda pt: central_gradient(lfn, pt)  # noqa: E731
+        gradient_mode = "central_differences"
+        notes.append(f"gradient fallback: {exc}")
+    rng = np.random.default_rng(seed)
+    annulus = _annulus_points(M, r_in, r_out, n_samples, rng)
+    on_set = M.sample_points(SET_SAMPLES, rng)
+    positivity, zero_max, gradient_margin, decrease_margin = math.inf, 0.0, -math.inf, -math.inf
+    try:
+        for p in on_set:
+            zero_max = max(zero_max, abs(lfn(p.tolist())))
+        for p in annulus:
+            pt = p.tolist()
+            positivity = min(positivity, lfn(pt))
+            g = gfn(pt)
+            v = vfn(pt)
+            gradient_margin = max(gradient_margin, sum(a * b for a, b in zip(g, v)))
+        moved, error = flow_rows(V, annulus[:DECREASE_SAMPLES], decrease_time, cfg)
+        for p, q in zip(annulus, moved):
+            decrease_margin = max(decrease_margin, lfn(q.tolist()) - lfn(p.tolist()))
+        if error is not None:
+            raise error
+    except (EvalDomainError, EscapedDomainError) as exc:
+        notes.append(f"evaluation failure: {exc}")
+        positivity, zero_max, gradient_margin, decrease_margin = (
+            -math.inf, math.inf, math.inf, math.inf)
+    accepted = (positivity > 0 and zero_max <= zero_tol
+                and gradient_margin < 0 and decrease_margin < 0)
+    return CertificateReport(
+        positivity_margin=float(positivity),
+        zero_on_M_max=float(zero_max),
+        gradient_margin=float(gradient_margin),
+        trajectory_decrease_margin=float(decrease_margin),
+        verdict=VERDICT_ACCEPTED if accepted else VERDICT_REJECTED,
+        samples=n_samples,
+        seed=seed,
+        gradient_mode=gradient_mode,
+        notes=tuple(notes),
+    )
+
+
+def _report_bits(report: CertificateReport) -> tuple:
+    margins = (report.positivity_margin, report.zero_on_M_max, report.gradient_margin,
+               report.trajectory_decrease_margin)
+    return (*(m.hex() for m in margins), report.verdict, report.gradient_mode, report.notes,
+            report.samples, report.seed)
+
+
+_CYCLE = VectorFieldSpec.from_strings(["x2", "(1 - x1^2)*x2 - x1", "x1 - x3", "x2 - 2*x4"])
+_SQUARES_4 = ScalarFieldSpec.from_string("x1^2 + x2^2 + x3^2 + x4^2", 4)
+
+
+@pytest.fixture(scope="module")
+def cycle_omega_cloud():
+    """The omega cloud of the lifted Van der Pol cycle, as the benchmark's
+    cycle_cloud workload estimates it."""
+    est = estimate_omega(_CYCLE, [0.5, 0.0, 0.0, 0.0], IntegratorConfig(),
+                         transient_T=60.0, window_T=6.7)
+    return PointCloud(est.points.points)
+
+
+# name: (field texts, candidate, annulus, samples, seed), around the origin.
+# Where x1 < -1, the field and the candidate of both-fail-in-annulus fail
+# with different errors, and the candidate's is the one reported. In
+# cancelling-products, terms of 1e16, 1 + x2 and -1e16 in grad L . V leave
+# a sum that Python 3.12's compensated sum() keeps and a left-to-right sum
+# rounds to 0 or 2, so a check that added the products itself would fail
+# there. The zero candidates are +-0.0 with the sign of -x1 or x1, and at
+# seed 0 the first annulus point and the last lie on opposite sides, so a
+# running minimum that kept the later of two equal zeros would flip the
+# sign of the positivity margin.
+_CERTIFICATE_CASES = {
+    "sink-2d": (["-x1", "-x2"], "x1^2 + x2^2", (0.0, 2.0), 500, 5),
+    "rotating-sink": (["-x1 + x2", "-x1 - x2"], "x1^2 + x2^2", (0.0, 2.0), 300, 5),
+    "growth-1d": (["x1"], "x1^2", (0.1, 2.0), 200, 5),
+    "abs-fallback": (["-x1", "-x2"], "abs(x1) + abs(x2)", (0.1, 2.0), 200, 5),
+    "fails-on-set": (["-x1", "-x2"], "exp(-1/(x1*x1 + x2*x2))", (0.0, 2.0), 20, 5),
+    "candidate-fails-in-annulus": (["-x1"], "sqrt(x1)", (0.1, 2.0), 50, 5),
+    "both-fail-in-annulus": (["-sqrt(x1 + 1)", "-x2"], "x2^2 + exp(1e9*(-1 - x1))",
+                             (0.1, 2.0), 100, 3),
+    "field-fails-in-annulus": (["-x1", "-sqrt(x2 + 1)"], "x1^2 + x2^2", (0.1, 2.0), 100, 3),
+    "fallback-fails-in-annulus": (["-x1", "-x2"], "max(x1, 0) + sqrt(x2 + 1)",
+                                  (0.1, 2.0), 100, 3),
+    "cancelling-products": (["1", "1 + x2", "1"], "1e16*x1 + x2 - 1e16*x3",
+                            (0.1, 1.0), 100, 2),
+    "zero": (["-x1"], "x1*0", (0.1, 1.0), 20, 0),
+    "negative-zero": (["-x1"], "x1*-0", (0.1, 1.0), 20, 0),
+}
+
+
 class TestVerifyCertificate:
+    @pytest.mark.parametrize("case", sorted(_CERTIFICATE_CASES))
+    def test_bitwise_the_closures_point_by_point(self, case, cfg):
+        texts, candidate, annulus, samples, seed = _CERTIFICATE_CASES[case]
+        V = VectorFieldSpec.from_strings(texts)
+        L = ScalarFieldSpec.from_string(candidate, V.dim)
+        M = SinglePoint([0.0] * V.dim)
+        expected = _certificate_one_by_one(V, M, L, *annulus, samples, seed, cfg)
+        got = verify_certificate(V, M, L, *annulus, samples, seed, cfg)
+        assert _report_bits(got) == _report_bits(expected)
+        if "fail" in case:
+            assert got.notes[-1].startswith("evaluation failure: ")
+        if case == "both-fail-in-annulus":
+            assert got.notes[-1] == "evaluation failure: math range error"
+        if case == "cancelling-products":
+            # 1 + x2 once compensated, else 1e16 + (1 + x2) rounds to 1e16 + 2
+            margin = got.gradient_margin
+            assert 1.0 < margin < 2.0 if sys.version_info >= (3, 12) else margin == 2.0
+
+    def test_cycle_cloud_bitwise_the_closures(self, cycle_omega_cloud):
+        # The benchmark's certificate: the 4-D cycle field around its omega
+        # cloud, rejected, at two seeds.
+        cfg = IntegratorConfig()
+        for seed in (0, 1):
+            expected = _certificate_one_by_one(_CYCLE, cycle_omega_cloud, _SQUARES_4,
+                                               0.05, 1.0, 200, seed, cfg)
+            got = verify_certificate(_CYCLE, cycle_omega_cloud, _SQUARES_4, 0.05, 1.0, 200, seed, cfg)
+            assert _report_bits(got) == _report_bits(expected)
+            assert got.verdict == VERDICT_REJECTED
+
+    def test_one_check_per_field_and_candidate(self, cfg):
+        # Two parses of the same texts share one generated check; candidates
+        # that differ only in 0.0 against -0.0 do not.
+        _certificate_check.cache_clear()
+        for _ in range(2):
+            V = VectorFieldSpec.from_strings(["-x1", "-x2"])
+            L = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
+            verify_certificate(V, ORIGIN_2D, L, 0.1, 1.0, 10, 0, cfg)
+        assert _certificate_check.cache_info()[:2] == (1, 1)  # hits, misses
+        V = VectorFieldSpec.from_strings(["-x1"])
+        zero, negative_zero = (ScalarFieldSpec.from_string(text, 1) for text in ("x1*0", "x1*-0"))
+        assert _certificate_check(V, zero)[0] is not _certificate_check(V, negative_zero)[0]
+        reports = [verify_certificate(V, ORIGIN_1D, L, 0.1, 1.0, 20, 1, cfg)
+                   for L in (zero, negative_zero)]
+        assert reports[0].positivity_margin.hex() != reports[1].positivity_margin.hex()
+
     def test_quadratic_accepted_on_sink(self, sink2, cfg):
         L = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
         report = verify_certificate(
@@ -447,6 +660,8 @@ class TestVerifyCertificate:
                     continue
             assert report.verdict == VERDICT_REJECTED
             assert report.notes[-1] == f"evaluation failure: {expected[1]}"
+            oracle = _certificate_one_by_one(V, ORIGIN_2D, L, 0.1, 2.0, 40, 6, cfg)
+            assert _report_bits(report) == _report_bits(oracle)
 
     def test_validation(self, sink2, cfg):
         L2 = ScalarFieldSpec.from_string("x1^2 + x2^2", 2)
